@@ -152,9 +152,6 @@ def run_fleet(
         crit = min(crits)
         row["critical_path_s"] = round(crit, 6)
         row["events_per_s_parallel"] = parallel_rate(executed, crit)
-        # Coordinator cost: everything that is not shard work — spawn,
-        # barrier round-trips, codec, merge.  Timing-plane only.
-        row["barrier_overhead_s"] = round(max(0.0, best - crit), 6)
     if fleet_stats is not None:
         row.update(fleet_stats)
     return row
@@ -411,8 +408,6 @@ def render_report(report: Dict[str, Any]) -> str:
             )
         if "handoff_bytes" in row:
             notes.append(f"{row['handoff_bytes']:,} B wire")
-        if "barrier_overhead_s" in row:
-            notes.append(f"overhead {row['barrier_overhead_s']:.2f} s")
         if row.get("gated"):
             notes.append("wall-clock gated")
         lines.append(

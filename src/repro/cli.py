@@ -173,32 +173,11 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet", help="partitioned multiprocess run with a merged report"
     )
-    fleet.add_argument("--devices", type=int, default=500,
-                       help="fleet size (default 500)")
-    fleet.add_argument("--shards", type=int, default=4,
-                       help="worker process count (default 4; 1 = the "
-                            "reference single-shard run)")
-    fleet.add_argument("--hours", type=float, default=1.0,
-                       help="simulated hours (default 1.0)")
-    fleet.add_argument("--epoch-ms", type=float, default=None,
-                       help="barrier window length; must not exceed the "
-                            "minimum cross-shard latency (the default)")
-    fleet.add_argument("--latency-ms", type=float, default=None,
-                       help="switchboard base stanza latency (default 80; "
-                            "simulated physics — changing it changes the "
-                            "schedule itself, identically for solo and "
-                            "sharded runs; must be > 0)")
-    fleet.add_argument("--in-process", action="store_true",
-                       help="drive the shards in this process behind the "
-                            "same barrier protocol (no spawn cost; "
-                            "byte-identical results)")
+    _add_fleet_args(fleet)
     fleet.add_argument("--report", metavar="PATH",
                        help="write the merged fleet report as canonical JSON")
     fleet.add_argument("--json", action="store_true",
                        help="print the merged report JSON instead of text")
-    fleet.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                       help="experiment seed (also accepted before the "
-                            "subcommand)")
     fleet.add_argument("--telemetry", metavar="FILE",
                        help="sample every shard at each barrier and write "
                             "the timeline as deterministic JSONL (same-seed "
@@ -213,24 +192,35 @@ def _build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top", help="live fleet progress view (refreshed at each barrier)"
     )
-    top.add_argument("--devices", type=int, default=500,
-                     help="fleet size (default 500)")
-    top.add_argument("--shards", type=int, default=4,
-                     help="worker process count (default 4)")
-    top.add_argument("--hours", type=float, default=1.0,
-                     help="simulated hours (default 1.0)")
-    top.add_argument("--epoch-ms", type=float, default=None,
-                     help="barrier window length (default: max safe)")
-    top.add_argument("--latency-ms", type=float, default=None,
-                     help="switchboard base stanza latency (default 80; "
-                          "simulated physics, not a tuning knob)")
-    top.add_argument("--in-process", action="store_true",
-                     help="drive the shards in this process (no spawn cost)")
-    top.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                     help="experiment seed (also accepted before the "
-                          "subcommand)")
+    _add_fleet_args(top)
 
     return parser
+
+
+def _add_fleet_args(parser) -> None:
+    """The fleet shape and physics, shared by ``fleet`` and ``top``."""
+    parser.add_argument("--devices", type=int, default=500,
+                        help="fleet size (default 500)")
+    parser.add_argument("--shards", type=int, default=4,
+                        help="worker process count (default 4; 1 = the "
+                             "reference single-shard run)")
+    parser.add_argument("--hours", type=float, default=1.0,
+                        help="simulated hours (default 1.0)")
+    parser.add_argument("--epoch-ms", type=float, default=None,
+                        help="barrier window length; must not exceed the "
+                             "minimum cross-shard latency (the default)")
+    parser.add_argument("--latency-ms", type=float, default=None,
+                        help="switchboard base stanza latency (default 80; "
+                             "simulated physics — changing it changes the "
+                             "schedule itself, identically for solo and "
+                             "sharded runs; must be > 0)")
+    parser.add_argument("--in-process", action="store_true",
+                        help="drive the shards in this process behind the "
+                             "same barrier protocol (no spawn cost; "
+                             "byte-identical results)")
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help="experiment seed (also accepted before the "
+                             "subcommand)")
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +604,6 @@ def cmd_scenarios(args) -> int:
     import dataclasses
 
     from . import scenarios as _scenarios
-    from .fleet import FleetError, WorkerCrashed
 
     if args.list:
         for name in _scenarios.preset_names():
@@ -641,18 +630,14 @@ def cmd_scenarios(args) -> int:
     if args.seed != spec.seed:
         spec = dataclasses.replace(spec, seed=args.seed)
         spec.validate()
-    try:
-        result = _scenarios.run_scenario_spec(
-            spec,
-            shards=args.shards,
-            processes=(False if args.in_process else None),
-            telemetry=bool(args.telemetry),
-        )
-    except WorkerCrashed as exc:
-        print(_crash_line(exc), file=sys.stderr)
-        return 1
-    except FleetError as exc:
-        print(f"scenarios: {exc}", file=sys.stderr)
+    result = _fleet_call(
+        "scenarios", None, _scenarios.run_scenario_spec,
+        spec,
+        shards=args.shards,
+        processes=(False if args.in_process else None),
+        telemetry=bool(args.telemetry),
+    )
+    if result is None:
         return 1
     from .analysis.export import write_text
 
@@ -690,10 +675,27 @@ def _crash_line(exc) -> str:
     return f"fleet: worker {shard} crashed{where}: {cause}"
 
 
-def cmd_fleet(args) -> int:
-    from .fleet import FleetError, WorkerCrashed, run_fleet
+def _fleet_call(label: str, live, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or ``None`` after printing the one-line
+    diagnosis of a fleet failure (the caller exits 1).  ``live``, if
+    any, is closed either way."""
+    from .fleet import FleetError, WorkerCrashed
 
-    observer = None
+    try:
+        return fn(*args, **kwargs)
+    except WorkerCrashed as exc:
+        print(_crash_line(exc), file=sys.stderr)
+    except FleetError as exc:
+        print(f"{label}: {exc}", file=sys.stderr)
+    finally:
+        if live is not None:
+            live.close()
+    return None
+
+
+def cmd_fleet(args) -> int:
+    from .fleet import run_fleet
+
     live = None
     telemetry = bool(args.telemetry or args.prom)
     if args.live:
@@ -701,28 +703,20 @@ def cmd_fleet(args) -> int:
         from .sim.kernel import HOUR
 
         live = LiveView(args.hours * HOUR, args.devices, args.shards)
-        observer = live
-    try:
-        result = run_fleet(
-            args.devices,
-            args.shards,
-            seed=args.seed,
-            hours=args.hours,
-            epoch_ms=args.epoch_ms,
-            latency_ms=args.latency_ms,
-            processes=not args.in_process,
-            telemetry=telemetry,
-            observer=observer,
-        )
-    except WorkerCrashed as exc:
-        print(_crash_line(exc), file=sys.stderr)
+    result = _fleet_call(
+        "fleet", live, run_fleet,
+        args.devices,
+        args.shards,
+        seed=args.seed,
+        hours=args.hours,
+        epoch_ms=args.epoch_ms,
+        latency_ms=args.latency_ms,
+        processes=not args.in_process,
+        telemetry=telemetry,
+        observer=live,
+    )
+    if result is None:
         return 1
-    except FleetError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if live is not None:
-            live.close()
     from .analysis.export import write_text
 
     if args.telemetry:
@@ -778,31 +772,25 @@ def cmd_fleet(args) -> int:
 
 def cmd_top(args) -> int:
     """Run a fleet with the live view attached; print health at the end."""
-    from .fleet import FleetError, WorkerCrashed, run_fleet
+    from .fleet import run_fleet
     from .obs.live import LiveView
     from .obs.timeline import render_health
     from .sim.kernel import HOUR
 
     live = LiveView(args.hours * HOUR, args.devices, args.shards)
-    try:
-        result = run_fleet(
-            args.devices,
-            args.shards,
-            seed=args.seed,
-            hours=args.hours,
-            epoch_ms=args.epoch_ms,
-            latency_ms=args.latency_ms,
-            processes=not args.in_process,
-            observer=live,
-        )
-    except WorkerCrashed as exc:
-        print(_crash_line(exc), file=sys.stderr)
+    result = _fleet_call(
+        "fleet", live, run_fleet,
+        args.devices,
+        args.shards,
+        seed=args.seed,
+        hours=args.hours,
+        epoch_ms=args.epoch_ms,
+        latency_ms=args.latency_ms,
+        processes=not args.in_process,
+        observer=live,
+    )
+    if result is None:
         return 1
-    except FleetError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        live.close()
     print(
         f"{result.devices} devices / {result.shards} shard(s): "
         f"{result.events:,} events, {result.barriers:,} barriers, "

@@ -656,22 +656,3 @@ class Shard:
     def fleet_report_json(self) -> str:
         return json.dumps(self.fleet_report(), sort_keys=True, indent=2) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# Spawn workers — the implementations moved to repro.fleet.worker, the
-# single spawn-safe entry point shared by the fleet coordinator and the
-# one-shot subprocess helpers.  These names stay as thin shims.
-# ---------------------------------------------------------------------------
-
-def run_battery_monitor_hour(spec: ShardSpec, hours: float = 1.0) -> Dict[str, str]:
-    """Shim for :func:`repro.fleet.worker.run_battery_monitor_hour`."""
-    from ..fleet.worker import run_battery_monitor_hour as impl
-
-    return impl(spec, hours)
-
-
-def run_spec_in_subprocess(spec: ShardSpec, hours: float = 1.0) -> Dict[str, str]:
-    """Shim for :func:`repro.fleet.worker.run_spec_in_subprocess`."""
-    from ..fleet.worker import run_spec_in_subprocess as impl
-
-    return impl(spec, hours)

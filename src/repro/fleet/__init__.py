@@ -1,29 +1,27 @@
 """Multiprocess fleet execution: one simulation, K shard workers.
 
-ROADMAP item 1: the single-process kernel hits a throughput cliff around
-500 devices.  This package partitions one fleet across worker processes
-— each driving its own :class:`~repro.core.shard.Shard` — and keeps the
-merged result byte-identical to the single-shard run for the same seed:
+This package partitions one fleet across workers — each stepping its own
+:class:`~repro.core.shard.Shard` — and keeps the merged result
+byte-identical to the single-shard run for the same seed:
 
 * :mod:`repro.fleet.partition` — split a root :class:`ShardSpec` into K
   per-shard specs with deterministic device→shard assignment and the
   global JID numbering pinned (per-device random streams are keyed by
   JID, so every shard draws exactly the single-shard randomness).
-* :mod:`repro.fleet.worker` — the spawn-safe worker loop: advance the
-  shard to each epoch barrier, ship ``pending_cross_shard()`` handoffs
-  up the pipe, block until the coordinator grants the next window.
+* :mod:`repro.fleet.worker` — :class:`~repro.fleet.worker.ShardDriver`,
+  the one code path that builds a shard and advances it barrier by
+  barrier, plus the spawn-safe loop that serves a driver over a pipe.
 * :mod:`repro.fleet.coordinator` — conservative time-windowed
   synchronization: epoch length bounded by the minimum cross-shard
   stanza latency, deterministic sorted handoff exchange at each barrier,
-  quiescence detection, clean errors on worker crashes.
+  quiescence detection, clean errors on worker crashes.  Drivers run in
+  this process or one per spawned process; the pipe is the only
+  transport.
 * :mod:`repro.fleet.wire` — the batched binary handoff codec: one
   struct-packed, zlib-compressed frame per barrier instead of one
   pickle per stanza; decode reconstructs identical ``Handoff`` objects.
 * :mod:`repro.fleet.merge` — combine per-shard fleet reports, metrics
   planes and span traces into one canonical report.
-
-Telemetry samples and final artifacts ride a per-shard shared-memory
-ring (:mod:`repro.obs.shm`) rather than the control pipe.
 """
 
 from .coordinator import FleetError, FleetResult, WorkerCrashed, run_fleet

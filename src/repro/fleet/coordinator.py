@@ -29,45 +29,34 @@ One simulation, K shards, each advanced in lockstep windows:
   lives on exactly one shard; ``seq`` is that shard's egress counter) —
   so the receiver schedules them identically no matter which worker
   answered first.
-* **Data plane.**  Spawned workers exchange handoff batches as
-  :mod:`repro.fleet.wire` frames — one struct-packed, zlib-compressed
-  buffer per barrier instead of one pickle per stanza — and ship
-  telemetry samples plus their final artifact blob through a per-shard
-  :class:`~repro.obs.shm.ShmRing`, keeping the pipe a control channel.
-  Both lanes degrade gracefully (inline pickles, chunkless results)
-  with byte-identical outcomes.
+* **Data plane.**  Every worker is a
+  :class:`~repro.fleet.worker.ShardDriver`; in-process the coordinator
+  calls it directly, spawned it sits behind one duplex pipe.  Handoff
+  batches cross that pipe as :mod:`repro.fleet.wire` frames — one
+  struct-packed, zlib-compressed buffer per barrier instead of one
+  pickle per stanza — telemetry samples ride the barrier reply, and the
+  final artifacts cross as one zlib-compressed pickle.
 * **Failures.**  A worker that dies, raises, or stops responding turns
-  into :class:`WorkerCrashed`/:class:`FleetError` with the worker's
-  traceback or exit code; every other worker is torn down and every
-  shared-memory ring unlinked. No hangs, no ``/dev/shm`` leaks.
+  into :class:`WorkerCrashed`/:class:`FleetError` naming the shard and
+  the cause; every other worker is torn down.  No hangs, no orphans.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import pickle
 import zlib
 from dataclasses import dataclass, replace
-from time import perf_counter, process_time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from time import perf_counter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.shard import Handoff, Shard, ShardSpec
-from ..obs.shm import DEFAULT_RING_BYTES, ShmError, ShmRing
+from ..core.shard import Handoff, ShardSpec
 from ..obs.timeline import FleetTimeline, fleet_health
 from ..sim.kernel import HOUR
 from .merge import merge_fleet_reports, merge_metrics, merge_trace_jsonl, report_to_json
-from .partition import FleetPlan, fleet_spec, plan_fleet
+from .partition import fleet_spec, plan_fleet
 from .wire import decode_batch, encode_batch
-from .worker import (
-    CHUNK_TAG,
-    TELEMETRY_TAG,
-    WORKLOADS,
-    WorkerCrashed,
-    _rss_kb,
-    collect_artifacts,
-    fleet_worker_main,
-)
+from .worker import WORKLOADS, ShardDriver, WorkerCrashed, fleet_worker_main
 
 
 class FleetError(RuntimeError):
@@ -123,75 +112,21 @@ def _handoff_sort_key(handoff: Handoff):
 # ---------------------------------------------------------------------------
 
 class _LocalWorker:
-    """Drives a shard in this process — the coordinator's fast path for
-    tests and small fleets, bit-identical to the process form."""
+    """The driver called directly, in this process — no spawn cost, for
+    tests and small fleets; bit-identical to the process form."""
+
+    wire_bytes = 0  # nothing crosses a pipe in-process
 
     def __init__(self, spec: ShardSpec, workload: str, fleet_ctx) -> None:
         self.shard_id = spec.shard_id
-        self.wire_bytes = 0  # nothing crosses a pipe in-process
-        try:
-            self.shard = Shard(spec)
-            self.shard.open_boundary()
-            WORKLOADS[workload](self.shard, fleet_ctx)
-        except WorkerCrashed:
-            raise
-        except Exception as exc:
-            # Same surface as a spawned worker that died during setup,
-            # so callers handle in-process and process fleets alike.
-            raise WorkerCrashed(
-                f"worker {self.shard_id} raised during setup: {exc}",
-                shard_id=self.shard_id,
-                cause=f"{type(exc).__name__}: {exc}",
-            ) from exc
-        self._pending: Optional[
-            Tuple[List[Handoff], Optional[float], bool, Any]
-        ] = None
-        self._busy_s = 0.0
-        self._epoch = 0
+        self.driver = ShardDriver(spec, workload, fleet_ctx)
+        self._pending = None
 
     def ready(self) -> Tuple[float, Optional[float], List[Handoff], bool]:
-        return (
-            self.shard.server.latency_ms,
-            self.shard.kernel.next_event_time(),
-            self.shard.pending_cross_shard(),
-            self.shard.egress_capable,
-        )
+        return self.driver.ready()
 
     def post_advance(self, barrier_ms: float, handoffs: List[Handoff]) -> None:
-        t0 = process_time()
-        try:
-            if handoffs:
-                self.shard.ingress(handoffs)
-            out = self.shard.run_until_epoch(barrier_ms)
-        except WorkerCrashed:
-            raise
-        except Exception as exc:
-            # Same structured surface as a spawned worker that raised
-            # mid-epoch (the coordinator stamps barriers/barrier_ms).
-            raise WorkerCrashed(
-                f"worker {self.shard_id} raised mid-epoch: {exc}",
-                shard_id=self.shard_id,
-                cause=f"{type(exc).__name__}: {exc}",
-            ) from exc
-        self._busy_s += process_time() - t0
-        self._epoch += 1
-        # In-process workers never block on a pipe, so stall is zero by
-        # construction; CPU and RSS keep the wall section comparable.
-        sample = self.shard.telemetry.sample(
-            self._epoch,
-            barrier_ms,
-            handoffs_in=len(handoffs),
-            handoffs_out=len(out),
-            wall={
-                "cpu_s": round(self._busy_s, 6),
-                "stall_s": 0.0,
-                "rss_kb": _rss_kb(),
-            },
-        )
-        self._pending = (
-            out, self.shard.kernel.next_event_time(),
-            self.shard.egress_capable, sample,
-        )
+        self._pending = self.driver.advance(barrier_ms, handoffs)
 
     def wait_barrier(self) -> Tuple[List[Handoff], Optional[float], bool, Any]:
         pending, self._pending = self._pending, None
@@ -201,53 +136,41 @@ class _LocalWorker:
         pass
 
     def wait_result(self) -> Dict[str, Any]:
-        return collect_artifacts(self.shard, self._busy_s)
+        return self.driver.finish()
 
     def close(self) -> None:
         pass
 
 
 class _ProcessWorker:
-    """One spawned worker process behind a duplex pipe.
-
-    The pipe carries control messages and wire frames; a per-shard
-    shared-memory ring (created here, unlinked in :meth:`close` on
-    *every* exit path, crashes included) carries telemetry samples and
-    the chunked final artifact blob.  ``ring_bytes=0`` — or a platform
-    without POSIX shared memory — disables the ring and everything
-    falls back inline on the pipe, byte-identically.
-    """
+    """The driver in a spawned process, behind one duplex pipe (see
+    :func:`~repro.fleet.worker.fleet_worker_main` for the protocol)."""
 
     def __init__(
         self, spec: ShardSpec, workload: str, fleet_ctx, context,
-        timeout_s: float, ring_bytes: int = DEFAULT_RING_BYTES,
+        timeout_s: float,
     ) -> None:
         self.shard_id = spec.shard_id
         self.timeout_s = timeout_s
         self.wire_bytes = 0
-        self.ring: Optional[ShmRing] = None
-        if ring_bytes:
-            try:
-                self.ring = ShmRing.create(ring_bytes)
-            except ShmError:
-                self.ring = None  # no shm here: inline fallback
+        self.conn, child = context.Pipe()
+        self.process = context.Process(
+            target=fleet_worker_main,
+            args=(child, spec, workload, fleet_ctx),
+            name=f"fleet-{spec.shard_id}",
+            daemon=True,
+        )
         try:
-            self.conn, child = context.Pipe()
-            self.process = context.Process(
-                target=fleet_worker_main,
-                args=(child, spec, workload, fleet_ctx,
-                      self.ring.name if self.ring is not None else None),
-                name=f"fleet-{spec.shard_id}",
-                daemon=True,
-            )
             self.process.start()
         except BaseException:
-            if self.ring is not None:
-                self.ring.unlink()
+            self.conn.close()
             raise
-        child.close()
+        finally:
+            child.close()
 
-    def _recv(self):
+    def _recv(self, raw: bool = False):
+        """The worker's next message (``raw``: its next byte blob),
+        or :class:`WorkerCrashed` if it raised, died or hung."""
         try:
             if not self.conn.poll(self.timeout_s):
                 cause = f"no reply within {self.timeout_s:.0f}s — presumed hung"
@@ -257,6 +180,8 @@ class _ProcessWorker:
                     shard_id=self.shard_id,
                     cause=cause,
                 )
+            if raw:
+                return self.conn.recv_bytes()
             message = self.conn.recv()
         except (EOFError, OSError) as exc:
             self.process.join(timeout=5.0)
@@ -267,22 +192,13 @@ class _ProcessWorker:
                 cause=f"process died with exit code {self.process.exitcode}",
             ) from exc
         if message[0] == "error":
-            # The last non-empty traceback line is the exception itself —
-            # the one-line cause the CLI prints.
-            lines = [line for line in str(message[1]).splitlines() if line.strip()]
-            raise WorkerCrashed(
-                f"worker {self.shard_id} raised:\n{message[1]}",
-                shard_id=self.shard_id,
-                cause=lines[-1].strip() if lines else "unknown error",
-            )
+            raise message[1]  # the WorkerCrashed the driver raised
         return message
 
     def ready(self) -> Tuple[float, Optional[float], List[Handoff], bool]:
-        # ("ready", shard_id, latency_ms, next_event, frame, egress_capable)
-        message = self._recv()
-        frame = message[4]
+        _, latency_ms, next_event, frame, capable = self._recv()
         self.wire_bytes += len(frame)
-        return message[2], message[3], decode_batch(frame), message[5]
+        return latency_ms, next_event, decode_batch(frame), capable
 
     def post_advance(self, barrier_ms: float, handoffs: List[Handoff]) -> None:
         frame = encode_batch(handoffs)
@@ -290,81 +206,21 @@ class _ProcessWorker:
         self.conn.send(("advance", barrier_ms, frame))
 
     def wait_barrier(self) -> Tuple[List[Handoff], Optional[float], bool, Any]:
-        # ("barrier", frame, next_event, egress_capable, sample, in_ring)
-        message = self._recv()
-        frame, next_event, capable, sample, in_ring = message[1:6]
+        _, frame, next_event, capable, sample = self._recv()
         self.wire_bytes += len(frame)
-        if in_ring:
-            sample = self._drain_sample()
         return decode_batch(frame), next_event, capable, sample
-
-    def _drain_sample(self) -> Dict[str, Any]:
-        """Pull the barrier's telemetry sample out of the ring."""
-        if self.ring is None:
-            raise FleetError(
-                f"worker {self.shard_id} reported a ring sample but no "
-                f"ring exists"
-            )
-        sample = None
-        for record in self.ring.drain():
-            if record[:1] == bytes((TELEMETRY_TAG,)) and sample is None:
-                sample = json.loads(record[1:].decode("utf-8"))
-            else:
-                raise FleetError(
-                    f"unexpected ring record from worker {self.shard_id} "
-                    f"at a barrier (tag {record[:1]!r})"
-                )
-        if sample is None:
-            raise FleetError(
-                f"worker {self.shard_id} reported a ring sample but the "
-                f"ring was empty"
-            )
-        return sample
 
     def post_finish(self) -> None:
         self.conn.send(("finish",))
 
     def wait_result(self) -> Dict[str, Any]:
         message = self._recv()
-        if message[0] == "result":  # no ring: plain inline artifacts
-            return message[1]
-        if message[0] != "stream":
+        if message[0] != "result":
             raise FleetError(
                 f"worker {self.shard_id} sent {message[0]!r} where a "
                 f"result was expected"
             )
-        # ("stream", blob_len, n_chunks) then per chunk: push → ("chunk",)
-        # → drain → ("ok",).  The ring is empty again before every push,
-        # so a chunk can never fail to fit.
-        blob_len, n_chunks = message[1], message[2]
-        pieces: List[bytes] = []
-        for _ in range(n_chunks):
-            note = self._recv()
-            if note[0] != "chunk":
-                raise FleetError(
-                    f"worker {self.shard_id} sent {note[0]!r} mid-stream"
-                )
-            for record in self.ring.drain():
-                if record[:1] != bytes((CHUNK_TAG,)):
-                    raise FleetError(
-                        f"unexpected ring record tag {record[:1]!r} in "
-                        f"worker {self.shard_id}'s artifact stream"
-                    )
-                pieces.append(record[1:])
-            self.conn.send(("ok",))
-        done = self._recv()
-        if done[0] != "done":
-            raise FleetError(
-                f"worker {self.shard_id} sent {done[0]!r} where the "
-                f"stream end was expected"
-            )
-        blob = b"".join(pieces)
-        if len(blob) != blob_len:
-            raise FleetError(
-                f"worker {self.shard_id}'s artifact stream is truncated: "
-                f"got {len(blob)} of {blob_len} bytes"
-            )
-        return pickle.loads(zlib.decompress(blob))
+        return pickle.loads(zlib.decompress(self._recv(raw=True)))
 
     def close(self) -> None:
         try:
@@ -374,10 +230,6 @@ class _ProcessWorker:
         if self.process.is_alive():
             self.process.terminate()
         self.process.join(timeout=5.0)
-        # Unlink runs on every exit path — normal finish, WorkerCrashed,
-        # coordinator exceptions — so a dead worker never leaks /dev/shm.
-        if self.ring is not None:
-            self.ring.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +253,6 @@ def run_fleet(
     metrics: bool = True,
     processes: bool = True,
     barrier_timeout_s: float = 600.0,
-    shm_ring_bytes: int = DEFAULT_RING_BYTES,
     telemetry: bool = False,
     observer: Optional[Callable[[Dict[str, Any]], None]] = None,
     workload_ctx: Optional[Dict[str, Any]] = None,
@@ -422,11 +273,6 @@ def run_fleet(
     :class:`~repro.core.shard.ShardSpec`).  It must be positive and is
     applied to the root spec before partitioning, so solo and K-shard
     runs of the same latency always agree byte for byte.
-
-    ``shm_ring_bytes`` sizes the per-shard shared-memory ring spawned
-    workers use for telemetry and artifact streaming; ``0`` disables it
-    (everything rides the pipe inline — same results, used by the
-    fallback tests and on platforms without POSIX shared memory).
 
     ``telemetry=True`` arms the per-shard barrier sampler and attaches
     the collected :class:`~repro.obs.timeline.FleetTimeline` (plus the
@@ -482,20 +328,18 @@ def run_fleet(
     wall_start = perf_counter()
     workers: List[Any] = []
     try:
-        if processes and plan.n_shards > 1:
-            context = multiprocessing.get_context("spawn")
-            workers = [
+        # Append as we go: if building worker k fails, the ``finally``
+        # below must still see (and close) workers 0..k-1.
+        spawn = processes and plan.n_shards > 1
+        context = multiprocessing.get_context("spawn") if spawn else None
+        for shard_spec in plan.shards:
+            workers.append(
                 _ProcessWorker(
-                    shard_spec, workload, fleet_ctx, context,
-                    barrier_timeout_s, shm_ring_bytes,
+                    shard_spec, workload, fleet_ctx, context, barrier_timeout_s
                 )
-                for shard_spec in plan.shards
-            ]
-        else:
-            workers = [
-                _LocalWorker(shard_spec, workload, fleet_ctx)
-                for shard_spec in plan.shards
-            ]
+                if spawn
+                else _LocalWorker(shard_spec, workload, fleet_ctx)
+            )
         readies = [worker.ready() for worker in workers]
         min_latency = min(latency for latency, _, _, _ in readies)
         epoch = float(epoch_ms) if epoch_ms is not None else min_latency
@@ -622,17 +466,22 @@ def run_fleet(
         for worker in workers:
             worker.close()
 
-    wall_s = perf_counter() - wall_start
     report = merge_fleet_reports(
         [artifact["report"] for artifact in artifacts], fleet_id=plan.root.shard_id
     )
+    report_json = report_to_json(report)
+    metrics = merge_metrics([artifact["metrics"] for artifact in artifacts])
+    trace_jsonl = merge_trace_jsonl(
+        [(artifact["shard_id"], artifact["trace_jsonl"]) for artifact in artifacts]
+    )
+    health = fleet_health(timeline) if timeline is not None else None
+    # Stopped after the merge: the caller waits for that too.
+    wall_s = perf_counter() - wall_start
     return FleetResult(
         report=report,
-        report_json=report_to_json(report),
-        metrics=merge_metrics([artifact["metrics"] for artifact in artifacts]),
-        trace_jsonl=merge_trace_jsonl(
-            [(artifact["shard_id"], artifact["trace_jsonl"]) for artifact in artifacts]
-        ),
+        report_json=report_json,
+        metrics=metrics,
+        trace_jsonl=trace_jsonl,
         shard_reports=tuple(artifact["report"] for artifact in artifacts),
         devices=len(plan.device_jids),
         shards=plan.n_shards,
@@ -645,6 +494,6 @@ def run_fleet(
         ),
         handoff_bytes=sum(worker.wire_bytes for worker in workers),
         timeline=timeline,
-        health=fleet_health(timeline) if timeline is not None else None,
+        health=health,
         shard_extras=tuple(artifact.get("extra") for artifact in artifacts),
     )

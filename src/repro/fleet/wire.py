@@ -28,11 +28,13 @@ barrier's batch into one struct-packed, length-prefixed frame:
   self-similar; level-1 zlib shrinks the 500x4 hour's frames ~50x on
   top of the ~2x from dropping pickle framing.  Compression is skipped
   for tiny frames where the header would cost more than it saves.
-* **Pickle fallback** — a stanza whose wrapper tree is not faithfully
-  JSON-round-trippable (non-string keys, tuples, exotic leaves) is
-  carried as an individual pickle, flagged per record.  Envelope
-  *payloads* never need the check: ``freeze_message`` validated them at
-  publish.
+* **JSON-faithful stanzas only** — a stanza whose wrapper tree would
+  not come back equal from JSON (non-string keys, tuples, exotic
+  leaves) is a :class:`WireError` naming the handoff, at encode.  No
+  workload produces one (docs/INTERNALS.md, "Fleet data plane", has the
+  count), so there is no second body format and frame bytes never
+  reach ``pickle.loads``.  Envelope *payloads* never need the check:
+  ``freeze_message`` validated them at publish.
 
 Fidelity contract: ``decode_batch(encode_batch(batch))`` reconstructs
 ``Handoff`` records equal to the originals — same ``submit_ms``, ``seq``
@@ -46,7 +48,6 @@ as plain dicts/lists (``FrozenDict.__reduce__`` did the same), and a
 from __future__ import annotations
 
 import json
-import pickle
 import struct
 import zlib
 from typing import Any, List, Sequence, Tuple
@@ -61,8 +62,10 @@ MAGIC = b"PF1"
 _FLAG_ZLIB = 0x01
 
 _H_HAS_SUBMIT = 0x01
-_H_PICKLED = 0x02
 _H_STANZA = 0x04
+#: Any other record flag is rejected at decode — in particular 0x02,
+#: which used to mark a pickled stanza body.
+_H_KNOWN = _H_HAS_SUBMIT | _H_STANZA
 
 _SEG_KEY = 0
 _SEG_INDEX = 1
@@ -122,19 +125,12 @@ def _scan(value: Any, path: Tuple, envelopes: List) -> bool:
             if not _scan(item, path + (key,), envelopes):
                 return False
         return True
-    if type(value) is list or type(value) is tuple:
-        if type(value) is tuple:
-            return False
+    if isinstance(value, list):  # incl. FrozenList; a tuple is not faithful
         for index, item in enumerate(value):
             if not _scan(item, path + (index,), envelopes):
                 return False
         return True
-    if isinstance(value, list):  # FrozenList and other list subclasses
-        for index, item in enumerate(value):
-            if not _scan(item, path + (index,), envelopes):
-                return False
-        return True
-    return isinstance(value, _SCALARS) and not isinstance(value, tuple)
+    return isinstance(value, _SCALARS)
 
 
 def _encode_paths(parts: List[bytes], envelopes: List) -> None:
@@ -169,7 +165,12 @@ def encode_batch(handoffs: Sequence[Handoff]) -> bytes:
     for handoff in handoffs:
         stanza = handoff.stanza
         envelopes: List = []
-        faithful = isinstance(stanza, dict) and _scan(stanza, (), envelopes)
+        if not (isinstance(stanza, dict) and _scan(stanza, (), envelopes)):
+            raise WireError(
+                f"handoff seq {handoff.seq} from {handoff.from_jid} carries "
+                f"a stanza that is not JSON-faithful (non-string key, tuple "
+                f"or non-message leaf): {type(stanza).__name__}"
+            )
         flags = 0
         parts: List[bytes] = [b""]  # flags byte, patched last
         if handoff.submit_ms is not None:
@@ -179,18 +180,12 @@ def encode_batch(handoffs: Sequence[Handoff]) -> bytes:
         for jid in (handoff.from_jid, handoff.to_jid):
             index = jid_table.setdefault(jid, len(jid_table))
             parts.append(_pack_u32(index))
-        if faithful:
-            if isinstance(stanza, Stanza):
-                flags |= _H_STANZA
-            raw = canonical_json(stanza).encode("utf-8")
-            parts.append(_pack_u32(len(raw)))
-            parts.append(raw)
-            _encode_paths(parts, envelopes)
-        else:
-            flags |= _H_PICKLED
-            raw = pickle.dumps(stanza, protocol=pickle.HIGHEST_PROTOCOL)
-            parts.append(_pack_u32(len(raw)))
-            parts.append(raw)
+        if isinstance(stanza, Stanza):
+            flags |= _H_STANZA
+        raw = canonical_json(stanza).encode("utf-8")
+        parts.append(_pack_u32(len(raw)))
+        parts.append(raw)
+        _encode_paths(parts, envelopes)
         parts[0] = bytes((flags,))
         records.append(b"".join(parts))
     body.append(_pack_u32(len(jid_table)))
@@ -260,6 +255,8 @@ def decode_batch(frame: bytes) -> List[Handoff]:
     for _ in range(n_handoffs):
         hflags = view[offset]
         offset += 1
+        if hflags & ~_H_KNOWN:
+            raise WireError(f"unknown record flags {hflags:#04x}")
         submit_ms = None
         if hflags & _H_HAS_SUBMIT:
             (submit_ms,) = _unpack_f64(view, offset)
@@ -269,46 +266,42 @@ def decode_batch(frame: bytes) -> List[Handoff]:
         (to_idx,) = _unpack_u32(view, offset + 8)
         (body_len,) = _unpack_u32(view, offset + 12)
         offset += 16
-        raw = view[offset:offset + body_len]
+        text = str(view[offset:offset + body_len], "utf-8")
         offset += body_len
-        if hflags & _H_PICKLED:
-            stanza = pickle.loads(raw)
-        else:
-            text = str(raw, "utf-8")
-            tree = json.loads(text)
-            (n_envelopes,) = _unpack_u16(view, offset)
-            offset += 2
-            for _ in range(n_envelopes):
-                n_segs = view[offset]
+        tree = json.loads(text)
+        (n_envelopes,) = _unpack_u16(view, offset)
+        offset += 2
+        for _ in range(n_envelopes):
+            n_segs = view[offset]
+            offset += 1
+            path: List = []
+            for _ in range(n_segs):
+                kind = view[offset]
                 offset += 1
-                path: List = []
-                for _ in range(n_segs):
-                    kind = view[offset]
-                    offset += 1
-                    if kind == _SEG_KEY:
-                        (length,) = _unpack_u16(view, offset)
-                        offset += 2
-                        path.append(str(view[offset:offset + length], "utf-8"))
-                        offset += length
-                    elif kind == _SEG_INDEX:
-                        (index,) = _unpack_u32(view, offset)
-                        offset += 4
-                        path.append(index)
-                    else:
-                        raise WireError(f"unknown path segment kind {kind}")
-                (trace_id,) = _unpack_u64(view, offset)
-                (origin_ms,) = _unpack_f64(view, offset + 8)
-                (hop_span,) = _unpack_u64(view, offset + 16)
-                offset += 24
-                _rewrap_envelope(tree, tuple(path), trace_id, origin_ms, hop_span)
-            if hflags & _H_STANZA:
-                stanza = Stanza(tree)
-                # Seed the serialize-once cache with the sender's exact
-                # canonical text: the receiver's size accounting reads
-                # the same bytes the sender's would have.
-                stanza._json = text
-            else:
-                stanza = tree
+                if kind == _SEG_KEY:
+                    (length,) = _unpack_u16(view, offset)
+                    offset += 2
+                    path.append(str(view[offset:offset + length], "utf-8"))
+                    offset += length
+                elif kind == _SEG_INDEX:
+                    (index,) = _unpack_u32(view, offset)
+                    offset += 4
+                    path.append(index)
+                else:
+                    raise WireError(f"unknown path segment kind {kind}")
+            (trace_id,) = _unpack_u64(view, offset)
+            (origin_ms,) = _unpack_f64(view, offset + 8)
+            (hop_span,) = _unpack_u64(view, offset + 16)
+            offset += 24
+            _rewrap_envelope(tree, tuple(path), trace_id, origin_ms, hop_span)
+        if hflags & _H_STANZA:
+            stanza = Stanza(tree)
+            # Seed the serialize-once cache with the sender's exact
+            # canonical text: the receiver's size accounting reads
+            # the same bytes the sender's would have.
+            stanza._json = text
+        else:
+            stanza = tree
         try:
             from_jid = jids[from_idx]
             to_jid = jids[to_idx]

@@ -1,42 +1,34 @@
-"""The spawn-safe shard worker: one process, one Shard, one pipe.
+"""The shard driver and its spawn-safe transport: one Shard, one pipe.
+
+* :class:`ShardDriver` — the one code path that steps a shard through a
+  fleet run: build it from its spec, open the cross-shard boundary and
+  install the workload; :meth:`~ShardDriver.ready`;
+  :meth:`~ShardDriver.advance` (ingress the handoffs granted at the
+  barrier, run to the next one via
+  :meth:`~repro.core.shard.Shard.run_until_epoch`, account the CPU,
+  take the telemetry sample); :meth:`~ShardDriver.finish`.  A shard-side
+  exception becomes :class:`WorkerCrashed` in exactly one place,
+  :func:`crash_guard`.
+* :func:`fleet_worker_main` — the same driver behind
+  :mod:`repro.fleet.wire` frames and a pipe, for a spawned worker.  The
+  coordinator's in-process worker calls the driver directly; which of
+  the two runs is a transport choice, not a second implementation.
 
 Everything here is module-level and picklable-by-reference, so it works
 under the ``spawn`` start method (a fresh interpreter that re-imports
-this module).  Two entry points share the plumbing:
-
-* :func:`fleet_worker_main` — the coordinator's worker loop: build the
-  shard from its spec, open the cross-shard boundary, install the
-  workload, then serve ``advance``/``finish`` commands over the pipe
-  until told to stop.  Each ``advance`` ingresses the handoffs granted
-  at the barrier, runs to the next barrier via
-  :meth:`~repro.core.shard.Shard.run_until_epoch`, and ships the newly
-  queued handoffs (plus the shard's next-event time, for the
-  coordinator's lookahead) back up the pipe.
-* :func:`run_spec_in_subprocess` — the one-shot form: run a whole
-  workload in a single spawned worker and return its artifacts.  This
-  subsumes the helpers that used to live in ``repro.core.shard`` (the
-  old names remain there as shims).
+this module).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
-import traceback
 import zlib
-from typing import Any, Dict, Iterable, Optional, Sequence
+from contextlib import contextmanager
+from time import perf_counter, process_time
+from traceback import format_exc
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..core.shard import Shard, ShardSpec
-
-#: Ring record tags: first byte of every record in the shared-memory
-#: ring says what the rest is.  Samples are canonical JSON, artifact
-#: chunks raw slices of the compressed pickle blob.
-TELEMETRY_TAG = 1
-CHUNK_TAG = 2
-
-#: Headroom left when sizing artifact chunks: record framing (4-byte
-#: length prefix + tag) plus slack so a chunk always fits a drained ring.
-_CHUNK_SLACK = 16
+from ..core.shard import Handoff, Shard, ShardSpec
 
 
 class WorkerCrashed(RuntimeError):
@@ -46,8 +38,8 @@ class WorkerCrashed(RuntimeError):
     a one-line diagnosis instead of a raw traceback dump:
 
     * ``shard_id`` — which worker died (``None`` if unknown).
-    * ``cause`` — one-line cause (last traceback line, or an exit-code /
-      timeout description).
+    * ``cause`` — one-line cause (``ExceptionType: message``, or an
+      exit-code / timeout description).
     * ``barriers`` / ``barrier_ms`` — how many epoch barriers the fleet
       had completed, and the sim time of the last one, when the crash
       surfaced (filled in by the coordinator).
@@ -184,244 +176,183 @@ def collect_artifacts(shard: Shard, busy_s: float = 0.0) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# The coordinator's worker loop
+# The shard driver
 # ---------------------------------------------------------------------------
 
-def _stream_artifacts(conn, ring, artifacts: Dict[str, Any]) -> None:
-    """Chunk the artifact blob through the shared-memory ring.
+@contextmanager
+def crash_guard(shard_id: str) -> Iterator[None]:
+    """Turn any exception raised inside the block into
+    :class:`WorkerCrashed` — the one place a shard-side failure gets its
+    structured surface, in-process and spawned alike.
 
-    The blob (zlib-compressed pickle) is cut into ring-sized chunks;
-    each chunk is pushed, announced with a ``("chunk",)`` pipe message,
-    and acknowledged by the coordinator after it drains the ring — so
-    the ring is empty again before the next push and a chunk can never
-    fail to fit.  Replaces the old one-giant-pickle ``("result", ...)``
-    send, whose peak memory and pipe occupancy scaled with fleet size.
+    The message carries the traceback as text (a traceback object cannot
+    cross the pipe); ``cause`` is the one line the CLI prints.  The
+    coordinator stamps ``barriers``/``barrier_ms``.
     """
-    blob = zlib.compress(
-        pickle.dumps(artifacts, protocol=pickle.HIGHEST_PROTOCOL), 1
-    )
-    chunk_size = ring.capacity - _CHUNK_SLACK
-    chunks = range(0, max(1, len(blob)), chunk_size)
-    conn.send(("stream", len(blob), len(chunks)))
-    for start in chunks:
-        piece = bytes((CHUNK_TAG,)) + blob[start:start + chunk_size]
-        if not ring.try_push(piece):
-            raise RuntimeError(
-                f"artifact chunk of {len(piece)} bytes did not fit the "
-                f"drained {ring.capacity}-byte ring"
-            )
-        conn.send(("chunk",))
-        ack = conn.recv()
-        if ack != ("ok",):
-            raise ValueError(f"unexpected chunk acknowledgement: {ack!r}")
-    conn.send(("done",))
+    try:
+        yield
+    except WorkerCrashed:
+        raise
+    except Exception as exc:
+        raise WorkerCrashed(
+            f"worker {shard_id} raised:\n{format_exc()}",
+            shard_id=shard_id,
+            cause=f"{type(exc).__name__}: {exc}".splitlines()[0],
+        ) from exc
 
+
+class ShardDriver:
+    """Steps one shard through a fleet run: build, ``ready()``,
+    ``advance()`` once per barrier, ``finish()``.
+
+    ``busy_s`` is the CPU time spent advancing the shard — CPU, not
+    wall: on an oversubscribed host a window's wall time includes the
+    other workers' time slices, which would inflate the critical path.
+    A transport that does codec work on the shard's behalf adds it here.
+    """
+
+    def __init__(
+        self, spec: ShardSpec, workload: str,
+        fleet_ctx: Optional[Dict[str, Any]],
+    ) -> None:
+        self.shard_id = spec.shard_id
+        self.busy_s = 0.0
+        self.epoch = 0
+        with crash_guard(self.shard_id):
+            self.shard = Shard(spec)
+            self.shard.open_boundary()
+            WORKLOADS[workload](self.shard, fleet_ctx)
+
+    def ready(self) -> Tuple[float, Optional[float], List[Handoff], bool]:
+        """``(latency_ms, next_event_time, handoffs, egress_capable)``.
+
+        The handoffs are whatever the workload setup egressed at time
+        zero (e.g. the deploy fan-out): the coordinator delivers them
+        with the *first* window grant, so receivers schedule them
+        exactly where the solo run would.  ``egress_capable`` is the
+        topology-lookahead bit
+        (:attr:`~repro.core.shard.Shard.egress_capable`): the adaptive
+        barrier only lets capable shards' next events bound the window.
+        """
+        shard = self.shard
+        return (
+            shard.server.latency_ms, shard.kernel.next_event_time(),
+            shard.pending_cross_shard(), shard.egress_capable,
+        )
+
+    def advance(
+        self, barrier_ms: float, handoffs: List[Handoff], stall_s: float = 0.0
+    ) -> Tuple[List[Handoff], Optional[float], bool, Optional[Dict[str, Any]]]:
+        """Ingress the granted ``handoffs`` and run to ``barrier_ms``.
+
+        Returns ``(egressed, next_event_time, egress_capable, sample)``;
+        ``sample`` is the telemetry snapshot of the window just
+        finished, ``None`` when telemetry is disabled.  Its wall section
+        holds ``cpu_s`` (cumulative :attr:`busy_s`), ``stall_s``
+        (cumulative time the caller spent blocked waiting for its
+        grants — zero for an in-process worker, which never blocks) and
+        ``rss_kb`` (the process's peak RSS).
+        """
+        shard = self.shard
+        t0 = process_time()
+        with crash_guard(self.shard_id):
+            if handoffs:
+                shard.ingress(handoffs)
+            out = shard.run_until_epoch(barrier_ms)
+        self.busy_s += process_time() - t0
+        self.epoch += 1
+        sample = shard.telemetry.sample(
+            self.epoch,
+            barrier_ms,
+            handoffs_in=len(handoffs),
+            handoffs_out=len(out),
+            wall={
+                "cpu_s": round(self.busy_s, 6),
+                "stall_s": round(stall_s, 6),
+                "rss_kb": _rss_kb(),
+            },
+        )
+        return out, shard.kernel.next_event_time(), shard.egress_capable, sample
+
+    def finish(self) -> Dict[str, Any]:
+        with crash_guard(self.shard_id):
+            return collect_artifacts(self.shard, self.busy_s)
+
+
+# ---------------------------------------------------------------------------
+# The spawned transport
+# ---------------------------------------------------------------------------
 
 def fleet_worker_main(
     conn,
     spec: ShardSpec,
     workload: str,
     fleet_ctx: Optional[Dict[str, Any]],
-    shm_name: Optional[str] = None,
 ) -> None:
-    """Serve one shard over ``conn`` until the coordinator says finish.
+    """Serve one :class:`ShardDriver` over ``conn`` until told to finish.
 
     Protocol (coordinator → worker / worker → coordinator).  Handoff
-    batches cross the pipe as :mod:`repro.fleet.wire` frames — one
-    struct-packed, zlib-compressed buffer per barrier instead of one
-    pickle per stanza; telemetry samples and the final artifacts ride
-    the shared-memory ring named by ``shm_name`` (``None``: everything
-    falls back inline on the pipe, byte-identical results):
+    batches cross as :mod:`repro.fleet.wire` frames — one struct-packed,
+    zlib-compressed buffer per barrier; everything else is a small
+    pickled tuple, except the final artifacts:
 
-    * ← ``("ready", shard_id, latency_ms, next_event_time, frame,
-      egress_capable)`` once the shard is built; ``frame`` encodes
-      anything the workload setup egressed at time zero (e.g. the
-      deploy fan-out), so the coordinator can deliver it with the
-      *first* window grant and receivers schedule it exactly where the
-      solo run would.  ``egress_capable`` is the topology-lookahead bit
-      (:attr:`~repro.core.shard.Shard.egress_capable`): the adaptive
-      barrier only lets capable shards' next events bound the window.
-    * → ``("advance", barrier_ms, frame)``: ingress the granted
-      handoffs, run to the barrier.
-      ← ``("barrier", frame, next_event_time, egress_capable, sample,
-      sample_in_ring)`` — ``sample`` is the shard's telemetry snapshot
-      for the window just finished, ``None`` when telemetry is disabled
-      *or* when it was appended to the ring instead
-      (``sample_in_ring=True``; inline is the spill path for a full or
-      absent ring).
-    * → ``("finish",)``  ← ``("result", artifacts)`` without a ring, or
-      the chunk stream of :func:`_stream_artifacts` with one.
-    * Any exception ← ``("error", traceback_text)`` and the loop exits.
+    * ← ``("ready", latency_ms, next_event_time, frame, egress_capable)``
+      once the shard is built (see :meth:`ShardDriver.ready`).
+    * → ``("advance", barrier_ms, frame)``
+      ← ``("barrier", frame, next_event_time, egress_capable, sample)``
+      (see :meth:`ShardDriver.advance`).
+    * → ``("finish",)``  ← ``("result",)`` followed by one
+      ``send_bytes`` of the zlib-level-1 pickle of the artifacts —
+      compressed so the coordinator's peak memory does not scale with
+      the span trace.
+    * Any failure ← ``("error", WorkerCrashed)`` and the loop exits.
 
-    Telemetry wall fields: ``cpu_s`` is cumulative CPU spent advancing
-    the shard (ingress, run, and wire codec work), ``stall_s`` is
-    cumulative wall time spent blocked in ``conn.recv`` waiting for the
-    next barrier grant (the worker's view of barrier imbalance),
-    ``rss_kb`` the process peak RSS.
+    Codec CPU counts towards the driver's ``busy_s``; ``stall_s`` is the
+    wall time spent blocked in ``conn.recv`` waiting for the next grant
+    (this worker's view of barrier imbalance).
     """
-    # CPU time, not wall: on an oversubscribed host a worker's window
-    # wall time includes the other workers' time slices, which would
-    # inflate the critical path it reports.
-    from time import perf_counter, process_time
-
-    from ..core.envelope import canonical_json
     from .wire import decode_batch, encode_batch
 
-    ring = None
     try:
-        if shm_name is not None:
-            from ..obs.shm import ShmRing
-
-            ring = ShmRing.attach(shm_name)
-        setup = WORKLOADS[workload]
-        shard = Shard(spec)
-        shard.open_boundary()
-        setup(shard, fleet_ctx)
-        busy_s = 0.0
-        stall_s = 0.0
-        epoch = 0
-        conn.send(
-            ("ready", shard.shard_id, shard.server.latency_ms,
-             shard.kernel.next_event_time(),
-             encode_batch(shard.pending_cross_shard()),
-             shard.egress_capable)
-        )
-        while True:
-            w0 = perf_counter()
-            message = conn.recv()
-            stall_s += perf_counter() - w0
-            op = message[0]
-            if op == "advance":
-                barrier_ms, frame = message[1], message[2]
-                t0 = process_time()
-                handoffs = decode_batch(frame)
-                if handoffs:
-                    shard.ingress(handoffs)
-                out = shard.run_until_epoch(barrier_ms)
-                out_frame = encode_batch(out)
-                busy_s += process_time() - t0
-                epoch += 1
-                sample = shard.telemetry.sample(
-                    epoch,
-                    barrier_ms,
-                    handoffs_in=len(handoffs),
-                    handoffs_out=len(out),
-                    wall={
-                        "cpu_s": round(busy_s, 6),
-                        "stall_s": round(stall_s, 6),
-                        "rss_kb": _rss_kb(),
-                    },
-                )
-                in_ring = False
-                if sample is not None and ring is not None:
-                    record = (
-                        bytes((TELEMETRY_TAG,))
-                        + canonical_json(sample).encode("utf-8")
+        with crash_guard(spec.shard_id):
+            driver = ShardDriver(spec, workload, fleet_ctx)
+            latency_ms, next_event, initial, capable = driver.ready()
+            conn.send(
+                ("ready", latency_ms, next_event, encode_batch(initial), capable)
+            )
+            stall_s = 0.0
+            while True:
+                w0 = perf_counter()
+                message = conn.recv()
+                stall_s += perf_counter() - w0
+                op = message[0]
+                if op == "advance":
+                    t0 = process_time()
+                    handoffs = decode_batch(message[2])
+                    driver.busy_s += process_time() - t0
+                    out, next_event, capable, sample = driver.advance(
+                        message[1], handoffs, stall_s
                     )
-                    in_ring = ring.try_push(record)
-                conn.send((
-                    "barrier", out_frame, shard.kernel.next_event_time(),
-                    shard.egress_capable,
-                    None if in_ring else sample, in_ring,
-                ))
-            elif op == "finish":
-                artifacts = collect_artifacts(shard, busy_s)
-                if ring is None:
-                    conn.send(("result", artifacts))
+                    t0 = process_time()
+                    frame = encode_batch(out)
+                    driver.busy_s += process_time() - t0
+                    conn.send(("barrier", frame, next_event, capable, sample))
+                elif op == "finish":
+                    blob = zlib.compress(
+                        pickle.dumps(
+                            driver.finish(), protocol=pickle.HIGHEST_PROTOCOL
+                        ),
+                        1,
+                    )
+                    conn.send(("result",))
+                    conn.send_bytes(blob)
+                    return
                 else:
-                    _stream_artifacts(conn, ring, artifacts)
-                return
-            else:
-                raise ValueError(f"unknown coordinator op: {op!r}")
-    except BaseException:
+                    raise ValueError(f"unknown coordinator op: {op!r}")
+    except WorkerCrashed as crash:
         try:
-            conn.send(("error", traceback.format_exc()))
+            conn.send(("error", crash))
         except (OSError, ValueError):
             pass  # coordinator already gone; exit code tells the story
     finally:
-        if ring is not None:
-            ring.close()
         conn.close()
-
-
-# ---------------------------------------------------------------------------
-# One-shot subprocess execution
-# ---------------------------------------------------------------------------
-
-def run_battery_monitor_hour(spec: ShardSpec, hours: float = 1.0) -> Dict[str, str]:
-    """Build a shard from ``spec``, run the Table 3 battery-monitor
-    workload for ``hours``, and return its canonical artifacts.
-
-    The returned dict has ``report`` (:meth:`Shard.fleet_report_json`)
-    and ``trace_jsonl`` (the deterministic span export).  Running this in
-    the parent and in a spawned subprocess must produce byte-identical
-    values — the CI smoke job gates on it.
-    """
-    from ..analysis.export import spans_to_jsonl
-
-    shard = Shard(spec)
-    if not shard.collectors:
-        shard.add_collector("spawn")
-    setup_battery_monitor(shard)
-    shard.run(hours=hours)
-    return {
-        "report": shard.fleet_report_json(),
-        "trace_jsonl": spans_to_jsonl(shard.kernel.spans) or "",
-    }
-
-
-def _subprocess_entry(conn, fn, args) -> None:
-    try:
-        result = fn(*args)
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        finally:
-            conn.close()
-        return
-    conn.send(("ok", result))
-    conn.close()
-
-
-def call_in_subprocess(fn, *args, timeout_s: float = 600.0):
-    """Run ``fn(*args)`` in a fresh ``spawn`` interpreter and return its
-    result, raising :class:`WorkerCrashed` on death or timeout.
-
-    ``fn`` must be a module-level callable and every argument picklable —
-    the same contract the fleet workers live under.
-    """
-    context = multiprocessing.get_context("spawn")
-    parent, child = context.Pipe()
-    process = context.Process(
-        target=_subprocess_entry, args=(child, fn, args), daemon=True
-    )
-    process.start()
-    child.close()
-    try:
-        try:
-            if not parent.poll(timeout_s):
-                raise WorkerCrashed(
-                    f"subprocess running {fn.__name__} produced no result "
-                    f"within {timeout_s:.0f}s"
-                )
-            kind, payload = parent.recv()
-        except EOFError:
-            process.join(timeout=5.0)
-            raise WorkerCrashed(
-                f"subprocess running {fn.__name__} died with exit code "
-                f"{process.exitcode} before sending a result"
-            ) from None
-    finally:
-        parent.close()
-        if process.is_alive():
-            process.terminate()
-        process.join(timeout=5.0)
-    if kind == "error":
-        raise WorkerCrashed(f"subprocess running {fn.__name__} raised:\n{payload}")
-    return payload
-
-
-def run_spec_in_subprocess(spec: ShardSpec, hours: float = 1.0) -> Dict[str, str]:
-    """Pickle ``spec`` into a fresh ``spawn`` interpreter, run
-    :func:`run_battery_monitor_hour` there, and return its result."""
-    return call_in_subprocess(run_battery_monitor_hour, spec, hours)

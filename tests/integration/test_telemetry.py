@@ -52,6 +52,7 @@ def test_fleet_totals_equal_solo_totals(runs):
 
 def test_telemetry_never_perturbs_the_simulation(runs):
     assert runs["inproc"].report_json == runs["dark"].report_json
+    assert runs["spawned"].report_json == runs["solo"].report_json
     assert runs["inproc"].trace_jsonl == runs["dark"].trace_jsonl
     assert runs["inproc"].barriers == runs["dark"].barriers
     assert runs["inproc"].handoffs == runs["dark"].handoffs

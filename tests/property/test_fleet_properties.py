@@ -147,3 +147,59 @@ def test_wire_codec_round_trips_arbitrary_batches(batch):
             assert got.trace_id == want.trace_id
             assert got.origin_ms == want.origin_ms
             assert got.hop_span == want.hop_span
+
+
+# The complement: a tuple or a non-string key *anywhere* in the wrapper
+# tree would come back from JSON as something else (a list, a string
+# key), so it must be refused — never encoded into a frame that decodes
+# to a wrong-but-plausible Handoff.
+_poison = st.one_of(
+    st.lists(_scalars, max_size=3).map(tuple),
+    st.dictionaries(
+        st.one_of(st.integers(), st.booleans(), st.none()), _scalars,
+        min_size=1, max_size=3,
+    ),
+)
+
+
+def _graft(poisoned, siblings, index):
+    items = list(siblings)
+    items.insert(index % (len(items) + 1), poisoned)
+    return items
+
+
+_poisoned_trees = st.recursive(
+    _poison,
+    lambda children: st.one_of(
+        st.builds(_graft, children, st.lists(_trees, max_size=3), st.integers(0, 3)),
+        st.builds(
+            lambda poisoned, siblings, key: {**siblings, key: poisoned},
+            children,
+            st.dictionaries(st.text(max_size=10), _trees, max_size=3),
+            st.text(max_size=10),
+        ),
+    ),
+    max_leaves=3,
+)
+
+
+@given(
+    st.lists(_handoffs, max_size=4),
+    _poisoned_trees,
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    _jids,
+)
+@settings(max_examples=200, deadline=None)
+def test_wire_codec_refuses_any_unfaithful_tree(batch, tree, as_stanza, seq, from_jid):
+    import pytest
+
+    from repro.core.envelope import Stanza
+    from repro.fleet.wire import WireError, encode_batch
+
+    body = {"kind": "message", "body": tree}
+    bad = Handoff(1.0, seq, from_jid, "b@pogo", Stanza(body) if as_stanza else body)
+    with pytest.raises(WireError) as excinfo:
+        encode_batch(batch + [bad])
+    assert from_jid in str(excinfo.value)
+    assert f"seq {seq} " in str(excinfo.value)

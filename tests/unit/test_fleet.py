@@ -239,14 +239,17 @@ class TestCoordinatorSmoke:
         assert sharded.report_json == solo.report_json
 
     def test_single_shard_in_process_matches_plain_run(self):
-        from repro.fleet.worker import run_battery_monitor_hour
+        # Coordinator-solo against a shard nobody coordinates: the oracle
+        # every sharded-equals-solo comparison ultimately rests on.
+        from repro.fleet.worker import setup_battery_monitor
 
         result = run_fleet(
             3, 1, seed=4, hours=0.25, collector="fleet", processes=False
         )
-        plan_root = fleet_spec(3, seed=4, collector="fleet")
-        solo = run_battery_monitor_hour(plan_root, hours=0.25)
-        assert result.report_json == solo["report"]
+        shard = Shard(fleet_spec(3, seed=4, collector="fleet"))
+        setup_battery_monitor(shard)
+        shard.run(hours=0.25)
+        assert result.report_json == shard.fleet_report_json()
 
     def test_two_shards_in_process_match_single_shard(self):
         sharded = run_fleet(4, 2, seed=6, hours=0.25, processes=False)
@@ -254,11 +257,23 @@ class TestCoordinatorSmoke:
         assert sharded.report_json == solo.report_json
         assert sharded.trace_jsonl != ""  # merged trace rides along
 
-    def test_worker_crash_surfaces_cleanly(self):
-        from repro.fleet.worker import WorkerCrashed, call_in_subprocess
 
-        with pytest.raises(WorkerCrashed, match="_explode"):
-            call_in_subprocess(_explode, timeout_s=120.0)
+def _mid_epoch_crash(processes):
+    """Run the scenario whose bomb detonates at t=1000 ms on device-1's
+    shard; return the WorkerCrashed it must surface as."""
+    from repro.fleet.worker import WorkerCrashed
+    from repro.scenarios import ScenarioSpec
+
+    spec = ScenarioSpec(name="crashy", seed=5, devices=4, hours=0.25,
+                        city_places=16)
+    with pytest.raises(WorkerCrashed) as excinfo:
+        run_fleet(
+            spec=spec.compile(), shards=2, duration_ms=0.25 * 3_600_000.0,
+            workload="scenario-crash-mid-epoch",
+            workload_ctx={"scenario": spec},
+            processes=processes, barrier_timeout_s=120.0,
+        )
+    return excinfo.value
 
 
 class TestWorkerCrashDiagnostics:
@@ -288,26 +303,11 @@ class TestWorkerCrashDiagnostics:
         assert exc.cause == "RuntimeError: crash canary tripped"
         assert "\n" not in exc.cause
 
-    def _mid_epoch_crash(self, processes):
-        from repro.fleet.worker import WorkerCrashed
-        from repro.scenarios import ScenarioSpec
-
-        spec = ScenarioSpec(name="crashy", seed=5, devices=4, hours=0.25,
-                            city_places=16)
-        with pytest.raises(WorkerCrashed) as excinfo:
-            run_fleet(
-                spec=spec.compile(), shards=2, duration_ms=0.25 * 3_600_000.0,
-                workload="scenario-crash-mid-epoch",
-                workload_ctx={"scenario": spec},
-                processes=processes, barrier_timeout_s=120.0,
-            )
-        return excinfo.value
-
     def test_in_process_mid_epoch_crash_is_stamped_with_barrier_progress(self):
         # The bomb detonates at t=1000 ms, several 80 ms epochs in — the
         # coordinator must stamp which barrier the fleet had reached, not
         # just that a worker died during setup.
-        exc = self._mid_epoch_crash(processes=False)
+        exc = _mid_epoch_crash(processes=False)
         assert exc.shard_id.endswith("/0")  # device-1 hosts the bomb
         assert exc.cause == "RuntimeError: scenario mid-epoch crash canary"
         assert "\n" not in exc.cause
@@ -315,15 +315,11 @@ class TestWorkerCrashDiagnostics:
         assert exc.barrier_ms is not None and exc.barrier_ms > 0.0
 
     def test_spawned_mid_epoch_crash_is_stamped_with_barrier_progress(self):
-        exc = self._mid_epoch_crash(processes=True)
+        exc = _mid_epoch_crash(processes=True)
         assert exc.shard_id.endswith("/0")
         assert exc.cause == "RuntimeError: scenario mid-epoch crash canary"
         assert exc.barriers is not None and exc.barriers >= 1
         assert exc.barrier_ms is not None and exc.barrier_ms > 0.0
-
-
-def _explode():
-    raise RuntimeError("boom from the worker")
 
 
 class TestLatencyKnob:
@@ -416,59 +412,98 @@ class TestAdaptiveBarriers:
             del WORKLOADS["rogue-egress"]
 
 
-class TestShmCleanup:
-    @staticmethod
-    def _shm_entries():
-        import glob
-        import os
+class TestWorkerCleanup:
+    def test_spawned_run_leaves_no_workers(self):
+        import multiprocessing
 
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        return set(glob.glob("/dev/shm/*pogo*"))
-
-    def test_spawned_run_leaves_no_shm(self):
-        before = self._shm_entries()
         run_fleet(2, 2, seed=0, hours=0.05, processes=True,
                   barrier_timeout_s=120.0)
-        assert self._shm_entries() == before
+        assert multiprocessing.active_children() == []
 
-    def test_setup_crash_leaves_no_shm_or_workers(self):
+    def test_setup_crash_leaves_no_workers(self):
         import multiprocessing
 
         from repro.fleet.worker import WorkerCrashed
 
-        before = self._shm_entries()
         with pytest.raises(WorkerCrashed):
             run_fleet(2, 2, seed=0, hours=0.05, processes=True,
                       workload="crash-canary", barrier_timeout_s=120.0)
-        assert self._shm_entries() == before
         assert multiprocessing.active_children() == []
 
-    def test_mid_epoch_crash_leaves_no_shm_or_workers(self):
+    def test_mid_epoch_crash_leaves_no_workers(self):
         import multiprocessing
 
-        from repro.fleet.worker import WorkerCrashed
-        from repro.scenarios import ScenarioSpec
-
-        spec = ScenarioSpec(name="crashy", seed=5, devices=4, hours=0.25,
-                            city_places=16)
-        before = self._shm_entries()
-        with pytest.raises(WorkerCrashed):
-            run_fleet(
-                spec=spec.compile(), shards=2,
-                duration_ms=0.25 * 3_600_000.0,
-                workload="scenario-crash-mid-epoch",
-                workload_ctx={"scenario": spec},
-                processes=True, barrier_timeout_s=120.0,
-            )
-        assert self._shm_entries() == before
+        _mid_epoch_crash(processes=True)
         assert multiprocessing.active_children() == []
 
-    def test_ring_disabled_fallback_matches(self):
-        # shm_ring_bytes=0 forces the inline pipe path end to end.
-        inline = run_fleet(4, 2, seed=6, hours=0.25, processes=True,
-                           shm_ring_bytes=0, barrier_timeout_s=120.0,
-                           telemetry=True)
-        solo = run_fleet(4, 1, seed=6, hours=0.25, processes=False)
-        assert inline.report_json == solo.report_json
-        assert inline.timeline is not None
+    def test_failed_spawn_closes_the_workers_already_started(self, monkeypatch):
+        # Process.start() failing for worker k>0 (EMFILE, ENOMEM) must not
+        # orphan workers 0..k-1 blocked in conn.recv().
+        import multiprocessing
+
+        import repro.fleet.coordinator as coordinator
+
+        spawn = multiprocessing.get_context("spawn")
+        started = []
+
+        class Unstartable:
+            def start(self):
+                raise OSError(24, "Too many open files")
+
+        def process(**kwargs):
+            if started:
+                return Unstartable()
+            started.append(spawn.Process(**kwargs))
+            return started[0]
+
+        class Context:
+            Pipe = staticmethod(spawn.Pipe)
+            Process = staticmethod(process)
+
+        monkeypatch.setattr(
+            coordinator.multiprocessing, "get_context", lambda method: Context
+        )
+        with pytest.raises(OSError, match="Too many open files"):
+            run_fleet(4, 3, seed=0, hours=0.05, processes=True)
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
+
+
+class TestShardDriver:
+    def test_stepped_by_hand_matches_run_fleet(self):
+        # ready() -> advance() to the horizon -> finish(), no coordinator:
+        # the artifacts are the ones run_fleet merges for the same spec.
+        from repro.fleet.worker import ShardDriver
+
+        root = fleet_spec(3, seed=4)
+        plan = plan_fleet(root, 1)
+        driver = ShardDriver(
+            plan.shards[0], "battery-monitor",
+            {"deploy_jids": plan.device_jids,
+             "collector_jids": plan.collector_jids},
+        )
+        latency_ms, next_event, initial, capable = driver.ready()
+        assert (latency_ms, initial, capable) == (80.0, [], False)
+        assert next_event is not None
+        out, next_event, capable, sample = driver.advance(0.25 * 3_600_000.0, [])
+        assert (out, capable, sample) == ([], False, None)
+        artifacts = driver.finish()
+
+        result = run_fleet(spec=root, shards=1, hours=0.25, processes=False)
+        assert artifacts["report"] == result.shard_reports[0]
+        assert merge_trace_jsonl(
+            [(artifacts["shard_id"], artifacts["trace_jsonl"])]
+        ) == result.trace_jsonl
+        assert artifacts["busy_s"] == driver.busy_s > 0.0
+
+    def test_crash_reads_the_same_in_process_and_spawned(self):
+        # The exception -> WorkerCrashed mapping is written once, in the
+        # driver, so the transport cannot change how a crash reads.
+        local = _mid_epoch_crash(processes=False)
+        spawned = _mid_epoch_crash(processes=True)
+        assert (local.shard_id, local.cause) == (spawned.shard_id, spawned.cause)
+        assert (local.barriers, local.barrier_ms) == (
+            spawned.barriers, spawned.barrier_ms
+        )
+        assert str(local).splitlines()[0] == str(spawned).splitlines()[0]
+        assert "Traceback" in str(local) and "Traceback" in str(spawned)

@@ -12,10 +12,7 @@ from repro.fleet.wire import MAGIC, WireError, decode_batch, encode_batch
 
 
 class _Weird:
-    """Unpicklable-by-JSON stanza stand-in (module-level: pickle needs it)."""
-
-    def __eq__(self, other):
-        return isinstance(other, _Weird)
+    """A stanza that is not a message tree at all."""
 
 
 def _env(payload, trace_id=0, origin_ms=0.0, hop_span=0):
@@ -121,44 +118,54 @@ class TestEnvelopeSidecar:
         assert payload == {"readings": [1, 2, 3], "meta": {"x": "y"}}
 
 
-class TestPickleFallback:
-    def test_tuple_leaf_falls_back_to_pickle(self):
-        stanza = {"kind": "odd", "pair": (1, 2)}
-        (out,) = decode_batch(
-            encode_batch([Handoff(1.0, 1, "a@pogo", "b@pogo", stanza)])
-        )
-        assert out.stanza == stanza
-        assert out.stanza["pair"] == (1, 2)  # tuple preserved, not a list
+class TestUnfaithfulStanza:
+    """A stanza JSON would not give back equal is refused at encode —
+    loudly, naming the handoff — rather than carried some other way."""
 
-    def test_non_string_key_falls_back_to_pickle(self):
-        stanza = {"kind": "odd", 3: "three"}
-        (out,) = decode_batch(
-            encode_batch([Handoff(1.0, 1, "a@pogo", "b@pogo", stanza)])
-        )
-        assert out.stanza == stanza
+    @staticmethod
+    def _refused(stanza):
+        with pytest.raises(WireError) as excinfo:
+            encode_batch([Handoff(1.0, 41, "odd-sender@pogo", "b@pogo", stanza)])
+        message = str(excinfo.value)
+        assert "odd-sender@pogo" in message
+        assert "seq 41" in message
 
-    def test_non_dict_stanza_falls_back_to_pickle(self):
-        (out,) = decode_batch(
-            encode_batch([Handoff(1.0, 1, "a@pogo", "b@pogo", _Weird())])
-        )
-        assert out.stanza == _Weird()
+    def test_tuple_leaf_is_a_wire_error(self):
+        self._refused({"kind": "odd", "pair": (1, 2)})
 
-    def test_mixed_batch_keeps_per_record_fidelity(self):
+    def test_non_string_key_is_a_wire_error(self):
+        self._refused({"kind": "odd", 3: "three"})
+
+    def test_non_dict_stanza_is_a_wire_error(self):
+        self._refused(_Weird())
+
+    def test_unfaithful_record_in_a_batch_is_the_one_named(self):
         batch = [
             Handoff(1.0, 1, "a@pogo", "b@pogo",
                     Stanza({"kind": "message", "n": 1})),
-            Handoff(2.0, 2, "a@pogo", "b@pogo", {"kind": "odd", "t": (1,)}),
+            Handoff(2.0, 2, "c@pogo", "b@pogo", {"kind": "odd", "t": (1,)}),
         ]
-        out = decode_batch(encode_batch(batch))
-        assert out == batch
-        assert isinstance(out[0].stanza, Stanza)
-        assert out[1].stanza["t"] == (1,)
+        with pytest.raises(WireError, match="seq 2 from c@pogo"):
+            encode_batch(batch)
 
 
 class TestFrameValidation:
     def test_bad_magic_is_rejected(self):
         with pytest.raises(WireError, match="magic"):
             decode_batch(b"XXX\x00\x00\x00\x00\x00")
+
+    def test_retired_pickle_flag_is_rejected(self):
+        # Record flag 0x02 used to mean "the body is a pickle".  A frame
+        # that sets it must be refused before its bytes are interpreted.
+        frame = bytearray(encode_batch(
+            [Handoff(None, 1, "a@pogo", "b@pogo", {"kind": "message"})]
+        ))
+        assert frame[3] == 0  # stored raw, so offsets below are the body's
+        flags_at = 4 + 4 + (2 + len("a@pogo")) + (2 + len("b@pogo")) + 4
+        assert frame[flags_at] == 0
+        frame[flags_at] = 0x02
+        with pytest.raises(WireError, match="flags"):
+            decode_batch(bytes(frame))
 
     def test_trailing_bytes_are_rejected(self):
         frame = encode_batch(
