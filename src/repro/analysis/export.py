@@ -136,26 +136,34 @@ def spans_to_csv(spans: Iterable, target: Union[str, TextIO, None] = None) -> Op
 def spans_to_jsonl(spans: Iterable, target: Union[str, TextIO, None] = None) -> Optional[str]:
     """Write lifecycle spans as JSON Lines, one span per line.
 
-    The line format is deterministic (sorted keys, compact separators),
-    so two identical seeded runs export byte-identical files — CI pins
-    this property.
+    The line layout is owned by :func:`repro.sim.spans.spans_to_jsonl_lines`
+    and deterministic, so two identical seeded runs export byte-identical
+    files — CI pins this property.  The text is assembled with one join
+    and, for a path or file ``target``, written with one call.
     """
     from ..sim.spans import spans_to_jsonl_lines
 
-    handle, close, buffer = _writer(target)
+    lines = spans_to_jsonl_lines(spans)
+    lines.append("")  # every line, the last included, ends in a newline
+    text = "\n".join(lines)
+    if target is None:
+        return text
+    handle, close, _ = _writer(target)
     try:
-        for line in spans_to_jsonl_lines(spans):
-            handle.write(line)
-            handle.write("\n")
+        handle.write(text)
     finally:
         if close:
             handle.close()
-    return buffer.getvalue() if buffer is not None else None
+    return None
 
 
 def spans_from_jsonl(source: Union[str, TextIO]) -> List:
     """Read spans back from a JSON Lines export (round-trip of
-    :func:`spans_to_jsonl`).  ``source`` is a path or an open file."""
+    :func:`spans_to_jsonl`).  ``source`` is a path or an open file.
+
+    Reads per-shard exports only: a merged fleet trace (lines carrying
+    ``shard``) raises ``ValueError`` — see :meth:`Span.from_dict`.
+    """
     import json
 
     from ..sim.spans import Span

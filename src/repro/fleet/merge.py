@@ -38,7 +38,10 @@ conserved counters, so fleet totals equal the solo run's.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
+
+from ..sim.spans import split_span_line
 
 
 class MergeError(ValueError):
@@ -135,27 +138,29 @@ def merge_trace_jsonl(traces: Sequence[Tuple[str, str]]) -> str:
     """Merge per-shard span-trace JSONL exports into one stream.
 
     ``traces`` is ``(shard_id, jsonl_text)`` pairs.  Every line gains a
-    ``shard`` field (span ids are per-shard), and the merged stream is
+    ``shard`` member (span ids are per-shard), and the merged stream is
     ordered by ``(start_ms, end_ms, shard, span)`` — a total order, so
     the merged trace is byte-deterministic whatever the worker layout.
+
+    The lines are not parsed: :func:`repro.sim.spans.split_span_line`
+    reads the sort key off the exporter's fixed layout and says where
+    ``"shard"`` goes, so each span's bytes are copied, not re-encoded.
+    A line that is not in that layout raises :class:`MergeError` naming
+    the shard and the 1-based line.
     """
-    spans: List[Tuple[float, float, str, int, str]] = []
+    rows: List[Tuple[Tuple[float, float, str, int], str]] = []
     for shard_id, text in traces:
-        for line in text.splitlines():
-            if not line:
-                continue
-            record = json.loads(line)
-            record["shard"] = shard_id
-            spans.append(
-                (
-                    record.get("start_ms", 0.0),
-                    record.get("end_ms", 0.0),
-                    shard_id,
-                    record.get("span", 0),
-                    json.dumps(record, sort_keys=True, separators=(",", ":")),
+        member = ',"shard":' + json.dumps(shard_id)
+        for number, line in enumerate(text.splitlines(), 1):
+            parts = split_span_line(line)
+            if parts is None:
+                raise MergeError(
+                    f"trace of shard {shard_id!r}, line {number}: not a span "
+                    f"line as the exporter writes them: {line[:160]!r}"
                 )
+            start_ms, end_ms, span, head, tail = parts
+            rows.append(
+                ((start_ms, end_ms, shard_id, span), f"{head}{member}{tail}\n")
             )
-    spans.sort(key=lambda item: item[:4])
-    if not spans:
-        return ""
-    return "\n".join(item[4] for item in spans) + "\n"
+    rows.sort(key=itemgetter(0))
+    return "".join([line for _, line in rows])

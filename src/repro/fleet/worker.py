@@ -168,7 +168,7 @@ def collect_artifacts(shard: Shard, busy_s: float = 0.0) -> Dict[str, Any]:
         "shard_id": shard.shard_id,
         "report": shard.fleet_report(),
         "metrics": shard.kernel.metrics.snapshot(),
-        "trace_jsonl": spans_to_jsonl(shard.kernel.spans) or "",
+        "trace_jsonl": spans_to_jsonl(shard.kernel.spans),
         "busy_s": busy_s,
         # Workload-specific extras; None for non-scenario shards.
         "extra": scenario_summary(shard),

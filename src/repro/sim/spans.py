@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import re
 from collections import deque
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -87,7 +89,14 @@ class Span:
         return self.end_ms - self.start_ms
 
     def to_dict(self) -> Dict[str, Any]:
-        """A plain, JSON-ready dict (attrs key-sorted for determinism)."""
+        """A plain, JSON-ready dict with a copy of the attrs, unsorted.
+
+        Key order is not part of the contract: the JSONL exporter
+        (:func:`spans_to_jsonl_lines`) no longer goes through here and
+        sorts keys itself, so nothing byte-pinned depends on this dict's
+        order.  An exported line equals the stock encoder's key-sorted
+        dump of it.
+        """
         return {
             "span": self.span_id,
             "trace": self.trace_id,
@@ -95,11 +104,23 @@ class Span:
             "hop": self.hop,
             "start_ms": round(self.start_ms, 3),
             "end_ms": round(self.end_ms, 3),
-            "attrs": dict(sorted((self.attrs or {}).items())),
+            "attrs": dict(self.attrs or {}),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Span":
+        """Rebuild a span from :meth:`to_dict` output or a parsed line.
+
+        Refuses a record with a ``shard`` key: that is a line of a
+        merged fleet trace, whose span and parent ids are only unique
+        per shard, and a :class:`Span` has nowhere to keep the shard.
+        """
+        if "shard" in data:
+            raise ValueError(
+                f"span {data.get('span')} belongs to a merged fleet trace "
+                f"(shard {data['shard']!r}); span ids are per shard, so read "
+                "the per-shard export instead"
+            )
         return cls(
             int(data["span"]),
             int(data["trace"]),
@@ -701,9 +722,123 @@ class EnergyLedger:
         }
 
 
+# ---------------------------------------------------------------------------
+# The span line: the trace plane's one serialised form
+# ---------------------------------------------------------------------------
+#
+# One span is one JSON object on one line, seven keys in sorted order,
+# compact separators, ASCII only:
+#
+#   {"attrs":{...},"end_ms":E,"hop":"H","parent":P,"span":S,"start_ms":B,"trace":T}
+#
+# The export, the fleet merge and the golden files lean on exactly these
+# bytes, so the layout lives here and nowhere else:
+# :func:`spans_to_jsonl_lines` is the only writer, and
+# :func:`split_span_line` the only code that takes a line apart without
+# parsing it.
+
+#: The reference encoding of a line is this encoder applied to
+#: ``span.to_dict()``; the writer hands it every value it does not type
+#: itself.
+_STOCK_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+_NUMBER = r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?|NaN|-?Infinity"
+_SPAN_LINE = re.compile(
+    r'\{"attrs":\{.*\}'
+    rf',"end_ms":(?P<end_ms>{_NUMBER})'
+    r',"hop":"[^"\\]*(?:\\.[^"\\]*)*"'
+    r',"parent":-?[0-9]+'
+    r'(?P<shard_goes_here>),"span":(?P<span>-?[0-9]+)'
+    rf',"start_ms":(?P<start_ms>{_NUMBER})'
+    r',"trace":-?[0-9]+\}'
+)
+
+
+class _QuotedStrings(dict):
+    """``str`` → its JSON string literal, filled on first use."""
+
+    def __missing__(self, text: str) -> str:
+        literal = self[text] = json.encoder.encode_basestring_ascii(text)
+        return literal
+
+
 def spans_to_jsonl_lines(spans: Iterable[Span]) -> List[str]:
-    """One compact, key-stable JSON document per span (deterministic)."""
+    """One compact, key-stable JSON document per span (deterministic).
+
+    Each span's bytes are produced once, directly in the layout above:
+    strings are quoted through a per-call memo (a run has a few dozen
+    distinct hop names, attr keys and attr strings across tens of
+    thousands of spans), ints and finite floats are their ``repr``, and
+    whatever else a span carries — bools, ``None``, ``inf``/``nan``,
+    nested attrs, non-string attr keys — goes to the stock encoder, so
+    the result equals the reference encoding byte for byte.
+    """
+    quoted = _QuotedStrings()
+    isfinite = math.isfinite
+
+    def scalar(value: Any) -> str:
+        kind = type(value)
+        if kind is str:
+            return quoted[value]
+        if kind is int or (kind is float and isfinite(value)):
+            return repr(value)
+        return _STOCK_ENCODE(value)
+
+    def attrs_json(attrs: Dict[str, Any]) -> str:
+        parts = []
+        for key, value in sorted(attrs.items()):
+            if type(key) is not str:
+                return _STOCK_ENCODE(attrs)
+            parts.append(quoted[key] + ":" + scalar(value))
+        return "{" + ",".join(parts) + "}"
+
     return [
-        json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
+        f'{{"attrs":{attrs_json(span.attrs) if span.attrs else "{}"}'
+        f',"end_ms":{scalar(round(span.end_ms, 3))}'
+        f',"hop":{scalar(span.hop)}'
+        f',"parent":{scalar(span.parent_id)}'
+        f',"span":{scalar(span.span_id)}'
+        f',"start_ms":{scalar(round(span.start_ms, 3))}'
+        f',"trace":{scalar(span.trace_id)}}}'
         for span in spans
     ]
+
+
+#: ``json.loads`` reads every ``NaN`` as one object, and tuple comparison
+#: takes identical objects for equal: two ``NaN`` times tie, and the
+#: merge's sort falls through to ``(shard, span)`` instead of leaving
+#: the pair in input order.  The sort key must do the same.
+_NAN = float("nan")
+
+
+def _number(text: str) -> float:
+    """The value ``json.loads`` reads from a number the pattern matched."""
+    if text.lstrip("-").isdigit():
+        return int(text)
+    value = float(text)
+    return value if value == value else _NAN
+
+
+def split_span_line(line: str) -> Optional[Tuple[float, float, int, str, str]]:
+    """Take one exported line apart without parsing its JSON.
+
+    Returns ``(start_ms, end_ms, span, head, tail)`` — the numbers as
+    ``json.loads`` would read them, and the two halves of the line
+    around the point where a ``,"shard":…`` member belongs — or ``None``
+    when ``line`` is not in the exporter's layout.
+
+    Why a pattern is enough: inside a JSON string every ``"`` is
+    escaped, so ``,"end_ms":`` with bare quotes can only be a member
+    boundary; numbers hold no comma or quote; and the pattern is
+    anchored at both ends.  An ``attrs`` value that imitates the tail
+    (keys named ``end_ms``/``hop``/…, strings spelling it out) therefore
+    cannot end the match early or start it late — the real tail is the
+    only substring of that shape that reaches the closing brace.  The
+    ids must be integers; anything else is not a line this module wrote.
+    """
+    match = _SPAN_LINE.fullmatch(line)
+    if match is None:
+        return None
+    start_ms, end_ms, span = match.group("start_ms", "end_ms", "span")
+    cut = match.start("shard_goes_here")
+    return _number(start_ms), _number(end_ms), int(span), line[:cut], line[cut:]

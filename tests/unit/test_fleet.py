@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.analysis.export import spans_to_jsonl
 from repro.core.shard import DeviceSpec, Handoff, Shard, ShardSpec
 from repro.fleet import (
     FleetError,
@@ -18,6 +19,7 @@ from repro.fleet import (
 from repro.fleet.merge import MergeError, report_to_json
 from repro.fleet.partition import PartitionError, device_jid
 from repro.net.xmpp import RoutingError
+from repro.sim.spans import Span
 
 
 class TestPartitioner:
@@ -197,13 +199,45 @@ class TestMerger:
         assert merged["h"]["mean"] == 0.0
         assert merged["h"]["min"] is None
 
+    @staticmethod
+    def _trace(*spans):
+        """Per-shard trace text exactly as the exporter writes it."""
+        return spans_to_jsonl(
+            Span(span_id, 0, 0, "xmpp.route", start_ms, end_ms, {"to": "a@p"})
+            for span_id, start_ms, end_ms in spans
+        )
+
     def test_trace_lines_gain_shard_and_sort_totally(self):
-        line_a = json.dumps({"span": 1, "start_ms": 5.0, "end_ms": 6.0})
-        line_b = json.dumps({"span": 1, "start_ms": 1.0, "end_ms": 2.0})
-        merged = merge_trace_jsonl([("f/0", line_a + "\n"), ("f/1", line_b + "\n")])
+        merged = merge_trace_jsonl(
+            [("f/0", self._trace((1, 5.0, 6.0))), ("f/1", self._trace((1, 1.0, 2.0)))]
+        )
         records = [json.loads(line) for line in merged.splitlines()]
         assert [r["shard"] for r in records] == ["f/1", "f/0"]
         assert [r["start_ms"] for r in records] == [1.0, 5.0]
+        # The splice keeps the keys sorted, so the merged line is what a
+        # key-sorted dump of the record would be.
+        assert merged.splitlines()[0] == json.dumps(
+            records[0], sort_keys=True, separators=(",", ":")
+        )
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda line: line[:-12], id="truncated-tail"),
+            pytest.param(
+                lambda line: line.replace('"parent":0,"span":2', '"span":2,"parent":0'),
+                id="keys-out-of-order",
+            ),
+            pytest.param(lambda line: line + " # x", id="trailing-garbage"),
+        ],
+    )
+    def test_trace_merge_names_the_shard_and_line_of_a_malformed_line(self, damage):
+        good = self._trace((1, 1.0, 2.0), (2, 3.0, 4.0), (3, 5.0, 6.0)).splitlines()
+        bad = damage(good[1])
+        assert bad != good[1]
+        text = "\n".join([good[0], bad, good[2], ""])
+        with pytest.raises(MergeError, match=r"shard 'f/1', line 2\b"):
+            merge_trace_jsonl([("f/0", self._trace((1, 0.0, 0.0))), ("f/1", text)])
 
     def test_report_json_round_trips(self):
         report = self._report("f", ["a@p"])
@@ -220,14 +254,16 @@ class TestMerger:
         assert merged["events_executed"] == 20
 
     def test_trace_merge_tolerates_a_shard_with_no_spans(self):
-        line = json.dumps({"span": 1, "start_ms": 5.0, "end_ms": 6.0})
-        merged = merge_trace_jsonl([("f/0", line + "\n"), ("f/1", "")])
+        merged = merge_trace_jsonl(
+            [("f/0", self._trace((1, 5.0, 6.0))), ("f/1", self._trace())]
+        )
         records = [json.loads(l) for l in merged.splitlines()]
         assert len(records) == 1
         assert records[0]["shard"] == "f/0"
 
     def test_trace_merge_of_all_empty_shards_is_empty(self):
-        assert merge_trace_jsonl([("f/0", ""), ("f/1", "")]) == ""
+        assert self._trace() == ""
+        assert merge_trace_jsonl([("f/0", self._trace()), ("f/1", self._trace())]) == ""
 
 
 class TestCoordinatorSmoke:
