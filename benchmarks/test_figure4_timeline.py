@@ -22,6 +22,7 @@ import pytest
 from repro.analysis.plotting import render_tracks
 from repro.apps import battery_monitor
 from repro.core.middleware import PogoSimulation
+from repro.core.node import DeviceNode
 from repro.sim.kernel import MINUTE, SECOND
 from repro.sim.trace import Interval
 
@@ -35,15 +36,19 @@ def run_timeline():
     collector.node.deploy(battery_monitor.build_experiment(), [device.jid])
 
     flush_times = []
-    original_flush = device.node.flush
 
-    def traced_flush(reason="manual"):
-        sent = original_flush(reason)
-        if sent:
-            flush_times.append((sim.kernel.now, reason, sent))
-        return sent
+    # DeviceNode is slotted: an instance cannot take a patched method, so
+    # the trace rides a layout-compatible subclass (the null-lane idiom).
+    class TracedNode(DeviceNode):
+        __slots__ = ()
 
-    device.node.flush = traced_flush
+        def flush(self, reason="manual"):
+            sent = super().flush(reason)
+            if sent:
+                flush_times.append((sim.kernel.now, reason, sent))
+            return sent
+
+    device.node.__class__ = TracedNode
     sim.run(duration_ms=10 * MINUTE)  # warm-up: connect, first syncs
     measure_start = sim.kernel.now
     baseline_wakes = device.phone.cpu.wake_count

@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..apps import battery_monitor
 from ..core.middleware import PogoSimulation, SimulatedDevice
+from ..net.acks import ReliableLink
 from ..sim.kernel import MINUTE
 from .engine import ChaosEngine
 from .invariants import InvariantMonitor
@@ -41,22 +42,26 @@ _CHAOS_COUNTERS = (
 BUGS = ("skip-retransmit", "forget-unacked")
 
 
-class _NoResend:
-    """Injected bug: a ``resend_unacked`` that never retransmits.
+class _NoResendLink(ReliableLink):
+    """Injected bug: a link whose ``resend_unacked`` never retransmits.
 
-    A module-level callable (not a lambda) so a shard snapshot taken
-    mid-campaign with the bug armed still pickles.
+    Same slot layout as :class:`ReliableLink`, so a live link is
+    retargeted by ``__class__`` assignment (the null-lane idiom), and a
+    module-level class, so a shard snapshot taken mid-campaign with the
+    bug armed still pickles.
     """
 
-    def __call__(self, max_age_ms=None) -> int:
+    __slots__ = ()
+
+    def resend_unacked(self, max_age_ms=None) -> int:
         return 0
 
 
 class _InstallNoResend:
-    """on_link_created listener installing :class:`_NoResend`."""
+    """on_link_created listener retargeting the link to :class:`_NoResendLink`."""
 
     def __call__(self, link) -> None:
-        link.resend_unacked = _NoResend()
+        link.__class__ = _NoResendLink
 
 
 class _ForgetUnacked:

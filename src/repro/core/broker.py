@@ -46,6 +46,11 @@ class Subscription:
     effect when the subscription is inactive or active respectively").
     """
 
+    __slots__ = (
+        "id", "_broker", "channel", "handler", "parameters", "owner", "active",
+        "removed", "delivery_count",
+    )
+
     def __init__(
         self,
         broker: "Broker",
@@ -106,6 +111,12 @@ def _default_deliver(subscription: "Subscription", message: Any) -> None:
 
 class Broker:
     """A topic broker for one context (or one sensor manager)."""
+
+    __slots__ = (
+        "name", "_sub_ids", "_subscriptions", "_active_index", "_channel_watchers",
+        "_global_watchers", "_deliver", "publish_count", "delivery_count",
+        "_m_publishes", "_m_deliveries", "_m_copies_avoided", "_spans", "_h_fanout",
+    )
 
     def __init__(
         self,

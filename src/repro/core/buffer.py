@@ -48,7 +48,7 @@ def traced_envelope(payload: Any):
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BufferedMessage:
     """One message waiting for transmission."""
 
@@ -60,6 +60,8 @@ class BufferedMessage:
 
 class MessageStore:
     """Interface for buffer storage backends."""
+
+    __slots__ = ()
 
     def append(self, message: BufferedMessage) -> None:
         raise NotImplementedError
@@ -76,6 +78,8 @@ class MessageStore:
 
 class InMemoryStore(MessageStore):
     """Flash-backed store modelled as an ordinary list."""
+
+    __slots__ = ("_messages",)
 
     def __init__(self) -> None:
         self._messages: List[BufferedMessage] = []
@@ -146,6 +150,11 @@ class SqliteStore(MessageStore):
 
 class MessageBuffer:
     """The device's outgoing buffer: enqueue, expire, drain in batches."""
+
+    __slots__ = (
+        "_ids", "kernel", "store", "max_age_ms", "enqueued", "drained", "expired",
+        "_m_enqueued", "_m_drained", "_m_expired", "_spans", "_h_enqueue", "_h_dwell",
+    )
 
     def __init__(
         self,

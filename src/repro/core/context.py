@@ -48,6 +48,12 @@ def _noop(_message: Any) -> None:
 class DeviceContext:
     """One experiment's sandbox on a device node."""
 
+    __slots__ = (
+        "node", "experiment_id", "collector_jid", "broker", "_spans", "_h_publish",
+        "_h_deliver", "scripts", "remote_subs", "_remote_params", "_watching",
+        "_watch_listener", "forwarded_pubs",
+    )
+
     def __init__(self, node, experiment_id: str, collector_jid: str) -> None:
         self.node = node
         self.experiment_id = experiment_id

@@ -43,6 +43,8 @@ from .scripting import ScriptHost
 class DeviceLink:
     """Synchronized state for one device in a collector context."""
 
+    __slots__ = ("device_jid", "remote_subs", "_active_count")
+
     def __init__(self, device_jid: str) -> None:
         self.device_jid = device_jid
         #: device-side subscription id -> {"channel", "params", "active"}

@@ -54,6 +54,15 @@ _SUB_OPS = (OP_SUB_ADD, OP_SUB_RELEASE, OP_SUB_RENEW, OP_SUB_REMOVE)
 class DeviceNode:
     """The Pogo middleware on one phone."""
 
+    __slots__ = (
+        "kernel", "phone", "jid", "watchdog_ms", "scheduler", "transport", "buffer",
+        "detector", "policy", "freeze_store", "privacy", "sensor_manager", "contexts",
+        "links", "started", "_suspended", "on_context_added", "on_link_created",
+        "flush_count", "flush_reasons", "batches_sent", "payloads_sent", "_m_flushes",
+        "_m_batches", "_m_payloads", "_m_batch_size", "_spans", "_h_flush", "energy",
+        "deploy_errors",
+    )
+
     def __init__(
         self,
         kernel: Kernel,

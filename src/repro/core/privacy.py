@@ -18,6 +18,8 @@ from typing import Callable, Dict, Iterable, List, Set
 class PrivacySettings:
     """The device owner's sharing choices."""
 
+    __slots__ = ("_blocked", "on_change", "suppressed_publishes")
+
     def __init__(self, blocked_channels: Iterable[str] = ()) -> None:
         self._blocked: Set[str] = set(blocked_channels)
         self.on_change: List[Callable[[str, bool], None]] = []

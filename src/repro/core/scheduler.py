@@ -34,6 +34,8 @@ WAKE_LOCK_TAG = "pogo-scheduler"
 class ScheduledTask:
     """Handle for a delayed task."""
 
+    __slots__ = ("cancelled", "fired", "_alarm")
+
     def __init__(self) -> None:
         self.cancelled = False
         self.fired = False
@@ -43,6 +45,7 @@ class ScheduledTask:
         self.cancelled = True
         if self._alarm is not None:
             self._alarm.cancel()
+            self._alarm = None
 
 
 class _TaskFire:
@@ -53,18 +56,25 @@ class _TaskFire:
     queue — part of the Shard snapshot graph.  ``handle`` is set only
     for kernel-native repeating chains (so a stale firing can tear the
     chain down, exactly as the old closure did).
+
+    ``task._alarm`` holds the alarm whose callback this is, which holds
+    the task: a reference cycle.  A repeating chain needs it for as long
+    as it runs; a one-shot (``once``) lets go of the alarm when it fires,
+    so a finished task is freed by reference count and never waits for
+    the cyclic collector (see :func:`repro.sim.hostgc.dispatching`).
     """
 
-    __slots__ = ("scheduler", "task", "fn", "args", "serial_key", "handle")
+    __slots__ = ("scheduler", "task", "fn", "args", "serial_key", "handle", "once")
 
     def __init__(self, scheduler, task: "ScheduledTask", fn: Callable, args: tuple,
-                 serial_key: Optional[str]) -> None:
+                 serial_key: Optional[str], once: bool = False) -> None:
         self.scheduler = scheduler
         self.task = task
         self.fn = fn
         self.args = args
         self.serial_key = serial_key
         self.handle = None
+        self.once = once
 
     def __call__(self) -> None:
         task = self.task
@@ -73,11 +83,18 @@ class _TaskFire:
                 self.handle.cancel()
             return
         task.fired = True
+        if self.once:
+            task._alarm = None
         self.scheduler.submit(self.fn, *self.args, serial_key=self.serial_key)
 
 
 class PogoScheduler:
     """Runs middleware and script code with correct power behaviour."""
+
+    __slots__ = (
+        "kernel", "cpu", "name", "tasks_run", "task_errors", "on_error",
+        "_serial_queues", "_serial_running", "stopped", "_spans", "_h_task", "observer",
+    )
 
     def __init__(self, kernel: Kernel, cpu: Cpu, name: str = "scheduler") -> None:
         self.kernel = kernel
@@ -125,7 +142,7 @@ class PogoScheduler:
             task.cancelled = True
             return task
 
-        fire = _TaskFire(self, task, fn, args, serial_key)
+        fire = _TaskFire(self, task, fn, args, serial_key, once=True)
         task._alarm = self.cpu.set_alarm(delay_ms, fire)
         return task
 
@@ -247,7 +264,7 @@ class SimpleScheduler:
             task.cancelled = True
             return task
 
-        fire = _TaskFire(self, task, fn, args, serial_key)
+        fire = _TaskFire(self, task, fn, args, serial_key, once=True)
         handle = self.kernel.schedule(delay_ms, fire)
         task._alarm = _HandleAlarm(handle)
         return task
@@ -317,6 +334,8 @@ class SimpleScheduler:
 
 class _HandleAlarm:
     """Adapts a kernel EventHandle to the Alarm.cancel() interface."""
+
+    __slots__ = ("_handle",)
 
     def __init__(self, handle) -> None:
         self._handle = handle

@@ -515,6 +515,8 @@ class FreezeStore:
     preexisting data" (Section 4.4).  Survives reboots (flash).
     """
 
+    __slots__ = ("_data",)
+
     def __init__(self) -> None:
         self._data: Dict[str, str] = {}
 

@@ -40,6 +40,8 @@ class _SensorDemandWatch:
 class SensorManager:
     """Registry and context/privacy bridge for a device's sensors."""
 
+    __slots__ = ("node", "privacy", "sensors")
+
     def __init__(self, node, privacy: Optional[PrivacySettings] = None) -> None:
         self.node = node
         self.privacy = privacy or PrivacySettings()

@@ -51,6 +51,7 @@ from ..sensors.battery_sensor import BatterySensor
 from ..sensors.location import LocationSensor
 from ..sensors.microphone import MicrophoneSensor, ambient_db_for
 from ..sensors.wifi_scanner import WifiScanSensor
+from ..sim.hostgc import building, reclaim
 from ..sim.kernel import HOUR, MINUTE, Kernel
 from ..sim.randomness import RandomStreams
 from ..sim.trace import TraceRecorder
@@ -171,7 +172,7 @@ class ShardSpec:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class SimulatedDevice:
     """One enrolled phone with its middleware and (optional) world."""
 
@@ -259,6 +260,7 @@ class Shard:
     pickle round-trip — execute byte-identically.
     """
 
+    @building()
     def __init__(
         self,
         spec: Optional[ShardSpec] = None,
@@ -272,6 +274,7 @@ class Shard:
         shard_id: str = "shard-0",
         latency_ms: float = 80.0,
     ) -> None:
+        reclaim()
         if spec is not None:
             seed = spec.seed
             carrier = spec.carrier
@@ -403,11 +406,13 @@ class Shard:
         wifi_sensor = WifiScanSensor(phone)
         node.sensor_manager.register(wifi_sensor)
         location = LocationSensor(phone)
+        # The registry, not a stream: nothing is seeded until a sensor
+        # is first sampled, and most fleets never subscribe to these two.
         accel = AccelerometerSensor(
-            phone, rng=self.streams.stream(f"accel/{device.jid}")
+            phone, rng=self.streams, stream=f"accel/{device.jid}"
         )
         microphone = MicrophoneSensor(
-            phone, rng=self.streams.stream(f"microphone/{device.jid}")
+            phone, rng=self.streams, stream=f"microphone/{device.jid}"
         )
         node.sensor_manager.register(location)
         node.sensor_manager.register(accel)
@@ -444,6 +449,7 @@ class Shard:
     def assign(self, collector: SimulatedCollector, devices: List[SimulatedDevice]) -> None:
         self.admin.assign(collector.jid, [d.jid for d in devices])
 
+    @building()
     def start(self) -> None:
         """Start every node, app and connectivity driver."""
         if self._started:
@@ -482,14 +488,22 @@ class Shard:
     # ------------------------------------------------------------------
     # Snapshot / restore (the pickling contract)
     # ------------------------------------------------------------------
+    @building()
     def snapshot(self) -> bytes:
         """Serialize the entire shard — kernel heap, fleet, scripts,
         instrumentation — into bytes.  ``restore`` resumes it exactly
-        where it stopped, in this process or another."""
+        where it stopped, in this process or another.
+
+        Like the build, both directions run with collection paused: the
+        pickler's temporaries are freed by reference count and what the
+        unpickler allocates is the shard, so a pass would find nothing.
+        """
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
+    @building()
     def restore(cls, blob: bytes) -> "Shard":
+        reclaim()
         shard = pickle.loads(blob)
         if not isinstance(shard, Shard):
             raise TypeError(f"snapshot does not contain a Shard: {type(shard)!r}")

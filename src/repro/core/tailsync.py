@@ -33,6 +33,11 @@ from ..device.cpu import SleepFrozenTimer
 class TailDetector:
     """Polls modem byte counters from a sleep-frozen loop."""
 
+    __slots__ = (
+        "phone", "poll_interval_ms", "on_activity", "detections", "polls",
+        "_last_bytes", "_timer", "running", "_m_polls", "_m_detections",
+    )
+
     def __init__(self, phone, poll_interval_ms: float = 1 * SECOND) -> None:
         self.phone = phone
         self.poll_interval_ms = poll_interval_ms
@@ -90,6 +95,8 @@ class TransmissionPolicy:
     (no-op when the buffer is empty or the device is offline), the
     ``phone`` and the ``scheduler``.
     """
+
+    __slots__ = ("_controller",)
 
     name = "base"
 
@@ -162,6 +169,10 @@ class SynchronizedPolicy(TransmissionPolicy):
     has used the radio for ``max_delay_ms``, flush anyway.  On Wi-Fi
     there is no tail to avoid, so enqueued data is sent promptly.
     """
+
+    __slots__ = (
+        "detector", "max_delay_ms", "wifi_prompt", "sync_flushes", "_fallback_task",
+    )
 
     name = "synchronized"
 

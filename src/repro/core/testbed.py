@@ -27,7 +27,7 @@ class AssignmentError(Exception):
     """Raised for invalid pool operations (unknown ids, over-allocation)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviceRecord:
     """What the administrator knows about a device (and nothing more).
 

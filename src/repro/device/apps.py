@@ -22,7 +22,7 @@ from ..sim.kernel import MINUTE, Kernel
 from ..sim.trace import IntervalTrack
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmailConfig:
     """An e-mail poller (IMAP-style): small request, moderate response."""
 
@@ -36,12 +36,21 @@ class EmailConfig:
     processing_ms: float = 300.0
 
 
+#: Configs are immutable, so every poller built without one shares this.
+_DEFAULT_EMAIL_CONFIG = EmailConfig()
+
+
 class EmailApp:
     """Checks for new mail on a repeating alarm (the Table 3 workload)."""
 
+    __slots__ = (
+        "phone", "config", "name", "check_count", "failed_checks",
+        "activity_track", "_alarm", "_running",
+    )
+
     def __init__(self, phone, config: Optional[EmailConfig] = None, name: str = "email") -> None:
         self.phone = phone
-        self.config = config or EmailConfig()
+        self.config = config or _DEFAULT_EMAIL_CONFIG
         self.name = name
         self.check_count = 0
         self.failed_checks = 0

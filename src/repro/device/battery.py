@@ -31,7 +31,7 @@ DEFAULT_VOLTAGE_CURVE = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatteryConfig:
     """Capacity and electrical parameters.
 
@@ -44,8 +44,18 @@ class BatteryConfig:
     nominal_voltage: float = 3.8
 
 
+#: Configs are immutable, so every battery built without one shares this.
+_DEFAULT_CONFIG = BatteryConfig()
+
+
 class Battery:
     """Tracks state of charge from the rail's energy integral."""
+
+    __slots__ = (
+        "_kernel", "_rail", "config", "_initial_level", "_baseline_energy",
+        "on_depleted", "_depleted_notified", "charging", "on_charging_changed",
+        "_off_charger_j", "_off_charger_mark",
+    )
 
     def __init__(
         self,
@@ -58,7 +68,7 @@ class Battery:
             raise ValueError("initial_level must be within [0, 1]")
         self._kernel = kernel
         self._rail = rail
-        self.config = config or BatteryConfig()
+        self.config = config or _DEFAULT_CONFIG
         self._initial_level = initial_level
         self._baseline_energy = rail.energy_joules
         self.on_depleted: List[Callable[[], None]] = []

@@ -24,7 +24,7 @@ from ..sim.kernel import EventHandle, Kernel
 from ..sim.trace import IntervalTrack, TraceRecorder
 
 
-@dataclass
+@dataclass(frozen=True)
 class CpuConfig:
     """Power and timing parameters of the CPU model.
 
@@ -41,8 +41,17 @@ class CpuConfig:
     awake_hold_ms: float = 1100.0
 
 
+#: Configs are immutable, so every CPU built without one shares this.
+_DEFAULT_CONFIG = CpuConfig()
+
+
 class Alarm:
     """Handle for a one-shot or repeating CPU alarm."""
+
+    __slots__ = (
+        "_cpu", "_interval", "_callback", "_args", "_handle", "cancelled",
+        "fire_count",
+    )
 
     def __init__(self, cpu: "Cpu", interval_ms: Optional[float], callback: Callable[..., Any], args: tuple):
         self._cpu = cpu
@@ -68,7 +77,12 @@ class Alarm:
             return
         self.fire_count += 1
         self._cpu.wake("alarm")  # wake() also records the activity
-        if self._interval is not None and not self.cancelled:
+        if self._interval is None:
+            # The handle's callback is this alarm's own bound method — a
+            # cycle.  A one-shot is done with it, and lets go so that it
+            # is freed by reference count (see repro.sim.hostgc).
+            self._handle = None
+        elif not self.cancelled:
             self._arm(self._interval)
         self._callback(*self._args)
 
@@ -88,6 +102,11 @@ class SleepFrozenTimer:
     CPU activity, so a component polling on such timers (Pogo's tail
     detector) never extends the awake window or causes wakeups of its own.
     """
+
+    __slots__ = (
+        "_cpu", "_callback", "remaining_ms", "cancelled", "fired", "_handle",
+        "_resumed_at",
+    )
 
     def __init__(self, cpu: "Cpu", duration_ms: float, callback: Callable[[], Any]):
         if duration_ms < 0:
@@ -164,6 +183,12 @@ class SleepFrozenTimer:
 class Cpu:
     """The application processor: awake/asleep with wake locks and alarms."""
 
+    __slots__ = (
+        "_kernel", "_rail", "config", "name", "trace", "awake", "_wake_locks",
+        "_last_activity", "_sleep_check", "_frozen_timers", "on_wake",
+        "on_sleep", "awake_track", "wake_count",
+    )
+
     def __init__(
         self,
         kernel: Kernel,
@@ -174,7 +199,7 @@ class Cpu:
     ) -> None:
         self._kernel = kernel
         self._rail = rail
-        self.config = config or CpuConfig()
+        self.config = config or _DEFAULT_CONFIG
         self.name = name
         self.trace = trace
         self.awake = True

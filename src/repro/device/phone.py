@@ -39,6 +39,12 @@ class PhoneOffline(Exception):
 class Phone:
     """A simulated Android handset."""
 
+    __slots__ = (
+        "kernel", "name", "trace", "rail", "cpu", "battery", "modem", "wifi",
+        "alive", "reboot_count", "_wifi_desired", "wifi_association_suppressed",
+        "on_interface_change", "on_shutdown", "on_boot", "_last_interface",
+    )
+
     def __init__(
         self,
         kernel: Kernel,

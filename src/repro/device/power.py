@@ -25,6 +25,11 @@ from ..sim.trace import TimeSeries
 class PowerRail:
     """Aggregates per-component power draw and integrates energy."""
 
+    __slots__ = (
+        "_kernel", "_draws", "_total_w", "_energy_j", "_last_change",
+        "track_history", "history",
+    )
+
     def __init__(self, kernel: Kernel, track_history: bool = False) -> None:
         self._kernel = kernel
         self._draws: Dict[str, float] = {}

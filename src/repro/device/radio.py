@@ -92,7 +92,7 @@ FACH = "fach"
 OFF = "off"
 
 
-@dataclass
+@dataclass(slots=True)
 class TransferJob:
     """One queued data transfer."""
 
@@ -108,6 +108,14 @@ class TransferJob:
 
 class Modem:
     """The cellular modem: a queue of transfers over an RRC state machine."""
+
+    __slots__ = (
+        "_kernel", "_rail", "profile", "name", "trace", "simulate_paging",
+        "state", "transferring", "data_enabled", "coverage", "bytes_tx",
+        "bytes_rx", "transfer_count", "rampup_count", "_queue", "_state_timer",
+        "_job_timer", "_current_job", "_paging_timer", "_paging_blip_timer",
+        "on_state_change", "active_track",
+    )
 
     def __init__(
         self,

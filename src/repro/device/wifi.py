@@ -32,7 +32,7 @@ class WifiUnavailable(Exception):
     """Raised when a data transfer is requested without a connection."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class WifiConfig:
     """Power and timing parameters for the Wi-Fi radio."""
 
@@ -45,7 +45,11 @@ class WifiConfig:
     min_transfer_ms: float = 80.0
 
 
-@dataclass
+#: Configs are immutable, so every radio built without one shares this.
+_DEFAULT_CONFIG = WifiConfig()
+
+
+@dataclass(slots=True)
 class WifiJob:
     tx_bytes: int = 0
     rx_bytes: int = 0
@@ -57,6 +61,12 @@ class WifiJob:
 class WifiInterface:
     """Wi-Fi radio with scanning and (tail-free) data transfer."""
 
+    __slots__ = (
+        "_kernel", "_rail", "config", "name", "trace", "enabled", "connected",
+        "bytes_tx", "bytes_rx", "scan_count", "scan_source", "on_connectivity",
+        "_queue", "_busy", "_scan_busy",
+    )
+
     def __init__(
         self,
         kernel: Kernel,
@@ -67,7 +77,7 @@ class WifiInterface:
     ) -> None:
         self._kernel = kernel
         self._rail = rail
-        self.config = config or WifiConfig()
+        self.config = config or _DEFAULT_CONFIG
         self.name = name
         self.trace = trace
 

@@ -22,6 +22,7 @@ this module).
 from __future__ import annotations
 
 import pickle
+import sys
 import zlib
 from contextlib import contextmanager
 from time import perf_counter, process_time
@@ -29,6 +30,12 @@ from traceback import format_exc
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.shard import Handoff, Shard, ShardSpec
+from ..sim.hostgc import building
+
+try:
+    import resource
+except ImportError:  # not POSIX
+    resource = None
 
 
 class WorkerCrashed(RuntimeError):
@@ -67,22 +74,19 @@ def _rss_kb() -> Optional[int]:
     rather than kilobytes — normalise so the telemetry wall section means
     the same thing everywhere it exists.
     """
-    try:
-        import resource
-        import sys
-
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        if sys.platform == "darwin":
-            peak //= 1024
-        return int(peak)
-    except Exception:
+    if resource is None:
         return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":
+        peak //= 1024
+    return int(peak)
 
 
 # ---------------------------------------------------------------------------
 # Workloads
 # ---------------------------------------------------------------------------
 
+@building()
 def setup_battery_monitor(
     shard: Shard, fleet_ctx: Optional[Dict[str, Any]] = None
 ) -> None:
@@ -261,17 +265,19 @@ class ShardDriver:
             out = shard.run_until_epoch(barrier_ms)
         self.busy_s += process_time() - t0
         self.epoch += 1
-        sample = shard.telemetry.sample(
-            self.epoch,
-            barrier_ms,
-            handoffs_in=len(handoffs),
-            handoffs_out=len(out),
-            wall={
-                "cpu_s": round(self.busy_s, 6),
-                "stall_s": round(stall_s, 6),
-                "rss_kb": _rss_kb(),
-            },
-        )
+        sample = None
+        if shard.telemetry.enabled:
+            sample = shard.telemetry.sample(
+                self.epoch,
+                barrier_ms,
+                handoffs_in=len(handoffs),
+                handoffs_out=len(out),
+                wall={
+                    "cpu_s": round(self.busy_s, 6),
+                    "stall_s": round(stall_s, 6),
+                    "rss_kb": _rss_kb(),
+                },
+            )
         return out, shard.kernel.next_event_time(), shard.egress_capable, sample
 
     def finish(self) -> Dict[str, Any]:

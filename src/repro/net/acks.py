@@ -77,6 +77,13 @@ class LinkObserver:
 class ReliableLink:
     """Sender+receiver state for one peer."""
 
+    __slots__ = (
+        "kernel", "peer", "_send_raw", "_deliver", "_request_ack_send",
+        "resend_interval_ms", "_next_seq", "_base_seq", "_unacked", "_sent_at",
+        "_expected", "_out_of_order", "_ack_dirty", "sent", "resent", "delivered",
+        "duplicates", "abandoned", "observer",
+    )
+
     def __init__(
         self,
         kernel: Kernel,

@@ -178,6 +178,14 @@ class WiredTransport:
 class DeviceTransport:
     """Phone-side client: connects over whatever interface is active."""
 
+    __slots__ = (
+        "kernel", "server", "jid", "phone", "reconnect_delay_ms", "retry_interval_ms",
+        "handshake_tx_bytes", "handshake_rx_bytes", "on_stanza", "on_connected",
+        "_session", "_session_interface", "_connecting", "_started", "connect_count",
+        "send_failures", "stanzas_sent", "_m_stanzas", "_m_bytes", "_m_failures",
+        "_m_stanza_bytes", "_spans", "_h_send",
+    )
+
     def __init__(
         self,
         kernel: Kernel,

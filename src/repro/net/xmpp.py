@@ -62,6 +62,8 @@ class Session:
     one shard unpickled in another, produce identical traces.
     """
 
+    __slots__ = ("id", "jid", "deliver", "physical_rx", "alive")
+
     def __init__(
         self,
         jid: str,

@@ -42,6 +42,7 @@ from ..anonytl.tasks import (
 from ..apps import battery_monitor, contact_tracing, noise_map
 from ..chaos.invariants import InvariantMonitor
 from ..core.shard import Shard
+from ..sim.hostgc import building
 from ..sim.kernel import HOUR
 from ..sim.randomness import derive_seed
 from ..world.city import build_city, build_citizen_world
@@ -213,6 +214,7 @@ def start_scenario(
             shard.server.add_remote_roster(jid, collector_jid)
 
 
+@building()
 def setup_scenario(shard: Shard, fleet_ctx: Optional[Dict[str, Any]] = None) -> None:
     """The fleet worker's ``"scenario"`` workload entry point.
 

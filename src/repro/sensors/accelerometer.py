@@ -18,6 +18,7 @@ import math
 from typing import Callable, Optional
 
 from ..sim.kernel import SECOND
+from ..sim.randomness import as_random
 from .base import Sensor
 
 ACTIVITY_STILL = "still"
@@ -39,11 +40,18 @@ class AccelerometerSensor(Sensor):
     default_interval_ms = 5 * SECOND
     active_power_w = 0.015
 
-    def __init__(self, phone, rng=None) -> None:
+    __slots__ = ("activity_source", "_rng", "_stream")
+
+    def __init__(self, phone, rng=None, stream: str = "accel") -> None:
+        """``rng`` is a seeded ``random.Random``, or a
+        :class:`~repro.sim.randomness.RandomStreams` whose ``stream`` is
+        looked up at each draw — so a sensor nobody subscribes to never
+        seeds one.  ``None`` means no jitter."""
         super().__init__(phone)
         #: Installed by the harness: () -> one of the ACTIVITY_* strings.
         self.activity_source: Optional[Callable[[], str]] = None
         self._rng = rng
+        self._stream = stream
 
     def on_enabled(self) -> None:
         self.phone.rail.set_draw("accel", self.active_power_w)
@@ -58,7 +66,9 @@ class AccelerometerSensor(Sensor):
         if self.activity_source is not None:
             activity = self.activity_source()
         mean, std, peak = _PROFILES.get(activity, _PROFILES[ACTIVITY_STILL])
-        jitter = self._rng.gauss(0.0, 0.01) if self._rng is not None else 0.0
+        jitter = 0.0
+        if self._rng is not None:
+            jitter = as_random(self._rng, self._stream).gauss(0.0, 0.01)
         self.publish(
             {
                 "mean": round(mean + jitter, 4),

@@ -31,6 +31,11 @@ class Sensor:
     channel: str = ""
     default_interval_ms: float = 1 * MINUTE
 
+    __slots__ = (
+        "phone", "manager", "enabled", "interval_ms", "sample_count",
+        "publish_count", "_task",
+    )
+
     def __init__(self, phone) -> None:
         self.phone = phone
         self.manager = None

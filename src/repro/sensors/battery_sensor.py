@@ -21,6 +21,8 @@ class BatterySensor(Sensor):
     channel = "battery"
     default_interval_ms = 1 * MINUTE
 
+    __slots__ = ()
+
     def sample(self) -> None:
         if not self.phone.alive:
             return

@@ -43,6 +43,8 @@ class LocationSensor(Sensor):
     gps_accuracy_m = 5.0
     network_accuracy_m = 60.0
 
+    __slots__ = ("position_source", "provider", "fix_count")
+
     def __init__(self, phone) -> None:
         super().__init__(phone)
         #: Installed by the harness: () -> Point with the user's position.

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..sim.kernel import SECOND
+from ..sim.randomness import as_random
 from .base import Sensor
 
 #: Plausible ambient levels by mobility/place context, dBA.
@@ -56,12 +57,19 @@ class MicrophoneSensor(Sensor):
     floor_db = 30.0
     ceiling_db = 95.0
 
-    def __init__(self, phone, rng=None) -> None:
+    __slots__ = ("level_source", "_rng", "_stream")
+
+    def __init__(self, phone, rng=None, stream: str = "microphone") -> None:
+        """``rng`` is a seeded ``random.Random``, or a
+        :class:`~repro.sim.randomness.RandomStreams` whose ``stream`` is
+        looked up at each draw — so a sensor nobody subscribes to never
+        seeds one.  ``None`` means no self-noise."""
         super().__init__(phone)
         #: Installed by the harness: () -> ambient dBA at the user's
         #: position (e.g. via :func:`ambient_db_for`).
         self.level_source: Optional[Callable[[], float]] = None
         self._rng = rng
+        self._stream = stream
 
     def on_enabled(self) -> None:
         self.phone.rail.set_draw("microphone", self.active_power_w)
@@ -73,7 +81,9 @@ class MicrophoneSensor(Sensor):
         if not self.phone.alive:
             return
         ambient = self.level_source() if self.level_source is not None else 40.0
-        noise = self._rng.gauss(0.0, 2.5) if self._rng is not None else 0.0
+        noise = 0.0
+        if self._rng is not None:
+            noise = as_random(self._rng, self._stream).gauss(0.0, 2.5)
         level = max(self.floor_db, min(self.ceiling_db, ambient + noise))
         peak = max(self.floor_db, min(self.ceiling_db, level + abs(noise) + 4.0))
         self.publish({"db": round(level, 1), "peak_db": round(peak, 1)})

@@ -28,6 +28,8 @@ class WifiScanSensor(Sensor):
     channel = "wifi-scan"
     default_interval_ms = 1 * MINUTE
 
+    __slots__ = ("completed_scans", "failed_scans")
+
     def __init__(self, phone) -> None:
         super().__init__(phone)
         self.completed_scans = 0

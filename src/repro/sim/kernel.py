@@ -25,6 +25,9 @@ Hot-path design (the fleet-scale requirements):
 * ``run`` / ``run_until`` are tight loops over local bindings; the stop
   flag is only consulted where it can actually change (after a
   callback), not re-read per queue operation.
+* Both loops run inside :func:`repro.sim.hostgc.dispatching`: whatever
+  was alive when the call began (the built fleet) is out of the host
+  collector's sight until the call returns.
 
 Determinism: the kernel itself is fully deterministic.  All randomness in
 the simulation goes through :mod:`repro.sim.randomness` so that a single
@@ -41,6 +44,7 @@ import heapq
 import itertools
 from typing import Any, Callable, List, Optional, Tuple
 
+from .hostgc import dispatching
 from .metrics import MetricsRegistry
 from .spans import SpanRecorder
 
@@ -336,32 +340,33 @@ class Kernel:
         push = heapq.heappush
         next_seq = self._seq.__next__
         try:
-            if not self._stopped:
-                while queue:
-                    if max_events is not None and executed >= max_events:
-                        break
-                    time, _, handle = pop(queue)
-                    if handle.cancelled:
-                        self._tombstones -= 1
-                        continue
-                    self._now = time
-                    interval = handle.interval
-                    if interval is None:
-                        handle.fired = True
-                        self._live -= 1
-                    else:
-                        seq = next_seq()
-                        handle.time = time + interval
-                        handle.seq = seq
-                        push(queue, (handle.time, seq, handle))
-                    self.events_executed += 1
-                    executed += 1
-                    handle.callback(*handle.args)
-                    # stop() can only be requested from inside a callback
-                    # (or before the run), so this is the one place the
-                    # flag needs re-reading.
-                    if self._stopped:
-                        break
+            with dispatching():
+                if not self._stopped:
+                    while queue:
+                        if max_events is not None and executed >= max_events:
+                            break
+                        time, _, handle = pop(queue)
+                        if handle.cancelled:
+                            self._tombstones -= 1
+                            continue
+                        self._now = time
+                        interval = handle.interval
+                        if interval is None:
+                            handle.fired = True
+                            self._live -= 1
+                        else:
+                            seq = next_seq()
+                            handle.time = time + interval
+                            handle.seq = seq
+                            push(queue, (handle.time, seq, handle))
+                        self.events_executed += 1
+                        executed += 1
+                        handle.callback(*handle.args)
+                        # stop() can only be requested from inside a callback
+                        # (or before the run), so this is the one place the
+                        # flag needs re-reading.
+                        if self._stopped:
+                            break
         finally:
             self._running = False
             self._stopped = False
@@ -383,30 +388,31 @@ class Kernel:
         push = heapq.heappush
         next_seq = self._seq.__next__
         try:
-            if not self._stopped:
-                while queue:
-                    event_time = queue[0][0]
-                    if event_time > time:
-                        break
-                    _, _, handle = pop(queue)
-                    if handle.cancelled:
-                        self._tombstones -= 1
-                        continue
-                    self._now = event_time
-                    interval = handle.interval
-                    if interval is None:
-                        handle.fired = True
-                        self._live -= 1
-                    else:
-                        seq = next_seq()
-                        handle.time = event_time + interval
-                        handle.seq = seq
-                        push(queue, (handle.time, seq, handle))
-                    self.events_executed += 1
-                    executed += 1
-                    handle.callback(*handle.args)
-                    if self._stopped:
-                        break
+            with dispatching():
+                if not self._stopped:
+                    while queue:
+                        event_time = queue[0][0]
+                        if event_time > time:
+                            break
+                        _, _, handle = pop(queue)
+                        if handle.cancelled:
+                            self._tombstones -= 1
+                            continue
+                        self._now = event_time
+                        interval = handle.interval
+                        if interval is None:
+                            handle.fired = True
+                            self._live -= 1
+                        else:
+                            seq = next_seq()
+                            handle.time = event_time + interval
+                            handle.seq = seq
+                            push(queue, (handle.time, seq, handle))
+                        self.events_executed += 1
+                        executed += 1
+                        handle.callback(*handle.args)
+                        if self._stopped:
+                            break
         finally:
             self._running = False
             self._stopped = False

@@ -503,6 +503,14 @@ class EnergyLedger:
     reconciliation invariant (the CLI prints the delta; tests pin it).
     """
 
+    __slots__ = (
+        "kernel", "modem", "_watts", "_state", "_since", "_episode", "_episode_ids",
+        "_pending_flush_trigger", "episodes_closed", "episodes_by_trigger",
+        "attributed_j", "control_j", "unattributed_j", "idle_j", "messages_attributed",
+        "piggybacked_messages", "message_energy", "recent", "wifi_bytes",
+        "_parked_riders",
+    )
+
     def __init__(self, kernel, modem, recent_messages: int = 4096) -> None:
         self.kernel = kernel
         self.modem = modem

@@ -95,7 +95,7 @@ class TraceRecorder:
         return iter(self.events)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A closed activity block ``[start, end]`` with an optional label."""
 
@@ -119,6 +119,8 @@ class IntervalTrack:
     track; the figure's claim is that every Pogo block overlaps an e-mail
     block (Pogo never transmits on its own).
     """
+
+    __slots__ = ("name", "_clock", "intervals", "_open_start", "_open_label")
 
     def __init__(self, name: str, clock: Optional[Callable[[], float]] = None) -> None:
         self.name = name
@@ -167,6 +169,8 @@ class IntervalTrack:
 
 class TimeSeries:
     """(time, value) samples with integration and resampling helpers."""
+
+    __slots__ = ("name", "times", "values")
 
     def __init__(self, name: str = "") -> None:
         self.name = name

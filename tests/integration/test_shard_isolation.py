@@ -12,9 +12,10 @@ Two regression families the Shard refactor must hold forever:
 """
 
 from repro.analysis.export import spans_to_jsonl
-from repro.apps import battery_monitor
+from repro.apps import battery_monitor, noise_map
 from repro.chaos.scenarios import report_json, run_scenario
 from repro.core.middleware import PogoSimulation
+from repro.core.shard import DeviceSpec, Shard, ShardSpec
 
 
 def _build(seed, devices=3):
@@ -87,3 +88,52 @@ class TestChaosSnapshotDeterminism:
         plain = run_scenario("churn", seed=11, minutes=6)
         snapped = run_scenario("churn", seed=11, minutes=6, snapshot_midpoint=True)
         assert report_json(snapped) == report_json(plain)
+
+
+class TestLazyStreamSnapshotDeterminism:
+    """The sensors' random streams are seeded at their first draw; a
+    snapshot taken on either side of that moment resumes identically."""
+
+    MINUTES = 12
+
+    @staticmethod
+    def _noise_map_shard():
+        shard = Shard(ShardSpec(
+            seed=21, collectors=("lab",),
+            devices=tuple(DeviceSpec(with_email_app=True) for _ in range(2)),
+        ))
+        collector = shard.collectors["lab@pogo"]
+        jids = sorted(shard.devices)
+        shard.start()
+        shard.assign(collector, [shard.devices[jid] for jid in jids])
+        collector.node.deploy(noise_map.build_experiment(), jids)
+        return shard
+
+    @staticmethod
+    def _outcome(shard):
+        return (
+            shard.fleet_report_json(),
+            spans_to_jsonl(shard.kernel.spans),
+            {
+                jid: shard.streams.stream(f"microphone/{jid}").getstate()
+                for jid in sorted(shard.devices)
+            },
+        )
+
+    def test_snapshot_before_and_after_the_first_draw(self):
+        plain = self._noise_map_shard()
+        plain.run(minutes=self.MINUTES)
+        expected = self._outcome(plain)
+
+        before = self._noise_map_shard()
+        assert all(f"microphone/{jid}" not in before.streams for jid in before.devices)
+        resumed = Shard.restore(before.snapshot())
+        resumed.run(minutes=self.MINUTES)
+        assert self._outcome(resumed) == expected
+
+        after = self._noise_map_shard()
+        after.run(minutes=5)
+        assert all(f"microphone/{jid}" in after.streams for jid in after.devices)
+        resumed = Shard.restore(after.snapshot())
+        resumed.run(minutes=self.MINUTES - 5)
+        assert self._outcome(resumed) == expected

@@ -2,6 +2,7 @@
 validation, ingress hardening, and worker-crash handling."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -531,6 +532,27 @@ class TestShardDriver:
             [(artifacts["shard_id"], artifacts["trace_jsonl"])]
         ) == result.trace_jsonl
         assert artifacts["busy_s"] == driver.busy_s > 0.0
+
+    def test_dark_telemetry_costs_nothing_per_barrier(self, monkeypatch):
+        # The null lane throws the wall section away, so the driver must
+        # not build it (a getrusage syscall per barrier).
+        from repro.fleet import worker
+
+        def forbidden():
+            raise AssertionError("rss sampled with telemetry off")
+
+        def drive(telemetry):
+            spec = replace(fleet_spec(2, seed=4), telemetry=telemetry)
+            driver = worker.ShardDriver(spec, "battery-monitor", None)
+            return driver.advance(60_000.0, [], stall_s=0.25)[3]
+
+        monkeypatch.setattr(worker, "_rss_kb", forbidden)
+        assert drive(telemetry=False) is None
+        monkeypatch.setattr(worker, "_rss_kb", lambda: 4242)
+        sample = drive(telemetry=True)
+        assert sample["wall"]["rss_kb"] == 4242
+        assert sample["wall"]["stall_s"] == 0.25
+        assert sample["wall"]["cpu_s"] > 0.0
 
     def test_crash_reads_the_same_in_process_and_spawned(self):
         # The exception -> WorkerCrashed mapping is written once, in the

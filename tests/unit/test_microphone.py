@@ -41,6 +41,26 @@ def test_sampling_publishes_levels():
         assert reading["peak_db"] >= reading["db"]
 
 
+def _levels(**sensor_kwargs):
+    kernel, phone, node, context = make_device()
+    sensor = MicrophoneSensor(phone, **sensor_kwargs)
+    sensor.level_source = lambda: 55.0
+    node.sensor_manager.register(sensor)
+    got = []
+    context.broker.subscribe("audio", got.append, {"interval": 30 * SECOND})
+    kernel.run_until(5 * MINUTE)
+    return [(m["db"], m["peak_db"]) for m in got]
+
+
+def test_stream_taken_from_the_registry_on_first_draw_matches_eager():
+    eager = _levels(rng=RandomStreams(5).stream("microphone/dev@x"))
+    streams = RandomStreams(5)
+    assert "microphone/dev@x" not in streams
+    lazy = _levels(rng=streams, stream="microphone/dev@x")
+    assert lazy == eager and len(set(lazy)) > 1
+    assert "microphone/dev@x" in streams
+
+
 def test_levels_clipped_to_microphone_range():
     kernel, phone, node, context = make_device()
     sensor = MicrophoneSensor(phone)

@@ -157,6 +157,34 @@ def test_accelerometer_reflects_activity():
     assert walking_std > still_std * 5
 
 
+def _accel_windows(**sensor_kwargs):
+    kernel, phone, node, context = make_device()
+    sensor = AccelerometerSensor(phone, **sensor_kwargs)
+    node.sensor_manager.register(sensor)
+    got = []
+    context.broker.subscribe("accel", got.append, {"interval": 5 * SECOND})
+    kernel.run_until(MINUTE)
+    return [(m["mean"], m["std"], m["peak"]) for m in got]
+
+
+def test_stream_taken_from_the_registry_on_first_draw_matches_eager():
+    eager = _accel_windows(rng=RandomStreams(5).stream("accel/dev@x"))
+    streams = RandomStreams(5)
+    lazy = _accel_windows(rng=streams, stream="accel/dev@x")
+    assert lazy == eager and len(set(lazy)) > 1
+    assert "accel/dev@x" in streams
+
+
+def test_unsampled_sensor_seeds_nothing():
+    kernel, phone, node, context = make_device()
+    streams = RandomStreams(5)
+    node.sensor_manager.register(
+        AccelerometerSensor(phone, rng=streams, stream="accel/dev@x")
+    )
+    kernel.run_until(MINUTE)
+    assert "accel/dev@x" not in streams
+
+
 def test_privacy_block_disables_sensor_and_suppresses_publishes():
     kernel, phone, node, context = make_device()
     sensor = BatterySensor(phone)
