@@ -651,6 +651,9 @@ def cmd_scenarios(args) -> int:
         print(result.report_json, end="")
     else:
         print(_scenarios.render_report(result.report))
+        evicted = _evicted_line(result.fleet.metrics)
+        if evicted:
+            print(evicted)
         if args.telemetry:
             print(f"  telemetry timeline -> {args.telemetry}")
         if args.report:
@@ -691,6 +694,26 @@ def _fleet_call(label: str, live, fn, *args, **kwargs):
         if live is not None:
             live.close()
     return None
+
+
+def _evicted_line(metrics) -> Optional[str]:
+    """``spans: N kept, M evicted (…)`` when any shard's flight recorder
+    overflowed, else ``None``.
+
+    Every shard has a ring of its own, so one shard can evict spans that
+    the same fleet over more shards keeps: the first place a sharded
+    run's trace stops matching the solo run's, and nothing else says so.
+    """
+    from .sim.spans import DEFAULT_MAX_SPANS
+
+    dropped = int(metrics.get("spans.dropped", 0))
+    if not dropped:
+        return None
+    kept = int(metrics["spans.recorded"]) - dropped
+    return (
+        f"  spans: {kept:,} kept, {dropped:,} evicted "
+        f"(ring of {DEFAULT_MAX_SPANS:,} per shard)"
+    )
 
 
 def cmd_fleet(args) -> int:
@@ -757,6 +780,9 @@ def cmd_fleet(args) -> int:
         f"{server['stanzas_lost']:,} lost, "
         f"{server['stanzas_stored_offline']:,} stored offline"
     )
+    evicted = _evicted_line(result.metrics)
+    if evicted:
+        print(evicted)
     if result.health is not None:
         from .obs.timeline import render_health
 

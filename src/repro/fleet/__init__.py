@@ -25,7 +25,12 @@ byte-identical to the single-shard run for the same seed:
 """
 
 from .coordinator import FleetError, FleetResult, WorkerCrashed, run_fleet
-from .merge import merge_fleet_reports, merge_metrics, merge_trace_jsonl
+from .merge import (
+    merge_fleet_reports,
+    merge_metrics,
+    merge_trace_jsonl,
+    merge_trace_rows,
+)
 from .partition import FleetPlan, fleet_spec, plan_fleet
 from .wire import WireError, decode_batch, encode_batch
 
@@ -41,6 +46,7 @@ __all__ = [
     "merge_fleet_reports",
     "merge_metrics",
     "merge_trace_jsonl",
+    "merge_trace_rows",
     "plan_fleet",
     "run_fleet",
 ]

@@ -35,7 +35,9 @@ One simulation, K shards, each advanced in lockstep windows:
   batches cross that pipe as :mod:`repro.fleet.wire` frames — one
   struct-packed, zlib-compressed buffer per barrier instead of one
   pickle per stanza — telemetry samples ride the barrier reply, and the
-  final artifacts cross as one zlib-compressed pickle.
+  final artifacts cross as one zlib-compressed pickle.  Each worker's
+  part of the span trace arrives ordered and stamped with its shard id;
+  the coordinator interleaves the runs and never opens a line.
 * **Failures.**  A worker that dies, raises, or stops responding turns
   into :class:`WorkerCrashed`/:class:`FleetError` naming the shard and
   the cause; every other worker is torn down.  No hangs, no orphans.
@@ -53,7 +55,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..core.shard import Handoff, ShardSpec
 from ..obs.timeline import FleetTimeline, fleet_health
 from ..sim.kernel import HOUR
-from .merge import merge_fleet_reports, merge_metrics, merge_trace_jsonl, report_to_json
+from .merge import merge_fleet_reports, merge_metrics, merge_trace_rows, report_to_json
 from .partition import fleet_spec, plan_fleet
 from .wire import decode_batch, encode_batch
 from .worker import WORKLOADS, ShardDriver, WorkerCrashed, fleet_worker_main
@@ -471,8 +473,10 @@ def run_fleet(
     )
     report_json = report_to_json(report)
     metrics = merge_metrics([artifact["metrics"] for artifact in artifacts])
-    trace_jsonl = merge_trace_jsonl(
-        [(artifact["shard_id"], artifact["trace_jsonl"]) for artifact in artifacts]
+    # Popped one at a time: the rows are the largest thing a worker
+    # sent, and the merge lets go of each part as soon as it is used.
+    trace_jsonl = merge_trace_rows(
+        artifact.pop("trace_rows") for artifact in artifacts
     )
     health = fleet_health(timeline) if timeline is not None else None
     # Stopped after the merge: the caller waits for that too.

@@ -21,15 +21,18 @@ Why plain sums are exact:
 
 Metrics planes merge the same way (counters and gauges sum, histograms
 combine count/sum/min/max with the mean recomputed).  Span traces merge
-into one JSONL stream with a ``shard`` field added to every line —
-span ids are only unique per shard, so the shard id is part of the
-merged identity.
+into one JSONL stream with a ``shard`` member on every line — span ids
+are only unique per shard, so the shard id is part of the merged
+identity.  Each worker orders and stamps its own run of that stream
+while its spans are still values; :func:`merge_trace_rows` interleaves
+the runs and joins once, and :func:`merge_trace_jsonl` is the text
+front-end to the same core for per-shard files already exported.
 
 Edge cases are first-class: a shard with zero devices still produces a
 valid (empty-table) report and merges cleanly — partitioners may hand a
 small fleet to many workers — and a shard that recorded no trace events
-contributes an empty JSONL text, which the trace merge treats as zero
-lines, not an error.  The telemetry plane's
+contributes an empty run (or an empty JSONL text), which the trace merge
+treats as zero lines, not an error.  The telemetry plane's
 :func:`repro.obs.timeline.aggregate_totals` leans on exactly the
 partitioning argument above: every field it sums is one of the
 conserved counters, so fleet totals equal the solo run's.
@@ -38,10 +41,9 @@ conserved counters, so fleet totals equal the solo run's.
 from __future__ import annotations
 
 import json
-from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from ..sim.spans import split_span_line
+from ..sim.spans import TraceKey, split_span_line
 
 
 class MergeError(ValueError):
@@ -134,23 +136,58 @@ def merge_metrics(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     return {name: merged[name] for name in sorted(merged)}
 
 
-def merge_trace_jsonl(traces: Sequence[Tuple[str, str]]) -> str:
-    """Merge per-shard span-trace JSONL exports into one stream.
+def _interleave(
+    runs: Iterable[Tuple[Sequence[TraceKey], Sequence[str]]]
+) -> List[str]:
+    """The lines of every run, in merged order.
 
-    ``traces`` is ``(shard_id, jsonl_text)`` pairs.  Every line gains a
-    ``shard`` member (span ids are per-shard), and the merged stream is
-    ordered by ``(start_ms, end_ms, shard, span)`` — a total order, so
-    the merged trace is byte-deterministic whatever the worker layout.
+    One stable sort over the concatenated keys: timsort finds K
+    ascending runs in one pass and merges them, so runs that arrive
+    ordered cost about a comparison a line and a single ordered run is
+    not moved at all, while a run in any other order (an exported file
+    is in ring order) is simply sorted.
 
-    The lines are not parsed: :func:`repro.sim.spans.split_span_line`
-    reads the sort key off the exporter's fixed layout and says where
-    ``"shard"`` goes, so each span's bytes are copied, not re-encoded.
-    A line that is not in that layout raises :class:`MergeError` naming
-    the shard and the 1-based line.
+    ``runs`` is consumed as it is read, and the keys die with this
+    frame: handed an iterator that gives its runs away, the caller joins
+    with the lines in memory and nothing else.
     """
-    rows: List[Tuple[Tuple[float, float, str, int], str]] = []
+    keys: List[TraceKey] = []
+    lines: List[str] = []
+    for run_keys, run_lines in runs:
+        keys += run_keys
+        lines += run_lines
+    return [lines[index] for index in sorted(range(len(keys)), key=keys.__getitem__)]
+
+
+def merge_trace_rows(
+    runs: Iterable[Tuple[Sequence[TraceKey], Sequence[str]]]
+) -> str:
+    """Interleave per-shard runs of the merged trace and join them once.
+
+    Each run is ``(keys, lines)`` as
+    :func:`repro.sim.spans.ordered_span_lines` returns them: a
+    ``(start_ms, end_ms, shard, span)`` key per line, and the line
+    already carrying its ``shard`` member.  This is the one place the
+    merged order is decided — a total order (span ids are unique per
+    shard, ``NaN`` times compare as +Infinity), so the text is
+    byte-deterministic whatever the worker layout.  Lines are never
+    opened.
+    """
+    merged = _interleave(runs)
+    merged.append("")  # every line, the last included, ends in a newline
+    return "\n".join(merged)
+
+
+def _split_traces(
+    traces: Sequence[Tuple[str, str]]
+) -> Iterator[Tuple[List[TraceKey], List[str]]]:
+    """Per-shard export texts as :func:`merge_trace_rows` runs, in file
+    order: the key read off each line, the line with ``shard`` spliced
+    in."""
     for shard_id, text in traces:
         member = ',"shard":' + json.dumps(shard_id)
+        keys: List[TraceKey] = []
+        lines: List[str] = []
         for number, line in enumerate(text.splitlines(), 1):
             parts = split_span_line(line)
             if parts is None:
@@ -159,8 +196,25 @@ def merge_trace_jsonl(traces: Sequence[Tuple[str, str]]) -> str:
                     f"line as the exporter writes them: {line[:160]!r}"
                 )
             start_ms, end_ms, span, head, tail = parts
-            rows.append(
-                ((start_ms, end_ms, shard_id, span), f"{head}{member}{tail}\n")
-            )
-    rows.sort(key=itemgetter(0))
-    return "".join([line for _, line in rows])
+            keys.append((start_ms, end_ms, shard_id, span))
+            lines.append(f"{head}{member}{tail}")
+        yield keys, lines
+
+
+def merge_trace_jsonl(traces: Sequence[Tuple[str, str]]) -> str:
+    """Merge per-shard span-trace JSONL exports into one stream.
+
+    ``traces`` is ``(shard_id, jsonl_text)`` pairs — exported per-shard
+    files, or :func:`~repro.fleet.worker.collect_artifacts` texts.
+    Every line gains a ``shard`` member (span ids are per-shard) and the
+    stream is put in :func:`merge_trace_rows` order; this function is
+    only the front-end that turns text back into the rows a fleet's own
+    workers hand over directly.
+
+    The lines are not parsed: :func:`repro.sim.spans.split_span_line`
+    reads the sort key off the exporter's fixed layout and says where
+    ``"shard"`` goes, so each span's bytes are copied, not re-encoded.
+    A line that is not in that layout raises :class:`MergeError` naming
+    the shard and the 1-based line.
+    """
+    return merge_trace_rows(_split_traces(traces))

@@ -6,9 +6,10 @@
   :meth:`~ShardDriver.advance` (ingress the handoffs granted at the
   barrier, run to the next one via
   :meth:`~repro.core.shard.Shard.run_until_epoch`, account the CPU,
-  take the telemetry sample); :meth:`~ShardDriver.finish`.  A shard-side
-  exception becomes :class:`WorkerCrashed` in exactly one place,
-  :func:`crash_guard`.
+  take the telemetry sample); :meth:`~ShardDriver.finish` (report,
+  metrics, and the shard's ordered, stamped run of the trace).  A
+  shard-side exception becomes :class:`WorkerCrashed` in exactly one
+  place, :func:`crash_guard`.
 * :func:`fleet_worker_main` — the same driver behind
   :mod:`repro.fleet.wire` frames and a pipe, for a spawned worker.  The
   coordinator's in-process worker calls the driver directly; which of
@@ -31,6 +32,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.shard import Handoff, Shard, ShardSpec
 from ..sim.hostgc import building
+from ..sim.spans import ordered_span_lines
 
 try:
     import resource
@@ -156,27 +158,40 @@ WORKLOADS = {
 }
 
 
-def collect_artifacts(shard: Shard, busy_s: float = 0.0) -> Dict[str, Any]:
-    """The per-shard outputs the merger combines: canonical report,
-    metrics snapshot, and the deterministic span-trace export.
+def _artifacts(shard: Shard, busy_s: float) -> Dict[str, Any]:
+    """What a shard reports besides its trace: canonical report and
+    metrics snapshot.
 
-    ``busy_s`` is the wall time this worker spent advancing its shard
+    ``busy_s`` is the CPU time this worker spent advancing its shard
     (ingress + ``run_until_epoch``), excluding barrier waits.  The
     maximum across workers is the coordinator's critical path — the
     fleet's wall time once every worker has its own core.
     """
-    from ..analysis.export import spans_to_jsonl
     from ..scenarios.workload import scenario_summary
 
     return {
         "shard_id": shard.shard_id,
         "report": shard.fleet_report(),
         "metrics": shard.kernel.metrics.snapshot(),
-        "trace_jsonl": spans_to_jsonl(shard.kernel.spans),
         "busy_s": busy_s,
         # Workload-specific extras; None for non-scenario shards.
         "extra": scenario_summary(shard),
     }
+
+
+def collect_artifacts(shard: Shard, busy_s: float = 0.0) -> Dict[str, Any]:
+    """The outputs of a shard nobody coordinates: report, metrics, and
+    under ``"trace_jsonl"`` the per-shard span export — the text
+    :func:`~repro.analysis.export.spans_to_jsonl` writes to a file, in
+    ring order, no ``shard`` member.  That text is what
+    :func:`~repro.fleet.merge.merge_trace_jsonl` merges; a fleet's own
+    workers ship :meth:`ShardDriver.finish` instead.
+    """
+    from ..analysis.export import spans_to_jsonl
+
+    artifacts = _artifacts(shard, busy_s)
+    artifacts["trace_jsonl"] = spans_to_jsonl(shard.kernel.spans)
+    return artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +296,20 @@ class ShardDriver:
         return out, shard.kernel.next_event_time(), shard.egress_capable, sample
 
     def finish(self) -> Dict[str, Any]:
+        """The shard's part of the fleet's merged outputs: report,
+        metrics, and under ``"trace_rows"`` its run of the merged trace
+        — ``(keys, lines)`` from
+        :func:`~repro.sim.spans.ordered_span_lines`, ordered and stamped
+        with the shard id here, where the spans are still values, so
+        the coordinator only interleaves
+        (:func:`~repro.fleet.merge.merge_trace_rows`).
+        """
         with crash_guard(self.shard_id):
-            return collect_artifacts(self.shard, self.busy_s)
+            artifacts = _artifacts(self.shard, self.busy_s)
+            artifacts["trace_rows"] = ordered_span_lines(
+                self.shard.kernel.spans, self.shard_id
+            )
+            return artifacts
 
 
 # ---------------------------------------------------------------------------

@@ -743,7 +743,10 @@ class EnergyLedger:
 # bytes, so the layout lives here and nowhere else:
 # :func:`spans_to_jsonl_lines` is the only writer, and
 # :func:`split_span_line` the only code that takes a line apart without
-# parsing it.
+# parsing it.  A line of a merged fleet trace carries one more member,
+# ``,"shard":"<id>"`` between ``"parent"`` and ``"span"`` (where it
+# sorts); the writer puts it there when given the shard, so a fleet's
+# own lines are never taken apart (:func:`ordered_span_lines`).
 
 #: The reference encoding of a line is this encoder applied to
 #: ``span.to_dict()``; the writer hands it every value it does not type
@@ -770,7 +773,9 @@ class _QuotedStrings(dict):
         return literal
 
 
-def spans_to_jsonl_lines(spans: Iterable[Span]) -> List[str]:
+def spans_to_jsonl_lines(
+    spans: Iterable[Span], shard: Optional[str] = None
+) -> List[str]:
     """One compact, key-stable JSON document per span (deterministic).
 
     Each span's bytes are produced once, directly in the layout above:
@@ -780,9 +785,15 @@ def spans_to_jsonl_lines(spans: Iterable[Span]) -> List[str]:
     whatever else a span carries — bools, ``None``, ``inf``/``nan``,
     nested attrs, non-string attr keys — goes to the stock encoder, so
     the result equals the reference encoding byte for byte.
+
+    With ``shard`` every line is written as a line of the merged fleet
+    trace, ``"shard"`` member included (the id is quoted once) — the
+    bytes :func:`split_span_line` and a splice would make of the plain
+    line.
     """
     quoted = _QuotedStrings()
     isfinite = math.isfinite
+    member = "" if shard is None else ',"shard":' + quoted[shard]
 
     def scalar(value: Any) -> str:
         kind = type(value)
@@ -804,7 +815,7 @@ def spans_to_jsonl_lines(spans: Iterable[Span]) -> List[str]:
         f'{{"attrs":{attrs_json(span.attrs) if span.attrs else "{}"}'
         f',"end_ms":{scalar(round(span.end_ms, 3))}'
         f',"hop":{scalar(span.hop)}'
-        f',"parent":{scalar(span.parent_id)}'
+        f',"parent":{scalar(span.parent_id)}{member}'
         f',"span":{scalar(span.span_id)}'
         f',"start_ms":{scalar(round(span.start_ms, 3))}'
         f',"trace":{scalar(span.trace_id)}}}'
@@ -812,28 +823,73 @@ def spans_to_jsonl_lines(spans: Iterable[Span]) -> List[str]:
     ]
 
 
-#: ``json.loads`` reads every ``NaN`` as one object, and tuple comparison
-#: takes identical objects for equal: two ``NaN`` times tie, and the
-#: merge's sort falls through to ``(shard, span)`` instead of leaving
-#: the pair in input order.  The sort key must do the same.
-_NAN = float("nan")
+#: The merged trace is ordered by ``(start_ms, end_ms, shard, span)`` —
+#: a :data:`TraceKey` per line, holding the times as the line prints
+#: them (rounded, integers kept integers) and passed through
+#: :func:`sort_time`.
+TraceKey = Tuple[float, float, str, int]
+
+_INF = float("inf")
+
+
+def sort_time(value: float) -> float:
+    """A span time as the trace order compares it: ``NaN`` as +Infinity.
+
+    No comparison places ``NaN`` among numbers, so a key holding one is
+    not ordered against its neighbours and the merged order would hang
+    on which sort ran over which input order — pre-sorted per shard or
+    not, one shard or four.  And ``round`` hands back a fresh ``NaN``
+    per call, which tuple comparison does not even take for equal to
+    the next one.  As +Infinity two ``NaN`` times tie, the key falls
+    through to ``(shard, span)``, and the order is total.  The line
+    still prints ``NaN``.
+    """
+    return value if value == value else _INF
+
+
+def ordered_span_lines(
+    spans: Iterable[Span], shard: str
+) -> Tuple[List[TraceKey], List[str]]:
+    """A shard's spans as its run of the merged fleet trace.
+
+    Returns ``(keys, lines)``, both in trace order: the sort key of
+    each span, built from the span's own values, and its line already
+    carrying ``shard`` — everything the fleet merge needs to interleave
+    this run with the other shards' without reading a line back.
+    """
+    spans = list(spans)
+    keys = [
+        (
+            sort_time(round(span.start_ms, 3)),
+            sort_time(round(span.end_ms, 3)),
+            shard,
+            span.span_id,
+        )
+        for span in spans
+    ]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return (
+        [keys[index] for index in order],
+        spans_to_jsonl_lines([spans[index] for index in order], shard),
+    )
 
 
 def _number(text: str) -> float:
-    """The value ``json.loads`` reads from a number the pattern matched."""
+    """The value ``json.loads`` reads from a number the pattern matched,
+    as the trace order compares it (:func:`sort_time`)."""
     if text.lstrip("-").isdigit():
         return int(text)
-    value = float(text)
-    return value if value == value else _NAN
+    return sort_time(float(text))
 
 
 def split_span_line(line: str) -> Optional[Tuple[float, float, int, str, str]]:
     """Take one exported line apart without parsing its JSON.
 
     Returns ``(start_ms, end_ms, span, head, tail)`` — the numbers as
-    ``json.loads`` would read them, and the two halves of the line
-    around the point where a ``,"shard":…`` member belongs — or ``None``
-    when ``line`` is not in the exporter's layout.
+    :func:`ordered_span_lines` would put them in the line's sort key,
+    and the two halves of the line around the point where a
+    ``,"shard":…`` member belongs — or ``None`` when ``line`` is not in
+    the exporter's layout.
 
     Why a pattern is enough: inside a JSON string every ``"`` is
     escaped, so ``,"end_ms":`` with bare quotes can only be a member

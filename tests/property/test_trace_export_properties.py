@@ -9,6 +9,12 @@ live on here, as the references the fast ones must equal byte for byte
 over spans built to break a hand-written encoder and a pattern-based
 splitter: attrs that imitate the rigid tail of a line, keys named like
 the line's own, every scalar ``json.dumps`` spells specially.
+
+A fleet's own workers skip the text altogether: each orders and stamps
+its spans as values (:func:`repro.sim.spans.ordered_span_lines`) and the
+coordinator interleaves the rows
+(:func:`repro.fleet.merge.merge_trace_rows`).  For that path the text
+path is the oracle.
 """
 
 import json
@@ -16,8 +22,11 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.merge import merge_trace_jsonl
-from repro.sim.spans import Span, spans_to_jsonl_lines
+from repro.analysis.export import spans_to_jsonl
+from repro.fleet.merge import merge_trace_jsonl, merge_trace_rows
+from repro.sim.spans import (
+    Span, ordered_span_lines, spans_to_jsonl_lines, split_span_line,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -26,6 +35,13 @@ from repro.sim.spans import Span, spans_to_jsonl_lines
 
 def reference_line(span):
     return json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def nan_last(time):
+    """The order's one rule beyond tuple comparison: no comparison places
+    a ``NaN`` among numbers (what a sort makes of one depends on the
+    algorithm and the input order), so it compares as +Infinity."""
+    return float("inf") if time != time else time
 
 
 def reference_merge(traces):
@@ -38,8 +54,8 @@ def reference_merge(traces):
             record["shard"] = shard_id
             spans.append(
                 (
-                    record.get("start_ms", 0.0),
-                    record.get("end_ms", 0.0),
+                    nan_last(record.get("start_ms", 0.0)),
+                    nan_last(record.get("end_ms", 0.0)),
                     shard_id,
                     record.get("span", 0),
                     json.dumps(record, sort_keys=True, separators=(",", ":")),
@@ -148,8 +164,7 @@ shard_ids = st.one_of(
         ("a", [Span(1, 0, 0, "h", 2**53 + 1, 2**53 + 1, None)]),
     ]
 )
-# Equal NaN times: ``json.loads`` reads every NaN as one object, which
-# tuple comparison takes for equal, so the pair sorts by span id.
+# Equal NaN times tie, so the pair sorts by span id.
 @example(
     [
         (
@@ -168,3 +183,57 @@ def test_merge_equals_the_parsing_merge_byte_for_byte(shards):
         for shard_id, spans in shards
     ]
     assert merge_trace_jsonl(traces) == reference_merge(traces)
+
+
+# ---------------------------------------------------------------------------
+# The row path: what a fleet's workers and coordinator do instead
+# ---------------------------------------------------------------------------
+
+any_attrs = st.one_of(str_keyed_attrs, odd_keyed_attrs)
+
+
+@given(shard_ids, st.lists(spans_of(any_attrs), max_size=6))
+@settings(max_examples=250, deadline=None)
+def test_a_stamped_line_is_the_plain_line_with_the_member_spliced_in(shard_id, spans):
+    member = ',"shard":' + json.dumps(shard_id)
+    spliced = []
+    for line in spans_to_jsonl_lines(spans):
+        _, _, _, head, tail = split_span_line(line)
+        spliced.append(head + member + tail)
+    assert spans_to_jsonl_lines(spans, shard=shard_id) == spliced
+
+
+# Non-string attr keys are in: the text path copies the exporter's bytes
+# just as the row path does.  Shard lists of length one to four, empty
+# shards and repeated shard ids included.
+@given(
+    st.lists(
+        st.tuples(shard_ids, st.lists(spans_of(any_attrs), max_size=5)),
+        min_size=1,
+        max_size=4,
+    )
+)
+# A NaN among numbers, one shard: pre-sorting the run must not change
+# where the later sort puts it.
+@example(
+    [
+        (
+            "f/0",
+            [
+                Span(1, 0, 0, "h", float("nan"), 2.0, None),
+                Span(2, 0, 0, "h", 2.0, 0.0, None),
+                Span(3, 0, 0, "h", 0.5, 0.0, None),
+            ],
+        ),
+        ("f/1", [Span(1, 0, 0, "h", 1.0, 0.0, None)]),
+    ]
+)
+@settings(max_examples=250, deadline=None)
+def test_row_path_equals_the_text_path_byte_for_byte(shards):
+    rows = merge_trace_rows(
+        ordered_span_lines(spans, shard_id) for shard_id, spans in shards
+    )
+    text = merge_trace_jsonl(
+        [(shard_id, spans_to_jsonl(spans)) for shard_id, spans in shards]
+    )
+    assert rows == text

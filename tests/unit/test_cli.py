@@ -130,6 +130,31 @@ def test_fleet_telemetry_and_prom_exports(tmp_path, capsys):
         encoding="utf-8")
 
 
+def test_fleet_says_when_a_flight_recorder_evicted_spans(capsys, monkeypatch):
+    import re
+    from functools import partial
+
+    import repro.sim.kernel as kernel
+    from repro.sim.spans import DEFAULT_MAX_SPANS
+
+    argv = ["--seed", "5", "fleet", "--devices", "4", "--shards", "2",
+            "--hours", "0.25", "--in-process"]
+    assert main(argv) == 0
+    assert "spans:" not in capsys.readouterr().out  # silent while rings hold
+    # No public entry point sizes the ring, so shrink it under the kernel.
+    monkeypatch.setattr(
+        kernel, "SpanRecorder", partial(kernel.SpanRecorder, max_spans=50)
+    )
+    assert main(argv) == 0
+    match = re.search(
+        r"^  spans: 100 kept, ([0-9,]+) evicted \(ring of ([0-9,]+) per shard\)$",
+        capsys.readouterr().out, re.MULTILINE,
+    )
+    assert match, "two full rings of 50, and a line saying so"
+    assert int(match[1].replace(",", "")) > 0
+    assert match[2] == f"{DEFAULT_MAX_SPANS:,}"  # what every real run has
+
+
 def test_fleet_latency_flag_changes_physics_and_rejects_junk(capsys):
     assert main(["--seed", "5", "fleet", "--devices", "2", "--shards", "2",
                  "--hours", "0.1", "--in-process", "--latency-ms", "40",
