@@ -21,8 +21,6 @@ scenarios        generative city-scale workload presets (commuter surge,
                  stadium crowds, contact tracing, noise-map campaigns);
                  runs solo or sharded under the invariant monitor and
                  emits a canonical byte-deterministic report
-bench            fleet-scaling kernel benchmark; emits the canonical
-                 BENCH_kernel.json artifact (machine-comparable)
 fleet            one simulation partitioned across shard worker
                  processes; the merged report is byte-identical to the
                  single-shard run (--shards 1 is that run); --telemetry
@@ -148,28 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="experiment seed (also accepted before the "
                                 "subcommand)")
 
-    bench = sub.add_parser(
-        "bench", help="fleet-scaling kernel benchmark -> BENCH_kernel.json"
-    )
-    bench.add_argument("--fleets", default=None,
-                       help="comma-separated fleet sizes (default 5,50,500; "
-                            "falls back to $REPRO_BENCH_FLEETS or "
-                            "$REPRO_BENCH_FLEET when the flag is absent)")
-    bench.add_argument("--hours", type=float, default=1.0,
-                       help="simulated hours per run")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="runs per fleet size; best-of is reported "
-                            "(fleets > 50 devices always run once)")
-    bench.add_argument("--out", metavar="PATH", default="BENCH_kernel.json",
-                       help="artifact path (default BENCH_kernel.json; "
-                            "empty string to skip writing)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the canonical JSON artifact instead of text")
-    bench.add_argument("--shards", type=int, default=None,
-                       help="partition every plain fleet size across this "
-                            "many shard worker processes (NxK tokens keep "
-                            "their own counts)")
-
     fleet = sub.add_parser(
         "fleet", help="partitioned multiprocess run with a merged report"
     )
@@ -228,7 +204,10 @@ def _add_fleet_args(parser) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_quickstart(args) -> int:
+def _run_battery_fleet(args):
+    """Table 3's fleet — one collector, ``args.devices`` phones running
+    the e-mail app, the battery monitor deployed to all of them — run for
+    ``args.hours``.  Returns ``(sim, devices, context)``."""
     from .apps import battery_monitor
     from .core.middleware import PogoSimulation
 
@@ -241,6 +220,11 @@ def cmd_quickstart(args) -> int:
         battery_monitor.build_experiment(), [d.jid for d in devices]
     )
     sim.run(hours=args.hours)
+    return sim, devices, context
+
+
+def cmd_quickstart(args) -> int:
+    _, devices, context = _run_battery_fleet(args)
     readings = context.scripts["collect"].namespace["readings"]
     print(f"{len(readings)} readings from {args.devices} devices in {args.hours} h")
     for device in devices:
@@ -437,18 +421,9 @@ def cmd_power_report(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    from .apps import battery_monitor
-    from .core.middleware import PogoSimulation
-
-    sim = PogoSimulation(seed=args.seed)
-    collector = sim.add_collector("cli")
-    devices = [sim.add_device(with_email_app=True) for _ in range(args.devices)]
-    sim.start()
-    sim.assign(collector, devices)
-    collector.node.deploy(battery_monitor.build_experiment(), [d.jid for d in devices])
-    sim.run(hours=args.hours)
     from .analysis.export import write_text
 
+    sim, _, _ = _run_battery_fleet(args)
     if args.json:
         import json
 
@@ -476,18 +451,9 @@ def cmd_trace(args) -> int:
     """A seeded fleet run viewed through the message lifecycle tracer."""
     import json
 
-    from .apps import battery_monitor
-    from .core.middleware import PogoSimulation
     from .sim.spans import render_span_tree
 
-    sim = PogoSimulation(seed=args.seed)
-    collector = sim.add_collector("cli")
-    devices = [sim.add_device(with_email_app=True) for _ in range(args.devices)]
-    sim.start()
-    sim.assign(collector, devices)
-    collector.node.deploy(battery_monitor.build_experiment(), [d.jid for d in devices])
-    sim.run(hours=args.hours)
-
+    sim, devices, _ = _run_battery_fleet(args)
     spans = sim.kernel.spans
     ledgers = [d.node.energy for d in devices]
     for ledger in ledgers:
@@ -661,12 +627,6 @@ def cmd_scenarios(args) -> int:
     return 1 if result.report["invariants"]["violation_count"] else 0
 
 
-def cmd_bench(args) -> int:
-    from . import bench as _bench
-
-    return _bench.main(args)
-
-
 def _crash_line(exc) -> str:
     """One line a human can act on, instead of a pasted traceback."""
     shard = exc.shard_id if exc.shard_id is not None else "?"
@@ -683,12 +643,13 @@ def _fleet_call(label: str, live, fn, *args, **kwargs):
     diagnosis of a fleet failure (the caller exits 1).  ``live``, if
     any, is closed either way."""
     from .fleet import FleetError, WorkerCrashed
+    from .fleet.partition import PartitionError
 
     try:
         return fn(*args, **kwargs)
     except WorkerCrashed as exc:
         print(_crash_line(exc), file=sys.stderr)
-    except FleetError as exc:
+    except (FleetError, PartitionError) as exc:
         print(f"{label}: {exc}", file=sys.stderr)
     finally:
         if live is not None:
@@ -769,10 +730,15 @@ def cmd_fleet(args) -> int:
         f"{result.handoffs:,} cross-shard handoffs"
     )
     if result.handoff_bytes:
+        # Empty frames still cross the pipes: bytes without handoffs
+        # have no per-handoff figure.
+        per_handoff = (
+            f" ({result.handoff_bytes / result.handoffs:,.0f} B/handoff "
+            f"framed+compressed)" if result.handoffs else ""
+        )
         print(
             f"  {result.handoff_bytes:,} handoff wire bytes on the worker "
-            f"pipes ({result.handoff_bytes / max(1, result.handoffs):,.0f} "
-            f"B/handoff framed+compressed)"
+            f"pipes{per_handoff}"
         )
     server = result.report["server"]
     print(
@@ -839,7 +805,6 @@ _COMMANDS = {
     "trace": cmd_trace,
     "chaos": cmd_chaos,
     "scenarios": cmd_scenarios,
-    "bench": cmd_bench,
     "fleet": cmd_fleet,
     "top": cmd_top,
 }

@@ -249,8 +249,6 @@ def run_fleet(
     epoch_ms: Optional[float] = None,
     latency_ms: Optional[float] = None,
     workload: str = "battery-monitor",
-    collector: str = "fleet",
-    fleet_id: str = "fleet",
     spans: bool = True,
     metrics: bool = True,
     processes: bool = True,
@@ -297,8 +295,7 @@ def run_fleet(
         if devices is None:
             raise FleetError("pass a device count or a root ShardSpec")
         spec = fleet_spec(
-            devices, seed=seed, collector=collector, shard_id=fleet_id,
-            spans=spans, metrics=metrics,
+            devices, seed=seed, spans=spans, metrics=metrics,
             latency_ms=latency_ms if latency_ms is not None else 80.0,
         )
     elif latency_ms is not None and spec.latency_ms != latency_ms:

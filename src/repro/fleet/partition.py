@@ -56,8 +56,8 @@ def fleet_spec(
 ) -> ShardSpec:
     """Build the root spec for a homogeneous N-device fleet.
 
-    The default device shape matches the bench workload: sensors plus
-    the e-mail app whose radio activity batches piggyback on (Table 3).
+    The default device shape is the Table 3 one: sensors plus the e-mail
+    app whose radio activity batches piggyback on.
 
     ``latency_ms`` is the switchboard's base stanza latency — simulated
     physics, not a tuning knob: it changes the schedule itself, and it

@@ -75,9 +75,9 @@ _SEG_INDEX = 1
 _COMPRESS_THRESHOLD = 128
 
 #: zlib level 1: within ~20% of level 6's ratio on stanza batches at a
-#: fraction of the CPU.  Deterministic for a given zlib build; the bench
-#: keeps compressed byte counts out of the structural plane for exactly
-#: that reason.
+#: fraction of the CPU.  Deterministic for a given zlib build only, so
+#: no test or pin holds a compressed byte count — handoff counts are the
+#: machine-independent figure.
 _COMPRESS_LEVEL = 1
 
 _U16_MAX = 0xFFFF

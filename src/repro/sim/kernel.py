@@ -147,7 +147,7 @@ class Kernel:
         self._live = 0
         #: Cancelled entries still occupying heap slots.
         self._tombstones = 0
-        #: Heap compactions performed (observability for tests/bench).
+        #: Heap compactions performed (read by tests and the telemetry plane).
         self.compactions = 0
         #: Total number of events executed; useful in tests and benchmarks.
         self.events_executed = 0

@@ -172,6 +172,42 @@ def test_fleet_latency_flag_changes_physics_and_rejects_junk(capsys):
     assert "latency_ms" in captured.err
 
 
+@pytest.mark.parametrize("shards", ["0", "-1"])
+@pytest.mark.parametrize(
+    "verb, label",
+    [
+        (["fleet", "--devices", "4"], "fleet"),
+        (["top", "--devices", "4"], "fleet"),
+        (["scenarios", "--preset", "stadium-evening"], "scenarios"),
+    ],
+)
+def test_nonpositive_shard_count_prints_one_line_and_exits_1(
+    capsys, verb, label, shards
+):
+    rc = main(verb + ["--shards", shards])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.splitlines() == [
+        f"{label}: shard count must be >= 1, got {shards}"
+    ]
+    assert "Traceback" not in captured.err
+
+
+def test_fleet_quotes_bytes_per_handoff_only_when_there_are_handoffs(capsys):
+    # Empty frames still cross the worker pipes, so a fleet with nothing
+    # to hand off reports wire bytes — and no per-handoff figure for them.
+    assert main(["fleet", "--devices", "0", "--shards", "2",
+                 "--hours", "0.1"]) == 0
+    out = capsys.readouterr().out
+    assert "0 cross-shard handoffs" in out
+    assert "handoff wire bytes" in out
+    assert "B/handoff" not in out
+
+    assert main(["--seed", "5", "fleet", "--devices", "4", "--shards", "2",
+                 "--hours", "0.1"]) == 0
+    assert "B/handoff framed+compressed)" in capsys.readouterr().out
+
+
 def test_top_runs_and_prints_health(capsys):
     assert main(["--seed", "5", "top", "--devices", "4", "--shards", "2",
                  "--hours", "0.25", "--in-process"]) == 0
@@ -201,8 +237,25 @@ def test_fleet_worker_crash_prints_one_line_and_exits_1(capsys, monkeypatch):
 
 
 def test_unknown_command_rejected():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+    for command in ("frobnicate", "bench"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command])
+        assert exit_info.value.code == 2
+
+
+def test_docstring_parser_and_dispatch_table_name_the_same_verbs():
+    import argparse
+    import re
+
+    from repro import cli
+
+    listing = cli.__doc__.split("--------\n", 1)[1]
+    documented = set(re.findall(r"^([a-z][a-z0-9-]*)\s", listing, re.MULTILINE))
+    (subparsers,) = [
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert documented == set(subparsers.choices) == set(cli._COMMANDS)
 
 
 def test_missing_command_rejected():

@@ -24,7 +24,6 @@ import pickle
 
 import pytest
 
-from repro.bench import run_fleet
 from repro.core.scheduler import (
     PogoScheduler, ScheduledTask, SimpleScheduler, _HandleAlarm, _TaskFire,
 )
@@ -303,19 +302,6 @@ def test_sequential_shards_are_reclaimed_without_the_caller_collecting():
     # Each build frees the shard dropped before it (``hostgc.reclaim``),
     # so at most the last one (~1,600 tracked objects) is still around.
     assert max(held) < 2_000
-
-
-def test_run_fleet_repeats_do_not_hold_one_fleet_each():
-    """Its loop still names the last fleet while it builds the next, so
-    two are the most it ever holds — however many repeats."""
-    def held_after(repeats):
-        gc.collect()
-        baseline = len(gc.get_objects())
-        run_fleet(5, hours=0.1, repeats=repeats)
-        return len(gc.get_objects()) - baseline
-
-    held_after(1)  # imports and caches
-    assert held_after(10) - held_after(2) < 200
 
 
 def test_a_pass_is_owed_only_after_a_dispatch_and_paid_by_the_next_build():

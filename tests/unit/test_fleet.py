@@ -324,10 +324,8 @@ class TestCoordinatorSmoke:
         # every sharded-equals-solo comparison ultimately rests on.
         from repro.fleet.worker import setup_battery_monitor
 
-        result = run_fleet(
-            3, 1, seed=4, hours=0.25, collector="fleet", processes=False
-        )
-        shard = Shard(fleet_spec(3, seed=4, collector="fleet"))
+        result = run_fleet(3, 1, seed=4, hours=0.25, processes=False)
+        shard = Shard(fleet_spec(3, seed=4))
         setup_battery_monitor(shard)
         shard.run(hours=0.25)
         assert result.report_json == shard.fleet_report_json()

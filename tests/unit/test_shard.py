@@ -6,7 +6,6 @@ import pickle
 import pytest
 
 from repro.apps import battery_monitor
-from repro.bench import DEFAULT_FLEETS, parse_fleets, resolve_fleets
 from repro.core.middleware import PogoSimulation
 from repro.core.shard import DeviceSpec, Shard, ShardSpec
 from repro.net.xmpp import RoutingError
@@ -165,112 +164,3 @@ class TestTwoShardsOneProcess:
             right.run(minutes=1)
         assert left.fleet_report_json() == expected
         assert right.fleet_report_json() != expected  # different seed really differs
-
-
-class TestBenchFleetParsing:
-    def test_parse_accepts_lists_and_whitespace(self):
-        assert parse_fleets("5, 50,500") == [5, 50, 500]
-        assert parse_fleets("7") == [7]
-
-    def test_parse_accepts_sharded_tokens(self):
-        assert parse_fleets("5,5000x4") == [5, (5000, 4)]
-        assert parse_fleets("500x1") == [(500, 1)]
-
-    def test_parse_rejects_junk(self):
-        with pytest.raises(ValueError, match="--fleets"):
-            parse_fleets("5,abc")
-        with pytest.raises(ValueError, match="positive"):
-            parse_fleets("5,-1")
-        with pytest.raises(ValueError, match="no fleet sizes"):
-            parse_fleets(",,")
-        with pytest.raises(ValueError, match="NxK"):
-            parse_fleets("5000x")
-        with pytest.raises(ValueError, match="positive"):
-            parse_fleets("5000x0")
-
-    def test_resolve_prefers_flag_then_env(self):
-        assert resolve_fleets("9", env={"REPRO_BENCH_FLEETS": "3"}) == [9]
-        assert resolve_fleets(None, env={"REPRO_BENCH_FLEETS": "3,4"}) == [3, 4]
-        assert resolve_fleets(None, env={"REPRO_BENCH_FLEET": "25"}) == [25]
-        assert resolve_fleets(None, env={}) == list(DEFAULT_FLEETS)
-
-    def test_resolve_reports_bad_env_instead_of_ignoring(self):
-        with pytest.raises(ValueError, match="REPRO_BENCH_FLEET"):
-            resolve_fleets(None, env={"REPRO_BENCH_FLEET": "many"})
-
-
-class TestParallelRate:
-    def test_normal_rate(self):
-        from repro.bench import parallel_rate
-
-        assert parallel_rate(1000, 2.0) == 500.0
-
-    def test_zero_and_subresolution_critical_path_yield_none(self):
-        # A degenerate run must emit null, not a divide-by-~0 absurdity.
-        from repro.bench import parallel_rate
-
-        assert parallel_rate(1000, 0.0) is None
-        assert parallel_rate(1000, 1e-9) is None
-        assert parallel_rate(0, 0.0) is None
-        assert parallel_rate(1000, None) is None
-
-    def test_exactly_at_min_critical_path_is_a_real_rate(self):
-        # The cutoff is strictly-below: a path of exactly
-        # MIN_CRITICAL_PATH_S still divides.
-        from repro.bench import MIN_CRITICAL_PATH_S, parallel_rate
-
-        assert parallel_rate(10, MIN_CRITICAL_PATH_S) == round(
-            10 / MIN_CRITICAL_PATH_S, 1
-        )
-        assert parallel_rate(10, MIN_CRITICAL_PATH_S * 0.999) is None
-
-    def test_null_rate_renders_in_report(self):
-        from repro.bench import render_report
-
-        report = {
-            "workload": "battery-monitor",
-            "seed": 0,
-            "config": {"spans": False, "metrics": False},
-            "fleets": [{
-                "devices": 0, "shards": 2, "events": 0, "wall_s": 0.001,
-                "wall_s_mean": 0.001, "events_per_s": 0.0, "speedup": 0.0,
-                "critical_path_s": 0.0, "events_per_s_parallel": None,
-            }],
-            "determinism": {"report_sha256": "0" * 64},
-        }
-        text = render_report(report)
-        assert "parallel rate n/a" in text
-
-
-class TestScenarioBenchRows:
-    _ROW = {
-        "scenario": "commuter-surge", "devices": 6, "hours": 2.75,
-        "events": 11751, "violations": 0, "report_sha256": "a" * 64,
-        "wall_s": 0.5,
-    }
-
-    def test_structural_view_keeps_rows_but_strips_wall_time(self):
-        from repro.bench import structural_view
-
-        view = structural_view({
-            "schema": "bench_kernel/1", "fleets": [],
-            "scenarios": [dict(self._ROW)],
-        })
-        (row,) = view["scenarios"]
-        assert "wall_s" not in row
-        assert row["events"] == 11751
-        assert row["report_sha256"] == "a" * 64
-
-    def test_scenario_rows_render_in_the_text_report(self):
-        from repro.bench import render_report
-
-        report = {
-            "workload": "w", "seed": 0,
-            "config": {"spans": False, "metrics": False},
-            "fleets": [],
-            "scenarios": [dict(self._ROW)],
-            "determinism": {},
-        }
-        text = render_report(report)
-        assert "scenario presets" in text
-        assert "commuter-surge" in text
