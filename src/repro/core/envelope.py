@@ -38,8 +38,11 @@ from typing import Any, List, Tuple
 #: Types allowed at message leaves.
 SCALARS = (str, int, float, bool, type(None))
 
-#: Canonical wire format arguments (compact, key-sorted, UTF-8).
-_CANONICAL = {"separators": (",", ":"), "sort_keys": True, "ensure_ascii": False}
+#: The canonical wire format (compact, key-sorted, UTF-8): one encoder,
+#: built once — ``json.dumps`` with arguments constructs one per call.
+_canonical_encode = _json.JSONEncoder(
+    separators=(",", ":"), sort_keys=True, ensure_ascii=False
+).encode
 
 
 class MessageError(TypeError):
@@ -212,7 +215,7 @@ class Envelope:
     def json(self) -> str:
         """Canonical wire JSON, computed at most once."""
         if self._json is None:
-            self._json = _json.dumps(self.payload, **_CANONICAL)
+            self._json = _canonical_encode(self.payload)
         return self._json
 
     @property
@@ -331,7 +334,7 @@ def canonical_json(value: Any) -> str:
             if isinstance(item, Envelope):
                 return _splice(value)
     try:
-        return _json.dumps(value, **_CANONICAL)
+        return _canonical_encode(value)
     except (TypeError, ValueError):
         # Envelopes nested deeper than the shallow scan saw, or a value
         # that is not a message at all.

@@ -36,8 +36,8 @@ One simulation, K shards, each advanced in lockstep windows:
   struct-packed, zlib-compressed buffer per barrier instead of one
   pickle per stanza — telemetry samples ride the barrier reply, and the
   final artifacts cross as one zlib-compressed pickle.  Each worker's
-  part of the span trace arrives ordered and stamped with its shard id;
-  the coordinator interleaves the runs and never opens a line.
+  span rows follow in a frame of their own, which stays closed: the
+  trace is written when :attr:`FleetResult.trace_jsonl` is first read.
 * **Failures.**  A worker that dies, raises, or stops responding turns
   into :class:`WorkerCrashed`/:class:`FleetError` naming the shard and
   the cause; every other worker is torn down.  No hangs, no orphans.
@@ -46,23 +46,46 @@ One simulation, K shards, each advanced in lockstep windows:
 from __future__ import annotations
 
 import multiprocessing
-import pickle
-import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.shard import Handoff, ShardSpec
 from ..obs.timeline import FleetTimeline, fleet_health
+from ..sim.hostgc import building
 from ..sim.kernel import HOUR
-from .merge import merge_fleet_reports, merge_metrics, merge_trace_rows, report_to_json
+from .merge import merge_fleet_reports, merge_metrics, merge_span_rows, report_to_json
 from .partition import fleet_spec, plan_fleet
 from .wire import decode_batch, encode_batch
-from .worker import WORKLOADS, ShardDriver, WorkerCrashed, fleet_worker_main
+from .worker import WORKLOADS, ShardDriver, WorkerCrashed, fleet_worker_main, unseal
 
 
 class FleetError(RuntimeError):
     """A coordinator-level failure (bad epoch, misrouted handoff, …)."""
+
+
+class _PulledTrace:
+    """``FleetResult.trace_jsonl``: set as text, or as the ``(shard_id,
+    part)`` pairs the workers handed over (a part: span rows, or a
+    spawned worker's sealed frame of them); read as text.  The first
+    read opens, writes and merges the parts with collection paused — all
+    it allocates is live until it returns — and the text replaces them.
+    """
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            return self
+        held = vars(result)["trace_jsonl"]
+        if not isinstance(held, str):
+            with building():
+                held = vars(result)["trace_jsonl"] = merge_span_rows(
+                    (shard_id, unseal(part) if isinstance(part, bytes) else part)
+                    for shard_id, part in held
+                )
+        return held
+
+    def __set__(self, result, value) -> None:
+        vars(result)["trace_jsonl"] = value
 
 
 @dataclass
@@ -72,7 +95,8 @@ class FleetResult:
     report: Dict[str, Any]
     report_json: str
     metrics: Dict[str, Any]
-    trace_jsonl: str
+    #: Written by its first read (:class:`_PulledTrace`) — not ``repr``'s.
+    trace_jsonl: str = field(repr=False)
     shard_reports: Tuple[Dict[str, Any], ...]
     devices: int
     shards: int
@@ -103,6 +127,10 @@ class FleetResult:
     @property
     def events(self) -> int:
         return self.report["events_executed"]
+
+
+# Not in the class body: ``@dataclass`` would take it for a default.
+FleetResult.trace_jsonl = _PulledTrace()
 
 
 def _handoff_sort_key(handoff: Handoff):
@@ -137,8 +165,8 @@ class _LocalWorker:
     def post_finish(self) -> None:
         pass
 
-    def wait_result(self) -> Dict[str, Any]:
-        return self.driver.finish()
+    def wait_result(self) -> Tuple[Dict[str, Any], Any]:
+        return self.driver.finish()  # the rows themselves
 
     def close(self) -> None:
         pass
@@ -215,14 +243,15 @@ class _ProcessWorker:
     def post_finish(self) -> None:
         self.conn.send(("finish",))
 
-    def wait_result(self) -> Dict[str, Any]:
+    def wait_result(self) -> Tuple[Dict[str, Any], Any]:
         message = self._recv()
         if message[0] != "result":
             raise FleetError(
                 f"worker {self.shard_id} sent {message[0]!r} where a "
                 f"result was expected"
             )
-        return pickle.loads(zlib.decompress(self._recv(raw=True)))
+        artifacts = unseal(self._recv(raw=True))
+        return artifacts, self._recv(raw=True)  # the trace frame, closed
 
     def close(self) -> None:
         try:
@@ -460,7 +489,7 @@ def run_fleet(
 
         for worker in workers:
             worker.post_finish()
-        artifacts = [worker.wait_result() for worker in workers]
+        artifacts, parts = zip(*(worker.wait_result() for worker in workers))
     finally:
         for worker in workers:
             worker.close()
@@ -470,19 +499,14 @@ def run_fleet(
     )
     report_json = report_to_json(report)
     metrics = merge_metrics([artifact["metrics"] for artifact in artifacts])
-    # Popped one at a time: the rows are the largest thing a worker
-    # sent, and the merge lets go of each part as soon as it is used.
-    trace_jsonl = merge_trace_rows(
-        artifact.pop("trace_rows") for artifact in artifacts
-    )
     health = fleet_health(timeline) if timeline is not None else None
-    # Stopped after the merge: the caller waits for that too.
+    # Stopped here: the trace is merged by whoever reads it, on their time.
     wall_s = perf_counter() - wall_start
     return FleetResult(
         report=report,
         report_json=report_json,
         metrics=metrics,
-        trace_jsonl=trace_jsonl,
+        trace_jsonl=[(w.shard_id, part) for w, part in zip(workers, parts)],
         shard_reports=tuple(artifact["report"] for artifact in artifacts),
         devices=len(plan.device_jids),
         shards=plan.n_shards,

@@ -23,10 +23,11 @@ Metrics planes merge the same way (counters and gauges sum, histograms
 combine count/sum/min/max with the mean recomputed).  Span traces merge
 into one JSONL stream with a ``shard`` member on every line — span ids
 are only unique per shard, so the shard id is part of the merged
-identity.  Each worker orders and stamps its own run of that stream
-while its spans are still values; :func:`merge_trace_rows` interleaves
-the runs and joins once, and :func:`merge_trace_jsonl` is the text
-front-end to the same core for per-shard files already exported.
+identity.  :func:`merge_trace_rows` interleaves per-shard runs of that
+stream and joins once.  Its two front-ends: :func:`merge_span_rows`
+orders, stamps and writes the rows a fleet's workers hand over, when
+and where the trace is read; :func:`merge_trace_jsonl` takes per-shard
+files already exported.
 
 Edge cases are first-class: a shard with zero devices still produces a
 valid (empty-table) report and merges cleanly — partitioners may hand a
@@ -43,7 +44,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from ..sim.spans import TraceKey, split_span_line
+from ..sim.spans import SpanRow, TraceKey, ordered_span_lines, split_span_line
 
 
 class MergeError(ValueError):
@@ -176,6 +177,31 @@ def merge_trace_rows(
     merged = _interleave(runs)
     merged.append("")  # every line, the last included, ends in a newline
     return "\n".join(merged)
+
+
+def _shard_run(shard_id: str, rows: Sequence[SpanRow]):
+    """``rows`` as their shard's run of the trace.  A span first meets
+    the line writer here, so one it cannot write is a :class:`MergeError`
+    naming shard, span and hop, chained from the writer's own error."""
+    try:
+        return ordered_span_lines(rows, shard_id)
+    except (TypeError, ValueError) as exc:
+        for row in rows:  # the slow way, once: which one was it
+            try:
+                ordered_span_lines([row], shard_id)
+            except (TypeError, ValueError) as why:
+                raise MergeError(
+                    f"trace of shard {shard_id!r}, span {row[0]} ({row[3]}): "
+                    f"not writable as a span line: {why}"
+                ) from exc
+        raise
+
+
+def merge_span_rows(parts: Iterable[Tuple[str, Sequence[SpanRow]]]) -> str:
+    """Write and merge ``(shard_id, rows)`` parts, each a shard's ring as
+    :meth:`~repro.fleet.worker.ShardDriver.finish` hands it over, into
+    the fleet trace; ``parts`` is consumed as read."""
+    return merge_trace_rows(_shard_run(shard_id, rows) for shard_id, rows in parts)
 
 
 def _split_traces(

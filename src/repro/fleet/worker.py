@@ -7,7 +7,7 @@
   barrier, run to the next one via
   :meth:`~repro.core.shard.Shard.run_until_epoch`, account the CPU,
   take the telemetry sample); :meth:`~ShardDriver.finish` (report,
-  metrics, and the shard's ordered, stamped run of the trace).  A
+  metrics, and the span ring as rows — values, not text).  A
   shard-side exception becomes :class:`WorkerCrashed` in exactly one
   place, :func:`crash_guard`.
 * :func:`fleet_worker_main` — the same driver behind
@@ -32,7 +32,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.shard import Handoff, Shard, ShardSpec
 from ..sim.hostgc import building
-from ..sim.spans import ordered_span_lines
+from ..sim.spans import SpanRow, span_rows
 
 try:
     import resource
@@ -185,7 +185,7 @@ def collect_artifacts(shard: Shard, busy_s: float = 0.0) -> Dict[str, Any]:
     :func:`~repro.analysis.export.spans_to_jsonl` writes to a file, in
     ring order, no ``shard`` member.  That text is what
     :func:`~repro.fleet.merge.merge_trace_jsonl` merges; a fleet's own
-    workers ship :meth:`ShardDriver.finish` instead.
+    workers hand over rows (:meth:`ShardDriver.finish`) and write none.
     """
     from ..analysis.export import spans_to_jsonl
 
@@ -295,26 +295,30 @@ class ShardDriver:
             )
         return out, shard.kernel.next_event_time(), shard.egress_capable, sample
 
-    def finish(self) -> Dict[str, Any]:
-        """The shard's part of the fleet's merged outputs: report,
-        metrics, and under ``"trace_rows"`` its run of the merged trace
-        — ``(keys, lines)`` from
-        :func:`~repro.sim.spans.ordered_span_lines`, ordered and stamped
-        with the shard id here, where the spans are still values, so
-        the coordinator only interleaves
-        (:func:`~repro.fleet.merge.merge_trace_rows`).
+    def finish(self) -> Tuple[Dict[str, Any], List[SpanRow]]:
+        """The shard's part of the fleet's merged outputs: report and
+        metrics, and the span ring as rows in ring order — not ordered,
+        not stamped, not written: the trace becomes text where it is
+        read (:func:`~repro.fleet.merge.merge_span_rows`).
         """
         with crash_guard(self.shard_id):
-            artifacts = _artifacts(self.shard, self.busy_s)
-            artifacts["trace_rows"] = ordered_span_lines(
-                self.shard.kernel.spans, self.shard_id
-            )
-            return artifacts
+            return _artifacts(self.shard, self.busy_s), span_rows(self.shard.kernel.spans)
 
 
 # ---------------------------------------------------------------------------
 # The spawned transport
 # ---------------------------------------------------------------------------
+
+def seal(value: Any) -> bytes:
+    """One of a worker's two final frames: its artifacts, or its span rows
+    (rows, not spans: slotted objects pickle several times slower)."""
+    return zlib.compress(pickle.dumps(value, pickle.HIGHEST_PROTOCOL), 1)
+
+
+def unseal(frame: bytes) -> Any:
+    """What :func:`seal` sealed — in this run's own worker, nowhere else."""
+    return pickle.loads(zlib.decompress(frame))
+
 
 def fleet_worker_main(
     conn,
@@ -334,10 +338,10 @@ def fleet_worker_main(
     * → ``("advance", barrier_ms, frame)``
       ← ``("barrier", frame, next_event_time, egress_capable, sample)``
       (see :meth:`ShardDriver.advance`).
-    * → ``("finish",)``  ← ``("result",)`` followed by one
-      ``send_bytes`` of the zlib-level-1 pickle of the artifacts —
-      compressed so the coordinator's peak memory does not scale with
-      the span trace.
+    * → ``("finish",)``  ← ``("result",)`` followed by two
+      ``send_bytes`` of :func:`seal` frames (zlib-level-1 pickles): the
+      artifacts (small), then the span rows, which the coordinator does
+      not open unless the trace is read.
     * Any failure ← ``("error", WorkerCrashed)`` and the loop exits.
 
     Codec CPU counts towards the driver's ``busy_s``; ``stall_s`` is the
@@ -371,14 +375,11 @@ def fleet_worker_main(
                     driver.busy_s += process_time() - t0
                     conn.send(("barrier", frame, next_event, capable, sample))
                 elif op == "finish":
-                    blob = zlib.compress(
-                        pickle.dumps(
-                            driver.finish(), protocol=pickle.HIGHEST_PROTOCOL
-                        ),
-                        1,
-                    )
+                    artifacts, rows = driver.finish()
+                    frames = seal(artifacts), seal(rows)  # before "result": may raise
                     conn.send(("result",))
-                    conn.send_bytes(blob)
+                    for frame in frames:
+                        conn.send_bytes(frame)
                     return
                 else:
                     raise ValueError(f"unknown coordinator op: {op!r}")

@@ -41,9 +41,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .metrics import Histogram
 
@@ -138,6 +139,20 @@ class Span:
         )
 
 
+#: A span as a plain value, the form in which spans leave their
+#: recorder — into a pickle, to the line writer, across a pipe: the
+#: seven fields in slot order, so ``Span(*row)`` is the span again.
+SpanRow = Tuple[int, int, int, str, float, float, Optional[Dict[str, Any]]]
+
+
+_row_of = operator.attrgetter(*Span.__slots__)
+
+
+def span_rows(spans: Iterable[Span]) -> List[SpanRow]:
+    """``spans`` as rows, in the order given."""
+    return list(map(_row_of, spans))
+
+
 class HopHandle:
     """A pre-bound recording handle for one hop kind.
 
@@ -228,6 +243,15 @@ class SpanRecorder:
         #: span id through their signatures (flush → transport.send).
         #: Set/reset by the initiating component around the call.
         self.active_parent = 0
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """The ring pickles as rows: a shard snapshot is mostly this
+        ring, and a slotted object costs several tuples to dump or load."""
+        return {**self.__dict__, "_ring": span_rows(self._ring)}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._ring = deque(itertools.starmap(Span, self._ring), self.max_spans)
 
     # ------------------------------------------------------------------
     # Configuration
@@ -741,7 +765,7 @@ class EnergyLedger:
 #
 # The export, the fleet merge and the golden files lean on exactly these
 # bytes, so the layout lives here and nowhere else:
-# :func:`spans_to_jsonl_lines` is the only writer, and
+# :func:`span_lines` is the only writer, and
 # :func:`split_span_line` the only code that takes a line apart without
 # parsing it.  A line of a merged fleet trace carries one more member,
 # ``,"shard":"<id>"`` between ``"parent"`` and ``"span"`` (where it
@@ -773,23 +797,17 @@ class _QuotedStrings(dict):
         return literal
 
 
-def spans_to_jsonl_lines(
-    spans: Iterable[Span], shard: Optional[str] = None
-) -> List[str]:
-    """One compact, key-stable JSON document per span (deterministic).
+def span_lines(rows: Iterable[SpanRow], shard: Optional[str] = None) -> List[str]:
+    """The one line writer: a line per row, in the layout above.
 
-    Each span's bytes are produced once, directly in the layout above:
-    strings are quoted through a per-call memo (a run has a few dozen
-    distinct hop names, attr keys and attr strings across tens of
-    thousands of spans), ints and finite floats are their ``repr``, and
-    whatever else a span carries — bools, ``None``, ``inf``/``nan``,
-    nested attrs, non-string attr keys — goes to the stock encoder, so
-    the result equals the reference encoding byte for byte.
-
-    With ``shard`` every line is written as a line of the merged fleet
-    trace, ``"shard"`` member included (the id is quoted once) — the
-    bytes :func:`split_span_line` and a splice would make of the plain
-    line.
+    Each span's bytes are produced once: strings are quoted through a
+    per-call memo (a run has a few dozen distinct hop names, attr keys
+    and attr strings across tens of thousands of spans), ints and finite
+    floats are their ``repr``, and whatever else a span carries — bools,
+    ``None``, ``inf``/``nan``, nested attrs, non-string attr keys — goes
+    to the stock encoder, so the result equals the reference encoding
+    byte for byte and fails where it fails.  ``shard`` adds the
+    ``"shard"`` member to every line, the id quoted once.
     """
     quoted = _QuotedStrings()
     isfinite = math.isfinite
@@ -804,23 +822,34 @@ def spans_to_jsonl_lines(
         return _STOCK_ENCODE(value)
 
     def attrs_json(attrs: Dict[str, Any]) -> str:
-        parts = []
-        for key, value in sorted(attrs.items()):
+        for key in attrs:  # before the sort: mixed key types do not compare
             if type(key) is not str:
                 return _STOCK_ENCODE(attrs)
-            parts.append(quoted[key] + ":" + scalar(value))
-        return "{" + ",".join(parts) + "}"
+        return "{" + ",".join(
+            [quoted[key] + ":" + scalar(value) for key, value in sorted(attrs.items())]
+        ) + "}"
 
     return [
-        f'{{"attrs":{attrs_json(span.attrs) if span.attrs else "{}"}'
-        f',"end_ms":{scalar(round(span.end_ms, 3))}'
-        f',"hop":{scalar(span.hop)}'
-        f',"parent":{scalar(span.parent_id)}{member}'
-        f',"span":{scalar(span.span_id)}'
-        f',"start_ms":{scalar(round(span.start_ms, 3))}'
-        f',"trace":{scalar(span.trace_id)}}}'
-        for span in spans
+        f'{{"attrs":{attrs_json(attrs) if attrs else "{}"}'
+        f',"end_ms":{scalar(round(end_ms, 3))}'
+        f',"hop":{scalar(hop)}'
+        f',"parent":{scalar(parent_id)}{member}'
+        f',"span":{scalar(span_id)}'
+        f',"start_ms":{scalar(round(start_ms, 3))}'
+        f',"trace":{scalar(trace_id)}}}'
+        for span_id, trace_id, parent_id, hop, start_ms, end_ms, attrs in rows
     ]
+
+
+def spans_to_jsonl_lines(
+    spans: Iterable[Span], shard: Optional[str] = None
+) -> List[str]:
+    """One compact, key-stable JSON document per span (deterministic):
+    the standalone export.  With ``shard``, lines of the merged fleet
+    trace — the bytes :func:`split_span_line` and a splice would make
+    of the plain lines.
+    """
+    return span_lines(map(_row_of, spans), shard)
 
 
 #: The merged trace is ordered by ``(start_ms, end_ms, shard, span)`` —
@@ -848,29 +877,23 @@ def sort_time(value: float) -> float:
 
 
 def ordered_span_lines(
-    spans: Iterable[Span], shard: str
+    rows: Sequence[SpanRow], shard: str
 ) -> Tuple[List[TraceKey], List[str]]:
-    """A shard's spans as its run of the merged fleet trace.
+    """A shard's rows as its run of the merged fleet trace.
 
     Returns ``(keys, lines)``, both in trace order: the sort key of
     each span, built from the span's own values, and its line already
     carrying ``shard`` — everything the fleet merge needs to interleave
     this run with the other shards' without reading a line back.
     """
-    spans = list(spans)
     keys = [
-        (
-            sort_time(round(span.start_ms, 3)),
-            sort_time(round(span.end_ms, 3)),
-            shard,
-            span.span_id,
-        )
-        for span in spans
+        (sort_time(round(start_ms, 3)), sort_time(round(end_ms, 3)), shard, span_id)
+        for span_id, _, _, _, start_ms, end_ms, _ in rows
     ]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return (
         [keys[index] for index in order],
-        spans_to_jsonl_lines([spans[index] for index in order], shard),
+        span_lines([rows[index] for index in order], shard),
     )
 
 

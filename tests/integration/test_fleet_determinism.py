@@ -69,3 +69,51 @@ def test_merged_counters_are_conserved(runs):
         assert merged["server"][key] == sum(
             part["server"][key] for part in parts
         )
+
+
+# ---------------------------------------------------------------------------
+# The merged trace, byte for byte
+# ---------------------------------------------------------------------------
+
+#: SHA-256 of ``FleetResult.trace_jsonl`` per shard count (the ``shard``
+#: member makes each count its own text), taken at the commit before the
+#: trace became a pull — when every worker still wrote its own lines —
+#: on the two fixtures PR 17 compared: a 40-device battery fleet and the
+#: stadium preset at scale 0.1.  However the rows travel and whoever
+#: writes them, these are the bytes.
+TRACE_SHA256 = {
+    "battery": {
+        1: "132c38e2f81d7798dd4e0a7140ed75fac04a3f982c448e5154312b8228c0d785",
+        2: "5934389b3f9d2ba0cc45bbc0e2bc894984da44e83eb4744fa9f2d82d495f4c8b",
+        4: "41d86999cf2d99c1cf75100a70447d3fd43f8603da2d5bd9d27c8b58a10e91d9",
+    },
+    "stadium": {
+        1: "853bd54cf86d087640c8f4322ebf7b5f18e444a613fddf3067f4230821d17da1",
+        2: "6376083682c138bbcf850ea5b77f9d098da111bebb9b94993c34271bd4ee00ee",
+        4: "4666c6c07be06f3748416365e016e6635cfc1a89de0f27e5fef49c4ccaf74601",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "shards, processes",
+    [(1, False), (2, False), (2, True), (4, False), (4, True)],
+    ids=["solo", "2-in-process", "2-spawned", "4-in-process", "4-spawned"],
+)
+def test_merged_trace_bytes_are_pinned(shards, processes):
+    import hashlib
+
+    from repro.scenarios import build_preset, run_scenario_spec
+
+    stadium = build_preset("stadium-evening", scale=0.1)
+    traces = {
+        "battery": run_fleet(
+            40, shards, seed=7, hours=0.5, processes=processes
+        ).trace_jsonl,
+        "stadium": run_scenario_spec(
+            stadium, shards=shards, processes=processes
+        ).fleet.trace_jsonl,
+    }
+    for fixture, text in traces.items():
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == TRACE_SHA256[fixture][shards], fixture

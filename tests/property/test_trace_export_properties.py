@@ -10,11 +10,11 @@ over spans built to break a hand-written encoder and a pattern-based
 splitter: attrs that imitate the rigid tail of a line, keys named like
 the line's own, every scalar ``json.dumps`` spells specially.
 
-A fleet's own workers skip the text altogether: each orders and stamps
-its spans as values (:func:`repro.sim.spans.ordered_span_lines`) and the
-coordinator interleaves the rows
-(:func:`repro.fleet.merge.merge_trace_rows`).  For that path the text
-path is the oracle.
+A fleet's own workers write no text at all: each hands over its spans
+as rows (:func:`repro.sim.spans.span_rows`), a spawned one in a sealed
+frame, and whoever reads the trace orders, stamps, writes and
+interleaves them (:func:`repro.fleet.merge.merge_span_rows`).  For that
+path the text path is the oracle.
 """
 
 import json
@@ -23,10 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.export import spans_to_jsonl
-from repro.fleet.merge import merge_trace_jsonl, merge_trace_rows
-from repro.sim.spans import (
-    Span, ordered_span_lines, spans_to_jsonl_lines, split_span_line,
-)
+from repro.fleet.merge import merge_span_rows, merge_trace_jsonl
+from repro.fleet.worker import seal, unseal
+from repro.sim.spans import Span, span_rows, spans_to_jsonl_lines, split_span_line
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,7 @@ def test_merge_equals_the_parsing_merge_byte_for_byte(shards):
 
 
 # ---------------------------------------------------------------------------
-# The row path: what a fleet's workers and coordinator do instead
+# The row path: what a fleet's workers and the trace's reader do instead
 # ---------------------------------------------------------------------------
 
 any_attrs = st.one_of(str_keyed_attrs, odd_keyed_attrs)
@@ -205,7 +204,8 @@ def test_a_stamped_line_is_the_plain_line_with_the_member_spliced_in(shard_id, s
 
 # Non-string attr keys are in: the text path copies the exporter's bytes
 # just as the row path does.  Shard lists of length one to four, empty
-# shards and repeated shard ids included.
+# shards and repeated shard ids included.  Rows handed over as they are
+# (an in-process worker) and through a sealed frame (a spawned one).
 @given(
     st.lists(
         st.tuples(shard_ids, st.lists(spans_of(any_attrs), max_size=5)),
@@ -230,10 +230,11 @@ def test_a_stamped_line_is_the_plain_line_with_the_member_spliced_in(shard_id, s
 )
 @settings(max_examples=250, deadline=None)
 def test_row_path_equals_the_text_path_byte_for_byte(shards):
-    rows = merge_trace_rows(
-        ordered_span_lines(spans, shard_id) for shard_id, spans in shards
-    )
+    parts = [(shard_id, span_rows(spans)) for shard_id, spans in shards]
     text = merge_trace_jsonl(
         [(shard_id, spans_to_jsonl(spans)) for shard_id, spans in shards]
     )
-    assert rows == text
+    assert merge_span_rows(parts) == text
+    assert merge_span_rows(
+        (shard_id, unseal(seal(rows))) for shard_id, rows in parts
+    ) == text

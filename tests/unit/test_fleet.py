@@ -17,10 +17,14 @@ from repro.fleet import (
     plan_fleet,
     run_fleet,
 )
-from repro.fleet.merge import MergeError, merge_trace_rows, report_to_json
+from repro.fleet.coordinator import FleetResult
+from repro.fleet.merge import (
+    MergeError, merge_span_rows, merge_trace_rows, report_to_json,
+)
 from repro.fleet.partition import PartitionError, device_jid
+from repro.fleet.worker import seal, unseal
 from repro.net.xmpp import RoutingError
-from repro.sim.spans import Span, SpanRecorder, ordered_span_lines
+from repro.sim.spans import Span, SpanRecorder, ordered_span_lines, span_rows
 
 
 class TestPartitioner:
@@ -279,8 +283,8 @@ class TestMerger:
         ]
         expected = [("f/0", 1), ("f/0", 2), ("f/1", 1), ("f/1", 2)]
         for merged in (
-            merge_trace_rows(
-                ordered_span_lines(spans, shard_id) for shard_id, spans in shards
+            merge_span_rows(
+                (shard_id, span_rows(spans)) for shard_id, spans in shards
             ),
             merge_trace_jsonl(
                 [(shard_id, spans_to_jsonl(spans)) for shard_id, spans in shards]
@@ -300,10 +304,10 @@ class TestMerger:
             assert [json.loads(l)["span"] for l in merged.splitlines()] == [3, 5, 1, 2, 4]
 
     def test_rows_core_takes_runs_in_any_order(self):
-        # Ordered runs are what the workers send, but the order is the
+        # Ordered runs are what the reader hands it, but the order is the
         # core's: a run in ring order (an exported file) comes out the same.
         spans = [Span(i, 0, 0, "h", float(10 - i), 0.0, None) for i in range(1, 6)]
-        ordered = ordered_span_lines(spans, "f/0")
+        ordered = ordered_span_lines(span_rows(spans), "f/0")
         keys, lines = ordered
         assert keys == sorted(keys)
         shuffled = (keys[::-1], lines[::-1])
@@ -355,8 +359,19 @@ class TestCoordinatorSmoke:
             )
 
 
+def _result(trace):
+    """A ``FleetResult`` around ``trace``: the text, or the parts a run
+    leaves in its place."""
+    return FleetResult(
+        report={}, report_json="", metrics={}, trace_jsonl=trace,
+        shard_reports=(), devices=0, shards=1, epoch_ms=80.0, barriers=0,
+        handoffs=0, wall_s=0.0,
+    )
+
+
 class TestTraceRowPath:
-    """The fleet's own trace path: one pass from span to merged line."""
+    """The fleet's own trace path: rows until somebody reads the trace,
+    then one pass from row to merged line."""
 
     def test_fleet_never_reopens_a_line_it_wrote(self, monkeypatch):
         import repro.fleet.merge as merge
@@ -372,12 +387,89 @@ class TestTraceRowPath:
         with pytest.raises(AssertionError, match="took a line apart"):
             merge_trace_jsonl([("f/0", result.trace_jsonl)])  # the patch bites
 
+    def test_a_trace_nobody_reads_is_never_written(self, monkeypatch):
+        import repro.sim.spans as spans
+        from repro.scenarios import ScenarioSpec, run_scenario_spec
+
+        def forbidden(rows, shard=None):
+            raise AssertionError("a span line was written")
+
+        monkeypatch.setattr(spans, "span_lines", forbidden)
+        results = [
+            run_fleet(4, shards, seed=6, hours=0.25, processes=False)
+            for shards in (1, 2)
+        ]
+        smoke = ScenarioSpec(name="smoke", seed=5, devices=4, hours=0.25,
+                             city_places=16)
+        results.append(run_scenario_spec(smoke).fleet)
+        for result in results:
+            assert "trace_jsonl" not in repr(result)
+            with pytest.raises(AssertionError, match="a span line was written"):
+                result.trace_jsonl  # the patch bites
+
+    def test_a_spawned_run_keeps_its_trace_frames_closed(self, monkeypatch):
+        import repro.fleet.coordinator as coordinator
+
+        opened = []
+
+        def counting(frame):
+            opened.append(len(frame))
+            return unseal(frame)
+
+        monkeypatch.setattr(coordinator, "unseal", counting)
+        result = run_fleet(4, 2, seed=6, hours=0.25, barrier_timeout_s=120.0)
+        assert len(opened) == 2  # the artifacts of two workers, nothing else
+        parts = vars(result)["trace_jsonl"]
+        assert [shard_id for shard_id, _ in parts] == ["fleet/0", "fleet/1"]
+        assert all(type(frame) is bytes for _, frame in parts)
+        assert "trace_jsonl" not in repr(result) and len(opened) == 2
+        in_process = run_fleet(4, 2, seed=6, hours=0.25, processes=False)
+        assert result.trace_jsonl == in_process.trace_jsonl != ""
+        assert opened[2:] == [len(frame) for _, frame in parts]  # by the read
+
+    def test_the_text_is_written_once_and_replaces_the_parts(self):
+        result = run_fleet(4, 2, seed=6, hours=0.25, processes=False)
+        assert all(type(rows) is list for _, rows in vars(result)["trace_jsonl"])
+        text = result.trace_jsonl
+        assert result.trace_jsonl is text is vars(result)["trace_jsonl"]
+        assert _result("x\n").trace_jsonl == "x\n"  # text in, the same text out
+
+    @pytest.mark.parametrize("sealed", [False, True], ids=["in-process", "sealed"])
+    @pytest.mark.parametrize(
+        "attrs, why",
+        [
+            pytest.param({"seen": {1}}, "set is not JSON serializable", id="set-value"),
+            pytest.param({1: "a", "b": 2}, "'<' not supported", id="mixed-keys"),
+        ],
+    )
+    def test_an_unwritable_span_is_named_where_the_trace_is_read(
+        self, attrs, why, sealed
+    ):
+        # The worker hands over values; the first thing to meet the line
+        # writer is the read, which therefore has to say whose span it was.
+        rows = span_rows(
+            [
+                Span(4710, 7, 0, "broker.publish", 1.0, 2.0, {"ok": True}),
+                Span(4711, 7, 4710, "buffer.dwell", 2.0, 3.0, attrs),
+            ]
+        )
+        good = ("f/0", span_rows([Span(1, 1, 0, "xmpp.route", 0.0, 1.0, None)]))
+        result = _result([good, ("f/1", seal(rows) if sealed else rows)])
+        for _ in range(2):  # a failed read leaves the parts as they were
+            with pytest.raises(
+                MergeError,
+                match=r"trace of shard 'f/1', span 4711 \(buffer\.dwell\): .*" + why,
+            ) as excinfo:
+                result.trace_jsonl
+            assert type(excinfo.value.__cause__) is TypeError
+
     def test_merged_text_costs_under_three_times_its_size(self):
-        # From the spans in a ring to the merged text in hand.  The lines
-        # and the text they are joined into make two copies; the third is
-        # headroom for per-line object overhead and the sort keys, which
-        # are dropped before the join.  Measured 2.4x on this input; the
-        # text round trip it replaced (export, split, re-join) took 4.4x.
+        # From the rows a worker hands over to the merged text in hand.
+        # The lines and the text they are joined into make two copies;
+        # the third is headroom for per-line object overhead and the sort
+        # keys, which are dropped before the join.  Measured 2.3x on this
+        # input; the text round trip PR 17 replaced (export, split,
+        # re-join) took 4.4x.
         import tracemalloc
 
         recorder = SpanRecorder()
@@ -393,14 +485,23 @@ class TestTraceRowPath:
             )
         tracemalloc.start()
         try:
-            artifacts = [{"trace_rows": ordered_span_lines(recorder, "fleet/0")}]
-            text = merge_trace_rows(a.pop("trace_rows") for a in artifacts)
+            rows = span_rows(recorder)
+            handed_over, _ = tracemalloc.get_traced_memory()
+            result = _result([("fleet/0", rows)])
+            tracemalloc.reset_peak()
+            text = result.trace_jsonl
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert text.count("\n") == 20_000
         assert text.isascii()  # so len() is its size in bytes
-        assert peak <= 3.0 * len(text), (peak, len(text))
+        assert peak - handed_over <= 3.0 * len(text), (peak, handed_over, len(text))
+        # What a run pays when nobody reads: in-process the row tuples
+        # (0.51x the text here; the attrs they point at were the ring's
+        # already and now outlive it), spawned the sealed frame (376 KB
+        # for these 20,000 spans; bound: 1 MB per 36,000).
+        assert handed_over < len(text), (handed_over, len(text))
+        assert len(seal(rows)) * 36_000 / 20_000 < 1_000_000
 
 
 def _mid_epoch_crash(processes):
@@ -632,19 +733,17 @@ class TestShardDriver:
         assert next_event is not None
         out, next_event, capable, sample = driver.advance(0.25 * 3_600_000.0, [])
         assert (out, capable, sample) == ([], False, None)
-        artifacts = driver.finish()
+        artifacts, rows = driver.finish()
 
         result = run_fleet(spec=root, shards=1, hours=0.25, processes=False)
         assert artifacts["report"] == result.shard_reports[0]
-        # The fleet's artifact is the shard's ordered, stamped run of the
-        # merged trace; the standalone export of the same shard reaches
-        # the same bytes through the text front-end.
+        # The driver hands over the ring as rows, in ring order, beside
+        # the artifacts; the reader's front-end and, for the standalone
+        # export of the same shard, the text front-end reach the same bytes.
         assert "trace_jsonl" not in artifacts
-        keys, lines = artifacts["trace_rows"]
-        assert keys == sorted(keys) and len(keys) == len(lines) > 0
-        assert merge_trace_rows([(keys, lines)]) == result.trace_jsonl
+        assert rows == span_rows(driver.shard.kernel.spans) and len(rows) > 0
+        assert merge_span_rows([(artifacts["shard_id"], rows)]) == result.trace_jsonl
         exported = collect_artifacts(driver.shard)
-        assert "trace_rows" not in exported
         assert merge_trace_jsonl(
             [(exported["shard_id"], exported["trace_jsonl"])]
         ) == result.trace_jsonl

@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from repro.analysis.export import spans_to_jsonl
 from repro.apps import battery_monitor
 from repro.core.middleware import PogoSimulation
 from repro.core.shard import DeviceSpec, Shard, ShardSpec
@@ -66,9 +67,16 @@ class TestSnapshotRestore:
         _deploy(shard)
         shard.run(minutes=7)
         clone = Shard.restore(shard.snapshot())
+        # Spans are on: the flight recorder (pickled as rows) comes back
+        # with the same bytes and goes on recording where it left off.
+        recorded = shard.kernel.spans.recorded
+        assert recorded > 0
+        assert spans_to_jsonl(clone.kernel.spans) == spans_to_jsonl(shard.kernel.spans)
         shard.run(minutes=13)
         clone.run(minutes=13)
         assert clone.fleet_report_json() == shard.fleet_report_json()
+        assert clone.kernel.spans.recorded == shard.kernel.spans.recorded > recorded
+        assert spans_to_jsonl(clone.kernel.spans) == spans_to_jsonl(shard.kernel.spans)
 
     def test_restore_rejects_non_shard_blobs(self):
         with pytest.raises(TypeError):

@@ -1,5 +1,8 @@
 """Unit tests for lifecycle spans, the flight recorder and the energy ledger."""
 
+import json
+import pickle
+
 import pytest
 
 from repro.core.envelope import Envelope
@@ -11,6 +14,7 @@ from repro.sim.spans import (
     Span,
     SpanRecorder,
     render_span_tree,
+    span_rows,
     span_tree,
     spans_to_jsonl_lines,
 )
@@ -49,6 +53,24 @@ class TestSpanRecorder:
         assert [s.trace_id for s in recorder.spans()] == [3, 4, 5]
         # Histograms aggregate the whole run, not just the ring.
         assert recorder.hop_histogram("publish").count == 5
+
+    def test_pickles_the_ring_as_rows_and_comes_back_whole(self):
+        recorder = SpanRecorder(max_spans=3)
+        hop = recorder.hop("publish")
+        for i in range(5):
+            hop.record(i + 1, 0, float(i), i + 0.5, {"n": i})
+        rows = recorder.__getstate__()["_ring"]
+        assert rows == span_rows(recorder) and type(rows[0]) is tuple
+        # Pickled together, as a shard pickles a component's pre-bound
+        # handle and the recorder it records into.
+        clone, clone_hop = pickle.loads(pickle.dumps((recorder, hop)))
+        assert spans_to_jsonl_lines(clone) == spans_to_jsonl_lines(recorder)
+        assert (clone.recorded, clone.dropped, clone.max_spans) == (5, 2, 3)
+        assert clone.hop("publish") is clone_hop and clone_hop is not hop
+        # The next span continues the id sequence, in a ring still bounded.
+        assert clone_hop.record(9, 0, 9.0, 9.5) == hop.record(9, 0, 9.0, 9.5) == 6
+        assert [span.span_id for span in clone] == [4, 5, 6]
+        assert spans_to_jsonl_lines(clone) == spans_to_jsonl_lines(recorder)
 
     def test_max_spans_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -150,6 +172,20 @@ class TestSpanTree:
         lines = spans_to_jsonl_lines(recorder.spans())
         assert len(lines) == 4
         assert all(line.startswith('{"attrs":') for line in lines)
+
+    def test_mixed_type_attr_keys_fail_as_the_stock_encoder_fails(self):
+        # Keys that are not all strings are the stock encoder's business,
+        # including the ones it cannot sort: the writer must look at the
+        # key types before it sorts anything itself.
+        span = Span(1, 1, 0, "h", 0.0, 1.0, {1: "a", "b": 2})
+        with pytest.raises(TypeError) as ours:
+            spans_to_jsonl_lines([span])
+        with pytest.raises(TypeError) as reference:
+            json.dumps(span.to_dict(), sort_keys=True)
+        assert str(ours.value) == str(reference.value)
+        assert str(ours.traceback[-1].path).endswith("encoder.py")
+        comparable = Span(1, 1, 0, "h", 0.0, 1.0, {2: "a", 1: "b"})
+        assert '"attrs":{"1":"b","2":"a"}' in spans_to_jsonl_lines([comparable])[0]
 
 
 # ---------------------------------------------------------------------------
