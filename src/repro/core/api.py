@@ -50,6 +50,14 @@ SAFE_BUILTINS: Dict[str, Any] = {
 }
 
 
+#: Identifiers under this prefix belong to the middleware: scripts that
+#: name one are rejected at load (``scripting.compile_script``).
+RESERVED_PREFIX = "__pogo_"
+
+#: Where a metered script finds its host's step budget (the watchdog).
+METER = RESERVED_PREFIX + "meter__"
+
+
 class ScriptApi:
     """The Table 1 methods as bound methods of one per-host instance.
 
@@ -116,19 +124,10 @@ def build_namespace(host) -> Dict[str, Any]:
     namespace: Dict[str, Any] = {
         "__builtins__": dict(SAFE_BUILTINS),
         "__name__": f"<pogo-script {host.name}>",
+        METER: host.watchdog,
         "math": math,
-        "setDescription": api.setDescription,
-        "setAutoStart": api.setAutoStart,
-        "print": api.print,
-        "log": api.log,
-        "logTo": api.logTo,
-        "publish": api.publish,
-        "subscribe": api.subscribe,
-        "freeze": api.freeze,
-        "thaw": api.thaw,
-        "json": api.json,
-        "setTimeout": api.setTimeout,
     }
+    namespace.update((name, getattr(api, name)) for name in api_method_names())
     return namespace
 
 

@@ -129,7 +129,7 @@ class CollectorContext:
         if existing is not None:
             existing.update(source)
             return existing
-        host = ScriptHost(self, name, source, watchdog_ms=self.node.watchdog_ms)
+        host = ScriptHost(self, name, source)
         self.scripts[name] = host
         host.load()
         return host

@@ -44,7 +44,7 @@ from .deployment import (
 from .multibroker import CollectorContext
 from .privacy import PrivacySettings
 from .scheduler import PogoScheduler, SimpleScheduler
-from .scripting import DEFAULT_WATCHDOG_MS, FreezeStore
+from .scripting import FreezeStore
 from .sensor_manager import SensorManager
 from .tailsync import SynchronizedPolicy, TailDetector, TransmissionPolicy
 
@@ -55,7 +55,7 @@ class DeviceNode:
     """The Pogo middleware on one phone."""
 
     __slots__ = (
-        "kernel", "phone", "jid", "watchdog_ms", "scheduler", "transport", "buffer",
+        "kernel", "phone", "jid", "scheduler", "transport", "buffer",
         "detector", "policy", "freeze_store", "privacy", "sensor_manager", "contexts",
         "links", "started", "_suspended", "on_context_added", "on_link_created",
         "flush_count", "flush_reasons", "batches_sent", "payloads_sent", "_m_flushes",
@@ -72,14 +72,12 @@ class DeviceNode:
         policy: Optional[TransmissionPolicy] = None,
         store: Optional[MessageStore] = None,
         max_age_ms: float = DEFAULT_MAX_AGE_MS,
-        watchdog_ms: float = DEFAULT_WATCHDOG_MS,
         poll_interval_ms: float = 1000.0,
         privacy: Optional[PrivacySettings] = None,
     ) -> None:
         self.kernel = kernel
         self.phone = phone
         self.jid = jid
-        self.watchdog_ms = watchdog_ms
 
         self.scheduler = PogoScheduler(kernel, phone.cpu, name=f"{jid}.scheduler")
         self.transport = DeviceTransport(kernel, server, jid, phone)
@@ -379,12 +377,10 @@ class CollectorNode:
         kernel: Kernel,
         server: XmppServer,
         jid: str,
-        watchdog_ms: float = DEFAULT_WATCHDOG_MS,
         resend_interval_ms: float = 5 * MINUTE,
     ) -> None:
         self.kernel = kernel
         self.jid = jid
-        self.watchdog_ms = watchdog_ms
         self.scheduler = SimpleScheduler(kernel, name=f"{jid}.scheduler")
         self.transport = WiredTransport(kernel, server, jid)
         self.freeze_store = FreezeStore()

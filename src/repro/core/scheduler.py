@@ -103,7 +103,7 @@ class PogoScheduler:
         self.tasks_run = 0
         self.task_errors = 0
         #: Called with (serial_key, exception) when a task raises.
-        self.on_error: List[Callable[[Optional[str], BaseException], None]] = []
+        self.on_error: List[Callable[[Optional[str], Exception], None]] = []
         #: serial key -> queue of (fn, args, enqueued_ms)
         self._serial_queues: Dict[str, Deque[Tuple[Callable, tuple, float]]] = {}
         self._serial_running: Dict[str, bool] = {}
@@ -216,7 +216,7 @@ class PogoScheduler:
             observer.task_started(self, key)
         try:
             fn(*args)
-        except BaseException as exc:  # noqa: BLE001 - containment is the point
+        except Exception as exc:  # noqa: BLE001 - containment is the point
             self.task_errors += 1
             for listener in list(self.on_error):
                 listener(key, exc)
@@ -237,7 +237,7 @@ class SimpleScheduler:
         self.name = name
         self.tasks_run = 0
         self.task_errors = 0
-        self.on_error: List[Callable[[Optional[str], BaseException], None]] = []
+        self.on_error: List[Callable[[Optional[str], Exception], None]] = []
         self._serial_queues: Dict[str, Deque[Tuple[Callable, tuple, float]]] = {}
         self._serial_running: Dict[str, bool] = {}
         self.stopped = False
@@ -320,7 +320,7 @@ class SimpleScheduler:
             observer.task_started(self, key)
         try:
             fn(*args)
-        except BaseException as exc:  # noqa: BLE001
+        except Exception as exc:  # noqa: BLE001
             self.task_errors += 1
             for listener in list(self.on_error):
                 listener(key, exc)

@@ -15,9 +15,9 @@ implements the host around a running script:
 * **Watchdog** — "all calls to JavaScript functions by the framework must
   complete within a certain timeframe.  If the JavaScript function does
   not return in time, it is interrupted and an exception is thrown.  The
-  default timeout is set to 100ms."  Implemented with an asynchronous
-  interrupt raised into the script's thread when its wall-clock budget
-  is exceeded (see :class:`_WatchdogArbiter`).
+  default timeout is set to 100ms."  Rhino polices that by counting
+  instructions; here a step meter is compiled into the script
+  (:func:`compile_script`), so the verdict never depends on the host.
 * **freeze/thaw** — one persisted object per script, surviving script
   stop/start cycles, updates and reboots (Section 4.4; added *because* of
   the data loss observed in Section 5.3).
@@ -25,19 +25,21 @@ implements the host around a running script:
 
 from __future__ import annotations
 
-import ctypes
-import itertools
+import ast
+import functools
 import json
-import threading
-import time
 import types
 from typing import Any, Callable, Dict, List, Optional
 
-from .api import build_namespace
+from .api import METER, RESERVED_PREFIX, api_method_names, build_namespace
 from .messages import from_json, to_json
 
 #: Default watchdog budget, from the paper.
 DEFAULT_WATCHDOG_MS = 100.0
+
+#: Steps a millisecond of budget buys.  The busiest call in any benchmark
+#: workload uses 13,540 of the default 100 ms = 200,000.
+STEPS_PER_MS = 2_000
 
 
 class ScriptError(Exception):
@@ -53,134 +55,100 @@ class ScriptTimeoutError(ScriptError):
 WatchdogTimeout = ScriptTimeoutError
 
 
-class _WatchdogArbiter:
-    """One daemon thread that interrupts over-budget guarded calls.
-
-    The previous watchdog used ``sys.settrace``, which forces the whole
-    guarded subtree — broker fan-out, envelope freezing, storage writes —
-    to run with per-call trace hooks installed: an ~8 µs tax on *every*
-    script invocation to police a budget that healthy scripts never come
-    near.  Arming here is two dict operations; nothing else touches the
-    hot path.  When a deadline actually expires, the arbiter raises
-    :class:`ScriptTimeoutError` inside the guarded thread via
-    ``PyThreadState_SetAsyncExc`` — which, like Rhino's instruction-count
-    interrupts, stops a ``while True: pass`` loop dead.
-
-    The async raise lands at the guarded thread's next bytecode boundary,
-    so a call that finishes in the same instant its budget expires can
-    race the interrupt.  ``disarm`` closes the gap: it reports whether
-    this guard was fired so the caller can clear a still-pending
-    interrupt and convert it into a deterministic post-hoc error.
-    """
-
-    #: Idle poll interval; also bounds how late an interrupt can be.
-    POLL_S = 0.05
-
-    def __init__(self) -> None:
-        #: thread id -> stack of (deadline, generation, watchdog); plain
-        #: dict/list ops are GIL-atomic, so arm/disarm take no lock.
-        self._armed: Dict[int, List[tuple]] = {}
-        self._fired: Dict[int, int] = {}
-        self._gen = itertools.count(1)
-        self._thread: Optional[threading.Thread] = None
-
-    def arm(self, watchdog: "Watchdog", timeout_s: float) -> tuple:
-        tid = threading.get_ident()
-        gen = next(self._gen)
-        stack = self._armed.get(tid)
-        if stack is None:
-            stack = self._armed[tid] = []
-        stack.append((time.monotonic() + timeout_s, gen, watchdog))
-        if self._thread is None:
-            self._start()
-        return tid, gen
-
-    def disarm(self, token: tuple) -> bool:
-        """Remove the guard; returns True if it was fired (interrupted)."""
-        tid, gen = token
-        stack = self._armed.get(tid)
-        if stack:
-            for index in range(len(stack) - 1, -1, -1):
-                if stack[index][1] == gen:
-                    del stack[index]
-                    break
-            if not stack:
-                self._armed.pop(tid, None)
-        if self._fired.get(tid) == gen:
-            del self._fired[tid]
-            return True
-        return False
-
-    def _start(self) -> None:
-        thread = threading.Thread(
-            target=self._run, name="script-watchdog", daemon=True
-        )
-        self._thread = thread
-        thread.start()
-
-    def _run(self) -> None:
-        set_async_exc = ctypes.pythonapi.PyThreadState_SetAsyncExc
-        while True:
-            wait = self.POLL_S
-            now = time.monotonic()
-            for tid, stack in list(self._armed.items()):
-                for entry in list(stack):
-                    deadline, gen, watchdog = entry
-                    if now < deadline:
-                        wait = min(wait, deadline - now)
-                        continue
-                    if self._fired.get(tid) is not None:
-                        continue  # one pending interrupt per thread
-                    self._fired[tid] = gen
-                    watchdog.violations += 1
-                    set_async_exc(
-                        ctypes.c_ulong(tid), ctypes.py_object(ScriptTimeoutError)
-                    )
-                    try:
-                        stack.remove(entry)
-                    except ValueError:
-                        pass
-            time.sleep(max(wait, 0.001))
-
-
-_arbiter = _WatchdogArbiter()
-
-
 class Watchdog:
-    """Interrupts script code that runs past its budget.
+    """The step budget of one script, refilled for every guarded call.
 
-    The budget is wall-clock, as in the paper ("all calls to JavaScript
-    functions by the framework must complete within a certain
-    timeframe").  Enforcement lives in the process-wide
-    :class:`_WatchdogArbiter`; a guard costs two dict operations on the
-    hot path and nothing more.
+    The metered script finds this object in its globals (under
+    :data:`~repro.core.api.METER`) and charges it as it runs.  Once the
+    budget is gone every further step raises again, so ``while True:
+    pass`` is stopped dead and so is a loop that catches ``Exception``.
     """
+
+    __slots__ = ("timeout_ms", "violations", "left")
 
     def __init__(self, timeout_ms: float = DEFAULT_WATCHDOG_MS) -> None:
         self.timeout_ms = timeout_ms
         self.violations = 0
+        #: Steps the running call may still take (negative: expired).
+        self.left = 0
+
+    @property
+    def budget(self) -> int:
+        return int(self.timeout_ms * STEPS_PER_MS)
 
     def guard(self, fn: Callable[..., Any], *args: Any) -> Any:
-        token = _arbiter.arm(self, self.timeout_ms / 1000.0)
-        fired = False
+        self.left = self.budget
         try:
-            result = fn(*args)
-        finally:
-            fired = _arbiter.disarm(token)
-            if fired:
-                # Either the interrupt already unwound ``fn`` (we are
-                # propagating it right now and the clear is a no-op), or
-                # ``fn`` returned in the race window and the raise is
-                # still pending — clear it before it lands in unrelated
-                # code.
-                ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                    ctypes.c_ulong(token[0]), None
-                )
-        if fired:
-            raise ScriptTimeoutError(
-                f"script call exceeded {self.timeout_ms:.0f} ms watchdog budget (post-hoc)"
-            )
-        return result
+            return fn(*args)
+        except ScriptTimeoutError:
+            self.violations += 1
+            raise
+
+    def tick(self) -> bool:
+        """One step, as an expression (comprehension clauses, lambdas)."""
+        self.left -= 1
+        if self.left < 0:
+            self.expire()
+        return True
+
+    def expire(self) -> None:
+        raise ScriptTimeoutError(
+            f"script call exceeded {self.timeout_ms:.0f} ms watchdog budget"
+        )
+
+
+def _meter(attr: str, ctx: ast.expr_context = ast.Load()) -> ast.Attribute:
+    return ast.Attribute(ast.Name(METER, ast.Load()), attr, ctx)
+
+
+def _tick() -> ast.expr:
+    return ast.Call(_meter("tick"), [], [])
+
+
+def _charge() -> List[ast.stmt]:
+    """``tick()`` inlined as two statements: no call on the hot path."""
+    expired = ast.Compare(_meter("left"), [ast.Lt()], [ast.Constant(0)])
+    return [
+        ast.AugAssign(_meter("left", ast.Store()), ast.Sub(), ast.Constant(1)),
+        ast.If(expired, [ast.Expr(ast.Call(_meter("expire"), [], []))], []),
+    ]
+
+
+@functools.lru_cache(maxsize=64)
+def compile_script(source: str, name: str) -> types.CodeType:
+    """Compile script source with the step meter built in.
+
+    One step is charged wherever script code can repeat itself: the head
+    of every loop body, the entry of every function and lambda, every
+    item of every comprehension clause.  The meter is part of the
+    sandbox, so a script that names anything under
+    :data:`~repro.core.api.RESERVED_PREFIX` is rejected here, where it
+    enters.  Inserted nodes take their parent's position: tracebacks keep
+    the script's own line numbers.  Memoised: a fleet of hosts running
+    one script parses, meters and compiles it once.
+    """
+    filename = f"<script {name}>"
+    tree = ast.parse(source, filename)
+    for node in ast.walk(tree):  # children are queued before a node is edited
+        if isinstance(node, ast.Constant):
+            continue
+        for _, value in ast.iter_fields(node):
+            for ident in value if isinstance(value, list) else (value,):
+                if isinstance(ident, str) and ident.startswith(RESERVED_PREFIX):
+                    raise ScriptError(
+                        f"script {name!r} line {node.lineno}: "
+                        f"{ident!r} is reserved for the middleware"
+                    )
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+            node.body[:0] = _charge()
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            at = 0 if ast.get_docstring(node, clean=False) is None else 1
+            node.body[at:at] = _charge()
+        elif isinstance(node, ast.Lambda):
+            node.body = ast.BoolOp(ast.And(), [_tick(), node.body])
+        elif isinstance(node, ast.comprehension):
+            node.ifs.insert(0, _tick())
+    return compile(ast.fix_missing_locations(tree), filename, "exec")
 
 
 class ScriptFn:
@@ -252,11 +220,7 @@ def _exec_stub(*_args: Any, **_kwargs: Any) -> None:
 #: Namespace entries that are rebuilt (not pickled) on restore: the API
 #: surface plus the interpreter plumbing.
 _RUNTIME_NAMESPACE_KEYS = frozenset(
-    (
-        "__builtins__", "__name__", "math",
-        "setDescription", "setAutoStart", "print", "log", "logTo",
-        "publish", "subscribe", "freeze", "thaw", "json", "setTimeout",
-    )
+    ("__builtins__", "__name__", METER, "math", *api_method_names())
 )
 
 #: API entries stubbed out during the restore re-exec: anything whose
@@ -290,7 +254,7 @@ class ScriptHost:
 
         self.debug_lines: List[str] = []
         self.logs: Dict[str, List[str]] = {}
-        self.errors: List[BaseException] = []
+        self.errors: List[Exception] = []
         self.namespace: Dict[str, Any] = {}
         self._timers: List[Any] = []
 
@@ -301,12 +265,9 @@ class ScriptHost:
         self.published_bytes = 0
         self.timers_set = 0
 
-        # Observability plane, pre-bound once per host.  Wall-clock call
-        # durations go ONLY into the metrics histogram — never into spans,
-        # whose exports must be byte-identical across identical seeded
-        # runs (sim-time is deterministic; wall time is not).
+        # Observability plane, pre-bound once per host.
         kernel = context.node.kernel
-        self._m_call_ms = kernel.metrics.histogram(f"script.call_ms.{self.serial_key}")
+        self._m_call_steps = kernel.metrics.histogram(f"script.call_steps.{self.serial_key}")
         self._spans = kernel.spans
         self._h_call = kernel.spans.hop("script.call")
         self._h_watchdog = kernel.spans.hop("script.watchdog")
@@ -331,10 +292,9 @@ class ScriptHost:
         self.namespace = build_namespace(self)
         self.load_count += 1
         self.running = True
-        code = compile(self.source, f"<script {self.name}>", "exec")
         try:
-            self.watchdog.guard(_exec_in, code, self.namespace)
-        except BaseException as exc:  # noqa: BLE001 - report, stay contained
+            self.watchdog.guard(exec, compile_script(self.source, self.name), self.namespace)
+        except Exception as exc:  # noqa: BLE001 - report, stay contained
             self.errors.append(exc)
             self.running = False
             raise ScriptError(f"script {self.name!r} failed to load: {exc!r}") from exc
@@ -409,10 +369,9 @@ class ScriptHost:
             real_api = {key: namespace[key] for key in _RESTORE_STUBBED_KEYS}
             for key in _RESTORE_STUBBED_KEYS:
                 namespace[key] = _exec_stub
-            code = compile(self.source, f"<script {self.name}>", "exec")
             try:
-                _exec_in(code, namespace)
-            except BaseException:  # noqa: BLE001 - a restore must not raise
+                self.watchdog.guard(exec, compile_script(self.source, self.name), namespace)
+            except Exception:  # noqa: BLE001 - a restore must not raise
                 pass  # partial namespace; data entries still restore below
             namespace.update(real_api)
             self.namespace = namespace
@@ -427,39 +386,26 @@ class ScriptHost:
         if not self.running:
             return
         self.invocations += 1
-        started = time.perf_counter()
-        spans = self._spans
+        watchdog = self.watchdog
         try:
-            self.watchdog.guard(fn, *args)
-        except BaseException as exc:  # noqa: BLE001
+            watchdog.guard(fn, *args)
+        except Exception as exc:  # noqa: BLE001
             if isinstance(exc, ScriptTimeoutError):
                 self.context.node.kernel.metrics.counter("watchdog.hits").inc()
-                if spans.enabled:
-                    now = spans.now()
-                    self._h_watchdog.record(
-                        0,
-                        spans.active_parent,
-                        now,
-                        now,
-                        {
-                            "script": self.serial_key,
-                            "fn": getattr(fn, "__name__", repr(fn)),
-                            "budget_ms": self.watchdog.timeout_ms,
-                        },
-                    )
+                self._record(self._h_watchdog, fn, budget_ms=watchdog.timeout_ms)
             self.errors.append(exc)
         finally:
-            # Wall-clock duration: metrics only (see __init__ note).
-            self._m_call_ms.observe((time.perf_counter() - started) * 1000.0)
-            if spans.enabled:
-                now = spans.now()
-                self._h_call.record(
-                    0,
-                    spans.active_parent,
-                    now,
-                    now,
-                    {"script": self.serial_key, "fn": getattr(fn, "__name__", repr(fn))},
-                )
+            # Steps used: the per-script resource accounting of Section 6.
+            self._m_call_steps.observe(watchdog.budget - watchdog.left)
+            self._record(self._h_call, fn)
+
+    def _record(self, hop, fn: Callable, **attrs: Any) -> None:
+        """An instantaneous node-scoped span naming the script and function."""
+        spans = self._spans
+        if spans.enabled:
+            now = spans.now()
+            attrs = {"script": self.serial_key, "fn": getattr(fn, "__name__", repr(fn)), **attrs}
+            hop.record(0, spans.active_parent, now, now, attrs)
 
     # ------------------------------------------------------------------
     # API backends (called from the namespace built by repro.core.api)
@@ -531,7 +477,3 @@ class FreezeStore:
 
     def __len__(self) -> int:
         return len(self._data)
-
-
-def _exec_in(code, namespace: Dict[str, Any]) -> None:
-    exec(code, namespace)  # noqa: S102 - the sandbox is the namespace

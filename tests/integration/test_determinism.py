@@ -6,11 +6,16 @@ sneaky nondeterminism: process-global id counters, set iteration order,
 and shared RNG streams.
 """
 
+import itertools
+import time
+
 import pytest
 
 from repro.apps import localization
 from repro.chaos import report_json, run_scenario
 from repro.core.middleware import PogoSimulation
+from repro.core.scripting import ScriptFn
+from repro.scenarios import build_preset, run_scenario_spec
 from repro.sim import HOUR
 
 
@@ -78,3 +83,42 @@ def test_chaos_reports_differ_across_seeds():
     a = run_scenario("flaky-3g", seed=1, minutes=6.0, devices=2)
     b = run_scenario("flaky-3g", seed=2, minutes=6.0, devices=2)
     assert a["chaos"] != b["chaos"]
+
+
+def _stall_script_call(monkeypatch, nth):
+    """A 250 ms in-thread host stall inside the nth call into any script:
+    2.5x the paper's default budget, as a loaded CI host delivers them."""
+    calls = itertools.count(1)
+    original = ScriptFn.__call__
+
+    def stalled(self, *args):
+        if next(calls) == nth:
+            time.sleep(0.25)
+        return original(self, *args)
+
+    monkeypatch.setattr(ScriptFn, "__call__", stalled)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: report_json(run_scenario("flaky-3g", seed=7, devices=3, minutes=20)),
+        lambda: run_scenario_spec(build_preset("contact-tracing", scale=0.1)).report_json,
+    ],
+    ids=["chaos-flaky-3g", "scenario-contact-tracing"],
+)
+def test_host_stall_inside_a_script_call_changes_no_byte(monkeypatch, run):
+    """The script budget is a function of the script, not of the host's
+    clock: under the wall-clock watchdog the stalled call was killed,
+    published nothing, and the report came out with another hash.
+
+    In-process only: there is no seam to inject a stall into a spawned
+    worker, and the import gate in ``tests/unit/test_wall_clock_imports.py``
+    is what keeps a clock out of the code a worker runs."""
+    calm = run()
+    with monkeypatch.context() as patch:
+        calls = _stall_script_call(patch, nth=10)
+        stalled = run()
+    assert next(calls) > 10, "the stall was never reached"
+    assert stalled == calm

@@ -29,7 +29,6 @@ class FakeNode:
     def __init__(self):
         self.kernel = Kernel()
         self.jid = "fake@x"
-        self.watchdog_ms = 200.0
         self.scheduler = SimpleScheduler(self.kernel)
         self.freeze_store = FreezeStore()
         self.sent = []

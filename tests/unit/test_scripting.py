@@ -1,11 +1,16 @@
 """Unit tests for the script sandbox, API surface and watchdog."""
 
+import traceback
+
 import pytest
 
 from repro.core.api import API_METHOD_COUNT, api_method_names
 from repro.core.node import CollectorNode, DeviceNode
 from repro.core.multibroker import CollectorContext
+from repro.core.scheduler import PogoScheduler
 from repro.core.scripting import ScriptError, ScriptHost, ScriptTimeoutError, Watchdog
+from repro.device.cpu import Cpu, CpuConfig
+from repro.device.power import PowerRail
 from repro.net.xmpp import XmppServer
 from repro.sim import Kernel
 
@@ -191,6 +196,61 @@ def test_watchdog_kills_runaway_handler_but_script_survives():
     assert host.namespace["spin"][-1] == "ok"
 
 
+def test_watchdog_verdict_is_a_function_of_the_script():
+    """What no wall-clock watchdog could promise: the same runaway script
+    is stopped after exactly the same number of steps, every time."""
+
+    def spin_length():
+        kernel, _, context, host = make_host(
+            "spin = []\n"
+            "def handler(msg):\n"
+            "    while True:\n"
+            "        spin.append(1)\n"
+            "subscribe('ch', handler)\n",
+            watchdog_ms=50.0,
+        )
+        context.broker.publish("ch", "spin")
+        kernel.run_until(100.0)
+        assert host.watchdog.violations == 1
+        return len(host.namespace["spin"]), host.watchdog.budget
+
+    first, budget = spin_length()
+    second, _ = spin_length()
+    # One step is the handler's own entry; the rest are loop iterations.
+    assert first == second == budget - 1 == 99_999
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # Catching the timeout does not help: the next step raises again.
+        "while True:\n"
+        "        try:\n"
+        "            for _ in range(10):\n"
+        "                pass\n"
+        "        except Exception:\n"
+        "            pass\n",
+        # Exponential recursion through a lambda, only 40 frames deep.
+        "f = lambda n: n and f(n - 1) + f(n - 1)\n"
+        "    f(40)\n",
+        # Killed long before the list could reach a gigabyte.
+        "[x for x in range(10**9)]\n",
+        "sum(x for x in range(10**9))\n",
+    ],
+    ids=["try-except-in-loop", "lambda-recursion", "listcomp", "genexp"],
+)
+def test_watchdog_kills_every_way_a_script_can_repeat_itself(body):
+    kernel, _, context, host = make_host(
+        f"def handler(msg):\n    {body}subscribe('ch', handler)\n",
+        watchdog_ms=50.0,
+    )
+    context.broker.publish("ch", "go")
+    kernel.run_until(100.0)
+    assert [type(e) for e in host.errors] == [ScriptTimeoutError]
+    assert host.watchdog.violations == 1
+    assert kernel.metrics.counter("watchdog.hits").value == 1
+
+
 def test_watchdog_guard_passes_results_through():
     watchdog = Watchdog(timeout_ms=1000.0)
     assert watchdog.guard(lambda a, b: a + b, 1, 2) == 3
@@ -223,20 +283,21 @@ def test_watchdog_timeout_alias_is_public():
 def test_script_call_durations_land_in_per_script_histogram():
     kernel, _, context, host = make_host(
         "def handler(msg):\n"
-        "    pass\n"
+        "    for _ in range(msg):\n"
+        "        pass\n"
         "subscribe('ch', handler)\n"
     )
-    context.broker.publish("ch", 1)
-    context.broker.publish("ch", 2)
+    context.broker.publish("ch", 0)
+    context.broker.publish("ch", 10)
     kernel.run_until(50.0)
-    histogram = kernel.metrics.histogram("script.call_ms.exp/test")
-    # load() + two handler invocations, wall-clock durations observed.
-    assert histogram.count == host.invocations
-    assert histogram.count >= 2
-    assert histogram.max is not None and histogram.max >= 0.0
-    # Sim-time call spans exist too, but never carry wall-clock values.
+    histogram = kernel.metrics.histogram("script.call_steps.exp/test")
+    # One observation per guarded call, in steps: a handler whose loop
+    # never runs costs its own entry, ten iterations cost eleven.
+    assert histogram.count == host.invocations == 2
+    assert (histogram.min, histogram.max, histogram.total) == (1, 11, 12)
+    # Sim-time call spans exist too, and are instantaneous.
     calls = kernel.spans.spans(hop="script.call")
-    assert len(calls) >= 2
+    assert len(calls) == 2
     assert all(span.duration_ms == 0.0 for span in calls)
 
 
@@ -256,3 +317,78 @@ def test_syntax_error_fails_load():
     _, _, _, host = make_host("def broken(:\n", autoload=False)
     with pytest.raises((ScriptError, SyntaxError)):
         host.load()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "__pogo_meter__.left = 10**18",
+        "x = __pogo_meter__",
+        "__pogo_x = 1",
+        "print(math.__pogo_meter__)",
+        "def __pogo_f(): pass",
+        "def f(__pogo_arg): pass",
+        "class __pogo_C: pass",
+        "print(end=1, __pogo_kw=2)",
+        "def f():\n    global __pogo_meter__",
+        "def f():\n    x = 1\n    def g():\n        nonlocal __pogo_x",
+        "try:\n    pass\nexcept Exception as __pogo_e:\n    pass",
+    ],
+)
+def test_script_may_not_name_the_meter(line):
+    _, _, _, host = make_host(f"ok = 1\n{line}\n", autoload=False)
+    with pytest.raises(ScriptError, match=r"line [2-5]: '__pogo_\w+' is reserved"):
+        host.load()
+    assert not host.running and not host.loaded
+    # Rejected where it enters: not one statement of the script ran.
+    assert "ok" not in host.namespace
+
+
+def test_meter_is_runtime_plumbing_not_script_state():
+    _, _, _, host = make_host("count = 1\ntext = '__pogo_meter__ is just a string'\n")
+    assert host.namespace["__pogo_meter__"] is host.watchdog
+    assert set(host.__getstate__()["namespace"]) == {"count", "text"}
+
+
+def test_metered_script_traceback_keeps_original_line_numbers():
+    kernel, _, context, host = make_host(
+        "def handler(msg):\n"
+        "    'docstring'\n"
+        "    for i in range(3):\n"
+        "        total = [x for x in range(i)]\n"
+        "        if i == 2:\n"
+        "            return 1 / 0\n"  # line 6
+        "subscribe('ch', handler)\n"
+    )
+    context.broker.publish("ch", 1)
+    kernel.run_until(50.0)
+    (error,) = host.errors
+    assert isinstance(error, ZeroDivisionError)
+    frame = traceback.extract_tb(error.__traceback__)[-1]
+    assert (frame.filename, frame.name, frame.lineno) == ("<script test>", "handler", 6)
+
+
+@pytest.mark.parametrize("pogo", [False, True], ids=["SimpleScheduler", "PogoScheduler"])
+def test_keyboard_interrupt_is_not_a_script_error(pogo):
+    kernel, node, context, host = make_host(
+        "def handler(msg):\n"
+        "    publish('out', msg)\n"
+        "subscribe('ch', handler)\n"
+    )
+    if pogo:
+        node.scheduler = PogoScheduler(kernel, Cpu(kernel, PowerRail(kernel), CpuConfig()))
+    published = []
+
+    def interrupted_publish(channel, message):
+        published.append(message)
+        if len(published) == 2:
+            raise KeyboardInterrupt
+
+    host.api_publish = interrupted_publish
+    for message in (1, 2, 3):
+        context.broker.publish("ch", message)
+    with pytest.raises(KeyboardInterrupt):
+        kernel.run_until(100.0)
+    assert published == [1, 2]
+    assert node.scheduler.task_errors == 0
+    assert host.errors == []

@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.export import spans_to_jsonl
 from repro.apps import battery_monitor
+from repro.core.deployment import Experiment
 from repro.core.middleware import PogoSimulation
 from repro.core.shard import DeviceSpec, Shard, ShardSpec
 from repro.net.xmpp import RoutingError
@@ -77,6 +78,47 @@ class TestSnapshotRestore:
         assert clone.fleet_report_json() == shard.fleet_report_json()
         assert clone.kernel.spans.recorded == shard.kernel.spans.recorded > recorded
         assert spans_to_jsonl(clone.kernel.spans) == spans_to_jsonl(shard.kernel.spans)
+
+    def test_restore_re_executes_a_looping_script_under_a_full_budget(self):
+        """The restore re-exec is metered like any call: a top-level loop
+        must not die on a stubbed or empty meter and leave ``handle``
+        undefined in the restored namespace."""
+        looping = (
+            "squares = [n * n for n in range(50)]\n"
+            "for n in range(50):\n"
+            "    squares.append(-n)\n"
+            "seen = []\n"
+            "def handle(msg):\n"
+            "    for key in sorted(msg):\n"
+            "        seen.append(key)\n"
+            "    publish('digest', {'n': len(seen)})\n"
+            "subscribe('battery', handle, {'interval': 60000})\n"
+        )
+        experiment = Experiment(
+            experiment_id="looping",
+            device_scripts={"loop": looping},
+            collector_scripts={"collect": "subscribe('digest', lambda m: log(json(m)))\n"},
+        )
+        shard = Shard(_spec())
+        collector = shard.collectors["lab@pogo"]
+        shard.start()
+        shard.assign(collector, list(shard.devices.values()))
+        collector.node.deploy(experiment, sorted(shard.devices))
+        shard.run(minutes=7)
+        for device in shard.devices.values():
+            # As if the last call before the snapshot had used every step.
+            device.node.contexts["looping"].scripts["loop"].watchdog.left = 0
+        clone = Shard.restore(shard.snapshot())
+        for side in (shard, clone):
+            for device in side.devices.values():
+                host = device.node.contexts["looping"].scripts["loop"]
+                assert callable(host.namespace["handle"]) and not host.errors
+                assert len(host.namespace["squares"]) == 100 and host.namespace["seen"]
+        shard.run(minutes=13)
+        clone.run(minutes=13)
+        assert clone.fleet_report_json() == shard.fleet_report_json()
+        assert spans_to_jsonl(clone.kernel.spans) == spans_to_jsonl(shard.kernel.spans)
+        assert shard.kernel.spans.spans(hop="script.call")
 
     def test_restore_rejects_non_shard_blobs(self):
         with pytest.raises(TypeError):
