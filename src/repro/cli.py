@@ -169,6 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "top", help="live fleet progress view (refreshed at each barrier)"
     )
     _add_fleet_args(top)
+    # ``top`` is ``fleet --live`` with no telemetry export.
+    top.set_defaults(live=True, telemetry=None, prom=None)
 
     return parser
 
@@ -678,6 +680,8 @@ def _evicted_line(metrics) -> Optional[str]:
 
 
 def cmd_fleet(args) -> int:
+    """``fleet``, and ``top``: the same run with the live view on and
+    only the health verdict printed."""
     from .fleet import run_fleet
 
     live = None
@@ -701,6 +705,16 @@ def cmd_fleet(args) -> int:
     )
     if result is None:
         return 1
+    if args.command == "top":
+        from .obs.timeline import render_health
+
+        print(
+            f"{result.devices} devices / {result.shards} shard(s): "
+            f"{result.events:,} events, {result.barriers:,} barriers, "
+            f"{result.handoffs:,} handoffs in {result.wall_s:.2f} s wall"
+        )
+        print(render_health(result.health))
+        return 0
     from .analysis.export import write_text
 
     if args.telemetry:
@@ -762,36 +776,6 @@ def cmd_fleet(args) -> int:
     return 0
 
 
-def cmd_top(args) -> int:
-    """Run a fleet with the live view attached; print health at the end."""
-    from .fleet import run_fleet
-    from .obs.live import LiveView
-    from .obs.timeline import render_health
-    from .sim.kernel import HOUR
-
-    live = LiveView(args.hours * HOUR, args.devices, args.shards)
-    result = _fleet_call(
-        "fleet", live, run_fleet,
-        args.devices,
-        args.shards,
-        seed=args.seed,
-        hours=args.hours,
-        epoch_ms=args.epoch_ms,
-        latency_ms=args.latency_ms,
-        processes=not args.in_process,
-        observer=live,
-    )
-    if result is None:
-        return 1
-    print(
-        f"{result.devices} devices / {result.shards} shard(s): "
-        f"{result.events:,} events, {result.barriers:,} barriers, "
-        f"{result.handoffs:,} handoffs in {result.wall_s:.2f} s wall"
-    )
-    print(render_health(result.health))
-    return 0
-
-
 _COMMANDS = {
     "quickstart": cmd_quickstart,
     "localization": cmd_localization,
@@ -806,7 +790,7 @@ _COMMANDS = {
     "chaos": cmd_chaos,
     "scenarios": cmd_scenarios,
     "fleet": cmd_fleet,
-    "top": cmd_top,
+    "top": cmd_fleet,
 }
 
 

@@ -16,7 +16,7 @@ from .buffer import (
     MessageStore,
     SqliteStore,
 )
-from .context import LINK_OWNER, DeviceContext
+from .context import LINK_OWNER, Context, DeviceContext
 from .deployment import Experiment
 from .envelope import (
     Envelope,
@@ -36,9 +36,9 @@ from .messages import (
     validate_message,
 )
 from .multibroker import CollectorContext, DeviceLink
-from .node import CollectorNode, DeviceNode
+from .node import CollectorNode, DeviceNode, Node
 from .privacy import PrivacySettings
-from .scheduler import PogoScheduler, ScheduledTask, SimpleScheduler
+from .scheduler import PogoScheduler, ScheduledTask
 from .scripting import (
     DEFAULT_WATCHDOG_MS,
     FreezeStore,
@@ -75,6 +75,7 @@ __all__ = [
     "MessageStore",
     "SqliteStore",
     "LINK_OWNER",
+    "Context",
     "DeviceContext",
     "Experiment",
     "Envelope",
@@ -94,10 +95,10 @@ __all__ = [
     "DeviceLink",
     "CollectorNode",
     "DeviceNode",
+    "Node",
     "PrivacySettings",
     "PogoScheduler",
     "ScheduledTask",
-    "SimpleScheduler",
     "DEFAULT_WATCHDOG_MS",
     "FreezeStore",
     "ScriptError",

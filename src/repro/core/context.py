@@ -1,4 +1,4 @@
-"""Device-side experiment contexts.
+"""Experiment contexts: the core both ends run, and the device side.
 
 Section 4.2: "Scripts belonging to a certain experiment run inside a
 so-called *context*, which acts as a sandbox; scripts can only
@@ -8,10 +8,13 @@ it ... The brokers on either end synchronize with each other so that the
 publish-subscribe mechanism works seamlessly across the network
 boundary."
 
-A :class:`DeviceContext` therefore owns:
+Every :class:`Context` therefore owns a broker (local scripts, and on a
+phone sensor deliveries), the deployed scripts of one experiment, and
+the mirroring of local script subscriptions to its peers — the one
+collector on a phone, the attached devices on a collector
+(:class:`~repro.core.multibroker.CollectorContext`).  A
+:class:`DeviceContext` adds:
 
-* a broker (local scripts + sensor deliveries);
-* the deployed scripts of one experiment;
 * the synchronized view of the collector's subscriptions (*remote
   proxies*): real :class:`~repro.core.broker.Subscription` objects with a
   link owner tag and a no-op handler.  They exist so sensors see remote
@@ -22,7 +25,7 @@ A :class:`DeviceContext` therefore owns:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict
 
 from .broker import Broker, Subscription
 from .deployment import (
@@ -45,19 +48,22 @@ def _noop(_message: Any) -> None:
     """Handler for proxy subscriptions; forwarding happens out of band."""
 
 
-class DeviceContext:
-    """One experiment's sandbox on a device node."""
+class Context:
+    """One experiment's sandbox, as it runs at both ends (Section 4.2).
+
+    A subclass names its peers (``_peers``), the hop its incoming
+    deliveries end at (``DELIVER_HOP``), and what publishing and remote
+    delivery mean on its side.
+    """
 
     __slots__ = (
-        "node", "experiment_id", "collector_jid", "broker", "_spans", "_h_publish",
-        "_h_deliver", "scripts", "remote_subs", "_remote_params", "_watching",
-        "_watch_listener", "forwarded_pubs",
+        "node", "experiment_id", "broker", "_spans", "_h_publish", "_h_deliver",
+        "scripts", "_watch_listener",
     )
 
-    def __init__(self, node, experiment_id: str, collector_jid: str) -> None:
+    def __init__(self, node, experiment_id: str) -> None:
         self.node = node
         self.experiment_id = experiment_id
-        self.collector_jid = collector_jid
         self.broker = Broker(
             name=f"{experiment_id}@{node.jid}",
             metrics=node.kernel.metrics,
@@ -66,17 +72,10 @@ class DeviceContext:
         spans = node.kernel.spans
         self._spans = spans
         self._h_publish = spans.hop("publish")
-        self._h_deliver = spans.hop("deliver.device")
+        self._h_deliver = spans.hop(self.DELIVER_HOP)
         self.scripts: Dict[str, ScriptHost] = {}
-        #: remote subscription id (collector side) -> proxy Subscription.
-        self.remote_subs: Dict[int, Subscription] = {}
-        self._remote_params: Dict[int, dict] = {}
-        #: Local script subscriptions are mirrored to the collector; map
-        #: local Subscription.id -> True once announced.
-        self._watching = False
         self._watch_listener = self._on_local_sub_change
         self.broker.watch_all(self._watch_listener)
-        self.forwarded_pubs = 0
 
     # ------------------------------------------------------------------
     # Scripts
@@ -92,16 +91,104 @@ class DeviceContext:
         host.load()
         return host
 
+    def stop_all_scripts(self) -> None:
+        for host in self.scripts.values():
+            host.stop()
+
+    # ------------------------------------------------------------------
+    # Publishing and delivery
+    # ------------------------------------------------------------------
+    def _root_span(self, envelope: Envelope, channel: str, source: str) -> None:
+        """Open the message's trace at its first traced publish."""
+        if not self._spans.enabled or envelope.trace_id:
+            return
+        now = self._spans.now()
+        envelope.origin_ms = now
+        envelope.hop_span = self._h_publish.record(
+            self._spans.tag(envelope),
+            0,
+            now,
+            now,
+            {"channel": channel, "source": source, "node": self.node.jid},
+        )
+
+    def _deliver_local(self, channel: str, payload: Any) -> int:
+        """Hand a payload that arrived over the link to the local scripts
+        (never back to the remote proxies)."""
+        delivered = 0
+        for sub in list(self.broker.subscriptions(channel)):
+            if sub.owner == LINK_OWNER:
+                continue
+            sub.delivery_count += 1
+            delivered += 1
+            sub.handler(payload)
+        return delivered
+
+    # ------------------------------------------------------------------
+    # Local subscription mirroring (this side -> its peers)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _is_local_plumbing(sub: Subscription) -> bool:
+        """Node-local subscriptions (instrumentation, services) are never
+        mirrored to a peer."""
+        return bool(sub.owner and (sub.owner.startswith("local:") or sub.owner.startswith("service:")))
+
+    def _on_local_sub_change(self, channel: str, sub: Subscription, change: str) -> None:
+        if sub.owner == LINK_OWNER or self._is_local_plumbing(sub):
+            return
+        for peer_jid in self._peers():
+            if change == "added":
+                payload = sub_add_op(self.experiment_id, sub.id, channel, sub.parameters)
+            elif change == "released":
+                payload = sub_change_op(OP_SUB_RELEASE, self.experiment_id, sub.id)
+            elif change == "renewed":
+                payload = sub_change_op(OP_SUB_RENEW, self.experiment_id, sub.id)
+            else:
+                payload = sub_change_op(OP_SUB_REMOVE, self.experiment_id, sub.id)
+            self.node.send_to(peer_jid, payload)
+
+    def sync_subscriptions_to(self, peer_jid: str) -> None:
+        """(Re-)announce every live local subscription to one peer."""
+        for sub in self.broker.all_subscriptions():
+            if sub.owner == LINK_OWNER or sub.removed or self._is_local_plumbing(sub):
+                continue
+            self.node.send_to(
+                peer_jid,
+                sub_add_op(self.experiment_id, sub.id, sub.channel, sub.parameters),
+            )
+            if not sub.active:
+                self.node.send_to(
+                    peer_jid,
+                    sub_change_op(OP_SUB_RELEASE, self.experiment_id, sub.id),
+                )
+
+
+class DeviceContext(Context):
+    """One experiment's sandbox on a device node."""
+
+    __slots__ = ("collector_jid", "remote_subs", "forwarded_pubs")
+
+    DELIVER_HOP = "deliver.device"
+
+    def __init__(self, node, experiment_id: str, collector_jid: str) -> None:
+        super().__init__(node, experiment_id)
+        self.collector_jid = collector_jid
+        #: remote subscription id (collector side) -> proxy Subscription.
+        self.remote_subs: Dict[int, Subscription] = {}
+        self.forwarded_pubs = 0
+
+    def _peers(self):
+        return (self.collector_jid,)
+
+    # ------------------------------------------------------------------
+    # Scripts
+    # ------------------------------------------------------------------
     def undeploy_script(self, name: str) -> bool:
         host = self.scripts.pop(name, None)
         if host is None:
             return False
         host.stop()
         return True
-
-    def stop_all_scripts(self) -> None:
-        for host in self.scripts.values():
-            host.stop()
 
     def reload_all_scripts(self) -> None:
         """After a reboot: scripts restart from source; thaw() recovers
@@ -131,20 +218,6 @@ class DeviceContext:
         self._forward_if_remote_interest(channel, envelope)
         return delivered
 
-    def _root_span(self, envelope: Envelope, channel: str, source: str) -> None:
-        """Open the message's trace at its first traced publish."""
-        if not self._spans.enabled or envelope.trace_id:
-            return
-        now = self._spans.now()
-        envelope.origin_ms = now
-        envelope.hop_span = self._h_publish.record(
-            self._spans.tag(envelope),
-            0,
-            now,
-            now,
-            {"channel": channel, "source": source, "node": self.node.jid},
-        )
-
     def _forward_if_remote_interest(self, channel: str, envelope: Envelope) -> None:
         if any(
             sub.owner == LINK_OWNER and sub.active
@@ -160,14 +233,7 @@ class DeviceContext:
     def deliver_remote(self, channel: str, message: Any) -> int:
         """Deliver a pub that arrived from the collector to local scripts."""
         envelope = Envelope.wrap(message)
-        payload = envelope.payload
-        delivered = 0
-        for sub in list(self.broker.subscriptions(channel)):
-            if sub.owner == LINK_OWNER:
-                continue
-            sub.delivery_count += 1
-            delivered += 1
-            sub.handler(payload)
+        delivered = self._deliver_local(channel, envelope.payload)
         if envelope.trace_id and self._spans.enabled:
             # End-to-end terminus: span covers origin publish -> delivery.
             self._h_deliver.record(
@@ -214,43 +280,6 @@ class DeviceContext:
         for proxy in list(self.remote_subs.values()):
             proxy.remove()
         self.remote_subs.clear()
-
-    # ------------------------------------------------------------------
-    # Local subscription mirroring (device -> collector)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _is_local_plumbing(sub: Subscription) -> bool:
-        """Node-local subscriptions (instrumentation, services) are never
-        mirrored to the collector."""
-        return bool(sub.owner and (sub.owner.startswith("local:") or sub.owner.startswith("service:")))
-
-    def _on_local_sub_change(self, channel: str, sub: Subscription, change: str) -> None:
-        if sub.owner == LINK_OWNER or self._is_local_plumbing(sub):
-            return
-        if change == "added":
-            payload = sub_add_op(self.experiment_id, sub.id, channel, sub.parameters)
-        elif change == "released":
-            payload = sub_change_op(OP_SUB_RELEASE, self.experiment_id, sub.id)
-        elif change == "renewed":
-            payload = sub_change_op(OP_SUB_RENEW, self.experiment_id, sub.id)
-        else:
-            payload = sub_change_op(OP_SUB_REMOVE, self.experiment_id, sub.id)
-        self.node.send_to(self.collector_jid, payload)
-
-    def announce_local_subs(self) -> None:
-        """Re-announce every live local subscription (after reconnect)."""
-        for sub in self.broker.all_subscriptions():
-            if sub.owner == LINK_OWNER or sub.removed or self._is_local_plumbing(sub):
-                continue
-            self.node.send_to(
-                self.collector_jid,
-                sub_add_op(self.experiment_id, sub.id, sub.channel, sub.parameters),
-            )
-            if not sub.active:
-                self.node.send_to(
-                    self.collector_jid,
-                    sub_change_op(OP_SUB_RELEASE, self.experiment_id, sub.id),
-                )
 
     def teardown(self) -> None:
         self.stop_all_scripts()

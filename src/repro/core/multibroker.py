@@ -4,9 +4,10 @@ Section 4.2: "Since contexts on collector nodes can have more than one
 remote context associated with them, a *multi broker* is used to make the
 communication fan out over the different devices."
 
-A :class:`CollectorContext` owns the collector's scripts (e.g.
-``collect``), a local broker, and one :class:`DeviceLink` per assigned
-device.  Fan-out rules:
+A :class:`CollectorContext` is a :class:`~repro.core.context.Context`
+— the collector's scripts (e.g. ``collect``), a local broker, local
+subscriptions mirrored to its peers — whose peers are one
+:class:`DeviceLink` per assigned device.  Fan-out rules:
 
 * a collector script's ``subscribe()`` is announced to **every** device
   (and to devices attached later);
@@ -19,10 +20,9 @@ device.  Fan-out rules:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
-from .broker import Broker, Subscription
-from .context import LINK_OWNER
+from .context import Context
 from .deployment import (
     OP_SUB_ADD,
     OP_SUB_RELEASE,
@@ -31,8 +31,6 @@ from .deployment import (
     attach_op,
     deploy_op,
     pub_op,
-    sub_add_op,
-    sub_change_op,
     teardown_op,
     undeploy_op,
 )
@@ -99,40 +97,19 @@ class DeviceLink:
         self._active_count.clear()
 
 
-class CollectorContext:
+class CollectorContext(Context):
     """One experiment's context on the collector node."""
 
+    DELIVER_HOP = "deliver.collector"
+
     def __init__(self, node, experiment_id: str) -> None:
-        self.node = node
-        self.experiment_id = experiment_id
-        self.broker = Broker(
-            name=f"{experiment_id}@{node.jid}",
-            metrics=node.kernel.metrics,
-            spans=node.kernel.spans,
-        )
-        spans = node.kernel.spans
-        self._spans = spans
-        self._h_publish = spans.hop("publish")
-        self._h_deliver = spans.hop("deliver.collector")
-        self.scripts: Dict[str, ScriptHost] = {}
+        super().__init__(node, experiment_id)
         self.links: Dict[str, DeviceLink] = {}
         self.device_scripts: Dict[str, str] = {}
-        self._watch_listener = self._on_local_sub_change
-        self.broker.watch_all(self._watch_listener)
         self.received_pubs = 0
 
-    # ------------------------------------------------------------------
-    # Scripts (collector side)
-    # ------------------------------------------------------------------
-    def deploy_script(self, name: str, source: str) -> ScriptHost:
-        existing = self.scripts.get(name)
-        if existing is not None:
-            existing.update(source)
-            return existing
-        host = ScriptHost(self, name, source)
-        self.scripts[name] = host
-        host.load()
-        return host
+    def _peers(self):
+        return self.links
 
     # ------------------------------------------------------------------
     # Device management (the fan-out set)
@@ -165,48 +142,14 @@ class CollectorContext:
         for device_jid in self.links:
             self.node.send_to(device_jid, undeploy_op(self.experiment_id, name))
 
-    @staticmethod
-    def _is_local_plumbing(sub: Subscription) -> bool:
-        """Service/instrumentation subscriptions stay local (never synced)."""
-        return bool(
-            sub.owner
-            and (sub.owner.startswith("service:") or sub.owner.startswith("local:"))
-        )
-
-    def sync_subscriptions_to(self, device_jid: str) -> None:
-        """(Re-)announce local script subscriptions to one device."""
-        for sub in self.broker.all_subscriptions():
-            if sub.owner == LINK_OWNER or sub.removed or self._is_local_plumbing(sub):
-                continue
-            self.node.send_to(
-                device_jid,
-                sub_add_op(self.experiment_id, sub.id, sub.channel, sub.parameters),
-            )
-            if not sub.active:
-                self.node.send_to(
-                    device_jid,
-                    sub_change_op(OP_SUB_RELEASE, self.experiment_id, sub.id),
-                )
-
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
     def publish_from_script(self, script: ScriptHost, channel: str, message: Any) -> None:
         envelope = Envelope.wrap(message)
-        if self._spans.enabled and not envelope.trace_id:
-            now = self._spans.now()
-            envelope.origin_ms = now
-            envelope.hop_span = self._h_publish.record(
-                self._spans.tag(envelope),
-                0,
-                now,
-                now,
-                {
-                    "channel": channel,
-                    "source": script.name if script is not None else "collector",
-                    "node": self.node.jid,
-                },
-            )
+        self._root_span(
+            envelope, channel, script.name if script is not None else "collector"
+        )
         self.broker.publish(channel, envelope)
         for device_jid, link in self.links.items():
             if link.interested_in(channel):
@@ -238,14 +181,7 @@ class CollectorContext:
             tagged = dict(payload)
             tagged["_device"] = device_jid
             payload = FrozenDict(tagged)
-        delivered = 0
-        for sub in list(self.broker.subscriptions(channel)):
-            if sub.owner == LINK_OWNER:
-                continue
-            sub.delivery_count += 1
-            delivered += 1
-            sub.handler(payload)
-        return delivered
+        return self._deliver_local(channel, payload)
 
     # ------------------------------------------------------------------
     # Subscription ops from devices
@@ -261,23 +197,8 @@ class CollectorContext:
             link.reset()
 
     # ------------------------------------------------------------------
-    def _on_local_sub_change(self, channel: str, sub: Subscription, change: str) -> None:
-        if sub.owner == LINK_OWNER or self._is_local_plumbing(sub):
-            return
-        for device_jid in self.links:
-            if change == "added":
-                payload = sub_add_op(self.experiment_id, sub.id, channel, sub.parameters)
-            elif change == "released":
-                payload = sub_change_op(OP_SUB_RELEASE, self.experiment_id, sub.id)
-            elif change == "renewed":
-                payload = sub_change_op(OP_SUB_RENEW, self.experiment_id, sub.id)
-            else:
-                payload = sub_change_op(OP_SUB_REMOVE, self.experiment_id, sub.id)
-            self.node.send_to(device_jid, payload)
-
     def teardown(self) -> None:
-        for host in self.scripts.values():
-            host.stop()
+        self.stop_all_scripts()
         for device_jid in list(self.links):
             self.detach_device(device_jid)
         self.broker.unwatch_all(self._watch_listener)

@@ -5,11 +5,16 @@ middleware; the only functional difference between them is that
 researcher nodes are operating in *collector* mode, which gives them the
 ability to deploy scripts."
 
-:class:`DeviceNode` composes everything that runs on a phone —
-scheduler, transport, contexts, sensor manager, the outgoing buffer with
-its 24-hour expiry, and the tail-synchronization policy.
-:class:`CollectorNode` is the researcher's PC: wired transport, collector
-contexts (multi brokers), experiment deployment.
+:class:`Node` is that same middleware: a scheduler over the machine's
+CPU, a transport, a freeze store, the experiment contexts, and one
+reliable link per peer with its send path and batch unwrapping.
+:class:`DeviceNode` adds what a phone needs on top — the sensor manager,
+the outgoing buffer with its 24-hour expiry, the tail-synchronization
+policy, the energy ledger, and surviving a reboot.
+:class:`CollectorNode` adds collector mode on a researcher's PC:
+experiment deployment, collector-side services, immediate sends and
+acknowledgements (it is wired), and a subscription re-sync whenever a
+device comes online.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from functools import partial
 from typing import Any, Dict, List, Optional
 
 from ..net.acks import ReliableLink
-from ..net.transport import DeviceTransport, TransportError, WiredTransport
+from ..device.cpu import MainsCpu
+from ..net.transport import SEND_ERRORS, DeviceTransport, WiredTransport
 from ..net.xmpp import XmppServer
 from ..sim.kernel import MINUTE, Kernel
 from ..sim.spans import EnergyLedger
@@ -43,7 +49,7 @@ from .deployment import (
 )
 from .multibroker import CollectorContext
 from .privacy import PrivacySettings
-from .scheduler import PogoScheduler, SimpleScheduler
+from .scheduler import PogoScheduler
 from .scripting import FreezeStore
 from .sensor_manager import SensorManager
 from .tailsync import SynchronizedPolicy, TailDetector, TransmissionPolicy
@@ -51,16 +57,78 @@ from .tailsync import SynchronizedPolicy, TailDetector, TransmissionPolicy
 _SUB_OPS = (OP_SUB_ADD, OP_SUB_RELEASE, OP_SUB_RENEW, OP_SUB_REMOVE)
 
 
-class DeviceNode:
+class Node:
+    """The Pogo middleware as it runs at both ends (Section 4.2).
+
+    A subclass is a mode.  It says when a payload leaves (``send_to``),
+    when an owed acknowledgement leaves (``_ack_owed``), and what an
+    arriving stanza or op means on this side (``_on_stanza``,
+    ``_handle_op``).
+    """
+
+    __slots__ = (
+        "kernel", "jid", "scheduler", "transport", "freeze_store", "contexts",
+        "links", "started", "on_link_created",
+    )
+
+    def __init__(self, kernel: Kernel, jid: str, cpu, transport) -> None:
+        self.kernel = kernel
+        self.jid = jid
+        self.scheduler = PogoScheduler(kernel, cpu, name=f"{jid}.scheduler")
+        self.transport = transport
+        self.freeze_store = FreezeStore()
+        self.contexts: Dict[str, Any] = {}
+        self.links: Dict[str, ReliableLink] = {}
+        self.started = False
+        #: Called with each lazily created ReliableLink (the chaos
+        #: invariant monitor attaches its protocol witness here).
+        self.on_link_created: List = []
+        transport.on_stanza.append(self._on_stanza)
+
+    def link_for(self, peer_jid: str) -> ReliableLink:
+        link = self.links.get(peer_jid)
+        if link is None:
+            link = ReliableLink(
+                self.kernel,
+                peer_jid,
+                send_raw=partial(self._raw_send, peer_jid),
+                deliver=partial(self._handle_payload, peer_jid),
+                request_ack_send=partial(self._ack_owed, peer_jid),
+            )
+            self.links[peer_jid] = link
+            for listener in list(self.on_link_created):
+                listener(link)
+        return link
+
+    def _raw_send(self, peer_jid: str, stanza: dict) -> None:
+        try:
+            self.transport.send(peer_jid, stanza)
+        except SEND_ERRORS:
+            # The reliable layer keeps the envelope; it will be resent.
+            pass
+
+    def _send_ack(self, link: ReliableLink) -> None:
+        ack = link.make_ack()
+        if ack is not None:
+            self._raw_send(link.peer, ack)
+
+    def _handle_payload(self, from_jid: str, payload: Dict[str, Any]) -> None:
+        op = payload.get("op")
+        if op == OP_BATCH:
+            for item in payload.get("items", []):
+                self._handle_payload(from_jid, item)
+            return
+        self._handle_op(from_jid, op, payload)
+
+
+class DeviceNode(Node):
     """The Pogo middleware on one phone."""
 
     __slots__ = (
-        "kernel", "phone", "jid", "scheduler", "transport", "buffer",
-        "detector", "policy", "freeze_store", "privacy", "sensor_manager", "contexts",
-        "links", "started", "_suspended", "on_context_added", "on_link_created",
-        "flush_count", "flush_reasons", "batches_sent", "payloads_sent", "_m_flushes",
-        "_m_batches", "_m_payloads", "_m_batch_size", "_spans", "_h_flush", "energy",
-        "deploy_errors",
+        "phone", "buffer", "detector", "policy", "privacy", "sensor_manager",
+        "_suspended", "on_context_added", "flush_count", "flush_reasons",
+        "batches_sent", "payloads_sent", "_m_flushes", "_m_batches", "_m_payloads",
+        "_m_batch_size", "_spans", "_h_flush", "energy", "deploy_errors",
     )
 
     def __init__(
@@ -75,30 +143,20 @@ class DeviceNode:
         poll_interval_ms: float = 1000.0,
         privacy: Optional[PrivacySettings] = None,
     ) -> None:
-        self.kernel = kernel
+        super().__init__(
+            kernel, jid, phone.cpu, DeviceTransport(kernel, server, jid, phone)
+        )
         self.phone = phone
-        self.jid = jid
-
-        self.scheduler = PogoScheduler(kernel, phone.cpu, name=f"{jid}.scheduler")
-        self.transport = DeviceTransport(kernel, server, jid, phone)
         self.buffer = MessageBuffer(kernel, store, max_age_ms)
         self.detector = TailDetector(phone, poll_interval_ms)
         self.policy = policy if policy is not None else SynchronizedPolicy(self.detector)
-        self.freeze_store = FreezeStore()
         self.privacy = privacy or PrivacySettings()
         self.sensor_manager = SensorManager(self, self.privacy)
 
-        self.contexts: Dict[str, DeviceContext] = {}
-        self.links: Dict[str, ReliableLink] = {}
-
-        self.started = False
         self._suspended = False
         #: Called with each newly created DeviceContext (instrumentation,
         #: e.g. the deployment study's SD-card scan logger).
         self.on_context_added: List = []
-        #: Called with each lazily created ReliableLink (the chaos
-        #: invariant monitor attaches its protocol witness here).
-        self.on_link_created: List = []
         self.flush_count = 0
         self.flush_reasons: Counter = Counter()
         self.batches_sent = 0
@@ -116,7 +174,6 @@ class DeviceNode:
         #: failed to load — surfaced, never propagated.
         self.deploy_errors: List = []
 
-        self.transport.on_stanza.append(self._on_stanza)
         self.transport.on_connected.append(self._on_connected)
         phone.on_shutdown.append(self._suspend)
         phone.on_boot.append(self._resume)
@@ -281,39 +338,17 @@ class DeviceNode:
                 sent_payloads += len(items)
             for link in self.links.values():
                 link.resend_unacked(max_age_ms=self.buffer.max_age_ms)
-                ack = link.make_ack()
-                if ack is not None:
-                    self._raw_send(link.peer, ack)
+                self._send_ack(link)
         finally:
             spans.active_parent = previous_parent
         self.energy.settle_flush()
         self.payloads_sent += sent_payloads
         return sent_payloads
 
-    def link_for(self, peer_jid: str) -> ReliableLink:
-        link = self.links.get(peer_jid)
-        if link is None:
-            link = ReliableLink(
-                self.kernel,
-                peer_jid,
-                send_raw=partial(self._raw_send, peer_jid),
-                deliver=partial(self._handle_payload, peer_jid),
-                # Device acks piggyback on the next flush; incoming data
-                # itself triggers the tail detector, so the flush follows
-                # within about a second of the push.
-                request_ack_send=None,
-            )
-            self.links[peer_jid] = link
-            for listener in list(self.on_link_created):
-                listener(link)
-        return link
-
-    def _raw_send(self, peer_jid: str, stanza: dict) -> None:
-        try:
-            self.transport.send(peer_jid, stanza)
-        except (TransportError, Exception):
-            # The reliable layer keeps the envelope; it will be resent.
-            pass
+    def _ack_owed(self, peer_jid: str) -> None:
+        """Acks piggyback on the next flush; incoming data itself triggers
+        the tail detector, so the flush follows within about a second of
+        the push."""
 
     # ------------------------------------------------------------------
     # Incoming path
@@ -331,12 +366,7 @@ class DeviceNode:
             return  # devices do not act on collector presence
         self.link_for(from_jid).on_raw(stanza)
 
-    def _handle_payload(self, from_jid: str, payload: Dict[str, Any]) -> None:
-        op = payload.get("op")
-        if op == OP_BATCH:
-            for item in payload.get("items", []):
-                self._handle_payload(from_jid, item)
-            return
+    def _handle_op(self, from_jid: str, op: Optional[str], payload: Dict[str, Any]) -> None:
         experiment_id = payload.get("ctx", "")
         if op in (OP_ATTACH, OP_DEPLOY):
             context = self.contexts.get(experiment_id)
@@ -369,7 +399,7 @@ class DeviceNode:
         # Unknown ops are ignored (forward compatibility).
 
 
-class CollectorNode:
+class CollectorNode(Node):
     """The Pogo middleware in collector mode (a researcher's PC)."""
 
     def __init__(
@@ -379,22 +409,13 @@ class CollectorNode:
         jid: str,
         resend_interval_ms: float = 5 * MINUTE,
     ) -> None:
-        self.kernel = kernel
-        self.jid = jid
-        self.scheduler = SimpleScheduler(kernel, name=f"{jid}.scheduler")
-        self.transport = WiredTransport(kernel, server, jid)
-        self.freeze_store = FreezeStore()
-        self.contexts: Dict[str, CollectorContext] = {}
-        self.links: Dict[str, ReliableLink] = {}
+        super().__init__(
+            kernel, jid, MainsCpu(kernel), WiredTransport(kernel, server, jid)
+        )
         self.resend_interval_ms = resend_interval_ms
-        self.started = False
         #: Collector-side services (e.g. the geolocation bridge); attached
         #: to every context created by :meth:`deploy`.
         self.services: List[object] = []
-        #: Called with each lazily created ReliableLink (chaos monitor).
-        self.on_link_created: List = []
-
-        self.transport.on_stanza.append(self._on_stanza)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -442,34 +463,9 @@ class CollectorNode:
         """Collectors are wired: payloads go out immediately."""
         self.link_for(peer_jid).send(payload)
 
-    def link_for(self, peer_jid: str) -> ReliableLink:
-        link = self.links.get(peer_jid)
-        if link is None:
-            link = ReliableLink(
-                self.kernel,
-                peer_jid,
-                send_raw=partial(self._raw_send, peer_jid),
-                deliver=partial(self._handle_payload, peer_jid),
-                request_ack_send=partial(self._send_ack, peer_jid),
-            )
-            self.links[peer_jid] = link
-            for listener in list(self.on_link_created):
-                listener(link)
-        return link
-
-    def _raw_send(self, peer_jid: str, stanza: dict) -> None:
-        try:
-            self.transport.send(peer_jid, stanza)
-        except TransportError:
-            pass
-
-    def _send_ack(self, peer_jid: str) -> None:
-        link = self.links.get(peer_jid)
-        if link is None:
-            return
-        ack = link.make_ack()
-        if ack is not None:
-            self._raw_send(peer_jid, ack)
+    def _ack_owed(self, peer_jid: str) -> None:
+        """...and so do acknowledgements."""
+        self._send_ack(self.links[peer_jid])
 
     # ------------------------------------------------------------------
     def _on_stanza(self, from_jid: str, stanza: dict) -> None:
@@ -483,12 +479,7 @@ class CollectorNode:
             return
         self.link_for(from_jid).on_raw(stanza)
 
-    def _handle_payload(self, from_jid: str, payload: Dict[str, Any]) -> None:
-        op = payload.get("op")
-        if op == OP_BATCH:
-            for item in payload.get("items", []):
-                self._handle_payload(from_jid, item)
-            return
+    def _handle_op(self, from_jid: str, op: Optional[str], payload: Dict[str, Any]) -> None:
         experiment_id = payload.get("ctx", "")
         context = self.contexts.get(experiment_id)
         if op == OP_SUB_RESET:

@@ -8,8 +8,11 @@ to sleep."
 
 The simulation analogue: tasks run as kernel events with a Pogo wake lock
 held across each execution, and delayed tasks use CPU alarms so the
-device can sleep in between.  Two semantics from the paper are enforced
-on top:
+device can sleep in between.  The scheduler is *about* the CPU, so the
+CPU is what differs between a phone and a researcher's PC: a collector
+node runs this same class over a :class:`~repro.device.cpu.MainsCpu`,
+whose wake locks hold nothing and whose alarms are plain kernel timers.
+Two semantics from the paper are enforced on top:
 
 * **Per-key serialization.**  "the threads are synchronized so that only
   a single thread will run code from a given script at any time" — tasks
@@ -22,10 +25,10 @@ on top:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
-from ..sim.kernel import Kernel
-from ..device.cpu import Alarm, Cpu
+from ..sim.kernel import EventHandle, Kernel
+from ..device.cpu import Alarm, Cpu, MainsCpu
 
 #: The wake-lock tag Pogo holds while running tasks.
 WAKE_LOCK_TAG = "pogo-scheduler"
@@ -39,7 +42,9 @@ class ScheduledTask:
     def __init__(self) -> None:
         self.cancelled = False
         self.fired = False
-        self._alarm: Optional[Alarm] = None
+        #: A phone's :class:`Alarm`, or the kernel timer a mains CPU
+        #: hands out; both have ``cancel()``.
+        self._alarm: Union[Alarm, EventHandle, None] = None
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -53,9 +58,10 @@ class _TaskFire:
 
     A nested ``fire()`` closure would work identically but cannot be
     pickled, and scheduler timers are reachable from the kernel's event
-    queue — part of the Shard snapshot graph.  ``handle`` is set only
-    for kernel-native repeating chains (so a stale firing can tear the
-    chain down, exactly as the old closure did).
+    queue — part of the Shard snapshot graph.  A firing while the
+    scheduler is stopped does nothing and leaves a repeating alarm armed,
+    so the same task runs again after :meth:`PogoScheduler.restart`
+    (a phone's reboot recovery).
 
     ``task._alarm`` holds the alarm whose callback this is, which holds
     the task: a reference cycle.  A repeating chain needs it for as long
@@ -64,7 +70,7 @@ class _TaskFire:
     the cyclic collector (see :func:`repro.sim.hostgc.dispatching`).
     """
 
-    __slots__ = ("scheduler", "task", "fn", "args", "serial_key", "handle", "once")
+    __slots__ = ("scheduler", "task", "fn", "args", "serial_key", "once")
 
     def __init__(self, scheduler, task: "ScheduledTask", fn: Callable, args: tuple,
                  serial_key: Optional[str], once: bool = False) -> None:
@@ -73,14 +79,11 @@ class _TaskFire:
         self.fn = fn
         self.args = args
         self.serial_key = serial_key
-        self.handle = None
         self.once = once
 
     def __call__(self) -> None:
         task = self.task
         if task.cancelled or self.scheduler.stopped:
-            if self.handle is not None:
-                self.handle.cancel()
             return
         task.fired = True
         if self.once:
@@ -96,7 +99,7 @@ class PogoScheduler:
         "_serial_queues", "_serial_running", "stopped", "_spans", "_h_task", "observer",
     )
 
-    def __init__(self, kernel: Kernel, cpu: Cpu, name: str = "scheduler") -> None:
+    def __init__(self, kernel: Kernel, cpu: Union[Cpu, MainsCpu], name: str = "scheduler") -> None:
         self.kernel = kernel
         self.cpu = cpu
         self.name = name
@@ -155,6 +158,8 @@ class PogoScheduler:
         initial_delay_ms: Optional[float] = None,
     ) -> ScheduledTask:
         """Run a task at a fixed rate."""
+        if interval_ms <= 0:
+            raise ValueError("interval must be positive")
         task = ScheduledTask()
         if self.stopped:
             task.cancelled = True
@@ -223,122 +228,3 @@ class PogoScheduler:
         finally:
             if observer is not None:
                 observer.task_finished(self, key)
-
-
-class SimpleScheduler:
-    """Scheduler for collector nodes (a PC: no wake locks, no sleep).
-
-    Offers the same interface as :class:`PogoScheduler` so script hosts
-    and sensors are agnostic to which node type they run on.
-    """
-
-    def __init__(self, kernel: Kernel, name: str = "wired-scheduler") -> None:
-        self.kernel = kernel
-        self.name = name
-        self.tasks_run = 0
-        self.task_errors = 0
-        self.on_error: List[Callable[[Optional[str], Exception], None]] = []
-        self._serial_queues: Dict[str, Deque[Tuple[Callable, tuple, float]]] = {}
-        self._serial_running: Dict[str, bool] = {}
-        self.stopped = False
-        self._spans = kernel.spans
-        self._h_task = kernel.spans.hop("scheduler.task")
-        #: Chaos seam: same witness interface as :class:`PogoScheduler`.
-        self.observer = None
-
-    def submit(self, fn: Callable[..., Any], *args: Any, serial_key: Optional[str] = None) -> None:
-        if self.stopped:
-            return
-        if serial_key is None:
-            self.kernel.schedule(0.0, self._run, fn, args, None)
-        else:
-            queue = self._serial_queues.setdefault(serial_key, deque())
-            queue.append((fn, args, self.kernel.now))
-            self._pump_serial(serial_key)
-
-    def schedule(
-        self, delay_ms: float, fn: Callable[..., Any], *args: Any, serial_key: Optional[str] = None
-    ) -> ScheduledTask:
-        task = ScheduledTask()
-        if self.stopped:
-            task.cancelled = True
-            return task
-
-        fire = _TaskFire(self, task, fn, args, serial_key, once=True)
-        handle = self.kernel.schedule(delay_ms, fire)
-        task._alarm = _HandleAlarm(handle)
-        return task
-
-    def schedule_repeating(
-        self,
-        interval_ms: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        serial_key: Optional[str] = None,
-        initial_delay_ms: Optional[float] = None,
-    ) -> ScheduledTask:
-        if interval_ms <= 0:
-            raise ValueError("interval must be positive")
-        task = ScheduledTask()
-        if self.stopped:
-            task.cancelled = True
-            return task
-
-        # The kernel re-arms the handle in place before each firing; a
-        # firing whose task was cancelled (or whose scheduler stopped)
-        # tears the chain down via the handle stashed on the callback.
-        fire = _TaskFire(self, task, fn, args, serial_key)
-        first = interval_ms if initial_delay_ms is None else initial_delay_ms
-        handle = self.kernel.schedule_repeating(interval_ms, fire, initial_delay=first)
-        fire.handle = handle
-        task._alarm = _HandleAlarm(handle)
-        return task
-
-    def stop(self) -> None:
-        self.stopped = True
-        self._serial_queues.clear()
-        self._serial_running.clear()
-
-    def _pump_serial(self, key: str) -> None:
-        if self._serial_running.get(key) or self.stopped:
-            return
-        queue = self._serial_queues.get(key)
-        if not queue:
-            return
-        self._serial_running[key] = True
-        fn, args, enqueued_ms = queue.popleft()
-        self.kernel.schedule(0.0, self._run, fn, args, key, enqueued_ms)
-
-    def _run(self, fn: Callable, args: tuple, key: Optional[str], enqueued_ms: float = 0.0) -> None:
-        self.tasks_run += 1
-        if key is not None and self._spans.enabled:
-            self._h_task.record(
-                0, self._spans.active_parent, enqueued_ms, self.kernel.now, {"key": key}
-            )
-        observer = self.observer
-        if observer is not None:
-            observer.task_started(self, key)
-        try:
-            fn(*args)
-        except Exception as exc:  # noqa: BLE001
-            self.task_errors += 1
-            for listener in list(self.on_error):
-                listener(key, exc)
-        finally:
-            if observer is not None:
-                observer.task_finished(self, key)
-            if key is not None:
-                self._serial_running[key] = False
-                self._pump_serial(key)
-
-
-class _HandleAlarm:
-    """Adapts a kernel EventHandle to the Alarm.cancel() interface."""
-
-    __slots__ = ("_handle",)
-
-    def __init__(self, handle) -> None:
-        self._handle = handle
-
-    def cancel(self) -> None:
-        self._handle.cancel()

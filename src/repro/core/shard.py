@@ -550,13 +550,11 @@ class Shard:
         """
         return self.server.remote_edges > 0
 
-    def ingress(self, handoffs) -> int:
+    def ingress(self, handoffs: List[Handoff]) -> int:
         """Replay cross-shard handoffs into this shard's switchboard.
 
         Each handoff is a :class:`Handoff` as produced by another shard's
-        :meth:`pending_cross_shard` (a bare ``(from_jid, to_jid, stanza)``
-        triple is also accepted and delivered one switchboard latency
-        from now).  Handoff records are replayed due at their original
+        :meth:`pending_cross_shard`, replayed due at its original
         ``submit_ms`` plus the switchboard latency, so the cross-shard
         leg costs exactly what a local route would.
 
@@ -568,45 +566,28 @@ class Shard:
         """
         from ..net.xmpp import RoutingError
 
-        records = []
-        for handoff in handoffs:
-            if isinstance(handoff, Handoff):
-                records.append(handoff)
-            else:
-                from_jid, to_jid, stanza = handoff
-                records.append(Handoff(None, 0, from_jid, to_jid, stanza))
         unknown = sorted(
-            {r.to_jid for r in records if not self.server.registered(r.to_jid)}
+            {h.to_jid for h in handoffs if not self.server.registered(h.to_jid)}
         )
         if unknown:
             raise RoutingError(
                 f"shard {self.shard_id!r} does not host "
                 f"{', '.join(unknown)}: the coordinator routed "
-                f"{len(unknown)} of {len(records)} handoffs to the wrong "
+                f"{len(unknown)} of {len(handoffs)} handoffs to the wrong "
                 f"shard (no stanza was replayed)"
             )
-        for record in records:
-            stanza = record.stanza
+        for handoff in handoffs:
+            stanza = handoff.stanza
+            due_ms = handoff.submit_ms + self.server.latency_ms
             # Presence crossing the boundary is server-internal, never
             # submit()-stamped — data stanzas always carry "_from".
-            presence = stanza.get("kind") == "presence" and "_from" not in stanza
-            if record.submit_ms is None:
-                if presence:
-                    self.server.presence_at(
-                        record.to_jid, stanza,
-                        self.kernel.now + self.server.latency_ms,
-                    )
-                else:
-                    self.server.ingress(record.from_jid, record.to_jid, stanza)
-                continue
-            due_ms = record.submit_ms + self.server.latency_ms
-            if presence:
-                self.server.presence_at(record.to_jid, stanza, due_ms)
+            if stanza.get("kind") == "presence" and "_from" not in stanza:
+                self.server.presence_at(handoff.to_jid, stanza, due_ms)
             else:
                 self.server.ingress_at(
-                    record.from_jid, record.to_jid, stanza, due_ms
+                    handoff.from_jid, handoff.to_jid, stanza, due_ms
                 )
-        return len(records)
+        return len(handoffs)
 
     def run_until_epoch(self, epoch_ms: float) -> List[Handoff]:
         """Run to the epoch barrier; return the queued cross-shard stanzas.

@@ -1,7 +1,7 @@
 """Simulated phone hardware: CPU, battery, radios, power, background apps."""
 
 from .battery import Battery, BatteryConfig
-from .cpu import Alarm, Cpu, CpuConfig, SleepFrozenTimer
+from .cpu import Alarm, Cpu, CpuConfig, MainsCpu, SleepFrozenTimer
 from .power import PowerMeter, PowerRail
 from .radio import (
     CARRIERS,
@@ -27,6 +27,7 @@ __all__ = [
     "Alarm",
     "Cpu",
     "CpuConfig",
+    "MainsCpu",
     "SleepFrozenTimer",
     "PowerMeter",
     "PowerRail",

@@ -13,6 +13,9 @@ subtle behaviour, all of which this module reproduces:
   sleeps: they only continue counting down once something *else* has woken
   the CPU.  Pogo uses exactly this to piggyback on other apps' wakeups —
   see :class:`SleepFrozenTimer` and :mod:`repro.core.tailsync`.
+
+:class:`MainsCpu` is the other kind of CPU the middleware runs on: a
+researcher's PC, which has none of these semantics.
 """
 
 from __future__ import annotations
@@ -330,3 +333,38 @@ class Cpu:
     def sleep_frozen_timer(self, duration_ms: float, callback: Callable[[], Any]) -> SleepFrozenTimer:
         """Timer with ``Thread.sleep`` semantics (frozen during CPU sleep)."""
         return SleepFrozenTimer(self, duration_ms, callback)
+
+
+class MainsCpu:
+    """The CPU of a machine on mains power: it never sleeps.
+
+    A researcher's PC runs the same middleware as the phones (Section
+    4.2), so it runs the same scheduler, over this: wake locks hold
+    nothing, there is no awake window to extend, and an "alarm" is a
+    plain kernel timer, whose :class:`~repro.sim.kernel.EventHandle`
+    already has the ``cancel()`` an :class:`Alarm` has.
+    """
+
+    __slots__ = ("_kernel",)
+
+    def __init__(self, kernel: Kernel) -> None:
+        self._kernel = kernel
+
+    def acquire_wake_lock(self, tag: str) -> None:
+        pass
+
+    def release_wake_lock(self, tag: str) -> None:
+        pass
+
+    def note_activity(self) -> None:
+        pass
+
+    def set_alarm(self, delay_ms: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
+        return self._kernel.schedule(delay_ms, callback, *args)
+
+    def set_repeating_alarm(
+        self, interval_ms: float, callback: Callable[..., Any], *args: Any, initial_delay_ms: Optional[float] = None
+    ) -> EventHandle:
+        return self._kernel.schedule_repeating(
+            interval_ms, callback, *args, initial_delay=initial_delay_ms
+        )

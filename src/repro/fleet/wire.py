@@ -57,15 +57,15 @@ from ..core.shard import Handoff
 
 #: Frame magic + codec version.  Bump on any layout change: frames are a
 #: process-boundary protocol, never persisted, so no back-compat decode.
-MAGIC = b"PF1"
+MAGIC = b"PF2"
 
 _FLAG_ZLIB = 0x01
 
-_H_HAS_SUBMIT = 0x01
 _H_STANZA = 0x04
 #: Any other record flag is rejected at decode — in particular 0x02,
-#: which used to mark a pickled stanza body.
-_H_KNOWN = _H_HAS_SUBMIT | _H_STANZA
+#: which used to mark a pickled stanza body, and 0x01, which PF1 set on
+#: a record that carried a submit time (every record does now).
+_H_KNOWN = _H_STANZA
 
 _SEG_KEY = 0
 _SEG_INDEX = 1
@@ -171,22 +171,23 @@ def encode_batch(handoffs: Sequence[Handoff]) -> bytes:
                 f"a stanza that is not JSON-faithful (non-string key, tuple "
                 f"or non-message leaf): {type(stanza).__name__}"
             )
-        flags = 0
-        parts: List[bytes] = [b""]  # flags byte, patched last
-        if handoff.submit_ms is not None:
-            flags |= _H_HAS_SUBMIT
-            parts.append(_pack_f64(handoff.submit_ms))
-        parts.append(_pack_u32(handoff.seq))
+        if handoff.submit_ms is None:
+            raise WireError(
+                f"handoff seq {handoff.seq} from {handoff.from_jid} has no "
+                f"submit time: the receiving shard could not place it"
+            )
+        parts: List[bytes] = [
+            bytes((_H_STANZA if isinstance(stanza, Stanza) else 0,)),
+            _pack_f64(handoff.submit_ms),
+            _pack_u32(handoff.seq),
+        ]
         for jid in (handoff.from_jid, handoff.to_jid):
             index = jid_table.setdefault(jid, len(jid_table))
             parts.append(_pack_u32(index))
-        if isinstance(stanza, Stanza):
-            flags |= _H_STANZA
         raw = canonical_json(stanza).encode("utf-8")
         parts.append(_pack_u32(len(raw)))
         parts.append(raw)
         _encode_paths(parts, envelopes)
-        parts[0] = bytes((flags,))
         records.append(b"".join(parts))
     body.append(_pack_u32(len(jid_table)))
     for jid in jid_table:  # insertion order == index order
@@ -257,15 +258,12 @@ def decode_batch(frame: bytes) -> List[Handoff]:
         offset += 1
         if hflags & ~_H_KNOWN:
             raise WireError(f"unknown record flags {hflags:#04x}")
-        submit_ms = None
-        if hflags & _H_HAS_SUBMIT:
-            (submit_ms,) = _unpack_f64(view, offset)
-            offset += 8
-        (seq,) = _unpack_u32(view, offset)
-        (from_idx,) = _unpack_u32(view, offset + 4)
-        (to_idx,) = _unpack_u32(view, offset + 8)
-        (body_len,) = _unpack_u32(view, offset + 12)
-        offset += 16
+        (submit_ms,) = _unpack_f64(view, offset)
+        (seq,) = _unpack_u32(view, offset + 8)
+        (from_idx,) = _unpack_u32(view, offset + 12)
+        (to_idx,) = _unpack_u32(view, offset + 16)
+        (body_len,) = _unpack_u32(view, offset + 20)
+        offset += 24
         text = str(view[offset:offset + body_len], "utf-8")
         offset += body_len
         tree = json.loads(text)

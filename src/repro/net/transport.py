@@ -25,11 +25,24 @@ from typing import Callable, List, Optional
 
 from ..sim.kernel import Kernel, SECOND
 from ..core.messages import message_size_bytes
+from ..device.phone import PhoneOffline
+from ..device.radio import RadioUnavailable
+from ..device.wifi import WifiUnavailable
 from .xmpp import Session, XmppServer
 
 
 class TransportError(Exception):
     """Raised when a send is attempted with no usable connection."""
+
+
+#: What ``phone.transfer`` raises when the phone has no way out.  Named,
+#: so that anything else raised under it is a bug that fails loudly.
+_NO_WAY_OUT = (PhoneOffline, RadioUnavailable, WifiUnavailable)
+
+#: Every way :meth:`DeviceTransport.send` / :meth:`WiredTransport.send`
+#: can fail for want of a connection; a caller with a reliable layer
+#: under it catches these and resends later.
+SEND_ERRORS = (TransportError,) + _NO_WAY_OUT
 
 
 class _TransferDone:
@@ -303,7 +316,7 @@ class DeviceTransport:
                 on_complete=partial(self._handshake_done, interface),
                 label=f"{self.jid}:handshake",
             )
-        except Exception:
+        except _NO_WAY_OUT:
             self._schedule_connect(self.retry_interval_ms)
 
     def _handshake_done(self, interface: str, success: bool) -> None:
@@ -358,7 +371,7 @@ class DeviceTransport:
         rx_done = _RxDone(self, complete)
         try:
             self.phone.transfer(rx_bytes=size, on_complete=rx_done, label=f"{self.jid}:recv")
-        except Exception:
+        except _NO_WAY_OUT:
             complete(False)
 
     def _deliver(self, stanza: dict) -> None:

@@ -145,7 +145,7 @@ class XmppServer:
         #: stamped_stanza)`` instead of raising ``RoutingError``; the
         #: owning :class:`~repro.core.shard.Shard` queues it for the
         #: epoch barrier and the peer shard replays it via
-        #: :meth:`ingress`.  ``None`` keeps the single-switchboard
+        #: :meth:`ingress_at`.  ``None`` keeps the single-switchboard
         #: behaviour (unknown JIDs are an error).
         self.egress: Optional[Callable[[str, str, dict], None]] = None
         self._session_ids = itertools.count(1)
@@ -337,7 +337,7 @@ class XmppServer:
         if remote:
             # Destined for a JID another shard hosts: hand the stamped
             # stanza across the boundary; the peer replays it through
-            # :meth:`ingress` at the next epoch barrier.
+            # :meth:`ingress_at` at the next epoch barrier.
             self.stanzas_egressed += 1
             self.egress(from_jid, to_jid, stamped)
             return
@@ -351,21 +351,17 @@ class XmppServer:
                 self.latency_ms + extra_ms, self._route, from_jid, to_jid, stamped, route_ctx
             )
 
-    def ingress(self, from_jid: str, to_jid: str, stanza: dict) -> None:
-        """Accept a stanza handed over from another shard's egress.
-
-        The stanza is already stamped with ``_from`` by the sending
-        switchboard; only the local delivery leg (base latency, offline
-        storage, loss windows) is simulated here.  Roster checks were the
-        sending side's responsibility — federated servers trust each
-        other, as XMPP server-to-server links do.
-        """
-        self.ingress_at(from_jid, to_jid, stanza, self.kernel.now + self.latency_ms)
-
     def ingress_at(
         self, from_jid: str, to_jid: str, stanza: dict, due_ms: float
     ) -> None:
-        """Like :meth:`ingress`, but deliver at an absolute kernel time.
+        """Accept a stanza handed over from another shard's egress, for
+        delivery at an absolute kernel time.
+
+        The stanza is already stamped with ``_from`` by the sending
+        switchboard; only the local delivery leg (offline storage, loss
+        windows) is simulated here.  Roster checks were the sending
+        side's responsibility — federated servers trust each other, as
+        XMPP server-to-server links do.
 
         The fleet coordinator replays handoffs with their original submit
         time so the cross-shard leg costs exactly ``latency_ms`` — the
@@ -453,12 +449,10 @@ class XmppServer:
             session.deliver(stanza)
             return
 
-        complete = _DeliveryComplete(self, session, stanza, route_ctx)
-        try:
-            session.physical_rx(size, complete)
-        except Exception:
-            self._route_span(route_ctx, session.jid, "lost")
-            self._lose(session, stanza)
+        # A dead interface is reported through ``complete(False)``
+        # (:meth:`_lose`); anything the hook raises is a bug and is not
+        # turned into a lost stanza.
+        session.physical_rx(size, _DeliveryComplete(self, session, stanza, route_ctx))
 
     def _lose(self, session: Session, stanza: dict) -> None:
         self.stanzas_lost += 1

@@ -121,7 +121,7 @@ def _stanzas():
 
 _handoffs = st.builds(
     Handoff,
-    st.one_of(st.none(), st.floats(min_value=0, max_value=1e10, allow_nan=False)),
+    st.floats(min_value=0, max_value=1e10, allow_nan=False),
     st.integers(min_value=0, max_value=2**32 - 1),
     _jids,
     _jids,

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.buffer import InMemoryStore, MessageBuffer, SqliteStore
-from repro.core.scheduler import PogoScheduler, SimpleScheduler
-from repro.device.cpu import Cpu, CpuConfig
+from repro.core.scheduler import PogoScheduler
+from repro.device.cpu import Cpu, CpuConfig, MainsCpu
 from repro.device.power import PowerRail
 from repro.sim import Kernel
 
@@ -26,13 +26,10 @@ submissions = st.lists(
 
 @given(submissions, st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_scheduler_preserves_per_key_order(plan, use_pogo):
+def test_scheduler_preserves_per_key_order(plan, on_phone):
     kernel = Kernel()
-    if use_pogo:
-        cpu = Cpu(kernel, PowerRail(kernel), CpuConfig())
-        scheduler = PogoScheduler(kernel, cpu)
-    else:
-        scheduler = SimpleScheduler(kernel)
+    cpu = Cpu(kernel, PowerRail(kernel), CpuConfig()) if on_phone else MainsCpu(kernel)
+    scheduler = PogoScheduler(kernel, cpu)
 
     executed = []
     for index, (at, key) in enumerate(plan):

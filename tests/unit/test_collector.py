@@ -24,11 +24,9 @@ import pickle
 
 import pytest
 
-from repro.core.scheduler import (
-    PogoScheduler, ScheduledTask, SimpleScheduler, _HandleAlarm, _TaskFire,
-)
+from repro.core.scheduler import PogoScheduler, ScheduledTask, _TaskFire
 from repro.core.shard import Shard
-from repro.device.cpu import Alarm, Cpu
+from repro.device.cpu import Alarm, Cpu, MainsCpu
 from repro.device.power import PowerRail
 from repro.fleet.partition import fleet_spec, plan_fleet
 from repro.fleet.worker import setup_battery_monitor
@@ -401,21 +399,21 @@ def _cpu(kernel):
 
 def _alive():
     """How many one-shot parts exist (slotted, so not weak-referenceable)."""
-    kinds = (ScheduledTask, _TaskFire, Alarm, _HandleAlarm)
+    kinds = (ScheduledTask, _TaskFire, Alarm)
     return sum(type(obj) in kinds for obj in gc.get_objects())
 
 
-@pytest.mark.parametrize("make", [
-    lambda kernel: PogoScheduler(kernel, _cpu(kernel)),
-    SimpleScheduler,
-], ids=["PogoScheduler", "SimpleScheduler"])
-def test_a_fired_one_shot_is_freed_by_reference_count(make, collection_disabled):
+# A phone's one-shot is a task, its callback and an Alarm; on mains the
+# kernel's own handle is the alarm.
+@pytest.mark.parametrize("make_cpu, parts", [(_cpu, 3), (MainsCpu, 2)],
+                         ids=["PogoScheduler", "MainsCpu"])
+def test_a_fired_one_shot_is_freed_by_reference_count(make_cpu, parts, collection_disabled):
     kernel = Kernel()
-    scheduler = make(kernel)
+    scheduler = PogoScheduler(kernel, make_cpu(kernel))
     ran = []
     before = _alive()
     task = scheduler.schedule(100.0, ran.append, "x")
-    assert _alive() == before + 3
+    assert _alive() == before + parts
     kernel.run_until(1_000.0)
     assert ran == ["x"] and task.fired
     task.cancel()  # after firing: still a no-op

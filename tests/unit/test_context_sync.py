@@ -18,8 +18,9 @@ from repro.core.deployment import (
     sub_change_op,
 )
 from repro.core.multibroker import CollectorContext
-from repro.core.scheduler import SimpleScheduler
+from repro.core.scheduler import PogoScheduler
 from repro.core.scripting import FreezeStore
+from repro.device.cpu import MainsCpu
 from repro.sim import Kernel
 
 
@@ -29,7 +30,7 @@ class FakeNode:
     def __init__(self):
         self.kernel = Kernel()
         self.jid = "fake@x"
-        self.scheduler = SimpleScheduler(self.kernel)
+        self.scheduler = PogoScheduler(self.kernel, MainsCpu(self.kernel))
         self.freeze_store = FreezeStore()
         self.sent = []
 
@@ -130,9 +131,10 @@ def test_announce_local_subs_replays_state():
     sub = context.broker.subscribe("cmd", lambda m: None, owner="script:s")
     sub.release()
     node.sent.clear()
-    context.announce_local_subs()
-    assert len(node.ops(OP_SUB_ADD)) == 1
-    assert len(node.ops(OP_SUB_RELEASE)) == 1
+    context.sync_subscriptions_to("pc@x")
+    assert [(peer, p["op"]) for peer, p in node.sent] == [
+        ("pc@x", OP_SUB_ADD), ("pc@x", OP_SUB_RELEASE),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -219,3 +221,17 @@ def test_push_script_updates_fleet():
     deploys = node.ops("deploy")
     assert len(deploys) == 2
     assert all(p["source"] == "y = 2\n" for p in deploys)
+
+
+# ---------------------------------------------------------------------------
+# One context core (Section 4.2: both ends run the same middleware)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", [
+    "deploy_script", "stop_all_scripts", "_root_span", "_deliver_local",
+    "_is_local_plumbing", "_on_local_sub_change", "sync_subscriptions_to",
+])
+def test_both_contexts_run_the_same_core_method(name):
+    # A copy pasted back into either subclass would shadow the core's.
+    assert getattr(DeviceContext, name) is getattr(CollectorContext, name)

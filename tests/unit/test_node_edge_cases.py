@@ -10,8 +10,9 @@ from repro.core.deployment import (
     teardown_op,
     undeploy_op,
 )
-from repro.core.node import CollectorNode, DeviceNode
-from repro.device import Phone
+from repro.core.node import CollectorNode, DeviceNode, Node
+from repro.device import Phone, PhoneOffline, RadioUnavailable, WifiUnavailable
+from repro.net.transport import TransportError
 from repro.net.xmpp import XmppServer
 from repro.sim import HOUR, Kernel, MINUTE, SECOND
 
@@ -121,3 +122,54 @@ def test_node_stop_is_clean():
     assert not device.detector.running
     assert device.scheduler.stopped
     assert not device.contexts["exp"].broker.has_subscribers("ch")
+
+
+# ---------------------------------------------------------------------------
+# The one send path
+# ---------------------------------------------------------------------------
+
+
+class _RaisingTransport:
+    def __init__(self, exc):
+        self.exc = exc
+
+    def send(self, to_jid, stanza):
+        raise self.exc
+
+
+@pytest.mark.parametrize(
+    "exc", [TransportError, PhoneOffline, RadioUnavailable, WifiUnavailable]
+)
+def test_a_send_with_no_connection_is_left_to_the_reliable_layer(exc):
+    kernel, server, phone, device, collector = make_pair()
+    device.transport = _RaisingTransport(exc("down"))
+    link = device.link_for("pc@x")
+    link.send({"op": "mystery", "ctx": "exp"})
+    assert link.unacked_count == 1  # kept; the next flush resends it
+
+
+def test_a_bug_under_the_send_path_propagates():
+    kernel, server, phone, device, collector = make_pair()
+
+    class Broken(Phone):
+        __slots__ = ()
+
+        def transfer(self, *args, **kwargs):
+            raise ValueError("bug in the radio model")
+
+    phone.__class__ = Broken
+    with pytest.raises(ValueError, match="radio model"):
+        device.link_for("pc@x").send({"op": "mystery", "ctx": "exp"})
+
+
+@pytest.mark.parametrize(
+    "name", ["link_for", "_raw_send", "_send_ack", "_handle_payload"]
+)
+def test_both_nodes_run_the_same_core_method(name):
+    # Section 4.2: one middleware.  A copy pasted back into either
+    # subclass would shadow the core's.
+    assert (
+        getattr(DeviceNode, name)
+        is getattr(CollectorNode, name)
+        is getattr(Node, name)
+    )

@@ -368,14 +368,14 @@ def test_metered_script_traceback_keeps_original_line_numbers():
     assert (frame.filename, frame.name, frame.lineno) == ("<script test>", "handler", 6)
 
 
-@pytest.mark.parametrize("pogo", [False, True], ids=["SimpleScheduler", "PogoScheduler"])
-def test_keyboard_interrupt_is_not_a_script_error(pogo):
+@pytest.mark.parametrize("phone", [False, True], ids=["MainsCpu", "PogoScheduler"])
+def test_keyboard_interrupt_is_not_a_script_error(phone):
     kernel, node, context, host = make_host(
         "def handler(msg):\n"
         "    publish('out', msg)\n"
         "subscribe('ch', handler)\n"
     )
-    if pogo:
+    if phone:
         node.scheduler = PogoScheduler(kernel, Cpu(kernel, PowerRail(kernel), CpuConfig()))
     published = []
 

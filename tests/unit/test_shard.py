@@ -9,7 +9,7 @@ from repro.analysis.export import spans_to_jsonl
 from repro.apps import battery_monitor
 from repro.core.deployment import Experiment
 from repro.core.middleware import PogoSimulation
-from repro.core.shard import DeviceSpec, Shard, ShardSpec
+from repro.core.shard import DeviceSpec, Handoff, Shard, ShardSpec
 from repro.net.xmpp import RoutingError
 from repro.sim.kernel import MINUTE
 
@@ -182,7 +182,7 @@ class TestCrossShardBoundary:
         b = Shard(_spec())
         b.start()
         with pytest.raises(RoutingError):
-            b.ingress([("x@a", "nobody@b", {"type": "ping"})])
+            b.ingress([Handoff(b.kernel.now, 1, "x@a", "nobody@b", {"type": "ping"})])
 
     def test_run_until_epoch_returns_handoffs(self):
         shard = Shard(_spec())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.device import Phone
+from repro.device import Phone, PhoneOffline, RadioUnavailable, WifiUnavailable
 from repro.net.transport import DeviceTransport, TransportError, WiredTransport
 from repro.net.xmpp import XmppServer
 from repro.sim import Kernel, SECOND
@@ -135,3 +135,47 @@ def test_wired_transport_always_connected():
     wired.send("dev@x", {"kind": "data"}, on_complete=results.append)
     kernel.run()
     assert results == [True]
+
+
+# ---------------------------------------------------------------------------
+# Only a phone with no way out is a retry or a loss; a bug is a bug
+# ---------------------------------------------------------------------------
+
+
+def _break_transfer(phone, exc):
+    """Make ``phone.transfer`` raise ``exc`` (Phone is slotted: swap the
+    class instead of patching the instance)."""
+
+    class Broken(Phone):
+        __slots__ = ()
+
+        def transfer(self, *args, **kwargs):
+            raise exc
+
+    phone.__class__ = Broken
+
+
+@pytest.mark.parametrize("exc", [PhoneOffline, RadioUnavailable, WifiUnavailable])
+def test_a_handshake_with_no_way_out_is_retried(exc):
+    kernel, server, phone, device, wired = make_pair()
+    _break_transfer(phone, exc("no way out"))
+    device.start()
+    assert device._connecting and not device.connected
+
+
+def test_a_bug_under_the_handshake_propagates():
+    kernel, server, phone, device, wired = make_pair()
+    _break_transfer(phone, ValueError("bug in the radio model"))
+    with pytest.raises(ValueError, match="radio model"):
+        device.start()
+
+
+def test_a_bug_under_a_downlink_propagates():
+    kernel, server, phone, device, wired = make_pair()
+    wired.start()
+    device.start()
+    kernel.run_until(30 * SECOND)
+    _break_transfer(phone, ValueError("bug in the radio model"))
+    wired.send("dev@x", {"kind": "data", "n": 1})
+    with pytest.raises(ValueError, match="radio model"):
+        kernel.run_until(kernel.now + 30 * SECOND)

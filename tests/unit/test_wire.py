@@ -40,11 +40,12 @@ class TestRoundTrip:
         assert out == batch
         assert all(isinstance(h.stanza, Stanza) for h in out)
 
-    def test_submit_ms_none_round_trips(self):
-        batch = [Handoff(None, 0, "a@pogo", "b@pogo", {"kind": "presence"})]
-        out = decode_batch(encode_batch(batch))
-        assert out[0].submit_ms is None
-        assert out == batch
+    def test_submit_ms_none_is_rejected_at_encode(self):
+        # Every handoff a shard egresses carries its submit time; one
+        # without it could not be placed by the receiving shard.
+        batch = [Handoff(None, 7, "a@pogo", "b@pogo", {"kind": "presence"})]
+        with pytest.raises(WireError, match="seq 7 from a@pogo has no submit time"):
+            encode_batch(batch)
 
     def test_plain_dict_stays_plain(self):
         batch = [Handoff(1.0, 1, "a@pogo", "b@pogo", {"kind": "iq", "x": 1})]
@@ -158,14 +159,16 @@ class TestFrameValidation:
         # Record flag 0x02 used to mean "the body is a pickle".  A frame
         # that sets it must be refused before its bytes are interpreted.
         frame = bytearray(encode_batch(
-            [Handoff(None, 1, "a@pogo", "b@pogo", {"kind": "message"})]
+            [Handoff(1.0, 1, "a@pogo", "b@pogo", {"kind": "message"})]
         ))
         assert frame[3] == 0  # stored raw, so offsets below are the body's
         flags_at = 4 + 4 + (2 + len("a@pogo")) + (2 + len("b@pogo")) + 4
         assert frame[flags_at] == 0
-        frame[flags_at] = 0x02
-        with pytest.raises(WireError, match="flags"):
-            decode_batch(bytes(frame))
+        # ...and 0x01 said "this record has a submit time"; all do now.
+        for retired in (0x02, 0x01):
+            frame[flags_at] = retired
+            with pytest.raises(WireError, match="flags"):
+                decode_batch(bytes(frame))
 
     def test_trailing_bytes_are_rejected(self):
         frame = encode_batch(
