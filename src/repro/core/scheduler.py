@@ -67,7 +67,8 @@ class _TaskFire:
     the task: a reference cycle.  A repeating chain needs it for as long
     as it runs; a one-shot (``once``) lets go of the alarm when it fires,
     so a finished task is freed by reference count and never waits for
-    the cyclic collector (see :func:`repro.sim.hostgc.dispatching`).
+    the cyclic collector, which is paused while the kernel dispatches
+    (see :func:`repro.sim.hostgc.dispatching`).
     """
 
     __slots__ = ("scheduler", "task", "fn", "args", "serial_key", "once")

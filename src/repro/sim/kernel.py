@@ -25,9 +25,8 @@ Hot-path design (the fleet-scale requirements):
 * ``run`` / ``run_until`` are tight loops over local bindings; the stop
   flag is only consulted where it can actually change (after a
   callback), not re-read per queue operation.
-* Both loops run inside :func:`repro.sim.hostgc.dispatching`: whatever
-  was alive when the call began (the built fleet) is out of the host
-  collector's sight until the call returns.
+* Every callback runs inside :func:`repro.sim.hostgc.dispatching`: the
+  host's cyclic collector is paused until the call returns.
 
 Determinism: the kernel itself is fully deterministic.  All randomness in
 the simulation goes through :mod:`repro.sim.randomness` so that a single
@@ -306,27 +305,11 @@ class Kernel:
     # Run loop
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Execute the next pending event.  Returns ``False`` when idle."""
-        queue = self._queue
-        while queue:
-            time, _, handle = heapq.heappop(queue)
-            if handle.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now = time
-            interval = handle.interval
-            if interval is None:
-                handle.fired = True
-                self._live -= 1
-            else:
-                seq = next(self._seq)
-                handle.time = time + interval
-                handle.seq = seq
-                heapq.heappush(queue, (handle.time, seq, handle))
-            self.events_executed += 1
-            handle.callback(*handle.args)
-            return True
-        return False
+        """Execute the next pending event: :meth:`run` with one to run.
+
+        Returns ``False`` when idle or when a :meth:`stop` was pending.
+        """
+        return self.run(max_events=1) == 1
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains (or ``max_events`` fire).

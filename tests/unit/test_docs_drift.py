@@ -9,8 +9,9 @@ somewhere in the code, every ``repro <verb>`` is a command and every
 ``--flag`` is an option of the command line it is quoted on.
 
 Out of scope: ``benchmarks/pogobench/README.md`` and ROADMAP.md (frozen
-between benchmark PRs and re-anchors), and CHANGES.md (a log: it names
-what each PR deleted).
+between benchmark PRs and re-anchors), and CHANGES.md and
+docs/MEASUREMENTS.md (logs: they name what was deleted or measured
+since).
 """
 
 import argparse

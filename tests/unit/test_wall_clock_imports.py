@@ -9,6 +9,14 @@ the three that time CPU, stalls and frame rates for telemetry, which is
 already fenced off from the deterministic bytes.  Everything else in the
 package — in particular everything a spawned fleet worker runs between
 two barriers — has no way to ask what time it is.
+
+The host's cyclic collector is held the same way.  When a pass runs is
+the host's business (``repro.sim.hostgc`` moves it out of every
+dispatch), and it can only reach the simulated bytes through code that
+watches an object die: a ``__del__``, a ``weakref`` callback, or a look
+at ``gc`` itself.  Only ``sim/hostgc.py`` imports ``gc``, and nothing in
+the package has either of the other two — which is why moving the
+collector's passes cannot move an output.
 """
 
 import ast
@@ -21,20 +29,37 @@ ALLOWED = {
     "fleet/worker.py": {"time"},
     "fleet/coordinator.py": {"time"},
 }
+COLLECTOR_WATCHERS = {"gc", "weakref", "__del__"}
 
 
-def host_imports(path):
+def modules():
+    found = sorted(SRC.rglob("*.py"))
+    assert len(found) > 80  # the walk still finds the package
+    return {path.relative_to(SRC).as_posix(): ast.parse(path.read_text(), str(path))
+            for path in found}
+
+
+def imports(tree):
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.split(".")[0])
-    return found & HOST_MODULES
+    return found
 
 
 def test_only_the_telemetry_modules_import_a_clock_a_thread_or_a_signal():
-    modules = sorted(SRC.rglob("*.py"))
-    assert len(modules) > 80  # the walk still finds the package
-    found = {path.relative_to(SRC).as_posix(): host_imports(path) for path in modules}
-    assert {name: imports for name, imports in found.items() if imports} == ALLOWED
+    found = {name: imports(tree) & HOST_MODULES for name, tree in modules().items()}
+    assert {name: used for name, used in found.items() if used} == ALLOWED
+
+
+def test_only_hostgc_touches_the_collector_and_nothing_watches_an_object_die():
+    found = {}
+    for name, tree in modules().items():
+        used = imports(tree) | {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        found[name] = used & COLLECTOR_WATCHERS
+    assert {name: used for name, used in found.items() if used} == {"sim/hostgc.py": {"gc"}}
