@@ -10,13 +10,13 @@ byte-identical to the single-shard run for the same seed:
   JID, so every shard draws exactly the single-shard randomness).
 * :mod:`repro.fleet.worker` — :class:`~repro.fleet.worker.ShardDriver`,
   the one code path that builds a shard and advances it barrier by
-  barrier, plus the spawn-safe loop that serves a driver over a pipe.
+  barrier, plus the loop that serves a driver over a pipe.
 * :mod:`repro.fleet.coordinator` — conservative time-windowed
   synchronization: epoch length bounded by the minimum cross-shard
   stanza latency, deterministic sorted handoff exchange at each barrier,
   quiescence detection, clean errors on worker crashes.  Drivers run in
-  this process or one per spawned process; the pipe is the only
-  transport.
+  this process or one per worker process (forked on Linux, spawned
+  elsewhere); the pipe is the only transport.
 * :mod:`repro.fleet.wire` — the batched binary handoff codec: one
   struct-packed, zlib-compressed frame per barrier instead of one
   pickle per stanza; decode reconstructs identical ``Handoff`` objects.

@@ -29,9 +29,14 @@ One simulation, K shards, each advanced in lockstep windows:
   lives on exactly one shard; ``seq`` is that shard's egress counter) —
   so the receiver schedules them identically no matter which worker
   answered first.
+* **Processes.**  Workers start by :data:`START_METHOD`: forked on
+  Linux, a copy of this coordinator with the package already imported;
+  spawned elsewhere, CPython's default there.  A forked worker first
+  closes the coordinator's pipe ends it inherited, or it would never
+  read EOF once the coordinator died.
 * **Data plane.**  Every worker is a
   :class:`~repro.fleet.worker.ShardDriver`; in-process the coordinator
-  calls it directly, spawned it sits behind one duplex pipe.  Handoff
+  calls it directly, in a process it sits behind one duplex pipe.  Handoff
   batches cross that pipe as :mod:`repro.fleet.wire` frames — one
   struct-packed, zlib-compressed buffer per barrier instead of one
   pickle per stanza — telemetry samples ride the barrier reply, and the
@@ -46,6 +51,7 @@ One simulation, K shards, each advanced in lockstep windows:
 from __future__ import annotations
 
 import multiprocessing
+import sys
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -64,10 +70,14 @@ class FleetError(RuntimeError):
     """A coordinator-level failure (bad epoch, misrouted handoff, …)."""
 
 
+#: How a worker process starts; depends on the platform alone.
+START_METHOD = "fork" if sys.platform == "linux" else "spawn"
+
+
 class _PulledTrace:
     """``FleetResult.trace_jsonl``: set as text, or as the ``(shard_id,
     part)`` pairs the workers handed over (a part: span rows, or a
-    spawned worker's sealed frame of them); read as text.  The first
+    worker process's sealed frame of them); read as text.  The first
     read opens, writes and merges the parts with collection paused — all
     it allocates is live until it returns — and the text replaces them.
     """
@@ -173,7 +183,7 @@ class _LocalWorker:
 
 
 class _ProcessWorker:
-    """The driver in a spawned process, behind one duplex pipe (see
+    """The driver in a worker process, behind one duplex pipe (see
     :func:`~repro.fleet.worker.fleet_worker_main` for the protocol)."""
 
     def __init__(
@@ -183,7 +193,11 @@ class _ProcessWorker:
         self.shard_id = spec.shard_id
         self.timeout_s = timeout_s
         self.wire_bytes = 0
+        # Every forked worker, this one included, closes its copy of the
+        # end (imported here: only a process fleet needs the module).
+        from multiprocessing.util import register_after_fork
         self.conn, child = context.Pipe()
+        register_after_fork(self.conn, type(self.conn).close)
         self.process = context.Process(
             target=fleet_worker_main,
             args=(child, spec, workload, fleet_ctx),
@@ -351,21 +365,21 @@ def run_fleet(
     }
     if workload_ctx:
         # Extra workload inputs (e.g. the ScenarioSpec) ride along; they
-        # must be picklable — the ctx crosses the spawn pipe as data.
+        # must be picklable — under spawn the ctx crosses as data.
         fleet_ctx.update(workload_ctx)
     wall_start = perf_counter()
     workers: List[Any] = []
     try:
         # Append as we go: if building worker k fails, the ``finally``
         # below must still see (and close) workers 0..k-1.
-        spawn = processes and plan.n_shards > 1
-        context = multiprocessing.get_context("spawn") if spawn else None
+        separate = processes and plan.n_shards > 1
+        context = multiprocessing.get_context(START_METHOD) if separate else None
         for shard_spec in plan.shards:
             workers.append(
                 _ProcessWorker(
                     shard_spec, workload, fleet_ctx, context, barrier_timeout_s
                 )
-                if spawn
+                if separate
                 else _LocalWorker(shard_spec, workload, fleet_ctx)
             )
         readies = [worker.ready() for worker in workers]

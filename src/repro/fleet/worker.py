@@ -1,4 +1,4 @@
-"""The shard driver and its spawn-safe transport: one Shard, one pipe.
+"""The shard driver and its process transport: one Shard, one pipe.
 
 * :class:`ShardDriver` — the one code path that steps a shard through a
   fleet run: build it from its spec, open the cross-shard boundary and
@@ -11,13 +11,13 @@
   shard-side exception becomes :class:`WorkerCrashed` in exactly one
   place, :func:`crash_guard`.
 * :func:`fleet_worker_main` — the same driver behind
-  :mod:`repro.fleet.wire` frames and a pipe, for a spawned worker.  The
+  :mod:`repro.fleet.wire` frames and a pipe, for a worker process.  The
   coordinator's in-process worker calls the driver directly; which of
   the two runs is a transport choice, not a second implementation.
 
-Everything here is module-level and picklable-by-reference, so it works
-under the ``spawn`` start method (a fresh interpreter that re-imports
-this module).
+Everything here is module-level and picklable by reference: off Linux a
+worker is spawned (:data:`repro.fleet.coordinator.START_METHOD`), a
+fresh interpreter that re-imports this module.
 """
 
 from __future__ import annotations
@@ -136,9 +136,9 @@ def setup_crash_canary(
 ) -> None:
     """Deliberately crash during workload setup (test workload).
 
-    Lets the crash-reporting tests exercise the full spawned-worker
-    error path — the workload must live at module level so the child
-    interpreter can import it by name.
+    Lets the crash-reporting tests exercise the full worker-process
+    error path — the workload must live at module level so a spawned
+    child interpreter can import it by name.
     """
     raise RuntimeError("crash canary tripped")
 
@@ -202,7 +202,7 @@ def collect_artifacts(shard: Shard, busy_s: float = 0.0) -> Dict[str, Any]:
 def crash_guard(shard_id: str) -> Iterator[None]:
     """Turn any exception raised inside the block into
     :class:`WorkerCrashed` — the one place a shard-side failure gets its
-    structured surface, in-process and spawned alike.
+    structured surface, in-process and in a worker process alike.
 
     The message carries the traceback as text (a traceback object cannot
     cross the pipe); ``cause`` is the one line the CLI prints.  The
@@ -306,7 +306,7 @@ class ShardDriver:
 
 
 # ---------------------------------------------------------------------------
-# The spawned transport
+# The process transport
 # ---------------------------------------------------------------------------
 
 def seal(value: Any) -> bytes:

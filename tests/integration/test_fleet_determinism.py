@@ -1,22 +1,40 @@
 """Fleet coordinator determinism across real worker processes.
 
 The tentpole claim, end to end: one battery-monitor fleet partitioned
-across spawned worker processes produces a merged report byte-identical
-to the single-shard run, and the spawned form is byte-identical to the
+across worker processes produces a merged report byte-identical to the
+single-shard run, and the process form is byte-identical to the
 in-process form of the same coordinator (so the property suite, which
 runs in-process for speed, covers the process path too).
+
+Workers are forked on Linux and spawned elsewhere
+(:data:`repro.fleet.coordinator.START_METHOD`).  The ``spawned`` runs
+here force spawn through that constant, so the path other platforms take
+— and the one that keeps every worker argument picklable — is held to
+the same bytes on every host.
 """
+
+import multiprocessing
 
 import pytest
 
+import repro.fleet.coordinator as coordinator
 from repro.fleet import run_fleet
+
+fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="this platform cannot fork",
+)
 
 
 @pytest.fixture(scope="module")
 def runs():
     kwargs = dict(seed=7, hours=0.5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coordinator, "START_METHOD", "spawn")
+        spawned = run_fleet(6, 3, processes=True, **kwargs)
     return {
-        "spawned": run_fleet(6, 3, processes=True, **kwargs),
+        "spawned": spawned,
+        "processes": run_fleet(6, 3, processes=True, **kwargs),  # this platform's way
         "inproc": run_fleet(6, 3, processes=False, **kwargs),
         "solo": run_fleet(6, 1, processes=False, **kwargs),
     }
@@ -32,6 +50,17 @@ def test_spawned_and_in_process_coordination_are_byte_identical(runs):
     assert runs["spawned"].trace_jsonl == runs["inproc"].trace_jsonl
     assert runs["spawned"].barriers == runs["inproc"].barriers
     assert runs["spawned"].handoffs == runs["inproc"].handoffs
+
+
+def test_the_start_method_changes_no_byte(runs):
+    # Forked or spawned, a worker runs the same loop over the same pipe:
+    # even the wire frames are the same size.
+    native, spawned = runs["processes"], runs["spawned"]
+    assert native.report_json == spawned.report_json
+    assert native.trace_jsonl == spawned.trace_jsonl
+    assert (native.barriers, native.handoffs, native.handoff_bytes) == (
+        spawned.barriers, spawned.handoffs, spawned.handoff_bytes
+    )
 
 
 def test_cross_shard_traffic_actually_crossed(runs):
@@ -96,15 +125,25 @@ TRACE_SHA256 = {
 
 
 @pytest.mark.parametrize(
-    "shards, processes",
-    [(1, False), (2, False), (2, True), (4, False), (4, True)],
-    ids=["solo", "2-in-process", "2-spawned", "4-in-process", "4-spawned"],
+    "shards, start_method",
+    [
+        pytest.param(1, None, id="solo"),
+        pytest.param(2, None, id="2-in-process"),
+        pytest.param(2, "spawn", id="2-spawned"),
+        pytest.param(2, "fork", id="2-forked", marks=fork_only),
+        pytest.param(4, None, id="4-in-process"),
+        pytest.param(4, "spawn", id="4-spawned"),
+        pytest.param(4, "fork", id="4-forked", marks=fork_only),
+    ],
 )
-def test_merged_trace_bytes_are_pinned(shards, processes):
+def test_merged_trace_bytes_are_pinned(shards, start_method, monkeypatch):
     import hashlib
 
     from repro.scenarios import build_preset, run_scenario_spec
 
+    processes = start_method is not None
+    if processes:
+        monkeypatch.setattr(coordinator, "START_METHOD", start_method)
     stadium = build_preset("stadium-evening", scale=0.1)
     traces = {
         "battery": run_fleet(

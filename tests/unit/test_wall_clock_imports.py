@@ -6,9 +6,18 @@ can break that without any test noticing until a loaded CI host does
 (the wall-clock script watchdog did, for nine PRs).  So the modules that
 may import such a thing are listed here, by name, with what they import:
 the three that time CPU, stalls and frame rates for telemetry, which is
-already fenced off from the deterministic bytes.  Everything else in the
-package — in particular everything a spawned fleet worker runs between
-two barriers — has no way to ask what time it is.
+already fenced off from the deterministic bytes, and the fleet
+coordinator, the one module that starts worker processes.  Everything
+else in the package — in particular everything a fleet worker runs
+between two barriers — has no way to ask what time it is.
+
+The same list is the precondition for forking those workers.  On Linux
+the coordinator forks them (``repro.fleet.coordinator.START_METHOD``),
+and a fork copies one thread: any lock another thread held at that
+moment stays held in the child forever.  Forking is safe because the
+package never has a second thread to hold one — no ``threading``, no
+``asyncio`` loop, no ``concurrent`` executor, and ``multiprocessing``
+only where the workers are started.
 
 The host's cyclic collector is held the same way.  When a pass runs is
 the host's business (``repro.sim.hostgc`` moves it out of every
@@ -23,11 +32,14 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).parent.parent.parent / "src" / "repro"
-HOST_MODULES = {"time", "datetime", "threading", "ctypes", "signal"}
+HOST_MODULES = {
+    "time", "datetime", "threading", "ctypes", "signal",
+    "asyncio", "concurrent", "multiprocessing",
+}
 ALLOWED = {
     "obs/live.py": {"time"},
     "fleet/worker.py": {"time"},
-    "fleet/coordinator.py": {"time"},
+    "fleet/coordinator.py": {"time", "multiprocessing"},
 }
 COLLECTOR_WATCHERS = {"gc", "weakref", "__del__"}
 
