@@ -132,8 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="partition across this many shard workers "
                                 "(the report is byte-identical to --shards 1)")
     scenarios.add_argument("--in-process", action="store_true",
-                           help="drive the shards in this process (no spawn "
-                                "cost; byte-identical results)")
+                           help="run every shard in this process (no worker "
+                                "processes; byte-identical results)")
     scenarios.add_argument("--report", metavar="PATH",
                            help="write the canonical report JSON to PATH")
     scenarios.add_argument("--json", action="store_true",
@@ -180,8 +180,9 @@ def _add_fleet_args(parser) -> None:
     parser.add_argument("--devices", type=int, default=500,
                         help="fleet size (default 500)")
     parser.add_argument("--shards", type=int, default=4,
-                        help="worker process count (default 4; 1 = the "
-                             "reference single-shard run)")
+                        help="shard count (default 4; shard 0 runs in "
+                             "this process, the rest in worker processes; "
+                             "1 = the reference single-shard run)")
     parser.add_argument("--hours", type=float, default=1.0,
                         help="simulated hours (default 1.0)")
     parser.add_argument("--epoch-ms", type=float, default=None,
@@ -193,8 +194,8 @@ def _add_fleet_args(parser) -> None:
                              "schedule itself, identically for solo and "
                              "sharded runs; must be > 0)")
     parser.add_argument("--in-process", action="store_true",
-                        help="drive the shards in this process behind the "
-                             "same barrier protocol (no spawn cost; "
+                        help="run every shard in this process behind the "
+                             "same barrier protocol (no worker processes; "
                              "byte-identical results)")
     parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="experiment seed (also accepted before the "
@@ -730,9 +731,10 @@ def cmd_fleet(args) -> int:
     if args.json:
         print(result.report_json, end="")
         return 0
-    mode = "in-process" if args.in_process or args.shards == 1 else "spawned"
+    in_workers = 0 if args.in_process else result.shards - 1  # not shard 0
     print(
-        f"{result.devices} devices across {result.shards} {mode} shard(s), "
+        f"{result.devices} devices across {result.shards} shard(s) "
+        f"({in_workers} in worker processes), "
         f"{args.hours} h simulated (seed {args.seed}):"
     )
     print(

@@ -14,9 +14,10 @@ byte-identical to the single-shard run for the same seed:
 * :mod:`repro.fleet.coordinator` — conservative time-windowed
   synchronization: epoch length bounded by the minimum cross-shard
   stanza latency, deterministic sorted handoff exchange at each barrier,
-  quiescence detection, clean errors on worker crashes.  Drivers run in
-  this process or one per worker process (forked on Linux, spawned
-  elsewhere); the pipe is the only transport.
+  quiescence detection, clean errors on worker crashes.  A process
+  fleet of K shards runs shard 0 in this process and the other K−1 one
+  per worker process (forked on Linux, spawned elsewhere); the pipe is
+  the only transport.
 * :mod:`repro.fleet.wire` — the batched binary handoff codec: one
   struct-packed, zlib-compressed frame per barrier instead of one
   pickle per stanza; decode reconstructs identical ``Handoff`` objects.

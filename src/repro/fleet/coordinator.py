@@ -29,8 +29,9 @@ One simulation, K shards, each advanced in lockstep windows:
   lives on exactly one shard; ``seq`` is that shard's egress counter) —
   so the receiver schedules them identically no matter which worker
   answered first.
-* **Processes.**  Workers start by :data:`START_METHOD`: forked on
-  Linux, a copy of this coordinator with the package already imported;
+* **Processes.**  Shard 0 runs in this process, shards 1…K−1 in worker
+  processes started before it by :data:`START_METHOD`: forked on Linux,
+  a copy of this coordinator with the package already imported;
   spawned elsewhere, CPython's default there.  A forked worker first
   closes the coordinator's pipe ends it inherited, or it would never
   read EOF once the coordinator died.
@@ -58,7 +59,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.shard import Handoff, ShardSpec
 from ..obs.timeline import FleetTimeline, fleet_health
-from ..sim.hostgc import building
+from ..sim.hostgc import building, reclaim
 from ..sim.kernel import HOUR
 from .merge import merge_fleet_reports, merge_metrics, merge_span_rows, report_to_json
 from .partition import fleet_spec, plan_fleet
@@ -152,31 +153,34 @@ def _handoff_sort_key(handoff: Handoff):
 # ---------------------------------------------------------------------------
 
 class _LocalWorker:
-    """The driver called directly, in this process — no spawn cost, for
-    tests and small fleets; bit-identical to the process form."""
+    """The driver called directly, in this process; bit-identical to the
+    process form.  It too works between a post and its wait, so the
+    worker processes posted with it run while it does."""
 
     wire_bytes = 0  # nothing crosses a pipe in-process
+    stall_s = 0.0  # what it waited on worker processes for, if any
 
     def __init__(self, spec: ShardSpec, workload: str, fleet_ctx) -> None:
         self.shard_id = spec.shard_id
         self.driver = ShardDriver(spec, workload, fleet_ctx)
-        self._pending = None
+        self._granted = None
 
     def ready(self) -> Tuple[float, Optional[float], List[Handoff], bool]:
         return self.driver.ready()
 
     def post_advance(self, barrier_ms: float, handoffs: List[Handoff]) -> None:
-        self._pending = self.driver.advance(barrier_ms, handoffs)
+        self._granted = barrier_ms, handoffs
 
     def wait_barrier(self) -> Tuple[List[Handoff], Optional[float], bool, Any]:
-        pending, self._pending = self._pending, None
-        return pending
+        granted, self._granted = self._granted, None
+        return self.driver.advance(*granted, self.stall_s)
 
     def post_finish(self) -> None:
         pass
 
     def wait_result(self) -> Tuple[Dict[str, Any], Any]:
-        return self.driver.finish()  # the rows themselves
+        driver, self.driver = self.driver, None  # the shard is garbage after
+        return driver.finish()  # the rows themselves
 
     def close(self) -> None:
         pass
@@ -303,12 +307,14 @@ def run_fleet(
     """Run one fleet partitioned across ``shards`` workers and merge.
 
     Pass either ``devices`` (a homogeneous battery-monitor fleet is
-    built via :func:`fleet_spec`) or a full root ``spec``.  With
-    ``processes=False`` the shards run in this process behind the same
-    barrier protocol — byte-identical results, no spawn cost; the
+    built via :func:`fleet_spec`) or a full root ``spec``.  Shard 0
+    runs in this process, and with ``processes=False`` every shard does,
+    behind the same barrier protocol — byte-identical results; the
     property tests use it.  ``epoch_ms`` defaults to the maximum safe
     value (the minimum cross-shard stanza latency reported by the
-    workers); anything larger is rejected.
+    workers); anything larger is rejected.  ``barrier_timeout_s`` bounds
+    each wait on a worker process, not shard 0: a hung shard in this
+    process hangs the run (an open stall case, see ROADMAP.md).
 
     ``latency_ms`` overrides the switchboard's base stanza latency —
     simulated physics, not a tuning knob: it changes the schedule
@@ -370,18 +376,18 @@ def run_fleet(
     wall_start = perf_counter()
     workers: List[Any] = []
     try:
-        # Append as we go: if building worker k fails, the ``finally``
-        # below must still see (and close) workers 0..k-1.
+        # Worker processes first, so they build while this one does.
+        # Append as we go: if starting worker k fails, the ``finally``
+        # below must still see (and close) the workers already started.
         separate = processes and plan.n_shards > 1
-        context = multiprocessing.get_context(START_METHOD) if separate else None
-        for shard_spec in plan.shards:
-            workers.append(
-                _ProcessWorker(
+        if separate:
+            context = multiprocessing.get_context(START_METHOD)
+            for shard_spec in plan.shards[1:]:
+                workers.append(_ProcessWorker(
                     shard_spec, workload, fleet_ctx, context, barrier_timeout_s
-                )
-                if separate
-                else _LocalWorker(shard_spec, workload, fleet_ctx)
-            )
+                ))
+        hosted = plan.shards[:1] if separate else plan.shards
+        workers[:0] = [_LocalWorker(s, workload, fleet_ctx) for s in hosted]
         readies = [worker.ready() for worker in workers]
         min_latency = min(latency for latency, _, _, _ in readies)
         epoch = float(epoch_ms) if epoch_ms is not None else min_latency
@@ -424,7 +430,11 @@ def run_fleet(
             window_start = perf_counter()
             for index, worker in enumerate(workers):
                 worker.post_advance(barrier, outbox[index])
-            results = [worker.wait_barrier() for worker in workers]
+            results = [workers[0].wait_barrier()]
+            blocked = perf_counter()
+            results += [worker.wait_barrier() for worker in workers[1:]]
+            if separate:  # shard 0 is done: this is its wait on the rest
+                workers[0].stall_s += perf_counter() - blocked
             collected: List[Handoff] = []
             for index, (out, _, _, _) in enumerate(results):
                 if out and not capable[index]:
@@ -503,7 +513,11 @@ def run_fleet(
 
         for worker in workers:
             worker.post_finish()
-        artifacts, parts = zip(*(worker.wait_result() for worker in workers))
+        results = [workers[0].wait_result()]  # and shard 0 is dropped
+        if separate:  # free it while the workers seal, not in the next build
+            reclaim()
+        results += [worker.wait_result() for worker in workers[1:]]
+        artifacts, parts = zip(*results)
     finally:
         for worker in workers:
             worker.close()

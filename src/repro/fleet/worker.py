@@ -33,6 +33,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from ..core.shard import Handoff, Shard, ShardSpec
 from ..sim.hostgc import building
 from ..sim.spans import SpanRow, span_rows
+from .partition import device_jid
 
 try:
     import resource
@@ -134,13 +135,16 @@ def setup_battery_monitor(
 def setup_crash_canary(
     shard: Shard, fleet_ctx: Optional[Dict[str, Any]] = None
 ) -> None:
-    """Deliberately crash during workload setup (test workload).
+    """Deliberately crash during workload setup (test workload): on every
+    shard, or on the one holding device ``fleet_ctx["crash_device"]``.
 
     Lets the crash-reporting tests exercise the full worker-process
     error path — the workload must live at module level so a spawned
     child interpreter can import it by name.
     """
-    raise RuntimeError("crash canary tripped")
+    site = (fleet_ctx or {}).get("crash_device")
+    if site is None or device_jid(site) in shard.devices:
+        raise RuntimeError("crash canary tripped")
 
 
 #: Workload name → setup callable, looked up by the worker loop.  Names,
@@ -269,7 +273,7 @@ class ShardDriver:
         finished, ``None`` when telemetry is disabled.  Its wall section
         holds ``cpu_s`` (cumulative :attr:`busy_s`), ``stall_s``
         (cumulative time the caller spent blocked waiting for its
-        grants — zero for an in-process worker, which never blocks) and
+        grants — zero when no shard runs in a worker process) and
         ``rss_kb`` (the process's peak RSS).
         """
         shard = self.shard

@@ -238,15 +238,16 @@ class _MidEpochBomb:
 def setup_scenario_crash(
     shard: Shard, fleet_ctx: Optional[Dict[str, Any]] = None
 ) -> None:
-    """Scenario workload that crashes one worker mid-epoch (test-only).
+    """Scenario workload that crashes one worker mid-epoch (test-only):
+    the shard holding device ``fleet_ctx["crash_device"]`` (default 0).
 
-    Device-1 always lands on shard 0 under round-robin partitioning, so
-    the crash site is deterministic regardless of shard count.
+    Device *i* lands on shard ``i % K`` under round-robin partitioning,
+    so the crash site is deterministic for a given shard count.
     """
     setup_scenario(shard, fleet_ctx)
     from ..fleet.partition import device_jid
 
-    if device_jid(0) in shard.devices:
+    if device_jid(fleet_ctx.get("crash_device", 0)) in shard.devices:
         shard.kernel.schedule_at(1_000.0, _MidEpochBomb())
 
 

@@ -75,7 +75,9 @@ def reclaim() -> None:
     every one of them.  ``Shard`` calls this before it creates a new
     shard: the one point where the last simulation may just have been
     dropped and the next one is not yet there to be walked.  The first
-    shard of a process owes nothing and pays nothing.
+    shard of a process owes nothing and pays nothing, unless it was
+    forked from one that owed.  A process fleet calls it too, on
+    dropping its shard 0, while its workers seal.
     """
     global _pass_owed
     if _pass_owed and gc.get_freeze_count() == 0:

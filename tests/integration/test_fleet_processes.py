@@ -55,8 +55,9 @@ def test_a_script_read_from_stdin_runs_a_process_fleet():
     ).report_json
 
 
-#: Runs a fleet far longer than the test waits, and prints its two
-#: worker pids once the first barrier has been crossed.
+#: Runs a three-shard fleet far longer than the test waits, and prints
+#: its two worker pids once the first barrier has been crossed (shard 0
+#: runs in the coordinator).
 COORDINATOR = """
 import multiprocessing
 
@@ -72,7 +73,7 @@ def announce(frame):
 
 
 if __name__ == "__main__":  # spawned workers re-import this file
-    run_fleet(8, 2, seed=0, hours=10_000.0, observer=announce)
+    run_fleet(8, 3, seed=0, hours=10_000.0, observer=announce)
 """
 
 
@@ -90,7 +91,8 @@ def _alive(pid):
 def test_a_dead_coordinator_still_reaches_its_workers(tmp_path):
     # A worker learns that its coordinator died from EOF on its pipe,
     # which comes only once every copy of the coordinator's end is
-    # closed — including the copies a forked worker inherited.
+    # closed — including the copies a forked worker inherited: its own
+    # and, in the second worker, the first one's.
     script = tmp_path / "coordinator.py"
     script.write_text(COORDINATOR)
     coordinator = subprocess.Popen(

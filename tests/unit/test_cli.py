@@ -208,6 +208,18 @@ def test_fleet_quotes_bytes_per_handoff_only_when_there_are_handoffs(capsys):
     assert "B/handoff framed+compressed)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "extra, workers", [([], 2), (["--in-process"], 0)], ids=["processes", "in-process"]
+)
+def test_fleet_says_how_many_shards_ran_in_worker_processes(capsys, extra, workers):
+    assert main(["--seed", "5", "fleet", "--devices", "4", "--shards", "3",
+                 "--hours", "0.05", *extra]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"4 devices across 3 shard(s) ({workers} in worker processes), "
+        f"0.05 h simulated (seed 5):"
+    )
+
+
 def test_top_runs_and_prints_health(capsys):
     assert main(["--seed", "5", "top", "--devices", "4", "--shards", "2",
                  "--hours", "0.25", "--in-process"]) == 0

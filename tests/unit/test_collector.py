@@ -11,7 +11,8 @@ Four things are held here:
   heap.
 * **Nothing is retained.**  Shards built, run and dropped give every
   object back at the next full pass, and the permanent generation is
-  empty again.
+  empty again.  A process fleet frees the shard 0 it ran here before
+  it returns.
 * **No cyclic garbage per event.**  Nothing is collected inside a
   dispatch, so a reference cycle made per event would grow for the
   whole run: ``DEBUG_SAVEALL`` runs of the fleet, stadium and chaos
@@ -39,11 +40,12 @@ from repro.core.scripting import compile_script
 from repro.core.shard import Shard
 from repro.device.cpu import Alarm, Cpu, MainsCpu
 from repro.device.power import PowerRail
+from repro.fleet import run_fleet
 from repro.fleet.partition import fleet_spec, plan_fleet
 from repro.fleet.worker import setup_battery_monitor
 from repro.scenarios import build_preset
 from repro.scenarios.workload import setup_scenario
-from repro.sim import Kernel
+from repro.sim import Kernel, hostgc
 from repro.sim.hostgc import building, dispatching
 
 
@@ -358,6 +360,19 @@ def test_a_pass_is_owed_only_after_a_dispatch_and_paid_by_the_next_build():
         assert passes == [2]
     finally:
         gc.callbacks.remove(probe)
+
+
+def test_a_process_fleet_frees_its_hosted_shard_before_it_returns():
+    # Shard 0 of a process fleet runs in this process; the pass that
+    # frees it is paid inside the run, not by whatever shard comes next.
+    # An in-process fleet still leaves its shards to that next build.
+    gc.collect()
+    run_fleet(8, 2, seed=3, hours=0.05, barrier_timeout_s=120.0)
+    assert not hostgc._pass_owed
+    assert gc.collect() < 100  # 33 measured; shard 0 alone is ~1,000
+    run_fleet(8, 2, seed=3, hours=0.05, processes=False)
+    assert hostgc._pass_owed
+    assert gc.collect() > 1_000  # both shards: 1,948 measured
 
 
 def test_a_host_frozen_heap_is_not_collected_for(host_frozen_heap):

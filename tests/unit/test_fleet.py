@@ -17,6 +17,7 @@ from repro.fleet import (
     plan_fleet,
     run_fleet,
 )
+from repro.fleet import coordinator
 from repro.fleet.coordinator import FleetResult
 from repro.fleet.merge import (
     MergeError, merge_span_rows, merge_trace_rows, report_to_json,
@@ -417,15 +418,16 @@ class TestTraceRowPath:
             return unseal(frame)
 
         monkeypatch.setattr(coordinator, "unseal", counting)
-        result = run_fleet(4, 2, seed=6, hours=0.25, barrier_timeout_s=120.0)
+        result = run_fleet(4, 3, seed=6, hours=0.25, barrier_timeout_s=120.0)
         assert len(opened) == 2  # the artifacts of two workers, nothing else
         parts = vars(result)["trace_jsonl"]
-        assert [shard_id for shard_id, _ in parts] == ["fleet/0", "fleet/1"]
-        assert all(type(frame) is bytes for _, frame in parts)
+        assert [shard_id for shard_id, _ in parts] == ["fleet/0", "fleet/1", "fleet/2"]
+        # The hosted shard 0 hands over rows; each worker process, a frame.
+        assert [type(part) for _, part in parts] == [list, bytes, bytes]
         assert "trace_jsonl" not in repr(result) and len(opened) == 2
-        in_process = run_fleet(4, 2, seed=6, hours=0.25, processes=False)
+        in_process = run_fleet(4, 3, seed=6, hours=0.25, processes=False)
         assert result.trace_jsonl == in_process.trace_jsonl != ""
-        assert opened[2:] == [len(frame) for _, frame in parts]  # by the read
+        assert opened[2:] == [len(frame) for _, frame in parts[1:]]  # by the read
 
     def test_the_text_is_written_once_and_replaces_the_parts(self):
         result = run_fleet(4, 2, seed=6, hours=0.25, processes=False)
@@ -504,9 +506,15 @@ class TestTraceRowPath:
         assert len(seal(rows)) * 36_000 / 20_000 < 1_000_000
 
 
-def _mid_epoch_crash(processes):
-    """Run the scenario whose bomb detonates at t=1000 ms on device-1's
-    shard; return the WorkerCrashed it must surface as."""
+#: Where a two-shard crash test puts its crash, as the device whose shard
+#: raises: device i lives on shard i % 2, and a process fleet runs shard 0
+#: in the coordinator and shard 1 in a worker process.
+HOSTED, IN_A_WORKER = 0, 1
+
+
+def _mid_epoch_crash(processes, crash_device=HOSTED):
+    """Run the scenario whose bomb detonates at t=1000 ms on the shard of
+    ``crash_device``; return the WorkerCrashed it must surface as."""
     from repro.fleet.worker import WorkerCrashed
     from repro.scenarios import ScenarioSpec
 
@@ -516,8 +524,22 @@ def _mid_epoch_crash(processes):
         run_fleet(
             spec=spec.compile(), shards=2, duration_ms=0.25 * 3_600_000.0,
             workload="scenario-crash-mid-epoch",
-            workload_ctx={"scenario": spec},
+            workload_ctx={"scenario": spec, "crash_device": crash_device},
             processes=processes, barrier_timeout_s=120.0,
+        )
+    return excinfo.value
+
+
+def _setup_crash(processes, crash_device=None):
+    """Run the canary that raises while building the shard of
+    ``crash_device`` (every shard if ``None``); return its WorkerCrashed."""
+    from repro.fleet.worker import WorkerCrashed
+
+    with pytest.raises(WorkerCrashed) as excinfo:
+        run_fleet(
+            2, 2, seed=0, hours=0.01, processes=processes,
+            workload="crash-canary", workload_ctx={"crash_device": crash_device},
+            barrier_timeout_s=120.0,
         )
     return excinfo.value
 
@@ -535,19 +557,16 @@ class TestWorkerCrashDiagnostics:
         assert exc.shard_id == "fleet/0"
         assert exc.cause == "RuntimeError: crash canary tripped"
 
-    def test_spawned_setup_crash_carries_shard_and_cause(self):
-        from repro.fleet.worker import WorkerCrashed
-
-        with pytest.raises(WorkerCrashed) as excinfo:
-            run_fleet(
-                2, 2, seed=0, hours=0.01, processes=True,
-                workload="crash-canary", barrier_timeout_s=120.0,
-            )
-        exc = excinfo.value
-        assert exc.shard_id == "fleet/0"
+    def test_spawned_setup_crash_carries_shard_and_cause(self, monkeypatch):
+        # Shard 1, in a spawned worker process: the WorkerCrashed crosses
+        # the pipe as an ("error", ...) message and is raised here.
+        monkeypatch.setattr(coordinator, "START_METHOD", "spawn")
+        exc = _setup_crash(processes=True, crash_device=IN_A_WORKER)
+        assert exc.shard_id == "fleet/1"
         # One line, extracted from the child's traceback.
         assert exc.cause == "RuntimeError: crash canary tripped"
         assert "\n" not in exc.cause
+        assert "Traceback" in str(exc)
 
     def test_in_process_mid_epoch_crash_is_stamped_with_barrier_progress(self):
         # The bomb detonates at t=1000 ms, several 80 ms epochs in — the
@@ -560,9 +579,12 @@ class TestWorkerCrashDiagnostics:
         assert exc.barriers is not None and exc.barriers >= 1
         assert exc.barrier_ms is not None and exc.barrier_ms > 0.0
 
-    def test_spawned_mid_epoch_crash_is_stamped_with_barrier_progress(self):
-        exc = _mid_epoch_crash(processes=True)
-        assert exc.shard_id.endswith("/0")
+    def test_spawned_mid_epoch_crash_is_stamped_with_barrier_progress(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(coordinator, "START_METHOD", "spawn")
+        exc = _mid_epoch_crash(processes=True, crash_device=IN_A_WORKER)
+        assert exc.shard_id.endswith("/1")
         assert exc.cause == "RuntimeError: scenario mid-epoch crash canary"
         assert exc.barriers is not None and exc.barriers >= 1
         assert exc.barrier_ms is not None and exc.barrier_ms > 0.0
@@ -669,17 +691,13 @@ class TestWorkerCleanup:
     def test_setup_crash_leaves_no_workers(self):
         import multiprocessing
 
-        from repro.fleet.worker import WorkerCrashed
-
-        with pytest.raises(WorkerCrashed):
-            run_fleet(2, 2, seed=0, hours=0.05, processes=True,
-                      workload="crash-canary", barrier_timeout_s=120.0)
+        _setup_crash(processes=True, crash_device=IN_A_WORKER)
         assert multiprocessing.active_children() == []
 
     def test_mid_epoch_crash_leaves_no_workers(self):
         import multiprocessing
 
-        _mid_epoch_crash(processes=True)
+        _mid_epoch_crash(processes=True, crash_device=IN_A_WORKER)
         assert multiprocessing.active_children() == []
 
     def test_failed_spawn_closes_the_workers_already_started(self, monkeypatch):
@@ -713,6 +731,77 @@ class TestWorkerCleanup:
             run_fleet(4, 3, seed=0, hours=0.05, processes=True)
         assert len(started) == 1
         assert multiprocessing.active_children() == []
+
+
+class TestProcessLayout:
+    """K shards, K−1 worker processes: shard 0 runs in the coordinator."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_a_process_fleet_starts_one_process_fewer_than_its_shards(self, shards):
+        import multiprocessing
+
+        alive = []
+        result = run_fleet(
+            8, shards, seed=0, hours=0.05, barrier_timeout_s=120.0,
+            observer=lambda frame: alive.append(len(multiprocessing.active_children())),
+        )
+        assert result.barriers == len(alive) > 0
+        assert set(alive) == {shards - 1}
+        assert multiprocessing.active_children() == []
+
+    def test_the_hosted_shard_reports_its_wait_on_the_workers_as_stall(self):
+        # Shard 0 blocks in the coordinator while the worker processes
+        # finish their window; with every shard in-process nobody blocks.
+        mixed = run_fleet(8, 2, seed=0, hours=0.05, telemetry=True,
+                          barrier_timeout_s=120.0).health["shards"]
+        assert mixed["fleet/0"]["stall_s"] > 0.0 and mixed["fleet/1"]["stall_s"] > 0.0
+        local = run_fleet(8, 2, seed=0, hours=0.05, telemetry=True,
+                          processes=False).health["shards"]
+        assert [entry["stall_s"] for entry in local.values()] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("crash", [_setup_crash, _mid_epoch_crash],
+                             ids=["setup", "mid-epoch"])
+    @pytest.mark.parametrize("crash_device", [HOSTED, IN_A_WORKER],
+                             ids=["hosted", "in-a-worker"])
+    def test_a_crash_reads_the_same_hosted_and_in_a_worker_process(
+        self, crash, crash_device
+    ):
+        # A crash in the hosted shard 0 and one in the worker process that
+        # runs shard 1 each read as their in-process twin does, and
+        # neither leaves a worker behind.
+        import multiprocessing
+
+        local = crash(processes=False, crash_device=crash_device)
+        mixed = crash(processes=True, crash_device=crash_device)
+        assert multiprocessing.active_children() == []
+        assert mixed.shard_id.endswith(f"/{crash_device}")  # device i: shard i % 2
+        assert (local.shard_id, local.cause, local.barriers, local.barrier_ms) == (
+            mixed.shard_id, mixed.cause, mixed.barriers, mixed.barrier_ms,
+        )
+        assert str(local).splitlines()[0] == str(mixed).splitlines()[0]
+        assert "crash canary" in local.cause
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: barrier_timeout_s "
+                       "bounds the waits on worker processes, not shard 0")
+    def test_a_hung_hosted_shard_is_reported_like_a_hung_worker(self, monkeypatch):
+        # A shard 0 that stalls past the timeout is waited for, where a
+        # worker process would have come back as "presumed hung".
+        import time
+
+        from repro.fleet.worker import WorkerCrashed
+
+        wait_barrier, calls = coordinator._LocalWorker.wait_barrier, []
+
+        def stalled_once(self):
+            if not calls:
+                time.sleep(1.0)
+            calls.append(self.shard_id)
+            return wait_barrier(self)
+
+        monkeypatch.setattr(coordinator._LocalWorker, "wait_barrier", stalled_once)
+        with pytest.raises(WorkerCrashed, match="presumed hung") as excinfo:
+            run_fleet(4, 2, seed=0, hours=0.05, barrier_timeout_s=0.5)
+        assert excinfo.value.shard_id == "fleet/0"
 
 
 class TestShardDriver:
@@ -770,11 +859,14 @@ class TestShardDriver:
         assert sample["wall"]["stall_s"] == 0.25
         assert sample["wall"]["cpu_s"] > 0.0
 
-    def test_crash_reads_the_same_in_process_and_spawned(self):
+    def test_crash_reads_the_same_in_process_and_spawned(self, monkeypatch):
         # The exception -> WorkerCrashed mapping is written once, in the
-        # driver, so the transport cannot change how a crash reads.
-        local = _mid_epoch_crash(processes=False)
-        spawned = _mid_epoch_crash(processes=True)
+        # driver, so the transport cannot change how a crash reads: here,
+        # shard 1 in a spawned worker process against shard 1 in-process.
+        local = _mid_epoch_crash(processes=False, crash_device=IN_A_WORKER)
+        monkeypatch.setattr(coordinator, "START_METHOD", "spawn")
+        spawned = _mid_epoch_crash(processes=True, crash_device=IN_A_WORKER)
+        assert spawned.shard_id.endswith("/1")
         assert (local.shard_id, local.cause) == (spawned.shard_id, spawned.cause)
         assert (local.barriers, local.barrier_ms) == (
             spawned.barriers, spawned.barrier_ms
