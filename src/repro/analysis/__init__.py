@@ -25,7 +25,6 @@ from .matching import (
     data_reduction_percent,
     match_clusters,
 )
-from .export import intervals_to_csv, rows_to_csv, series_to_csv, trace_to_csv
 from .plotting import render_series, render_tracks
 from .sloc import SlocCount, count_scripts, count_sloc
 
@@ -52,10 +51,6 @@ __all__ = [
     "count_scripts",
     "count_sloc",
     "SlocCount",
-    "intervals_to_csv",
-    "rows_to_csv",
-    "series_to_csv",
-    "trace_to_csv",
     "render_series",
     "render_tracks",
 ]

@@ -19,7 +19,6 @@ from .tasks import (
 )
 from .compiler import (
     REPORT_CHANNEL,
-    compile_source,
     compile_task,
     deploy_task,
     generate_collector_script,
@@ -41,7 +40,6 @@ __all__ = [
     "ReportSpec",
     "parse_task",
     "REPORT_CHANNEL",
-    "compile_source",
     "compile_task",
     "deploy_task",
     "generate_collector_script",

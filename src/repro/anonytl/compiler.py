@@ -21,18 +21,13 @@ that gap.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.deployment import Experiment
-from .tasks import AnonyTLTask, ReportSpec, parse_task
+from .tasks import AnonyTLTask, ReportSpec
 
 #: Channel compiled tasks publish their reports on.
 REPORT_CHANNEL = "anonytl-reports"
-
-
-def compile_source(text: str) -> Experiment:
-    """Parse and compile task text in one step."""
-    return compile_task(parse_task(text))
 
 
 def compile_task(task: AnonyTLTask) -> Experiment:

@@ -1,7 +1,6 @@
 """Ready-made Pogo applications (the paper's example experiments)."""
 
 from . import (
-    activity_monitor,
     battery_monitor,
     contact_tracing,
     deployment_study,
@@ -11,7 +10,6 @@ from . import (
 )
 
 __all__ = [
-    "activity_monitor",
     "battery_monitor",
     "contact_tracing",
     "deployment_study",

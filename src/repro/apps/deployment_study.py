@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.clustering import Cluster, cluster_stream
-from ..analysis.matching import MatchReport, match_clusters
+from ..analysis.matching import MatchReport, data_reduction_percent, match_clusters
 from ..core.messages import message_size_bytes
 from ..core.middleware import PogoSimulation
 from ..core.services import GeolocationBridge
-from ..sim.kernel import DAY
-from ..world.disruptions import DisruptionPlan, cell_outage, standard_plan, trip_abroad
+from ..world.disruptions import cell_outage, standard_plan, trip_abroad
 from ..world.geolocation import GeolocationService
 from ..world.mobility import UserProfile
 from ..world.rssi import PropagationModel
@@ -278,7 +277,7 @@ def format_table(results: List[SessionResult]) -> str:
     total_raw = sum(r.raw_bytes for r in results)
     total_locations = sum(r.locations for r in results)
     total_reduced = sum(r.location_bytes for r in results)
-    reduction = 100.0 * (1.0 - total_reduced / total_raw) if total_raw else 0.0
+    reduction = data_reduction_percent(total_raw, total_reduced)
     lines.append(
         f"{'total':<8} {total_scans:>7,} {total_raw:>11,} "
         f"{total_locations:>9,} {total_reduced:>9,}   data reduction {reduction:.1f}%"

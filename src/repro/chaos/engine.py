@@ -50,11 +50,6 @@ class ChaosEngine:
         self.interceptor.add_rule(src, dst, impairment)
         return impairment
 
-    def impair_both_ways(self, a: str, b: str, **dials) -> None:
-        impairment = Impairment(**dials)
-        self.interceptor.add_rule(a, b, impairment)
-        self.interceptor.add_rule(b, a, impairment)
-
     def partition(self, island: Iterable[str], at_ms: float, duration_ms: float) -> None:
         """Cut ``island`` off from the rest of the roster for a window."""
         members: Set[str] = set(island)

@@ -30,7 +30,7 @@ message's trace therefore *shows* the drop instead of dangling.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from ..net.xmpp import LinkInterceptor
 from ..sim.kernel import Kernel
@@ -91,15 +91,6 @@ class Impairment:
         self.delay_ms = delay_ms
         self.hold_ms = hold_ms
 
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "drop": self.drop,
-            "dup": self.dup,
-            "reorder": self.reorder,
-            "delay_ms": list(self.delay_ms),
-            "hold_ms": list(self.hold_ms),
-        }
-
 
 class _Rule:
     """(src pattern, dst pattern) -> Impairment; '*' matches any JID."""
@@ -148,9 +139,6 @@ class ChaosInterceptor(LinkInterceptor):
         """
         self._rules.append(_Rule(src, dst, impairment))
 
-    def clear_rules(self) -> None:
-        self._rules.clear()
-
     def start_partition(self, island: Set[str]) -> None:
         """Cut ``island`` off from everyone else (both directions)."""
         self._partitions.append(set(island))
@@ -163,10 +151,6 @@ class ChaosInterceptor(LinkInterceptor):
         """Drop every rule and partition: the settle phase's clean slate."""
         self._rules.clear()
         self._partitions.clear()
-
-    @property
-    def active(self) -> bool:
-        return bool(self._rules or self._partitions)
 
     # ------------------------------------------------------------------
     # The seam

@@ -65,17 +65,6 @@ class Violation:
             "trace_ids": sorted(set(self.trace_ids)),
         }
 
-    def __str__(self) -> str:
-        traces = ""
-        if self.trace_ids:
-            shown = ", ".join(f"{t:#x}" for t in sorted(set(self.trace_ids))[:4])
-            more = len(set(self.trace_ids)) - 4
-            traces = f" [traces: {shown}{f' +{more}' if more > 0 else ''}]"
-        return (
-            f"[{self.invariant}] t={self.time_ms:.0f}ms {self.subject}: "
-            f"{self.detail}{traces}"
-        )
-
 
 class _LinkWitness(LinkObserver):
     """Per-link protocol witness (one direction-pair: owner <-> peer).

@@ -551,6 +551,13 @@ def cmd_chaos(args) -> int:
             scenario = _chaos.SCENARIOS[name]
             print(f"{name:<16} {scenario.default_minutes:>4.0f} min  {scenario.description}")
         return 0
+    if args.scenario not in _chaos.SCENARIOS:
+        print(
+            f"chaos: unknown scenario {args.scenario!r} "
+            f"(choose from {sorted(_chaos.SCENARIOS)})",
+            file=sys.stderr,
+        )
+        return 2
     report = _chaos.run_scenario(
         args.scenario,
         seed=args.seed,
@@ -796,8 +803,26 @@ _COMMANDS = {
 }
 
 
+def _bad_length(args) -> Optional[str]:
+    """What is wrong with the run's length or scale, if anything: the
+    simulation would raise on it, or (``table4 --scale``) quietly run
+    something else.  A fault window (``chaos --minutes``) may be empty."""
+    for name in ("hours", "days", "scale"):
+        value = getattr(args, name, None)
+        if value is not None and value <= 0:
+            return f"--{name} must be positive, got {value:g}"
+    minutes = getattr(args, "minutes", None)
+    if minutes is not None and minutes < 0:
+        return f"--minutes must not be negative, got {minutes:g}"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    problem = _bad_length(args)
+    if problem:
+        print(f"{args.command}: {problem}", file=sys.stderr)
+        return 2
     return _COMMANDS[args.command](args)
 
 

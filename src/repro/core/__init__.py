@@ -14,7 +14,6 @@ from .buffer import (
     InMemoryStore,
     MessageBuffer,
     MessageStore,
-    SqliteStore,
 )
 from .context import LINK_OWNER, Context, DeviceContext
 from .deployment import Experiment
@@ -28,10 +27,8 @@ from .envelope import (
 )
 from .messages import (
     MessageError,
-    copy_message,
     from_json,
     message_size_bytes,
-    messages_equal,
     to_json,
     validate_message,
 )
@@ -73,7 +70,6 @@ __all__ = [
     "InMemoryStore",
     "MessageBuffer",
     "MessageStore",
-    "SqliteStore",
     "LINK_OWNER",
     "Context",
     "DeviceContext",
@@ -85,10 +81,8 @@ __all__ = [
     "freeze_message",
     "thaw_message",
     "MessageError",
-    "copy_message",
     "from_json",
     "message_size_bytes",
-    "messages_equal",
     "to_json",
     "validate_message",
     "CollectorContext",

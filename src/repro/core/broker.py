@@ -98,10 +98,6 @@ class Subscription:
     def parameter(self, key: str, default: Any = None) -> Any:
         return self.parameters.get(key, default)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "removed" if self.removed else ("active" if self.active else "released")
-        return f"<Subscription #{self.id} {self.channel!r} {state} params={self.parameters}>"
-
 
 def _default_deliver(subscription: "Subscription", message: Any) -> None:
     """Default delivery: call the handler directly (picklable, unlike a

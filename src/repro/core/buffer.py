@@ -12,22 +12,18 @@ connectivity" — which is exactly what purged user 2a's and user 3's data
 and produced the sub-100% match rates in Table 4.  The expiry is
 therefore a first-class, configurable behaviour here.
 
-Two storage backends are provided: a plain in-memory store (fast, used by
-the large simulations — "persistence" across simulated reboots is simply
-the object surviving the phone's restart, as flash does), and a real
-embedded-SQL backend on :mod:`sqlite3`, faithful to the implementation,
-used by the tests to prove the two behave identically.
+The store is a plain in-memory list: "persistence" across simulated
+reboots is simply the object surviving the phone's restart, as flash
+does.
 """
 
 from __future__ import annotations
 
 import itertools
-import sqlite3
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from ..sim.kernel import HOUR, Kernel
-from .messages import from_json, to_json
 
 #: The deployment's configured maximum message age.
 DEFAULT_MAX_AGE_MS = 24 * HOUR
@@ -37,9 +33,7 @@ def traced_envelope(payload: Any):
     """The traced envelope riding an op payload, if any.
 
     Only ``pub`` ops carry messages; sub/attach/ack plumbing has no
-    envelope and stays untraced.  SQLite round-trips rebuild payloads
-    from JSON, so after a simulated reboot the envelope identity (and
-    with it the trace) is gone — tracing degrades, delivery does not.
+    envelope and stays untraced.
     """
     if isinstance(payload, dict):
         envelope = payload.get("msg")
@@ -96,56 +90,6 @@ class InMemoryStore(MessageStore):
 
     def __len__(self) -> int:
         return len(self._messages)
-
-
-class SqliteStore(MessageStore):
-    """The paper's embedded SQL database, on :mod:`sqlite3`."""
-
-    def __init__(self, path: str = ":memory:") -> None:
-        self._conn = sqlite3.connect(path)
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS outbox ("
-            " id INTEGER PRIMARY KEY,"
-            " created_ms REAL NOT NULL,"
-            " destination TEXT NOT NULL,"
-            " payload TEXT NOT NULL)"
-        )
-        self._conn.commit()
-
-    def append(self, message: BufferedMessage) -> None:
-        # Canonical encoding (compact, key-sorted), exactly what
-        # to_json/message_size_bytes account on the wire — a bare
-        # json.dumps here persisted *different* bytes than the sizes the
-        # evaluation reports, and re-serialized envelope payloads that
-        # already carry cached canonical text.
-        self._conn.execute(
-            "INSERT INTO outbox (id, created_ms, destination, payload) VALUES (?, ?, ?, ?)",
-            (message.id, message.created_ms, message.destination, to_json(message.payload)),
-        )
-        self._conn.commit()
-
-    def remove(self, ids: Iterable[int]) -> None:
-        id_list = list(ids)
-        if not id_list:
-            return
-        marks = ",".join("?" for _ in id_list)
-        self._conn.execute(f"DELETE FROM outbox WHERE id IN ({marks})", id_list)
-        self._conn.commit()
-
-    def all_messages(self) -> List[BufferedMessage]:
-        rows = self._conn.execute(
-            "SELECT id, created_ms, destination, payload FROM outbox ORDER BY id"
-        ).fetchall()
-        return [
-            BufferedMessage(row[0], row[1], row[2], from_json(row[3])) for row in rows
-        ]
-
-    def __len__(self) -> int:
-        (count,) = self._conn.execute("SELECT COUNT(*) FROM outbox").fetchone()
-        return int(count)
-
-    def close(self) -> None:
-        self._conn.close()
 
 
 class MessageBuffer:
@@ -219,27 +163,13 @@ class MessageBuffer:
         """
         return self.enqueued - self.drained - self.expired - len(self.store)
 
-    def purge_expired(self) -> int:
-        """Drop messages older than ``max_age_ms``.  Returns the count.
-
-        This is the mechanism that lost user 2a's trip and user 3's
-        outage window in the paper's deployment.
-        """
-        if self.max_age_ms is None:
-            return 0
-        cutoff = self.kernel.now - self.max_age_ms
-        doomed = [m.id for m in self.store.all_messages() if m.created_ms < cutoff]
-        self.store.remove(doomed)
-        self.expired += len(doomed)
-        self._m_expired.inc(len(doomed))
-        return len(doomed)
-
     def peek_batches(self) -> List[Tuple[str, List[BufferedMessage]]]:
-        """Pending messages grouped by destination, oldest first."""
-        # One walk: split the expired from the pending, then group.  The
-        # separate purge_expired() entry point stays for callers that
-        # only want the purge, but the flush path (this method, called on
-        # every tail-sync poll) should not copy the store twice.
+        """Pending messages grouped by destination, oldest first.
+
+        Messages older than ``max_age_ms`` are dropped first, in the same
+        walk: the mechanism that lost user 2a's trip and user 3's outage
+        window in the paper's deployment.
+        """
         messages = self.store.all_messages()
         if self.max_age_ms is not None:
             cutoff = self.kernel.now - self.max_age_ms

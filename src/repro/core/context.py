@@ -183,13 +183,6 @@ class DeviceContext(Context):
     # ------------------------------------------------------------------
     # Scripts
     # ------------------------------------------------------------------
-    def undeploy_script(self, name: str) -> bool:
-        host = self.scripts.pop(name, None)
-        if host is None:
-            return False
-        host.stop()
-        return True
-
     def reload_all_scripts(self) -> None:
         """After a reboot: scripts restart from source; thaw() recovers
         whatever they froze."""

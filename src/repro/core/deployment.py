@@ -20,8 +20,6 @@ from .envelope import Envelope, Stanza
 OP_ATTACH = "attach"
 #: Remote script deployment (also used for updates: same name, new source).
 OP_DEPLOY = "deploy"
-#: Remove a script from a device.
-OP_UNDEPLOY = "undeploy"
 #: Tear down a whole experiment context.
 OP_TEARDOWN = "teardown"
 #: A published message crossing the network boundary.
@@ -44,10 +42,6 @@ def attach_op(experiment_id: str) -> Dict[str, Any]:
 
 def deploy_op(experiment_id: str, script_name: str, source: str) -> Dict[str, Any]:
     return Stanza(op=OP_DEPLOY, ctx=experiment_id, script=script_name, source=source)
-
-
-def undeploy_op(experiment_id: str, script_name: str) -> Dict[str, Any]:
-    return Stanza(op=OP_UNDEPLOY, ctx=experiment_id, script=script_name)
 
 
 def teardown_op(experiment_id: str) -> Dict[str, Any]:

@@ -1,7 +1,7 @@
 """Immutable message envelopes: validate once, serialize at most once.
 
 The seed reproduction re-did per-message work at every hop of the publish
-path: ``validate_message`` at the broker, a ``copy_message`` per local
+path: ``validate_message`` at the broker, a deep copy per local
 subscriber, and a fresh ``json.dumps`` (inside ``to_json`` /
 ``message_size_bytes``) at the buffer, the transport, the XMPP switch and
 the participation tracker — five walks over the *same* payload.  MOSDEN
@@ -225,10 +225,6 @@ class Envelope:
             self._size = len(self.json.encode("utf-8"))
         return self._size
 
-    def copy(self) -> Any:
-        """A deep, mutable copy of the payload (plain dicts/lists)."""
-        return thaw_message(self.payload)
-
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, Envelope):
             return self.payload == other.payload
@@ -237,9 +233,6 @@ class Envelope:
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment] - mutable-payload semantics
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Envelope {self.payload!r}>"
 
 
 class Stanza(dict):

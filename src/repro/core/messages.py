@@ -7,8 +7,10 @@ JSON notation when they are to be delivered to a remote node."
 In the Python reproduction messages are plain dicts/lists/scalars.  This
 module provides validation (so scripts cannot publish un-serializable
 objects and have them explode later inside the transport), canonical JSON
-encoding, wire-size accounting (Table 4's "Size" columns measure exactly
-these byte counts) and deep copying.
+encoding and wire-size accounting (Table 4's "Size" columns measure
+exactly these byte counts).  A handler that wants a mutable copy of a
+delivered message takes ``message.copy()`` (shallow) or
+:func:`~repro.core.envelope.thaw_message` (deep).
 
 Since the envelope refactor the hot publish path carries
 :class:`~repro.core.envelope.Envelope` objects instead of raw dicts —
@@ -40,8 +42,6 @@ __all__ = [
     "to_json",
     "from_json",
     "message_size_bytes",
-    "copy_message",
-    "messages_equal",
 ]
 
 
@@ -104,27 +104,3 @@ def message_size_bytes(value: Any) -> int:
     if isinstance(value, Stanza):
         return value.wire_size
     return len(to_json(value).encode("utf-8"))
-
-
-def copy_message(value: Any) -> Any:
-    """Deep-copy a message tree into plain, mutable dicts/lists.
-
-    Tuples become lists — explicitly the same normalization the envelope
-    pipeline applies at ingest (:func:`~repro.core.envelope.freeze_message`)
-    and that JSON round-trips apply on the wire, so a payload has one
-    observable shape no matter which path delivered it.
-    """
-    if isinstance(value, Envelope):
-        value = value.payload
-    if isinstance(value, _SCALARS):
-        return value
-    if isinstance(value, dict):
-        return {key: copy_message(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [copy_message(item) for item in value]
-    raise MessageError(f"unsupported type {type(value).__name__}")
-
-
-def messages_equal(a: Any, b: Any) -> bool:
-    """Structural equality on the JSON representation."""
-    return to_json(a) == to_json(b)

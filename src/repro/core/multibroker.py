@@ -32,7 +32,6 @@ from .deployment import (
     deploy_op,
     pub_op,
     teardown_op,
-    undeploy_op,
 )
 from .envelope import Envelope, FrozenDict
 from .scripting import ScriptHost
@@ -136,11 +135,6 @@ class CollectorContext(Context):
         self.device_scripts[name] = source
         for device_jid in self.links:
             self.node.send_to(device_jid, deploy_op(self.experiment_id, name, source))
-
-    def remove_script(self, name: str) -> None:
-        self.device_scripts.pop(name, None)
-        for device_jid in self.links:
-            self.node.send_to(device_jid, undeploy_op(self.experiment_id, name))
 
     # ------------------------------------------------------------------
     # Publishing

@@ -43,7 +43,6 @@ from .deployment import (
     OP_SUB_RENEW,
     OP_SUB_RESET,
     OP_TEARDOWN,
-    OP_UNDEPLOY,
     Experiment,
     batch_op,
 )
@@ -188,15 +187,6 @@ class DeviceNode(Node):
         self.policy.bind(self)
         self.policy.start()
         self.transport.start()
-
-    def stop(self) -> None:
-        self.started = False
-        self.policy.stop()
-        self.detector.stop()
-        for context in self.contexts.values():
-            context.stop_all_scripts()
-        self.sensor_manager.shutdown()
-        self.scheduler.stop()
 
     def _suspend(self) -> None:
         """Phone shut down (reboot / battery): volatile state dies."""
@@ -387,9 +377,7 @@ class DeviceNode(Node):
         context = self.contexts.get(experiment_id)
         if context is None:
             return
-        if op == OP_UNDEPLOY:
-            context.undeploy_script(payload["script"])
-        elif op == OP_TEARDOWN:
+        if op == OP_TEARDOWN:
             context.teardown()
             del self.contexts[experiment_id]
         elif op == OP_PUB:

@@ -12,7 +12,7 @@ any residual publish on it is suppressed before reaching a broker.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Set
+from typing import Callable, Iterable, List, Set
 
 
 class PrivacySettings:
@@ -41,9 +41,6 @@ class PrivacySettings:
             return
         self._blocked.discard(channel)
         self._notify(channel, True)
-
-    def blocked_channels(self) -> Set[str]:
-        return set(self._blocked)
 
     def _notify(self, channel: str, allowed: bool) -> None:
         for listener in list(self.on_change):

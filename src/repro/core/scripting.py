@@ -472,8 +472,5 @@ class FreezeStore:
     def get(self, key: str) -> Optional[str]:
         return self._data.get(key)
 
-    def delete(self, key: str) -> None:
-        self._data.pop(key, None)
-
     def __len__(self) -> int:
         return len(self._data)

@@ -59,9 +59,6 @@ class SensorManager:
             self._watch_context_channel(context, sensor.channel)
         sensor.reevaluate()
 
-    def sensor_for(self, channel: str):
-        return self.sensors.get(channel)
-
     # ------------------------------------------------------------------
     # Context integration
     # ------------------------------------------------------------------

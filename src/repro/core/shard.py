@@ -135,10 +135,10 @@ class Handoff(NamedTuple):
 class ShardSpec:
     """Everything needed to build a Shard, as plain picklable data.
 
-    A spec crosses process boundaries (multiprocessing ``spawn`` pickles
-    it into the worker), so it holds only values: the seed, the carrier
-    profile, the device roster and the instrumentation flags.  Building
-    the same spec twice yields byte-identical shards.
+    A spec crosses process boundaries (a forked worker inherits it; a
+    spawned one, off Linux, unpickles it), so it holds only values: the
+    seed, the carrier profile, the device roster and the instrumentation
+    flags.  Building the same spec twice yields byte-identical shards.
     """
 
     shard_id: str = "shard-0"
@@ -308,8 +308,7 @@ class Shard:
             trace=self.trace,
         )
         # The telemetry plane: a pull-only barrier sampler (fleet workers
-        # read it; nothing in the shard ever calls it).  Disabled it is a
-        # __class__-swapped null lane, same idiom as spans and metrics.
+        # read it when it is enabled; nothing in the shard ever calls it).
         self.telemetry = ShardTelemetry(self, enabled=telemetry)
         self.server = XmppServer(self.kernel, latency_ms=latency_ms, trace=self.trace)
         self.admin = TestbedAdmin(self.server)
@@ -650,4 +649,3 @@ class Shard:
 
     def fleet_report_json(self) -> str:
         return json.dumps(self.fleet_report(), sort_keys=True, indent=2) + "\n"
-

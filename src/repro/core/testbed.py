@@ -110,23 +110,11 @@ class TestbedAdmin:
         check = predicate.matches if hasattr(predicate, "matches") else predicate
         return sorted(jid for jid, d in self.devices.items() if check(d.attributes))
 
-    def set_device_region(self, jid: str, region: Optional[str]) -> None:
-        """Owner-approved coarse location update."""
-        self._device(jid).region = region
-
     def enroll_researcher(self, name: str) -> str:
         jid = f"{name}@pogo"
         self.server.register(jid)
         self.researchers[jid] = ResearcherRecord(jid, name=name)
         return jid
-
-    def remove_device(self, jid: str) -> None:
-        """A device owner leaves: all assignments are revoked."""
-        record = self.devices.pop(jid, None)
-        if record is None:
-            return
-        for researcher_jid in list(record.assigned_to):
-            self.unassign(researcher_jid, [jid])
 
     # ------------------------------------------------------------------
     # Assignment (the administrator's brokering role)
@@ -143,15 +131,6 @@ class TestbedAdmin:
             device.assigned_to.add(researcher_jid)
             researcher.devices.add(device_jid)
             self.server.add_roster_pair(researcher_jid, device_jid)
-
-    def unassign(self, researcher_jid: str, device_jids: List[str]) -> None:
-        researcher = self._researcher(researcher_jid)
-        for device_jid in device_jids:
-            device = self.devices.get(device_jid)
-            if device is not None:
-                device.assigned_to.discard(researcher_jid)
-            researcher.devices.discard(device_jid)
-            self.server.remove_roster_pair(researcher_jid, device_jid)
 
     def request_devices(
         self,
@@ -198,30 +177,3 @@ class TestbedAdmin:
         if jid not in self.researchers:
             raise AssignmentError(f"unknown researcher: {jid}")
         return self.researchers[jid]
-
-    def pool_size(self) -> int:
-        return len(self.devices)
-
-    def report(self) -> str:
-        """The administrator's pool overview (the web-console analogue).
-
-        Shows only what the admin legitimately sees: pseudonymous device
-        JIDs with capabilities/region/load, and researcher names with
-        their assignment counts — never owner identities.
-        """
-        lines = [f"device pool ({len(self.devices)} devices):"]
-        for jid in sorted(self.devices):
-            device = self.devices[jid]
-            caps = ",".join(sorted(device.capabilities)) or "-"
-            lines.append(
-                f"  {jid:<18} region={device.region or '-':<10} "
-                f"experiments={len(device.assigned_to)}/{self.max_experiments_per_device} "
-                f"caps={caps}"
-            )
-        lines.append(f"researchers ({len(self.researchers)}):")
-        for jid in sorted(self.researchers):
-            researcher = self.researchers[jid]
-            lines.append(
-                f"  {researcher.name:<12} ({jid}) devices={len(researcher.devices)}"
-            )
-        return "\n".join(lines)

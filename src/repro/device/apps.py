@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..sim.kernel import MINUTE, Kernel
+from ..sim.kernel import MINUTE
 from ..sim.trace import IntervalTrack
 
 
@@ -65,12 +65,6 @@ class EmailApp:
         self._alarm = self.phone.cpu.set_repeating_alarm(
             self.config.interval_ms, self._check, initial_delay_ms=initial_delay_ms
         )
-
-    def stop(self) -> None:
-        self._running = False
-        if self._alarm is not None:
-            self._alarm.cancel()
-            self._alarm = None
 
     def _check(self) -> None:
         self.phone.cpu.acquire_wake_lock(self.name)

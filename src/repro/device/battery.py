@@ -53,7 +53,7 @@ class Battery:
 
     __slots__ = (
         "_kernel", "_rail", "config", "_initial_level", "_baseline_energy",
-        "on_depleted", "_depleted_notified", "charging", "on_charging_changed",
+        "charging", "on_charging_changed",
         "_off_charger_j", "_off_charger_mark",
     )
 
@@ -71,8 +71,6 @@ class Battery:
         self.config = config or _DEFAULT_CONFIG
         self._initial_level = initial_level
         self._baseline_energy = rail.energy_joules
-        self.on_depleted: List[Callable[[], None]] = []
-        self._depleted_notified = False
         #: Charger state: SystemSens/LiveLab-style tools (and the
         #: alternative transmission policy the paper mentions) key off
         #: whether the phone is plugged in.
@@ -93,25 +91,12 @@ class Battery:
         level = self._initial_level - self.drained_joules / self.config.capacity_j
         return max(0.0, min(1.0, level))
 
-    @property
-    def depleted(self) -> bool:
-        return self.level <= 0.0
-
-    def check_depleted(self) -> bool:
-        """Poll for depletion; fires ``on_depleted`` once when flat."""
-        if self.depleted and not self._depleted_notified:
-            self._depleted_notified = True
-            for listener in list(self.on_depleted):
-                listener()
-        return self.depleted
-
     def recharge(self, level: float = 1.0) -> None:
         """Recharge to the given state of charge."""
         if not 0.0 <= level <= 1.0:
             raise ValueError("level must be within [0, 1]")
         self._initial_level = level
         self._baseline_energy = self._rail.energy_joules
-        self._depleted_notified = False
 
     def set_charging(self, charging: bool) -> None:
         """Plug in / unplug the charger.

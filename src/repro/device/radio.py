@@ -29,8 +29,8 @@ exactly the observable that Pogo's tail detection polls (Section 4.7:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Optional
 
 from collections import deque
 
@@ -70,10 +70,6 @@ class CarrierProfile:
     paging_period_ms: float = 2560.0
     paging_duration_ms: float = 80.0
     paging_w: float = 0.12
-
-    def with_overrides(self, **kwargs: Any) -> "CarrierProfile":
-        """A copy of the profile with selected fields replaced."""
-        return replace(self, **kwargs)
 
 
 #: The three major Dutch carriers the paper measured (Table 3).  KPN shows

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional
 
-from ..sim.kernel import EventHandle, Kernel
+from ..sim.kernel import Kernel
 from ..sim.trace import TraceRecorder
 
 
@@ -62,7 +62,7 @@ class WifiInterface:
     """Wi-Fi radio with scanning and (tail-free) data transfer."""
 
     __slots__ = (
-        "_kernel", "_rail", "config", "name", "trace", "enabled", "connected",
+        "_kernel", "_rail", "config", "name", "trace", "connected",
         "bytes_tx", "bytes_rx", "scan_count", "scan_source", "on_connectivity",
         "_queue", "_busy", "_scan_busy",
     )
@@ -81,7 +81,6 @@ class WifiInterface:
         self.name = name
         self.trace = trace
 
-        self.enabled = True
         self.connected = False
         self.bytes_tx = 0
         self.bytes_rx = 0
@@ -102,20 +101,10 @@ class WifiInterface:
     # ------------------------------------------------------------------
     @property
     def available(self) -> bool:
-        return self.enabled and self.connected
-
-    def set_enabled(self, enabled: bool) -> None:
-        if enabled == self.enabled:
-            return
-        self.enabled = enabled
-        if not enabled and self.connected:
-            self.set_connected(False)
-        self._apply_power()
+        return self.connected
 
     def set_connected(self, connected: bool) -> None:
         """Association with a known AP appears/disappears (world-driven)."""
-        if not self.enabled and connected:
-            return
         if connected == self.connected:
             return
         self.connected = connected
@@ -139,7 +128,7 @@ class WifiInterface:
         label: str = "",
     ) -> WifiJob:
         if not self.available:
-            raise WifiUnavailable(f"{self.name}: enabled={self.enabled} connected={self.connected}")
+            raise WifiUnavailable(f"{self.name}: not connected")
         job = WifiJob(tx_bytes, rx_bytes, duration_hint_ms, on_complete, label)
         self._queue.append(job)
         self._pump()
@@ -186,11 +175,11 @@ class WifiInterface:
     def scan(self, on_complete: Callable[[List[Any]], None]) -> bool:
         """Start an access-point scan; results delivered asynchronously.
 
-        Returns ``False`` if the radio is disabled or a scan is already in
-        flight (results will be shared by the earlier request in real
-        Android; here the caller simply retries on its next interval).
+        Returns ``False`` if a scan is already in flight (results will be
+        shared by the earlier request in real Android; here the caller
+        simply retries on its next interval).
         """
-        if not self.enabled or self._scan_busy:
+        if self._scan_busy:
             return False
         self._scan_busy = True
         self.scan_count += 1
@@ -208,9 +197,7 @@ class WifiInterface:
 
     # ------------------------------------------------------------------
     def _apply_power(self) -> None:
-        if not self.enabled:
-            watts = 0.0
-        elif self._busy:
+        if self._busy:
             watts = self.config.active_w
         elif self._scan_busy:
             watts = self.config.scan_w

@@ -31,16 +31,10 @@ pays one ``is None`` check per event when no observer is attached.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..sim.kernel import Kernel, MINUTE
 from ..core.envelope import Stanza
-
-
-def _no_ack_request() -> None:
-    """Default ``request_ack_send``: do nothing (picklable, unlike a
-    ``lambda: None`` — links live inside the Shard snapshot graph)."""
-    return None
 
 
 class LinkObserver:
@@ -90,14 +84,14 @@ class ReliableLink:
         peer: str,
         send_raw: Callable[[dict], None],
         deliver: Callable[[Any], None],
-        request_ack_send: Optional[Callable[[], None]] = None,
+        request_ack_send: Callable[[], None],
         resend_interval_ms: float = 5 * MINUTE,
     ) -> None:
         self.kernel = kernel
         self.peer = peer
         self._send_raw = send_raw
         self._deliver = deliver
-        self._request_ack_send = request_ack_send or _no_ack_request
+        self._request_ack_send = request_ack_send
         self.resend_interval_ms = resend_interval_ms
 
         # Sender state.
@@ -243,10 +237,6 @@ class ReliableLink:
     # ------------------------------------------------------------------
     # Acks
     # ------------------------------------------------------------------
-    @property
-    def ack_pending(self) -> bool:
-        return self._ack_dirty
-
     def make_ack(self) -> Optional[dict]:
         """Produce a bare ack stanza if one is owed (else ``None``)."""
         if not self._ack_dirty:
@@ -255,6 +245,3 @@ class ReliableLink:
         if self.observer is not None:
             self.observer.on_ack_emitted(self, self._expected - 1)
         return Stanza(kind="ack", ack=self._expected - 1)
-
-    def current_ack(self) -> int:
-        return self._expected - 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from ..sim.kernel import Kernel, SECOND
 from ..sim.trace import TraceRecorder
@@ -204,14 +204,6 @@ class XmppServer:
         if remote_jid not in self._rosters[local_jid]:
             self._rosters[local_jid].add(remote_jid)
             self.remote_edges += 1
-
-    def remove_roster_pair(self, a: str, b: str) -> None:
-        for jid, peer in ((a, b), (b, a)):
-            roster = self._rosters.get(jid)
-            if roster is not None and peer in roster:
-                roster.discard(peer)
-                if peer not in self._accounts:
-                    self.remote_edges -= 1
 
     def roster(self, jid: str) -> Set[str]:
         return set(self._rosters.get(jid, set()))

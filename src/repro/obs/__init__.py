@@ -9,15 +9,14 @@ fleet observable *while it runs*, without ever perturbing it:
   barrier the worker reads its shard's kernel counters, heap depth,
   span-latency digests, energy totals and invariant status into one
   snapshot dict; wall-clock facts (worker CPU, RSS, barrier stall) ride
-  in a clearly segregated ``wall`` section.  Disabled, it is a
-  ``__class__``-swapped null lane like the spans and metrics planes.
+  in a clearly segregated ``wall`` section.
 * :mod:`repro.obs.timeline` — the coordinator-side aggregator: per-shard
   snapshots become a canonical time-series with byte-deterministic JSONL
   export (wall fields stripped in deterministic mode), additive
   aggregate totals that must match the solo run, and a fleet health
   verdict (slow shards, barrier imbalance, stall accounting).
-* :mod:`repro.obs.prometheus` — text-exposition rendering of a snapshot
-  or a finished timeline, for scraping or one-shot export.
+* :mod:`repro.obs.prometheus` — text-exposition rendering of a finished
+  timeline, for scraping or one-shot export.
 * :mod:`repro.obs.live` — the ``repro top`` progress view, refreshed at
   each barrier: sim-time, events/s, per-shard lag bars, handoff backlog.
 
@@ -27,8 +26,8 @@ seed, and the solo and partitioned runs of the same fleet agree on all
 aggregate totals.
 """
 
-from .prometheus import snapshot_to_prometheus, timeline_to_prometheus
-from .telemetry import NullShardTelemetry, ShardTelemetry
+from .prometheus import timeline_to_prometheus
+from .telemetry import ShardTelemetry
 from .timeline import (
     FleetTimeline,
     aggregate_totals,
@@ -40,12 +39,10 @@ from .timeline import (
 
 __all__ = [
     "FleetTimeline",
-    "NullShardTelemetry",
     "ShardTelemetry",
     "aggregate_totals",
     "fleet_health",
     "read_timeline",
     "render_health",
-    "snapshot_to_prometheus",
     "timeline_to_jsonl",
 ]

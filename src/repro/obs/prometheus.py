@@ -1,4 +1,4 @@
-"""Prometheus text-exposition rendering of telemetry snapshots.
+"""Prometheus text-exposition rendering of a fleet timeline.
 
 GSN-style federated deployments scrape their middlewares; we render the
 same counters the timeline carries in the exposition format
@@ -10,20 +10,15 @@ same-seed runs export byte-identical files *except* the ``worker_*``
 wall-clock gauges (CPU, RSS, stall), which report real machine state
 by design; CI strips those lines before comparing.
 
-Two entry points:
-
-* :func:`snapshot_to_prometheus` — one shard/simulation metrics
-  snapshot (the :meth:`MetricsRegistry.snapshot` shape: scalars and
-  histogram dicts) under a fixed label set.
-* :func:`timeline_to_prometheus` — the final frame of a fleet timeline:
-  per-shard series labelled ``{shard="..."}`` plus the fleet-total
-  series with no shard label.
+:func:`timeline_to_prometheus` renders the final frame of a fleet
+timeline: per-shard series labelled ``{shard="..."}`` plus the
+fleet-total series with no shard label.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, List, Mapping, Optional
 
 #: Every exported name is prefixed so scrapes cannot collide with other
 #: jobs on the same gateway.
@@ -62,49 +57,18 @@ def _value_text(value: Any) -> str:
 def render_metric(
     name: str,
     value: Any,
-    labels: Optional[Mapping[str, str]] = None,
-    kind: str = "gauge",
-    lines: Optional[List[str]] = None,
-    typed: Optional[set] = None,
-) -> List[str]:
-    """Append one sample (with its ``# TYPE`` header, once per name)."""
-    if lines is None:
-        lines = []
+    labels: Optional[Mapping[str, str]],
+    kind: str,
+    lines: List[str],
+    typed: set,
+) -> None:
+    """Append one sample to ``lines`` (with its ``# TYPE`` header, once
+    per name: ``typed`` holds the names already headed)."""
     full = metric_name(name)
-    if typed is not None and full not in typed:
+    if full not in typed:
         typed.add(full)
         lines.append(f"# TYPE {full} {kind}")
     lines.append(f"{full}{_label_text(labels)} {_value_text(value)}")
-    return lines
-
-
-def snapshot_to_prometheus(
-    snapshot: Dict[str, Any], labels: Optional[Mapping[str, str]] = None
-) -> str:
-    """Render a metrics snapshot (scalars + histogram dicts) as text.
-
-    Histogram dicts (the registry's count/sum/min/max/mean shape) become
-    ``_count``/``_sum`` series plus ``_min``/``_max`` gauges; scalars
-    become counters when integral (the registry's counters and event
-    gauges are monotone) and gauges otherwise.
-    """
-    lines: List[str] = []
-    typed: set = set()
-    for name in sorted(snapshot):
-        value = snapshot[name]
-        if isinstance(value, dict):
-            render_metric(f"{name}_count", value.get("count", 0), labels,
-                          "counter", lines, typed)
-            render_metric(f"{name}_sum", value.get("sum", 0.0), labels,
-                          "counter", lines, typed)
-            for bound in ("min", "max"):
-                if value.get(bound) is not None:
-                    render_metric(f"{name}_{bound}", value[bound], labels,
-                                  "gauge", lines, typed)
-        else:
-            kind = "counter" if isinstance(value, int) else "gauge"
-            render_metric(name, value, labels, kind, lines, typed)
-    return "\n".join(lines) + "\n" if lines else ""
 
 
 def timeline_to_prometheus(timeline) -> str:

@@ -24,10 +24,9 @@ Energy is reported as integer microjoules (each device rounded, then
 summed) so the fleet total is an exact integer sum no matter how devices
 are partitioned — float addition order cannot leak into the totals.
 
-The disabled form follows the repo's null-lane idiom: ``disable()``
-retargets the live object to :class:`NullShardTelemetry` (identical slot
-layout, so ``__class__`` assignment is legal) whose ``sample`` is a bare
-``return None`` — no flag branch on the callers' path.
+Disabled (``ShardSpec.telemetry=False``, the default), the sampler is
+never asked: the fleet worker reads ``enabled`` once per barrier and
+takes no sample.
 """
 
 from __future__ import annotations
@@ -74,18 +73,6 @@ class ShardTelemetry:
     def __init__(self, shard, enabled: bool = True) -> None:
         self.shard = shard
         self.enabled = enabled
-        if not enabled:
-            self.__class__ = NullShardTelemetry
-
-    # ------------------------------------------------------------------
-    def disable(self) -> None:
-        """Kill switch: ``sample`` becomes a bare ``return None``."""
-        self.enabled = False
-        self.__class__ = NullShardTelemetry
-
-    def enable(self) -> None:
-        self.enabled = True
-        self.__class__ = ShardTelemetry
 
     # ------------------------------------------------------------------
     def sample(
@@ -133,26 +120,3 @@ class ShardTelemetry:
             sample["wall"] = wall
         return sample
 
-
-class NullShardTelemetry(ShardTelemetry):
-    """Disabled sampler: ``sample`` is a bare ``return None``.
-
-    The slot layout is identical to :class:`ShardTelemetry`, so the
-    ``__class__`` swap is legal and ``enable()`` can swap back.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, shard, enabled: bool = False) -> None:
-        self.shard = shard
-        self.enabled = False
-
-    def sample(
-        self,
-        epoch: int,
-        barrier_ms: float,
-        handoffs_in: int = 0,
-        handoffs_out: int = 0,
-        wall: Optional[Dict[str, float]] = None,
-    ) -> Optional[Dict[str, Any]]:
-        return None

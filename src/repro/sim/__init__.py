@@ -1,8 +1,7 @@
-"""Discrete-event simulation substrate (kernel, processes, randomness, traces)."""
+"""Discrete-event simulation substrate (kernel, randomness, metrics, spans, traces)."""
 
 from .kernel import DAY, HOUR, MINUTE, SECOND, EventHandle, Kernel, SimulationError
 from .metrics import Counter, Histogram, MetricsRegistry
-from .process import Process, Signal, spawn
 from .randomness import RandomStreams, as_random, derive_seed
 from .spans import EnergyLedger, HopHandle, Span, SpanRecorder
 from .trace import Interval, IntervalTrack, TimeSeries, TraceEvent, TraceRecorder
@@ -18,9 +17,6 @@ __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "Process",
-    "Signal",
-    "spawn",
     "RandomStreams",
     "as_random",
     "derive_seed",

@@ -111,9 +111,6 @@ class EventHandle:
         """Whether the event is still waiting to fire."""
         return not (self.fired or self.cancelled)
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         kind = "repeating " if self.interval is not None else ""
@@ -139,8 +136,6 @@ class Kernel:
         #: unique so the handle itself is never compared.
         self._queue: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
-        self._running = False
-        self._stopped = False
         #: Live (non-cancelled) entries in the queue, maintained by
         #: schedule/cancel/pop — pending_events reads it in O(1).
         self._live = 0
@@ -304,55 +299,37 @@ class Kernel:
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event: :meth:`run` with one to run.
-
-        Returns ``False`` when idle or when a :meth:`stop` was pending.
-        """
-        return self.run(max_events=1) == 1
-
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains (or ``max_events`` fire).
 
         Returns the number of events executed by this call.
         """
         executed = 0
-        self._running = True
         queue = self._queue
         pop = heapq.heappop
         push = heapq.heappush
         next_seq = self._seq.__next__
-        try:
-            with dispatching():
-                if not self._stopped:
-                    while queue:
-                        if max_events is not None and executed >= max_events:
-                            break
-                        time, _, handle = pop(queue)
-                        if handle.cancelled:
-                            self._tombstones -= 1
-                            continue
-                        self._now = time
-                        interval = handle.interval
-                        if interval is None:
-                            handle.fired = True
-                            self._live -= 1
-                        else:
-                            seq = next_seq()
-                            handle.time = time + interval
-                            handle.seq = seq
-                            push(queue, (handle.time, seq, handle))
-                        self.events_executed += 1
-                        executed += 1
-                        handle.callback(*handle.args)
-                        # stop() can only be requested from inside a callback
-                        # (or before the run), so this is the one place the
-                        # flag needs re-reading.
-                        if self._stopped:
-                            break
-        finally:
-            self._running = False
-            self._stopped = False
+        with dispatching():
+            while queue:
+                if max_events is not None and executed >= max_events:
+                    break
+                time, _, handle = pop(queue)
+                if handle.cancelled:
+                    self._tombstones -= 1
+                    continue
+                self._now = time
+                interval = handle.interval
+                if interval is None:
+                    handle.fired = True
+                    self._live -= 1
+                else:
+                    seq = next_seq()
+                    handle.time = time + interval
+                    handle.seq = seq
+                    push(queue, (handle.time, seq, handle))
+                self.events_executed += 1
+                executed += 1
+                handle.callback(*handle.args)
         return executed
 
     def run_until(self, time: float) -> int:
@@ -365,47 +342,35 @@ class Kernel:
         if time < self._now:
             raise SimulationError(f"cannot run backwards: {time} < {self._now}")
         executed = 0
-        self._running = True
         queue = self._queue
         pop = heapq.heappop
         push = heapq.heappush
         next_seq = self._seq.__next__
-        try:
-            with dispatching():
-                if not self._stopped:
-                    while queue:
-                        event_time = queue[0][0]
-                        if event_time > time:
-                            break
-                        _, _, handle = pop(queue)
-                        if handle.cancelled:
-                            self._tombstones -= 1
-                            continue
-                        self._now = event_time
-                        interval = handle.interval
-                        if interval is None:
-                            handle.fired = True
-                            self._live -= 1
-                        else:
-                            seq = next_seq()
-                            handle.time = event_time + interval
-                            handle.seq = seq
-                            push(queue, (handle.time, seq, handle))
-                        self.events_executed += 1
-                        executed += 1
-                        handle.callback(*handle.args)
-                        if self._stopped:
-                            break
-        finally:
-            self._running = False
-            self._stopped = False
+        with dispatching():
+            while queue:
+                event_time = queue[0][0]
+                if event_time > time:
+                    break
+                _, _, handle = pop(queue)
+                if handle.cancelled:
+                    self._tombstones -= 1
+                    continue
+                self._now = event_time
+                interval = handle.interval
+                if interval is None:
+                    handle.fired = True
+                    self._live -= 1
+                else:
+                    seq = next_seq()
+                    handle.time = event_time + interval
+                    handle.seq = seq
+                    push(queue, (handle.time, seq, handle))
+                self.events_executed += 1
+                executed += 1
+                handle.callback(*handle.args)
         if time > self._now:
             self._now = time
         return executed
-
-    def stop(self) -> None:
-        """Request the current :meth:`run` / :meth:`run_until` to exit."""
-        self._stopped = True
 
     @property
     def pending_events(self) -> int:

@@ -15,9 +15,6 @@ Design constraints:
   never does a dict lookup.
 * **Deterministic reports.**  ``snapshot()``/``report()`` sort by metric
   name, so two identical simulations render byte-identical reports.
-* **Trace bridge.**  ``record_snapshot`` writes the full snapshot as one
-  :class:`~repro.sim.trace.TraceRecorder` event, letting tests and the
-  timeline tooling correlate metric values with protocol events.
 """
 
 from __future__ import annotations
@@ -126,13 +123,6 @@ class MetricsRegistry:
         for histogram in self._histograms.values():
             histogram.__class__ = NullHistogram
 
-    def enable(self) -> None:
-        self.enabled = True
-        for counter in self._counters.values():
-            counter.__class__ = Counter
-        for histogram in self._histograms.values():
-            histogram.__class__ = Histogram
-
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
@@ -210,10 +200,3 @@ class MetricsRegistry:
             else:
                 lines.append(f"{name:<32} {int(value):>14,}")
         return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    # Trace bridge
-    # ------------------------------------------------------------------
-    def record_snapshot(self, trace, source: str = "metrics", time: Optional[float] = None) -> None:
-        """Write the current snapshot as one trace event."""
-        trace.record(source, "snapshot", time=time, **self.snapshot())

@@ -46,10 +46,6 @@ class RandomStreams:
             self._streams[name] = random.Random(derive_seed(self.seed, name))
         return self._streams[name]
 
-    def fork(self, name: str) -> "RandomStreams":
-        """Create an independent child registry (e.g. one per user)."""
-        return RandomStreams(derive_seed(self.seed, f"fork:{name}"))
-
     def __contains__(self, name: str) -> bool:
         return name in self._streams
 

@@ -132,12 +132,6 @@ class Span:
             dict(data.get("attrs") or {}),
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Span #{self.span_id} {self.hop} trace={self.trace_id} "
-            f"parent={self.parent_id} [{self.start_ms:.0f}..{self.end_ms:.0f}]>"
-        )
-
 
 #: A span as a plain value, the form in which spans leave their
 #: recorder — into a pickle, to the line writer, across a pipe: the
@@ -261,11 +255,6 @@ class SpanRecorder:
         self.enabled = False
         for handle in self._hops.values():
             handle.__class__ = NullHopHandle
-
-    def enable(self) -> None:
-        self.enabled = True
-        for handle in self._hops.values():
-            handle.__class__ = HopHandle
 
     @property
     def dropped(self) -> int:
@@ -488,16 +477,6 @@ class MessageEnergy:
         self.bytes = size
         self.joules = joules
         self.piggybacked = piggybacked
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "trace": self.trace_id,
-            "flush_span": self.flush_span,
-            "episode": self.episode,
-            "bytes": self.bytes,
-            "joules": round(self.joules, 9),
-            "piggybacked": self.piggybacked,
-        }
 
 
 #: Per-message energy bucket bounds in joules.
@@ -734,24 +713,6 @@ class EnergyLedger:
         if episode_total <= 0.0:
             return 0.0
         return abs(parts - episode_total) / episode_total
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "episodes": self.episodes_closed,
-            "episodes_flush_triggered": self.episodes_by_trigger.get("flush", 0),
-            "episodes_external": self.episodes_by_trigger.get("external", 0),
-            "attributed_j": round(self.attributed_j, 6),
-            "control_j": round(self.control_j, 6),
-            "unattributed_j": round(self.unattributed_j, 6),
-            "idle_j": round(self.idle_j, 6),
-            "active_j": round(self.active_j, 6),
-            "total_j": round(self.total_j, 6),
-            "messages_attributed": self.messages_attributed,
-            "piggybacked_messages": self.piggybacked_messages,
-            "mean_message_j": round(self.message_energy.mean, 9),
-            "max_message_j": round(self.message_energy.max or 0.0, 9),
-            "wifi_bytes": self.wifi_bytes,
-        }
 
 
 # ---------------------------------------------------------------------------

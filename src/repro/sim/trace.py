@@ -84,10 +84,6 @@ class TraceRecorder:
         matches = self.filter(source, kind)
         return matches[-1] if matches else None
 
-    def clear(self) -> None:
-        self.events.clear()
-        self.recorded = 0
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -128,39 +128,6 @@ def random_reboots(
     return events
 
 
-def random_data_gaps(
-    rng,
-    days: int,
-    rate_per_day: float = 0.5,
-    mean_gap_minutes: float = 20.0,
-    start_ms: float = 0.0,
-) -> List[Disruption]:
-    """Random mobile-data outages: DATA_OFF / DATA_ON window pairs.
-
-    Generalizes user 2a's roaming-off trip and user 3's flaky 3G into a
-    churn process the chaos scenarios can dial up: outages arrive
-    Poisson-ish at ``rate_per_day`` and last an exponentially distributed
-    number of minutes.  Draws go through the same seeded-stream
-    discipline as :func:`random_reboots`.
-    """
-    rng = as_random(rng, "disruptions/data-gaps")
-    events: List[Disruption] = []
-    if rate_per_day <= 0:
-        return events
-    t = start_ms
-    horizon = start_ms + days * DAY
-    mean_arrival_gap = DAY / rate_per_day
-    while True:
-        t += rng.expovariate(1.0 / mean_arrival_gap)
-        if t >= horizon:
-            break
-        duration = rng.expovariate(1.0 / (mean_gap_minutes * MINUTE))
-        events.append(Disruption(t, DATA_OFF))
-        events.append(Disruption(min(t + duration, horizon), DATA_ON))
-        t += duration
-    return events
-
-
 def script_update_schedule(days: int, update_days: Optional[List[int]] = None) -> List[Disruption]:
     """Experimenter-driven script pushes (same instants for every user).
 

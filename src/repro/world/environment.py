@@ -17,14 +17,14 @@ a list of ``{"bssid", "ssid", "rssi"}`` dicts with RSSI in dBm.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..sim.kernel import Kernel, MINUTE
+from ..sim.kernel import Kernel
 from ..sim.randomness import RandomStreams
 from .geometry import Point
 from .mobility import DWELL, TRAVEL, Segment, Timeline, TimelineBuilder, UserProfile
-from .places import Place, PlaceFactory, all_access_points
+from .places import Place, PlaceFactory
 from .rssi import PropagationModel
 
 

@@ -13,7 +13,7 @@ are ignored, and a query with no known APs returns ``None``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional
 
 from .geometry import Point, to_latlon
 from .places import AccessPoint
@@ -81,7 +81,3 @@ class GeolocationService:
         # Accuracy degrades with fewer matched APs, as with the real API.
         accuracy = 150.0 / matched + 20.0
         return GeoFix(latitude=lat, longitude=lon, accuracy_m=accuracy, matched_aps=matched)
-
-    def locate_bssids(self, bssids: Sequence[str]) -> Optional[GeoFix]:
-        """Resolve an unweighted BSSID list."""
-        return self.locate({bssid: 1.0 for bssid in bssids})

@@ -1,16 +1,14 @@
 """Planar geometry for the world model.
 
 Positions are in metres on a local tangent plane; the geolocation service
-converts to (latitude, longitude) around a base coordinate.  The polygon
-containment test backs the RogueFinder example (Listing 2's
-``locationInPolygon``) and the world's geofenced zones.
+converts to (latitude, longitude) around a base coordinate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -29,61 +27,6 @@ class Point:
     def lerp(self, other: "Point", t: float) -> "Point":
         """Linear interpolation; ``t`` in [0, 1]."""
         return Point(self.x + (other.x - self.x) * t, self.y + (other.y - self.y) * t)
-
-
-class Polygon:
-    """A simple polygon with ray-casting containment.
-
-    Mirrors AnonyTL's ``(In location (Polygon ...))`` construct that the
-    RogueFinder comparison (Section 5.1) is built around.
-    """
-
-    def __init__(self, vertices: Sequence[Point]) -> None:
-        if len(vertices) < 3:
-            raise ValueError("a polygon needs at least 3 vertices")
-        self.vertices: List[Point] = list(vertices)
-
-    @classmethod
-    def from_tuples(cls, tuples: Iterable[Tuple[float, float]]) -> "Polygon":
-        return cls([Point(x, y) for x, y in tuples])
-
-    def contains(self, point: Point) -> bool:
-        """Ray-casting point-in-polygon test (boundary counts as inside)."""
-        inside = False
-        n = len(self.vertices)
-        for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
-            if _on_segment(point, a, b):
-                return True
-            intersects = (a.y > point.y) != (b.y > point.y) and point.x < (
-                (b.x - a.x) * (point.y - a.y) / (b.y - a.y) + a.x
-            )
-            if intersects:
-                inside = not inside
-        return inside
-
-    def bounding_box(self) -> Tuple[Point, Point]:
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return Point(min(xs), min(ys)), Point(max(xs), max(ys))
-
-    def centroid(self) -> Point:
-        xs = sum(v.x for v in self.vertices)
-        ys = sum(v.y for v in self.vertices)
-        return Point(xs / len(self.vertices), ys / len(self.vertices))
-
-
-def _on_segment(p: Point, a: Point, b: Point, eps: float = 1e-9) -> bool:
-    """Whether ``p`` lies on segment ``ab``."""
-    cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-    if abs(cross) > eps:
-        return False
-    dot = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)
-    if dot < -eps:
-        return False
-    sq_len = (b.x - a.x) ** 2 + (b.y - a.y) ** 2
-    return dot <= sq_len + eps
 
 
 #: Base coordinate for the metre → degree conversion (Delft, NL — where the

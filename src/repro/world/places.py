@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .geometry import Point
 
@@ -158,11 +158,3 @@ class PlaceFactory:
             ssid=f"{rng.choice(self.SSID_POOL)}-{rng.randrange(1000, 9999)}",
             position=near.offset(rng.gauss(0.0, 40.0), rng.gauss(0.0, 40.0)),
         )
-
-
-def all_access_points(places: Sequence[Place]) -> List[AccessPoint]:
-    """Flat list of every AP across places (for the geolocation DB)."""
-    result: List[AccessPoint] = []
-    for place in places:
-        result.extend(place.access_points)
-    return result

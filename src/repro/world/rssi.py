@@ -72,9 +72,3 @@ def normalize_rssi(rssi_dbm: float) -> float:
     span = NORMALIZE_CEIL_DBM - NORMALIZE_FLOOR_DBM
     value = (rssi_dbm - NORMALIZE_FLOOR_DBM) / span
     return max(0.0, min(1.0, value))
-
-
-def denormalize_rssi(value: float) -> float:
-    """Inverse of :func:`normalize_rssi` for values inside [0, 1]."""
-    span = NORMALIZE_CEIL_DBM - NORMALIZE_FLOOR_DBM
-    return NORMALIZE_FLOOR_DBM + value * span

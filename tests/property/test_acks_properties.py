@@ -51,7 +51,7 @@ class ChaosWire:
         self.cursor = 0
         self.delivered = []
         self.sender = ReliableLink(
-            self.kernel, "rx", self._carry, lambda payload: None,
+            self.kernel, "rx", self._carry, lambda payload: None, lambda: None,
         )
         self.receiver = ReliableLink(
             self.kernel, "tx", self._carry_back, self.delivered.append,

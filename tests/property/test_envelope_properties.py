@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.broker import Broker
 from repro.core.envelope import Envelope, MessageError, canonical_json
-from repro.core.messages import copy_message, message_size_bytes, to_json
+from repro.core.messages import message_size_bytes, to_json
 
 # ---------------------------------------------------------------------------
 # Message-tree strategy
@@ -127,7 +127,7 @@ def test_subscriber_mutation_never_leaks(tree, key):
         first[0][key] = "tampered"
     except MessageError:
         pass
-    mutable = copy_message(first[0])
+    mutable = first[0].copy()
     mutable[key] = "tampered"
 
     assert to_json(second[0]) == wire_before

@@ -5,7 +5,8 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import copy_message, from_json, message_size_bytes, to_json
+from repro.core.envelope import thaw_message
+from repro.core.messages import from_json, message_size_bytes, to_json
 from repro.net.acks import ReliableLink
 from repro.sim import Kernel
 
@@ -29,7 +30,7 @@ json_trees = st.recursive(
 @given(json_trees)
 @settings(max_examples=300)
 def test_json_roundtrip_equals_copy(tree):
-    assert from_json(to_json(tree)) == copy_message(tree)
+    assert from_json(to_json(tree)) == thaw_message(tree)
 
 
 @given(json_trees)
@@ -41,9 +42,9 @@ def test_size_matches_encoding(tree):
 @given(json_trees)
 @settings(max_examples=200)
 def test_copy_isolation(tree):
-    clone = copy_message(tree)
+    clone = thaw_message(tree)
     assert json.dumps(clone, sort_keys=True) == json.dumps(
-        copy_message(tree), sort_keys=True
+        thaw_message(tree), sort_keys=True
     )
 
 

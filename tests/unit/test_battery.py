@@ -27,18 +27,6 @@ def test_level_clamped_at_zero():
     rail.set_draw("load", 1.0)
     kernel.run_until(60_000.0)
     assert battery.level == 0.0
-    assert battery.depleted
-
-
-def test_depleted_callback_fires_once():
-    kernel, rail, battery = make_battery(capacity_j=5.0)
-    events = []
-    battery.on_depleted.append(lambda: events.append(kernel.now))
-    rail.set_draw("load", 1.0)
-    kernel.run_until(10_000.0)
-    battery.check_depleted()
-    battery.check_depleted()
-    assert len(events) == 1
 
 
 def test_recharge_restores_level():

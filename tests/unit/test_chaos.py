@@ -95,7 +95,7 @@ def test_reorder_holds_a_stanza_past_later_traffic():
     kernel, server, interceptor, inbox = make_pair()
     interceptor.add_rule("a@x", "b@x", Impairment(reorder=1.0, hold_ms=(500.0, 500.0)))
     server.submit("a@x", "b@x", {"n": 1})
-    interceptor.clear_rules()  # second stanza travels clean
+    interceptor.heal()  # second stanza travels clean
     server.submit("a@x", "b@x", {"n": 2})
     kernel.run()
     assert [m["n"] for m in inbox] == [2, 1]

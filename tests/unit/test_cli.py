@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos import SCENARIOS
 from repro.cli import main
 
 
@@ -191,6 +192,35 @@ def test_nonpositive_shard_count_prints_one_line_and_exits_1(
         f"{label}: shard count must be >= 1, got {shards}"
     ]
     assert "Traceback" not in captured.err
+
+
+BAD_INPUT = [
+    (["quickstart", "--hours", "0"], "--hours must be positive, got 0"),
+    (["roguefinder", "--hours", "0"], "--hours must be positive, got 0"),
+    (["power-report", "--hours", "0"], "--hours must be positive, got 0"),
+    (["metrics", "--hours", "0"], "--hours must be positive, got 0"),
+    (["trace", "--hours", "0"], "--hours must be positive, got 0"),
+    (["anonytl", "task.atl", "--hours", "0"], "--hours must be positive, got 0"),
+    (["localization", "--days", "0"], "--days must be positive, got 0"),
+    (["chaos", "--minutes", "-3"], "--minutes must not be negative, got -3"),
+    (["chaos", "--scenario", "nope"],
+     f"unknown scenario 'nope' (choose from {sorted(SCENARIOS)})"),
+    (["table4", "--scale", "0"], "--scale must be positive, got 0"),
+    (["table4", "--scale", "-1"], "--scale must be positive, got -1"),
+    (["scenarios", "--scale", "0"], "--scale must be positive, got 0"),
+    (["fleet", "--hours", "0"], "--hours must be positive, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [pytest.param(argv, message, id=" ".join(argv)) for argv, message in BAD_INPUT],
+)
+def test_a_bad_length_or_name_prints_one_line_and_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"{argv[0]}: {message}"]
+    assert captured.out == ""
 
 
 def test_fleet_quotes_bytes_per_handoff_only_when_there_are_handoffs(capsys):

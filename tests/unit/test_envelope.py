@@ -104,7 +104,7 @@ def test_envelope_equality_with_raw_trees():
 
 def test_envelope_copy_is_deep_and_mutable():
     env = Envelope.wrap({"list": [1]})
-    clone = env.copy()
+    clone = thaw_message(env)
     clone["list"].append(2)
     assert env.payload == {"list": [1]}
 

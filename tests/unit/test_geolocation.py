@@ -47,12 +47,6 @@ def test_accuracy_improves_with_more_aps():
     assert many.accuracy_m < one.accuracy_m
 
 
-def test_locate_bssids_unweighted():
-    service = GeolocationService([ap("aa:aa:aa:aa:aa:aa", 5.0, 5.0)])
-    fix = service.locate_bssids(["aa:aa:aa:aa:aa:aa"])
-    assert fix is not None
-
-
 def test_registry_introspection():
     service = GeolocationService()
     assert len(service) == 0

@@ -6,7 +6,6 @@ from repro.world.geometry import (
     BASE_LATITUDE,
     BASE_LONGITUDE,
     Point,
-    Polygon,
     from_latlon,
     to_latlon,
 )
@@ -25,50 +24,6 @@ def test_distance_and_lerp():
 def test_offset():
     p = Point(1.0, 2.0).offset(-1.0, 3.0)
     assert (p.x, p.y) == (0.0, 5.0)
-
-
-def test_polygon_requires_three_vertices():
-    with pytest.raises(ValueError):
-        Polygon([Point(0, 0), Point(1, 1)])
-
-
-def test_polygon_contains_basic():
-    square = Polygon.from_tuples([(0, 0), (10, 0), (10, 10), (0, 10)])
-    assert square.contains(Point(5, 5))
-    assert not square.contains(Point(15, 5))
-    assert not square.contains(Point(-1, -1))
-
-
-def test_polygon_boundary_counts_as_inside():
-    square = Polygon.from_tuples([(0, 0), (10, 0), (10, 10), (0, 10)])
-    assert square.contains(Point(0, 5))
-    assert square.contains(Point(10, 10))
-    assert square.contains(Point(5, 0))
-
-
-def test_polygon_concave():
-    # A "C" shape: the notch is outside.
-    shape = Polygon.from_tuples(
-        [(0, 0), (10, 0), (10, 3), (3, 3), (3, 7), (10, 7), (10, 10), (0, 10)]
-    )
-    assert shape.contains(Point(1, 5))
-    assert not shape.contains(Point(8, 5))  # inside the notch
-    assert shape.contains(Point(8, 1))
-
-
-def test_polygon_paper_triangle():
-    """Listing 1/2's polygon: (1,1), (2,2), (3,0)."""
-    triangle = Polygon.from_tuples([(1, 1), (2, 2), (3, 0)])
-    assert triangle.contains(triangle.centroid())
-    assert not triangle.contains(Point(0, 0))
-
-
-def test_bounding_box_and_centroid():
-    square = Polygon.from_tuples([(0, 0), (10, 0), (10, 10), (0, 10)])
-    lo, hi = square.bounding_box()
-    assert (lo.x, lo.y, hi.x, hi.y) == (0, 0, 10, 10)
-    c = square.centroid()
-    assert (c.x, c.y) == (5.0, 5.0)
 
 
 def test_latlon_roundtrip():

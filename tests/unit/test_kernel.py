@@ -115,23 +115,6 @@ def test_max_events_limit():
     assert len(fired) == 10
 
 
-def test_stop_inside_callback():
-    kernel = Kernel()
-    fired = []
-
-    def stopper():
-        fired.append("stop")
-        kernel.stop()
-
-    kernel.schedule(1.0, stopper)
-    kernel.schedule(2.0, fired.append, "after")
-    kernel.run()
-    assert fired == ["stop"]
-    # A later run picks the remaining event up.
-    kernel.run()
-    assert fired == ["stop", "after"]
-
-
 def test_pending_events_and_next_event_time():
     kernel = Kernel()
     assert kernel.next_event_time() is None

@@ -2,12 +2,11 @@
 
 import pytest
 
+from repro.core.envelope import thaw_message
 from repro.core.messages import (
     MessageError,
-    copy_message,
     from_json,
     message_size_bytes,
-    messages_equal,
     to_json,
     validate_message,
 )
@@ -49,19 +48,14 @@ def test_size_counts_utf8_bytes():
 
 def test_copy_is_deep_and_isolated():
     original = {"list": [1, 2], "map": {"k": "v"}}
-    clone = copy_message(original)
+    clone = thaw_message(original)
     clone["list"].append(3)
     clone["map"]["k"] = "changed"
     assert original == {"list": [1, 2], "map": {"k": "v"}}
 
 
 def test_copy_converts_tuples_to_lists():
-    assert copy_message({"t": (1, 2)}) == {"t": [1, 2]}
-
-
-def test_messages_equal_structural():
-    assert messages_equal({"a": 1, "b": 2}, {"b": 2, "a": 1})
-    assert not messages_equal({"a": 1}, {"a": 2})
+    assert thaw_message({"t": (1, 2)}) == {"t": [1, 2]}
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +91,7 @@ def test_tuple_normalized_at_ingest_not_just_on_copy():
     assert isinstance(env.payload["t"], list)
     assert env.payload["t"] == [1, 2]
     assert env.json == '{"t":[1,2]}'
-    assert copy_message(env) == {"t": [1, 2]}
+    assert thaw_message(env) == {"t": [1, 2]}
 
 
 def test_tuple_wire_size_matches_list_wire_size():

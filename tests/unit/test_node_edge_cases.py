@@ -3,18 +3,16 @@
 import pytest
 
 from repro.core.deployment import (
-    OP_TEARDOWN,
     attach_op,
     deploy_op,
     pub_op,
     teardown_op,
-    undeploy_op,
 )
 from repro.core.node import CollectorNode, DeviceNode, Node
 from repro.device import Phone, PhoneOffline, RadioUnavailable, WifiUnavailable
 from repro.net.transport import TransportError
 from repro.net.xmpp import XmppServer
-from repro.sim import HOUR, Kernel, MINUTE, SECOND
+from repro.sim import Kernel, MINUTE, SECOND
 
 
 def make_pair():
@@ -44,25 +42,14 @@ def test_pub_for_unknown_context_ignored():
     assert "ghost" not in device.contexts
 
 
-def test_undeploy_and_teardown():
+def test_teardown_removes_the_context():
     kernel, server, phone, device, collector = make_pair()
     collector.send_to("dev@x", deploy_op("exp", "s", "x = 1\n"))
     kernel.run_until(kernel.now + 30 * SECOND)
     assert "s" in device.contexts["exp"].scripts
-    collector.send_to("dev@x", undeploy_op("exp", "s"))
-    kernel.run_until(kernel.now + 30 * SECOND)
-    assert device.contexts["exp"].scripts == {}
     collector.send_to("dev@x", teardown_op("exp"))
     kernel.run_until(kernel.now + 30 * SECOND)
     assert "exp" not in device.contexts
-
-
-def test_undeploy_unknown_script_is_harmless():
-    kernel, server, phone, device, collector = make_pair()
-    collector.send_to("dev@x", attach_op("exp"))
-    collector.send_to("dev@x", undeploy_op("exp", "never-deployed"))
-    kernel.run_until(kernel.now + 30 * SECOND)
-    assert device.contexts["exp"].scripts == {}
 
 
 def test_flush_with_empty_buffer_is_cheap_noop():
@@ -112,16 +99,6 @@ def test_script_error_on_deploy_does_not_kill_node():
     # Both scripts deployed; the broken one recorded its failure.
     assert context.scripts["fine"].namespace["x"] == 1
     assert context.scripts["broken"].errors
-
-
-def test_node_stop_is_clean():
-    kernel, server, phone, device, collector = make_pair()
-    collector.send_to("dev@x", deploy_op("exp", "s", "subscribe('ch', lambda m: None)\n"))
-    kernel.run_until(kernel.now + 30 * SECOND)
-    device.stop()
-    assert not device.detector.running
-    assert device.scheduler.stopped
-    assert not device.contexts["exp"].broker.has_subscribers("ch")
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,9 @@ import json
 import pytest
 
 from repro.core.shard import DeviceSpec, Shard, ShardSpec
+from repro.fleet.worker import ShardDriver
 from repro.obs.live import LiveView
-from repro.obs.prometheus import (
-    metric_name,
-    snapshot_to_prometheus,
-    timeline_to_prometheus,
-)
-from repro.obs.telemetry import NullShardTelemetry, ShardTelemetry
+from repro.obs.prometheus import metric_name, timeline_to_prometheus
 from repro.obs.timeline import (
     FleetTimeline,
     TimelineError,
@@ -64,14 +60,15 @@ class TestSampler:
         assert sample["wall"] == wall
 
     def test_disabled_sampler_is_a_null_lane(self):
-        shard = _shard(telemetry=False)
-        assert type(shard.telemetry) is NullShardTelemetry
-        assert shard.telemetry.sample(1, 80.0) is None
-        shard.telemetry.enable()
-        assert type(shard.telemetry) is ShardTelemetry
-        assert shard.telemetry.sample(1, 80.0) is not None
-        shard.telemetry.disable()
-        assert shard.telemetry.sample(2, 160.0) is None
+        # The worker reads the flag and takes no sample.
+        for telemetry in (False, True):
+            spec = ShardSpec(
+                seed=3, collectors=("lab",), telemetry=telemetry,
+                devices=(DeviceSpec(with_email_app=True),),
+            )
+            driver = ShardDriver(spec, "battery-monitor", None)
+            *_, sample = driver.advance(80.0, [])
+            assert (sample is not None) is telemetry
 
     def test_sampling_never_perturbs_the_kernel(self):
         shard = _shard()
@@ -266,18 +263,6 @@ class TestPrometheus:
     def test_metric_names_are_sanitized(self):
         assert metric_name("broker.published") == "pogo_broker_published"
         assert metric_name("9lives") == "pogo__9lives"
-
-    def test_snapshot_rendering_scalars_and_histograms(self):
-        text = snapshot_to_prometheus(
-            {"c": 3, "g": 1.5,
-             "h": {"count": 2, "sum": 4.0, "min": 1.0, "max": 3.0}},
-            labels={"shard": "f/0"},
-        )
-        assert '# TYPE pogo_c counter' in text
-        assert 'pogo_c{shard="f/0"} 3' in text
-        assert '# TYPE pogo_g gauge' in text
-        assert 'pogo_h_count{shard="f/0"} 2' in text
-        assert 'pogo_h_sum{shard="f/0"} 4.0' in text
 
     def test_timeline_rendering_is_deterministic(self):
         a = timeline_to_prometheus(_timeline())

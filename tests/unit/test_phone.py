@@ -108,18 +108,6 @@ def test_email_app_survives_offline_checks():
     assert phone.cpu.wake_locks_held == 0
 
 
-def test_email_app_stop():
-    kernel = Kernel()
-    phone = Phone(kernel)
-    app = EmailApp(phone, EmailConfig(interval_ms=MINUTE))
-    app.start()
-    kernel.run_until(3 * MINUTE + 30_000.0)
-    app.stop()
-    count = app.check_count
-    kernel.run_until(10 * MINUTE)
-    assert app.check_count == count
-
-
 def test_chatty_app_generates_randomized_traffic():
     kernel = Kernel()
     phone = Phone(kernel)

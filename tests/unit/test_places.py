@@ -6,7 +6,6 @@ from repro.world.geometry import Point
 from repro.world.places import (
     AccessPoint,
     PlaceFactory,
-    all_access_points,
     is_locally_administered,
     make_bssid,
 )
@@ -66,16 +65,6 @@ def test_street_ap_near_position():
     factory = PlaceFactory(random.Random(8))
     ap = factory.make_street_ap(Point(50, 50))
     assert Point(50, 50).distance_to(ap.position) < 400.0
-
-
-def test_all_access_points_flattens():
-    factory = PlaceFactory(random.Random(9))
-    places = [
-        factory.make_place("a", Point(0, 0), category="home"),
-        factory.make_place("b", Point(10, 10), category="cafe"),
-    ]
-    flat = all_access_points(places)
-    assert len(flat) == sum(len(p.access_points) for p in places)
 
 
 def test_internet_ap_never_locally_administered():

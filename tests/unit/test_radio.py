@@ -13,7 +13,6 @@ from repro.device.radio import (
     RAMP,
     T_MOBILE,
     VODAFONE,
-    CarrierProfile,
     Modem,
     RadioUnavailable,
 )
@@ -180,12 +179,8 @@ def test_paging_blips_only_in_idle():
     assert rail.draw_of(modem.name) == pytest.approx(KPN.ramp_w)
 
 
-def test_carrier_registry_and_overrides():
+def test_carrier_registry():
     assert set(CARRIERS) == {"KPN", "T-Mobile", "Vodafone"}
-    custom = KPN.with_overrides(dch_tail_ms=1234.0)
-    assert custom.dch_tail_ms == 1234.0
-    assert custom.name == "KPN"
-    assert KPN.dch_tail_ms == 6000.0  # original untouched
 
 
 def test_state_change_listeners():

@@ -8,7 +8,6 @@ from repro.world.rssi import (
     NORMALIZE_CEIL_DBM,
     NORMALIZE_FLOOR_DBM,
     PropagationModel,
-    denormalize_rssi,
     normalize_rssi,
 )
 
@@ -57,11 +56,6 @@ def test_normalize_paper_anchors():
 def test_normalize_clips():
     assert normalize_rssi(-120.0) == 0.0
     assert normalize_rssi(-30.0) == 1.0
-
-
-def test_denormalize_inverse():
-    for value in (0.0, 0.25, 0.5, 1.0):
-        assert normalize_rssi(denormalize_rssi(value)) == pytest.approx(value)
 
 
 def test_max_range_reasonable_for_wifi():

@@ -320,7 +320,7 @@ def test_midrun_snapshot_with_a_pending_serial_queue_resumes_identically(rig):
         scheduler.submit(log.append, n, serial_key="k")
     scheduler.schedule(30.0, log.append, "later", serial_key="k")
     scheduler.schedule_repeating(20.0, log.append, "tick")
-    kernel.step()
+    kernel.run(max_events=1)
     assert log == [0] and len(scheduler._serial_queues["k"]) == 2
     blob = pickle.dumps((kernel, scheduler, log))
 

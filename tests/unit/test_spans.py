@@ -84,8 +84,6 @@ class TestSpanRecorder:
         assert recorder.tag(Envelope.wrap({"a": 1})) == 0
         assert len(recorder) == 0
         assert recorder.recorded == 0
-        recorder.enable()
-        assert hop.record(1, 0, 0.0, 0.0) == 1
 
     def test_tag_is_idempotent_and_monotonic(self):
         recorder = SpanRecorder()
@@ -319,20 +317,9 @@ class TestEnergyLedger:
         assert ledger.episodes_closed == 1
         assert ledger.total_j == pytest.approx(rail.energy_joules, rel=1e-9)
 
-    def test_snapshot_shape(self):
-        kernel, rail, modem, ledger = make_radio()
-        modem.transfer(tx_bytes=1_000)
-        run_to_idle(kernel, modem)
-        ledger.finalize()
-        snapshot = ledger.snapshot()
-        assert snapshot["episodes"] == 1
-        assert snapshot["total_j"] == pytest.approx(
-            snapshot["active_j"] + snapshot["idle_j"]
-        )
-
 
 def test_disable_swaps_hop_handles_to_noops():
-    from repro.sim.spans import HopHandle, NullHopHandle, SpanRecorder
+    from repro.sim.spans import NullHopHandle, SpanRecorder
 
     recorder = SpanRecorder(clock=lambda: 0.0)
     hop = recorder.hop("transport.send")
@@ -346,10 +333,6 @@ def test_disable_swaps_hop_handles_to_noops():
     # Hops created while disabled are born as no-ops.
     late = recorder.hop("late.hop")
     assert type(late) is NullHopHandle
-    recorder.enable()
-    assert type(hop) is HopHandle
-    assert type(late) is HopHandle
-    assert hop.record(1, span, 1.0, 2.0) != 0
 
 
 def test_middleware_kill_switches_disable_both_planes():

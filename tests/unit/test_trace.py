@@ -40,12 +40,6 @@ class TestTraceRecorder:
         trace.record("cpu", "wake")
         assert len(trace) == 0
 
-    def test_clear(self):
-        trace = TraceRecorder(lambda: 0.0)
-        trace.record("a", "b")
-        trace.clear()
-        assert len(trace) == 0
-
     def test_ring_mode_keeps_most_recent_and_counts_dropped(self):
         trace = TraceRecorder(lambda: 0.0, max_events=3)
         for i in range(5):
@@ -62,16 +56,6 @@ class TestTraceRecorder:
     def test_ring_mode_requires_positive_capacity(self):
         with pytest.raises(ValueError):
             TraceRecorder(lambda: 0.0, max_events=0)
-
-    def test_clear_resets_dropped_accounting(self):
-        trace = TraceRecorder(lambda: 0.0, max_events=2)
-        for i in range(4):
-            trace.record("src", str(i))
-        trace.clear()
-        assert trace.recorded == 0
-        assert trace.dropped == 0
-        trace.record("src", "fresh")
-        assert trace.recorded == 1 and trace.dropped == 0
 
 
 class TestIntervalTrack:

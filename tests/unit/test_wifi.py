@@ -3,7 +3,7 @@
 import pytest
 
 from repro.device.power import PowerRail
-from repro.device.wifi import WifiConfig, WifiInterface, WifiUnavailable
+from repro.device.wifi import WifiInterface, WifiUnavailable
 from repro.sim import Kernel
 
 
@@ -60,18 +60,6 @@ def test_connectivity_listeners():
     assert seen == [True, False]
 
 
-def test_disable_forces_disconnect():
-    _, rail, wifi = make_wifi()
-    wifi.set_connected(True)
-    wifi.set_enabled(False)
-    assert not wifi.connected
-    assert not wifi.available
-    assert rail.draw_of(wifi.name) == 0.0
-    # Cannot connect while disabled.
-    wifi.set_connected(True)
-    assert not wifi.connected
-
-
 def test_scan_returns_environment_readings():
     kernel, rail, wifi = make_wifi()
     wifi.scan_source = lambda: ["ap1", "ap2"]
@@ -91,12 +79,6 @@ def test_concurrent_scan_rejected():
     assert not wifi.scan(lambda r: None)
     kernel.run()
     assert wifi.scan(lambda r: None)
-
-
-def test_scan_while_disabled_rejected():
-    _, _, wifi = make_wifi()
-    wifi.set_enabled(False)
-    assert not wifi.scan(lambda r: None)
 
 
 def test_scan_without_source_returns_empty():

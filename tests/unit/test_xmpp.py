@@ -139,13 +139,3 @@ def test_presence_notifies_connected_roster_peers():
     assert len(presence) == 1
     assert presence[0]["jid"] == "device@x"
     assert presence[0]["available"] is True
-
-
-def test_roster_removal_blocks_routing():
-    kernel, server = make_server()
-    for jid in ("a@x", "b@x"):
-        server.register(jid)
-    server.add_roster_pair("a@x", "b@x")
-    server.remove_roster_pair("a@x", "b@x")
-    with pytest.raises(RoutingError):
-        server.submit("a@x", "b@x", {})
