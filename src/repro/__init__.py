@@ -34,7 +34,7 @@ paper-vs-measured record of every table and figure.
 
 from .core.deployment import Experiment
 from .core.middleware import PogoSimulation, SimulatedCollector, SimulatedDevice
-from .core.shard import DeviceSpec, Shard, ShardSpec, SimContext
+from .core.shard import DeviceSpec, Shard, ShardSpec
 from .core.node import CollectorNode, DeviceNode
 from .core.broker import Broker, Subscription
 from .core.tailsync import (
@@ -56,7 +56,6 @@ __all__ = [
     "Shard",
     "ShardSpec",
     "DeviceSpec",
-    "SimContext",
     "SimulatedCollector",
     "SimulatedDevice",
     "CollectorNode",

@@ -757,7 +757,7 @@ def cmd_fleet(args) -> int:
         # have no per-handoff figure.
         per_handoff = (
             f" ({result.handoff_bytes / result.handoffs:,.0f} B/handoff "
-            f"framed+compressed)" if result.handoffs else ""
+            f"pickled)" if result.handoffs else ""
         )
         print(
             f"  {result.handoff_bytes:,} handoff wire bytes on the worker "

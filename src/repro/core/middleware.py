@@ -28,7 +28,6 @@ from .shard import (  # noqa: F401  (re-exported public surface)
     DeviceSpec,
     Shard,
     ShardSpec,
-    SimContext,
     SimulatedCollector,
     SimulatedDevice,
 )

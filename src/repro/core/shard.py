@@ -10,12 +10,11 @@ byte-identical results.  That unit is the :class:`Shard`.
 
 Three contracts define it:
 
-* **SimContext** — the single bundle of cross-cutting simulation state
-  (kernel, named random streams, metrics, spans, trace).  Everything a
-  component needs reaches it through this graph; nothing may live at
-  module level.  (The kernel carries the metrics and span planes, so
-  most components take just the kernel — the context makes the full
-  bundle explicit and hands the rest to world/device builders.)
+* **One object graph** — the cross-cutting simulation state hangs off
+  the shard: its kernel (which carries the metrics and span planes, so
+  most components take just the kernel), its named random streams and
+  its optional trace recorder.  Everything a component needs reaches it
+  through this graph; nothing may live at module level.
 * **The pickling contract** — ``snapshot()`` pickles the whole shard;
   ``restore()`` brings it back, mid-run, byte-deterministically.  Every
   callback reachable from the kernel's event heap must therefore be a
@@ -60,27 +59,6 @@ from ..world.mobility import TRAVEL, UserProfile
 from .node import CollectorNode, DeviceNode
 from .tailsync import TransmissionPolicy
 from .testbed import TestbedAdmin
-
-
-# ---------------------------------------------------------------------------
-# SimContext
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SimContext:
-    """The cross-cutting simulation state, as one explicit bundle.
-
-    What used to be reachable only by threading a kernel around (plus
-    ad-hoc extra arguments for streams and trace) is one object.  Two
-    contexts never share anything: two shards in one process are as
-    isolated as two processes.
-    """
-
-    kernel: Kernel
-    streams: RandomStreams
-    metrics: Any
-    spans: Any
-    trace: Optional[TraceRecorder] = None
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +278,6 @@ class Shard:
             self.kernel.metrics.disable()
         self.streams = RandomStreams(seed)
         self.trace = TraceRecorder(self.kernel.read_now) if record_trace else None
-        self.ctx = SimContext(
-            kernel=self.kernel,
-            streams=self.streams,
-            metrics=self.kernel.metrics,
-            spans=self.kernel.spans,
-            trace=self.trace,
-        )
         # The telemetry plane: a pull-only barrier sampler (fleet workers
         # read it when it is enabled; nothing in the shard ever calls it).
         self.telemetry = ShardTelemetry(self, enabled=telemetry)

@@ -18,9 +18,9 @@ byte-identical to the single-shard run for the same seed:
   fleet of K shards runs shard 0 in this process and the other K−1 one
   per worker process (forked on Linux, spawned elsewhere); the pipe is
   the only transport.
-* :mod:`repro.fleet.wire` — the batched binary handoff codec: one
-  struct-packed, zlib-compressed frame per barrier instead of one
-  pickle per stanza; decode reconstructs identical ``Handoff`` objects.
+* :mod:`repro.fleet.wire` — what crosses a worker pipe: each barrier's
+  handoff batch as one pickle, and the zlib-sealed end-of-run frames;
+  decode gives back copies of the sender's ``Handoff`` objects.
 * :mod:`repro.fleet.merge` — combine per-shard fleet reports, metrics
   planes and span traces into one canonical report.
 """
@@ -33,13 +33,12 @@ from .merge import (
     merge_trace_rows,
 )
 from .partition import FleetPlan, fleet_spec, plan_fleet
-from .wire import WireError, decode_batch, encode_batch
+from .wire import decode_batch, encode_batch
 
 __all__ = [
     "FleetError",
     "FleetPlan",
     "FleetResult",
-    "WireError",
     "WorkerCrashed",
     "decode_batch",
     "encode_batch",

@@ -39,9 +39,9 @@ One simulation, K shards, each advanced in lockstep windows:
   :class:`~repro.fleet.worker.ShardDriver`; in-process the coordinator
   calls it directly, in a process it sits behind one duplex pipe.  Handoff
   batches cross that pipe as :mod:`repro.fleet.wire` frames — one
-  struct-packed, zlib-compressed buffer per barrier instead of one
-  pickle per stanza — telemetry samples ride the barrier reply, and the
-  final artifacts cross as one zlib-compressed pickle.  Each worker's
+  pickle per barrier and direction — telemetry samples ride the barrier
+  reply, and the final artifacts cross as one zlib-compressed pickle
+  (:func:`~repro.fleet.wire.seal`).  Each worker's
   span rows follow in a frame of their own, which stays closed: the
   trace is written when :attr:`FleetResult.trace_jsonl` is first read.
 * **Failures.**  A worker that dies, raises, or stops responding turns
@@ -63,8 +63,8 @@ from ..sim.hostgc import building, reclaim
 from ..sim.kernel import HOUR
 from .merge import merge_fleet_reports, merge_metrics, merge_span_rows, report_to_json
 from .partition import fleet_spec, plan_fleet
-from .wire import decode_batch, encode_batch
-from .worker import WORKLOADS, ShardDriver, WorkerCrashed, fleet_worker_main, unseal
+from .wire import decode_batch, encode_batch, unseal
+from .worker import WORKLOADS, ShardDriver, WorkerCrashed, fleet_worker_main
 
 
 class FleetError(RuntimeError):
@@ -120,9 +120,9 @@ class FleetResult:
     #: own core.  On a single-core host ``wall_s`` serializes the
     #: workers; this is the parallel capacity the layout actually has.
     critical_path_s: float = 0.0
-    #: Total wire-frame bytes that crossed the worker pipes (handoff
-    #: batches in both directions, compressed).  Zero for in-process
-    #: fleets — nothing crosses a pipe there.
+    #: Total bytes of the pickled handoff frames that crossed the worker
+    #: pipes (batches in both directions).  Zero for in-process fleets —
+    #: nothing crosses a pipe there.
     handoff_bytes: int = 0
     #: Per-barrier telemetry time-series (``None`` unless the run was
     #: started with ``telemetry=True`` or an observer).

@@ -22,9 +22,7 @@ fresh interpreter that re-imports this module.
 
 from __future__ import annotations
 
-import pickle
 import sys
-import zlib
 from contextlib import contextmanager
 from time import perf_counter, process_time
 from traceback import format_exc
@@ -34,6 +32,7 @@ from ..core.shard import Handoff, Shard, ShardSpec
 from ..sim.hostgc import building
 from ..sim.spans import SpanRow, span_rows
 from .partition import device_jid
+from .wire import decode_batch, encode_batch, seal
 
 try:
     import resource
@@ -313,17 +312,6 @@ class ShardDriver:
 # The process transport
 # ---------------------------------------------------------------------------
 
-def seal(value: Any) -> bytes:
-    """One of a worker's two final frames: its artifacts, or its span rows
-    (rows, not spans: slotted objects pickle several times slower)."""
-    return zlib.compress(pickle.dumps(value, pickle.HIGHEST_PROTOCOL), 1)
-
-
-def unseal(frame: bytes) -> Any:
-    """What :func:`seal` sealed — in this run's own worker, nowhere else."""
-    return pickle.loads(zlib.decompress(frame))
-
-
 def fleet_worker_main(
     conn,
     spec: ShardSpec,
@@ -333,9 +321,9 @@ def fleet_worker_main(
     """Serve one :class:`ShardDriver` over ``conn`` until told to finish.
 
     Protocol (coordinator → worker / worker → coordinator).  Handoff
-    batches cross as :mod:`repro.fleet.wire` frames — one struct-packed,
-    zlib-compressed buffer per barrier; everything else is a small
-    pickled tuple, except the final artifacts:
+    batches cross as :mod:`repro.fleet.wire` frames, one pickle per
+    barrier and direction; everything else is a small pickled tuple,
+    except the final artifacts:
 
     * ← ``("ready", latency_ms, next_event_time, frame, egress_capable)``
       once the shard is built (see :meth:`ShardDriver.ready`).
@@ -343,17 +331,15 @@ def fleet_worker_main(
       ← ``("barrier", frame, next_event_time, egress_capable, sample)``
       (see :meth:`ShardDriver.advance`).
     * → ``("finish",)``  ← ``("result",)`` followed by two
-      ``send_bytes`` of :func:`seal` frames (zlib-level-1 pickles): the
-      artifacts (small), then the span rows, which the coordinator does
-      not open unless the trace is read.
+      ``send_bytes`` of :func:`~repro.fleet.wire.seal` frames
+      (zlib-level-1 pickles): the artifacts (small), then the span rows,
+      which the coordinator does not open unless the trace is read.
     * Any failure ← ``("error", WorkerCrashed)`` and the loop exits.
 
     Codec CPU counts towards the driver's ``busy_s``; ``stall_s`` is the
     wall time spent blocked in ``conn.recv`` waiting for the next grant
     (this worker's view of barrier imbalance).
     """
-    from .wire import decode_batch, encode_batch
-
     try:
         with crash_guard(spec.shard_id):
             driver = ShardDriver(spec, workload, fleet_ctx)

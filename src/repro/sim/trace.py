@@ -14,7 +14,6 @@ Three recorders cover everything the evaluation plots or tabulates:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -30,42 +29,18 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Append-only event log with simple filtering.
+    """Append-only event log with simple filtering."""
 
-    With ``max_events`` set the log becomes a bounded ring: the most
-    recent ``max_events`` events are kept, older ones are evicted and
-    counted in :attr:`dropped` — so week-long simulations with tracing on
-    cannot grow memory without limit.
-    """
-
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        if max_events is not None and max_events <= 0:
-            raise ValueError("max_events must be positive")
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock
-        self.max_events = max_events
-        self.events = deque(maxlen=max_events) if max_events is not None else []
-        self.enabled = True
-        #: Events ever recorded, including those since evicted.
-        self.recorded = 0
-
-    @property
-    def dropped(self) -> int:
-        """Events evicted from the ring so far (0 in unbounded mode)."""
-        return self.recorded - len(self.events)
+        self.events: List[TraceEvent] = []
 
     def record(self, source: str, kind: str, time: Optional[float] = None, **data: Any) -> None:
         """Record an event.  ``time`` defaults to the attached clock."""
-        if not self.enabled:
-            return
         if time is None:
             if self._clock is None:
                 raise ValueError("no clock attached and no explicit time given")
             time = self._clock()
-        self.recorded += 1
         self.events.append(TraceEvent(time, source, kind, data))
 
     def filter(self, source: Optional[str] = None, kind: Optional[str] = None) -> List[TraceEvent]:

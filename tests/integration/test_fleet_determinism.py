@@ -54,7 +54,7 @@ def test_spawned_and_in_process_coordination_are_byte_identical(runs):
 
 def test_the_start_method_changes_no_byte(runs):
     # Forked or spawned, a worker runs the same loop over the same pipe:
-    # even the wire frames are the same size.
+    # even the pickled handoff frames are the same size.
     native, spawned = runs["processes"], runs["spawned"]
     assert native.report_json == spawned.report_json
     assert native.trace_jsonl == spawned.trace_jsonl

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.export import spans_to_jsonl
 from repro.fleet.merge import merge_span_rows, merge_trace_jsonl
-from repro.fleet.worker import seal, unseal
+from repro.fleet.wire import seal, unseal
 from repro.sim.spans import Span, span_rows, spans_to_jsonl_lines, split_span_line
 
 

@@ -235,7 +235,7 @@ def test_fleet_quotes_bytes_per_handoff_only_when_there_are_handoffs(capsys):
 
     assert main(["--seed", "5", "fleet", "--devices", "4", "--shards", "2",
                  "--hours", "0.1"]) == 0
-    assert "B/handoff framed+compressed)" in capsys.readouterr().out
+    assert "B/handoff pickled)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from repro.fleet.merge import (
     MergeError, merge_span_rows, merge_trace_rows, report_to_json,
 )
 from repro.fleet.partition import PartitionError, device_jid
-from repro.fleet.worker import seal, unseal
+from repro.fleet.wire import seal, unseal
 from repro.net.xmpp import RoutingError
 from repro.sim.spans import Span, SpanRecorder, ordered_span_lines, span_rows
 

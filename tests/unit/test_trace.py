@@ -34,29 +34,6 @@ class TestTraceRecorder:
         assert trace.last(source="modem").data["new"] == "ramp"
         assert trace.last(source="gps") is None
 
-    def test_disabled_recorder_drops_events(self):
-        trace = TraceRecorder(lambda: 0.0)
-        trace.enabled = False
-        trace.record("cpu", "wake")
-        assert len(trace) == 0
-
-    def test_ring_mode_keeps_most_recent_and_counts_dropped(self):
-        trace = TraceRecorder(lambda: 0.0, max_events=3)
-        for i in range(5):
-            trace.record("src", f"event-{i}")
-        assert len(trace) == 3
-        assert [e.kind for e in trace] == ["event-2", "event-3", "event-4"]
-        assert trace.recorded == 5
-        assert trace.dropped == 2
-        # Unbounded mode never drops.
-        unbounded = TraceRecorder(lambda: 0.0)
-        unbounded.record("src", "event")
-        assert unbounded.dropped == 0
-
-    def test_ring_mode_requires_positive_capacity(self):
-        with pytest.raises(ValueError):
-            TraceRecorder(lambda: 0.0, max_events=0)
-
 
 class TestIntervalTrack:
     def test_open_close_records_interval(self):
