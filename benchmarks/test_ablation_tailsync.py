@@ -26,7 +26,7 @@ tail-sync is the general, phase-independent way to get that alignment.)
 
 import pytest
 
-from repro.analysis.energy import percent_increase
+from repro.analysis.energy import ModemStateLog, percent_increase
 from repro.apps import battery_monitor
 from repro.core.middleware import PogoSimulation
 from repro.core.tailsync import (
@@ -60,10 +60,15 @@ def make_policy(policy_name):
     raise ValueError(policy_name)
 
 
+def radio_active_ms(states, until):
+    return sum(block.duration for block in states.active_intervals(until))
+
+
 def run_policy(policy_name):
     sim = PogoSimulation(seed=3, carrier=KPN)
     collector = sim.add_collector("alice")
     device = sim.add_device(with_email_app=True, policy=make_policy(policy_name))
+    states = ModemStateLog(sim.kernel, device.phone.modem)
     ChargingRoutine(
         sim.kernel, device.phone, sim.streams.stream("charging"), days=2
     ).start()
@@ -83,12 +88,10 @@ def run_policy(policy_name):
     device.phone.rail.reset_energy()
     battery_before = device.phone.battery.discharge_joules
     rampups_before = device.phone.modem.rampup_count
-    active_before = device.phone.modem.active_track.total_duration(sim.kernel.now)
+    active_before = radio_active_ms(states, sim.kernel.now)
     arrivals.clear()
     sim.run(hours=MEASURED_HOURS)
-    active_ms = (
-        device.phone.modem.active_track.total_duration(sim.kernel.now) - active_before
-    )
+    active_ms = radio_active_ms(states, sim.kernel.now) - active_before
     latencies_min = [(arrived - stamped) / MINUTE for arrived, stamped in arrivals]
     return {
         "energy_per_hour": device.phone.rail.energy_joules / MEASURED_HOURS,

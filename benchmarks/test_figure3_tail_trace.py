@@ -7,14 +7,14 @@ spikes before a and after d are the idle paging duty cycle.
 
 This benchmark recreates the trace: one e-mail check on the KPN profile
 with the rail sampled like the paper's shunt+ADC rig, segmented both
-from the sampled power series and from the exact modem state trace.
+from the sampled power series and from the exact modem state transitions.
 """
 
 import pytest
 
 from repro.analysis.energy import (
+    ModemStateLog,
     segment_tail_from_series,
-    segment_tail_from_state_trace,
     series_energy_joules,
 )
 from repro.analysis.plotting import render_series
@@ -29,9 +29,9 @@ EMAIL_CHECK_AFTER_MS = 4 * MINUTE
 
 
 def run_trace():
-    sim = PogoSimulation(seed=3, carrier=KPN, record_trace=True)
-    device = sim.add_device(with_email_app=True, simulate_paging=True,
-                            track_power_history=True)
+    sim = PogoSimulation(seed=3, carrier=KPN)
+    device = sim.add_device(with_email_app=True, simulate_paging=True)
+    states = ModemStateLog(sim.kernel, device.phone.modem)
     meter = PowerMeter(sim.kernel, device.phone.rail, interval_ms=20.0)
     meter.start()
     sim.start()
@@ -40,9 +40,7 @@ def run_trace():
     from_series = segment_tail_from_series(
         meter.samples, KPN, search_from_ms=EMAIL_CHECK_AFTER_MS
     )
-    from_states = segment_tail_from_state_trace(
-        sim.trace, device.phone.modem.name, KPN, after_ms=EMAIL_CHECK_AFTER_MS
-    )
+    from_states = states.segment_tail(KPN, after_ms=EMAIL_CHECK_AFTER_MS)
     return meter, from_series, from_states
 
 

@@ -19,18 +19,27 @@ alignment properties:
 
 import pytest
 
+from repro.analysis.energy import ModemStateLog
 from repro.analysis.plotting import render_tracks
 from repro.apps import battery_monitor
 from repro.core.middleware import PogoSimulation
 from repro.core.node import DeviceNode
 from repro.sim.kernel import MINUTE, SECOND
-from repro.sim.trace import Interval
+from repro.sim.trace import Interval, IntervalTrack
 
 
 def run_timeline():
-    sim = PogoSimulation(seed=5, record_trace=True)
+    sim = PogoSimulation(seed=5)
     collector = sim.add_collector("alice")
     device = sim.add_device(with_email_app=True)
+    # The CPU boots awake and keeps no history: its wake/sleep listeners
+    # feed the figure's track.
+    cpu = device.phone.cpu
+    cpu_track = IntervalTrack("cpu", sim.kernel.read_now)
+    cpu_track.open(label="boot")
+    cpu.on_wake.append(lambda reason: cpu_track.open(label=reason))
+    cpu.on_sleep.append(cpu_track.close)
+    radio_states = ModemStateLog(sim.kernel, device.phone.modem)
     sim.start()
     sim.assign(collector, [device])
     collector.node.deploy(battery_monitor.build_experiment(), [device.jid])
@@ -60,9 +69,9 @@ def run_timeline():
         "measure_start": measure_start,
         "end": end,
         "flushes": list(flush_times),
-        "cpu_track": device.phone.cpu.awake_track.closed_intervals(end),
+        "cpu_track": cpu_track.closed_intervals(end),
         "email_track": device.email_app().activity_track.closed_intervals(end),
-        "radio_track": device.phone.modem.active_track.closed_intervals(end),
+        "radio_track": radio_states.active_intervals(end),
         "wakes": device.phone.cpu.wake_count - baseline_wakes,
     }
 

@@ -13,7 +13,7 @@ Run:  python examples/tail_energy.py
 """
 
 from repro import Experiment, PogoSimulation
-from repro.analysis.energy import percent_increase, segment_tail_from_state_trace
+from repro.analysis.energy import ModemStateLog, percent_increase
 from repro.apps import battery_monitor
 from repro.device.radio import CARRIERS, KPN
 from repro.sim.kernel import HOUR, MINUTE
@@ -23,7 +23,7 @@ WARMUP = 10 * MINUTE
 
 def run_hour(carrier, with_pogo: bool) -> float:
     """One measured hour (after warm-up); returns joules drawn."""
-    sim = PogoSimulation(seed=3, carrier=carrier, record_trace=True)
+    sim = PogoSimulation(seed=3, carrier=carrier)
     collector = sim.add_collector("alice")
     device = sim.add_device(with_email_app=True)
     sim.start()
@@ -37,14 +37,13 @@ def run_hour(carrier, with_pogo: bool) -> float:
 
 
 def figure3() -> None:
-    sim = PogoSimulation(seed=3, carrier=KPN, record_trace=True)
+    sim = PogoSimulation(seed=3, carrier=KPN)
     device = sim.add_device(with_email_app=True)
+    states = ModemStateLog(sim.kernel, device.phone.modem)
     sim.start()
     sim.run(duration_ms=7 * MINUTE)  # one e-mail check at t=5 min
     # Segment the e-mail transmission, not the connection handshake.
-    seg = segment_tail_from_state_trace(
-        sim.trace, device.phone.modem.name, KPN, after_ms=4 * MINUTE
-    )
+    seg = states.segment_tail(KPN, after_ms=4 * MINUTE)
     print("Figure 3 — one e-mail check on KPN (times relative to ramp start):")
     print(f"  a  ramp-up starts   {0.0:7.1f} s   (ramp {KPN.ramp_ms/1000:.1f} s @ {KPN.ramp_w:.2f} W)")
     b = (seg.b_transfer_end_ms - seg.a_ramp_start_ms) / 1000

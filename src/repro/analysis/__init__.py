@@ -10,10 +10,10 @@ from .clustering import (
     nearest_to_mean,
 )
 from .energy import (
+    ModemStateLog,
     TailSegmentation,
     percent_increase,
     segment_tail_from_series,
-    segment_tail_from_state_trace,
     series_energy_joules,
 )
 from .matching import (
@@ -36,10 +36,10 @@ __all__ = [
     "cosine_coefficient",
     "mean_vector",
     "nearest_to_mean",
+    "ModemStateLog",
     "TailSegmentation",
     "percent_increase",
     "segment_tail_from_series",
-    "segment_tail_from_state_trace",
     "series_energy_joules",
     "MATCH_EXACT",
     "MATCH_MISSING",

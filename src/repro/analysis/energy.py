@@ -12,7 +12,7 @@ a transmission."  This module recovers those instants (and the energy of
 each phase) from a sampled power trace, the way one would from the
 paper's shunt measurements — by thresholding against the known state
 power levels — and can also compute them exactly from the modem's state
-trace for cross-validation in tests.
+transitions (:class:`ModemStateLog`) for cross-validation.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..device.radio import CarrierProfile
-from ..sim.trace import TimeSeries, TraceRecorder
+from ..device.radio import DCH, FACH, IDLE, OFF, RAMP, CarrierProfile
+from ..sim.trace import Interval, TimeSeries
 
 
 def series_energy_joules(series: TimeSeries, start_ms: Optional[float] = None, end_ms: Optional[float] = None) -> float:
@@ -122,42 +122,74 @@ def segment_tail_from_series(
     )
 
 
-def segment_tail_from_state_trace(
-    trace: TraceRecorder,
-    modem_name: str,
-    profile: CarrierProfile,
-    after_ms: float = 0.0,
-) -> Optional[TailSegmentation]:
-    """Exact segmentation from the modem's recorded state transitions."""
-    a = b = c = d = None
-    for event in trace.filter(source=modem_name):
-        if event.time < after_ms:
-            continue
-        if event.kind == "state":
-            old, new = event.data.get("old"), event.data.get("new")
-            if old == "idle" and new == "ramp" and a is None:
-                a = event.time
-            elif old == "dch" and new == "fach" and a is not None and c is None:
-                c = event.time
-            elif old == "fach" and new == "idle" and c is not None:
-                d = event.time
+class ModemStateLog:
+    """A modem's RRC transitions, as ``(time_ms, old, new)`` tuples.
+
+    The modem keeps no history of its own: this recorder rides its
+    :attr:`~repro.device.radio.Modem.on_state_change` listener list, so
+    it sees the transitions made after it is built.
+    """
+
+    __slots__ = ("_kernel", "transitions")
+
+    def __init__(self, kernel, modem) -> None:
+        self._kernel = kernel
+        self.transitions: List[Tuple[float, str, str]] = []
+        modem.on_state_change.append(self._record)
+
+    def _record(self, old: str, new: str) -> None:
+        self.transitions.append((self._kernel.now, old, new))
+
+    def active_intervals(self, until: float) -> List[Interval]:
+        """Radio-active blocks, from leaving IDLE to entering IDLE or OFF;
+        a block still open is closed at ``until``."""
+        blocks: List[Interval] = []
+        opened: Optional[float] = None
+        for time, old, new in self.transitions:
+            if old == IDLE and opened is None:
+                opened = time
+            if new in (IDLE, OFF) and opened is not None:
+                blocks.append(Interval(opened, time))
+                opened = None
+        if opened is not None:
+            blocks.append(Interval(opened, until))
+        return blocks
+
+    def segment_tail(
+        self, profile: CarrierProfile, after_ms: float = 0.0
+    ) -> Optional[TailSegmentation]:
+        """Exact segmentation of the first transmission whose ramp-up
+        starts at or after ``after_ms``.
+
+        b is c minus the carrier's DCH inactivity timeout: the modem arms
+        that timer when its last transfer ends, exactly as
+        :func:`segment_tail_from_series` reconstructs it.
+        """
+        a = c = d = None
+        for time, old, new in self.transitions:
+            if time < after_ms:
+                continue
+            if old == IDLE and new == RAMP and a is None:
+                a = time
+            elif old == DCH and new == FACH and a is not None and c is None:
+                c = time
+            elif old == FACH and new == IDLE and c is not None:
+                d = time
                 break
-        elif event.kind == "transfer_done" and a is not None and c is None:
-            b = event.time
-    if None in (a, b, c, d):
-        return None
-    dch_w, fach_w, ramp_w = profile.dch_w, profile.fach_w, profile.ramp_w
-    ramp_end = min(a + profile.ramp_ms, b)
-    return TailSegmentation(
-        a_ramp_start_ms=a,
-        b_transfer_end_ms=b,
-        c_dch_end_ms=c,
-        d_fach_end_ms=d,
-        ramp_energy_j=ramp_w * (ramp_end - a) / 1000.0,
-        transfer_energy_j=dch_w * (b - ramp_end) / 1000.0,
-        dch_tail_energy_j=dch_w * (c - b) / 1000.0,
-        fach_tail_energy_j=fach_w * (d - c) / 1000.0,
-    )
+        if d is None:
+            return None
+        b = c - profile.dch_tail_ms
+        ramp_end = min(a + profile.ramp_ms, b)
+        return TailSegmentation(
+            a_ramp_start_ms=a,
+            b_transfer_end_ms=b,
+            c_dch_end_ms=c,
+            d_fach_end_ms=d,
+            ramp_energy_j=profile.ramp_w * (ramp_end - a) / 1000.0,
+            transfer_energy_j=profile.dch_w * (b - ramp_end) / 1000.0,
+            dch_tail_energy_j=profile.dch_w * (c - b) / 1000.0,
+            fach_tail_energy_j=profile.fach_w * (d - c) / 1000.0,
+        )
 
 
 def percent_increase(baseline: float, value: float) -> float:

@@ -292,21 +292,20 @@ def cmd_roguefinder(args) -> int:
 
 
 def cmd_tail_trace(args) -> int:
-    from .analysis.energy import segment_tail_from_state_trace
+    from .analysis.energy import ModemStateLog
     from .analysis.plotting import render_series
     from .core.middleware import PogoSimulation
     from .device.power import PowerMeter
     from .device.radio import KPN
 
-    sim = PogoSimulation(seed=args.seed, carrier=KPN, record_trace=True)
+    sim = PogoSimulation(seed=args.seed, carrier=KPN)
     device = sim.add_device(with_email_app=True, simulate_paging=True)
+    states = ModemStateLog(sim.kernel, device.phone.modem)
     meter = PowerMeter(sim.kernel, device.phone.rail, interval_ms=50.0)
     meter.start()
     sim.start()
     sim.run(duration_ms=7 * MINUTE)
-    seg = segment_tail_from_state_trace(
-        sim.trace, device.phone.modem.name, KPN, after_ms=4 * MINUTE
-    )
+    seg = states.segment_tail(KPN, after_ms=4 * MINUTE)
     if seg is None:
         print("no transmission found", file=sys.stderr)
         return 1

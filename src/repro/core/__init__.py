@@ -17,6 +17,7 @@ from .buffer import (
 )
 from .context import LINK_OWNER, Context, DeviceContext
 from .deployment import Experiment
+from .ledger import EnergyLedger
 from .envelope import (
     Envelope,
     FrozenDict,
@@ -74,6 +75,7 @@ __all__ = [
     "Context",
     "DeviceContext",
     "Experiment",
+    "EnergyLedger",
     "Envelope",
     "FrozenDict",
     "FrozenList",

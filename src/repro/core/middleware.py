@@ -41,14 +41,12 @@ class PogoSimulation(Shard):
         self,
         seed: int = 0,
         carrier: CarrierProfile = KPN,
-        record_trace: bool = False,
         spans: bool = True,
         metrics: bool = True,
     ) -> None:
         super().__init__(
             seed=seed,
             carrier=carrier,
-            record_trace=record_trace,
             spans=spans,
             metrics=metrics,
             shard_id="sim",

@@ -28,7 +28,7 @@ from ..device.cpu import MainsCpu
 from ..net.transport import SEND_ERRORS, DeviceTransport, WiredTransport
 from ..net.xmpp import XmppServer
 from ..sim.kernel import MINUTE, Kernel
-from ..sim.spans import EnergyLedger
+from .ledger import EnergyLedger
 from .buffer import DEFAULT_MAX_AGE_MS, MessageBuffer, MessageStore, traced_envelope
 from .messages import message_size_bytes
 from .context import DeviceContext
@@ -168,7 +168,7 @@ class DeviceNode(Node):
         self._h_flush = kernel.spans.hop("node.flush")
         #: Per-device modem energy accounting: every RRC episode's joules,
         #: attributed to the traced messages whose flushes rode it.
-        self.energy = EnergyLedger(kernel, phone.modem)
+        self.energy = EnergyLedger(kernel, phone.modem, phone.rail)
         #: (experiment, script, exception) for deploys whose script
         #: failed to load — surfaced, never propagated.
         self.deploy_errors: List = []

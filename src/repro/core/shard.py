@@ -12,9 +12,9 @@ Three contracts define it:
 
 * **One object graph** — the cross-cutting simulation state hangs off
   the shard: its kernel (which carries the metrics and span planes, so
-  most components take just the kernel), its named random streams and
-  its optional trace recorder.  Everything a component needs reaches it
-  through this graph; nothing may live at module level.
+  most components take just the kernel) and its named random streams.
+  Everything a component needs reaches it through this graph; nothing
+  may live at module level.
 * **The pickling contract** — ``snapshot()`` pickles the whole shard;
   ``restore()`` brings it back, mid-run, byte-deterministically.  Every
   callback reachable from the kernel's event heap must therefore be a
@@ -53,7 +53,6 @@ from ..sensors.wifi_scanner import WifiScanSensor
 from ..sim.hostgc import building, reclaim
 from ..sim.kernel import HOUR, MINUTE, Kernel
 from ..sim.randomness import RandomStreams
-from ..sim.trace import TraceRecorder
 from ..world.environment import ConnectivityDriver, UserWorld, build_user_world
 from ..world.mobility import TRAVEL, UserProfile
 from .node import CollectorNode, DeviceNode
@@ -80,7 +79,6 @@ class DeviceSpec:
     with_email_app: bool = False
     world_days: Optional[int] = None
     simulate_paging: bool = False
-    track_power_history: bool = False
     capabilities: Optional[frozenset] = None
     jid: Optional[str] = None
     #: Carrier *name* (key into :data:`~repro.device.radio.CARRIERS`);
@@ -122,7 +120,6 @@ class ShardSpec:
     shard_id: str = "shard-0"
     seed: int = 0
     carrier: CarrierProfile = KPN
-    record_trace: bool = False
     spans: bool = True
     metrics: bool = True
     #: Arm the out-of-band telemetry sampler (the fleet worker samples it
@@ -245,7 +242,6 @@ class Shard:
         *,
         seed: int = 0,
         carrier: CarrierProfile = KPN,
-        record_trace: bool = False,
         spans: bool = True,
         metrics: bool = True,
         telemetry: bool = False,
@@ -256,7 +252,6 @@ class Shard:
         if spec is not None:
             seed = spec.seed
             carrier = spec.carrier
-            record_trace = spec.record_trace
             spans = spec.spans
             metrics = spec.metrics
             telemetry = spec.telemetry
@@ -277,11 +272,10 @@ class Shard:
             # Production-shape hot path: counters/histograms become no-ops.
             self.kernel.metrics.disable()
         self.streams = RandomStreams(seed)
-        self.trace = TraceRecorder(self.kernel.read_now) if record_trace else None
         # The telemetry plane: a pull-only barrier sampler (fleet workers
         # read it when it is enabled; nothing in the shard ever calls it).
         self.telemetry = ShardTelemetry(self, enabled=telemetry)
-        self.server = XmppServer(self.kernel, latency_ms=latency_ms, trace=self.trace)
+        self.server = XmppServer(self.kernel, latency_ms=latency_ms)
         self.admin = TestbedAdmin(self.server)
         self.default_carrier = carrier
         self.devices: Dict[str, SimulatedDevice] = {}
@@ -306,7 +300,6 @@ class Shard:
                     with_email_app=device_spec.with_email_app,
                     world_days=device_spec.world_days,
                     simulate_paging=device_spec.simulate_paging,
-                    track_power_history=device_spec.track_power_history,
                     capabilities=(
                         set(device_spec.capabilities)
                         if device_spec.capabilities is not None
@@ -337,7 +330,6 @@ class Shard:
         propagation=None,
         policy: Optional[TransmissionPolicy] = None,
         simulate_paging: bool = False,
-        track_power_history: bool = False,
         capabilities: Optional[set] = None,
         jid: Optional[str] = None,
     ) -> SimulatedDevice:
@@ -349,9 +341,7 @@ class Shard:
             self.kernel,
             name=jid,
             profile=carrier or self.default_carrier,
-            trace=self.trace,
             simulate_paging=simulate_paging,
-            track_power_history=track_power_history,
         )
         node = DeviceNode(self.kernel, phone, self.server, jid, policy=policy)
 

@@ -116,7 +116,6 @@ class ChattyApp:
         self.name = name
         self._rng = rng
         self.exchange_count = 0
-        self.activity_track = IntervalTrack(name, phone.kernel.read_now)
         self._alarm = None
         self._running = False
 
@@ -140,7 +139,6 @@ class ChattyApp:
 
     def _exchange(self) -> None:
         self.phone.cpu.acquire_wake_lock(self.name)
-        self.activity_track.open(label="exchange")
         try:
             self.phone.transfer(
                 tx_bytes=self.config.tx_bytes,
@@ -150,13 +148,11 @@ class ChattyApp:
                 label=f"{self.name}:exchange",
             )
         except Exception:
-            self.activity_track.close()
             self.phone.cpu.release_wake_lock(self.name)
             self._arm_next()
 
     def _done(self, success: bool) -> None:
         if success:
             self.exchange_count += 1
-        self.activity_track.close()
         self.phone.cpu.release_wake_lock(self.name)
         self._arm_next()

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..sim.kernel import EventHandle, Kernel
-from ..sim.trace import IntervalTrack, TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -187,9 +186,9 @@ class Cpu:
     """The application processor: awake/asleep with wake locks and alarms."""
 
     __slots__ = (
-        "_kernel", "_rail", "config", "name", "trace", "awake", "_wake_locks",
+        "_kernel", "_rail", "config", "name", "awake", "_wake_locks",
         "_last_activity", "_sleep_check", "_frozen_timers", "on_wake",
-        "on_sleep", "awake_track", "wake_count",
+        "on_sleep", "wake_count",
     )
 
     def __init__(
@@ -198,13 +197,11 @@ class Cpu:
         rail,
         config: Optional[CpuConfig] = None,
         name: str = "cpu",
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         self._kernel = kernel
         self._rail = rail
         self.config = config or _DEFAULT_CONFIG
         self.name = name
-        self.trace = trace
         self.awake = True
         self._wake_locks: Dict[str, int] = {}
         self._last_activity = kernel.now
@@ -212,9 +209,7 @@ class Cpu:
         self._frozen_timers: Set[SleepFrozenTimer] = set()
         self.on_wake: List[Callable[[str], None]] = []
         self.on_sleep: List[Callable[[], None]] = []
-        self.awake_track = IntervalTrack("cpu", kernel.read_now)
         self.wake_count = 0
-        self.awake_track.open(kernel.now, label="boot")
         self._rail.set_draw(self.name, self.config.awake_w)
         self.note_activity()
 
@@ -254,9 +249,6 @@ class Cpu:
         self.awake = True
         self.wake_count += 1
         self._rail.set_draw(self.name, self.config.awake_w)
-        self.awake_track.open(label=reason)
-        if self.trace is not None:
-            self.trace.record(self.name, "wake", reason=reason)
         for timer in list(self._frozen_timers):
             timer._resume()
         for listener in list(self.on_wake):
@@ -303,9 +295,6 @@ class Cpu:
     def _sleep_now(self) -> None:
         self.awake = False
         self._rail.set_draw(self.name, self.config.sleep_w)
-        self.awake_track.close()
-        if self.trace is not None:
-            self.trace.record(self.name, "sleep")
         for timer in list(self._frozen_timers):
             timer._pause()
         for listener in list(self.on_sleep):

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..sim.kernel import Kernel, SECOND
-from ..sim.trace import TraceRecorder
 from .battery import Battery, BatteryConfig
 from .cpu import Cpu, CpuConfig
 from .power import PowerRail
@@ -40,7 +39,7 @@ class Phone:
     """A simulated Android handset."""
 
     __slots__ = (
-        "kernel", "name", "trace", "rail", "cpu", "battery", "modem", "wifi",
+        "kernel", "name", "rail", "cpu", "battery", "modem", "wifi",
         "alive", "reboot_count", "_wifi_desired", "wifi_association_suppressed",
         "on_interface_change", "on_shutdown", "on_boot", "_last_interface",
     )
@@ -53,28 +52,24 @@ class Phone:
         cpu_config: Optional[CpuConfig] = None,
         wifi_config: Optional[WifiConfig] = None,
         battery_config: Optional[BatteryConfig] = None,
-        trace: Optional[TraceRecorder] = None,
         simulate_paging: bool = False,
-        track_power_history: bool = False,
         platform_floor_w: float = 0.003,
     ) -> None:
         self.kernel = kernel
         self.name = name
-        self.trace = trace
-        self.rail = PowerRail(kernel, track_history=track_power_history)
+        self.rail = PowerRail(kernel)
         # Always-on platform components (PMIC, RAM self-refresh, RTC).
         self.rail.set_draw("platform", platform_floor_w)
-        self.cpu = Cpu(kernel, self.rail, cpu_config, name=f"{name}.cpu", trace=trace)
+        self.cpu = Cpu(kernel, self.rail, cpu_config, name=f"{name}.cpu")
         self.battery = Battery(kernel, self.rail, battery_config)
         self.modem = Modem(
             kernel,
             self.rail,
             profile,
             name=f"{name}.modem",
-            trace=trace,
             simulate_paging=simulate_paging,
         )
-        self.wifi = WifiInterface(kernel, self.rail, wifi_config, name=f"{name}.wifi", trace=trace)
+        self.wifi = WifiInterface(kernel, self.rail, wifi_config, name=f"{name}.wifi")
         self.wifi.on_connectivity.append(self._on_wifi_connectivity)
 
         self.alive = True
@@ -110,8 +105,6 @@ class Phone:
         if current == self._last_interface:
             return
         self._last_interface = current
-        if self.trace is not None:
-            self.trace.record(self.name, "interface_change", interface=current)
         # Interface changes are pushed to apps by the OS, waking the CPU.
         if self.alive:
             self.cpu.wake("connectivity")
@@ -166,8 +159,6 @@ class Phone:
             return
         self.alive = False
         self.reboot_count += 1
-        if self.trace is not None:
-            self.trace.record(self.name, "shutdown")
         for listener in list(self.on_shutdown):
             listener()
         self.modem.power_off()
@@ -177,8 +168,6 @@ class Phone:
 
     def _boot(self) -> None:
         self.alive = True
-        if self.trace is not None:
-            self.trace.record(self.name, "boot")
         self.cpu.wake("boot")
         self.modem.power_on()
         self.wifi.set_connected(self._wifi_desired and not self.wifi_association_suppressed)

@@ -6,9 +6,9 @@ ADC (Section 5.2).  We reproduce the *measurement surface* rather than the
 instrument: every hardware component (CPU, 3G modem, Wi-Fi) registers its
 current draw with a :class:`PowerRail`, which
 
-* keeps the exact piecewise-constant power function (breakpoints),
-* integrates total energy in joules as the simulation advances, and
-* optionally feeds a :class:`PowerMeter` that samples at a fixed rate like
+* integrates the exact piecewise-constant power function into joules as
+  the simulation advances, in total and per component, and
+* can be read by a :class:`PowerMeter` that samples at a fixed rate like
   the ADC did, producing the trace plotted in Figure 3.
 
 Units: power in **watts**, time in **milliseconds**, energy in **joules**.
@@ -23,27 +23,29 @@ from ..sim.trace import TimeSeries
 
 
 class PowerRail:
-    """Aggregates per-component power draw and integrates energy."""
+    """Aggregates per-component power draw and integrates energy.
+
+    The rail is the device's one energy integrator: it keeps the summed
+    total behind :attr:`energy_joules` and, beside it, each component's
+    own joules (:meth:`energy_of`), settled whenever that component's
+    draw changes.
+    """
 
     __slots__ = (
         "_kernel", "_draws", "_total_w", "_energy_j", "_last_change",
-        "track_history", "history",
+        "_joules", "_since",
     )
 
-    def __init__(self, kernel: Kernel, track_history: bool = False) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self._kernel = kernel
         self._draws: Dict[str, float] = {}
         self._total_w = 0.0
         self._energy_j = 0.0
         self._last_change = kernel.now
-        #: When true, every draw change appends a breakpoint to
-        #: :attr:`history`.  Disabled by default: long simulations (the
-        #: 24-day localization run) would otherwise accumulate millions of
-        #: breakpoints nobody reads.
-        self.track_history = track_history
-        self.history = TimeSeries("rail_watts")
-        if track_history:
-            self.history.append(kernel.now, 0.0)
+        #: Per component: joules up to ``_since[component]``, the time of
+        #: its last draw change.
+        self._joules: Dict[str, float] = {}
+        self._since: Dict[str, float] = {}
 
     def _settle(self) -> None:
         """Integrate energy for the interval since the last change."""
@@ -60,15 +62,16 @@ class PowerRail:
         previous = self._draws.get(component, 0.0)
         if watts == previous:
             return
+        now = self._kernel.now
+        self._joules[component] = self._joules.get(component, 0.0) + (
+            previous * (now - self._since.get(component, now)) / 1000.0
+        )
+        self._since[component] = now
         self._draws[component] = watts
         self._total_w += watts - previous
         # Guard against float drift accumulating over long runs.
         if self._total_w < 1e-12:
             self._total_w = sum(self._draws.values())
-        if self.track_history:
-            # Two points per change draw the step edges exactly.
-            self.history.append(self._kernel.now, self._total_w - (watts - previous))
-            self.history.append(self._kernel.now, self._total_w)
 
     def draw_of(self, component: str) -> float:
         """Current draw of one component (0.0 if never registered)."""
@@ -85,8 +88,18 @@ class PowerRail:
         self._settle()
         return self._energy_j
 
+    def energy_of(self, component: str) -> float:
+        """Energy one component has drawn since construction, up to now
+        (0.0 if never registered).  :meth:`reset_energy` leaves it alone."""
+        joules = self._joules.get(component, 0.0)
+        watts = self._draws.get(component, 0.0)
+        if watts:
+            joules += watts * (self._kernel.now - self._since[component]) / 1000.0
+        return joules
+
     def reset_energy(self) -> float:
-        """Zero the energy counter; returns the value before the reset."""
+        """Zero the total energy counter; returns the value before the
+        reset.  The per-component totals of :meth:`energy_of` run on."""
         self._settle()
         energy, self._energy_j = self._energy_j, 0.0
         return energy

@@ -35,7 +35,6 @@ from typing import Callable, Deque, Dict, List, Optional
 from collections import deque
 
 from ..sim.kernel import EventHandle, Kernel
-from ..sim.trace import IntervalTrack, TraceRecorder
 
 
 class RadioUnavailable(Exception):
@@ -106,11 +105,11 @@ class Modem:
     """The cellular modem: a queue of transfers over an RRC state machine."""
 
     __slots__ = (
-        "_kernel", "_rail", "profile", "name", "trace", "simulate_paging",
+        "_kernel", "_rail", "profile", "name", "simulate_paging",
         "state", "transferring", "data_enabled", "coverage", "bytes_tx",
         "bytes_rx", "transfer_count", "rampup_count", "_queue", "_state_timer",
         "_job_timer", "_current_job", "_paging_timer", "_paging_blip_timer",
-        "on_state_change", "active_track",
+        "on_state_change",
     )
 
     def __init__(
@@ -119,14 +118,12 @@ class Modem:
         rail,
         profile: CarrierProfile,
         name: str = "modem",
-        trace: Optional[TraceRecorder] = None,
         simulate_paging: bool = False,
     ) -> None:
         self._kernel = kernel
         self._rail = rail
         self.profile = profile
         self.name = name
-        self.trace = trace
         self.simulate_paging = simulate_paging
 
         self.state = IDLE
@@ -149,7 +146,6 @@ class Modem:
         self._paging_blip_timer: Optional[EventHandle] = None
 
         self.on_state_change: List[Callable[[str, str], None]] = []
-        self.active_track = IntervalTrack("radio", kernel.read_now)
         self._apply_power()
         self._arm_paging()
 
@@ -167,7 +163,7 @@ class Modem:
             return
         self.coverage = coverage
         if not coverage:
-            self._fail_all("coverage lost")
+            self._fail_all()
 
     def set_data_enabled(self, enabled: bool) -> None:
         """Mobile data toggle (user 2a turning off data roaming)."""
@@ -175,10 +171,10 @@ class Modem:
             return
         self.data_enabled = enabled
         if not enabled:
-            self._fail_all("data disabled")
+            self._fail_all()
 
     def power_off(self) -> None:
-        self._fail_all("modem off")
+        self._fail_all()
         self._set_state(OFF)
 
     def power_on(self) -> None:
@@ -256,18 +252,12 @@ class Modem:
             )
             * 1000.0,
         )
-        if self.trace is not None:
-            self.trace.record(
-                self.name, "transfer_start", label=job.label, tx=job.tx_bytes, rx=job.rx_bytes
-            )
         self._job_timer = self._kernel.schedule(duration, self._job_done, job)
 
     def _job_done(self, job: TransferJob) -> None:
         self._job_timer = None
         self._current_job = None
         self.transferring = False
-        if self.trace is not None:
-            self.trace.record(self.name, "transfer_done", label=job.label)
         if job.on_complete is not None:
             job.on_complete(True)
         if self._queue:
@@ -275,7 +265,7 @@ class Modem:
         else:
             self._arm_dch_tail()
 
-    def _fail_all(self, reason: str) -> None:
+    def _fail_all(self) -> None:
         """Abort the in-flight and queued jobs (link loss)."""
         jobs: List[TransferJob] = []
         if self._current_job is not None:
@@ -287,8 +277,6 @@ class Modem:
             self._job_timer = None
         jobs.extend(self._queue)
         self._queue.clear()
-        if self.trace is not None and jobs:
-            self.trace.record(self.name, "transfers_failed", reason=reason, count=len(jobs))
         if self.state == DCH:
             self._arm_dch_tail()
         elif self.state == RAMP:
@@ -330,13 +318,8 @@ class Modem:
         self._apply_power()
         if old_state == IDLE:
             self._disarm_paging()
-            self.active_track.open(label=new_state)
-        if new_state in (IDLE, OFF):
-            self.active_track.close()
-            if new_state == IDLE:
-                self._arm_paging()
-        if self.trace is not None:
-            self.trace.record(self.name, "state", old=old_state, new=new_state)
+        elif new_state == IDLE:
+            self._arm_paging()
         for listener in list(self.on_state_change):
             listener(old_state, new_state)
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, List, Optional
 
 from ..sim.kernel import Kernel
-from ..sim.trace import TraceRecorder
 
 
 class WifiUnavailable(Exception):
@@ -62,7 +61,7 @@ class WifiInterface:
     """Wi-Fi radio with scanning and (tail-free) data transfer."""
 
     __slots__ = (
-        "_kernel", "_rail", "config", "name", "trace", "connected",
+        "_kernel", "_rail", "config", "name", "connected",
         "bytes_tx", "bytes_rx", "scan_count", "scan_source", "on_connectivity",
         "_queue", "_busy", "_scan_busy",
     )
@@ -73,13 +72,11 @@ class WifiInterface:
         rail,
         config: Optional[WifiConfig] = None,
         name: str = "wifi",
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         self._kernel = kernel
         self._rail = rail
         self.config = config or _DEFAULT_CONFIG
         self.name = name
-        self.trace = trace
 
         self.connected = False
         self.bytes_tx = 0
@@ -109,10 +106,8 @@ class WifiInterface:
             return
         self.connected = connected
         if not connected:
-            self._fail_all("wifi disconnected")
+            self._fail_all()
         self._apply_power()
-        if self.trace is not None:
-            self.trace.record(self.name, "connectivity", connected=connected)
         for listener in list(self.on_connectivity):
             listener(connected)
 
@@ -160,11 +155,9 @@ class WifiInterface:
             job.on_complete(True)
         self._pump()
 
-    def _fail_all(self, reason: str) -> None:
+    def _fail_all(self) -> None:
         jobs = list(self._queue)
         self._queue.clear()
-        if self.trace is not None and jobs:
-            self.trace.record(self.name, "transfers_failed", reason=reason, count=len(jobs))
         for job in jobs:
             if job.on_complete is not None:
                 job.on_complete(False)
@@ -191,8 +184,6 @@ class WifiInterface:
         self._scan_busy = False
         self._apply_power()
         readings = self.scan_source() if self.scan_source is not None else []
-        if self.trace is not None:
-            self.trace.record(self.name, "scan_done", ap_count=len(readings))
         on_complete(readings)
 
     # ------------------------------------------------------------------

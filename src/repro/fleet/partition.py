@@ -48,7 +48,6 @@ def fleet_spec(
     collector: str = "fleet",
     shard_id: str = "fleet",
     carrier: CarrierProfile = KPN,
-    record_trace: bool = False,
     spans: bool = True,
     metrics: bool = True,
     latency_ms: float = 80.0,
@@ -72,7 +71,6 @@ def fleet_spec(
         shard_id=shard_id,
         seed=seed,
         carrier=carrier,
-        record_trace=record_trace,
         spans=spans,
         metrics=metrics,
         latency_ms=latency_ms,

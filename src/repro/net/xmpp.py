@@ -24,12 +24,10 @@ drag the modem through ramp-ups and tails like any other traffic.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set
 
 from ..sim.kernel import Kernel, SECOND
-from ..sim.trace import TraceRecorder
 from ..core.envelope import Stanza, _escape_str
 from ..core.messages import message_size_bytes
 
@@ -54,24 +52,16 @@ class LinkInterceptor:
 
 
 class Session:
-    """One client's connection to the server.
+    """One client's connection to the server."""
 
-    Session ids are per-server (cosmetic: trace labels only); nothing
-    routes or branches on them.  Keeping the counter on the server —
-    not at module level — is what makes two shards in one process, or
-    one shard unpickled in another, produce identical traces.
-    """
-
-    __slots__ = ("id", "jid", "deliver", "physical_rx", "alive")
+    __slots__ = ("jid", "deliver", "physical_rx", "alive")
 
     def __init__(
         self,
         jid: str,
         deliver: Callable[[dict], None],
         physical_rx: Optional[Callable] = None,
-        session_id: int = 0,
     ):
-        self.id = session_id
         self.jid = jid
         #: Upcall into the client with a received stanza.
         self.deliver = deliver
@@ -123,12 +113,10 @@ class XmppServer:
         kernel: Kernel,
         latency_ms: float = 80.0,
         keepalive_timeout_ms: float = 60 * SECOND,
-        trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.kernel = kernel
         self.latency_ms = latency_ms
         self.keepalive_timeout_ms = keepalive_timeout_ms
-        self.trace = trace
         self._accounts: Set[str] = set()
         self._rosters: Dict[str, Set[str]] = {}
         self._sessions: Dict[str, Session] = {}
@@ -148,7 +136,6 @@ class XmppServer:
         #: :meth:`ingress_at`.  ``None`` keeps the single-switchboard
         #: behaviour (unknown JIDs are an error).
         self.egress: Optional[Callable[[str, str, dict], None]] = None
-        self._session_ids = itertools.count(1)
         #: Count of roster edges pointing at JIDs this server does not
         #: host (:meth:`add_remote_roster`).  The fleet coordinator reads
         #: it (via ``Shard.egress_capable``) as topology lookahead: zero
@@ -223,11 +210,9 @@ class XmppServer:
         old = self._sessions.get(jid)
         if old is not None:
             old.close()
-        session = Session(jid, deliver, physical_rx, session_id=next(self._session_ids))
+        session = Session(jid, deliver, physical_rx)
         self._sessions[jid] = session
         self._last_heard[jid] = self.kernel.now
-        if self.trace is not None:
-            self.trace.record("xmpp", "connect", jid=jid, session=session.id)
         self._drain_offline(jid, session)
         # XMPP presence: roster peers with live sessions learn that this
         # JID is (back) online.  Collectors use this to re-synchronize
@@ -254,8 +239,6 @@ class XmppServer:
         session.close()
         if self._sessions.get(session.jid) is session:
             del self._sessions[session.jid]
-        if self.trace is not None:
-            self.trace.record("xmpp", "disconnect", jid=session.jid, session=session.id)
 
     def restart(self) -> List[str]:
         """Server process restart: every live TCP session dies at once.
@@ -272,8 +255,6 @@ class XmppServer:
             session.close()
         self._sessions.clear()
         self.restarts += 1
-        if self.trace is not None:
-            self.trace.record("xmpp", "restart", sessions=len(jids))
         return jids
 
     def session_of(self, jid: str) -> Optional[Session]:
@@ -449,8 +430,6 @@ class XmppServer:
     def _lose(self, session: Session, stanza: dict) -> None:
         self.stanzas_lost += 1
         self._m_lost.inc()
-        if self.trace is not None:
-            self.trace.record("xmpp", "stanza_lost", jid=session.jid)
         if self._sessions.get(session.jid) is session:
             self.disconnect(session)
 

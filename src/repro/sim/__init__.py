@@ -3,8 +3,8 @@
 from .kernel import DAY, HOUR, MINUTE, SECOND, EventHandle, Kernel, SimulationError
 from .metrics import Counter, Histogram, MetricsRegistry
 from .randomness import RandomStreams, as_random, derive_seed
-from .spans import EnergyLedger, HopHandle, Span, SpanRecorder
-from .trace import Interval, IntervalTrack, TimeSeries, TraceEvent, TraceRecorder
+from .spans import HopHandle, Span, SpanRecorder
+from .trace import Interval, IntervalTrack, TimeSeries
 
 __all__ = [
     "DAY",
@@ -20,13 +20,10 @@ __all__ = [
     "RandomStreams",
     "as_random",
     "derive_seed",
-    "EnergyLedger",
     "HopHandle",
     "Span",
     "SpanRecorder",
     "Interval",
     "IntervalTrack",
     "TimeSeries",
-    "TraceEvent",
-    "TraceRecorder",
 ]

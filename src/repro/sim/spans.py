@@ -1,15 +1,12 @@
-"""Message lifecycle tracing: causal spans, flight recorder, energy ledger.
+"""Message lifecycle tracing: causal spans and the flight recorder.
 
 The paper's evaluation correlates *layers*: a sensor reading published by
 a script rides the broker, dwells in the outgoing buffer, waits for a
 tail-synchronized flush decision, crosses the modem (dragging it through
 RRC states that cost real energy, Figure 3), transits the XMPP
-switchboard and finally lands in a collector script.  The flat
-:class:`~repro.sim.trace.TraceRecorder` log can show *that* these things
-happened; it cannot answer "where did *this* reading spend its time and
-energy between ``publish()`` and delivery?".
-
-This module adds that causal layer:
+switchboard and finally lands in a collector script.  This module answers
+"where did *this* reading spend its time between ``publish()`` and
+delivery?":
 
 * **Trace ids.**  Every :class:`~repro.core.envelope.Envelope` gets a
   cheap monotonic per-kernel trace id the first time it enters a traced
@@ -22,13 +19,10 @@ This module adds that causal layer:
 * **Flight recorder.**  Spans live in a bounded ring
   (:class:`SpanRecorder`): week-long simulations keep the most recent
   window and count what they dropped instead of growing without limit.
-* **Energy ledger.**  :class:`EnergyLedger` watches the modem's RRC
-  state machine, integrates the exact piecewise-constant energy of every
-  radio episode (idle → ramp → … → idle) and prorates it over the
-  messages whose flushes rode that episode — Table 3's marginal-energy
-  accounting, at per-message granularity: a self-initiated flush is
-  charged the full ramp + transfer + DCH/FACH tail; a piggybacked flush
-  is charged only its marginal transfer time.
+
+Where the energy went is the ledger's question
+(:class:`~repro.core.ledger.EnergyLedger`), answered per message from
+the same flush spans.
 
 Everything here is deterministic: ids are per-recorder counters, times
 are simulated milliseconds, and exports sort keys — two identical seeded
@@ -425,294 +419,6 @@ def render_span_tree(spans: Iterable[Span], trace_id: int) -> str:
             f"  ({span.duration_ms:>8.0f} ms){('  ' + attrs) if attrs else ''}"
         )
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Energy attribution
-# ---------------------------------------------------------------------------
-
-
-class RadioEpisode:
-    """One radio-active episode: idle → ramp → (DCH/FACH)* → idle.
-
-    Accumulates the exact energy of each RRC state visited (power is
-    piecewise constant, so duration × watts is the true integral) and the
-    list of flush "riders" — (flush span, trace id, bytes) triples — to
-    prorate over when the episode closes.
-    """
-
-    __slots__ = ("index", "start_ms", "end_ms", "trigger", "energy_j", "state_ms", "riders")
-
-    def __init__(self, index: int, start_ms: float, trigger: str) -> None:
-        self.index = index
-        self.start_ms = start_ms
-        self.end_ms: Optional[float] = None
-        #: "flush" when Pogo's own flush woke the radio; "external" when
-        #: another app (or the connection handshake) did and Pogo at most
-        #: piggybacked.
-        self.trigger = trigger
-        self.energy_j = 0.0
-        self.state_ms: Dict[str, float] = {}
-        self.riders: List[Tuple[int, int, int]] = []
-
-    def add_dwell(self, state: str, duration_ms: float, watts: float) -> None:
-        self.energy_j += watts * duration_ms / 1000.0
-        self.state_ms[state] = self.state_ms.get(state, 0.0) + duration_ms
-
-    @property
-    def pogo_bytes(self) -> int:
-        return sum(size for _, _, size in self.riders)
-
-
-class MessageEnergy:
-    """Per-message attribution result kept in the ledger's recent ring."""
-
-    __slots__ = ("trace_id", "flush_span", "episode", "bytes", "joules", "piggybacked")
-
-    def __init__(self, trace_id: int, flush_span: int, episode: int,
-                 size: int, joules: float, piggybacked: bool) -> None:
-        self.trace_id = trace_id
-        self.flush_span = flush_span
-        self.episode = episode
-        self.bytes = size
-        self.joules = joules
-        self.piggybacked = piggybacked
-
-
-#: Per-message energy bucket bounds in joules.
-ENERGY_BUCKETS_J: Tuple[float, ...] = (
-    0.0001, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0,
-)
-
-
-class EnergyLedger:
-    """Per-device modem energy accounting with per-message attribution.
-
-    Listens to the modem's RRC transitions and reproduces Table 3's
-    marginal accounting at message granularity:
-
-    * an episode **triggered by a Pogo flush** is charged to Pogo in
-      full — ramp, transfer, DCH tail and FACH tail — prorated across
-      the traced messages that rode it by wire bytes;
-    * an episode **triggered externally** (the e-mail app, a push, the
-      handshake) charges piggybacked Pogo messages only their marginal
-      transfer energy (transfer time at DCH power); the ramp and tail
-      belong to whoever woke the radio — that is the entire point of
-      tail synchronization.
-
-    Energy never goes missing: ``attributed_j + control_j +
-    unattributed_j`` equals the integrated energy of all closed episodes
-    exactly, and ``+ idle_j`` equals the modem's total — the ledger's
-    reconciliation invariant (the CLI prints the delta; tests pin it).
-    """
-
-    __slots__ = (
-        "kernel", "modem", "_watts", "_state", "_since", "_episode", "_episode_ids",
-        "_pending_flush_trigger", "episodes_closed", "episodes_by_trigger",
-        "attributed_j", "control_j", "unattributed_j", "idle_j", "messages_attributed",
-        "piggybacked_messages", "message_energy", "recent", "wifi_bytes",
-        "_parked_riders",
-    )
-
-    def __init__(self, kernel, modem, recent_messages: int = 4096) -> None:
-        self.kernel = kernel
-        self.modem = modem
-        profile = modem.profile
-        self._watts = {
-            "idle": profile.idle_w,
-            "ramp": profile.ramp_w,
-            "dch": profile.dch_w,
-            "fach": profile.fach_w,
-            "off": 0.0,
-        }
-        self._state = modem.state
-        self._since = kernel.now
-        self._episode: Optional[RadioEpisode] = None
-        self._episode_ids = itertools.count(1)
-        self._pending_flush_trigger = False
-
-        self.episodes_closed = 0
-        self.episodes_by_trigger: Dict[str, int] = {"flush": 0, "external": 0}
-        #: Energy attributed to traced messages / untraced control payloads
-        #: / non-Pogo radio use, plus the idle baseline.
-        self.attributed_j = 0.0
-        self.control_j = 0.0
-        self.unattributed_j = 0.0
-        self.idle_j = 0.0
-        self.messages_attributed = 0
-        self.piggybacked_messages = 0
-        self.message_energy = Histogram("message_energy_j", ENERGY_BUCKETS_J)
-        self.recent: "deque[MessageEnergy]" = deque(maxlen=recent_messages)
-        #: Pogo bytes that rode Wi-Fi flushes (no modem tail to attribute).
-        self.wifi_bytes = 0
-
-        modem.on_state_change.append(self._on_state_change)
-
-    # ------------------------------------------------------------------
-    # Flush notifications (from DeviceNode.flush)
-    # ------------------------------------------------------------------
-    def on_flush(
-        self,
-        flush_span: int,
-        riders: List[Tuple[int, int]],
-        interface: Optional[str],
-        radio_state: str,
-    ) -> None:
-        """Register a flush's messages as riders of the radio episode.
-
-        ``riders`` is (trace_id, bytes) per payload; trace id 0 marks
-        control traffic (sub ops, acks) that rides but is not a traced
-        message.  Called *before* the physical sends, so a flush from
-        idle sets the trigger marker the episode-open transition reads
-        within the same kernel instant.
-        """
-        if interface == "wifi":
-            self.wifi_bytes += sum(size for _, size in riders)
-            return
-        triples = [(flush_span, trace_id, size) for trace_id, size in riders]
-        if self._episode is not None:
-            self._episode.riders.extend(triples)
-        else:
-            # Radio is idle: our own transfer will open the episode in
-            # this same instant.  Mark the trigger and park the riders.
-            self._pending_flush_trigger = True
-            self._parked_riders = getattr(self, "_parked_riders", [])
-            self._parked_riders.extend(triples)
-
-    def settle_flush(self) -> None:
-        """Drop a stale self-flush marker after the flush's sends ran.
-
-        Normally a flush from idle ramps the radio synchronously inside
-        the send and the episode-open transition consumes the marker; if
-        the transfer never reached the modem (transport failure) the
-        marker and parked riders must not leak into a later, unrelated
-        episode.
-        """
-        if self._episode is None and self._pending_flush_trigger:
-            self._pending_flush_trigger = False
-            parked = getattr(self, "_parked_riders", None)
-            if parked:
-                parked.clear()
-
-    # ------------------------------------------------------------------
-    # RRC state machine listener
-    # ------------------------------------------------------------------
-    def _on_state_change(self, old: str, new: str) -> None:
-        now = self.kernel.now
-        self._account_dwell(old, now)
-        self._state = new
-        self._since = now
-        if old in ("idle", "off") and new == "ramp":
-            trigger = "flush" if self._pending_flush_trigger else "external"
-            self._pending_flush_trigger = False
-            self._episode = RadioEpisode(next(self._episode_ids), now, trigger)
-            parked = getattr(self, "_parked_riders", None)
-            if parked:
-                self._episode.riders.extend(parked)
-                parked.clear()
-        elif new in ("idle", "off") and self._episode is not None:
-            self._close_episode(now)
-
-    def _account_dwell(self, state: str, now: float) -> None:
-        duration = now - self._since
-        if duration <= 0:
-            return
-        if self._episode is not None:
-            self._episode.add_dwell(state, duration, self._watts.get(state, 0.0))
-        else:
-            self.idle_j += self._watts.get(state, 0.0) * duration / 1000.0
-
-    def _close_episode(self, now: float) -> None:
-        episode = self._episode
-        self._episode = None
-        episode.end_ms = now
-        self.episodes_closed += 1
-        self.episodes_by_trigger[episode.trigger] = (
-            self.episodes_by_trigger.get(episode.trigger, 0) + 1
-        )
-        self._attribute(episode)
-
-    # ------------------------------------------------------------------
-    # Attribution math
-    # ------------------------------------------------------------------
-    def _transfer_energy_j(self, size: int) -> float:
-        """Marginal cost of sending ``size`` bytes in an already-hot
-        episode: the transfer duration at DCH power."""
-        profile = self.modem.profile
-        duration_ms = max(
-            profile.min_transfer_ms, size / profile.uplink_bytes_per_s * 1000.0
-        )
-        return profile.dch_w * duration_ms / 1000.0
-
-    def _attribute(self, episode: RadioEpisode) -> None:
-        total = episode.energy_j
-        if not episode.riders:
-            self.unattributed_j += total
-            return
-        if episode.trigger == "flush":
-            # Pogo woke the radio: it owns the whole episode — ramp,
-            # transfer, and both tails (what Table 3's "Without
-            # synchronization" column pays per transmission).
-            pogo_share = total
-            piggybacked = False
-        else:
-            # Piggybacked: charge only the marginal transfer energy, one
-            # transfer estimate per flush that rode (a flush's payloads
-            # coalesce into one batch transfer).  Capped by the episode.
-            by_flush: Dict[int, int] = {}
-            for flush_span, _, size in episode.riders:
-                by_flush[flush_span] = by_flush.get(flush_span, 0) + size
-            pogo_share = min(
-                total, sum(self._transfer_energy_j(size) for size in by_flush.values())
-            )
-            piggybacked = True
-        self.unattributed_j += total - pogo_share
-
-        rider_bytes = episode.pogo_bytes
-        for flush_span, trace_id, size in episode.riders:
-            share = pogo_share * (size / rider_bytes) if rider_bytes else 0.0
-            if trace_id:
-                self.attributed_j += share
-                self.messages_attributed += 1
-                if piggybacked:
-                    self.piggybacked_messages += 1
-                self.message_energy.observe(share)
-                self.recent.append(
-                    MessageEnergy(trace_id, flush_span, episode.index, size, share, piggybacked)
-                )
-            else:
-                self.control_j += share
-
-    # ------------------------------------------------------------------
-    # Reports
-    # ------------------------------------------------------------------
-    def finalize(self) -> None:
-        """Account the dwell up to 'now' and close any open episode so
-        end-of-run reports include the in-flight tail."""
-        now = self.kernel.now
-        self._account_dwell(self._state, now)
-        self._since = now
-        if self._episode is not None:
-            self._close_episode(now)
-
-    @property
-    def active_j(self) -> float:
-        """Energy of all closed episodes (everything except idle)."""
-        return self.attributed_j + self.control_j + self.unattributed_j
-
-    @property
-    def total_j(self) -> float:
-        return self.active_j + self.idle_j
-
-    def reconciliation_delta(self) -> float:
-        """|attributed + control + unattributed − Σ episode energy| as a
-        fraction of the active total.  Zero up to float error; the
-        acceptance bound is 1%."""
-        episode_total = self.active_j
-        parts = self.attributed_j + self.control_j + self.unattributed_j
-        if episode_total <= 0.0:
-            return 0.0
-        return abs(parts - episode_total) / episode_total
 
 
 # ---------------------------------------------------------------------------

@@ -1,69 +1,20 @@
-"""Trace recording: events, activity intervals and sampled time series.
+"""Activity intervals and sampled time series for the paper's figures.
 
-Three recorders cover everything the evaluation plots or tabulates:
+The device models keep no history of their own: they announce facts
+through their listener lists (``Cpu.on_wake``/``on_sleep``,
+``Modem.on_state_change``, …), and a reader that wants a record attaches
+one.  Two recorders cover what the evaluation plots:
 
-* :class:`TraceRecorder` — a flat, queryable log of
-  ``(time, source, kind, data)`` events.  Used for protocol-level
-  assertions in tests ("the device reconnected after the interface
-  switch") and to extract Figure 4's timeline.
 * :class:`IntervalTrack` — open/close activity blocks (CPU awake, e-mail
-  app active, Pogo active).  Figure 4 is three of these stacked.
+  app active, radio active).  Figure 4 is three of these stacked.
 * :class:`TimeSeries` — (time, value) samples, e.g. the rail power sampled
   by the simulated power meter for Figure 3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded event."""
-
-    time: float
-    source: str
-    kind: str
-    data: Dict[str, Any] = field(default_factory=dict)
-
-
-class TraceRecorder:
-    """Append-only event log with simple filtering."""
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self._clock = clock
-        self.events: List[TraceEvent] = []
-
-    def record(self, source: str, kind: str, time: Optional[float] = None, **data: Any) -> None:
-        """Record an event.  ``time`` defaults to the attached clock."""
-        if time is None:
-            if self._clock is None:
-                raise ValueError("no clock attached and no explicit time given")
-            time = self._clock()
-        self.events.append(TraceEvent(time, source, kind, data))
-
-    def filter(self, source: Optional[str] = None, kind: Optional[str] = None) -> List[TraceEvent]:
-        """Events matching the given source and/or kind."""
-        return [
-            event
-            for event in self.events
-            if (source is None or event.source == source)
-            and (kind is None or event.kind == kind)
-        ]
-
-    def count(self, source: Optional[str] = None, kind: Optional[str] = None) -> int:
-        return len(self.filter(source, kind))
-
-    def last(self, source: Optional[str] = None, kind: Optional[str] = None) -> Optional[TraceEvent]:
-        matches = self.filter(source, kind)
-        return matches[-1] if matches else None
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
+from dataclasses import dataclass
+from typing import Callable, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True, slots=True)

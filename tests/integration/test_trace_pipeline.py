@@ -106,10 +106,12 @@ def test_energy_ledgers_reconcile_within_one_percent():
         ledger = device.node.energy
         ledger.finalize()
         assert ledger.reconciliation_delta() < 0.01
-        # The ledger's modem total equals its parts by construction; the
-        # stronger check is per-episode: nothing went missing.
+        # Per episode nothing went missing, and with the idle share the
+        # books add up to the rail's modem joules.
         parts = ledger.attributed_j + ledger.control_j + ledger.unattributed_j
         assert parts == pytest.approx(ledger.active_j, rel=1e-9)
+        modem_j = device.phone.rail.energy_of(device.phone.modem.name)
+        assert parts + ledger.idle_j == pytest.approx(modem_j, rel=1e-9)
         attributed += ledger.attributed_j
         messages += ledger.messages_attributed
     assert messages > 0

@@ -10,6 +10,50 @@ from repro.sim import Kernel
 
 
 # ---------------------------------------------------------------------------
+# Rail: per-component joules add up to the total
+# ---------------------------------------------------------------------------
+
+COMPONENTS = ("platform", "cpu", "modem", "wifi")
+
+draw_schedules = st.lists(
+    st.tuples(
+        st.floats(0.0, 10_000.0),    # gap before this change
+        st.sampled_from(COMPONENTS),
+        st.floats(0.0, 2.0),         # the component's new draw, W
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(draw_schedules, st.integers(0, 40))
+@settings(max_examples=100, deadline=None)
+def test_rail_component_joules_sum_to_total(schedule, reset_at):
+    kernel = Kernel()
+    rail = PowerRail(kernel)
+    draws = {}
+    expected = dict.fromkeys(COMPONENTS, 0.0)
+    drained = 0.0
+    for step, (gap, component, watts) in enumerate(schedule):
+        kernel.run_until(kernel.now + gap)
+        for name, w in draws.items():
+            expected[name] += w * gap / 1000.0
+        rail.set_draw(component, watts)
+        draws[component] = watts
+        if step == reset_at:
+            # Zeroes the total only; the per-component books run on.
+            drained += rail.reset_energy()
+    kernel.run_until(kernel.now + 1_000.0)
+    for name, w in draws.items():
+        expected[name] += w * 1.0
+    for name in COMPONENTS:
+        assert abs(rail.energy_of(name) - expected[name]) <= 1e-9 * max(expected[name], 1e-3)
+    total = rail.energy_joules + drained
+    parts = sum(rail.energy_of(name) for name in COMPONENTS)
+    assert abs(parts - total) <= 1e-9 * max(total, 1e-3)
+
+
+# ---------------------------------------------------------------------------
 # Radio: energy accounting is exactly dwell-time × state power
 # ---------------------------------------------------------------------------
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.device.cpu import Cpu, CpuConfig
 from repro.device.power import PowerRail
-from repro.sim import Kernel
+from repro.sim import IntervalTrack, Kernel
 
 
 def make_cpu(hold_ms=1000.0):
@@ -156,13 +156,20 @@ def test_wake_listeners_and_track():
     kernel, _, cpu = make_cpu(hold_ms=100.0)
     reasons = []
     cpu.on_wake.append(reasons.append)
+    # The CPU keeps no awake history; a reader's track rides the
+    # listeners (as Figure 4's does), opened for the boot block.
+    track = IntervalTrack("cpu", kernel.read_now)
+    track.open(label="boot")
+    cpu.on_wake.append(lambda reason: track.open(label=reason))
+    cpu.on_sleep.append(track.close)
     kernel.run_until(1000.0)
     cpu.set_alarm(500.0, lambda: None)
     kernel.run_until(5000.0)
     assert reasons == ["alarm"]
-    blocks = cpu.awake_track.closed_intervals(kernel.now)
-    assert len(blocks) == 2  # boot block + alarm block
-    assert blocks[0].label == "boot"
+    blocks = track.closed_intervals(kernel.now)
+    assert [block.label for block in blocks] == ["boot", "alarm"]
+    assert blocks[0].end == pytest.approx(100.0)  # the hold after boot
+    assert blocks[1].start == pytest.approx(1500.0)
 
 
 def test_wake_while_awake_returns_false():

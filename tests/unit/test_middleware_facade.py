@@ -94,14 +94,3 @@ def test_email_app_helper():
     without_app = sim.add_device()
     assert with_app.email_app() is not None
     assert without_app.email_app() is None
-
-
-def test_record_trace_flag():
-    sim = PogoSimulation(seed=1, record_trace=True)
-    device = sim.add_device(with_email_app=True)
-    sim.start()
-    sim.run(hours=0.2)
-    assert sim.trace is not None
-    assert len(sim.trace) > 0
-    plain = PogoSimulation(seed=1)
-    assert plain.trace is None

@@ -54,17 +54,6 @@ def test_reset_energy():
     assert rail.energy_joules == pytest.approx(1.0)
 
 
-def test_history_breakpoints_when_tracked():
-    kernel = Kernel()
-    rail = PowerRail(kernel, track_history=True)
-    rail.set_draw("cpu", 1.0)
-    kernel.schedule(100.0, rail.set_draw, "cpu", 0.5)
-    kernel.run()
-    # Initial point + two points per change (step edges).
-    assert len(rail.history) == 5
-    assert rail.history.values[-1] == pytest.approx(0.5)
-
-
 def test_meter_sampling_approximates_exact_energy():
     kernel = Kernel()
     rail = PowerRail(kernel)

@@ -16,19 +16,14 @@ from repro.device.radio import (
     Modem,
     RadioUnavailable,
 )
-from repro.sim import Kernel, TraceRecorder
+from repro.sim import Kernel
 
 
 def make_modem(profile=KPN, **kwargs):
     kernel = Kernel()
     rail = PowerRail(kernel)
-    trace = TraceRecorder(lambda: kernel.now)
-    modem = Modem(kernel, rail, profile, trace=trace, **kwargs)
+    modem = Modem(kernel, rail, profile, **kwargs)
     return kernel, rail, modem
-
-
-def state_sequence(modem_trace):
-    return [(e.data["old"], e.data["new"]) for e in modem_trace.filter(kind="state")]
 
 
 def test_full_transmission_cycle_states_and_timing():

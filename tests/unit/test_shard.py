@@ -51,9 +51,8 @@ class TestShardSpec:
         assert shard.seed == 11  # the spec wins
 
     def test_facade_signature_unchanged(self):
-        sim = PogoSimulation(seed=3, record_trace=True, spans=False, metrics=False)
+        sim = PogoSimulation(seed=3, spans=False, metrics=False)
         assert isinstance(sim, Shard)
-        assert sim.trace is not None
         assert sim.seed == 3
 
 

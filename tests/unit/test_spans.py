@@ -5,12 +5,14 @@ import pickle
 
 import pytest
 
+from repro.chaos.invariants import InvariantMonitor
 from repro.core.envelope import Envelope
+from repro.core.ledger import EnergyLedger
+from repro.core.middleware import PogoSimulation
 from repro.device.power import PowerRail
 from repro.device.radio import KPN, Modem
 from repro.sim.kernel import Kernel
 from repro.sim.spans import (
-    EnergyLedger,
     Span,
     SpanRecorder,
     render_span_tree,
@@ -191,13 +193,13 @@ class TestSpanTree:
 # ---------------------------------------------------------------------------
 
 
-def make_radio():
+def make_radio(**modem_kwargs):
     """A bare modem as the rail's only component: the rail's integral and
     the ledger's total must then agree exactly."""
     kernel = Kernel()
     rail = PowerRail(kernel)
-    modem = Modem(kernel, rail, KPN)
-    ledger = EnergyLedger(kernel, modem)
+    modem = Modem(kernel, rail, KPN, **modem_kwargs)
+    ledger = EnergyLedger(kernel, modem, rail)
     return kernel, rail, modem, ledger
 
 
@@ -316,6 +318,45 @@ class TestEnergyLedger:
         ledger.finalize()
         assert ledger.episodes_closed == 1
         assert ledger.total_j == pytest.approx(rail.energy_joules, rel=1e-9)
+
+    def test_paging_modem_books_match_the_rail(self):
+        # Paging blips draw power in IDLE without an RRC transition: only
+        # the rail sees them, so the ledger's idle share must come from it.
+        kernel, rail, modem, ledger = make_radio(simulate_paging=True)
+        modem.transfer(tx_bytes=5_000, label="email")
+        run_to_idle(kernel, modem)
+        ledger.finalize()
+        modem_j = rail.energy_of(modem.name)
+        assert modem_j == pytest.approx(rail.energy_joules, rel=1e-9)
+        books = (
+            ledger.attributed_j + ledger.control_j + ledger.unattributed_j
+            + ledger.idle_j
+        )
+        assert books == pytest.approx(modem_j, rel=1e-9)
+        assert ledger.reconciliation_delta() < 1e-9
+
+    def test_dropped_remainder_is_an_invariant_violation(self):
+        class DropsRemainder(EnergyLedger):
+            """Loses each episode's unattributed joules."""
+
+            __slots__ = ()
+
+            def _attribute(self, episode):
+                kept = self.unattributed_j
+                super()._attribute(episode)
+                self.unattributed_j = kept
+
+        sim = PogoSimulation(seed=5)
+        sim.add_collector("ops")
+        device = sim.add_device(with_email_app=True)
+        device.node.energy.__class__ = DropsRemainder
+        monitor = InvariantMonitor(sim)
+        sim.start()
+        sim.run(minutes=10)
+        violations = monitor.finish()
+        assert [v.subject for v in violations if v.invariant == "energy-reconciliation"] == [
+            f"{device.jid}.energy"
+        ]
 
 
 def test_disable_swaps_hop_handles_to_noops():

@@ -1,38 +1,8 @@
-"""Unit tests for trace recorders, interval tracks and time series."""
+"""Unit tests for interval tracks and time series."""
 
 import pytest
 
-from repro.sim import Interval, IntervalTrack, TimeSeries, TraceRecorder
-
-
-class TestTraceRecorder:
-    def test_record_with_clock(self):
-        now = [0.0]
-        trace = TraceRecorder(lambda: now[0])
-        trace.record("cpu", "wake", reason="alarm")
-        now[0] = 5.0
-        trace.record("cpu", "sleep")
-        assert len(trace) == 2
-        assert trace.events[0].time == 0.0
-        assert trace.events[1].time == 5.0
-
-    def test_record_requires_time_source(self):
-        trace = TraceRecorder()
-        with pytest.raises(ValueError):
-            trace.record("cpu", "wake")
-        trace.record("cpu", "wake", time=1.0)
-        assert trace.count() == 1
-
-    def test_filter_and_count(self):
-        trace = TraceRecorder(lambda: 0.0)
-        trace.record("cpu", "wake")
-        trace.record("cpu", "sleep")
-        trace.record("modem", "state", old="idle", new="ramp")
-        assert trace.count(source="cpu") == 2
-        assert trace.count(kind="state") == 1
-        assert trace.count(source="cpu", kind="sleep") == 1
-        assert trace.last(source="modem").data["new"] == "ramp"
-        assert trace.last(source="gps") is None
+from repro.sim import Interval, IntervalTrack, TimeSeries
 
 
 class TestIntervalTrack:
