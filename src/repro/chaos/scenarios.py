@@ -41,6 +41,10 @@ _CHAOS_COUNTERS = (
 #: Known bug injections (see :func:`_inject_bug`).
 BUGS = ("skip-retransmit", "forget-unacked")
 
+#: Simulated minutes of recovery after the fault window: resends are
+#: driven after each of the first eight, then one last minute to quiesce.
+_SETTLE_MINUTES = 9
+
 
 class _NoResendLink(ReliableLink):
     """Injected bug: a link whose ``resend_unacked`` never retransmits.
@@ -197,7 +201,6 @@ def run_scenario(
     minutes: Optional[float] = None,
     devices: int = 3,
     inject_bug: Optional[str] = None,
-    settle_minutes: float = 9.0,
     snapshot_midpoint: bool = False,
     artifacts: Optional[Dict[str, Any]] = None,
     spec=None,
@@ -275,7 +278,7 @@ def run_scenario(
 
     # Heal, then drive resends/acks until the pipeline can quiesce.
     engine.settle()
-    for _ in range(max(1, int(settle_minutes) - 1)):
+    for _ in range(_SETTLE_MINUTES - 1):
         sim.run(minutes=1)
         engine.drive_resends()
     sim.run(minutes=1)

@@ -188,7 +188,7 @@ def _add_fleet_args(parser) -> None:
     parser.add_argument("--epoch-ms", type=float, default=None,
                         help="barrier window length; must not exceed the "
                              "minimum cross-shard latency (the default)")
-    parser.add_argument("--latency-ms", type=float, default=None,
+    parser.add_argument("--latency-ms", type=float, default=80.0,
                         help="switchboard base stanza latency (default 80; "
                              "simulated physics — changing it changes the "
                              "schedule itself, identically for solo and "
@@ -429,14 +429,8 @@ def cmd_metrics(args) -> int:
     if args.json:
         import json
 
-        snapshot = sim.kernel.metrics.snapshot()
-        if not args.all:
-            snapshot = {
-                name: value
-                for name, value in snapshot.items()
-                if not (isinstance(value, (int, float)) and value == 0)
-                and not (isinstance(value, dict) and not value.get("count"))
-            }
+        metrics = sim.kernel.metrics
+        snapshot = metrics.snapshot() if args.all else metrics.nonzero()
         text = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
     else:
         text = (
@@ -609,7 +603,7 @@ def cmd_scenarios(args) -> int:
         "scenarios", None, _scenarios.run_scenario_spec,
         spec,
         shards=args.shards,
-        processes=(False if args.in_process else None),
+        processes=not args.in_process,
         telemetry=bool(args.telemetry),
     )
     if result is None:
@@ -689,25 +683,29 @@ def _evicted_line(metrics) -> Optional[str]:
 def cmd_fleet(args) -> int:
     """``fleet``, and ``top``: the same run with the live view on and
     only the health verdict printed."""
-    from .fleet import run_fleet
+    from .fleet import fleet_spec, run_fleet
+    from .sim.kernel import HOUR
 
+    try:
+        spec = fleet_spec(
+            args.devices, seed=args.seed, latency_ms=args.latency_ms
+        )
+    except ValueError as exc:
+        print(f"fleet: {exc}", file=sys.stderr)
+        return 1
     live = None
-    telemetry = bool(args.telemetry or args.prom)
     if args.live:
         from .obs.live import LiveView
-        from .sim.kernel import HOUR
 
         live = LiveView(args.hours * HOUR, args.devices, args.shards)
     result = _fleet_call(
         "fleet", live, run_fleet,
-        args.devices,
+        spec,
         args.shards,
-        seed=args.seed,
-        hours=args.hours,
+        duration_ms=args.hours * HOUR,
         epoch_ms=args.epoch_ms,
-        latency_ms=args.latency_ms,
         processes=not args.in_process,
-        telemetry=telemetry,
+        telemetry=bool(args.telemetry or args.prom),
         observer=live,
     )
     if result is None:

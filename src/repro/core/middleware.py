@@ -44,10 +44,7 @@ class PogoSimulation(Shard):
         spans: bool = True,
         metrics: bool = True,
     ) -> None:
-        super().__init__(
-            seed=seed,
-            carrier=carrier,
-            spans=spans,
+        super().__init__(ShardSpec(
+            shard_id="sim", seed=seed, carrier=carrier, spans=spans,
             metrics=metrics,
-            shard_id="sim",
-        )
+        ))

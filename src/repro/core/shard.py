@@ -44,7 +44,6 @@ from ..device.apps import EmailApp, EmailConfig
 from ..device.phone import Phone
 from ..device.radio import CARRIERS, KPN, CarrierProfile
 from ..net.xmpp import XmppServer
-from ..obs.telemetry import ShardTelemetry
 from ..sensors.accelerometer import AccelerometerSensor
 from ..sensors.battery_sensor import BatterySensor
 from ..sensors.location import LocationSensor
@@ -122,10 +121,6 @@ class ShardSpec:
     carrier: CarrierProfile = KPN
     spans: bool = True
     metrics: bool = True
-    #: Arm the out-of-band telemetry sampler (the fleet worker samples it
-    #: at every epoch barrier).  Never perturbs the simulation: sampling
-    #: is pull-only, so this flag cannot change a single event.
-    telemetry: bool = False
     #: Base switchboard latency in milliseconds — every stanza (local or
     #: cross-shard) spends at least this long in flight.  It is also the
     #: fleet's determinism contract: the epoch-barrier window must not
@@ -236,48 +231,22 @@ class Shard:
     """
 
     @building()
-    def __init__(
-        self,
-        spec: Optional[ShardSpec] = None,
-        *,
-        seed: int = 0,
-        carrier: CarrierProfile = KPN,
-        spans: bool = True,
-        metrics: bool = True,
-        telemetry: bool = False,
-        shard_id: str = "shard-0",
-        latency_ms: float = 80.0,
-    ) -> None:
+    def __init__(self, spec: ShardSpec) -> None:
         reclaim()
-        if spec is not None:
-            seed = spec.seed
-            carrier = spec.carrier
-            spans = spec.spans
-            metrics = spec.metrics
-            telemetry = spec.telemetry
-            shard_id = spec.shard_id
-            latency_ms = spec.latency_ms
-        if not latency_ms > 0:
-            raise ValueError(
-                f"latency_ms must be positive, got {latency_ms!r}"
-            )
         self.spec = spec
-        self.shard_id = shard_id
-        self.seed = seed
+        self.shard_id = spec.shard_id
+        self.seed = spec.seed
         self.kernel = Kernel()
-        if not spans:
+        if not spec.spans:
             # Kill switch: lifecycle tracing off, hop handles become no-ops.
             self.kernel.spans.disable()
-        if not metrics:
+        if not spec.metrics:
             # Production-shape hot path: counters/histograms become no-ops.
             self.kernel.metrics.disable()
-        self.streams = RandomStreams(seed)
-        # The telemetry plane: a pull-only barrier sampler (fleet workers
-        # read it when it is enabled; nothing in the shard ever calls it).
-        self.telemetry = ShardTelemetry(self, enabled=telemetry)
-        self.server = XmppServer(self.kernel, latency_ms=latency_ms)
+        self.streams = RandomStreams(spec.seed)
+        self.server = XmppServer(self.kernel, latency_ms=spec.latency_ms)
         self.admin = TestbedAdmin(self.server)
-        self.default_carrier = carrier
+        self.default_carrier = spec.carrier
         self.devices: Dict[str, SimulatedDevice] = {}
         self.collectors: Dict[str, SimulatedCollector] = {}
         #: Scenario/tooling attachments (chaos engine, invariant monitor,
@@ -286,27 +255,26 @@ class Shard:
         self._egress: List[Handoff] = []
         self._egress_seq = 0
         self._started = False
-        if spec is not None:
-            for name in spec.collectors:
-                self.add_collector(name)
-            for device_spec in spec.devices:
-                self.add_device(
-                    carrier=(
-                        CARRIERS[device_spec.carrier]
-                        if device_spec.carrier is not None
-                        else None
-                    ),
-                    with_sensors=device_spec.with_sensors,
-                    with_email_app=device_spec.with_email_app,
-                    world_days=device_spec.world_days,
-                    simulate_paging=device_spec.simulate_paging,
-                    capabilities=(
-                        set(device_spec.capabilities)
-                        if device_spec.capabilities is not None
-                        else None
-                    ),
-                    jid=device_spec.jid,
-                )
+        for name in spec.collectors:
+            self.add_collector(name)
+        for device_spec in spec.devices:
+            self.add_device(
+                carrier=(
+                    CARRIERS[device_spec.carrier]
+                    if device_spec.carrier is not None
+                    else None
+                ),
+                with_sensors=device_spec.with_sensors,
+                with_email_app=device_spec.with_email_app,
+                world_days=device_spec.world_days,
+                simulate_paging=device_spec.simulate_paging,
+                capabilities=(
+                    set(device_spec.capabilities)
+                    if device_spec.capabilities is not None
+                    else None
+                ),
+                jid=device_spec.jid,
+            )
 
     # ------------------------------------------------------------------
     # Building the fleet

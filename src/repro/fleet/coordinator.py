@@ -53,16 +53,15 @@ from __future__ import annotations
 
 import multiprocessing
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.shard import Handoff, ShardSpec
 from ..obs.timeline import FleetTimeline, fleet_health
 from ..sim.hostgc import building, reclaim
-from ..sim.kernel import HOUR
 from .merge import merge_fleet_reports, merge_metrics, merge_span_rows, report_to_json
-from .partition import fleet_spec, plan_fleet
+from .partition import plan_fleet
 from .wire import decode_batch, encode_batch, unseal
 from .worker import WORKLOADS, ShardDriver, WorkerCrashed, fleet_worker_main
 
@@ -160,9 +159,11 @@ class _LocalWorker:
     wire_bytes = 0  # nothing crosses a pipe in-process
     stall_s = 0.0  # what it waited on worker processes for, if any
 
-    def __init__(self, spec: ShardSpec, workload: str, fleet_ctx) -> None:
+    def __init__(
+        self, spec: ShardSpec, workload: str, fleet_ctx, telemetry: bool
+    ) -> None:
         self.shard_id = spec.shard_id
-        self.driver = ShardDriver(spec, workload, fleet_ctx)
+        self.driver = ShardDriver(spec, workload, fleet_ctx, telemetry)
         self._granted = None
 
     def ready(self) -> Tuple[float, Optional[float], List[Handoff], bool]:
@@ -191,8 +192,8 @@ class _ProcessWorker:
     :func:`~repro.fleet.worker.fleet_worker_main` for the protocol)."""
 
     def __init__(
-        self, spec: ShardSpec, workload: str, fleet_ctx, context,
-        timeout_s: float,
+        self, spec: ShardSpec, workload: str, fleet_ctx, telemetry: bool,
+        context, timeout_s: float,
     ) -> None:
         self.shard_id = spec.shard_id
         self.timeout_s = timeout_s
@@ -204,7 +205,7 @@ class _ProcessWorker:
         register_after_fork(self.conn, type(self.conn).close)
         self.process = context.Process(
             target=fleet_worker_main,
-            args=(child, spec, workload, fleet_ctx),
+            args=(child, spec, workload, fleet_ctx, telemetry),
             name=f"fleet-{spec.shard_id}",
             daemon=True,
         )
@@ -286,82 +287,52 @@ class _ProcessWorker:
 # ---------------------------------------------------------------------------
 
 def run_fleet(
-    devices: Optional[int] = None,
+    spec: ShardSpec,
     shards: int = 1,
     *,
-    spec: Optional[ShardSpec] = None,
-    seed: int = 0,
-    hours: Optional[float] = None,
-    duration_ms: Optional[float] = None,
+    duration_ms: float,
     epoch_ms: Optional[float] = None,
-    latency_ms: Optional[float] = None,
     workload: str = "battery-monitor",
-    spans: bool = True,
-    metrics: bool = True,
     processes: bool = True,
     barrier_timeout_s: float = 600.0,
     telemetry: bool = False,
     observer: Optional[Callable[[Dict[str, Any]], None]] = None,
     workload_ctx: Optional[Dict[str, Any]] = None,
 ) -> FleetResult:
-    """Run one fleet partitioned across ``shards`` workers and merge.
+    """Run the root ``spec`` partitioned across ``shards`` workers for
+    ``duration_ms`` of simulated time, and merge.
 
-    Pass either ``devices`` (a homogeneous battery-monitor fleet is
-    built via :func:`fleet_spec`) or a full root ``spec``.  Shard 0
-    runs in this process, and with ``processes=False`` every shard does,
-    behind the same barrier protocol — byte-identical results; the
-    property tests use it.  ``epoch_ms`` defaults to the maximum safe
-    value (the minimum cross-shard stanza latency reported by the
-    workers); anything larger is rejected.  ``barrier_timeout_s`` bounds
-    each wait on a worker process, not shard 0: a hung shard in this
-    process hangs the run (an open stall case, see ROADMAP.md).
+    The spec describes the fleet — seed, roster, instrumentation planes
+    and switchboard latency (:class:`~repro.core.shard.ShardSpec`;
+    :func:`~repro.fleet.partition.fleet_spec` builds the Table 3 one).
+    ``workload`` (a :data:`~repro.fleet.worker.WORKLOADS` name) and
+    ``workload_ctx`` say what runs on it; the other options say how the
+    run is carried out, and change no report byte.
 
-    ``latency_ms`` overrides the switchboard's base stanza latency —
-    simulated physics, not a tuning knob: it changes the schedule
-    itself, and it bounds the barrier window (see
-    :class:`~repro.core.shard.ShardSpec`).  It must be positive and is
-    applied to the root spec before partitioning, so solo and K-shard
-    runs of the same latency always agree byte for byte.
+    Shard 0 runs in this process, and with ``processes=False`` every
+    shard does, behind the same barrier protocol — byte-identical
+    results; the property tests use it.  ``epoch_ms`` defaults to the
+    maximum safe value (the minimum cross-shard stanza latency reported
+    by the workers); anything larger is rejected.  ``barrier_timeout_s``
+    bounds each wait on a worker process, not shard 0: a hung shard in
+    this process hangs the run (an open stall case, see ROADMAP.md).
 
-    ``telemetry=True`` arms the per-shard barrier sampler and attaches
-    the collected :class:`~repro.obs.timeline.FleetTimeline` (plus the
-    derived health verdict) to the result.  ``observer`` — a callable
-    receiving each timeline frame as it is appended (e.g.
+    ``telemetry=True`` has every shard's driver sample its shard at each
+    barrier and attaches the collected
+    :class:`~repro.obs.timeline.FleetTimeline` (plus the derived health
+    verdict) to the result.  ``observer`` — a callable receiving each
+    timeline frame as it is appended (e.g.
     :class:`~repro.obs.live.LiveView`) — implies telemetry.  Sampling
     is pull-only and never perturbs the simulation: reports and traces
     are byte-identical with telemetry on or off.
     """
-    if observer is not None:
-        telemetry = True
-    if latency_ms is not None and not (
-        isinstance(latency_ms, (int, float)) and latency_ms > 0
-    ):
-        raise FleetError(
-            f"latency_ms must be a positive number of milliseconds, "
-            f"got {latency_ms!r}"
-        )
-    if spec is None:
-        if devices is None:
-            raise FleetError("pass a device count or a root ShardSpec")
-        spec = fleet_spec(
-            devices, seed=seed, spans=spans, metrics=metrics,
-            latency_ms=latency_ms if latency_ms is not None else 80.0,
-        )
-    elif latency_ms is not None and spec.latency_ms != latency_ms:
-        spec = replace(spec, latency_ms=latency_ms)
-    # A telemetry-armed root spec and the flag are equivalent: either
-    # arms every shard's sampler (partitioning copies the field).
-    telemetry = telemetry or spec.telemetry
-    if telemetry and not spec.telemetry:
-        spec = replace(spec, telemetry=True)
+    telemetry = telemetry or observer is not None
     if workload not in WORKLOADS:
         raise FleetError(
             f"unknown workload {workload!r}; have {sorted(WORKLOADS)}"
         )
     plan = plan_fleet(spec, shards)
-    if hours is None and duration_ms is None:
-        hours = 1.0
-    total_ms = float(duration_ms if duration_ms is not None else hours * HOUR)
+    total_ms = float(duration_ms)
     if total_ms <= 0:
         raise FleetError(f"duration must be positive, got {total_ms} ms")
 
@@ -384,10 +355,13 @@ def run_fleet(
             context = multiprocessing.get_context(START_METHOD)
             for shard_spec in plan.shards[1:]:
                 workers.append(_ProcessWorker(
-                    shard_spec, workload, fleet_ctx, context, barrier_timeout_s
+                    shard_spec, workload, fleet_ctx, telemetry, context,
+                    barrier_timeout_s,
                 ))
         hosted = plan.shards[:1] if separate else plan.shards
-        workers[:0] = [_LocalWorker(s, workload, fleet_ctx) for s in hosted]
+        workers[:0] = [
+            _LocalWorker(s, workload, fleet_ctx, telemetry) for s in hosted
+        ]
         readies = [worker.ready() for worker in workers]
         min_latency = min(latency for latency, _, _, _ in readies)
         epoch = float(epoch_ms) if epoch_ms is not None else min_latency

@@ -22,10 +22,9 @@ one:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..core.shard import DeviceSpec, ShardSpec
-from ..device.radio import KPN, CarrierProfile
 
 
 class PartitionError(ValueError):
@@ -45,18 +44,15 @@ def fleet_spec(
     devices: int,
     *,
     seed: int = 0,
-    collector: str = "fleet",
-    shard_id: str = "fleet",
-    carrier: CarrierProfile = KPN,
     spans: bool = True,
     metrics: bool = True,
     latency_ms: float = 80.0,
-    device: Optional[DeviceSpec] = None,
 ) -> ShardSpec:
     """Build the root spec for a homogeneous N-device fleet.
 
-    The default device shape is the Table 3 one: sensors plus the e-mail
-    app whose radio activity batches piggyback on.
+    The device shape is the Table 3 one: sensors plus the e-mail app
+    whose radio activity batches piggyback on; one collector,
+    ``fleet``, on the KPN carrier.
 
     ``latency_ms`` is the switchboard's base stanza latency — simulated
     physics, not a tuning knob: it changes the schedule itself, and it
@@ -66,16 +62,14 @@ def fleet_spec(
     """
     if devices < 0:
         raise PartitionError(f"device count must be >= 0, got {devices}")
-    template = device if device is not None else DeviceSpec(with_email_app=True)
     return ShardSpec(
-        shard_id=shard_id,
+        shard_id="fleet",
         seed=seed,
-        carrier=carrier,
         spans=spans,
         metrics=metrics,
         latency_ms=latency_ms,
-        collectors=(collector,),
-        devices=tuple(template for _ in range(devices)),
+        collectors=("fleet",),
+        devices=(DeviceSpec(with_email_app=True),) * devices,
     )
 
 

@@ -6,10 +6,10 @@
   :meth:`~ShardDriver.advance` (ingress the handoffs granted at the
   barrier, run to the next one via
   :meth:`~repro.core.shard.Shard.run_until_epoch`, account the CPU,
-  take the telemetry sample); :meth:`~ShardDriver.finish` (report,
-  metrics, and the span ring as rows — values, not text).  A
-  shard-side exception becomes :class:`WorkerCrashed` in exactly one
-  place, :func:`crash_guard`.
+  sample the shard when telemetry is armed);
+  :meth:`~ShardDriver.finish` (report, metrics, and the span ring as
+  rows — values, not text).  A shard-side exception becomes
+  :class:`WorkerCrashed` in exactly one place, :func:`crash_guard`.
 * :func:`fleet_worker_main` — the same driver behind
   :mod:`repro.fleet.wire` frames and a pipe, for a worker process.  The
   coordinator's in-process worker calls the driver directly; which of
@@ -29,6 +29,7 @@ from traceback import format_exc
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.shard import Handoff, Shard, ShardSpec
+from ..obs.telemetry import sample_shard
 from ..sim.hostgc import building
 from ..sim.spans import SpanRow, span_rows
 from .partition import device_jid
@@ -231,13 +232,16 @@ class ShardDriver:
     wall: on an oversubscribed host a window's wall time includes the
     other workers' time slices, which would inflate the critical path.
     A transport that does codec work on the shard's behalf adds it here.
+    ``telemetry`` is the coordinator's run option: sample the shard at
+    every barrier, or never.
     """
 
     def __init__(
         self, spec: ShardSpec, workload: str,
-        fleet_ctx: Optional[Dict[str, Any]],
+        fleet_ctx: Optional[Dict[str, Any]], telemetry: bool = False,
     ) -> None:
         self.shard_id = spec.shard_id
+        self.telemetry = telemetry
         self.busy_s = 0.0
         self.epoch = 0
         with crash_guard(self.shard_id):
@@ -284,8 +288,9 @@ class ShardDriver:
         self.busy_s += process_time() - t0
         self.epoch += 1
         sample = None
-        if shard.telemetry.enabled:
-            sample = shard.telemetry.sample(
+        if self.telemetry:
+            sample = sample_shard(
+                shard,
                 self.epoch,
                 barrier_ms,
                 handoffs_in=len(handoffs),
@@ -317,6 +322,7 @@ def fleet_worker_main(
     spec: ShardSpec,
     workload: str,
     fleet_ctx: Optional[Dict[str, Any]],
+    telemetry: bool,
 ) -> None:
     """Serve one :class:`ShardDriver` over ``conn`` until told to finish.
 
@@ -342,7 +348,7 @@ def fleet_worker_main(
     """
     try:
         with crash_guard(spec.shard_id):
-            driver = ShardDriver(spec, workload, fleet_ctx)
+            driver = ShardDriver(spec, workload, fleet_ctx, telemetry)
             latency_ms, next_event, initial, capable = driver.ready()
             conn.send(
                 ("ready", latency_ms, next_event, encode_batch(initial), capable)

@@ -5,11 +5,12 @@ simulations across worker processes — and until now each worker was a
 black box between launch and the merged report.  This package makes the
 fleet observable *while it runs*, without ever perturbing it:
 
-* :mod:`repro.obs.telemetry` — the per-shard sampler.  At every epoch
-  barrier the worker reads its shard's kernel counters, heap depth,
-  span-latency digests, energy totals and invariant status into one
-  snapshot dict; wall-clock facts (worker CPU, RSS, barrier stall) ride
-  in a clearly segregated ``wall`` section.
+* :mod:`repro.obs.telemetry` — the per-shard sampler.  In a run started
+  with ``telemetry=True``, each shard's driver reads its kernel
+  counters, heap depth, span-latency digests, energy totals and
+  invariant status into one snapshot dict at every epoch barrier;
+  wall-clock facts (worker CPU, RSS, barrier stall) ride in a clearly
+  segregated ``wall`` section.
 * :mod:`repro.obs.timeline` — the coordinator-side aggregator: per-shard
   snapshots become a canonical time-series with byte-deterministic JSONL
   export (wall fields stripped in deterministic mode), additive
@@ -27,7 +28,7 @@ aggregate totals.
 """
 
 from .prometheus import timeline_to_prometheus
-from .telemetry import ShardTelemetry
+from .telemetry import sample_shard
 from .timeline import (
     FleetTimeline,
     aggregate_totals,
@@ -39,10 +40,10 @@ from .timeline import (
 
 __all__ = [
     "FleetTimeline",
-    "ShardTelemetry",
     "aggregate_totals",
     "fleet_health",
     "read_timeline",
     "render_health",
+    "sample_shard",
     "timeline_to_jsonl",
 ]

@@ -1,12 +1,12 @@
 """The per-shard telemetry sampler: one snapshot per epoch barrier.
 
-A :class:`ShardTelemetry` hangs off a :class:`~repro.core.shard.Shard`
-and, when asked (the fleet worker asks at every barrier), reads the
-shard's state into one plain dict.  Sampling is strictly *pull*: nothing
-is scheduled on the kernel, no callback is installed, no counter is
-added to any hot path — a telemetry-enabled run executes exactly the
-same events as a dark one, which is what lets the timeline ride next to
-the byte-identical-merge guarantee instead of endangering it.
+:func:`sample_shard` reads a :class:`~repro.core.shard.Shard`'s state
+into one plain dict; a telemetry-armed fleet driver calls it at every
+barrier.  Sampling is strictly *pull*: nothing is scheduled on the
+kernel, no callback is installed, no counter is added to any hot path —
+a telemetry-enabled run executes exactly the same events as a dark one,
+which is what lets the timeline ride next to the byte-identical-merge
+guarantee instead of endangering it.
 
 Two kinds of fields live in a snapshot, and they never mix:
 
@@ -24,9 +24,9 @@ Energy is reported as integer microjoules (each device rounded, then
 summed) so the fleet total is an exact integer sum no matter how devices
 are partitioned — float addition order cannot leak into the totals.
 
-Disabled (``ShardSpec.telemetry=False``, the default), the sampler is
-never asked: the fleet worker reads ``enabled`` once per barrier and
-takes no sample.
+Telemetry is a run option, not a shard property: ``run_fleet(telemetry=
+True)`` (or an ``observer``) arms every shard's driver, and a dark run
+never calls the sampler.
 """
 
 from __future__ import annotations
@@ -65,58 +65,46 @@ def invariant_status(shard) -> Optional[Dict[str, Any]]:
     return {"ok": not violations, "violations": len(violations)}
 
 
-class ShardTelemetry:
-    """Pull-sampler for one shard; the fleet worker owns one."""
+def sample_shard(
+    shard,
+    epoch: int,
+    barrier_ms: float,
+    handoffs_in: int = 0,
+    handoffs_out: int = 0,
+    wall: Optional[Dict[str, float]] = None,
+) -> Dict[str, Any]:
+    """One snapshot of ``shard`` at the barrier ending ``barrier_ms``.
 
-    __slots__ = ("shard", "enabled")
-
-    def __init__(self, shard, enabled: bool = True) -> None:
-        self.shard = shard
-        self.enabled = enabled
-
-    # ------------------------------------------------------------------
-    def sample(
-        self,
-        epoch: int,
-        barrier_ms: float,
-        handoffs_in: int = 0,
-        handoffs_out: int = 0,
-        wall: Optional[Dict[str, float]] = None,
-    ) -> Optional[Dict[str, Any]]:
-        """One snapshot of the shard at the barrier ending ``barrier_ms``.
-
-        ``handoffs_in``/``handoffs_out`` are the cross-shard counts of
-        the window just finished (the worker knows both).  ``wall`` is
-        the worker's wall-clock section, passed through untouched.
-        """
-        shard = self.shard
-        kernel = shard.kernel
-        spans = kernel.spans
-        server = shard.server
-        sample: Dict[str, Any] = {
-            "kind": "sample",
-            "epoch": epoch,
-            "barrier_ms": barrier_ms,
-            "shard": shard.shard_id,
-            "kernel": {
-                "events": kernel.events_executed,
-                "pending": kernel.pending_events,
-                "tombstones": kernel._tombstones,
-                "compactions": kernel.compactions,
-            },
-            "handoffs": {"in": handoffs_in, "out": handoffs_out},
-            "server": {
-                "stanzas_routed": server.stanzas_routed,
-                "stanzas_lost": server.stanzas_lost,
-                "stanzas_stored_offline": server.stanzas_stored_offline,
-            },
-            "energy_uj": energy_microjoules(shard),
-            "spans": {"recorded": spans.recorded, "dropped": spans.dropped},
-            "hops": spans.latency_digest(),
-            "counters": kernel.metrics.counter_values(),
-            "invariants": invariant_status(shard),
-        }
-        if wall is not None:
-            sample["wall"] = wall
-        return sample
-
+    ``handoffs_in``/``handoffs_out`` are the cross-shard counts of the
+    window just finished (the driver knows both).  ``wall`` is the
+    driver's wall-clock section, passed through untouched.
+    """
+    kernel = shard.kernel
+    spans = kernel.spans
+    server = shard.server
+    sample: Dict[str, Any] = {
+        "kind": "sample",
+        "epoch": epoch,
+        "barrier_ms": barrier_ms,
+        "shard": shard.shard_id,
+        "kernel": {
+            "events": kernel.events_executed,
+            "pending": kernel.pending_events,
+            "tombstones": kernel._tombstones,
+            "compactions": kernel.compactions,
+        },
+        "handoffs": {"in": handoffs_in, "out": handoffs_out},
+        "server": {
+            "stanzas_routed": server.stanzas_routed,
+            "stanzas_lost": server.stanzas_lost,
+            "stanzas_stored_offline": server.stanzas_stored_offline,
+        },
+        "energy_uj": energy_microjoules(shard),
+        "spans": {"recorded": spans.recorded, "dropped": spans.dropped},
+        "hops": spans.latency_digest(),
+        "counters": kernel.metrics.counter_values(),
+        "invariants": invariant_status(shard),
+    }
+    if wall is not None:
+        sample["wall"] = wall
+    return sample

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..fleet import run_fleet
 from ..fleet.coordinator import FleetResult
@@ -108,28 +108,24 @@ def run_scenario_spec(
     spec: ScenarioSpec,
     shards: int = 1,
     *,
-    processes: Optional[bool] = None,
+    processes: bool = True,
     telemetry: bool = False,
-    observer=None,
-    epoch_ms: Optional[float] = None,
-    barrier_timeout_s: float = 600.0,
 ) -> ScenarioResult:
-    """Execute ``spec`` (solo or sharded) and build the canonical report."""
+    """Execute ``spec`` (solo or sharded) and build the canonical report.
+
+    ``processes`` and ``telemetry`` are passed to
+    :func:`~repro.fleet.coordinator.run_fleet`; neither changes a byte
+    of the report.
+    """
     spec.validate()
-    if processes is None:
-        processes = shards > 1
-    root = spec.compile()
     result = run_fleet(
-        spec=root,
-        shards=shards,
+        spec.compile(),
+        shards,
         duration_ms=spec.hours * HOUR,
         workload="scenario",
         workload_ctx={"scenario": spec},
         processes=processes,
         telemetry=telemetry,
-        observer=observer,
-        epoch_ms=epoch_ms,
-        barrier_timeout_s=barrier_timeout_s,
     )
     report = scenario_report(spec, result)
     return ScenarioResult(

@@ -74,7 +74,6 @@ class ScenarioSpec:
     surges: Tuple[SurgeSpec, ...] = ()
     campaigns: Tuple[CampaignSpec, ...] = (CampaignSpec("battery-monitor"),)
     collector: str = "scenario"
-    telemetry: bool = False
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -149,7 +148,6 @@ class ScenarioSpec:
         return ShardSpec(
             shard_id=f"scenario-{self.name}",
             seed=self.seed,
-            telemetry=self.telemetry,
             collectors=(self.collector,),
             devices=devices,
         )

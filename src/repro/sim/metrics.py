@@ -19,15 +19,7 @@ Design constraints:
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-#: Default histogram bucket upper bounds (bytes-ish scale; also fine for
-#: batch sizes).  A final implicit +inf bucket catches the rest.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
-    1_000.0, 2_500.0, 5_000.0, 10_000.0, 25_000.0, 50_000.0, 100_000.0,
-)
+from typing import Any, Callable, Dict, Optional
 
 
 class Counter:
@@ -44,21 +36,18 @@ class Counter:
 
 
 class Histogram:
-    """Bucketed value distribution with count/sum/min/max."""
+    """Value distribution summarised as count/sum/min/max."""
 
-    __slots__ = ("name", "bounds", "bucket_counts", "count", "total", "min", "max")
+    __slots__ = ("name", "count", "total", "min", "max")
 
-    def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bounds: Tuple[float, ...] = tuple(bounds)
-        self.bucket_counts: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:
@@ -69,11 +58,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def buckets(self) -> List[Tuple[str, int]]:
-        """(upper-bound label, count) pairs, including the +inf bucket."""
-        labels = [f"<= {bound:g}" for bound in self.bounds] + ["> last"]
-        return list(zip(labels, self.bucket_counts))
 
 
 class NullCounter(Counter):
@@ -104,8 +88,8 @@ class NullHistogram(Histogram):
 class MetricsRegistry:
     """Create-or-get registry of counters, histograms and gauges."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
+        self.enabled = True
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._gauges: Dict[str, Callable[[], float]] = {}
@@ -131,11 +115,11 @@ class MetricsRegistry:
             counter = self._counters[name] = cls(name)
         return counter
 
-    def histogram(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         histogram = self._histograms.get(name)
         if histogram is None:
             cls = Histogram if self.enabled else NullHistogram
-            histogram = self._histograms[name] = cls(name, bounds)
+            histogram = self._histograms[name] = cls(name)
         return histogram
 
     def gauge(self, name: str, fn: Callable[[], float]) -> None:

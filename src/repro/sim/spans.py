@@ -14,7 +14,7 @@ delivery?":
   the id (and the running causal parent) survives every hop for free.
 * **Spans.**  Each hop records a :class:`Span` — ``(trace, parent, hop,
   start, end, attrs)`` — through a pre-bound :class:`HopHandle`, so the
-  hot path pays one attribute check, one append and one histogram
+  hot path pays one counter bump, one append and one histogram
   observation, with no registry lookups.
 * **Flight recorder.**  Spans live in a bounded ring
   (:class:`SpanRecorder`): week-long simulations keep the most recent
@@ -41,14 +41,6 @@ from collections import deque
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .metrics import Histogram
-
-#: Latency bucket bounds in milliseconds: from sub-event-loop hops (0 in
-#: simulated time) up to the hour-scale fallback flush interval.
-LATENCY_BUCKETS_MS: Tuple[float, ...] = (
-    0.0, 1.0, 10.0, 50.0, 100.0, 250.0, 500.0,
-    1_000.0, 5_000.0, 15_000.0, 60_000.0, 300_000.0,
-    900_000.0, 3_600_000.0, 21_600_000.0, 86_400_000.0,
-)
 
 #: Default flight-recorder capacity.  ~56 bytes of slots plus an attrs
 #: dict per span; 65536 spans keep the recorder in the tens of MB even
@@ -145,9 +137,10 @@ class HopHandle:
     """A pre-bound recording handle for one hop kind.
 
     Components grab their handles once at construction
-    (``kernel.spans.hop("buffer.dwell")``) so the per-message path is an
-    enabled check, a counter bump, a ring append and one histogram
-    observation — no name lookups, no branching on configuration.
+    (``kernel.spans.hop("buffer.dwell")``) so the per-message path is a
+    counter bump, a ring append and one histogram observation — no name
+    lookups, no branching on configuration: a disabled recorder's
+    handles are all :class:`NullHopHandle`.
     """
 
     __slots__ = ("_recorder", "name", "histogram")
@@ -165,10 +158,8 @@ class HopHandle:
         end_ms: float,
         attrs: Optional[Dict[str, Any]] = None,
     ) -> int:
-        """Record one completed span; returns its id (0 when disabled)."""
+        """Record one completed span; returns its id."""
         recorder = self._recorder
-        if not recorder.enabled:
-            return 0
         span_id = next(recorder._span_ids)
         recorder.recorded += 1
         recorder._ring.append(
@@ -185,7 +176,7 @@ class NullHopHandle(HopHandle):
     layout is identical, so ``__class__`` assignment is legal), which
     makes the disabled path a single method dispatch — no attribute
     chain, no flag branch — without invalidating the handles components
-    pre-bound at construction.  ``enable()`` swaps them back.
+    pre-bound at construction.
     """
 
     __slots__ = ()
@@ -214,12 +205,11 @@ class SpanRecorder:
         self,
         clock: Optional[Callable[[], float]] = None,
         max_spans: int = DEFAULT_MAX_SPANS,
-        enabled: bool = True,
     ) -> None:
         if max_spans <= 0:
             raise ValueError("max_spans must be positive")
         self._clock = clock
-        self.enabled = enabled
+        self.enabled = True
         self.max_spans = max_spans
         self._ring: "deque[Span]" = deque(maxlen=max_spans)
         self._span_ids = itertools.count(1)
@@ -267,7 +257,7 @@ class SpanRecorder:
         """Create-or-get the pre-bound handle for one hop kind."""
         handle = self._hops.get(name)
         if handle is None:
-            histogram = Histogram(f"hop.{name}", LATENCY_BUCKETS_MS)
+            histogram = Histogram(f"hop.{name}")
             cls = HopHandle if self.enabled else NullHopHandle
             handle = self._hops[name] = cls(self, name, histogram)
         return handle

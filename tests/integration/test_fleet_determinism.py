@@ -18,7 +18,8 @@ import multiprocessing
 import pytest
 
 import repro.fleet.coordinator as coordinator
-from repro.fleet import run_fleet
+from repro.fleet import fleet_spec, run_fleet
+from repro.sim.kernel import HOUR
 
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -28,15 +29,15 @@ fork_only = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def runs():
-    kwargs = dict(seed=7, hours=0.5)
+    spec, kwargs = fleet_spec(6, seed=7), dict(duration_ms=0.5 * HOUR)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coordinator, "START_METHOD", "spawn")
-        spawned = run_fleet(6, 3, processes=True, **kwargs)
+        spawned = run_fleet(spec, 3, processes=True, **kwargs)
     return {
         "spawned": spawned,
-        "processes": run_fleet(6, 3, processes=True, **kwargs),  # this platform's way
-        "inproc": run_fleet(6, 3, processes=False, **kwargs),
-        "solo": run_fleet(6, 1, processes=False, **kwargs),
+        "processes": run_fleet(spec, 3, processes=True, **kwargs),  # this platform's way
+        "inproc": run_fleet(spec, 3, processes=False, **kwargs),
+        "solo": run_fleet(spec, 1, processes=False, **kwargs),
     }
 
 
@@ -81,9 +82,9 @@ def test_500x4_seed7_merged_report_matches_solo():
     # 500-device, 4-shard, seed-7 fleet merged byte-identically to the
     # single-shard reference (the CI fleet-dataplane job runs the full
     # hour via the CLI with cmp).
-    kwargs = dict(seed=7, hours=0.05)
-    sharded = run_fleet(500, 4, processes=True, **kwargs)
-    solo = run_fleet(500, 1, processes=False, **kwargs)
+    spec, kwargs = fleet_spec(500, seed=7), dict(duration_ms=0.05 * HOUR)
+    sharded = run_fleet(spec, 4, processes=True, **kwargs)
+    solo = run_fleet(spec, 1, processes=False, **kwargs)
     assert sharded.report_json == solo.report_json
     assert sharded.handoffs > 0
 
@@ -147,7 +148,8 @@ def test_merged_trace_bytes_are_pinned(shards, start_method, monkeypatch):
     stadium = build_preset("stadium-evening", scale=0.1)
     traces = {
         "battery": run_fleet(
-            40, shards, seed=7, hours=0.5, processes=processes
+            fleet_spec(40, seed=7), shards, duration_ms=0.5 * HOUR,
+            processes=processes,
         ).trace_jsonl,
         "stadium": run_scenario_spec(
             stadium, shards=shards, processes=processes

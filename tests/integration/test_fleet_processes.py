@@ -20,8 +20,9 @@ import time
 
 import pytest
 
-from repro.fleet import run_fleet
+from repro.fleet import fleet_spec, run_fleet
 from repro.fleet.coordinator import START_METHOD
+from repro.sim.kernel import HOUR
 
 ROOT = pathlib.Path(__file__).parent.parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -46,12 +47,14 @@ def test_a_script_read_from_stdin_runs_a_process_fleet():
     # Spawn re-imports the parent's __main__ from its file, and '<stdin>'
     # is not one: every worker died with exit code 1.
     script = (
-        b"from repro.fleet import run_fleet\n"
-        b"print(run_fleet(4, 2, seed=0, hours=0.01).report_json, end='')\n"
+        b"from repro.fleet import fleet_spec, run_fleet\n"
+        b"from repro.sim.kernel import HOUR\n"
+        b"spec = fleet_spec(4, seed=0)\n"
+        b"print(run_fleet(spec, 2, duration_ms=0.01 * HOUR).report_json, end='')\n"
     )
     report = _python("-", input=script)
     assert report.decode() == run_fleet(
-        4, 2, seed=0, hours=0.01, processes=False
+        fleet_spec(4, seed=0), 2, duration_ms=0.01 * HOUR, processes=False,
     ).report_json
 
 
@@ -61,7 +64,8 @@ def test_a_script_read_from_stdin_runs_a_process_fleet():
 COORDINATOR = """
 import multiprocessing
 
-from repro.fleet import run_fleet
+from repro.fleet import fleet_spec, run_fleet
+from repro.sim.kernel import HOUR
 
 announced = []
 
@@ -73,7 +77,7 @@ def announce(frame):
 
 
 if __name__ == "__main__":  # spawned workers re-import this file
-    run_fleet(8, 3, seed=0, hours=10_000.0, observer=announce)
+    run_fleet(fleet_spec(8, seed=0), 3, duration_ms=10_000.0 * HOUR, observer=announce)
 """
 
 
@@ -127,8 +131,9 @@ import pathlib
 import sys
 
 from repro import chaos
-from repro.fleet import run_fleet
+from repro.fleet import fleet_spec, run_fleet
 from repro.scenarios import build_preset, run_scenario_spec
+from repro.sim.kernel import HOUR
 
 out = pathlib.Path(sys.argv[1])
 outputs = {
@@ -136,7 +141,9 @@ outputs = {
     "scenario.json": run_scenario_spec(
         build_preset("commuter-surge", scale=0.25)
     ).report_json,
-    "fleet.json": run_fleet(6, 2, seed=7, hours=0.25).report_json,
+    "fleet.json": run_fleet(
+        fleet_spec(6, seed=7), 2, duration_ms=0.25 * HOUR
+    ).report_json,
 }
 for name, text in outputs.items():
     (out / name).write_bytes(text.encode("utf-8"))
@@ -157,6 +164,6 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         "chaos.json": (GOLDEN / "chaos_flaky3g_seed7.json").read_bytes(),
         "scenario.json": (GOLDEN / "scenario_commuter_surge_seed7.json").read_bytes(),
         "fleet.json": run_fleet(
-            6, 1, seed=7, hours=0.25, processes=False
+            fleet_spec(6, seed=7), 1, duration_ms=0.25 * HOUR, processes=False,
         ).report_json.encode("utf-8"),
     }

@@ -116,10 +116,12 @@ def test_instrumentation_planes_do_not_change_the_simulation():
 
 
 def test_partitioned_fleet_event_barrier_and_handoff_counts():
-    from repro.fleet import run_fleet
+    from repro.fleet import fleet_spec, run_fleet
+    from repro.sim.kernel import HOUR
 
     result = run_fleet(
-        60, 4, seed=9, hours=0.35, processes=False, spans=False, metrics=False
+        fleet_spec(60, seed=9, spans=False, metrics=False), 4,
+        duration_ms=0.35 * HOUR, processes=False,
     )
     # The partition may not change what is simulated or what crosses it.
     assert (result.events, result.handoffs) == (12_608, 675)

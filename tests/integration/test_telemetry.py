@@ -13,19 +13,20 @@ The plane's three contracts, exercised through real fleet runs:
 
 import pytest
 
-from repro.fleet import run_fleet
+from repro.fleet import fleet_spec, run_fleet
 from repro.obs.timeline import aggregate_totals, timeline_to_jsonl
+from repro.sim.kernel import HOUR
 
 
 @pytest.fixture(scope="module")
 def runs():
-    kwargs = dict(seed=7, hours=0.5)
+    spec, kwargs = fleet_spec(6, seed=7), dict(duration_ms=0.5 * HOUR)
     return {
-        "spawned": run_fleet(6, 3, processes=True, telemetry=True, **kwargs),
-        "inproc": run_fleet(6, 3, processes=False, telemetry=True, **kwargs),
-        "again": run_fleet(6, 3, processes=False, telemetry=True, **kwargs),
-        "solo": run_fleet(6, 1, processes=False, telemetry=True, **kwargs),
-        "dark": run_fleet(6, 3, processes=False, **kwargs),
+        "spawned": run_fleet(spec, 3, processes=True, telemetry=True, **kwargs),
+        "inproc": run_fleet(spec, 3, processes=False, telemetry=True, **kwargs),
+        "again": run_fleet(spec, 3, processes=False, telemetry=True, **kwargs),
+        "solo": run_fleet(spec, 1, processes=False, telemetry=True, **kwargs),
+        "dark": run_fleet(spec, 3, processes=False, **kwargs),
     }
 
 

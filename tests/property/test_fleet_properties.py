@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.shard import Handoff
-from repro.fleet import run_fleet
+from repro.fleet import fleet_spec, run_fleet
+from repro.sim.kernel import HOUR
 
 # Keep the fleets small and the clock short: each example is a full
 # discrete-event simulation, twice.
@@ -32,18 +33,21 @@ fleet_shapes = st.tuples(
 def test_merged_report_matches_single_shard(shape):
     devices, shards, seed, hours, epoch_ms = shape
     sharded = run_fleet(
-        devices, shards, seed=seed, hours=hours, epoch_ms=epoch_ms,
+        fleet_spec(devices, seed=seed), shards, duration_ms=hours * HOUR,
+        epoch_ms=epoch_ms, processes=False,
+    )
+    solo = run_fleet(
+        fleet_spec(devices, seed=seed), 1, duration_ms=hours * HOUR,
         processes=False,
     )
-    solo = run_fleet(devices, 1, seed=seed, hours=hours, processes=False)
     assert sharded.report_json == solo.report_json
     # The merged trace is deterministic for a layout (span ids are
     # per-shard, so it is not line-identical to the solo trace), and it
     # loses no routed stanza: every xmpp.route line of the solo run has
     # a counterpart.
     again = run_fleet(
-        devices, shards, seed=seed, hours=hours, epoch_ms=epoch_ms,
-        processes=False,
+        fleet_spec(devices, seed=seed), shards, duration_ms=hours * HOUR,
+        epoch_ms=epoch_ms, processes=False,
     )
     assert again.trace_jsonl == sharded.trace_jsonl
     assert sharded.trace_jsonl.count('"hop":"xmpp.route"') == solo.trace_jsonl.count(
@@ -60,7 +64,8 @@ def test_shard_count_never_changes_the_bytes(devices, seed):
     """More shards than devices, equal, fewer — all the same bytes."""
     reports = {
         run_fleet(
-            devices, shards, seed=seed, hours=0.05, processes=False
+            fleet_spec(devices, seed=seed), shards, duration_ms=0.05 * HOUR,
+            processes=False,
         ).report_json
         for shards in (1, 2, devices + 1)
     }

@@ -46,6 +46,7 @@ from repro.scenarios import build_preset
 from repro.scenarios.workload import setup_scenario
 from repro.sim import Kernel, hostgc
 from repro.sim.hostgc import building, dispatching
+from repro.sim.kernel import HOUR
 
 
 def collector_state():
@@ -349,10 +350,15 @@ def test_a_process_fleet_frees_its_hosted_shard_before_it_returns():
     # frees it is paid inside the run, not by whatever shard comes next.
     # An in-process fleet still leaves its shards to that next build.
     gc.collect()
-    run_fleet(8, 2, seed=3, hours=0.05, barrier_timeout_s=120.0)
+    run_fleet(
+        fleet_spec(8, seed=3), 2, duration_ms=0.05 * HOUR,
+        barrier_timeout_s=120.0,
+    )
     assert not hostgc._pass_owed
     assert gc.collect() < 100  # 33 measured; shard 0 alone is ~1,000
-    run_fleet(8, 2, seed=3, hours=0.05, processes=False)
+    run_fleet(
+        fleet_spec(8, seed=3), 2, duration_ms=0.05 * HOUR, processes=False,
+    )
     assert hostgc._pass_owed
     assert gc.collect() > 1_000  # both shards: 1,948 measured
 

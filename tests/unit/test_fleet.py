@@ -2,7 +2,6 @@
 validation, ingress hardening, and worker-crash handling."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -25,6 +24,7 @@ from repro.fleet.merge import (
 from repro.fleet.partition import PartitionError, device_jid
 from repro.fleet.wire import seal, unseal
 from repro.net.xmpp import RoutingError
+from repro.sim.kernel import HOUR
 from repro.sim.spans import Span, SpanRecorder, ordered_span_lines, span_rows
 
 
@@ -126,19 +126,31 @@ class TestIngressHardening:
 class TestEpochValidation:
     def test_epoch_above_min_latency_is_rejected(self):
         with pytest.raises(FleetError, match="epoch"):
-            run_fleet(2, 2, seed=0, hours=0.01, epoch_ms=80.5, processes=False)
+            run_fleet(
+                fleet_spec(2, seed=0), 2, duration_ms=0.01 * HOUR,
+                epoch_ms=80.5, processes=False,
+            )
 
     def test_epoch_zero_is_rejected(self):
         with pytest.raises(FleetError, match="epoch"):
-            run_fleet(2, 2, seed=0, hours=0.01, epoch_ms=0.0, processes=False)
+            run_fleet(
+                fleet_spec(2, seed=0), 2, duration_ms=0.01 * HOUR,
+                epoch_ms=0.0, processes=False,
+            )
 
     def test_unknown_workload_is_rejected(self):
         with pytest.raises(FleetError, match="workload"):
-            run_fleet(2, 2, seed=0, hours=0.01, workload="nope", processes=False)
+            run_fleet(
+                fleet_spec(2, seed=0), 2, duration_ms=0.01 * HOUR,
+                workload="nope", processes=False,
+            )
 
     def test_nonpositive_duration_is_rejected(self):
         with pytest.raises(FleetError, match="duration"):
-            run_fleet(2, 2, seed=0, hours=0.0, processes=False)
+            run_fleet(
+                fleet_spec(2, seed=0), 2, duration_ms=0.0 * HOUR,
+                processes=False,
+            )
 
 
 class TestMerger:
@@ -320,8 +332,12 @@ class TestCoordinatorSmoke:
     def test_more_shards_than_devices_matches_solo(self):
         # Round-robin leaves shards 2 and 3 with zero devices; the fleet
         # must still run and merge byte-identically to the solo report.
-        sharded = run_fleet(2, 4, seed=6, hours=0.25, processes=False)
-        solo = run_fleet(2, 1, seed=6, hours=0.25, processes=False)
+        sharded = run_fleet(
+            fleet_spec(2, seed=6), 4, duration_ms=0.25 * HOUR, processes=False,
+        )
+        solo = run_fleet(
+            fleet_spec(2, seed=6), 1, duration_ms=0.25 * HOUR, processes=False,
+        )
         assert sharded.report_json == solo.report_json
 
     def test_single_shard_in_process_matches_plain_run(self):
@@ -329,15 +345,21 @@ class TestCoordinatorSmoke:
         # every sharded-equals-solo comparison ultimately rests on.
         from repro.fleet.worker import setup_battery_monitor
 
-        result = run_fleet(3, 1, seed=4, hours=0.25, processes=False)
+        result = run_fleet(
+            fleet_spec(3, seed=4), 1, duration_ms=0.25 * HOUR, processes=False,
+        )
         shard = Shard(fleet_spec(3, seed=4))
         setup_battery_monitor(shard)
         shard.run(hours=0.25)
         assert result.report_json == shard.fleet_report_json()
 
     def test_two_shards_in_process_match_single_shard(self):
-        sharded = run_fleet(4, 2, seed=6, hours=0.25, processes=False)
-        solo = run_fleet(4, 1, seed=6, hours=0.25, processes=False)
+        sharded = run_fleet(
+            fleet_spec(4, seed=6), 2, duration_ms=0.25 * HOUR, processes=False,
+        )
+        solo = run_fleet(
+            fleet_spec(4, seed=6), 1, duration_ms=0.25 * HOUR, processes=False,
+        )
         assert sharded.report_json == solo.report_json
         assert sharded.trace_jsonl != ""  # merged trace rides along
 
@@ -352,7 +374,10 @@ class TestCoordinatorSmoke:
             kernel, "SpanRecorder", partial(SpanRecorder, max_spans=40)
         )
         for shards in (1, 2):
-            result = run_fleet(4, shards, seed=6, hours=0.25, processes=False)
+            result = run_fleet(
+                fleet_spec(4, seed=6), shards, duration_ms=0.25 * HOUR,
+                processes=False,
+            )
             metrics = result.metrics
             assert metrics["spans.dropped"] > 0
             assert result.trace_jsonl.count("\n") == 40 * shards == (
@@ -383,7 +408,9 @@ class TestTraceRowPath:
 
         monkeypatch.setattr(spans, "split_span_line", forbidden)
         monkeypatch.setattr(merge, "split_span_line", forbidden)
-        result = run_fleet(4, 2, seed=6, hours=0.25, processes=False)
+        result = run_fleet(
+            fleet_spec(4, seed=6), 2, duration_ms=0.25 * HOUR, processes=False,
+        )
         assert result.trace_jsonl.count("\n") == result.metrics["spans.recorded"]
         with pytest.raises(AssertionError, match="took a line apart"):
             merge_trace_jsonl([("f/0", result.trace_jsonl)])  # the patch bites
@@ -397,7 +424,10 @@ class TestTraceRowPath:
 
         monkeypatch.setattr(spans, "span_lines", forbidden)
         results = [
-            run_fleet(4, shards, seed=6, hours=0.25, processes=False)
+            run_fleet(
+                fleet_spec(4, seed=6), shards, duration_ms=0.25 * HOUR,
+                processes=False,
+            )
             for shards in (1, 2)
         ]
         smoke = ScenarioSpec(name="smoke", seed=5, devices=4, hours=0.25,
@@ -418,19 +448,26 @@ class TestTraceRowPath:
             return unseal(frame)
 
         monkeypatch.setattr(coordinator, "unseal", counting)
-        result = run_fleet(4, 3, seed=6, hours=0.25, barrier_timeout_s=120.0)
+        result = run_fleet(
+            fleet_spec(4, seed=6), 3, duration_ms=0.25 * HOUR,
+            barrier_timeout_s=120.0,
+        )
         assert len(opened) == 2  # the artifacts of two workers, nothing else
         parts = vars(result)["trace_jsonl"]
         assert [shard_id for shard_id, _ in parts] == ["fleet/0", "fleet/1", "fleet/2"]
         # The hosted shard 0 hands over rows; each worker process, a frame.
         assert [type(part) for _, part in parts] == [list, bytes, bytes]
         assert "trace_jsonl" not in repr(result) and len(opened) == 2
-        in_process = run_fleet(4, 3, seed=6, hours=0.25, processes=False)
+        in_process = run_fleet(
+            fleet_spec(4, seed=6), 3, duration_ms=0.25 * HOUR, processes=False,
+        )
         assert result.trace_jsonl == in_process.trace_jsonl != ""
         assert opened[2:] == [len(frame) for _, frame in parts[1:]]  # by the read
 
     def test_the_text_is_written_once_and_replaces_the_parts(self):
-        result = run_fleet(4, 2, seed=6, hours=0.25, processes=False)
+        result = run_fleet(
+            fleet_spec(4, seed=6), 2, duration_ms=0.25 * HOUR, processes=False,
+        )
         assert all(type(rows) is list for _, rows in vars(result)["trace_jsonl"])
         text = result.trace_jsonl
         assert result.trace_jsonl is text is vars(result)["trace_jsonl"]
@@ -537,8 +574,9 @@ def _setup_crash(processes, crash_device=None):
 
     with pytest.raises(WorkerCrashed) as excinfo:
         run_fleet(
-            2, 2, seed=0, hours=0.01, processes=processes,
-            workload="crash-canary", workload_ctx={"crash_device": crash_device},
+            fleet_spec(2, seed=0), 2, duration_ms=0.01 * HOUR,
+            processes=processes, workload="crash-canary",
+            workload_ctx={"crash_device": crash_device},
             barrier_timeout_s=120.0,
         )
     return excinfo.value
@@ -550,8 +588,8 @@ class TestWorkerCrashDiagnostics:
 
         with pytest.raises(WorkerCrashed) as excinfo:
             run_fleet(
-                2, 2, seed=0, hours=0.01, processes=False,
-                workload="crash-canary",
+                fleet_spec(2, seed=0), 2, duration_ms=0.01 * HOUR,
+                processes=False, workload="crash-canary",
             )
         exc = excinfo.value
         assert exc.shard_id == "fleet/0"
@@ -597,12 +635,6 @@ class TestLatencyKnob:
         with pytest.raises(ValueError, match="latency_ms"):
             fleet_spec(2, latency_ms=-5.0)
 
-    def test_run_fleet_rejects_nonpositive_latency(self):
-        with pytest.raises(FleetError, match="latency_ms"):
-            run_fleet(2, 2, seed=0, hours=0.01, latency_ms=0, processes=False)
-        with pytest.raises(FleetError, match="latency_ms"):
-            run_fleet(2, 2, seed=0, hours=0.01, latency_ms=-1, processes=False)
-
     def test_latency_is_copied_to_every_shard(self):
         plan = plan_fleet(fleet_spec(4, seed=0, latency_ms=120.0), 2)
         assert all(s.latency_ms == 120.0 for s in plan.shards)
@@ -610,33 +642,37 @@ class TestLatencyKnob:
     def test_latency_bounds_the_epoch(self):
         # The barrier window may not exceed the (now smaller) latency.
         with pytest.raises(FleetError, match="epoch"):
-            run_fleet(2, 2, seed=0, hours=0.01, latency_ms=40.0,
-                      epoch_ms=41.0, processes=False)
+            run_fleet(
+                fleet_spec(2, seed=0, latency_ms=40.0), 2,
+                duration_ms=0.01 * HOUR, epoch_ms=41.0, processes=False,
+            )
 
     def test_latency_is_physics_solo_and_sharded_agree(self):
         # A different latency changes the schedule itself — but changes
         # it identically for the solo and partitioned runs.
-        solo = run_fleet(4, 1, seed=6, hours=0.25, latency_ms=40.0,
-                         processes=False)
-        sharded = run_fleet(4, 2, seed=6, hours=0.25, latency_ms=40.0,
-                            processes=False)
-        default = run_fleet(4, 1, seed=6, hours=0.25, processes=False)
+        solo = run_fleet(
+            fleet_spec(4, seed=6, latency_ms=40.0), 1, duration_ms=0.25 * HOUR,
+            processes=False,
+        )
+        sharded = run_fleet(
+            fleet_spec(4, seed=6, latency_ms=40.0), 2, duration_ms=0.25 * HOUR,
+            processes=False,
+        )
+        default = run_fleet(
+            fleet_spec(4, seed=6), 1, duration_ms=0.25 * HOUR, processes=False,
+        )
         assert sharded.report_json == solo.report_json
         assert sharded.epoch_ms == 40.0
         assert solo.report_json != default.report_json
-
-    def test_latency_overrides_an_explicit_spec(self):
-        spec = fleet_spec(2, seed=1)
-        result = run_fleet(spec=spec, shards=2, hours=0.1, latency_ms=50.0,
-                           processes=False)
-        assert result.epoch_ms == 50.0
 
 
 class TestAdaptiveBarriers:
     def test_single_shard_collapses_to_one_barrier(self):
         # One shard can never egress (every JID is local), so the adaptive
         # horizon jumps straight to T: one window, same merged report.
-        result = run_fleet(3, 1, seed=6, hours=0.5, processes=False)
+        result = run_fleet(
+            fleet_spec(3, seed=6), 1, duration_ms=0.5 * HOUR, processes=False,
+        )
         assert result.barriers == 1
         assert result.handoffs == 0
 
@@ -644,8 +680,12 @@ class TestAdaptiveBarriers:
         # One device + its collector both land on shard 0; shard 1 is
         # empty.  No shard holds a remote roster edge, so neither bounds
         # the window — yet the merged report must still match solo.
-        sharded = run_fleet(1, 2, seed=6, hours=0.5, processes=False)
-        solo = run_fleet(1, 1, seed=6, hours=0.5, processes=False)
+        sharded = run_fleet(
+            fleet_spec(1, seed=6), 2, duration_ms=0.5 * HOUR, processes=False,
+        )
+        solo = run_fleet(
+            fleet_spec(1, seed=6), 1, duration_ms=0.5 * HOUR, processes=False,
+        )
         assert sharded.barriers == 1
         assert sharded.report_json == solo.report_json
 
@@ -653,7 +693,9 @@ class TestAdaptiveBarriers:
         # Devices on shards 1.. talk to the collector on shard 0 and vice
         # versa: every shard keeps remote edges, so the adaptive horizon
         # changes nothing for the standard battery fleet.
-        result = run_fleet(6, 3, seed=6, hours=0.25, processes=False)
+        result = run_fleet(
+            fleet_spec(6, seed=6), 3, duration_ms=0.25 * HOUR, processes=False,
+        )
         assert result.barriers > 10
         assert result.handoffs > 0
 
@@ -674,8 +716,10 @@ class TestAdaptiveBarriers:
         WORKLOADS["rogue-egress"] = rogue_setup
         try:
             with pytest.raises(FleetError, match="egress-capability"):
-                run_fleet(1, 2, seed=0, hours=0.25, processes=False,
-                          workload="rogue-egress")
+                run_fleet(
+                    fleet_spec(1, seed=0), 2, duration_ms=0.25 * HOUR,
+                    processes=False, workload="rogue-egress",
+                )
         finally:
             del WORKLOADS["rogue-egress"]
 
@@ -684,8 +728,10 @@ class TestWorkerCleanup:
     def test_spawned_run_leaves_no_workers(self):
         import multiprocessing
 
-        run_fleet(2, 2, seed=0, hours=0.05, processes=True,
-                  barrier_timeout_s=120.0)
+        run_fleet(
+            fleet_spec(2, seed=0), 2, duration_ms=0.05 * HOUR, processes=True,
+            barrier_timeout_s=120.0,
+        )
         assert multiprocessing.active_children() == []
 
     def test_setup_crash_leaves_no_workers(self):
@@ -728,7 +774,10 @@ class TestWorkerCleanup:
             coordinator.multiprocessing, "get_context", lambda method: Context
         )
         with pytest.raises(OSError, match="Too many open files"):
-            run_fleet(4, 3, seed=0, hours=0.05, processes=True)
+            run_fleet(
+                fleet_spec(4, seed=0), 3, duration_ms=0.05 * HOUR,
+                processes=True,
+            )
         assert len(started) == 1
         assert multiprocessing.active_children() == []
 
@@ -742,7 +791,8 @@ class TestProcessLayout:
 
         alive = []
         result = run_fleet(
-            8, shards, seed=0, hours=0.05, barrier_timeout_s=120.0,
+            fleet_spec(8, seed=0), shards, duration_ms=0.05 * HOUR,
+            barrier_timeout_s=120.0,
             observer=lambda frame: alive.append(len(multiprocessing.active_children())),
         )
         assert result.barriers == len(alive) > 0
@@ -752,11 +802,15 @@ class TestProcessLayout:
     def test_the_hosted_shard_reports_its_wait_on_the_workers_as_stall(self):
         # Shard 0 blocks in the coordinator while the worker processes
         # finish their window; with every shard in-process nobody blocks.
-        mixed = run_fleet(8, 2, seed=0, hours=0.05, telemetry=True,
-                          barrier_timeout_s=120.0).health["shards"]
+        mixed = run_fleet(
+            fleet_spec(8, seed=0), 2, duration_ms=0.05 * HOUR, telemetry=True,
+            barrier_timeout_s=120.0,
+        ).health["shards"]
         assert mixed["fleet/0"]["stall_s"] > 0.0 and mixed["fleet/1"]["stall_s"] > 0.0
-        local = run_fleet(8, 2, seed=0, hours=0.05, telemetry=True,
-                          processes=False).health["shards"]
+        local = run_fleet(
+            fleet_spec(8, seed=0), 2, duration_ms=0.05 * HOUR, telemetry=True,
+            processes=False,
+        ).health["shards"]
         assert [entry["stall_s"] for entry in local.values()] == [0.0, 0.0]
 
     @pytest.mark.parametrize("crash", [_setup_crash, _mid_epoch_crash],
@@ -800,7 +854,10 @@ class TestProcessLayout:
 
         monkeypatch.setattr(coordinator._LocalWorker, "wait_barrier", stalled_once)
         with pytest.raises(WorkerCrashed, match="presumed hung") as excinfo:
-            run_fleet(4, 2, seed=0, hours=0.05, barrier_timeout_s=0.5)
+            run_fleet(
+                fleet_spec(4, seed=0), 2, duration_ms=0.05 * HOUR,
+                barrier_timeout_s=0.5,
+            )
         assert excinfo.value.shard_id == "fleet/0"
 
 
@@ -824,7 +881,9 @@ class TestShardDriver:
         assert (out, capable, sample) == ([], False, None)
         artifacts, rows = driver.finish()
 
-        result = run_fleet(spec=root, shards=1, hours=0.25, processes=False)
+        result = run_fleet(
+            spec=root, shards=1, duration_ms=0.25 * HOUR, processes=False
+        )
         assert artifacts["report"] == result.shard_reports[0]
         # The driver hands over the ring as rows, in ring order, beside
         # the artifacts; the reader's front-end and, for the standalone
@@ -847,8 +906,10 @@ class TestShardDriver:
             raise AssertionError("rss sampled with telemetry off")
 
         def drive(telemetry):
-            spec = replace(fleet_spec(2, seed=4), telemetry=telemetry)
-            driver = worker.ShardDriver(spec, "battery-monitor", None)
+            driver = worker.ShardDriver(
+                fleet_spec(2, seed=4), "battery-monitor", None,
+                telemetry=telemetry,
+            )
             return driver.advance(60_000.0, [], stall_s=0.25)[3]
 
         monkeypatch.setattr(worker, "_rss_kb", forbidden)

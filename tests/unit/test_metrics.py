@@ -1,7 +1,7 @@
 """Unit tests for the kernel metrics plane."""
 
 from repro.sim.kernel import Kernel
-from repro.sim.metrics import DEFAULT_BUCKETS, Counter, Histogram, MetricsRegistry
+from repro.sim.metrics import Counter, Histogram, MetricsRegistry
 
 
 # ---------------------------------------------------------------------------
@@ -16,8 +16,8 @@ def test_counter_increments():
     assert counter.value == 42
 
 
-def test_histogram_buckets_and_stats():
-    histogram = Histogram("h", bounds=(10.0, 100.0))
+def test_histogram_stats():
+    histogram = Histogram("h")
     for value in (1, 10, 11, 100, 1000):
         histogram.observe(value)
     assert histogram.count == 5
@@ -25,15 +25,12 @@ def test_histogram_buckets_and_stats():
     assert histogram.min == 1
     assert histogram.max == 1000
     assert histogram.mean == 1122 / 5
-    # bisect_left: values equal to a bound land in that bound's bucket.
-    assert [count for _, count in histogram.buckets()] == [2, 2, 1]
 
 
 def test_registry_create_or_get():
     registry = MetricsRegistry()
     assert registry.counter("a") is registry.counter("a")
     assert registry.histogram("h") is registry.histogram("h")
-    assert registry.histogram("h").bounds == DEFAULT_BUCKETS
 
 
 def test_snapshot_sorted_and_gauges_pulled_lazily():

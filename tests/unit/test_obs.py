@@ -10,6 +10,7 @@ from repro.core.shard import DeviceSpec, Shard, ShardSpec
 from repro.fleet.worker import ShardDriver
 from repro.obs.live import LiveView
 from repro.obs.prometheus import metric_name, timeline_to_prometheus
+from repro.obs.telemetry import sample_shard
 from repro.obs.timeline import (
     FleetTimeline,
     TimelineError,
@@ -22,12 +23,11 @@ from repro.obs.timeline import (
 )
 
 
-def _shard(telemetry=True, seed=3, devices=2):
+def _shard(seed=3, devices=2):
     spec = ShardSpec(
         seed=seed,
         collectors=("lab",),
         devices=tuple(DeviceSpec(with_email_app=True) for _ in range(devices)),
-        telemetry=telemetry,
     )
     shard = Shard(spec)
     shard.start()
@@ -38,7 +38,7 @@ class TestSampler:
     def test_sample_carries_every_section(self):
         shard = _shard()
         shard.run(minutes=10)
-        sample = shard.telemetry.sample(3, shard.kernel.now, 2, 5)
+        sample = sample_shard(shard, 3, shard.kernel.now, 2, 5)
         assert sample["kind"] == "sample"
         assert sample["epoch"] == 3
         assert sample["shard"] == shard.shard_id
@@ -56,17 +56,17 @@ class TestSampler:
     def test_wall_section_is_segregated_under_one_key(self):
         shard = _shard()
         wall = {"cpu_s": 1.5, "stall_s": 0.25, "rss_kb": 1024}
-        sample = shard.telemetry.sample(1, 80.0, wall=wall)
+        sample = sample_shard(shard, 1, 80.0, wall=wall)
         assert sample["wall"] == wall
 
     def test_disabled_sampler_is_a_null_lane(self):
-        # The worker reads the flag and takes no sample.
+        # A dark driver takes no sample.
+        spec = ShardSpec(
+            seed=3, collectors=("lab",),
+            devices=(DeviceSpec(with_email_app=True),),
+        )
         for telemetry in (False, True):
-            spec = ShardSpec(
-                seed=3, collectors=("lab",), telemetry=telemetry,
-                devices=(DeviceSpec(with_email_app=True),),
-            )
-            driver = ShardDriver(spec, "battery-monitor", None)
+            driver = ShardDriver(spec, "battery-monitor", None, telemetry)
             *_, sample = driver.advance(80.0, [])
             assert (sample is not None) is telemetry
 
@@ -74,7 +74,7 @@ class TestSampler:
         shard = _shard()
         pending = shard.kernel.pending_events
         executed = shard.kernel.events_executed
-        shard.telemetry.sample(1, shard.kernel.now)
+        sample_shard(shard, 1, shard.kernel.now)
         assert shard.kernel.pending_events == pending
         assert shard.kernel.events_executed == executed
 
@@ -85,11 +85,11 @@ class TestSampler:
             violations = []
 
         shard.extras["invariant_monitor"] = FakeMonitor()
-        assert shard.telemetry.sample(1, 0.0)["invariants"] == {
+        assert sample_shard(shard, 1, 0.0)["invariants"] == {
             "ok": True, "violations": 0,
         }
         FakeMonitor.violations = ["boom"]
-        assert shard.telemetry.sample(2, 0.0)["invariants"] == {
+        assert sample_shard(shard, 2, 0.0)["invariants"] == {
             "ok": False, "violations": 1,
         }
 

@@ -46,9 +46,11 @@ class TestShardSpec:
         assert len(shard.collectors) == 1
         assert sorted(shard.collectors)[0] == "lab@pogo"
 
-    def test_spec_overrides_keyword_defaults(self):
-        shard = Shard(_spec(), seed=999)
-        assert shard.seed == 11  # the spec wins
+    def test_keyword_overrides_are_refused(self):
+        # The spec is the one description of a shard: nothing beside it
+        # can disagree with it.
+        with pytest.raises(TypeError):
+            Shard(_spec(), seed=999)
 
     def test_facade_signature_unchanged(self):
         sim = PogoSimulation(seed=3, spans=False, metrics=False)
