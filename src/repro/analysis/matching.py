@@ -21,10 +21,10 @@ from typing import List, Sequence, Tuple
 from ..sim.kernel import MINUTE
 from .clustering import Cluster, cosine_coefficient
 
-#: Default tolerances: clusters are sampled at one-minute granularity, so
+#: Tolerances: clusters are sampled at one-minute granularity, so
 #: boundary agreement within a few samples counts as exact.
-DEFAULT_BOUNDARY_TOLERANCE_MS = 3 * MINUTE
-DEFAULT_REPRESENTATIVE_SIMILARITY = 0.60
+BOUNDARY_TOLERANCE_MS = 3 * MINUTE
+REPRESENTATIVE_SIMILARITY = 0.60
 
 MATCH_EXACT = "exact"
 MATCH_PARTIAL = "partial"
@@ -67,8 +67,8 @@ class MatchReport:
         return 100.0 * self.partial_or_exact / self.total if self.total else 0.0
 
 
-def _same_place(a: Cluster, b: Cluster, similarity: float) -> bool:
-    return cosine_coefficient(a.representative, b.representative) >= similarity
+def _same_place(a: Cluster, b: Cluster) -> bool:
+    return cosine_coefficient(a.representative, b.representative) >= REPRESENTATIVE_SIMILARITY
 
 
 def _overlap_ms(a: Cluster, b: Cluster) -> float:
@@ -78,8 +78,6 @@ def _overlap_ms(a: Cluster, b: Cluster) -> float:
 def match_clusters(
     truth: Sequence[Cluster],
     collected: Sequence[Cluster],
-    boundary_tolerance_ms: float = DEFAULT_BOUNDARY_TOLERANCE_MS,
-    representative_similarity: float = DEFAULT_REPRESENTATIVE_SIMILARITY,
 ) -> MatchReport:
     """Greedily match each ground-truth cluster to collected clusters.
 
@@ -93,7 +91,7 @@ def match_clusters(
         best = None
         best_overlap = 0.0
         for candidate in available:
-            if not _same_place(truth_cluster, candidate, representative_similarity):
+            if not _same_place(truth_cluster, candidate):
                 continue
             overlap = _overlap_ms(truth_cluster, candidate)
             if overlap > best_overlap:
@@ -105,7 +103,7 @@ def match_clusters(
         available.remove(best)
         entry_delta = abs(truth_cluster.entry_ms - best.entry_ms)
         exit_delta = abs(truth_cluster.exit_ms - best.exit_ms)
-        if entry_delta <= boundary_tolerance_ms and exit_delta <= boundary_tolerance_ms:
+        if entry_delta <= BOUNDARY_TOLERANCE_MS and exit_delta <= BOUNDARY_TOLERANCE_MS:
             kind = MATCH_EXACT
         else:
             kind = MATCH_PARTIAL

@@ -15,17 +15,20 @@ from ..sim.trace import Interval, TimeSeries
 #: Vertical fill characters from empty to full.
 _FILL = " ▁▂▃▄▅▆▇█"
 
+#: A series chart's columns, and its y-axis unit.
+WIDTH = 78
+Y_LABEL = "W"
+
 
 def render_series(
     series: TimeSeries,
-    width: int = 78,
     height: int = 10,
     start_ms: Optional[float] = None,
     end_ms: Optional[float] = None,
-    y_label: str = "W",
     annotations: Optional[Sequence[Tuple[float, str]]] = None,
 ) -> str:
-    """Render a (time, value) series as an ASCII area chart.
+    """Render a power series (watts) as an ASCII area chart,
+    :data:`WIDTH` columns wide.
 
     ``annotations`` are (time_ms, label) markers drawn under the x-axis
     (Figure 3's a/b/c/d instants).
@@ -42,6 +45,7 @@ def render_series(
 
     # Downsample to columns by taking the max per bucket (peaks matter
     # in power traces; a mean would hide the blips).
+    width = WIDTH
     columns = [0.0] * width
     for t, v in window:
         index = min(int((t - t0) / (t1 - t0) * width), width - 1)
@@ -61,10 +65,10 @@ def render_series(
             else:
                 frac = (value - threshold_lo) / (threshold_hi - threshold_lo)
                 line.append(_FILL[max(1, min(8, int(frac * 8) + 1))])
-        label = f"{threshold_hi:6.2f} {y_label} " if row in (height, 1) else " " * (8 + len(y_label))
+        label = f"{threshold_hi:6.2f} {Y_LABEL} " if row in (height, 1) else " " * (8 + len(Y_LABEL))
         rows.append(label + "|" + "".join(line))
 
-    axis = " " * (8 + len(y_label)) + "+" + "-" * width
+    axis = " " * (8 + len(Y_LABEL)) + "+" + "-" * width
     rows.append(axis)
     footer = [" "] * (width + 1)
     if annotations:
@@ -75,9 +79,9 @@ def render_series(
             for offset, ch in enumerate(label):
                 if index + offset < len(footer):
                     footer[index + offset] = ch
-    rows.append(" " * (8 + len(y_label)) + "".join(footer))
+    rows.append(" " * (8 + len(Y_LABEL)) + "".join(footer))
     duration_s = (t1 - t0) / 1000.0
-    rows.append(" " * (8 + len(y_label)) + f"0 s {'':<{max(0, width - 12)}}{duration_s:6.1f} s")
+    rows.append(" " * (8 + len(Y_LABEL)) + f"0 s {'':<{max(0, width - 12)}}{duration_s:6.1f} s")
     return "\n".join(rows)
 
 
@@ -85,7 +89,7 @@ def render_tracks(
     tracks: Sequence[Tuple[str, List[Interval]]],
     start_ms: float,
     end_ms: float,
-    width: int = 78,
+    width: int = WIDTH,
 ) -> str:
     """Render activity tracks as aligned block rows (Figure 4 style)."""
     if end_ms <= start_ms:

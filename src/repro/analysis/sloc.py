@@ -79,9 +79,9 @@ def count_sloc(source: str, language: str = "python") -> SlocCount:
     )
 
 
-def count_scripts(scripts: Dict[str, str], language: str = "python") -> List[Tuple[str, SlocCount]]:
-    """Count a set of named scripts, plus a total row (like Table 2)."""
-    rows = [(name, count_sloc(source, language)) for name, source in sorted(scripts.items())]
+def count_scripts(scripts: Dict[str, str]) -> List[Tuple[str, SlocCount]]:
+    """Count a set of named Python scripts, plus a total row (like Table 2)."""
+    rows = [(name, count_sloc(source)) for name, source in sorted(scripts.items())]
     total = SlocCount(
         sloc=sum(c.sloc for _, c in rows),
         blank=sum(c.blank for _, c in rows),

@@ -21,7 +21,7 @@ that gap.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.deployment import Experiment
 from .tasks import AnonyTLTask, ReportSpec
@@ -174,25 +174,18 @@ subscribe('{REPORT_CHANNEL}', handle)
 # ---------------------------------------------------------------------------
 
 
-def deploy_task(
-    collector_node,
-    admin,
-    task: AnonyTLTask,
-    researcher_jid: Optional[str] = None,
-    now_unix_s: float = 0.0,
-):
-    """Deploy a task the AnonySense way.
+def deploy_task(collector_node, admin, task: AnonyTLTask):
+    """Deploy a task the AnonySense way, for the collector's researcher.
 
     * devices are selected by the task's ``(Accept ...)`` predicate
       against the pool's device attributes (all devices when absent);
     * the researcher is assigned those devices (roster pairs);
     * if the task ``(Expires ...)``, a teardown is scheduled at expiry
-      (relative to ``now_unix_s``, the testbed's notion of wall time at
-      simulation start).
+      (its Unix seconds count from simulation start).
 
     Returns ``(context, accepted_jids)``.
     """
-    researcher_jid = researcher_jid or collector_node.jid
+    researcher_jid = collector_node.jid
     if task.accept is not None:
         accepted = admin.devices_matching(task.accept)
     else:
@@ -209,7 +202,7 @@ def deploy_task(
     context = collector_node.deploy(experiment, accepted)
 
     if task.expires is not None:
-        delay_ms = max(0.0, (task.expires - now_unix_s) * 1000.0)
+        delay_ms = max(0.0, task.expires * 1000.0)
         collector_node.kernel.schedule(delay_ms, _expire, collector_node, task)
     return context, accepted
 

@@ -16,8 +16,11 @@ from ..core.deployment import Experiment
 
 EXPERIMENT_ID = "battery-monitor"
 
+#: The battery sensor's sampling interval: "every minute".
+INTERVAL_MS = 60_000
 
-def build_collect_script(interval_ms: int = 60_000) -> str:
+
+def build_collect_script() -> str:
     return f'''setDescription('Fleet-wide battery voltage collection')
 
 readings = []
@@ -28,13 +31,13 @@ def handle(msg):
     logTo('battery', json(msg))
 
 
-subscribe('battery', handle, {{'interval': {interval_ms}}})
+subscribe('battery', handle, {{'interval': {INTERVAL_MS}}})
 '''
 
 
-def build_experiment(interval_ms: int = 60_000) -> Experiment:
+def build_experiment() -> Experiment:
     return Experiment(
         experiment_id=EXPERIMENT_ID,
         description="Sample battery voltage across the fleet",
-        collector_scripts={"collect": build_collect_script(interval_ms)},
+        collector_scripts={"collect": build_collect_script()},
     )

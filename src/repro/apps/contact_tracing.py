@@ -27,11 +27,12 @@ EXPERIMENT_ID = "contact-tracing"
 
 CHANNEL_BEACONS = "contact-beacons"
 
+#: How often the tracer asks for a Wi-Fi scan, and publishes its anchors.
+SCAN_INTERVAL_MS = 120_000
+REPORT_EVERY_MS = 10 * 60_000
 
-def build_tracer_script(
-    scan_interval_ms: int = 120_000,
-    report_every_ms: int = 10 * 60_000,
-) -> str:
+
+def build_tracer_script() -> str:
     """Device script: distill Wi-Fi scans into co-location anchors."""
     return f'''setDescription('Publishes co-location anchors from Wi-Fi scans')
 
@@ -48,7 +49,7 @@ def handle_scan(msg):
 
 
 def report():
-    setTimeout(report, {report_every_ms})
+    setTimeout(report, {REPORT_EVERY_MS})
     if not seen:
         return
     publish('contact-beacons', {{'anchors': list(seen)}})
@@ -56,10 +57,10 @@ def report():
 
 
 def start():
-    setTimeout(report, {report_every_ms})
+    setTimeout(report, {REPORT_EVERY_MS})
 
 
-subscribe('wifi-scan', handle_scan, {{'interval': {scan_interval_ms}}})
+subscribe('wifi-scan', handle_scan, {{'interval': {SCAN_INTERVAL_MS}}})
 '''
 
 
@@ -97,15 +98,12 @@ subscribe('contact-beacons', handle)
 '''
 
 
-def build_experiment(
-    scan_interval_ms: int = 120_000,
-    report_every_ms: int = 10 * 60_000,
-) -> Experiment:
+def build_experiment() -> Experiment:
     return Experiment(
         experiment_id=EXPERIMENT_ID,
         description="Opportunistic contact tracing from shared Wi-Fi anchors",
         device_scripts={
-            "tracer": build_tracer_script(scan_interval_ms, report_every_ms),
+            "tracer": build_tracer_script(),
         },
         collector_scripts={"collect": build_collect_script()},
     )

@@ -153,7 +153,6 @@ def run_session(
     spec: SessionSpec,
     seed: int = 2012,
     with_freeze: bool = False,
-    scan_interval_ms: int = 60_000,
 ) -> SessionResult:
     """Simulate one participant-session and score it against ground truth."""
     sim = PogoSimulation(seed=seed)
@@ -211,9 +210,7 @@ def run_session(
 
     sim.start()
     sim.assign(collector, [device])
-    experiment = localization.build_experiment(
-        interval_ms=scan_interval_ms, with_freeze=with_freeze, **DBSCAN_PARAMS
-    )
+    experiment = localization.build_experiment(with_freeze=with_freeze, **DBSCAN_PARAMS)
     context = collector.node.deploy(experiment, [device.jid])
 
     clustering_source = experiment.device_scripts["clustering"]
@@ -254,14 +251,11 @@ def run_session(
 def run_deployment(
     sessions: Tuple[SessionSpec, ...] = DEFAULT_SESSIONS,
     seed: int = 2012,
-    with_freeze: bool = False,
-    scan_interval_ms: int = 60_000,
 ) -> List[SessionResult]:
     """Run every session (each in its own simulation, like the real
-    deployment's independent phones)."""
+    deployment's independent phones), without freeze/thaw as deployed."""
     return [
-        run_session(spec, seed=seed + index, with_freeze=with_freeze,
-                    scan_interval_ms=scan_interval_ms)
+        run_session(spec, seed=seed + index)
         for index, spec in enumerate(sessions)
     ]
 

@@ -31,12 +31,15 @@ CHANNEL_RAW = "wifi-scan"
 CHANNEL_FILTERED = "filtered-scans"
 CHANNEL_CLUSTERS = "clusters"
 
+#: The deployment's Wi-Fi scan interval: one scan a minute.
+SCAN_INTERVAL_MS = 60_000
 
-def build_scan_script(interval_ms: int = 60_000) -> str:
+
+def build_scan_script() -> str:
     """The ``scan`` script: sanitize and normalize raw scans."""
     return f'''setDescription('Scans Wi-Fi, drops locally administered APs, normalizes RSSI')
 
-SCAN_INTERVAL_MS = {interval_ms}
+SCAN_INTERVAL_MS = {SCAN_INTERVAL_MS}
 NORMALIZE_FLOOR_DBM = -100.0
 NORMALIZE_CEIL_DBM = -55.0
 
@@ -155,7 +158,6 @@ subscribe('geo-result', handle_fix)
 
 
 def build_experiment(
-    interval_ms: int = 60_000,
     eps_similarity: float = 0.55,
     min_pts: int = 5,
     window: int = 60,
@@ -166,7 +168,7 @@ def build_experiment(
         experiment_id=EXPERIMENT_ID,
         description="Find locations where users dwell, via Wi-Fi clustering",
         device_scripts={
-            "scan": build_scan_script(interval_ms),
+            "scan": build_scan_script(),
             "clustering": build_clustering_script(
                 eps_similarity, min_pts, window, with_freeze
             ),

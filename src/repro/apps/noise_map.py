@@ -7,7 +7,7 @@ middleware's multi-sensor composition:
 * the device script joins **two** sensor streams — sound levels from the
   microphone and coarse position fixes — and aggregates them on-device
   into per-cell statistics (count/mean/max per ~100 m grid cell),
-  publishing a digest every ``report_every_ms`` instead of raw audio
+  publishing a digest every :data:`REPORT_EVERY_MS` instead of raw audio
   (on-line reduction again, and far better for privacy than shipping
   sound);
 * the collector script merges digests from the whole fleet into one map.
@@ -24,17 +24,18 @@ EXPERIMENT_ID = "noise-map"
 
 CHANNEL_DIGEST = "noise-digest"
 
+#: The mapper's sensor intervals, digest period and grid cell (degrees).
+AUDIO_INTERVAL_MS = 30_000
+LOCATION_INTERVAL_MS = 120_000
+REPORT_EVERY_MS = 15 * 60_000
+CELL_SIZE_DEG = 0.001
 
-def build_mapper_script(
-    audio_interval_ms: int = 30_000,
-    location_interval_ms: int = 120_000,
-    report_every_ms: int = 15 * 60_000,
-    cell_size_deg: float = 0.001,
-) -> str:
+
+def build_mapper_script() -> str:
     """Device script: join audio + location into per-cell aggregates."""
     return f'''setDescription('Aggregates ambient noise levels into a local grid')
 
-CELL = {cell_size_deg}
+CELL = {CELL_SIZE_DEG}
 
 state = {{'fix': None}}
 cells = {{}}
@@ -66,7 +67,7 @@ def handle_audio(msg):
 
 
 def report():
-    setTimeout(report, {report_every_ms})
+    setTimeout(report, {REPORT_EVERY_MS})
     if not cells:
         return
     digest = {{}}
@@ -81,11 +82,11 @@ def report():
 
 
 def start():
-    setTimeout(report, {report_every_ms})
+    setTimeout(report, {REPORT_EVERY_MS})
 
 
-subscribe('audio', handle_audio, {{'interval': {audio_interval_ms}}})
-subscribe('locations', handle_fix, {{'interval': {location_interval_ms}}})
+subscribe('audio', handle_audio, {{'interval': {AUDIO_INTERVAL_MS}}})
+subscribe('locations', handle_fix, {{'interval': {LOCATION_INTERVAL_MS}}})
 '''
 
 
@@ -117,18 +118,12 @@ subscribe('noise-digest', handle)
 '''
 
 
-def build_experiment(
-    audio_interval_ms: int = 30_000,
-    location_interval_ms: int = 120_000,
-    report_every_ms: int = 15 * 60_000,
-) -> Experiment:
+def build_experiment() -> Experiment:
     return Experiment(
         experiment_id=EXPERIMENT_ID,
         description="Community noise map from fleet microphones",
         device_scripts={
-            "mapper": build_mapper_script(
-                audio_interval_ms, location_interval_ms, report_every_ms
-            ),
+            "mapper": build_mapper_script(),
         },
         collector_scripts={"collect": build_collect_script()},
     )

@@ -22,12 +22,12 @@ from ..core.deployment import Experiment
 
 EXPERIMENT_ID = "roguefinder"
 
+#: "once per minute" scans; coarse location every two minutes.
+SCAN_INTERVAL_MS = 60_000
+LOCATION_INTERVAL_MS = 120_000
 
-def build_roguefinder_script(
-    polygon: Sequence[Tuple[float, float]],
-    scan_interval_ms: int = 60_000,
-    location_interval_ms: int = 120_000,
-) -> str:
+
+def build_roguefinder_script(polygon: Sequence[Tuple[float, float]]) -> str:
     """The device script, parameterized by the target polygon.
 
     ``polygon`` is a sequence of (lat, lon) vertices.
@@ -44,7 +44,7 @@ def handle_scan(msg):
     publish('rogue-scans', msg)
 
 
-subscription = subscribe('wifi-scan', handle_scan, {{'interval': {scan_interval_ms}}})
+subscription = subscribe('wifi-scan', handle_scan, {{'interval': {SCAN_INTERVAL_MS}}})
 subscription.release()
 
 
@@ -71,7 +71,7 @@ def handle_location(msg):
         subscription.release()
 
 
-subscribe('locations', handle_location, {{'interval': {location_interval_ms}}})
+subscribe('locations', handle_location, {{'interval': {LOCATION_INTERVAL_MS}}})
 '''
 
 
@@ -87,18 +87,12 @@ subscribe('rogue-scans', handle)
 '''
 
 
-def build_experiment(
-    polygon: Sequence[Tuple[float, float]],
-    scan_interval_ms: int = 60_000,
-    location_interval_ms: int = 120_000,
-) -> Experiment:
+def build_experiment(polygon: Sequence[Tuple[float, float]]) -> Experiment:
     return Experiment(
         experiment_id=EXPERIMENT_ID,
         description="Report Wi-Fi scans inside a geofenced polygon",
         device_scripts={
-            "roguefinder": build_roguefinder_script(
-                polygon, scan_interval_ms, location_interval_ms
-            ),
+            "roguefinder": build_roguefinder_script(polygon),
         },
         collector_scripts={"collect": build_collect_script()},
     )

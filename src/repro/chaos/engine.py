@@ -19,7 +19,7 @@ are judged against a network that has been allowed to heal.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import Iterable, List, Set
 
 from ..core.middleware import PogoSimulation, SimulatedDevice
 from ..sim.kernel import MINUTE, SECOND
@@ -43,11 +43,11 @@ class ChaosEngine:
     # ------------------------------------------------------------------
     # Link impairments & partitions
     # ------------------------------------------------------------------
-    def impair(self, src: str = "*", dst: str = "*", **dials) -> Impairment:
-        """Impair the ``src``→``dst`` link ('*' wildcards); returns the
-        :class:`Impairment` so callers can tweak dials afterwards."""
-        impairment = dials.pop("impairment", None) or Impairment(**dials)
-        self.interceptor.add_rule(src, dst, impairment)
+    def impair(self, src: str = "*", **dials) -> Impairment:
+        """Impair every link out of ``src`` ('*' for all) with the
+        :class:`Impairment` ``dials`` describe, and return it."""
+        impairment = Impairment(**dials)
+        self.interceptor.add_rule(src, "*", impairment)
         return impairment
 
     def partition(self, island: Iterable[str], at_ms: float, duration_ms: float) -> None:
@@ -88,12 +88,12 @@ class ChaosEngine:
         self,
         device: SimulatedDevice,
         minutes: float,
-        start_ms: Optional[float] = None,
         reboot_rate_per_hour: float = 1.0,
         outage_rate_per_hour: float = 2.0,
         mean_outage_s: float = 90.0,
     ) -> DisruptionPlan:
-        """Schedule reboots and mobile-data gaps for one phone.
+        """Schedule reboots and mobile-data gaps for one phone, from now
+        for ``minutes``.
 
         Draws come from a per-device named stream
         (``chaos/churn/<jid>``), so adding a phone to the fleet never
@@ -103,7 +103,7 @@ class ChaosEngine:
         measure against an unlucky horizon clip.
         """
         rng = self.sim.streams.stream(f"chaos/churn/{device.jid}")
-        start = self.kernel.now if start_ms is None else start_ms
+        start = self.kernel.now
         horizon = start + minutes * MINUTE
         plan = DisruptionPlan()
         if reboot_rate_per_hour > 0:

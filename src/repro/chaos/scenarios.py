@@ -15,12 +15,12 @@ the canary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..apps import battery_monitor
 from ..core.middleware import PogoSimulation, SimulatedDevice
+from ..core.shard import report_json  # noqa: F401  (re-exported)
 from ..net.acks import ReliableLink
 from ..sim.kernel import MINUTE
 from .engine import ChaosEngine
@@ -203,7 +203,6 @@ def run_scenario(
     inject_bug: Optional[str] = None,
     snapshot_midpoint: bool = False,
     artifacts: Optional[Dict[str, Any]] = None,
-    spec=None,
 ) -> Dict[str, Any]:
     """Run one chaos scenario end to end; returns the deterministic report.
 
@@ -212,13 +211,6 @@ def run_scenario(
     restored copy.  The report (and span trace) must come out
     byte-identical either way — the snapshot-determinism regression test
     pins exactly that.
-
-    ``spec`` composes the fault campaign with the scenario engine: pass
-    a :class:`~repro.scenarios.spec.ScenarioSpec` and the chaos fleet is
-    replaced by that scenario's compiled shard — generative worlds,
-    surges, multi-campaign deployment and all — with the fault window
-    overlaid on top.  The report gains a ``workload`` key naming the
-    scenario (legacy reports are byte-for-byte unchanged).
     """
     scenario = SCENARIOS.get(name)
     if scenario is None:
@@ -226,43 +218,25 @@ def run_scenario(
     chaos_minutes = scenario.default_minutes if minutes is None else float(minutes)
     chaos_ms = chaos_minutes * MINUTE
 
-    if spec is not None:
-        from ..core.shard import Shard
-        from ..scenarios.workload import attach_scenario, start_scenario
+    sim = PogoSimulation(seed=seed)
+    collector = sim.add_collector("chaos")
+    fleet = [sim.add_device(with_email_app=True) for _ in range(devices)]
+    engine = ChaosEngine(sim)
+    if inject_bug:
+        _inject_bug(inject_bug, sim, engine, fleet, chaos_ms)
+    # Attach the monitor before any link exists so every ReliableLink
+    # gets its witness from birth.
+    monitor = InvariantMonitor(sim)
+    # Shard extras travel with a snapshot; a restored campaign re-finds
+    # its engine and monitor here instead of holding stale references.
+    sim.extras["chaos_engine"] = engine
+    sim.extras["invariant_monitor"] = monitor
 
-        sim = Shard(spec.compile())
-        devices = spec.devices
-        fleet = [sim.devices[jid] for jid in sorted(sim.devices)]
-        engine = ChaosEngine(sim)
-        if inject_bug:
-            _inject_bug(inject_bug, sim, engine, fleet, chaos_ms)
-        # The chaos path owns the monitor (periodic checks on); the
-        # scenario workload must not attach its own.
-        monitor = InvariantMonitor(sim)
-        sim.extras["chaos_engine"] = engine
-        sim.extras["invariant_monitor"] = monitor
-        attach_scenario(sim, spec, monitor=False)
-        start_scenario(sim, spec)
-    else:
-        sim = PogoSimulation(seed=seed)
-        collector = sim.add_collector("chaos")
-        fleet = [sim.add_device(with_email_app=True) for _ in range(devices)]
-        engine = ChaosEngine(sim)
-        if inject_bug:
-            _inject_bug(inject_bug, sim, engine, fleet, chaos_ms)
-        # Attach the monitor before any link exists so every ReliableLink
-        # gets its witness from birth.
-        monitor = InvariantMonitor(sim)
-        # Shard extras travel with a snapshot; a restored campaign re-finds
-        # its engine and monitor here instead of holding stale references.
-        sim.extras["chaos_engine"] = engine
-        sim.extras["invariant_monitor"] = monitor
-
-        sim.start()
-        sim.assign(collector, fleet)
-        collector.node.deploy(
-            battery_monitor.build_experiment(), [d.jid for d in fleet]
-        )
+    sim.start()
+    sim.assign(collector, fleet)
+    collector.node.deploy(
+        battery_monitor.build_experiment(), [d.jid for d in fleet]
+    )
 
     scenario.apply(engine, sim, chaos_minutes)
     # Both targets are computed up front so the interrupted and the
@@ -288,15 +262,10 @@ def run_scenario(
         # Out-of-band handles for tests (the final sim, possibly the
         # restored copy) — never part of the byte-compared report.
         artifacts["sim"] = sim
-    report = _build_report(
+    return _build_report(
         scenario, sim, monitor, seed=seed, minutes=chaos_minutes,
         devices=devices, inject_bug=inject_bug,
     )
-    if spec is not None:
-        # Name the composed workload — spec path only, so the legacy
-        # report stays byte-for-byte pinned by the golden masters.
-        report["workload"] = spec.name
-    return report
 
 
 def _build_report(
@@ -341,11 +310,6 @@ def _build_report(
         "violations": monitor.violations_dicts(),
     }
     return report
-
-
-def report_json(report: Dict[str, Any]) -> str:
-    """Canonical byte-identical serialization of a scenario report."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def render_report(report: Dict[str, Any]) -> str:

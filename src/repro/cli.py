@@ -801,9 +801,11 @@ _COMMANDS = {
 
 
 def _bad_length(args) -> Optional[str]:
-    """What is wrong with the run's length or scale, if anything: the
-    simulation would raise on it, or (``table4 --scale``) quietly run
-    something else.  A fault window (``chaos --minutes``) may be empty."""
+    """What is wrong with the run's length, scale or size, if anything:
+    the simulation would raise on it, or (``table4 --scale``, a negative
+    ``--devices``) quietly run something else.  A fault window
+    (``chaos --minutes``) and a fleet may be empty; a bug injection may
+    not, since the bug needs a victim."""
     for name in ("hours", "days", "scale"):
         value = getattr(args, name, None)
         if value is not None and value <= 0:
@@ -811,6 +813,11 @@ def _bad_length(args) -> Optional[str]:
     minutes = getattr(args, "minutes", None)
     if minutes is not None and minutes < 0:
         return f"--minutes must not be negative, got {minutes:g}"
+    devices = getattr(args, "devices", None)
+    if devices is not None and devices < 0:
+        return f"--devices must not be negative, got {devices}"
+    if devices == 0 and getattr(args, "inject_bug", None):
+        return "--inject-bug needs a device to break, got --devices 0"
     return None
 
 

@@ -13,7 +13,6 @@ from .buffer import (
     BufferedMessage,
     InMemoryStore,
     MessageBuffer,
-    MessageStore,
 )
 from .context import LINK_OWNER, Context, DeviceContext
 from .deployment import Experiment
@@ -70,7 +69,6 @@ __all__ = [
     "BufferedMessage",
     "InMemoryStore",
     "MessageBuffer",
-    "MessageStore",
     "LINK_OWNER",
     "Context",
     "DeviceContext",

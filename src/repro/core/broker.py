@@ -14,9 +14,7 @@ This is the core abstraction of the paper (Sections 3.5 and 4.3):
   information" — the energy argument for choosing pub/sub over tuple
   spaces (Section 3.5).
 
-Delivery is pluggable: stand-alone brokers deliver synchronously, while a
-broker owned by a Pogo context routes deliveries through the node's
-scheduler so that script handlers are serialized and watchdogged.
+Delivery is synchronous: the broker calls each subscription's handler.
 """
 
 from __future__ import annotations
@@ -99,25 +97,18 @@ class Subscription:
         return self.parameters.get(key, default)
 
 
-def _default_deliver(subscription: "Subscription", message: Any) -> None:
-    """Default delivery: call the handler directly (picklable, unlike a
-    lambda — brokers live inside the Shard snapshot graph)."""
-    subscription.handler(message)
-
-
 class Broker:
     """A topic broker for one context (or one sensor manager)."""
 
     __slots__ = (
         "name", "_sub_ids", "_subscriptions", "_active_index", "_channel_watchers",
-        "_global_watchers", "_deliver", "publish_count", "delivery_count",
+        "_global_watchers", "publish_count", "delivery_count",
         "_m_publishes", "_m_deliveries", "_m_copies_avoided", "_spans", "_h_fanout",
     )
 
     def __init__(
         self,
         name: str = "broker",
-        deliver: Optional[Callable[[Subscription, Any], None]] = None,
         metrics=None,
         spans=None,
     ) -> None:
@@ -132,7 +123,6 @@ class Broker:
         self._active_index: Dict[str, List[Subscription]] = {}
         self._channel_watchers: Dict[str, List[SubscriptionListener]] = {}
         self._global_watchers: List[SubscriptionListener] = []
-        self._deliver = deliver or _default_deliver
         self.publish_count = 0
         self.delivery_count = 0
         # Pre-bound metric counters (kernel metrics plane); None-guarded so
@@ -222,7 +212,7 @@ class Broker:
             subscription.delivery_count += 1
             self.delivery_count += 1
             delivered += 1
-            self._deliver(subscription, payload)
+            subscription.handler(payload)
         if delivered:
             if self._m_deliveries is not None:
                 self._m_deliveries.inc(delivered)
@@ -254,10 +244,9 @@ class Broker:
             ]
         return subs
 
-    def subscriptions(self, channel: str, active_only: bool = True) -> List[Subscription]:
-        if active_only:
-            return list(self._active_subs(channel))
-        return list(self._subscriptions.get(channel, []))
+    def subscriptions(self, channel: str) -> List[Subscription]:
+        """The channel's active subscriptions."""
+        return list(self._active_subs(channel))
 
     def has_subscribers(self, channel: str) -> bool:
         return bool(self._active_subs(channel))

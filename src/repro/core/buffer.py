@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, List, Tuple
 
 from ..sim.kernel import HOUR, Kernel
 
@@ -52,25 +52,7 @@ class BufferedMessage:
     payload: Any
 
 
-class MessageStore:
-    """Interface for buffer storage backends."""
-
-    __slots__ = ()
-
-    def append(self, message: BufferedMessage) -> None:
-        raise NotImplementedError
-
-    def remove(self, ids: Iterable[int]) -> None:
-        raise NotImplementedError
-
-    def all_messages(self) -> List[BufferedMessage]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class InMemoryStore(MessageStore):
+class InMemoryStore:
     """Flash-backed store modelled as an ordinary list."""
 
     __slots__ = ("_messages",)
@@ -100,17 +82,10 @@ class MessageBuffer:
         "_m_enqueued", "_m_drained", "_m_expired", "_spans", "_h_enqueue", "_h_dwell",
     )
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        store: Optional[MessageStore] = None,
-        max_age_ms: float = DEFAULT_MAX_AGE_MS,
-    ) -> None:
+    def __init__(self, kernel: Kernel, max_age_ms: float = DEFAULT_MAX_AGE_MS) -> None:
         self._ids = itertools.count(1)
         self.kernel = kernel
-        # `store or ...` would discard an *empty* store (stores define
-        # __len__), so compare with None explicitly.
-        self.store = store if store is not None else InMemoryStore()
+        self.store = InMemoryStore()
         self.max_age_ms = max_age_ms
         self.enqueued = 0
         self.drained = 0

@@ -96,7 +96,7 @@ class FrozenList(list):
         return (list, (thaw_message(self),))
 
 
-def freeze_message(value: Any, _path: str = "$") -> Any:
+def freeze_message(value: Any) -> Any:
     """Validate ``value`` and return its frozen form, in one walk.
 
     Tuples are normalized to (frozen) lists here — at ingest — so a
@@ -112,7 +112,7 @@ def freeze_message(value: Any, _path: str = "$") -> Any:
     try:
         return _freeze_fast(value)
     except MessageError:
-        _freeze_with_path(value, _path)
+        _freeze_with_path(value, "$")
         raise
 
 

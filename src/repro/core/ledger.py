@@ -17,6 +17,9 @@ import itertools
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
+#: How many per-message attributions the ledger's ``recent`` ring keeps.
+RECENT_MESSAGES = 4096
+
 
 class RadioEpisode:
     """One radio-active episode: idle → ramp → (DCH/FACH)* → idle.
@@ -90,7 +93,7 @@ class EnergyLedger:
         "wifi_bytes",
     )
 
-    def __init__(self, kernel, modem, rail, recent_messages: int = 4096) -> None:
+    def __init__(self, kernel, modem, rail) -> None:
         self.kernel = kernel
         self.modem = modem
         self._rail = rail
@@ -110,7 +113,7 @@ class EnergyLedger:
         self.active_j = 0.0
         self.messages_attributed = 0
         self.piggybacked_messages = 0
-        self.recent: "deque[MessageEnergy]" = deque(maxlen=recent_messages)
+        self.recent: "deque[MessageEnergy]" = deque(maxlen=RECENT_MESSAGES)
         #: Pogo bytes that rode Wi-Fi flushes (no modem tail to attribute).
         self.wifi_bytes = 0
 

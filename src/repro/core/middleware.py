@@ -37,14 +37,5 @@ from ..device.radio import KPN, CarrierProfile
 class PogoSimulation(Shard):
     """A complete simulated testbed (one shard, historical constructor)."""
 
-    def __init__(
-        self,
-        seed: int = 0,
-        carrier: CarrierProfile = KPN,
-        spans: bool = True,
-        metrics: bool = True,
-    ) -> None:
-        super().__init__(ShardSpec(
-            shard_id="sim", seed=seed, carrier=carrier, spans=spans,
-            metrics=metrics,
-        ))
+    def __init__(self, seed: int = 0, carrier: CarrierProfile = KPN) -> None:
+        super().__init__(ShardSpec(shard_id="sim", seed=seed, carrier=carrier))

@@ -29,7 +29,7 @@ from ..net.transport import SEND_ERRORS, DeviceTransport, WiredTransport
 from ..net.xmpp import XmppServer
 from ..sim.kernel import MINUTE, Kernel
 from .ledger import EnergyLedger
-from .buffer import DEFAULT_MAX_AGE_MS, MessageBuffer, MessageStore, traced_envelope
+from .buffer import MessageBuffer, traced_envelope
 from .messages import message_size_bytes
 from .context import DeviceContext
 from .deployment import (
@@ -54,6 +54,9 @@ from .sensor_manager import SensorManager
 from .tailsync import SynchronizedPolicy, TailDetector, TransmissionPolicy
 
 _SUB_OPS = (OP_SUB_ADD, OP_SUB_RELEASE, OP_SUB_RENEW, OP_SUB_REMOVE)
+
+#: How often a collector retransmits every unacknowledged envelope.
+COLLECTOR_RESEND_MS = 5 * MINUTE
 
 
 class Node:
@@ -137,19 +140,15 @@ class DeviceNode(Node):
         server: XmppServer,
         jid: str,
         policy: Optional[TransmissionPolicy] = None,
-        store: Optional[MessageStore] = None,
-        max_age_ms: float = DEFAULT_MAX_AGE_MS,
-        poll_interval_ms: float = 1000.0,
-        privacy: Optional[PrivacySettings] = None,
     ) -> None:
         super().__init__(
             kernel, jid, phone.cpu, DeviceTransport(kernel, server, jid, phone)
         )
         self.phone = phone
-        self.buffer = MessageBuffer(kernel, store, max_age_ms)
-        self.detector = TailDetector(phone, poll_interval_ms)
+        self.buffer = MessageBuffer(kernel)
+        self.detector = TailDetector(phone)
         self.policy = policy if policy is not None else SynchronizedPolicy(self.detector)
-        self.privacy = privacy or PrivacySettings()
+        self.privacy = PrivacySettings()
         self.sensor_manager = SensorManager(self, self.privacy)
 
         self._suspended = False
@@ -390,17 +389,10 @@ class DeviceNode(Node):
 class CollectorNode(Node):
     """The Pogo middleware in collector mode (a researcher's PC)."""
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        server: XmppServer,
-        jid: str,
-        resend_interval_ms: float = 5 * MINUTE,
-    ) -> None:
+    def __init__(self, kernel: Kernel, server: XmppServer, jid: str) -> None:
         super().__init__(
             kernel, jid, MainsCpu(kernel), WiredTransport(kernel, server, jid)
         )
-        self.resend_interval_ms = resend_interval_ms
         #: Collector-side services (e.g. the geolocation bridge); attached
         #: to every context created by :meth:`deploy`.
         self.services: List[object] = []
@@ -411,7 +403,7 @@ class CollectorNode(Node):
             return
         self.started = True
         self.transport.start()
-        self.scheduler.schedule_repeating(self.resend_interval_ms, self._resend_all)
+        self.scheduler.schedule_repeating(COLLECTOR_RESEND_MS, self._resend_all)
 
     def _resend_all(self) -> None:
         for link in self.links.values():

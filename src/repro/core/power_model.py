@@ -27,7 +27,7 @@ energy; a heavy script dominates a light one).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..sim.kernel import Kernel
 
@@ -56,11 +56,11 @@ class ScriptPowerEstimate:
         )
 
 
-#: Default per-sample energy by sensor channel (joules).  Derived from
+#: Per-sample energy by sensor channel (joules).  Derived from
 #: the device models: a Wi-Fi scan is ~1.5 s at 0.45 W plus ~1.5 s of
 #: awake CPU; a battery read or network location fix is just the wakeup;
 #: a GPS fix adds ~6 s at 0.35 W.
-DEFAULT_SENSOR_SAMPLE_J = {
+SENSOR_SAMPLE_J = {
     "wifi-scan": 1.5 * 0.45 + 1.5 * 0.16,
     "battery": 0.02,
     "locations": 0.05,
@@ -72,15 +72,8 @@ GPS_FIX_EXTRA_J = 6.0 * 0.35
 class ScriptPowerModel:
     """Estimates per-script energy on one device node."""
 
-    def __init__(
-        self,
-        node,
-        sensor_sample_j: Optional[Dict[str, float]] = None,
-    ) -> None:
+    def __init__(self, node) -> None:
         self.node = node
-        self.sensor_sample_j = dict(DEFAULT_SENSOR_SAMPLE_J)
-        if sensor_sample_j:
-            self.sensor_sample_j.update(sensor_sample_j)
 
     # ------------------------------------------------------------------
     def _cpu_cost_per_invocation(self) -> float:
@@ -115,7 +108,7 @@ class ScriptPowerModel:
             samples = sensor.sample_count
             if samples == 0:
                 continue
-            per_sample = self.sensor_sample_j.get(channel, 0.05)
+            per_sample = SENSOR_SAMPLE_J.get(channel, 0.05)
             if channel == "locations" and getattr(sensor, "provider", "") == "gps":
                 per_sample += GPS_FIX_EXTRA_J
             owners = self._channel_demanders(channel)

@@ -12,7 +12,7 @@ any residual publish on it is suppressed before reaching a broker.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Set
+from typing import Callable, List, Set
 
 
 class PrivacySettings:
@@ -20,8 +20,8 @@ class PrivacySettings:
 
     __slots__ = ("_blocked", "on_change", "suppressed_publishes")
 
-    def __init__(self, blocked_channels: Iterable[str] = ()) -> None:
-        self._blocked: Set[str] = set(blocked_channels)
+    def __init__(self) -> None:
+        self._blocked: Set[str] = set()
         self.on_change: List[Callable[[str, bool], None]] = []
         self.suppressed_publishes = 0
 

@@ -155,10 +155,9 @@ class PogoScheduler:
         interval_ms: float,
         fn: Callable[..., Any],
         *args: Any,
-        serial_key: Optional[str] = None,
         initial_delay_ms: Optional[float] = None,
     ) -> ScheduledTask:
-        """Run a task at a fixed rate."""
+        """Run a task at a fixed rate, on no serial key."""
         if interval_ms <= 0:
             raise ValueError("interval must be positive")
         task = ScheduledTask()
@@ -166,7 +165,7 @@ class PogoScheduler:
             task.cancelled = True
             return task
 
-        fire = _TaskFire(self, task, fn, args, serial_key)
+        fire = _TaskFire(self, task, fn, args, None)
         task._alarm = self.cpu.set_repeating_alarm(
             interval_ms, fire, initial_delay_ms=initial_delay_ms
         )

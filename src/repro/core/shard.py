@@ -40,7 +40,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-from ..device.apps import EmailApp, EmailConfig
+from ..device.apps import EmailApp
 from ..device.phone import Phone
 from ..device.radio import CARRIERS, KPN, CarrierProfile
 from ..net.xmpp import XmppServer
@@ -59,6 +59,13 @@ from .tailsync import TransmissionPolicy
 from .testbed import TestbedAdmin
 
 
+def report_json(report: Dict[str, Any]) -> str:
+    """The one canonical encoding of a report: sorted keys, two-space
+    indent, a final newline.  Every report the package writes — shard,
+    fleet, scenario, chaos — goes through here."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Declarative specs
 # ---------------------------------------------------------------------------
@@ -74,11 +81,7 @@ class DeviceSpec:
     run draw the same randomness as the single-shard one.
     """
 
-    with_sensors: bool = True
     with_email_app: bool = False
-    world_days: Optional[int] = None
-    simulate_paging: bool = False
-    capabilities: Optional[frozenset] = None
     jid: Optional[str] = None
     #: Carrier *name* (key into :data:`~repro.device.radio.CARRIERS`);
     #: ``None`` means the shard's default carrier.  A name, not a
@@ -264,15 +267,7 @@ class Shard:
                     if device_spec.carrier is not None
                     else None
                 ),
-                with_sensors=device_spec.with_sensors,
                 with_email_app=device_spec.with_email_app,
-                world_days=device_spec.world_days,
-                simulate_paging=device_spec.simulate_paging,
-                capabilities=(
-                    set(device_spec.capabilities)
-                    if device_spec.capabilities is not None
-                    else None
-                ),
                 jid=device_spec.jid,
             )
 
@@ -289,22 +284,16 @@ class Shard:
     def add_device(
         self,
         carrier: Optional[CarrierProfile] = None,
-        with_sensors: bool = True,
         with_email_app: bool = False,
-        email_config: Optional[EmailConfig] = None,
-        user_world: Optional[UserWorld] = None,
         world_days: Optional[int] = None,
         user_profile: Optional[UserProfile] = None,
         propagation=None,
         policy: Optional[TransmissionPolicy] = None,
         simulate_paging: bool = False,
-        capabilities: Optional[set] = None,
         jid: Optional[str] = None,
     ) -> SimulatedDevice:
         """Enroll one phone, optionally with a generated user world."""
-        jid = self.admin.enroll_device(
-            capabilities or {"wifi", "battery", "location"}, jid=jid
-        )
+        jid = self.admin.enroll_device(jid)
         phone = Phone(
             self.kernel,
             name=jid,
@@ -313,17 +302,17 @@ class Shard:
         )
         node = DeviceNode(self.kernel, phone, self.server, jid, policy=policy)
 
-        if user_world is None and world_days is not None:
+        user_world = None
+        if world_days is not None:
             user_world = build_user_world(
                 jid, self.streams, days=world_days, profile=user_profile,
                 propagation=propagation,
             )
         device = SimulatedDevice(jid, phone, node, user_world=user_world)
 
-        if with_sensors:
-            self._install_sensors(device)
+        self._install_sensors(device)
         if with_email_app:
-            app = EmailApp(phone, email_config)
+            app = EmailApp(phone)
             device.apps.append(app)
         self.devices[jid] = device
         return device
@@ -577,4 +566,4 @@ class Shard:
         }
 
     def fleet_report_json(self) -> str:
-        return json.dumps(self.fleet_report(), sort_keys=True, indent=2) + "\n"
+        return report_json(self.fleet_report())

@@ -29,18 +29,26 @@ from typing import Callable, List, Optional
 from ..sim.kernel import HOUR, SECOND, Kernel
 from ..device.cpu import SleepFrozenTimer
 
+#: The byte-counter poll period.
+POLL_INTERVAL_MS = 1 * SECOND
+#: The synchronized policy's fallback: with no other radio use for this
+#: long, flush anyway.
+MAX_DELAY_MS = 1 * HOUR
+#: While plugged in, the charger policy keeps draining at this interval
+#: (overnight sessions produce new data continuously).
+CHARGER_DRAIN_MS = 10 * 60 * SECOND
+
 
 class TailDetector:
     """Polls modem byte counters from a sleep-frozen loop."""
 
     __slots__ = (
-        "phone", "poll_interval_ms", "on_activity", "detections", "polls",
+        "phone", "on_activity", "detections", "polls",
         "_last_bytes", "_timer", "running", "_m_polls", "_m_detections",
     )
 
-    def __init__(self, phone, poll_interval_ms: float = 1 * SECOND) -> None:
+    def __init__(self, phone) -> None:
         self.phone = phone
-        self.poll_interval_ms = poll_interval_ms
         self.on_activity: List[Callable[[], None]] = []
         self.detections = 0
         self.polls = 0
@@ -69,9 +77,9 @@ class TailDetector:
             # Re-run the same timer (and its kernel handle) instead of
             # allocating a new one per poll — the detector polls once a
             # second for the entire simulation.
-            timer.restart(self.poll_interval_ms)
+            timer.restart(POLL_INTERVAL_MS)
         else:
-            self._timer = self.phone.cpu.sleep_frozen_timer(self.poll_interval_ms, self._poll)
+            self._timer = self.phone.cpu.sleep_frozen_timer(POLL_INTERVAL_MS, self._poll)
 
     def _poll(self) -> None:
         if not self.running:
@@ -166,36 +174,26 @@ class SynchronizedPolicy(TransmissionPolicy):
 
     A fallback timer bounds worst-case latency ("data gathering
     applications generally allow for long latencies"): if nothing else
-    has used the radio for ``max_delay_ms``, flush anyway.  On Wi-Fi
+    has used the radio for :data:`MAX_DELAY_MS`, flush anyway.  On Wi-Fi
     there is no tail to avoid, so enqueued data is sent promptly.
     """
 
-    __slots__ = (
-        "detector", "max_delay_ms", "wifi_prompt", "sync_flushes", "_fallback_task",
-    )
+    __slots__ = ("detector", "sync_flushes", "_fallback_task")
 
     name = "synchronized"
 
-    def __init__(
-        self,
-        detector: TailDetector,
-        max_delay_ms: Optional[float] = 1 * HOUR,
-        wifi_prompt: bool = True,
-    ) -> None:
+    def __init__(self, detector: TailDetector) -> None:
         super().__init__()
         self.detector = detector
-        self.max_delay_ms = max_delay_ms
-        self.wifi_prompt = wifi_prompt
         self.sync_flushes = 0
         self._fallback_task = None
 
     def start(self) -> None:
         self.detector.on_activity.append(self._on_radio_activity)
         self.detector.start()
-        if self.max_delay_ms is not None:
-            self._fallback_task = self._controller.scheduler.schedule_repeating(
-                self.max_delay_ms, self._flush, "fallback-interval"
-            )
+        self._fallback_task = self._controller.scheduler.schedule_repeating(
+            MAX_DELAY_MS, self._flush, "fallback-interval"
+        )
 
     def stop(self) -> None:
         self.detector.stop()
@@ -210,9 +208,8 @@ class SynchronizedPolicy(TransmissionPolicy):
         self._flush("tail-sync")
 
     def on_enqueue(self) -> None:
-        if self.wifi_prompt and self.phone is not None:
-            if self.phone.active_interface() == "wifi":
-                self._flush("wifi-prompt")
+        if self.phone is not None and self.phone.active_interface() == "wifi":
+            self._flush("wifi-prompt")
 
 
 class PeriodicPolicy(TransmissionPolicy):
@@ -267,11 +264,8 @@ class ChargerPolicy(TransmissionPolicy):
 
     name = "charger"
 
-    def __init__(self, drain_interval_ms: float = 10 * 60 * SECOND) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        #: While plugged in, keep draining at this interval (overnight
-        #: sessions produce new data continuously).
-        self.drain_interval_ms = drain_interval_ms
         self._drain_task = None
         self._listener_installed = False
 
@@ -300,7 +294,7 @@ class ChargerPolicy(TransmissionPolicy):
     def _begin_draining(self) -> None:
         if self._drain_task is None:
             self._drain_task = self._controller.scheduler.schedule_repeating(
-                self.drain_interval_ms, self._drain
+                CHARGER_DRAIN_MS, self._drain
             )
 
     def _end_draining(self) -> None:

@@ -27,23 +27,21 @@ class AssignmentError(Exception):
     """Raised for invalid pool operations (unknown ids, over-allocation)."""
 
 
+#: How many researchers' experiments one device runs at most.
+MAX_EXPERIMENTS_PER_DEVICE = 4
+
+
 @dataclass(slots=True)
 class DeviceRecord:
-    """What the administrator knows about a device (and nothing more).
-
-    ``region`` supports the paper's second future-work item: "automate
-    the assignment process between devices and researchers based on
-    information such as device capabilities and geographical location".
-    It is a coarse, owner-approved label (e.g. a city), never a precise
-    position — the double-blind property stays intact.
-    """
+    """What the administrator knows about a device (and nothing more)."""
 
     jid: str
-    capabilities: Set[str] = field(default_factory=set)
     assigned_to: Set[str] = field(default_factory=set)
-    region: Optional[str] = None
     #: Free-form owner-approved metadata (e.g. ``carrier``): what
-    #: AnonySense-style Accept predicates match against.
+    #: AnonySense-style Accept predicates match against — the paper's
+    #: second future-work item, "automate the assignment process between
+    #: devices and researchers based on information such as device
+    #: capabilities and geographical location".
     attributes: Dict[str, str] = field(default_factory=dict)
 
 
@@ -61,9 +59,8 @@ class TestbedAdmin:
 
     __test__ = False  # not a pytest test class, despite the name
 
-    def __init__(self, server: XmppServer, max_experiments_per_device: int = 4) -> None:
+    def __init__(self, server: XmppServer) -> None:
         self.server = server
-        self.max_experiments_per_device = max_experiments_per_device
         self.devices: Dict[str, DeviceRecord] = {}
         self.researchers: Dict[str, ResearcherRecord] = {}
         # Per-instance counter: a class-level counter would leak across
@@ -74,13 +71,7 @@ class TestbedAdmin:
     # ------------------------------------------------------------------
     # Enrollment (Section 3.3: one-click participation, no registration)
     # ------------------------------------------------------------------
-    def enroll_device(
-        self,
-        capabilities: Optional[Set[str]] = None,
-        region: Optional[str] = None,
-        attributes: Optional[Dict[str, str]] = None,
-        jid: Optional[str] = None,
-    ) -> str:
+    def enroll_device(self, jid: Optional[str] = None) -> str:
         """A phone joins the pool; returns its pseudonymous JID.
 
         ``jid`` pins an explicit identifier — the fleet partitioner uses
@@ -96,9 +87,7 @@ class TestbedAdmin:
         elif self.server.registered(jid) or jid in self.devices:
             raise AssignmentError(f"JID already enrolled: {jid}")
         self.server.register(jid)
-        self.devices[jid] = DeviceRecord(
-            jid, set(capabilities or ()), region=region, attributes=dict(attributes or {})
-        )
+        self.devices[jid] = DeviceRecord(jid)
         return jid
 
     def devices_matching(self, predicate) -> List[str]:
@@ -124,7 +113,7 @@ class TestbedAdmin:
         researcher = self._researcher(researcher_jid)
         for device_jid in device_jids:
             device = self._device(device_jid)
-            if len(device.assigned_to) >= self.max_experiments_per_device:
+            if len(device.assigned_to) >= MAX_EXPERIMENTS_PER_DEVICE:
                 raise AssignmentError(
                     f"{device_jid} already runs {len(device.assigned_to)} experiments"
                 )
@@ -132,31 +121,20 @@ class TestbedAdmin:
             researcher.devices.add(device_jid)
             self.server.add_roster_pair(researcher_jid, device_jid)
 
-    def request_devices(
-        self,
-        researcher_jid: str,
-        count: int,
-        required_capabilities: Optional[Set[str]] = None,
-        region: Optional[str] = None,
-    ) -> List[str]:
-        """Assign up to ``count`` suitable devices from the shared pool.
+    def request_devices(self, researcher_jid: str, count: int) -> List[str]:
+        """Assign up to ``count`` devices from the shared pool.
 
         Devices are shared: "researchers share devices between them and
         multiple sensing applications run concurrently on each device"
         (Section 3.1) — so allocation prefers the least-loaded devices
-        rather than exclusively reserving them.  With ``region`` set,
-        only devices whose owners advertise that coarse location are
-        eligible (future-work automation, Section 6).
+        rather than exclusively reserving them.
         """
-        required = required_capabilities or set()
-        researcher = self._researcher(researcher_jid)
+        self._researcher(researcher_jid)
         candidates = [
             d
             for d in self.devices.values()
-            if required <= d.capabilities
-            and (region is None or d.region == region)
-            and researcher_jid not in d.assigned_to
-            and len(d.assigned_to) < self.max_experiments_per_device
+            if researcher_jid not in d.assigned_to
+            and len(d.assigned_to) < MAX_EXPERIMENTS_PER_DEVICE
         ]
         candidates.sort(key=lambda d: (len(d.assigned_to), d.jid))
         chosen = [d.jid for d in candidates[:count]]

@@ -36,25 +36,24 @@ class EmailConfig:
     processing_ms: float = 300.0
 
 
-#: Configs are immutable, so every poller built without one shares this.
-_DEFAULT_EMAIL_CONFIG = EmailConfig()
+#: The one e-mail account every poller checks.
+EMAIL = EmailConfig()
 
 
 class EmailApp:
     """Checks for new mail on a repeating alarm (the Table 3 workload)."""
 
     __slots__ = (
-        "phone", "config", "name", "check_count", "failed_checks",
-        "activity_track", "_alarm", "_running",
+        "phone", "check_count", "failed_checks", "activity_track", "_alarm", "_running",
     )
 
-    def __init__(self, phone, config: Optional[EmailConfig] = None, name: str = "email") -> None:
+    name = "email"
+
+    def __init__(self, phone) -> None:
         self.phone = phone
-        self.config = config or _DEFAULT_EMAIL_CONFIG
-        self.name = name
         self.check_count = 0
         self.failed_checks = 0
-        self.activity_track = IntervalTrack(name, phone.kernel.read_now)
+        self.activity_track = IntervalTrack(self.name, phone.kernel.read_now)
         self._alarm = None
         self._running = False
 
@@ -63,7 +62,7 @@ class EmailApp:
             return
         self._running = True
         self._alarm = self.phone.cpu.set_repeating_alarm(
-            self.config.interval_ms, self._check, initial_delay_ms=initial_delay_ms
+            EMAIL.interval_ms, self._check, initial_delay_ms=initial_delay_ms
         )
 
     def _check(self) -> None:
@@ -71,9 +70,9 @@ class EmailApp:
         self.activity_track.open(label="check")
         try:
             self.phone.transfer(
-                tx_bytes=self.config.tx_bytes,
-                rx_bytes=self.config.rx_bytes,
-                duration_hint_ms=self.config.duration_hint_ms,
+                tx_bytes=EMAIL.tx_bytes,
+                rx_bytes=EMAIL.rx_bytes,
+                duration_hint_ms=EMAIL.duration_hint_ms,
                 on_complete=self._exchange_done,
                 label=f"{self.name}:check",
             )
@@ -88,7 +87,7 @@ class EmailApp:
         if not success:
             self.failed_checks += 1
         # Brief local processing, then release the lock.
-        self.phone.kernel.schedule(self.config.processing_ms, self._processing_done)
+        self.phone.kernel.schedule(EMAIL.processing_ms, self._processing_done)
 
     def _processing_done(self) -> None:
         self.activity_track.close()
@@ -110,10 +109,11 @@ class ChattyAppConfig:
 class ChattyApp:
     """Randomly-timed background traffic, for richer tail-sync scenarios."""
 
-    def __init__(self, phone, rng, config: Optional[ChattyAppConfig] = None, name: str = "im") -> None:
+    name = "im"
+
+    def __init__(self, phone, rng, config: Optional[ChattyAppConfig] = None) -> None:
         self.phone = phone
         self.config = config or ChattyAppConfig()
-        self.name = name
         self._rng = rng
         self.exchange_count = 0
         self._alarm = None

@@ -62,14 +62,11 @@ class Battery:
         kernel: Kernel,
         rail: PowerRail,
         config: Optional[BatteryConfig] = None,
-        initial_level: float = 1.0,
     ) -> None:
-        if not 0.0 <= initial_level <= 1.0:
-            raise ValueError("initial_level must be within [0, 1]")
         self._kernel = kernel
         self._rail = rail
         self.config = config or _DEFAULT_CONFIG
-        self._initial_level = initial_level
+        self._initial_level = 1.0
         self._baseline_energy = rail.energy_joules
         #: Charger state: SystemSens/LiveLab-style tools (and the
         #: alternative transmission policy the paper mentions) key off

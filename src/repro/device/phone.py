@@ -20,15 +20,18 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..sim.kernel import Kernel, SECOND
-from .battery import Battery, BatteryConfig
-from .cpu import Cpu, CpuConfig
+from .battery import Battery
+from .cpu import Cpu
 from .power import PowerRail
 from .radio import KPN, CarrierProfile, Modem, RadioUnavailable
-from .wifi import WifiConfig, WifiInterface, WifiUnavailable
+from .wifi import WifiInterface, WifiUnavailable
 
 #: Active-interface names.
 INTERFACE_WIFI = "wifi"
 INTERFACE_CELLULAR = "cellular"
+
+#: Always-on platform draw (PMIC, RAM self-refresh, RTC), in watts.
+PLATFORM_FLOOR_W = 0.003
 
 
 class PhoneOffline(Exception):
@@ -49,19 +52,14 @@ class Phone:
         kernel: Kernel,
         name: str = "phone",
         profile: CarrierProfile = KPN,
-        cpu_config: Optional[CpuConfig] = None,
-        wifi_config: Optional[WifiConfig] = None,
-        battery_config: Optional[BatteryConfig] = None,
         simulate_paging: bool = False,
-        platform_floor_w: float = 0.003,
     ) -> None:
         self.kernel = kernel
         self.name = name
         self.rail = PowerRail(kernel)
-        # Always-on platform components (PMIC, RAM self-refresh, RTC).
-        self.rail.set_draw("platform", platform_floor_w)
-        self.cpu = Cpu(kernel, self.rail, cpu_config, name=f"{name}.cpu")
-        self.battery = Battery(kernel, self.rail, battery_config)
+        self.rail.set_draw("platform", PLATFORM_FLOOR_W)
+        self.cpu = Cpu(kernel, self.rail, name=f"{name}.cpu")
+        self.battery = Battery(kernel, self.rail)
         self.modem = Modem(
             kernel,
             self.rail,
@@ -69,7 +67,7 @@ class Phone:
             name=f"{name}.modem",
             simulate_paging=simulate_paging,
         )
-        self.wifi = WifiInterface(kernel, self.rail, wifi_config, name=f"{name}.wifi")
+        self.wifi = WifiInterface(kernel, self.rail, name=f"{name}.wifi")
         self.wifi.on_connectivity.append(self._on_wifi_connectivity)
 
         self.alive = True

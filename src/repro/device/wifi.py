@@ -44,8 +44,8 @@ class WifiConfig:
     min_transfer_ms: float = 80.0
 
 
-#: Configs are immutable, so every radio built without one shares this.
-_DEFAULT_CONFIG = WifiConfig()
+#: The one Wi-Fi chipset every phone carries.
+WIFI = WifiConfig()
 
 
 @dataclass(slots=True)
@@ -61,21 +61,14 @@ class WifiInterface:
     """Wi-Fi radio with scanning and (tail-free) data transfer."""
 
     __slots__ = (
-        "_kernel", "_rail", "config", "name", "connected",
+        "_kernel", "_rail", "name", "connected",
         "bytes_tx", "bytes_rx", "scan_count", "scan_source", "on_connectivity",
         "_queue", "_busy", "_scan_busy",
     )
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        rail,
-        config: Optional[WifiConfig] = None,
-        name: str = "wifi",
-    ) -> None:
+    def __init__(self, kernel: Kernel, rail, name: str = "wifi") -> None:
         self._kernel = kernel
         self._rail = rail
-        self.config = config or _DEFAULT_CONFIG
         self.name = name
 
         self.connected = False
@@ -137,11 +130,11 @@ class WifiInterface:
         self.bytes_tx += job.tx_bytes
         self.bytes_rx += job.rx_bytes
         duration = max(
-            self.config.min_transfer_ms,
+            WIFI.min_transfer_ms,
             job.duration_hint_ms,
             (
-                job.tx_bytes / self.config.uplink_bytes_per_s
-                + job.rx_bytes / self.config.downlink_bytes_per_s
+                job.tx_bytes / WIFI.uplink_bytes_per_s
+                + job.rx_bytes / WIFI.downlink_bytes_per_s
             )
             * 1000.0,
         )
@@ -177,7 +170,7 @@ class WifiInterface:
         self._scan_busy = True
         self.scan_count += 1
         self._apply_power()
-        self._kernel.schedule(self.config.scan_duration_ms, self._scan_done, on_complete)
+        self._kernel.schedule(WIFI.scan_duration_ms, self._scan_done, on_complete)
         return True
 
     def _scan_done(self, on_complete: Callable[[List[Any]], None]) -> None:
@@ -189,11 +182,11 @@ class WifiInterface:
     # ------------------------------------------------------------------
     def _apply_power(self) -> None:
         if self._busy:
-            watts = self.config.active_w
+            watts = WIFI.active_w
         elif self._scan_busy:
-            watts = self.config.scan_w
+            watts = WIFI.scan_w
         else:
-            watts = self.config.idle_connected_w if self.connected else 0.001
+            watts = WIFI.idle_connected_w if self.connected else 0.001
         self._rail.set_draw(self.name, watts)
 
     @property

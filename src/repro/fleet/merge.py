@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
+from ..core.shard import report_json as report_to_json  # noqa: F401  (re-exported)
 from ..sim.spans import SpanRow, TraceKey, ordered_span_lines, split_span_line
 
 
@@ -98,11 +99,6 @@ def merge_fleet_reports(
         "server": server,
         "shard": fleet_id,
     }
-
-
-def report_to_json(report: Dict[str, Any]) -> str:
-    """Same canonical encoding as :meth:`Shard.fleet_report_json`."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def merge_metrics(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:

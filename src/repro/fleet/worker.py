@@ -60,14 +60,12 @@ class WorkerCrashed(RuntimeError):
         message: str,
         shard_id: Optional[str] = None,
         cause: Optional[str] = None,
-        barriers: Optional[int] = None,
-        barrier_ms: Optional[float] = None,
     ) -> None:
         super().__init__(message)
         self.shard_id = shard_id
         self.cause = cause
-        self.barriers = barriers
-        self.barrier_ms = barrier_ms
+        self.barriers: Optional[int] = None
+        self.barrier_ms: Optional[float] = None
 
 
 def _rss_kb() -> Optional[int]:

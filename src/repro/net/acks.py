@@ -33,8 +33,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from ..sim.kernel import Kernel, MINUTE
+from ..sim.kernel import SECOND, Kernel
 from ..core.envelope import Stanza
+
+#: An unacked envelope is retransmitted only once it has been out this
+#: long, so a flush right after the original send does not duplicate it.
+RESEND_AFTER_MS = 30 * SECOND
 
 
 class LinkObserver:
@@ -73,7 +77,7 @@ class ReliableLink:
 
     __slots__ = (
         "kernel", "peer", "_send_raw", "_deliver", "_request_ack_send",
-        "resend_interval_ms", "_next_seq", "_base_seq", "_unacked", "_sent_at",
+        "_next_seq", "_base_seq", "_unacked", "_sent_at",
         "_expected", "_out_of_order", "_ack_dirty", "sent", "resent", "delivered",
         "duplicates", "abandoned", "observer",
     )
@@ -85,14 +89,12 @@ class ReliableLink:
         send_raw: Callable[[dict], None],
         deliver: Callable[[Any], None],
         request_ack_send: Callable[[], None],
-        resend_interval_ms: float = 5 * MINUTE,
     ) -> None:
         self.kernel = kernel
         self.peer = peer
         self._send_raw = send_raw
         self._deliver = deliver
         self._request_ack_send = request_ack_send
-        self.resend_interval_ms = resend_interval_ms
 
         # Sender state.
         self._next_seq = 1
@@ -167,11 +169,7 @@ class ReliableLink:
                 self.observer.on_abandon(self, sorted(abandoned))
         resent = 0
         for seq in sorted(self._unacked):
-            # Only retransmit envelopes that have been out for a while;
-            # a flush right after the original send shouldn't duplicate.
-            if self.kernel.now - self._sent_at.get(seq, 0.0) >= min(
-                self.resend_interval_ms, 30_000.0
-            ):
+            if self.kernel.now - self._sent_at.get(seq, 0.0) >= RESEND_AFTER_MS:
                 self._transmit(seq, retransmit=True)
                 resent += 1
                 self.resent += 1

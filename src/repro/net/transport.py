@@ -44,6 +44,17 @@ _NO_WAY_OUT = (PhoneOffline, RadioUnavailable, WifiUnavailable)
 #: under it catches these and resends later.
 SEND_ERRORS = (TransportError,) + _NO_WAY_OUT
 
+#: A wired client re-dials this soon after the server resets it.
+WIRED_RECONNECT_MS = 2 * SECOND
+#: A phone re-dials this long after an interface change, a boot or a
+#: reset: DNS, TCP, TLS and the XMPP handshake.
+RECONNECT_DELAY_MS = 4 * SECOND
+#: A phone retries this often while it has no way out.
+RETRY_INTERVAL_MS = 30 * SECOND
+#: Radio bytes one XMPP handshake costs, up and down.
+HANDSHAKE_TX_BYTES = 1_500
+HANDSHAKE_RX_BYTES = 3_000
+
 
 class _TransferDone:
     """Picklable completion callback for an outgoing stanza transfer.
@@ -55,11 +66,11 @@ class _TransferDone:
 
     __slots__ = (
         "transport", "to_jid", "stanza", "size", "session",
-        "tracing", "parent", "start_ms", "interface", "on_complete",
+        "tracing", "parent", "start_ms", "interface",
     )
 
     def __init__(self, transport, to_jid, stanza, size, session,
-                 tracing, parent, start_ms, interface, on_complete):
+                 tracing, parent, start_ms, interface):
         self.transport = transport
         self.to_jid = to_jid
         self.stanza = stanza
@@ -69,7 +80,6 @@ class _TransferDone:
         self.parent = parent
         self.start_ms = start_ms
         self.interface = interface
-        self.on_complete = on_complete
 
     def __call__(self, success: bool) -> None:
         t = self.transport
@@ -93,7 +103,6 @@ class _TransferDone:
         else:
             t.send_failures += 1
             t._m_failures.inc()
-            success = False
             if self.tracing and spans.enabled:
                 t._h_send.record(
                     0,
@@ -102,8 +111,6 @@ class _TransferDone:
                     t.kernel.now,
                     {"bytes": size, "interface": self.interface or "none", "ok": False},
                 )
-        if self.on_complete is not None:
-            self.on_complete(success)
 
 
 class _RxDone:
@@ -125,17 +132,10 @@ class _RxDone:
 class WiredTransport:
     """Collector-side client: a PC on a wired connection, always on."""
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        server: XmppServer,
-        jid: str,
-        reconnect_delay_ms: float = 2 * SECOND,
-    ) -> None:
+    def __init__(self, kernel: Kernel, server: XmppServer, jid: str) -> None:
         self.kernel = kernel
         self.server = server
         self.jid = jid
-        self.reconnect_delay_ms = reconnect_delay_ms
         self.on_stanza: List[Callable[[str, dict], None]] = []
         self.on_connected: List[Callable[[], None]] = []
         self._session: Optional[Session] = None
@@ -164,7 +164,7 @@ class WiredTransport:
         if self._reconnecting:
             return
         self._reconnecting = True
-        self.kernel.schedule(self.reconnect_delay_ms, self._reconnect)
+        self.kernel.schedule(WIRED_RECONNECT_MS, self._reconnect)
 
     def _reconnect(self) -> None:
         self._reconnecting = False
@@ -173,14 +173,12 @@ class WiredTransport:
         self.reconnects += 1
         self.start()
 
-    def send(self, to_jid: str, stanza: dict, on_complete: Optional[Callable[[bool], None]] = None) -> None:
+    def send(self, to_jid: str, stanza: dict) -> None:
         if not self.connected:
             raise TransportError(f"{self.jid}: not connected")
         self.stanzas_sent += 1
         self._m_stanzas.inc()
         self.server.submit(self.jid, to_jid, stanza)
-        if on_complete is not None:
-            self.kernel.schedule(0.0, on_complete, True)
 
     def _deliver(self, stanza: dict) -> None:
         from_jid = stanza.get("_from", "")
@@ -192,32 +190,17 @@ class DeviceTransport:
     """Phone-side client: connects over whatever interface is active."""
 
     __slots__ = (
-        "kernel", "server", "jid", "phone", "reconnect_delay_ms", "retry_interval_ms",
-        "handshake_tx_bytes", "handshake_rx_bytes", "on_stanza", "on_connected",
+        "kernel", "server", "jid", "phone", "on_stanza", "on_connected",
         "_session", "_session_interface", "_connecting", "_started", "connect_count",
         "send_failures", "stanzas_sent", "_m_stanzas", "_m_bytes", "_m_failures",
         "_m_stanza_bytes", "_spans", "_h_send",
     )
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        server: XmppServer,
-        jid: str,
-        phone,
-        reconnect_delay_ms: float = 4 * SECOND,
-        retry_interval_ms: float = 30 * SECOND,
-        handshake_tx_bytes: int = 1_500,
-        handshake_rx_bytes: int = 3_000,
-    ) -> None:
+    def __init__(self, kernel: Kernel, server: XmppServer, jid: str, phone) -> None:
         self.kernel = kernel
         self.server = server
         self.jid = jid
         self.phone = phone
-        self.reconnect_delay_ms = reconnect_delay_ms
-        self.retry_interval_ms = retry_interval_ms
-        self.handshake_tx_bytes = handshake_tx_bytes
-        self.handshake_rx_bytes = handshake_rx_bytes
 
         self.on_stanza: List[Callable[[str, dict], None]] = []
         self.on_connected: List[Callable[[], None]] = []
@@ -265,11 +248,11 @@ class DeviceTransport:
         # that is the message-loss window.  Reconnect on the new
         # interface after the handshake delay.
         if interface is not None:
-            self._schedule_connect(self.reconnect_delay_ms)
+            self._schedule_connect(RECONNECT_DELAY_MS)
 
     def _on_boot(self) -> None:
         if self._started:
-            self._schedule_connect(self.reconnect_delay_ms)
+            self._schedule_connect(RECONNECT_DELAY_MS)
 
     def _on_shutdown(self) -> None:
         self._session = None
@@ -289,7 +272,7 @@ class DeviceTransport:
             self._session.close()
             self._session = None
             self._session_interface = None
-        self._schedule_connect(self.reconnect_delay_ms)
+        self._schedule_connect(RECONNECT_DELAY_MS)
 
     def _schedule_connect(self, delay_ms: float) -> None:
         if self._connecting:
@@ -310,18 +293,18 @@ class DeviceTransport:
         # The XMPP handshake is itself radio traffic.
         try:
             self.phone.transfer(
-                tx_bytes=self.handshake_tx_bytes,
-                rx_bytes=self.handshake_rx_bytes,
+                tx_bytes=HANDSHAKE_TX_BYTES,
+                rx_bytes=HANDSHAKE_RX_BYTES,
                 duration_hint_ms=600.0,
                 on_complete=partial(self._handshake_done, interface),
                 label=f"{self.jid}:handshake",
             )
         except _NO_WAY_OUT:
-            self._schedule_connect(self.retry_interval_ms)
+            self._schedule_connect(RETRY_INTERVAL_MS)
 
     def _handshake_done(self, interface: str, success: bool) -> None:
         if not success or self.phone.active_interface() != interface:
-            self._schedule_connect(self.retry_interval_ms)
+            self._schedule_connect(RETRY_INTERVAL_MS)
             return
         self.connect_count += 1
         self._session_interface = interface
@@ -332,7 +315,7 @@ class DeviceTransport:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def send(self, to_jid: str, stanza: dict, on_complete: Optional[Callable[[bool], None]] = None) -> None:
+    def send(self, to_jid: str, stanza: dict) -> None:
         """Physically transmit a stanza; raises when disconnected."""
         if not self.connected:
             raise TransportError(f"{self.jid}: not connected")
@@ -351,7 +334,7 @@ class DeviceTransport:
 
         transfer_done = _TransferDone(
             self, to_jid, stanza, size, session,
-            tracing, parent, start_ms, interface, on_complete,
+            tracing, parent, start_ms, interface,
         )
         self.phone.transfer(
             tx_bytes=size,

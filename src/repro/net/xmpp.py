@@ -13,8 +13,8 @@ it has to work around — are both reproduced here:
 * **Stale-session loss.**  "Mobile phones frequently switch between
   wireless interfaces ... causing stale TCP sessions and even dropped
   messages."  When a phone's interface goes away, the server keeps
-  routing into the dead session until it notices (keepalive timeout) or
-  the client reconnects; stanzas sent into that window are *lost*.  This
+  routing into the dead session until a write into it fails or the
+  client reconnects; stanzas sent into that window are *lost*.  This
   is the loss mode Pogo's end-to-end acknowledgements exist to repair.
 
 Physical delivery to a device costs radio energy: the server-side session
@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set
 
-from ..sim.kernel import Kernel, SECOND
+from ..sim.kernel import Kernel
 from ..core.envelope import Stanza, _escape_str
 from ..core.messages import message_size_bytes
 
@@ -108,15 +108,9 @@ class _DeliveryComplete:
 class XmppServer:
     """The central switchboard."""
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        latency_ms: float = 80.0,
-        keepalive_timeout_ms: float = 60 * SECOND,
-    ) -> None:
+    def __init__(self, kernel: Kernel, latency_ms: float = 80.0) -> None:
         self.kernel = kernel
         self.latency_ms = latency_ms
-        self.keepalive_timeout_ms = keepalive_timeout_ms
         self._accounts: Set[str] = set()
         self._rosters: Dict[str, Set[str]] = {}
         self._sessions: Dict[str, Session] = {}

@@ -26,9 +26,9 @@ REFRESH_S = 0.1
 BAR_WIDTH = 20
 
 
-def _bar(fraction: float, width: int = BAR_WIDTH) -> str:
-    filled = int(round(max(0.0, min(1.0, fraction)) * width))
-    return "#" * filled + "." * (width - filled)
+def _bar(fraction: float) -> str:
+    filled = int(round(max(0.0, min(1.0, fraction)) * BAR_WIDTH))
+    return "#" * filled + "." * (BAR_WIDTH - filled)
 
 
 def _sim_clock(ms: float) -> str:
@@ -39,19 +39,11 @@ def _sim_clock(ms: float) -> str:
 class LiveView:
     """Barrier-by-barrier fleet progress on a terminal."""
 
-    def __init__(
-        self,
-        total_ms: float,
-        devices: int,
-        shards: int,
-        stream=None,
-        refresh_s: float = REFRESH_S,
-    ) -> None:
+    def __init__(self, total_ms: float, devices: int, shards: int) -> None:
         self.total_ms = total_ms
         self.devices = devices
         self.shards = shards
-        self.stream = stream if stream is not None else sys.stderr
-        self.refresh_s = refresh_s
+        self.stream = sys.stderr
         self._tty = bool(getattr(self.stream, "isatty", lambda: False)())
         self._painted_lines = 0
         # -inf: the first frame always paints regardless of the
@@ -67,7 +59,7 @@ class LiveView:
         self.frames_seen += 1
         now = perf_counter()
         final = frame["barrier_ms"] >= self.total_ms
-        if not final and now - self._last_paint < self.refresh_s:
+        if not final and now - self._last_paint < REFRESH_S:
             return
         self._last_paint = now
         self._paint(frame, now)

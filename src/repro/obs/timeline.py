@@ -140,32 +140,26 @@ def _dumps(record: Dict[str, Any]) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def timeline_to_jsonl(timeline: FleetTimeline, deterministic: bool = True) -> str:
+def timeline_to_jsonl(timeline: FleetTimeline) -> str:
     """The canonical export: one JSON document per line.
 
     ``sample`` lines carry the per-shard time-series (shards sorted
     within each barrier), ``barrier`` lines the exchange facts, and the
-    final ``totals`` line the additive fleet sums.  With
-    ``deterministic=True`` (the default, and what ``repro fleet
-    --telemetry`` writes) every ``wall`` section is dropped, leaving a
-    byte-exact function of the seed.
+    final ``totals`` line the additive fleet sums.  Every ``wall``
+    section is dropped, leaving a byte-exact function of the seed.
     """
     lines: List[str] = []
     for frame in timeline.frames:
         for sample in sorted(frame["samples"], key=lambda s: s["shard"]):
-            if deterministic:
-                sample = {k: v for k, v in sample.items() if k != "wall"}
+            sample = {k: v for k, v in sample.items() if k != "wall"}
             lines.append(_dumps(sample))
-        barrier = {
+        lines.append(_dumps({
             "kind": "barrier",
             "epoch": frame["epoch"],
             "barrier_ms": frame["barrier_ms"],
             "handoffs": frame["handoffs"],
             "backlog": frame["backlog"],
-        }
-        if not deterministic:
-            barrier["wall"] = frame["wall"]
-        lines.append(_dumps(barrier))
+        }))
     if timeline.frames:
         lines.append(_dumps(timeline.totals()))
     if not lines:

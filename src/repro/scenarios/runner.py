@@ -16,10 +16,10 @@ identical bytes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List
 
+from ..core.shard import report_json
 from ..fleet import run_fleet
 from ..fleet.coordinator import FleetResult
 from ..fleet.partition import device_jid
@@ -98,10 +98,6 @@ def scenario_report(spec: ScenarioSpec, result: FleetResult) -> Dict[str, Any]:
         },
         "fleet": result.report,
     }
-
-
-def report_json(report: Dict[str, Any]) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def run_scenario_spec(

@@ -27,6 +27,9 @@ CAMPAIGN_KINDS = ("battery-monitor", "noise-map", "contact-tracing", "anonytl")
 #: Device subsets a campaign can target (by global device index).
 SUBSETS = ("all", "even", "odd")
 
+#: The researcher name every scenario's one collector enrolls under.
+COLLECTOR = "scenario"
+
 
 class ScenarioError(ValueError):
     """A scenario spec failed validation."""
@@ -73,7 +76,6 @@ class ScenarioSpec:
     venues: Tuple = ()  # Tuple[VenueSpec, ...]
     surges: Tuple[SurgeSpec, ...] = ()
     campaigns: Tuple[CampaignSpec, ...] = (CampaignSpec("battery-monitor"),)
-    collector: str = "scenario"
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -148,7 +150,7 @@ class ScenarioSpec:
         return ShardSpec(
             shard_id=f"scenario-{self.name}",
             seed=self.seed,
-            collectors=(self.collector,),
+            collectors=(COLLECTOR,),
             devices=devices,
         )
 

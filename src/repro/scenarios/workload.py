@@ -11,10 +11,9 @@ Split into three stages so every execution mode reuses the same code:
   runner merges into the canonical scenario report.
 
 :func:`setup_scenario` composes the first two behind the fleet worker's
-``WORKLOADS`` registry; the chaos engine instead calls
-:func:`attach_scenario`/:func:`start_scenario` directly (it owns its own
-monitor).  This module deliberately never imports :mod:`repro.fleet`, so
-the fleet worker can import it at module level without a cycle.
+``WORKLOADS`` registry.  This module deliberately never imports
+:mod:`repro.fleet`, so the fleet worker can import it at module level
+without a cycle.
 
 Determinism rules honoured throughout:
 
@@ -67,12 +66,7 @@ def _world_days(spec: ScenarioSpec) -> int:
 # Stage 1: attach worlds, contention and the monitor
 # ---------------------------------------------------------------------------
 
-def attach_scenario(
-    shard: Shard,
-    spec: ScenarioSpec,
-    fleet_ctx: Optional[Dict[str, Any]] = None,
-    monitor: bool = True,
-) -> None:
+def attach_scenario(shard: Shard, spec: ScenarioSpec) -> None:
     """Build the scenario's worlds onto ``shard``'s local devices."""
     spec.validate()
     city = build_city(spec.seed, spec.city_places, spec.venues)
@@ -112,12 +106,11 @@ def attach_scenario(
                 plan.add(times[2 * k], DATA_OFF).add(times[2 * k + 1], DATA_ON)
             plan.schedule(shard.kernel, shard.devices[jid].phone)
 
-    if monitor:
-        # Pure observer: no periodic check event, so the kernel's event
-        # count — part of the canonical report — is untouched.
-        shard.extras["invariant_monitor"] = InvariantMonitor(
-            shard, check_interval_ms=None
-        )
+    # Pure observer: no periodic check event, so the kernel's event
+    # count — part of the canonical report — is untouched.
+    shard.extras["invariant_monitor"] = InvariantMonitor(
+        shard, check_interval_ms=None
+    )
     shard.extras["scenario_state"] = {"spec": spec, "world": world_stats}
 
 
@@ -169,11 +162,7 @@ def campaign_targets(
     return sorted(jid for _, jid in indexed)
 
 
-def start_scenario(
-    shard: Shard,
-    spec: ScenarioSpec,
-    fleet_ctx: Optional[Dict[str, Any]] = None,
-) -> None:
+def start_scenario(shard: Shard, spec: ScenarioSpec, fleet_ctx: Dict[str, Any]) -> None:
     """Start the shard and deploy every campaign over its target set.
 
     Mirrors the battery-monitor fleet contract: the collector's shard
@@ -191,14 +180,10 @@ def start_scenario(
 
     local_jids = sorted(shard.devices)
     names = sorted(shard.collectors)
-    if fleet_ctx is None:
-        collector_jid = names[0] if names else None
-        remote_jids: List[str] = []
-    else:
-        if not fleet_ctx["collector_jids"]:
-            return
-        collector_jid = fleet_ctx["collector_jids"][0]
-        remote_jids = [j for j in sorted(all_jids) if j not in shard.devices]
+    if not fleet_ctx["collector_jids"]:
+        return
+    collector_jid = fleet_ctx["collector_jids"][0]
+    remote_jids = [j for j in sorted(all_jids) if j not in shard.devices]
 
     if names:
         collector = shard.collectors[names[0]]
@@ -209,7 +194,7 @@ def start_scenario(
             experiment = _campaign_experiment(campaign, spec, index)
             targets = campaign_targets(campaign, spec, all_jids)
             collector.node.deploy(experiment, targets)
-    elif collector_jid is not None:
+    else:
         for jid in local_jids:
             shard.server.add_remote_roster(jid, collector_jid)
 
@@ -224,7 +209,7 @@ def setup_scenario(shard: Shard, fleet_ctx: Optional[Dict[str, Any]] = None) -> 
     if fleet_ctx is None or "scenario" not in fleet_ctx:
         raise ValueError("scenario workload needs fleet_ctx['scenario']")
     spec = fleet_ctx["scenario"]
-    attach_scenario(shard, spec, fleet_ctx)
+    attach_scenario(shard, spec)
     start_scenario(shard, spec, fleet_ctx)
 
 

@@ -281,14 +281,9 @@ class SpanRecorder:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def spans(self, hop: Optional[str] = None, trace_id: Optional[int] = None) -> List[Span]:
-        """Spans still in the ring, oldest first, optionally filtered."""
-        return [
-            span
-            for span in self._ring
-            if (hop is None or span.hop == hop)
-            and (trace_id is None or span.trace_id == trace_id)
-        ]
+    def spans(self, hop: Optional[str] = None) -> List[Span]:
+        """Spans still in the ring, oldest first, optionally of one hop."""
+        return [span for span in self._ring if hop is None or span.hop == hop]
 
     def trace_ids(self) -> List[int]:
         """Distinct message trace ids still represented in the ring."""
@@ -498,15 +493,10 @@ def span_lines(rows: Iterable[SpanRow], shard: Optional[str] = None) -> List[str
     ]
 
 
-def spans_to_jsonl_lines(
-    spans: Iterable[Span], shard: Optional[str] = None
-) -> List[str]:
+def spans_to_jsonl_lines(spans: Iterable[Span]) -> List[str]:
     """One compact, key-stable JSON document per span (deterministic):
-    the standalone export.  With ``shard``, lines of the merged fleet
-    trace — the bytes :func:`split_span_line` and a splice would make
-    of the plain lines.
-    """
-    return span_lines(map(_row_of, spans), shard)
+    the standalone export."""
+    return span_lines(map(_row_of, spans))
 
 
 #: The merged trace is ordered by ``(start_ms, end_ms, shard, span)`` —

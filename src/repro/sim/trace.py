@@ -29,9 +29,9 @@ class Interval:
     def duration(self) -> float:
         return self.end - self.start
 
-    def overlaps(self, other: "Interval", slack: float = 0.0) -> bool:
-        """Whether the two intervals overlap, allowing ``slack`` ms of gap."""
-        return self.start <= other.end + slack and other.start <= self.end + slack
+    def overlaps(self, other: "Interval") -> bool:
+        """Whether the two closed intervals share at least one instant."""
+        return self.start <= other.end and other.start <= self.end
 
 
 class IntervalTrack:
@@ -44,31 +44,24 @@ class IntervalTrack:
 
     __slots__ = ("name", "_clock", "intervals", "_open_start", "_open_label")
 
-    def __init__(self, name: str, clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self, name: str, clock: Callable[[], float]) -> None:
         self.name = name
         self._clock = clock
         self.intervals: List[Interval] = []
         self._open_start: Optional[float] = None
         self._open_label: str = ""
 
-    def _time(self, time: Optional[float]) -> float:
-        if time is not None:
-            return time
-        if self._clock is None:
-            raise ValueError("no clock attached and no explicit time given")
-        return self._clock()
-
-    def open(self, time: Optional[float] = None, label: str = "") -> None:
-        """Start a block.  Re-opening an open block is a no-op."""
+    def open(self, label: str = "") -> None:
+        """Start a block now.  Re-opening an open block is a no-op."""
         if self._open_start is None:
-            self._open_start = self._time(time)
+            self._open_start = self._clock()
             self._open_label = label
 
-    def close(self, time: Optional[float] = None) -> Optional[Interval]:
-        """End the current block and return it (``None`` if none open)."""
+    def close(self) -> Optional[Interval]:
+        """End the current block now and return it (``None`` if none open)."""
         if self._open_start is None:
             return None
-        interval = Interval(self._open_start, self._time(time), self._open_label)
+        interval = Interval(self._open_start, self._clock(), self._open_label)
         self.intervals.append(interval)
         self._open_start = None
         self._open_label = ""
@@ -85,8 +78,9 @@ class IntervalTrack:
             result.append(Interval(self._open_start, until, self._open_label))
         return result
 
-    def total_duration(self, until: Optional[float] = None) -> float:
-        return sum(interval.duration for interval in self.closed_intervals(until))
+    def total_duration(self) -> float:
+        """Summed duration of the closed blocks."""
+        return sum(interval.duration for interval in self.intervals)
 
 
 class TimeSeries:

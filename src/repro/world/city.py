@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..sim.kernel import DAY, HOUR
 from ..sim.randomness import derive_seed
 from .geometry import Point
 from .mobility import Timeline, TimelineBuilder, UserProfile, splice_surge
-from .places import Place, PlaceFactory
+from .places import CITY_EXTENT_M, Place, PlaceFactory
 from .rssi import PropagationModel
 
 #: Site categories cycled through when laying out the city grid.
@@ -77,7 +77,6 @@ def build_city(
     seed: int,
     n_places: int,
     venue_specs: Sequence[VenueSpec] = (),
-    extent_m: float = 6000.0,
 ) -> CityPlan:
     """Lay out a deterministic city for one scenario.
 
@@ -85,6 +84,7 @@ def build_city(
     through :data:`SITE_CATEGORIES`; venues get their own RNG so adding a
     site never perturbs a venue's BSSIDs (or vice versa).
     """
+    extent_m = CITY_EXTENT_M
     layout_rng = random.Random(derive_seed(seed, "scenario/city/layout"))
     sites: List[Tuple[Point, str]] = []
     for i in range(n_places):
@@ -118,9 +118,7 @@ def build_citizen_world(
     seed: int,
     city: CityPlan,
     days: int,
-    profile: Optional[UserProfile] = None,
     surges: Sequence = (),
-    propagation: Optional[PropagationModel] = None,
 ):
     """Build one citizen's :class:`~repro.world.environment.UserWorld`.
 
@@ -131,8 +129,8 @@ def build_citizen_world(
     """
     from .environment import UserWorld
 
-    profile = profile or UserProfile(name=jid)
-    propagation = propagation or PropagationModel()
+    profile = UserProfile(name=jid)
+    propagation = PropagationModel()
 
     place_rng = random.Random(derive_seed(seed, f"scenario/world/{jid}/places"))
     factory = PlaceFactory(place_rng)

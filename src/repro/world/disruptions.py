@@ -104,9 +104,8 @@ def random_reboots(
     rng,
     days: int,
     rate_per_day: float = 0.18,
-    start_ms: float = 0.0,
 ) -> List[Disruption]:
-    """Poisson-ish reboot schedule over the deployment.
+    """Poisson-ish reboot schedule over the deployment's ``days``.
 
     ``rng`` is anything :func:`~repro.sim.randomness.as_random` accepts —
     a seeded ``random.Random``, a ``RandomStreams`` registry or an int
@@ -115,8 +114,8 @@ def random_reboots(
     """
     rng = as_random(rng, "disruptions/reboots")
     events: List[Disruption] = []
-    t = start_ms
-    horizon = start_ms + days * DAY
+    t = 0.0
+    horizon = days * DAY
     if rate_per_day <= 0:
         return events
     mean_gap = DAY / rate_per_day

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..sim.kernel import Kernel
 from ..sim.randomness import RandomStreams
 from .geometry import Point
 from .mobility import DWELL, TRAVEL, Segment, Timeline, TimelineBuilder, UserProfile
-from .places import Place, PlaceFactory
+from .places import CITY_EXTENT_M, Place, PlaceFactory
 from .rssi import PropagationModel
 
 
@@ -116,7 +116,7 @@ class UserWorld:
 
 
 #: Standard per-user place mix for deployment-style experiments.
-DEFAULT_PLACE_MIX = (
+PLACE_MIX = (
     ("home", "home", 1),
     ("office", "office", 1),
     ("cafe", "cafe", 2),
@@ -134,8 +134,6 @@ def build_user_world(
     days: int,
     profile: Optional[UserProfile] = None,
     propagation: Optional[PropagationModel] = None,
-    place_mix: Sequence = DEFAULT_PLACE_MIX,
-    city_extent_m: float = 6000.0,
 ) -> UserWorld:
     """Generate a complete, deterministic world for one user."""
     profile = profile or UserProfile(name=name)
@@ -144,12 +142,12 @@ def build_user_world(
     factory = PlaceFactory(place_rng)
 
     places: Dict[str, List[Place]] = {}
-    for category, place_category, count in place_mix:
+    for category, place_category, count in PLACE_MIX:
         group: List[Place] = []
         for i in range(count):
             center = Point(
-                place_rng.uniform(-city_extent_m, city_extent_m),
-                place_rng.uniform(-city_extent_m, city_extent_m),
+                place_rng.uniform(-CITY_EXTENT_M, CITY_EXTENT_M),
+                place_rng.uniform(-CITY_EXTENT_M, CITY_EXTENT_M),
             )
             group.append(
                 factory.make_place(f"{name}/{category}{i}", center, category=place_category)
@@ -169,30 +167,23 @@ class ChargingRoutine:
     transmission policy (and SystemSens/LiveLab-style loggers) key off.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        phone,
-        rng: random.Random,
-        days: int,
-        plug_hour: float = 22.8,
-        unplug_hour: float = 7.2,
-        jitter_h: float = 0.7,
-    ) -> None:
+    #: Mean plug-in and unplug hours of day, and their spread (hours).
+    PLUG_HOUR = 22.8
+    UNPLUG_HOUR = 7.2
+    JITTER_H = 0.7
+
+    def __init__(self, kernel: Kernel, phone, rng: random.Random, days: int) -> None:
         self.kernel = kernel
         self.phone = phone
         self._rng = rng
         self.days = days
-        self.plug_hour = plug_hour
-        self.unplug_hour = unplug_hour
-        self.jitter_h = jitter_h
 
     def start(self) -> None:
         from ..sim.kernel import DAY, HOUR
 
         for day in range(self.days):
-            plug = (day + 0) * DAY + (self.plug_hour + self._rng.gauss(0.0, self.jitter_h)) * HOUR
-            unplug = (day + 1) * DAY + (self.unplug_hour + self._rng.gauss(0.0, self.jitter_h)) * HOUR
+            plug = (day + 0) * DAY + (self.PLUG_HOUR + self._rng.gauss(0.0, self.JITTER_H)) * HOUR
+            unplug = (day + 1) * DAY + (self.UNPLUG_HOUR + self._rng.gauss(0.0, self.JITTER_H)) * HOUR
             if plug > self.kernel.now:
                 self.kernel.schedule_at(plug, self.phone.battery.set_charging, True)
             if unplug > self.kernel.now:

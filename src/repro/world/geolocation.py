@@ -32,12 +32,10 @@ class GeoFix:
 class GeolocationService:
     """BSSID-set → (lat, lon) resolver backed by an AP registry."""
 
-    def __init__(self, access_points: Iterable[AccessPoint] = ()) -> None:
+    def __init__(self) -> None:
         self._registry: Dict[str, Point] = {}
         self.query_count = 0
         self.miss_count = 0
-        for ap in access_points:
-            self.register(ap)
 
     def register(self, ap: AccessPoint) -> None:
         self._registry[ap.bssid] = ap.position

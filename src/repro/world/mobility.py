@@ -104,11 +104,9 @@ class Timeline:
     def position_at(self, time_ms: float) -> Point:
         return self.segment_at(time_ms).position_at(time_ms)
 
-    def dwells(self, min_duration_ms: float = 0.0) -> List[Segment]:
-        """All dwell segments at least ``min_duration_ms`` long."""
-        return [
-            s for s in self.segments if s.kind == DWELL and s.duration_ms >= min_duration_ms
-        ]
+    def dwells(self) -> List[Segment]:
+        """All dwell segments."""
+        return [s for s in self.segments if s.kind == DWELL]
 
     @property
     def start_ms(self) -> float:
@@ -176,12 +174,12 @@ class TimelineBuilder:
         return self.rng.choice(candidates) if candidates else None
 
     # -- day builders ---------------------------------------------------
-    def build(self, days: int, start_ms: float = 0.0) -> Timeline:
-        """Generate ``days`` consecutive days starting at midnight."""
-        self._cursor_ms = start_ms
+    def build(self, days: int) -> Timeline:
+        """Generate ``days`` consecutive days from midnight of day 0."""
+        self._cursor_ms = 0.0
         self._here = self.places["home"][0]
         for day in range(days):
-            day_start = start_ms + day * DAY
+            day_start = day * DAY
             weekday = day % 7  # day 0 is a Monday
             if weekday < 5:
                 if self.profile.lifestyle == "mobile":
@@ -191,7 +189,7 @@ class TimelineBuilder:
             else:
                 self._weekend_day(day_start)
         # Close the final night at home.
-        self._dwell_until(start_ms + days * DAY)
+        self._dwell_until(days * DAY)
         return Timeline(self._segments)
 
     def _office_workday(self, day_start: float) -> None:

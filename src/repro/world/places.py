@@ -21,6 +21,9 @@ from typing import Dict, List, Optional
 
 from .geometry import Point
 
+#: Places are laid out over the square of this half-width, in metres.
+CITY_EXTENT_M = 6000.0
+
 #: Fraction of generated APs that are locally administered (phones sharing
 #: their connection, printers, smart TVs).
 DEFAULT_LOCALLY_ADMINISTERED_FRACTION = 0.12

@@ -3,12 +3,6 @@
 ``chaos_run`` runs a named chaos scenario with small, test-friendly
 defaults and returns its deterministic report; tests override any knob
 by keyword (``chaos_run("flaky-3g", seed=11, inject_bug=...)``).
-
-The same harness drives the scenario-engine composition: pass a
-:class:`~repro.scenarios.spec.ScenarioSpec` via ``spec=`` and the chaos
-fleet is replaced by that scenario's compiled shard, so chaos and
-scenario integration tests share one entry point.  ``devices`` defaults
-only on the legacy path — with a spec the device count is the spec's.
 """
 
 import pytest
@@ -18,11 +12,10 @@ from repro.chaos import run_scenario
 
 @pytest.fixture
 def chaos_run():
-    def run(name, spec=None, **kwargs):
+    def run(name, **kwargs):
         kwargs.setdefault("seed", 7)
         kwargs.setdefault("minutes", 6.0)
-        if spec is None:
-            kwargs.setdefault("devices", 2)
-        return run_scenario(name, spec=spec, **kwargs)
+        kwargs.setdefault("devices", 2)
+        return run_scenario(name, **kwargs)
 
     return run

@@ -82,7 +82,7 @@ def test_expiry_tears_task_down(sim):
     task = parse_task(
         "(Task 8) (Expires 3600)\n(Report (SSIDs) (Every 1 Minute))"
     )
-    context, accepted = deploy_task(collector.node, sim.admin, task, now_unix_s=0.0)
+    context, accepted = deploy_task(collector.node, sim.admin, task)
     sim.run(hours=0.5)
     assert task.experiment_id in device.node.contexts
     sensor = device.node.sensor_manager.sensors["wifi-scan"]

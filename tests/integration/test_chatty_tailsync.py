@@ -25,7 +25,6 @@ def run_with_apps(app_mix, seed=17, hours=4):
                 device.phone,
                 sim.streams.stream("im"),
                 ChattyAppConfig(mean_interval_ms=8 * MINUTE),
-                name="im",
             )
         )
     if "game" in app_mix:
@@ -34,7 +33,6 @@ def run_with_apps(app_mix, seed=17, hours=4):
                 device.phone,
                 sim.streams.stream("game"),
                 ChattyAppConfig(mean_interval_ms=25 * MINUTE, rx_bytes=6_000),
-                name="game",
             )
         )
     sim.start()

@@ -60,10 +60,12 @@ def test_two_researchers_share_one_device(sim):
     sim.assign(bob, [device])
 
     ctx_alice = alice.node.deploy(battery_monitor.build_experiment(), [device.jid])
-    bob_exp = Experiment(
-        "bob-battery",
-        collector_scripts={"collect": battery_monitor.build_collect_script(interval_ms=120_000)},
+    # Bob asks for half Alice's rate.
+    half_rate = battery_monitor.build_collect_script().replace(
+        f"'interval': {battery_monitor.INTERVAL_MS}", "'interval': 120000"
     )
+    assert half_rate != battery_monitor.build_collect_script()
+    bob_exp = Experiment("bob-battery", collector_scripts={"collect": half_rate})
     ctx_bob = bob.node.deploy(bob_exp, [device.jid])
     sim.run(hours=1)
 

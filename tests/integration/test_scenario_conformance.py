@@ -98,21 +98,6 @@ class TestTelemetryAndChaosComposition:
         last = sampled.fleet.timeline.last_samples()
         assert any(sample.get("invariants") is not None for sample in last)
 
-    def test_chaos_engine_composes_with_a_scenario_spec(self, chaos_run):
-        from repro.chaos import report_json
-
-        spec = build_preset("contact-tracing", scale=SCALE)
-        first = chaos_run("flaky-3g", spec=spec)
-        second = chaos_run("flaky-3g", spec=spec)
-        assert report_json(first) == report_json(second)
-        assert first["workload"] == spec.name
-        assert first["devices"] == spec.devices
-        assert first["violation_count"] == 0
-
-    def test_legacy_chaos_report_has_no_workload_key(self, chaos_run):
-        report = chaos_run("flaky-3g")
-        assert "workload" not in report
-
 
 @pytest.mark.skipif(
     not os.environ.get("REPRO_SCENARIO_LONG"),

@@ -12,12 +12,12 @@ import pytest
 
 from repro.analysis.export import spans_to_jsonl
 from repro.apps import battery_monitor
-from repro.core.middleware import PogoSimulation
+from repro.core.shard import Shard, ShardSpec
 from repro.sim.spans import span_tree
 
 
 def run_fleet(seed=5, devices=3, hours=1.0, spans=True):
-    sim = PogoSimulation(seed=seed, spans=spans)
+    sim = Shard(ShardSpec(shard_id="sim", seed=seed, spans=spans))
     collector = sim.add_collector("lab")
     fleet = [sim.add_device(with_email_app=True) for _ in range(devices)]
     sim.start()

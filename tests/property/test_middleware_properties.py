@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.buffer import InMemoryStore, MessageBuffer
+from repro.core.buffer import MessageBuffer
 from repro.core.scheduler import PogoScheduler
 from repro.device.cpu import Cpu, CpuConfig, MainsCpu
 from repro.device.power import PowerRail
@@ -78,7 +78,7 @@ enqueue_plans = st.lists(st.floats(0.0, 100_000.0), min_size=1, max_size=25)
 @settings(max_examples=100, deadline=None)
 def test_buffer_expiry_is_exactly_age_based(times, max_age, check_at):
     kernel = Kernel()
-    buffer = MessageBuffer(kernel, InMemoryStore(), max_age_ms=max_age)
+    buffer = MessageBuffer(kernel, max_age_ms=max_age)
     for index, at in enumerate(sorted(times)):
         kernel.schedule_at(at, buffer.enqueue, "peer", {"n": index})
     kernel.run()

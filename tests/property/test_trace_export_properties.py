@@ -25,7 +25,13 @@ from hypothesis import strategies as st
 from repro.analysis.export import spans_to_jsonl
 from repro.fleet.merge import merge_span_rows, merge_trace_jsonl
 from repro.fleet.wire import seal, unseal
-from repro.sim.spans import Span, span_rows, spans_to_jsonl_lines, split_span_line
+from repro.sim.spans import (
+    Span,
+    span_lines,
+    span_rows,
+    spans_to_jsonl_lines,
+    split_span_line,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +205,7 @@ def test_a_stamped_line_is_the_plain_line_with_the_member_spliced_in(shard_id, s
     for line in spans_to_jsonl_lines(spans):
         _, _, _, head, tail = split_span_line(line)
         spliced.append(head + member + tail)
-    assert spans_to_jsonl_lines(spans, shard=shard_id) == spliced
+    assert span_lines(span_rows(spans), shard=shard_id) == spliced
 
 
 # Non-string attr keys are in: the text path copies the exporter's bytes

@@ -20,8 +20,9 @@ class TestLocalizationScripts:
             compile(source, "<script>", "exec")
 
     def test_parameters_embedded(self):
-        scan = localization.build_scan_script(interval_ms=30_000)
-        assert "30000" in scan
+        scan = localization.build_scan_script()
+        assert localization.SCAN_INTERVAL_MS == 60_000  # one scan a minute
+        assert "SCAN_INTERVAL_MS = 60000" in scan
         clustering = localization.build_clustering_script(eps_similarity=0.7, min_pts=3, window=45)
         assert "0.7" in clustering and "MIN_PTS = 3" in clustering and "WINDOW = 45" in clustering
 
@@ -79,5 +80,6 @@ class TestBatteryMonitor:
         assert "collect" in experiment.collector_scripts
 
     def test_interval_parameter(self):
-        script = battery_monitor.build_collect_script(interval_ms=120_000)
-        assert "120000" in script
+        script = battery_monitor.build_collect_script()
+        assert battery_monitor.INTERVAL_MS == 60_000  # "every minute"
+        assert "{'interval': 60000}" in script

@@ -7,10 +7,10 @@ from repro.device.power import PowerRail
 from repro.sim import Kernel
 
 
-def make_battery(capacity_j=100.0, initial=1.0):
+def make_battery(capacity_j=100.0):
     kernel = Kernel()
     rail = PowerRail(kernel)
-    battery = Battery(kernel, rail, BatteryConfig(capacity_j=capacity_j), initial_level=initial)
+    battery = Battery(kernel, rail, BatteryConfig(capacity_j=capacity_j))
     return kernel, rail, battery
 
 
@@ -42,9 +42,10 @@ def test_recharge_restores_level():
 def test_invalid_levels_rejected():
     kernel = Kernel()
     rail = PowerRail(kernel)
-    with pytest.raises(ValueError):
-        Battery(kernel, rail, initial_level=1.5)
     battery = Battery(kernel, rail)
+    assert battery.level == 1.0  # a phone starts fully charged
+    with pytest.raises(ValueError):
+        battery.recharge(1.5)
     with pytest.raises(ValueError):
         battery.recharge(-0.1)
 

@@ -156,14 +156,6 @@ def test_delivery_counters():
     assert broker.delivery_count == 2
 
 
-def test_custom_deliver_hook():
-    queue = []
-    broker = Broker(deliver=lambda sub, msg: queue.append((sub.channel, msg)))
-    broker.subscribe("ch", lambda m: pytest.fail("handler must not run directly"))
-    broker.publish("ch", {"n": 1})
-    assert queue == [("ch", {"n": 1})]
-
-
 def test_unsubscribe_during_publish_is_safe():
     broker = Broker()
     got = []

@@ -2,22 +2,20 @@
 
 import pytest
 
-from repro.core.buffer import (
-    DEFAULT_MAX_AGE_MS,
-    InMemoryStore,
-    MessageBuffer,
-)
+from repro.core.buffer import DEFAULT_MAX_AGE_MS, InMemoryStore, MessageBuffer
 from repro.sim import HOUR, Kernel
 
 
 @pytest.fixture(params=["memory"])
 def store(request):
-    return InMemoryStore()
+    """The buffer's one storage backend: flash modelled as a list."""
+    return InMemoryStore
 
 
 def test_enqueue_and_peek(store):
     kernel = Kernel()
-    buffer = MessageBuffer(kernel, store)
+    buffer = MessageBuffer(kernel)
+    assert type(buffer.store) is store
     buffer.enqueue("collector@x", {"op": "pub", "n": 1})
     buffer.enqueue("collector@x", {"op": "pub", "n": 2})
     buffer.enqueue("other@x", {"op": "pub", "n": 3})
@@ -29,7 +27,8 @@ def test_enqueue_and_peek(store):
 
 def test_mark_sent_removes(store):
     kernel = Kernel()
-    buffer = MessageBuffer(kernel, store)
+    buffer = MessageBuffer(kernel)
+    assert type(buffer.store) is store
     buffer.enqueue("a", {"n": 1})
     buffer.enqueue("a", {"n": 2})
     (dest, messages), = buffer.peek_batches()
@@ -41,7 +40,8 @@ def test_mark_sent_removes(store):
 def test_expiry_drops_old_messages(store):
     """The 24-hour purge that lost user 2a's trip data (Section 5.3)."""
     kernel = Kernel()
-    buffer = MessageBuffer(kernel, store, max_age_ms=DEFAULT_MAX_AGE_MS)
+    buffer = MessageBuffer(kernel, max_age_ms=DEFAULT_MAX_AGE_MS)
+    assert type(buffer.store) is store
     buffer.enqueue("a", {"n": "old"})
     kernel.run_until(25 * HOUR)
     buffer.enqueue("a", {"n": "fresh"})
@@ -52,7 +52,8 @@ def test_expiry_drops_old_messages(store):
 
 def test_peek_purges_implicitly(store):
     kernel = Kernel()
-    buffer = MessageBuffer(kernel, store, max_age_ms=1000.0)
+    buffer = MessageBuffer(kernel, max_age_ms=1000.0)
+    assert type(buffer.store) is store
     buffer.enqueue("a", {"n": 1})
     kernel.run_until(2000.0)
     assert buffer.peek_batches() == []
@@ -61,7 +62,8 @@ def test_peek_purges_implicitly(store):
 
 def test_counters(store):
     kernel = Kernel()
-    buffer = MessageBuffer(kernel, store)
+    buffer = MessageBuffer(kernel)
+    assert type(buffer.store) is store
     for n in range(4):
         buffer.enqueue("a", {"n": n})
     assert buffer.enqueued == 4

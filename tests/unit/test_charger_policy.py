@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.scheduler import PogoScheduler
-from repro.core.tailsync import ChargerPolicy
+from repro.core.tailsync import CHARGER_DRAIN_MS, ChargerPolicy
 from repro.device import Phone
-from repro.sim import DAY, HOUR, Kernel, MINUTE, RandomStreams
+from repro.sim import DAY, HOUR, Kernel, RandomStreams
 from repro.world.environment import ChargingRoutine
 
 
@@ -60,13 +60,13 @@ class TestChargerPolicy:
 
     def test_drains_periodically_while_plugged(self):
         kernel, phone, controller = make_setup()
-        policy = ChargerPolicy(drain_interval_ms=30 * MINUTE)
+        policy = ChargerPolicy()
         policy.bind(controller)
         policy.start()
         phone.battery.set_charging(True)
         kernel.run_until(2 * HOUR)
         drains = [r for _, r in controller.flushes if r == "charger-drain"]
-        assert len(drains) == 4
+        assert len(drains) == 2 * HOUR // CHARGER_DRAIN_MS == 12
         phone.battery.set_charging(False)
         count = len(controller.flushes)
         kernel.run_until(6 * HOUR)

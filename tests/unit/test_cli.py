@@ -209,6 +209,15 @@ BAD_INPUT = [
     (["table4", "--scale", "-1"], "--scale must be positive, got -1"),
     (["scenarios", "--scale", "0"], "--scale must be positive, got 0"),
     (["fleet", "--hours", "0"], "--hours must be positive, got 0"),
+    (["chaos", "--devices", "-3", "--minutes", "1", "--json"],
+     "--devices must not be negative, got -3"),
+    (["quickstart", "--devices", "-1"], "--devices must not be negative, got -1"),
+    (["metrics", "--devices", "-1"], "--devices must not be negative, got -1"),
+    (["trace", "--devices", "-1"], "--devices must not be negative, got -1"),
+    (["fleet", "--devices", "-1"], "--devices must not be negative, got -1"),
+    (["top", "--devices", "-1"], "--devices must not be negative, got -1"),
+    (["chaos", "--devices", "0", "--inject-bug", "skip-retransmit"],
+     "--inject-bug needs a device to break, got --devices 0"),
 ]
 
 

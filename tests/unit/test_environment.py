@@ -90,7 +90,7 @@ def test_connectivity_driver_applies_wifi_at_boundaries():
 
 def test_mobile_profile_world():
     world = make_world(profile=UserProfile(name="u", lifestyle="mobile"), days=2)
-    dwells = world.timeline.dwells(10 * MINUTE)
+    dwells = [d for d in world.timeline.dwells() if d.duration_ms >= 10 * MINUTE]
     assert len(dwells) >= 10
 
 

@@ -81,7 +81,10 @@ def test_weekend_has_no_office():
 def test_mobile_lifestyle_has_many_more_dwells():
     regular, _ = build(days=5, lifestyle="regular")
     mobile, _ = build(days=5, lifestyle="mobile")
-    assert len(mobile.dwells(10 * MINUTE)) > 1.5 * len(regular.dwells(10 * MINUTE))
+    def long_dwells(timeline):
+        return [d for d in timeline.dwells() if d.duration_ms >= 10 * MINUTE]
+
+    assert len(long_dwells(mobile)) > 1.5 * len(long_dwells(regular))
 
 
 def test_travel_position_interpolates():
@@ -112,12 +115,11 @@ def test_boundaries_match_segments():
     assert len(boundaries) == len(timeline.segments) - 1
 
 
-def test_dwell_min_duration_filter():
+def test_dwells_are_exactly_the_dwell_segments():
     timeline, _ = build(days=3)
-    all_dwells = timeline.dwells()
-    long_dwells = timeline.dwells(30 * MINUTE)
-    assert len(long_dwells) <= len(all_dwells)
-    assert all(d.duration_ms >= 30 * MINUTE for d in long_dwells)
+    dwells = timeline.dwells()
+    assert dwells == [s for s in timeline.segments if s.kind == DWELL]
+    assert dwells and len(dwells) < len(timeline.segments)
 
 
 def test_timeline_requires_home():

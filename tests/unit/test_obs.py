@@ -3,6 +3,7 @@ Prometheus rendering, health verdicts, and the live progress view."""
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -153,7 +154,7 @@ class TestTimeline:
             aggregate_totals(mixed)
 
     def test_deterministic_export_strips_wall_everywhere(self):
-        text = timeline_to_jsonl(_timeline(), deterministic=True)
+        text = timeline_to_jsonl(_timeline())
         assert '"wall"' not in text
         records = [json.loads(line) for line in text.splitlines()]
         kinds = [r["kind"] for r in records]
@@ -161,12 +162,6 @@ class TestTimeline:
         assert kinds[-1] == "totals"
         assert kinds.count("barrier") == 2
         assert kinds.count("sample") == 4
-
-    def test_wall_mode_keeps_wall_sections(self):
-        text = timeline_to_jsonl(_timeline(), deterministic=False)
-        assert '"wall"' in text
-        assert '"cpu_s"' in text
-        assert '"window_s"' in text
 
     def test_export_round_trips_and_totals_parse(self, tmp_path):
         timeline = _timeline()
@@ -290,9 +285,10 @@ class TestLiveView:
             "wall": {"window_s": 0.01},
         }
 
-    def test_non_tty_emits_one_line_summaries(self):
+    def test_non_tty_emits_one_line_summaries(self, monkeypatch):
         stream = io.StringIO()
-        view = LiveView(160.0, devices=4, shards=2, stream=stream, refresh_s=0.0)
+        monkeypatch.setattr(sys, "stderr", stream)
+        view = LiveView(160.0, devices=4, shards=2)
         view(self._frame(80.0))
         view(self._frame(160.0, epoch=2))
         view.close()
@@ -302,13 +298,14 @@ class TestLiveView:
         assert "events" in lines[0]
         assert "\x1b[" not in stream.getvalue()
 
-    def test_tty_repaints_with_shard_bars(self):
+    def test_tty_repaints_with_shard_bars(self, monkeypatch):
         class FakeTty(io.StringIO):
             def isatty(self):
                 return True
 
         stream = FakeTty()
-        view = LiveView(160.0, devices=4, shards=2, stream=stream, refresh_s=0.0)
+        monkeypatch.setattr(sys, "stderr", stream)
+        view = LiveView(160.0, devices=4, shards=2)
         view(self._frame(80.0))
         view(self._frame(160.0, epoch=2))
         view.close()
@@ -316,10 +313,10 @@ class TestLiveView:
         assert "f/0" in text and "f/1" in text
         assert "\x1b[" in text  # cursor-up repaint
 
-    def test_refresh_throttle_skips_but_final_frame_paints(self):
+    def test_refresh_throttle_skips_but_final_frame_paints(self, monkeypatch):
         stream = io.StringIO()
-        view = LiveView(160.0, devices=4, shards=2, stream=stream,
-                        refresh_s=3600.0)
+        monkeypatch.setattr(sys, "stderr", stream)
+        view = LiveView(160.0, devices=4, shards=2)
         view(self._frame(80.0))        # first paint (last_paint=0)
         view(self._frame(120.0))       # throttled
         view(self._frame(160.0, epoch=3))  # final: always paints

@@ -8,7 +8,6 @@ from repro.device import (
     ChattyApp,
     ChattyAppConfig,
     EmailApp,
-    EmailConfig,
     Phone,
     PhoneOffline,
 )
@@ -88,7 +87,7 @@ def test_reboot_while_dead_is_noop():
 def test_email_app_checks_on_interval():
     kernel = Kernel()
     phone = Phone(kernel)
-    app = EmailApp(phone, EmailConfig(interval_ms=5 * MINUTE))
+    app = EmailApp(phone)
     app.start()
     kernel.run_until(31 * MINUTE)
     assert app.check_count == 6
@@ -100,7 +99,7 @@ def test_email_app_survives_offline_checks():
     kernel = Kernel()
     phone = Phone(kernel)
     phone.set_cell_coverage(False)
-    app = EmailApp(phone, EmailConfig(interval_ms=5 * MINUTE))
+    app = EmailApp(phone)
     app.start()
     kernel.run_until(16 * MINUTE)
     assert app.check_count == 0

@@ -15,7 +15,7 @@ def make_step_series():
 
 class TestRenderSeries:
     def test_basic_shape(self):
-        out = render_series(make_step_series(), width=50, height=4)
+        out = render_series(make_step_series(), height=4)
         lines = out.splitlines()
         # 4 chart rows + axis + annotation row + time row.
         assert len(lines) == 7
@@ -23,13 +23,13 @@ class TestRenderSeries:
         assert "█" in out
 
     def test_y_axis_labels(self):
-        out = render_series(make_step_series(), width=40, height=5)
+        out = render_series(make_step_series(), height=5)
         assert "1.00 W" in out
         assert "0 s" in out
 
     def test_annotations_positioned(self):
         out = render_series(
-            make_step_series(), width=50, height=3,
+            make_step_series(), height=3,
             annotations=[(300.0, "a"), (600.0, "d")],
         )
         footer = out.splitlines()[-2]
@@ -38,14 +38,16 @@ class TestRenderSeries:
 
     def test_annotations_outside_window_skipped(self):
         out = render_series(
-            make_step_series(), width=50, height=3,
+            make_step_series(), height=3,
             annotations=[(99_999.0, "x")],
         )
         assert "x" not in out.splitlines()[-2]
 
     def test_window_selection(self):
-        out = render_series(make_step_series(), width=20, height=3,
-                            start_ms=300.0, end_ms=600.0)
+        series = TimeSeries()
+        for i in range(1001):
+            series.append(float(i), 1.0 if 300 <= i <= 600 else 0.1)
+        out = render_series(series, height=3, start_ms=300.0, end_ms=600.0)
         # Whole window is the high plateau: every column full.
         chart_rows = out.splitlines()[:3]
         assert all(set(r.split("|")[1]) == {"█"} for r in chart_rows)
@@ -61,7 +63,7 @@ class TestRenderSeries:
         series = TimeSeries()
         for i in range(1000):
             series.append(float(i), 5.0 if i == 500 else 0.0)
-        out = render_series(series, width=20, height=4)
+        out = render_series(series, height=4)
         assert "█" in out  # the single-sample spike is visible
 
 

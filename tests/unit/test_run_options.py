@@ -6,6 +6,11 @@ and instrumentation planes in the spec; how the run is carried out
 (shard count, duration, processes, telemetry) in the call.  A new
 keyword or field on any of these surfaces is a second place to set
 something, so it must show up here, in review, rather than creep in.
+
+The per-device classes under a run are listed too: what the paper fixes
+(poll and resend periods, reconnect delays, handshake sizes, the
+platform floor) is a module constant, not a keyword, so each signature
+here holds only what some entry point actually varies.
 """
 
 import dataclasses
@@ -15,7 +20,12 @@ import pytest
 
 from repro import chaos
 from repro.core.middleware import PogoSimulation
-from repro.core.shard import Shard, ShardSpec
+from repro.core.node import CollectorNode, DeviceNode
+from repro.core.shard import DeviceSpec, Shard, ShardSpec
+from repro.device.phone import Phone
+from repro.net.acks import ReliableLink
+from repro.net.transport import DeviceTransport, WiredTransport
+from repro.net.xmpp import XmppServer
 from repro.fleet import fleet_spec, run_fleet
 from repro.fleet.worker import ShardDriver
 from repro.scenarios import ScenarioSpec, run_scenario_spec
@@ -24,7 +34,7 @@ from repro.sim.spans import SpanRecorder
 
 PARAMETERS = [
     (Shard, ["spec"]),
-    (PogoSimulation, ["seed", "carrier", "spans", "metrics"]),
+    (PogoSimulation, ["seed", "carrier"]),
     (run_fleet, [
         "spec", "shards", "duration_ms", "epoch_ms", "workload", "processes",
         "barrier_timeout_s", "telemetry", "observer", "workload_ctx",
@@ -33,13 +43,23 @@ PARAMETERS = [
     (fleet_spec, ["devices", "seed", "spans", "metrics", "latency_ms"]),
     (chaos.run_scenario, [
         "name", "seed", "minutes", "devices", "inject_bug",
-        "snapshot_midpoint", "artifacts", "spec",
+        "snapshot_midpoint", "artifacts",
     ]),
     (ShardDriver, ["spec", "workload", "fleet_ctx", "telemetry"]),
     # The instrumentation planes: ``disable()`` is the one switch.
     (MetricsRegistry, []),
     (MetricsRegistry.histogram, ["self", "name"]),
     (SpanRecorder, ["clock", "max_spans"]),
+    # The per-device classes.
+    (Phone, ["kernel", "name", "profile", "simulate_paging"]),
+    (DeviceNode, ["kernel", "phone", "server", "jid", "policy"]),
+    (CollectorNode, ["kernel", "server", "jid"]),
+    (ReliableLink, ["kernel", "peer", "send_raw", "deliver", "request_ack_send"]),
+    (DeviceTransport, ["kernel", "server", "jid", "phone"]),
+    (WiredTransport, ["kernel", "server", "jid"]),
+    (DeviceTransport.send, ["self", "to_jid", "stanza"]),
+    (WiredTransport.send, ["self", "to_jid", "stanza"]),
+    (XmppServer, ["kernel", "latency_ms"]),
 ]
 
 FIELDS = [
@@ -47,9 +67,10 @@ FIELDS = [
         "shard_id", "seed", "carrier", "spans", "metrics", "latency_ms",
         "collectors", "devices",
     ]),
+    (DeviceSpec, ["with_email_app", "jid", "carrier"]),
     (ScenarioSpec, [
         "name", "seed", "devices", "hours", "carriers", "city_places",
-        "venues", "surges", "campaigns", "collector",
+        "venues", "surges", "campaigns",
     ]),
 ]
 

@@ -12,12 +12,18 @@ from repro.world.geometry import Point
 from repro.world.places import AccessPoint
 
 
+def _service(aps):
+    service = GeolocationService()
+    service.register_all(aps)
+    return service
+
+
 def make_context_with_bridge(aps=()):
     kernel = Kernel()
     server = XmppServer(kernel)
     node = CollectorNode(kernel, server, "pc@x")
     context = CollectorContext(node, "exp")
-    service = GeolocationService(aps)
+    service = _service(aps)
     bridge = GeolocationBridge(service)
     bridge.attach_context(context)
     return kernel, context, bridge

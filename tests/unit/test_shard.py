@@ -10,6 +10,7 @@ from repro.apps import battery_monitor
 from repro.core.deployment import Experiment
 from repro.core.middleware import PogoSimulation
 from repro.core.shard import DeviceSpec, Handoff, Shard, ShardSpec
+from repro.device.radio import KPN
 from repro.net.xmpp import RoutingError
 from repro.sim.kernel import MINUTE
 
@@ -53,7 +54,7 @@ class TestShardSpec:
             Shard(_spec(), seed=999)
 
     def test_facade_signature_unchanged(self):
-        sim = PogoSimulation(seed=3, spans=False, metrics=False)
+        sim = PogoSimulation(seed=3, carrier=KPN)
         assert isinstance(sim, Shard)
         assert sim.seed == 3
 

@@ -40,7 +40,7 @@ class TestSpanRecorder:
         assert span.parent_id == 3
         assert span.duration_ms == 40.0
         assert recorder.spans(hop="other") == []
-        assert recorder.spans(trace_id=7) == [span]
+        assert [s for s in recorder.spans() if s.trace_id == 7] == [span]
         assert recorder.now() == 42.0
 
     def test_ring_evicts_and_counts_dropped(self):
@@ -377,11 +377,11 @@ def test_disable_swaps_hop_handles_to_noops():
 
 
 def test_middleware_kill_switches_disable_both_planes():
-    from repro.core.middleware import PogoSimulation
+    from repro.core.shard import Shard, ShardSpec
     from repro.sim.metrics import NullCounter
     from repro.sim.spans import NullHopHandle
 
-    sim = PogoSimulation(seed=1, spans=False, metrics=False)
+    sim = Shard(ShardSpec(shard_id="sim", seed=1, spans=False, metrics=False))
     device = sim.add_device()
     sim.start()
     sim.run(minutes=5)

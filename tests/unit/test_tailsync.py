@@ -4,12 +4,13 @@ import pytest
 
 from repro.core.scheduler import PogoScheduler
 from repro.core.tailsync import (
+    MAX_DELAY_MS,
     ImmediatePolicy,
     PeriodicPolicy,
     SynchronizedPolicy,
     TailDetector,
 )
-from repro.device import EmailApp, EmailConfig, Phone
+from repro.device import EmailApp, Phone
 from repro.sim import HOUR, Kernel, MINUTE, SECOND
 
 
@@ -39,7 +40,7 @@ def test_detector_fires_on_foreign_traffic():
     fired = []
     detector.on_activity.append(lambda: fired.append(kernel.now))
     detector.start()
-    app = EmailApp(phone, EmailConfig(interval_ms=5 * MINUTE))
+    app = EmailApp(phone)
     app.start()
     kernel.run_until(6 * MINUTE)
     assert len(fired) >= 1
@@ -67,19 +68,19 @@ def test_detector_stop():
     detector = TailDetector(phone)
     detector.start()
     detector.stop()
-    app = EmailApp(phone, EmailConfig(interval_ms=MINUTE))
+    app = EmailApp(phone)
     app.start()
-    kernel.run_until(5 * MINUTE)
+    kernel.run_until(11 * MINUTE)
     assert detector.detections == 0
 
 
 def test_synchronized_policy_flushes_on_detection():
     kernel, phone, controller = make_setup()
     detector = TailDetector(phone)
-    policy = SynchronizedPolicy(detector, max_delay_ms=None)
+    policy = SynchronizedPolicy(detector)
     policy.bind(controller)
     policy.start()
-    app = EmailApp(phone, EmailConfig(interval_ms=5 * MINUTE))
+    app = EmailApp(phone)
     app.start()
     kernel.run_until(11 * MINUTE)
     reasons = {reason for _, reason in controller.flushes}
@@ -90,10 +91,10 @@ def test_synchronized_policy_flushes_on_detection():
 def test_synchronized_policy_fallback_interval():
     kernel, phone, controller = make_setup()
     detector = TailDetector(phone)
-    policy = SynchronizedPolicy(detector, max_delay_ms=1 * HOUR)
+    policy = SynchronizedPolicy(detector)
     policy.bind(controller)
     policy.start()
-    kernel.run_until(2.5 * HOUR)  # silence: no other apps
+    kernel.run_until(2.5 * MAX_DELAY_MS)  # silence: no other apps
     fallbacks = [r for _, r in controller.flushes if r == "fallback-interval"]
     assert len(fallbacks) == 2
 
@@ -102,7 +103,7 @@ def test_synchronized_policy_wifi_prompt():
     kernel, phone, controller = make_setup()
     phone.set_wifi_connected(True)
     detector = TailDetector(phone)
-    policy = SynchronizedPolicy(detector, max_delay_ms=None)
+    policy = SynchronizedPolicy(detector)
     policy.bind(controller)
     policy.start()
     policy.on_enqueue()
@@ -116,7 +117,7 @@ def test_synchronized_policy_wifi_prompt():
 
 def test_policy_on_connected_flushes():
     kernel, phone, controller = make_setup()
-    policy = SynchronizedPolicy(TailDetector(phone), max_delay_ms=None)
+    policy = SynchronizedPolicy(TailDetector(phone))
     policy.bind(controller)
     policy.on_connected()
     assert controller.flushes[-1][1] == "connected"
@@ -148,7 +149,7 @@ def test_immediate_policy():
 def test_synchronized_policy_stop_detaches():
     kernel, phone, controller = make_setup()
     detector = TailDetector(phone)
-    policy = SynchronizedPolicy(detector, max_delay_ms=1 * HOUR)
+    policy = SynchronizedPolicy(detector)
     policy.bind(controller)
     policy.start()
     policy.stop()

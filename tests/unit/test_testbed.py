@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core.testbed import AssignmentError, TestbedAdmin
+from repro.core.testbed import MAX_EXPERIMENTS_PER_DEVICE, AssignmentError, TestbedAdmin
 from repro.net.xmpp import XmppServer
 from repro.sim import Kernel
 
 
-def make_admin(**kwargs):
+def make_admin():
     server = XmppServer(Kernel())
-    return server, TestbedAdmin(server, **kwargs)
+    return server, TestbedAdmin(server)
 
 
 def test_enrollment_registers_accounts():
@@ -49,15 +49,6 @@ def test_request_devices_prefers_least_loaded():
     assert set(first).isdisjoint(second)
 
 
-def test_request_devices_respects_capabilities():
-    _, admin = make_admin()
-    gps_device = admin.enroll_device(capabilities={"gps", "wifi"})
-    admin.enroll_device(capabilities={"wifi"})
-    alice = admin.enroll_researcher("alice")
-    chosen = admin.request_devices(alice, 1, required_capabilities={"gps"})
-    assert chosen == [gps_device]
-
-
 def test_request_too_many_devices_fails():
     _, admin = make_admin()
     admin.enroll_device()
@@ -67,15 +58,13 @@ def test_request_too_many_devices_fails():
 
 
 def test_devices_are_shared_up_to_limit():
-    _, admin = make_admin(max_experiments_per_device=2)
+    _, admin = make_admin()
     device = admin.enroll_device()
-    a = admin.enroll_researcher("a")
-    b = admin.enroll_researcher("b")
-    c = admin.enroll_researcher("c")
-    admin.assign(a, [device])
-    admin.assign(b, [device])
+    for name in "abcd"[:MAX_EXPERIMENTS_PER_DEVICE]:
+        admin.assign(admin.enroll_researcher(name), [device])
     with pytest.raises(AssignmentError):
-        admin.assign(c, [device])
+        admin.assign(admin.enroll_researcher("e"), [device])
+    assert len(admin.devices[device].assigned_to) == MAX_EXPERIMENTS_PER_DEVICE == 4
 
 
 def test_unknown_ids_raise():
@@ -87,20 +76,10 @@ def test_unknown_ids_raise():
         admin.assign("ghost@pogo", [])
 
 
-def test_region_filter_in_request_devices():
-    _, admin = make_admin()
-    delft = admin.enroll_device(region="delft")
-    admin.enroll_device(region="amsterdam")
-    alice = admin.enroll_researcher("alice")
-    chosen = admin.request_devices(alice, 1, region="delft")
-    assert chosen == [delft]
-    with pytest.raises(AssignmentError):
-        admin.request_devices(alice, 1, region="rotterdam")
-
-
 def test_devices_matching_predicate():
     _, admin = make_admin()
-    prof = admin.enroll_device(attributes={"carrier": "professor"})
-    admin.enroll_device(attributes={"carrier": "student"})
+    prof = admin.enroll_device()
+    admin.devices[prof].attributes["carrier"] = "professor"
+    admin.devices[admin.enroll_device()].attributes["carrier"] = "student"
     matched = admin.devices_matching(lambda attrs: attrs.get("carrier") == "professor")
     assert matched == [prof]

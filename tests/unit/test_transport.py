@@ -3,7 +3,12 @@
 import pytest
 
 from repro.device import Phone, PhoneOffline, RadioUnavailable, WifiUnavailable
-from repro.net.transport import DeviceTransport, TransportError, WiredTransport
+from repro.net.transport import (
+    HANDSHAKE_TX_BYTES,
+    DeviceTransport,
+    TransportError,
+    WiredTransport,
+)
 from repro.net.xmpp import XmppServer
 from repro.sim import Kernel, SECOND
 
@@ -25,7 +30,7 @@ def test_device_connects_with_handshake_energy():
     assert not device.connected
     kernel.run_until(30 * SECOND)
     assert device.connected
-    assert phone.modem.bytes_tx >= device.handshake_tx_bytes
+    assert phone.modem.bytes_tx >= HANDSHAKE_TX_BYTES
     assert device.connect_count == 1
 
 
@@ -118,23 +123,22 @@ def test_send_failure_counted_when_interface_dies_midflight():
     wired.start()
     device.start()
     kernel.run_until(30 * SECOND)
-    results = []
-    device.send("pc@x", {"kind": "data", "n": 1}, on_complete=results.append)
+    device.send("pc@x", {"kind": "data", "n": 1})
     phone.set_cell_coverage(False)  # kills the in-flight transfer
     kernel.run_until(kernel.now + 10 * SECOND)
-    assert results == [False]
     assert device.send_failures == 1
+    assert device.stanzas_sent == 0
 
 
 def test_wired_transport_always_connected():
     kernel, server, phone, device, wired = make_pair()
     wired.start()
     assert wired.connected
-    results = []
     # Roster pair exists, device offline -> offline storage, send still ok.
-    wired.send("dev@x", {"kind": "data"}, on_complete=results.append)
+    wired.send("dev@x", {"kind": "data"})
     kernel.run()
-    assert results == [True]
+    assert wired.stanzas_sent == 1
+    assert server.stanzas_stored_offline == 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.device.power import PowerRail
-from repro.device.wifi import WifiInterface, WifiUnavailable
+from repro.device.wifi import WIFI, WifiInterface, WifiUnavailable
 from repro.sim import Kernel
 
 
@@ -30,10 +30,10 @@ def test_transfer_updates_counters_and_power():
     wifi.set_connected(True)
     wifi.transfer(tx_bytes=1000, rx_bytes=2000)
     kernel.run_until(1.0)
-    assert rail.draw_of(wifi.name) == pytest.approx(wifi.config.active_w)
+    assert rail.draw_of(wifi.name) == pytest.approx(WIFI.active_w)
     kernel.run()
     assert wifi.total_bytes == 3000
-    assert rail.draw_of(wifi.name) == pytest.approx(wifi.config.idle_connected_w)
+    assert rail.draw_of(wifi.name) == pytest.approx(WIFI.idle_connected_w)
 
 
 def test_disconnect_fails_queued_transfers():
@@ -66,8 +66,8 @@ def test_scan_returns_environment_readings():
     got = []
     assert wifi.scan(got.append)
     kernel.run_until(1.0)
-    assert rail.draw_of(wifi.name) == pytest.approx(wifi.config.scan_w)
-    kernel.run_until(wifi.config.scan_duration_ms + 1.0)
+    assert rail.draw_of(wifi.name) == pytest.approx(WIFI.scan_w)
+    kernel.run_until(WIFI.scan_duration_ms + 1.0)
     assert got == [["ap1", "ap2"]]
     assert wifi.scan_count == 1
 
