@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .envelope import Envelope, Stanza
+from .envelope import Envelope
 
 #: Create the device-side counterpart context for an experiment.  Sent
 #: before any deploy/sub op so that experiments without device scripts
@@ -37,15 +37,15 @@ OP_BATCH = "batch"
 
 
 def attach_op(experiment_id: str) -> Dict[str, Any]:
-    return Stanza(op=OP_ATTACH, ctx=experiment_id)
+    return {"op": OP_ATTACH, "ctx": experiment_id}
 
 
 def deploy_op(experiment_id: str, script_name: str, source: str) -> Dict[str, Any]:
-    return Stanza(op=OP_DEPLOY, ctx=experiment_id, script=script_name, source=source)
+    return {"op": OP_DEPLOY, "ctx": experiment_id, "script": script_name, "source": source}
 
 
 def teardown_op(experiment_id: str) -> Dict[str, Any]:
-    return Stanza(op=OP_TEARDOWN, ctx=experiment_id)
+    return {"op": OP_TEARDOWN, "ctx": experiment_id}
 
 
 def pub_op(experiment_id: str, channel: str, message: Any) -> Dict[str, Any]:
@@ -53,35 +53,34 @@ def pub_op(experiment_id: str, channel: str, message: Any) -> Dict[str, Any]:
 
     The ``msg`` leaf is always an :class:`Envelope`: wrapping here (a
     no-op for the already-wrapped hot path) means every remote-bound pub
-    carries its validated payload and cached canonical JSON with it, so
-    downstream hops splice instead of re-serializing.
+    carries its validated payload and cached canonical JSON with it.
     """
-    return Stanza(
-        op=OP_PUB,
-        ctx=experiment_id,
-        channel=channel,
-        msg=Envelope.wrap(message),
-    )
+    return {
+        "op": OP_PUB,
+        "ctx": experiment_id,
+        "channel": channel,
+        "msg": Envelope.wrap(message),
+    }
 
 
 def sub_add_op(
     experiment_id: str, sub_id: int, channel: str, parameters: Optional[dict]
 ) -> Dict[str, Any]:
-    return Stanza(
-        op=OP_SUB_ADD,
-        ctx=experiment_id,
-        sub=sub_id,
-        channel=channel,
-        params=parameters or {},
-    )
+    return {
+        "op": OP_SUB_ADD,
+        "ctx": experiment_id,
+        "sub": sub_id,
+        "channel": channel,
+        "params": parameters or {},
+    }
 
 
 def sub_change_op(op: str, experiment_id: str, sub_id: int) -> Dict[str, Any]:
-    return Stanza(op=op, ctx=experiment_id, sub=sub_id)
+    return {"op": op, "ctx": experiment_id, "sub": sub_id}
 
 
 def batch_op(items: List[Dict[str, Any]]) -> Dict[str, Any]:
-    return Stanza(op=OP_BATCH, items=items)
+    return {"op": OP_BATCH, "items": items}
 
 
 @dataclass

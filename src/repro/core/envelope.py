@@ -19,34 +19,46 @@ An :class:`Envelope` does each unit of work once per message lifetime:
   disappears.  Handlers that want to mutate take an explicit
   ``message.copy()`` (or ``dict(message)`` / ``list(...)``);
 * **lazy canonical JSON** — ``env.json`` and ``env.wire_size`` are
-  computed on first use and cached, and :func:`canonical_json` splices
-  the cached text into enclosing stanzas instead of re-serializing the
-  payload at each hop.
+  computed on first use and cached.
+
+One encoder sizes everything else: :func:`canonical_json` hands a stanza
+(a plain dict the middleware builds around envelopes) to the stdlib
+encoder, whose ``default`` hook answers an envelope with its frozen
+payload.
 
 Frozen containers subclass ``dict`` / ``list``, so reads, iteration,
 ``==`` against plain containers, and ``json.dumps`` all behave exactly as
 before; only mutation changes (it raises instead of silently diverging
-from what other subscribers see).
+from what other subscribers see).  They pickle as themselves, so a
+payload that crosses a worker pipe or a shard snapshot stays frozen.
 """
 
 from __future__ import annotations
 
 import json as _json
-from json.encoder import encode_basestring as _escape_str
-from typing import Any, List, Tuple
+from typing import Any, Tuple
 
 #: Types allowed at message leaves.
 SCALARS = (str, int, float, bool, type(None))
 
-#: The canonical wire format (compact, key-sorted, UTF-8): one encoder,
-#: built once — ``json.dumps`` with arguments constructs one per call.
-_canonical_encode = _json.JSONEncoder(
-    separators=(",", ":"), sort_keys=True, ensure_ascii=False
-).encode
-
 
 class MessageError(TypeError):
     """Raised when a value cannot be used as a Pogo message."""
+
+
+def _envelope_payload(value: Any) -> Any:
+    if isinstance(value, Envelope):
+        return value.payload
+    raise MessageError(f"unsupported type {type(value).__name__}")
+
+
+#: The canonical wire format (compact, key-sorted, UTF-8): the one
+#: encoder, built once — ``json.dumps`` with arguments constructs one per
+#: call.  Its ``default`` hook answers an envelope inside a stanza with
+#: the envelope's frozen payload.
+_canonical_encode = _json.JSONEncoder(
+    separators=(",", ":"), sort_keys=True, ensure_ascii=False, default=_envelope_payload
+).encode
 
 
 def _blocked(self, *args: Any, **kwargs: Any) -> None:
@@ -76,7 +88,7 @@ class FrozenDict(dict):
         return thaw_message(self)
 
     def __reduce__(self) -> Tuple[Any, ...]:
-        return (dict, (thaw_message(self),))
+        return (FrozenDict, (dict(self),))
 
 
 class FrozenList(list):
@@ -93,7 +105,7 @@ class FrozenList(list):
         return thaw_message(self)
 
     def __reduce__(self) -> Tuple[Any, ...]:
-        return (list, (thaw_message(self),))
+        return (FrozenList, (list(self),))
 
 
 def freeze_message(value: Any) -> Any:
@@ -106,13 +118,13 @@ def freeze_message(value: Any) -> Any:
     only pays for the top level.
 
     The walk carries no location bookkeeping (this runs per publish); on
-    failure the tree is re-walked cold to raise the classic
-    path-annotated error.
+    failure :func:`validate_message` re-walks the tree cold to name the
+    offending path.
     """
     try:
         return _freeze_fast(value)
     except MessageError:
-        _freeze_with_path(value, "$")
+        validate_message(value)
         raise
 
 
@@ -144,27 +156,30 @@ def _freeze_fast(value: Any) -> Any:
     raise MessageError(f"unsupported type {cls.__name__}")
 
 
-def _freeze_with_path(value: Any, _path: str = "$") -> Any:
-    """The original path-carrying walk; error reporting only."""
-    cls = type(value)
-    if cls is FrozenDict or cls is FrozenList:
-        return value
-    if isinstance(value, Envelope):
-        return value.payload
+def validate_message(value: Any, _path: str = "$") -> None:
+    """Ensure ``value`` is a JSON-able tree of key/value pairs.
+
+    Raises :class:`MessageError` naming the offending path otherwise.
+    Envelopes and frozen subtrees validated at ingest are trusted and
+    short-circuit — the single-validation invariant of the envelope
+    pipeline.  The hot walks carry no path; this is their error path.
+    """
     if isinstance(value, SCALARS):
-        return value
+        return
+    cls = type(value)
+    if cls is FrozenDict or cls is FrozenList or cls is Envelope:
+        return
     if isinstance(value, dict):
-        for key in value:
+        for key, item in value.items():
             if not isinstance(key, str):
                 raise MessageError(f"non-string key {key!r} at {_path}")
-        return FrozenDict(
-            (key, _freeze_with_path(item, f"{_path}.{key}")) for key, item in value.items()
-        )
+            validate_message(item, f"{_path}.{key}")
+        return
     if isinstance(value, (list, tuple)):
-        return FrozenList(
-            _freeze_with_path(item, f"{_path}[{index}]") for index, item in enumerate(value)
-        )
-    raise MessageError(f"unsupported type {cls.__name__} at {_path}")
+        for index, item in enumerate(value):
+            validate_message(item, f"{_path}[{index}]")
+        return
+    raise MessageError(f"unsupported type {type(value).__name__} at {_path}")
 
 
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
@@ -235,230 +250,17 @@ class Envelope:
     __hash__ = None  # type: ignore[assignment] - mutable-payload semantics
 
 
-class Stanza(dict):
-    """A wire stanza that caches its canonical JSON across hops.
-
-    The same stanza object is serialized several times on its way out —
-    wire-size accounting at the buffer, the transport and the XMPP
-    switch, then the actual send — and, unlike message payloads, stanzas
-    are plain mutable dicts, so the envelope cache cannot help them.
-    Constructing wire ops as ``Stanza`` keeps dict semantics everywhere
-    (consumers index into them unchanged) but lets :func:`canonical_json`
-    and ``message_size_bytes`` answer repeats from the first encoding.
-
-    Any mutation drops the cache (chaos tamper interceptors edit stanzas
-    in flight), so a stale serialization can never leak onto the wire.
-    """
-
-    __slots__ = ("_json", "_size")
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._json: Any = None
-        self._size: Any = None
-
-    def _invalidate(self) -> None:
-        self._json = None
-        self._size = None
-
-    def __setitem__(self, key: Any, item: Any) -> None:
-        self._json = None
-        self._size = None
-        dict.__setitem__(self, key, item)
-
-    def __delitem__(self, key: Any) -> None:
-        self._json = None
-        self._size = None
-        dict.__delitem__(self, key)
-
-    def update(self, *args: Any, **kwargs: Any) -> None:
-        self._invalidate()
-        dict.update(self, *args, **kwargs)
-
-    def pop(self, *args: Any) -> Any:
-        self._invalidate()
-        return dict.pop(self, *args)
-
-    def popitem(self) -> Any:
-        self._invalidate()
-        return dict.popitem(self)
-
-    def clear(self) -> None:
-        self._invalidate()
-        dict.clear(self)
-
-    def setdefault(self, key: Any, default: Any = None) -> Any:
-        self._invalidate()
-        return dict.setdefault(self, key, default)
-
-    @property
-    def json(self) -> str:
-        """Canonical wire JSON, cached until the next mutation."""
-        text = self._json
-        if text is None:
-            text = self._json = _splice(self)
-        return text
-
-    @property
-    def wire_size(self) -> int:
-        """UTF-8 byte count of :attr:`json`, cached with it."""
-        size = self._size
-        if size is None:
-            size = self._size = len(self.json.encode("utf-8"))
-        return size
-
-
 def canonical_json(value: Any) -> str:
-    """Canonical JSON of a message or stanza, reusing cached envelope text.
+    """Canonical JSON of a message or stanza.
 
-    Fast paths, in order: a bare envelope (or a :class:`Stanza`) returns
-    its cached string; a stanza with envelope values (the reliable-link
-    wrapper, checked with a shallow scan) goes straight to the splicing
-    encoder; everything else takes the C encoder in one pass.  The
-    splicing path only ever hand-encodes the small wrapper — the payload
-    text is cached.
+    An envelope returns its cached text; anything else is one call to the
+    encoder.  On failure the tree is re-walked by :func:`validate_message`
+    so the error names the offending path.
     """
-    if isinstance(value, Stanza):
-        return value.json
     if isinstance(value, Envelope):
         return value.json
-    if type(value) is dict:
-        for item in value.values():
-            if isinstance(item, Envelope):
-                return _splice(value)
     try:
         return _canonical_encode(value)
     except (TypeError, ValueError):
-        # Envelopes nested deeper than the shallow scan saw, or a value
-        # that is not a message at all.
-        return _splice(value)
-
-
-def _splice(value: Any) -> str:
-    parts: List[str] = []
-    try:
-        _encode_into(value, parts)
-    except MessageError:
-        _raise_with_path(value)  # rebuild the offending path, cold
+        validate_message(value)
         raise
-    return "".join(parts)
-
-
-def _encode_into(value: Any, parts: List[str]) -> None:
-    """Recursive canonical encoder that splices cached envelope JSON.
-
-    This runs per hop on every remote-bound stanza, so it avoids
-    per-element allocations (no path strings, no ``json.dumps`` calls
-    for scalars); errors are cheap to make slow, successes are not.
-    """
-    cls = type(value)
-    if cls is str:
-        parts.append(_escape_str(value))
-        return
-    if cls is bool:
-        parts.append("true" if value else "false")
-        return
-    if cls is int:
-        parts.append(repr(value))
-        return
-    if value is None:
-        parts.append("null")
-        return
-    if cls is Envelope:
-        parts.append(value.json)
-        return
-    if cls is Stanza:
-        text = value._json
-        if text is not None:
-            parts.append(text)
-            return
-        # Cache cold: encode as a dict below (the json property caches
-        # the result of this very walk).
-    if isinstance(value, dict):
-        # The container loops dispatch common leaves inline (exact type
-        # checks, so bool never masquerades as int) — one recursive call
-        # per *container*, not per node.
-        append = parts.append
-        append("{")
-        first = True
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise MessageError(f"non-string key {key!r}")
-            if first:
-                first = False
-            else:
-                append(",")
-            append(_escape_str(key))
-            append(":")
-            item = value[key]
-            icls = type(item)
-            if icls is str:
-                append(_escape_str(item))
-            elif icls is int:
-                append(repr(item))
-            elif icls is Envelope:
-                append(item.json)
-            elif item is None:
-                append("null")
-            elif icls is bool:
-                append("true" if item else "false")
-            else:
-                _encode_into(item, parts)
-        append("}")
-        return
-    if isinstance(value, (list, tuple)):
-        append = parts.append
-        append("[")
-        for index, item in enumerate(value):
-            if index:
-                append(",")
-            icls = type(item)
-            if icls is Stanza and item._json is not None:
-                append(item._json)
-            elif icls is Envelope:
-                append(item.json)
-            elif icls is str:
-                append(_escape_str(item))
-            else:
-                _encode_into(item, parts)
-        append("]")
-        return
-    if isinstance(value, float):
-        # Mirror json.dumps: shortest repr, named non-finite constants.
-        if value != value:
-            parts.append("NaN")
-        elif value == _INF:
-            parts.append("Infinity")
-        elif value == -_INF:
-            parts.append("-Infinity")
-        else:
-            parts.append(float.__repr__(value))
-        return
-    if isinstance(value, str):
-        parts.append(_escape_str(value))
-        return
-    if isinstance(value, int):
-        parts.append(int.__repr__(value))
-        return
-    raise MessageError(f"unsupported type {cls.__name__}")
-
-
-_INF = float("inf")
-
-
-def _raise_with_path(value: Any, _path: str = "$") -> None:
-    """Re-walk an invalid stanza to name the offending path (error path
-    only; the hot encoder carries no location bookkeeping)."""
-    if isinstance(value, (Envelope, SCALARS)):
-        return
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise MessageError(f"non-string key {key!r} at {_path}")
-            _raise_with_path(item, f"{_path}.{key}")
-        return
-    if isinstance(value, (list, tuple)):
-        for index, item in enumerate(value):
-            _raise_with_path(item, f"{_path}[{index}]")
-        return
-    raise MessageError(f"unsupported type {type(value).__name__} at {_path}")

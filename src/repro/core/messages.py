@@ -15,10 +15,9 @@ delivered message takes ``message.copy()`` (shallow) or
 Since the envelope refactor the hot publish path carries
 :class:`~repro.core.envelope.Envelope` objects instead of raw dicts —
 validated once, frozen, with canonical JSON cached.  Every function here
-is envelope-aware, so stanzas that embed envelopes (batches of pubs)
-serialize by splicing the cached payload text rather than walking the
-tree again.  The dict-based API below remains the compatibility surface
-for scripts, tests and tools.
+is envelope-aware: an envelope answers from its cache, and a stanza that
+embeds envelopes (a batch of pubs) is one call to the envelope module's
+encoder.
 """
 
 from __future__ import annotations
@@ -26,15 +25,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .envelope import (
-    SCALARS as _SCALARS,
-    Envelope,
-    FrozenDict,
-    FrozenList,
-    MessageError,
-    Stanza,
-    canonical_json,
-)
+from .envelope import Envelope, MessageError, canonical_json, validate_message
 
 __all__ = [
     "MessageError",
@@ -45,46 +36,14 @@ __all__ = [
 ]
 
 
-def validate_message(value: Any, _path: str = "$") -> None:
-    """Ensure ``value`` is a JSON-able tree of key/value pairs.
-
-    Raises :class:`MessageError` naming the offending path otherwise.
-    Envelopes and frozen subtrees validated at ingest are trusted and
-    short-circuit — the single-validation invariant of the envelope
-    pipeline.
-    """
-    if isinstance(value, _SCALARS):
-        return
-    cls = type(value)
-    if cls is FrozenDict or cls is FrozenList or cls is Envelope:
-        return
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise MessageError(f"non-string key {key!r} at {_path}")
-            validate_message(item, f"{_path}.{key}")
-        return
-    if isinstance(value, (list, tuple)):
-        for index, item in enumerate(value):
-            validate_message(item, f"{_path}[{index}]")
-        return
-    raise MessageError(f"unsupported type {type(value).__name__} at {_path}")
-
-
 def to_json(value: Any) -> str:
     """Serialize a message to compact, key-sorted JSON.
 
-    For an :class:`Envelope` (or a stanza containing envelopes) the
-    cached canonical text is reused instead of re-serializing.
+    For an :class:`Envelope` the cached canonical text is reused instead
+    of re-serializing; an invalid tree raises :class:`MessageError`
+    naming the offending path.
     """
-    try:
-        return canonical_json(value)
-    except MessageError:
-        raise
-    except (TypeError, ValueError):
-        # Produce the classic path-annotated error for invalid trees.
-        validate_message(value)
-        raise
+    return canonical_json(value)
 
 
 def from_json(text: str) -> Any:
@@ -101,6 +60,4 @@ def message_size_bytes(value: Any) -> int:
     """
     if isinstance(value, Envelope):
         return value.wire_size
-    if isinstance(value, Stanza):
-        return value.wire_size
-    return len(to_json(value).encode("utf-8"))
+    return len(canonical_json(value).encode("utf-8"))

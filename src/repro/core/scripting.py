@@ -32,6 +32,7 @@ import types
 from typing import Any, Callable, Dict, List, Optional
 
 from .api import METER, RESERVED_PREFIX, api_method_names, build_namespace
+from .envelope import Envelope
 from .messages import from_json, to_json
 
 #: Default watchdog budget, from the paper.
@@ -412,8 +413,9 @@ class ScriptHost:
     # ------------------------------------------------------------------
     def api_publish(self, channel: str, message: Any) -> None:
         self.published_messages += 1
-        self.published_bytes += _cheap_size(message)
-        self.context.publish_from_script(self, channel, message)
+        envelope = Envelope.wrap(message)
+        self.published_bytes += envelope.wire_size
+        self.context.publish_from_script(self, channel, envelope)
 
     def api_subscribe(self, channel: str, fn: Callable, parameters: Optional[dict]):
         handler = _ScriptCallbackHandler(self, ScriptFn(self, fn))
@@ -442,15 +444,6 @@ class ScriptHost:
         )
         self._timers.append(timer)
         return timer
-
-
-def _cheap_size(message: Any) -> int:
-    """Fast wire-size estimate for accounting (exact JSON is computed
-    later by the transport; this avoids double serialization)."""
-    try:
-        return len(json.dumps(message))
-    except (TypeError, ValueError):
-        return 0
 
 
 class FreezeStore:

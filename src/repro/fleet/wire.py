@@ -6,13 +6,11 @@ pickle formats, one module.
   so a batch's repeated JIDs and classes cost once.  The receiver gets a
   copy of exactly the objects the sender held, as an in-process fleet
   hands over the objects themselves: tuples and non-string keys come
-  back as they went, frozen payload containers come back plain (their
-  ``__reduce__``), and a :class:`~repro.core.envelope.Stanza`'s cached
-  canonical text and an :class:`~repro.core.envelope.Envelope`'s trace
-  fields ride in slot state.  Pickle restores that state after the
-  items, so ``Stanza.__setitem__`` does not drop the cache and the
-  receiver never re-serialises.  Not compressed: most frames are empty,
-  and zlib costs more on those than a local pipe saves.
+  back as they went, frozen payload containers come back frozen (their
+  ``__reduce__``), and an :class:`~repro.core.envelope.Envelope`'s
+  cached text and trace fields ride in slot state.  Not compressed: most
+  frames are empty, and zlib costs more on those than a local pipe
+  saves.
 * **End-of-run frames** (:func:`seal` / :func:`unseal`) — a worker's
   artifacts and its span rows, zlib level 1: large, self-similar, and
   the rows are held unread unless the trace is read.

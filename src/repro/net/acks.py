@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from ..sim.kernel import SECOND, Kernel
-from ..core.envelope import Stanza
 
 #: An unacked envelope is retransmitted only once it has been out this
 #: long, so a flush right after the original send does not duplicate it.
@@ -139,13 +138,13 @@ class ReliableLink:
         if self.observer is not None:
             # The piggybacked cumulative ack is an ack emission too.
             self.observer.on_ack_emitted(self, self._expected - 1)
-        return Stanza(
-            kind="env",
-            seq=seq,
-            base=self._base_seq,
-            ack=self._expected - 1,
-            payload=self._unacked[seq],
-        )
+        return {
+            "kind": "env",
+            "seq": seq,
+            "base": self._base_seq,
+            "ack": self._expected - 1,
+            "payload": self._unacked[seq],
+        }
 
     def resend_unacked(self, max_age_ms: Optional[float] = None) -> int:
         """Retransmit unacked envelopes (on reconnect / resend timer).
@@ -242,4 +241,4 @@ class ReliableLink:
         self._ack_dirty = False
         if self.observer is not None:
             self.observer.on_ack_emitted(self, self._expected - 1)
-        return Stanza(kind="ack", ack=self._expected - 1)
+        return {"kind": "ack", "ack": self._expected - 1}

@@ -28,7 +28,6 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set
 
 from ..sim.kernel import Kernel
-from ..core.envelope import Stanza, _escape_str
 from ..core.messages import message_size_bytes
 
 
@@ -284,23 +283,8 @@ class XmppServer:
         if not remote and to_jid not in self._rosters.get(from_jid, set()):
             raise RoutingError(f"{from_jid} and {to_jid} are not associated")
         self.note_heard_from(from_jid)
-        # A Stanza copy keeps dict semantics but caches its canonical
-        # JSON, so the switch and every delivery attempt of this stamped
-        # stanza serialize it once total.  When the sender's transport
-        # already serialized the unstamped stanza (sizing it for the
-        # radio), the stamped text is derived by string surgery instead
-        # of a re-walk: "_from" (0x5F) sorts before every all-lowercase
-        # key, so it is always the first field of the canonical form.
-        stamped = Stanza(stanza)
-        dict.__setitem__(stamped, "_from", from_jid)
-        cached = stanza._json if type(stanza) is Stanza else None
-        if cached is not None and stanza:
-            try:
-                splice = min(stanza) > "_from"
-            except TypeError:
-                splice = False
-            if splice:
-                stamped._json = '{"_from":%s,%s' % (_escape_str(from_jid), cached[1:])
+        stamped = dict(stanza)
+        stamped["_from"] = from_jid
         if remote:
             # Destined for a JID another shard hosts: hand the stamped
             # stanza across the boundary; the peer replays it through

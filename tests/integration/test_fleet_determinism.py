@@ -80,7 +80,7 @@ def test_wire_frames_are_accounted_only_where_a_pipe_exists(runs):
 def test_500x4_seed7_merged_report_matches_solo():
     # The PR's acceptance run at reduced duration: the canonical
     # 500-device, 4-shard, seed-7 fleet merged byte-identically to the
-    # single-shard reference (the CI fleet-dataplane job runs the full
+    # single-shard reference (the CI fleet-determinism job runs the full
     # hour via the CLI with cmp).
     spec, kwargs = fleet_spec(500, seed=7), dict(duration_ms=0.05 * HOUR)
     sharded = run_fleet(spec, 4, processes=True, **kwargs)

@@ -14,8 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.broker import Broker
-from repro.core.envelope import Envelope, MessageError, canonical_json
+from repro.core.deployment import batch_op, pub_op, sub_change_op
+from repro.core.envelope import Envelope, MessageError, canonical_json, thaw_message
 from repro.core.messages import message_size_bytes, to_json
+from repro.net.acks import ReliableLink
+from repro.net.xmpp import XmppServer
+from repro.sim.kernel import Kernel
 
 # ---------------------------------------------------------------------------
 # Message-tree strategy
@@ -79,16 +83,35 @@ def test_wire_size_matches_legacy_accounting(tree):
     assert message_size_bytes(tree) == legacy_size
 
 
+def _middleware_stanzas(env):
+    """Every stanza shape the middleware builds around an envelope: a pub
+    op, a batch of pubs, the reliable link's ``env`` wrapper around
+    either, and the switch's ``_from``-stamped copy of each."""
+    pub = pub_op("exp", "ch", env)
+    batch = batch_op([pub, pub_op("exp", "other", {"n": 1}), sub_change_op("sub_renew", "exp", 4)])
+    sent = []
+    link = ReliableLink(Kernel(), "peer@pogo", sent.append, lambda payload: None, lambda: None)
+    link.send(pub)
+    link.send(batch)
+    server = XmppServer(Kernel())
+    stamped = []
+    server.egress = lambda from_jid, to_jid, stanza: stamped.append(stanza)
+    for stanza in sent:
+        server.submit("device-1@pogo", "remote@pogo", stanza)
+    return [{"kind": "env", "seq": 3, "payload": env}, pub, batch, *sent, *stamped]
+
+
 @given(messages)
 @settings(max_examples=300, deadline=None)
-def test_stanza_splicing_matches_whole_tree_serialization(tree):
-    """A reliable-link style stanza embedding the envelope serializes to
-    exactly what serializing the raw stanza would have produced."""
+def test_middleware_stanzas_match_whole_tree_serialization(tree):
+    """A stanza embedding the envelope serializes to exactly what
+    serializing the raw (thawed) stanza would have produced."""
     env = Envelope.wrap(tree)
-    stanza = {"kind": "env", "seq": 3, "payload": env}
-    raw = {"kind": "env", "seq": 3, "payload": legacy_copy(tree)}
-    assert canonical_json(stanza) == legacy_to_json(raw)
-    assert to_json(stanza) == legacy_to_json(raw)
+    for stanza in _middleware_stanzas(env):
+        raw = thaw_message(stanza)
+        assert canonical_json(stanza) == legacy_to_json(raw)
+        assert to_json(stanza) == legacy_to_json(raw)
+        assert message_size_bytes(stanza) == len(legacy_to_json(raw).encode("utf-8"))
 
 
 @given(messages)

@@ -1,4 +1,4 @@
-"""Unit tests for the envelope pipeline: freeze, cache, splice."""
+"""Unit tests for the envelope pipeline: freeze, cache, encode."""
 
 import copy
 import json
@@ -110,7 +110,7 @@ def test_envelope_copy_is_deep_and_mutable():
 
 
 # ---------------------------------------------------------------------------
-# Canonical JSON splicing
+# Canonical JSON
 # ---------------------------------------------------------------------------
 
 

@@ -136,6 +136,13 @@ def test_subscribe_and_publish_within_context():
     assert host.namespace["got"] == [{"n": 7}]
 
 
+def test_published_bytes_count_wire_bytes():
+    # 16 UTF-8 bytes on the wire: compact separators, "é" unescaped.
+    _, _, _, host = make_host("publish('data', {'name': 'café'})\n")
+    assert host.published_messages == 1
+    assert host.published_bytes == len('{"name":"café"}'.encode("utf-8")) == 16
+
+
 def test_sandbox_blocks_import():
     _, _, _, host = make_host("import os\n", autoload=False)
     with pytest.raises(ScriptError):

@@ -7,7 +7,8 @@ import pytest
 
 from repro.analysis.export import spans_to_jsonl
 from repro.apps import battery_monitor
-from repro.core.deployment import Experiment
+from repro.core.deployment import Experiment, pub_op
+from repro.core.envelope import FrozenDict, MessageError
 from repro.core.middleware import PogoSimulation
 from repro.core.shard import DeviceSpec, Handoff, Shard, ShardSpec
 from repro.device.radio import KPN
@@ -121,6 +122,31 @@ class TestSnapshotRestore:
         assert clone.fleet_report_json() == shard.fleet_report_json()
         assert spans_to_jsonl(clone.kernel.spans) == spans_to_jsonl(shard.kernel.spans)
         assert shard.kernel.spans.spans(hop="script.call")
+
+    def test_buffered_payloads_stay_frozen(self):
+        """A restored device edits a buffered payload no more than the
+        original can: the snapshot does not thaw it."""
+        shard = Shard(_spec())
+        _deploy(shard)
+        shard.run(minutes=7)
+        for device in shard.devices.values():
+            device.node.buffer.enqueue(
+                "lab@pogo", pub_op("battery", "battery", {"level": [1, 2], "meta": {"a": 1}})
+            )
+        clone = Shard.restore(shard.snapshot())
+        payloads = [
+            message.payload["msg"].payload
+            for device in clone.devices.values()
+            for message in device.node.buffer.store.all_messages()
+            if message.payload.get("op") == "pub"
+        ]
+        assert len(payloads) >= len(clone.devices)
+        for payload in payloads:
+            assert type(payload) is FrozenDict
+            with pytest.raises(MessageError):
+                payload["tampered"] = True
+        with pytest.raises(MessageError):
+            payloads[-1]["level"].append(3)
 
     def test_restore_rejects_non_shard_blobs(self):
         with pytest.raises(TypeError):

@@ -3,7 +3,9 @@ pickle, so the receiver gets copies of the sender's own objects."""
 
 import math
 
-from repro.core.envelope import Envelope, Stanza, canonical_json, freeze_message
+import pytest
+
+from repro.core.envelope import Envelope, FrozenDict, FrozenList, MessageError, freeze_message
 from repro.core.shard import Handoff
 from repro.fleet.wire import decode_batch, encode_batch
 
@@ -31,26 +33,18 @@ class TestRoundTrip:
     def test_plain_stanza_batch(self):
         batch = [
             Handoff(12.5, 1, "device-1@pogo", "fleet@pogo",
-                    Stanza({"kind": "message", "body": "hi", "n": 3})),
+                    {"kind": "message", "body": "hi", "n": 3}),
             Handoff(12.5, 2, "device-2@pogo", "fleet@pogo",
-                    Stanza({"kind": "message", "body": "yo", "n": 4})),
+                    {"kind": "message", "body": "yo", "n": 4}),
         ]
         out = decode_batch(encode_batch(batch))
         assert out == batch
-        assert all(isinstance(h.stanza, Stanza) for h in out)
 
     def test_plain_dict_stays_plain(self):
         stanza = {"kind": "iq", "x": 1}
         out = _cross(stanza)
         assert type(out) is dict
         assert out == stanza
-
-    def test_decoded_stanza_carries_the_senders_json_cache(self):
-        stanza = Stanza({"kind": "message", "body": "cached"})
-        expected = canonical_json(stanza)  # fills the sender's cache
-        # Pickle restores slot state after the items, so the receiver's
-        # Stanza.__setitem__ calls do not drop it: no re-serialisation.
-        assert _cross(stanza)._json == expected
 
     def test_nan_survives_structurally(self):
         assert math.isnan(_cross({"kind": "m", "v": math.nan})["v"])
@@ -64,7 +58,7 @@ class TestEnvelopeSidecar:
     def test_envelope_position_and_trace_fields_survive(self):
         envelope = _env({"temp": 21.5}, trace_id=0xDEADBEEF,
                         origin_ms=123.25, hop_span=7)
-        got = _cross(Stanza({"kind": "message", "payload": envelope}))["payload"]
+        got = _cross({"kind": "message", "payload": envelope})["payload"]
         assert isinstance(got, Envelope)
         assert (got.trace_id, got.origin_ms, got.hop_span) == (0xDEADBEEF, 123.25, 7)
         assert got.payload == {"temp": 21.5}
@@ -82,10 +76,14 @@ class TestEnvelopeSidecar:
         assert isinstance(second, Envelope) and second.trace_id == 2
         assert first.payload == {"a": 1}
 
-    def test_envelope_payload_containers_come_back_plain(self):
-        # FrozenDict/FrozenList pickle as plain containers (__reduce__).
+    def test_envelope_payload_containers_come_back_frozen(self):
+        # A handler that edits a received payload raises on either side
+        # of the pipe: the partition never decides whether it succeeds.
         envelope = _env({"readings": [1, 2, 3], "meta": {"x": "y"}})
-        stanza = Stanza({"kind": "message", "payload": envelope})
-        payload = _cross(stanza)["payload"].payload
+        payload = _cross({"kind": "message", "payload": envelope})["payload"].payload
         assert payload == {"readings": [1, 2, 3], "meta": {"x": "y"}}
-        assert type(payload) is dict and type(payload["readings"]) is list
+        assert type(payload) is FrozenDict and type(payload["readings"]) is FrozenList
+        with pytest.raises(MessageError):
+            payload["readings"].append(3)
+        with pytest.raises(MessageError):
+            payload["meta"]["x"] = "z"
