@@ -11,7 +11,7 @@ tail-trace       Figure 3: one transmission's power trace (ASCII)
 table3           Table 3: hourly energy per carrier, with/without Pogo
 table4           Table 4: the full deployment study (slow; supports --scale)
 anonytl          parse/compile/run an AnonyTL task file (Listing 1 format)
-power-report     per-script resource estimates after a simulated run
+power-report     per-script joules, measured by leaving each script out
 metrics          kernel metrics plane report after a simulated run
 trace            message lifecycle tracing: per-hop latency, span tree,
                  per-message energy attribution (supports --json/--export)
@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     anonytl.add_argument("task_file", help="path to task text (Listing 1 format)")
     anonytl.add_argument("--hours", type=float, default=12.0)
 
-    power = sub.add_parser("power-report", help="per-script power estimates")
+    power = sub.add_parser("power-report", help="per-script joules, measured")
     power.add_argument("--hours", type=float, default=6.0)
 
     metrics = sub.add_parser("metrics", help="kernel metrics plane report")
@@ -401,24 +401,29 @@ def cmd_anonytl(args) -> int:
 def cmd_power_report(args) -> int:
     from .apps import battery_monitor, localization
     from .core.middleware import PogoSimulation
-    from .core.power_model import ScriptPowerModel
+    from .core.power_model import joules_table, script_joules
     from .core.services import GeolocationBridge
     from .world.geolocation import GeolocationService
 
-    sim = PogoSimulation(seed=args.seed)
-    collector = sim.add_collector("cli")
-    device = sim.add_device(world_days=1, with_email_app=True)
-    service = GeolocationService()
-    for group in device.user_world.places.values():
-        for place in group:
-            service.register_all(place.access_points)
-    collector.node.add_service(GeolocationBridge(service))
-    sim.start()
-    sim.assign(collector, [device])
-    collector.node.deploy(localization.build_experiment(), [device.jid])
-    collector.node.deploy(battery_monitor.build_experiment(), [device.jid])
-    sim.run(hours=args.hours)
-    print(ScriptPowerModel(device.node).report())
+    def run(experiments):
+        sim = PogoSimulation(seed=args.seed)
+        collector = sim.add_collector("cli")
+        device = sim.add_device(world_days=1, with_email_app=True)
+        service = GeolocationService()
+        for group in device.user_world.places.values():
+            for place in group:
+                service.register_all(place.access_points)
+        collector.node.add_service(GeolocationBridge(service))
+        sim.start()
+        sim.assign(collector, [device])
+        for experiment in experiments:
+            collector.node.deploy(experiment, [device.jid])
+        sim.run(hours=args.hours)
+        return device
+
+    experiments = [localization.build_experiment(), battery_monitor.build_experiment()]
+    print(f"per-script joules after {args.hours} h, each script measured by leaving it out:")
+    print(joules_table(*script_joules(run, experiments)))
     return 0
 
 

@@ -54,7 +54,7 @@ from .tailsync import (
     TransmissionPolicy,
 )
 from .participation import ParticipationRecord, ParticipationTracker
-from .power_model import ScriptPowerEstimate, ScriptPowerModel
+from .power_model import joules_table, script_joules
 from .testbed import AssignmentError, TestbedAdmin
 from .api import API_METHOD_COUNT, api_method_names
 
@@ -108,8 +108,8 @@ __all__ = [
     "TransmissionPolicy",
     "ParticipationRecord",
     "ParticipationTracker",
-    "ScriptPowerEstimate",
-    "ScriptPowerModel",
+    "joules_table",
+    "script_joules",
     "AssignmentError",
     "TestbedAdmin",
     "API_METHOD_COUNT",

@@ -1,156 +1,97 @@
-"""Per-script power modelling (the paper's first future-work item).
+"""Per-script energy, measured on the rail (the paper's first future-work item).
 
 Section 6: "In the future we would like to implement power modelling to
-estimate the resource consumption of individual scripts."  This module
-implements that estimator on top of the middleware's existing accounting:
+estimate the resource consumption of individual scripts."  A phone can
+only model that split.  A deterministic simulator can measure it, the
+way the paper's Table 3 prices Pogo itself: the rail's energy with a
+thing minus the rail's energy without it.
 
-* **CPU** — each call into a script (handler, timer, ``start``) runs in a
-  scheduler task that wakes/holds the CPU; cost ≈ calls × (awake-hold ×
-  awake power), apportioned when several scripts share one wakeup.
-* **Sensors** — each sensor knows its per-sample energy (a Wi-Fi scan is
-  ~1.5 s of scan power plus the wake lock window; a battery read is
-  almost free); the cost of a sample is split across the subscriptions
-  that demanded it, so two scripts sharing a sensor each pay half —
-  mirroring how the framework shares the physical sampling (Section 3.5).
-* **Radio** — bytes a script publishes toward the collector cost marginal
-  DCH airtime; with tail synchronization there is no per-message tail to
-  attribute (that is the whole point), so the estimate charges transfer
-  time only, plus an amortized share of flush overhead.
-
-The estimator is deliberately *a model*, not ground truth: the simulation
-knows exact joules per component but cannot split the rail per script any
-better than a real phone could.  Tests validate the model's sanity
-against the exact totals (the per-script sum never exceeds measured
-energy; a heavy script dominates a light one).
+:func:`script_joules` runs a caller's recipe with every experiment, once
+per script with that script left out, and once with no experiment.  A
+script's row is its marginal joules per rail component (what the rail
+saves when only that script is gone).  Energy that two or more scripts
+each keep alive, such as a CPU wakeup that either would cause, is in no
+script's margin; it is the shared row, all − none − Σ margins.  The
+no-script run is the baseline: platform floor, radios, the e-mail app
+and the middleware itself.  Scripts, shared and baseline add up to the
+rail total of the run with every experiment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+import dataclasses
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..sim.kernel import Kernel
+from .deployment import Experiment
+
+#: One table row: a label and its joules per rail component.
+Row = Tuple[str, Dict[str, float]]
 
 
-@dataclass
-class ScriptPowerEstimate:
-    """Estimated resource consumption of one script."""
+def script_joules(
+    run: Callable[[List[Experiment]], object], experiments: Sequence[Experiment]
+) -> Tuple[List[Row], float]:
+    """Measure each script's energy by leaving it out.
 
-    script: str
-    invocations: int = 0
-    cpu_j: float = 0.0
-    sensor_j: float = 0.0
-    radio_j: float = 0.0
-    published_bytes: int = 0
-    sensor_samples: float = 0.0
+    ``run(experiments)`` is the caller's recipe: it builds and seeds a
+    simulation, deploys exactly the experiments it is given, runs it and
+    returns the device whose rail is read.  A script is named
+    ``"<experiment>/<script>"`` (``ScriptHost.serial_key``), device and
+    collector scripts alike; an experiment left with no script is not
+    deployed.  Returns the rows (scripts by total joules, largest first,
+    then ``"(shared)"`` and ``"(no scripts)"``; columns are the rail's
+    components without the device prefix) and the rail total of the run
+    with every experiment.  N scripts cost N + 2 runs.
+    """
 
-    @property
-    def total_j(self) -> float:
-        return self.cpu_j + self.sensor_j + self.radio_j
+    def energy(deployed: List[Experiment]) -> Tuple[Dict[str, float], float]:
+        phone = run(deployed).phone
+        prefix = f"{phone.name}."
+        rail = phone.rail
+        joules = {c.removeprefix(prefix): rail.energy_of(c) for c in rail.components}
+        return joules, phone.energy_joules
 
-    def row(self) -> str:
-        return (
-            f"{self.script:<24} {self.invocations:>8} {self.cpu_j:>8.2f} "
-            f"{self.sensor_samples:>8.0f} {self.sensor_j:>8.2f} "
-            f"{self.published_bytes:>10,} {self.radio_j:>8.2f} {self.total_j:>8.2f}"
+    def without(experiment: Experiment, name: str) -> Experiment:
+        return dataclasses.replace(
+            experiment,
+            device_scripts={k: v for k, v in experiment.device_scripts.items() if k != name},
+            collector_scripts={
+                k: v for k, v in experiment.collector_scripts.items() if k != name
+            },
         )
 
+    everything, total = energy(list(experiments))
+    baseline, _ = energy([])
+    rests: Dict[str, Dict[str, float]] = {}
+    for i, experiment in enumerate(experiments):
+        for name in {**experiment.device_scripts, **experiment.collector_scripts}:
+            rest = without(experiment, name)
+            kept = [*experiments[:i], *experiments[i + 1:]]
+            if rest.device_scripts or rest.collector_scripts:
+                kept.insert(i, rest)
+            rests[f"{experiment.experiment_id}/{name}"] = energy(kept)[0]
+    # A component that one run never drew on reads 0.0 there.
+    columns = sorted({c for joules in (everything, baseline, *rests.values()) for c in joules})
+    everything, baseline = ({c: j.get(c, 0.0) for c in columns} for j in (everything, baseline))
+    margins = sorted(
+        (
+            (script, {c: everything[c] - rest.get(c, 0.0) for c in columns})
+            for script, rest in rests.items()
+        ),
+        key=lambda row: (-sum(row[1].values()), row[0]),
+    )
+    shared = {c: everything[c] - baseline[c] - sum(m[c] for _, m in margins) for c in columns}
+    return [*margins, ("(shared)", shared), ("(no scripts)", baseline)], total
 
-#: Per-sample energy by sensor channel (joules).  Derived from
-#: the device models: a Wi-Fi scan is ~1.5 s at 0.45 W plus ~1.5 s of
-#: awake CPU; a battery read or network location fix is just the wakeup;
-#: a GPS fix adds ~6 s at 0.35 W.
-SENSOR_SAMPLE_J = {
-    "wifi-scan": 1.5 * 0.45 + 1.5 * 0.16,
-    "battery": 0.02,
-    "locations": 0.05,
-    "accel": 0.01,
-}
-GPS_FIX_EXTRA_J = 6.0 * 0.35
 
-
-class ScriptPowerModel:
-    """Estimates per-script energy on one device node."""
-
-    def __init__(self, node) -> None:
-        self.node = node
-
-    # ------------------------------------------------------------------
-    def _cpu_cost_per_invocation(self) -> float:
-        cpu = self.node.phone.cpu.config
-        # One scheduler task holds the CPU awake for roughly the hold
-        # window; tasks triggered by the same wakeup share it, which the
-        # 0.7 utilization factor approximates.
-        return 0.7 * (cpu.awake_hold_ms / 1000.0) * cpu.awake_w
-
-    def _radio_cost_per_byte(self) -> float:
-        profile = self.node.phone.modem.profile
-        return profile.dch_w / profile.uplink_bytes_per_s
-
-    # ------------------------------------------------------------------
-    def estimate(self) -> List[ScriptPowerEstimate]:
-        """Estimate every deployed script on the node."""
-        estimates: Dict[str, ScriptPowerEstimate] = {}
-        cpu_per_call = self._cpu_cost_per_invocation()
-        radio_per_byte = self._radio_cost_per_byte()
-
-        for context in self.node.contexts.values():
-            for name, host in context.scripts.items():
-                key = host.serial_key
-                estimate = estimates.setdefault(key, ScriptPowerEstimate(script=key))
-                estimate.invocations += host.invocations
-                estimate.cpu_j += host.invocations * cpu_per_call
-                estimate.published_bytes += host.published_bytes
-                estimate.radio_j += host.published_bytes * radio_per_byte
-
-        # Sensor sampling, split across the demanding subscriptions.
-        for channel, sensor in self.node.sensor_manager.sensors.items():
-            samples = sensor.sample_count
-            if samples == 0:
-                continue
-            per_sample = SENSOR_SAMPLE_J.get(channel, 0.05)
-            if channel == "locations" and getattr(sensor, "provider", "") == "gps":
-                per_sample += GPS_FIX_EXTRA_J
-            owners = self._channel_demanders(channel)
-            if not owners:
-                continue
-            share = samples * per_sample / len(owners)
-            for owner in owners:
-                estimate = estimates.setdefault(owner, ScriptPowerEstimate(script=owner))
-                estimate.sensor_j += share
-                estimate.sensor_samples += samples / len(owners)
-
-        return sorted(estimates.values(), key=lambda e: e.total_j, reverse=True)
-
-    def _channel_demanders(self, channel: str) -> List[str]:
-        """Who is subscribed to a sensor channel, across contexts.
-
-        Local script subscriptions are attributed to the script; remote
-        (collector) subscriptions to the experiment's collector — so a
-        researcher streaming raw sensor data sees that cost too.
-        """
-        owners: List[str] = []
-        for context in self.node.contexts.values():
-            for sub in context.broker.subscriptions(channel):
-                if sub.owner and sub.owner.startswith("script:"):
-                    owners.append(f"{context.experiment_id}/{sub.owner[7:]}")
-                elif sub.owner == "link":
-                    owners.append(f"{context.experiment_id}/<collector>")
-        return owners
-
-    # ------------------------------------------------------------------
-    def report(self) -> str:
-        """Human-readable per-script table."""
-        lines = [
-            f"{'script':<24} {'calls':>8} {'cpu J':>8} {'samples':>8} "
-            f"{'sens J':>8} {'tx bytes':>10} {'radio J':>8} {'total J':>8}",
-        ]
-        for estimate in self.estimate():
-            lines.append(estimate.row())
-        measured = self.node.phone.energy_joules
-        modeled = sum(e.total_j for e in self.estimate())
-        lines.append(
-            f"{'(modeled / measured device total)':<24} "
-            f"{modeled:>10.2f} / {measured:.2f} J"
-        )
-        return "\n".join(lines)
+def joules_table(rows: List[Row], total: float) -> str:
+    """The rows of :func:`script_joules` as a text table, with the rail total."""
+    columns = list(rows[-1][1])
+    width = max([len("rail total"), *(len(label) for label, _ in rows)])
+    header = "".join(f"{c + ' J':>12}" for c in columns)
+    lines = [f"{'script':<{width}}{header}{'total J':>12}"]
+    for label, joules in rows:
+        cells = "".join(f"{joules[c]:>12.2f}" for c in columns)
+        lines.append(f"{label:<{width}}{cells}{sum(joules.values()):>12.2f}")
+    lines.append(f"{'rail total':<{width}}{'':>{12 * len(columns)}}{total:>12.2f}")
+    return "\n".join(lines)

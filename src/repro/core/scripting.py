@@ -32,7 +32,6 @@ import types
 from typing import Any, Callable, Dict, List, Optional
 
 from .api import METER, RESERVED_PREFIX, api_method_names, build_namespace
-from .envelope import Envelope
 from .messages import from_json, to_json
 
 #: Default watchdog budget, from the paper.
@@ -259,13 +258,6 @@ class ScriptHost:
         self.namespace: Dict[str, Any] = {}
         self._timers: List[Any] = []
 
-        # Resource accounting (Section 6 future work: "power modelling to
-        # estimate the resource consumption of individual scripts").
-        self.invocations = 0
-        self.published_messages = 0
-        self.published_bytes = 0
-        self.timers_set = 0
-
         # Observability plane, pre-bound once per host.
         kernel = context.node.kernel
         self._m_call_steps = kernel.metrics.histogram(f"script.call_steps.{self.serial_key}")
@@ -386,7 +378,6 @@ class ScriptHost:
         """Run script code under the watchdog; contain its errors."""
         if not self.running:
             return
-        self.invocations += 1
         watchdog = self.watchdog
         try:
             watchdog.guard(fn, *args)
@@ -412,10 +403,7 @@ class ScriptHost:
     # API backends (called from the namespace built by repro.core.api)
     # ------------------------------------------------------------------
     def api_publish(self, channel: str, message: Any) -> None:
-        self.published_messages += 1
-        envelope = Envelope.wrap(message)
-        self.published_bytes += envelope.wire_size
-        self.context.publish_from_script(self, channel, envelope)
+        self.context.publish_from_script(self, channel, message)
 
     def api_subscribe(self, channel: str, fn: Callable, parameters: Optional[dict]):
         handler = _ScriptCallbackHandler(self, ScriptFn(self, fn))
@@ -437,7 +425,6 @@ class ScriptHost:
         return to_json(obj)
 
     def api_set_timeout(self, fn: Callable, delay_ms: float):
-        self.timers_set += 1
         timer = self.context.node.scheduler.schedule(
             float(delay_ms), self.guarded_call, ScriptFn(self, fn),
             serial_key=self.serial_key,

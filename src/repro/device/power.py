@@ -16,7 +16,7 @@ Units: power in **watts**, time in **milliseconds**, energy in **joules**.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..sim.kernel import EventHandle, Kernel
 from ..sim.trace import TimeSeries
@@ -96,6 +96,11 @@ class PowerRail:
         if watts:
             joules += watts * (self._kernel.now - self._since[component]) / 1000.0
         return joules
+
+    @property
+    def components(self) -> Tuple[str, ...]:
+        """Every component that has drawn power, in the order each first did."""
+        return tuple(self._draws)
 
     def reset_energy(self) -> float:
         """Zero the total energy counter; returns the value before the

@@ -1,8 +1,8 @@
 """The scenario engine: generative city-scale workloads.
 
 Declarative :class:`ScenarioSpec` values compile to ordinary shard specs
-and run solo, sharded, or under the chaos engine — always under the
-invariant monitor, always emitting a canonical byte-deterministic report.
+and run solo or sharded — always under the invariant monitor, always
+emitting a canonical byte-deterministic report.
 
 The runner names are resolved lazily (PEP 562): the spec/preset layer
 must stay importable from :mod:`repro.fleet.worker` without importing

@@ -5,7 +5,7 @@ workload: the city, the crowd surges, the campaigns, the carriers, the
 seed.  It is a frozen value object — two equal specs always produce
 byte-identical runs — and it compiles to a plain
 :class:`~repro.core.shard.ShardSpec`, which is what lets every preset run
-solo, sharded via ``repro fleet``, and under the chaos engine unchanged.
+solo or sharded via ``repro fleet`` unchanged.
 
 Everything derived from a spec (who attends a surge, who suffers radio
 contention, which devices a campaign targets) is a *pure function* of the
@@ -132,8 +132,8 @@ class ScenarioSpec:
     def compile(self):
         """Compile to a root :class:`~repro.core.shard.ShardSpec`.
 
-        The result is an ordinary shard spec: it can be run solo, handed
-        to ``plan_fleet`` for sharding, or wrapped by the chaos engine.
+        The result is an ordinary shard spec: it can be run solo or
+        handed to ``plan_fleet`` for sharding.
         """
         from ..core.shard import DeviceSpec, ShardSpec
         from ..fleet.partition import device_jid

@@ -27,7 +27,7 @@ the same flush spans.
 Everything here is deterministic: ids are per-recorder counters, times
 are simulated milliseconds, and exports sort keys — two identical seeded
 runs produce byte-identical span streams.  The kill switch is
-``kernel.spans.disable()`` (or ``PogoSimulation(spans=False)``).
+``kernel.spans.disable()`` (or ``ShardSpec(spans=False)``).
 """
 
 from __future__ import annotations

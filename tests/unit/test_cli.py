@@ -41,6 +41,22 @@ def test_localization_short(capsys):
     assert "dwell sessions" in out
 
 
+def test_power_report_rows_add_up_to_the_rail_total(capsys):
+    assert main(["--seed", "7", "power-report", "--hours", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("script"))
+    table = lines[header + 1:]
+    rows = {line.rsplit(None, 5)[0]: float(line.split()[-1]) for line in table[:-1]}
+    assert set(rows) == {
+        "localization/scan", "localization/clustering", "localization/collect",
+        "battery-monitor/collect", "(shared)", "(no scripts)",
+    }
+    label, total = table[-1].rsplit(None, 1)
+    assert label == "rail total"
+    # Each printed figure is rounded to 0.005 J at most.
+    assert sum(rows.values()) == pytest.approx(float(total), abs=0.005 * (len(rows) + 1))
+
+
 def test_metrics(capsys):
     assert main(["--seed", "3", "metrics", "--devices", "2", "--hours", "1"]) == 0
     out = capsys.readouterr().out
