@@ -68,7 +68,7 @@ def run_policy(policy_name):
     sim = PogoSimulation(seed=3, carrier=KPN)
     collector = sim.add_collector("alice")
     device = sim.add_device(with_email_app=True, policy=make_policy(policy_name))
-    states = ModemStateLog(sim.kernel, device.phone.modem)
+    states = ModemStateLog(sim.kernel, device.phone.modem, device.phone.rail)
     ChargingRoutine(
         sim.kernel, device.phone, sim.streams.stream("charging"), days=2
     ).start()

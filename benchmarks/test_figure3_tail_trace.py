@@ -31,7 +31,7 @@ EMAIL_CHECK_AFTER_MS = 4 * MINUTE
 def run_trace():
     sim = PogoSimulation(seed=3, carrier=KPN)
     device = sim.add_device(with_email_app=True, simulate_paging=True)
-    states = ModemStateLog(sim.kernel, device.phone.modem)
+    states = ModemStateLog(sim.kernel, device.phone.modem, device.phone.rail)
     meter = PowerMeter(sim.kernel, device.phone.rail, interval_ms=20.0)
     meter.start()
     sim.start()

@@ -39,7 +39,7 @@ def run_timeline():
     cpu_track.open(label="boot")
     cpu.on_wake.append(lambda reason: cpu_track.open(label=reason))
     cpu.on_sleep.append(cpu_track.close)
-    radio_states = ModemStateLog(sim.kernel, device.phone.modem)
+    radio_states = ModemStateLog(sim.kernel, device.phone.modem, device.phone.rail)
     sim.start()
     sim.assign(collector, [device])
     collector.node.deploy(battery_monitor.build_experiment(), [device.jid])

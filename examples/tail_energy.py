@@ -39,7 +39,7 @@ def run_hour(carrier, with_pogo: bool) -> float:
 def figure3() -> None:
     sim = PogoSimulation(seed=3, carrier=KPN)
     device = sim.add_device(with_email_app=True)
-    states = ModemStateLog(sim.kernel, device.phone.modem)
+    states = ModemStateLog(sim.kernel, device.phone.modem, device.phone.rail)
     sim.start()
     sim.run(duration_ms=7 * MINUTE)  # one e-mail check at t=5 min
     # Segment the e-mail transmission, not the connection handshake.

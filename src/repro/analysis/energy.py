@@ -12,15 +12,18 @@ a transmission."  This module recovers those instants (and the energy of
 each phase) from a sampled power trace, the way one would from the
 paper's shunt measurements — by thresholding against the known state
 power levels — and can also compute them exactly from the modem's state
-transitions (:class:`ModemStateLog`) for cross-validation.
+transitions and the rail's modem joules (:class:`ModemStateLog`, also
+the record of which radio episodes Pogo woke itself) for
+cross-validation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..device.radio import DCH, FACH, IDLE, OFF, RAMP, CarrierProfile
+from ..net.transport import is_send_label
 from ..sim.trace import Interval, TimeSeries
 
 
@@ -122,73 +125,116 @@ def segment_tail_from_series(
     )
 
 
+class RadioEpisode(NamedTuple):
+    """One radio-active episode, idle → ramp → (DCH/FACH)* → idle.
+
+    ``trigger`` is ``"flush"`` when a stanza the transport sent woke the
+    modem, ``"external"`` when anything else did (another app, a push,
+    the connection handshake) and Pogo at most piggybacked.  ``joules``
+    is the rail's modem reading at the end minus the one at the start.
+    """
+
+    start_ms: float
+    end_ms: float
+    trigger: str
+    joules: float
+
+
 class ModemStateLog:
-    """A modem's RRC transitions, as ``(time_ms, old, new)`` tuples.
+    """A modem's RRC transitions, as ``(time_ms, old, new, modem_j,
+    woken_by)`` tuples: the rail's modem joules at the transition and the
+    label of the transfer that last ramped the modem out of IDLE.
 
     The modem keeps no history of its own: this recorder rides its
     :attr:`~repro.device.radio.Modem.on_state_change` listener list, so
-    it sees the transitions made after it is built.
+    it sees the transitions made after it is built.  Reading the rail
+    (:meth:`~repro.device.power.PowerRail.energy_of`) changes nothing.
     """
 
-    __slots__ = ("_kernel", "transitions")
+    __slots__ = ("_kernel", "_modem", "_rail", "transitions")
 
-    def __init__(self, kernel, modem) -> None:
+    def __init__(self, kernel, modem, rail) -> None:
         self._kernel = kernel
-        self.transitions: List[Tuple[float, str, str]] = []
+        self._modem = modem
+        self._rail = rail
+        self.transitions: List[Tuple[float, str, str, float, str]] = []
         modem.on_state_change.append(self._record)
 
-    def _record(self, old: str, new: str) -> None:
-        self.transitions.append((self._kernel.now, old, new))
+    def _modem_j(self) -> float:
+        return self._rail.energy_of(self._modem.name)
 
-    def active_intervals(self, until: float) -> List[Interval]:
-        """Radio-active blocks, from leaving IDLE to entering IDLE or OFF;
-        a block still open is closed at ``until``."""
-        blocks: List[Interval] = []
-        opened: Optional[float] = None
-        for time, old, new in self.transitions:
-            if old == IDLE and opened is None:
-                opened = time
-            if new in (IDLE, OFF) and opened is not None:
-                blocks.append(Interval(opened, time))
+    def _record(self, old: str, new: str) -> None:
+        self.transitions.append(
+            (self._kernel.now, old, new, self._modem_j(), self._modem.woken_by)
+        )
+
+    def episodes(self, until: float) -> List[RadioEpisode]:
+        """Radio-active episodes, from leaving IDLE for a ramp-up to
+        entering IDLE or OFF; one still open is closed at ``until`` with
+        the joules the rail has read so far."""
+        episodes: List[RadioEpisode] = []
+        opened = None
+        for time, old, new, modem_j, woken_by in self.transitions:
+            if old == IDLE and new == RAMP:
+                trigger = "flush" if is_send_label(woken_by) else "external"
+                opened = (time, modem_j, trigger)
+            elif new in (IDLE, OFF) and opened is not None:
+                episodes.append(RadioEpisode(opened[0], time, opened[2], modem_j - opened[1]))
                 opened = None
         if opened is not None:
-            blocks.append(Interval(opened, until))
-        return blocks
+            episodes.append(
+                RadioEpisode(opened[0], until, opened[2], self._modem_j() - opened[1])
+            )
+        return episodes
+
+    def episodes_by_trigger(self, until: float) -> Dict[str, int]:
+        """How many episodes each trigger opened."""
+        counts = {"flush": 0, "external": 0}
+        for episode in self.episodes(until):
+            counts[episode.trigger] += 1
+        return counts
+
+    def active_intervals(self, until: float) -> List[Interval]:
+        """The episodes' time spans."""
+        return [Interval(e.start_ms, e.end_ms) for e in self.episodes(until)]
 
     def segment_tail(
         self, profile: CarrierProfile, after_ms: float = 0.0
     ) -> Optional[TailSegmentation]:
         """Exact segmentation of the first transmission whose ramp-up
-        starts at or after ``after_ms``.
+        starts at or after ``after_ms``, its joules read off the rail.
 
         b is c minus the carrier's DCH inactivity timeout: the modem arms
         that timer when its last transfer ends, exactly as
-        :func:`segment_tail_from_series` reconstructs it.
+        :func:`segment_tail_from_series` reconstructs it.  The DCH joules
+        from ramp end to c are split at b by time.
         """
-        a = c = d = None
-        for time, old, new in self.transitions:
+        a = r = c = d = None
+        for time, old, new, modem_j, _ in self.transitions:
             if time < after_ms:
                 continue
             if old == IDLE and new == RAMP and a is None:
-                a = time
-            elif old == DCH and new == FACH and a is not None and c is None:
-                c = time
+                a = (time, modem_j)
+            elif old == RAMP and new == DCH and a is not None and r is None:
+                r = (time, modem_j)
+            elif old == DCH and new == FACH and r is not None and c is None:
+                c = (time, modem_j)
             elif old == FACH and new == IDLE and c is not None:
-                d = time
+                d = (time, modem_j)
                 break
         if d is None:
             return None
-        b = c - profile.dch_tail_ms
-        ramp_end = min(a + profile.ramp_ms, b)
+        b = c[0] - profile.dch_tail_ms
+        dch_j = c[1] - r[1]
         return TailSegmentation(
-            a_ramp_start_ms=a,
+            a_ramp_start_ms=a[0],
             b_transfer_end_ms=b,
-            c_dch_end_ms=c,
-            d_fach_end_ms=d,
-            ramp_energy_j=profile.ramp_w * (ramp_end - a) / 1000.0,
-            transfer_energy_j=profile.dch_w * (b - ramp_end) / 1000.0,
-            dch_tail_energy_j=profile.dch_w * (c - b) / 1000.0,
-            fach_tail_energy_j=profile.fach_w * (d - c) / 1000.0,
+            c_dch_end_ms=c[0],
+            d_fach_end_ms=d[0],
+            ramp_energy_j=r[1] - a[1],
+            transfer_energy_j=dch_j * (b - r[0]) / (c[0] - r[0]),
+            dch_tail_energy_j=dch_j * (c[0] - b) / (c[0] - r[0]),
+            fach_tail_energy_j=d[1] - c[1],
         )
 
 

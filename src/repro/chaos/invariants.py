@@ -22,13 +22,9 @@ injected*, and checks it while the simulation runs:
 5. **Scheduler serialization** — the paper's "only a single thread will
    run code from a given script at any time": no serial key is ever
    re-entered while a task for it is still running.
-6. **Energy books balance** — each device's
-   :class:`~repro.core.ledger.EnergyLedger` splits the rail's modem
-   joules: attributed + control + unattributed energy equals the rail's
-   joules over its closed radio episodes (to 1e-9 relative).
 
 Violations carry the simulated time, the subject (link, buffer,
-scheduler key, ledger) and the trace ids of the envelopes involved, so a
+scheduler key) and the trace ids of the envelopes involved, so a
 failing chaos run points at the exact message that broke the contract.
 """
 
@@ -42,10 +38,6 @@ from ..core.middleware import PogoSimulation
 from ..net.acks import LinkObserver, ReliableLink
 from ..sim.kernel import SECOND
 from .impairments import stanza_trace_ids
-
-#: Acceptance bound for the energy ledger reconciliation (fractional):
-#: the attribution is exact arithmetic, so only float rounding may show.
-ENERGY_RECONCILIATION_BOUND = 1e-9
 
 
 @dataclass
@@ -260,16 +252,6 @@ class InvariantMonitor:
         self._check_buffers()
         for (owner, peer) in sorted(self._witnesses):
             self._judge_direction(self._witnesses[(owner, peer)], expect_quiesced)
-        for jid in sorted(self.sim.devices):
-            ledger = self.sim.devices[jid].node.energy
-            ledger.finalize()
-            delta = ledger.reconciliation_delta()
-            if delta > ENERGY_RECONCILIATION_BOUND:
-                self.record(
-                    "energy-reconciliation",
-                    f"{jid}.energy",
-                    f"ledger delta {delta:.3g} exceeds {ENERGY_RECONCILIATION_BOUND:g}",
-                )
         return self.violations
 
     def _judge_direction(self, witness: _LinkWitness, expect_quiesced: bool) -> None:

@@ -207,27 +207,35 @@ def _add_fleet_args(parser) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_battery_fleet(args):
+def _run_battery_fleet(args, record_radio: bool):
     """Table 3's fleet — one collector, ``args.devices`` phones running
     the e-mail app, the battery monitor deployed to all of them — run for
-    ``args.hours``.  Returns ``(sim, devices, context)``."""
+    ``args.hours``.  With ``record_radio`` each phone's modem gets a
+    :class:`~repro.analysis.energy.ModemStateLog` before the fleet starts.
+    Returns ``(sim, devices, context, records)``."""
+    from .analysis.energy import ModemStateLog
     from .apps import battery_monitor
     from .core.middleware import PogoSimulation
 
     sim = PogoSimulation(seed=args.seed)
     collector = sim.add_collector("cli")
     devices = [sim.add_device(with_email_app=True) for _ in range(args.devices)]
+    records = [
+        ModemStateLog(sim.kernel, d.phone.modem, d.phone.rail)
+        for d in devices
+        if record_radio
+    ]
     sim.start()
     sim.assign(collector, devices)
     context = collector.node.deploy(
         battery_monitor.build_experiment(), [d.jid for d in devices]
     )
     sim.run(hours=args.hours)
-    return sim, devices, context
+    return sim, devices, context, records
 
 
 def cmd_quickstart(args) -> int:
-    _, devices, context = _run_battery_fleet(args)
+    _, devices, context, _ = _run_battery_fleet(args, record_radio=False)
     readings = context.scripts["collect"].namespace["readings"]
     print(f"{len(readings)} readings from {args.devices} devices in {args.hours} h")
     for device in devices:
@@ -300,7 +308,7 @@ def cmd_tail_trace(args) -> int:
 
     sim = PogoSimulation(seed=args.seed, carrier=KPN)
     device = sim.add_device(with_email_app=True, simulate_paging=True)
-    states = ModemStateLog(sim.kernel, device.phone.modem)
+    states = ModemStateLog(sim.kernel, device.phone.modem, device.phone.rail)
     meter = PowerMeter(sim.kernel, device.phone.rail, interval_ms=50.0)
     meter.start()
     sim.start()
@@ -430,7 +438,7 @@ def cmd_power_report(args) -> int:
 def cmd_metrics(args) -> int:
     from .analysis.export import write_text
 
-    sim, _, _ = _run_battery_fleet(args)
+    sim, _, _, _ = _run_battery_fleet(args, record_radio=False)
     if args.json:
         import json
 
@@ -454,24 +462,18 @@ def cmd_trace(args) -> int:
 
     from .sim.spans import render_span_tree
 
-    sim, devices, _ = _run_battery_fleet(args)
+    sim, devices, _, records = _run_battery_fleet(args, record_radio=True)
     spans = sim.kernel.spans
-    ledgers = [d.node.energy for d in devices]
-    for ledger in ledgers:
-        ledger.finalize()
 
-    # Fleet-wide energy attribution totals (the Table 3 accounting, summed
-    # per message instead of per hour).
-    attributed = sum(ledger.attributed_j for ledger in ledgers)
-    control = sum(ledger.control_j for ledger in ledgers)
-    unattributed = sum(ledger.unattributed_j for ledger in ledgers)
-    idle = sum(ledger.idle_j for ledger in ledgers)
-    active = sum(ledger.active_j for ledger in ledgers)
-    messages = sum(ledger.messages_attributed for ledger in ledgers)
-    piggybacked = sum(ledger.piggybacked_messages for ledger in ledgers)
-    delta = (
-        abs((attributed + control + unattributed) - active) / active if active else 0.0
-    )
+    # Fleet-wide radio episodes: who woke each modem (Figure 4's claim is
+    # that Pogo wakes it for none of them) and the rail's modem joules.
+    episodes = {"flush": 0, "external": 0}
+    active = 0.0
+    for record in records:
+        for episode in record.episodes(sim.kernel.now):
+            episodes[episode.trigger] += 1
+            active += episode.joules
+    total = sum(d.phone.rail.energy_of(d.phone.modem.name) for d in devices)
 
     from .analysis.export import write_text
 
@@ -493,15 +495,10 @@ def cmd_trace(args) -> int:
                 },
                 "hops": spans.latency_snapshot(),
                 "energy": {
-                    "attributed_j": round(attributed, 6),
-                    "control_j": round(control, 6),
-                    "unattributed_j": round(unattributed, 6),
-                    "idle_j": round(idle, 6),
                     "active_j": round(active, 6),
-                    "total_j": round(active + idle, 6),
-                    "messages_attributed": messages,
-                    "piggybacked_messages": piggybacked,
-                    "reconciliation_delta": round(delta, 9),
+                    "episodes": episodes,
+                    "idle_j": round(total - active, 6),
+                    "total_j": round(total, 6),
                 },
             },
             indent=2,
@@ -528,16 +525,12 @@ def cmd_trace(args) -> int:
 
     lines.extend([
         "",
-        "per-message energy attribution (3G modem, fleet total):",
-        f"  messages attributed     {messages:>12,} ({piggybacked:,} piggybacked)",
-        f"  attributed to messages  {attributed:>12.2f} J",
-        f"  control/ack overhead    {control:>12.2f} J",
-        f"  other apps' radio use   {unattributed:>12.2f} J",
+        "radio episodes (3G modem, fleet total):",
+        f"  woken by a Pogo flush   {episodes['flush']:>12,}",
+        f"  woken by anything else  {episodes['external']:>12,}",
         f"  radio-active total      {active:>12.2f} J",
-        f"  idle baseline           {idle:>12.2f} J",
-        f"  modem total             {active + idle:>12.2f} J",
-        f"  reconciliation delta    {delta * 100:>11.4f} %  "
-        f"(attributed+control+other vs active)",
+        f"  idle baseline           {total - active:>12.2f} J",
+        f"  modem total             {total:>12.2f} J",
     ])
     write_text(args.output, "\n".join(lines) + "\n")
     return 0

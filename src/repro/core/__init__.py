@@ -16,7 +16,6 @@ from .buffer import (
 )
 from .context import LINK_OWNER, Context, DeviceContext
 from .deployment import Experiment
-from .ledger import EnergyLedger
 from .envelope import (
     Envelope,
     FrozenDict,
@@ -73,7 +72,6 @@ __all__ = [
     "Context",
     "DeviceContext",
     "Experiment",
-    "EnergyLedger",
     "Envelope",
     "FrozenDict",
     "FrozenList",

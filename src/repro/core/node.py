@@ -10,7 +10,7 @@ CPU, a transport, a freeze store, the experiment contexts, and one
 reliable link per peer with its send path and batch unwrapping.
 :class:`DeviceNode` adds what a phone needs on top — the sensor manager,
 the outgoing buffer with its 24-hour expiry, the tail-synchronization
-policy, the energy ledger, and surviving a reboot.
+policy, and surviving a reboot.
 :class:`CollectorNode` adds collector mode on a researcher's PC:
 experiment deployment, collector-side services, immediate sends and
 acknowledgements (it is wired), and a subscription re-sync whenever a
@@ -28,9 +28,7 @@ from ..device.cpu import MainsCpu
 from ..net.transport import SEND_ERRORS, DeviceTransport, WiredTransport
 from ..net.xmpp import XmppServer
 from ..sim.kernel import MINUTE, Kernel
-from .ledger import EnergyLedger
-from .buffer import MessageBuffer, traced_envelope
-from .messages import message_size_bytes
+from .buffer import MessageBuffer
 from .context import DeviceContext
 from .deployment import (
     OP_ATTACH,
@@ -165,9 +163,6 @@ class DeviceNode(Node):
         self._m_batch_size = kernel.metrics.histogram("node.batch_payloads")
         self._spans = kernel.spans
         self._h_flush = kernel.spans.hop("node.flush")
-        #: Per-device modem energy accounting: every RRC episode's joules,
-        #: attributed to the traced messages whose flushes rode it.
-        self.energy = EnergyLedger(kernel, phone.modem, phone.rail)
         #: (experiment, script, exception) for deploys whose script
         #: failed to load — surfaced, never propagated.
         self.deploy_errors: List = []
@@ -275,7 +270,6 @@ class DeviceNode(Node):
         self._m_flushes.inc()
         self.flush_reasons[reason] += 1
         batches = self.buffer.peek_batches()
-        interface = self.phone.active_interface()
         spans = self._spans
         flush_span = 0
         if spans.enabled:
@@ -288,26 +282,11 @@ class DeviceNode(Node):
                 {
                     "reason": reason,
                     "radio": self.phone.modem.state,
-                    "interface": interface or "none",
+                    "interface": self.phone.active_interface() or "none",
                     "batches": len(batches),
                     "payloads": sum(len(m) for _, m in batches),
                 },
             )
-        if batches:
-            # Register this flush's riders with the energy ledger *before*
-            # the physical sends: a flush from idle opens the radio episode
-            # synchronously inside link.send, and the ledger must already
-            # know Pogo triggered it (self-initiated vs piggybacked is the
-            # whole Table 3 distinction).
-            riders = []
-            for _, messages in batches:
-                for message in messages:
-                    envelope = traced_envelope(message.payload)
-                    if envelope is not None:
-                        riders.append((envelope.trace_id, envelope.wire_size))
-                    else:
-                        riders.append((0, message_size_bytes(message.payload)))
-            self.energy.on_flush(flush_span, riders, interface, self.phone.modem.state)
         sent_payloads = 0
         previous_parent = spans.active_parent
         if flush_span:
@@ -330,7 +309,6 @@ class DeviceNode(Node):
                 self._send_ack(link)
         finally:
             spans.active_parent = previous_parent
-        self.energy.settle_flush()
         self.payloads_sent += sent_payloads
         return sent_payloads
 

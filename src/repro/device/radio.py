@@ -107,7 +107,7 @@ class Modem:
     __slots__ = (
         "_kernel", "_rail", "profile", "name", "simulate_paging",
         "state", "transferring", "data_enabled", "coverage", "bytes_tx",
-        "bytes_rx", "transfer_count", "rampup_count", "_queue", "_state_timer",
+        "bytes_rx", "transfer_count", "rampup_count", "woken_by", "_queue", "_state_timer",
         "_job_timer", "_current_job", "_paging_timer", "_paging_blip_timer",
         "on_state_change",
     )
@@ -137,6 +137,9 @@ class Modem:
         #: Number of times the modem left IDLE, i.e. paid a ramp-up.  A
         #: synchronized Pogo adds payload without adding ramp-ups.
         self.rampup_count = 0
+        #: The label of the transfer that last ramped the modem out of
+        #: IDLE: who opened the current (or last) radio episode.
+        self.woken_by = ""
 
         self._queue: Deque[TransferJob] = deque()
         self._state_timer: Optional[EventHandle] = None
@@ -216,6 +219,7 @@ class Modem:
             self._start_job()
         elif self.state == IDLE:
             self.rampup_count += 1
+            self.woken_by = self._queue[0].label
             self._set_state(RAMP)
             self._state_timer = self._kernel.schedule(self.profile.ramp_ms, self._ramp_done)
         elif self.state == FACH:

@@ -54,6 +54,15 @@ RETRY_INTERVAL_MS = 30 * SECOND
 #: Radio bytes one XMPP handshake costs, up and down.
 HANDSHAKE_TX_BYTES = 1_500
 HANDSHAKE_RX_BYTES = 3_000
+#: The tail of the label on every stanza :meth:`DeviceTransport.send`
+#: puts on the radio (``"<jid>:send"``).
+_SEND_SUFFIX = ":send"
+
+
+def is_send_label(label: str) -> bool:
+    """Whether a radio transfer's label marks a stanza a device transport
+    sent: a radio episode such a transfer woke is one Pogo paid for."""
+    return label.endswith(_SEND_SUFFIX)
 
 
 class _TransferDone:
@@ -339,7 +348,7 @@ class DeviceTransport:
         self.phone.transfer(
             tx_bytes=size,
             on_complete=transfer_done,
-            label=f"{self.jid}:send",
+            label=self.jid + _SEND_SUFFIX,
         )
 
     def _physical_rx(self, size: int, complete: Callable[[bool], None]) -> None:

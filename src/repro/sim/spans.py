@@ -20,9 +20,9 @@ delivery?":
   (:class:`SpanRecorder`): week-long simulations keep the most recent
   window and count what they dropped instead of growing without limit.
 
-Where the energy went is the ledger's question
-(:class:`~repro.core.ledger.EnergyLedger`), answered per message from
-the same flush spans.
+Which radio episodes Pogo woke itself, and their joules, is the
+question of :class:`~repro.analysis.energy.ModemStateLog`, which reads
+the modem and the rail, not the spans.
 
 Everything here is deterministic: ids are per-recorder counters, times
 are simulated milliseconds, and exports sort keys — two identical seeded

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.energy import ModemStateLog
 from repro.device.power import PowerRail
 from repro.device.radio import CARRIERS, IDLE, KPN, Modem
 from repro.device.cpu import Cpu, CpuConfig
@@ -68,13 +69,18 @@ transfer_schedules = st.lists(
 )
 
 
-@given(transfer_schedules, st.sampled_from(sorted(CARRIERS)))
+@given(
+    transfer_schedules,
+    st.sampled_from(sorted(CARRIERS)),
+    st.lists(st.booleans(), min_size=8, max_size=8),  # is transfer i a send
+)
 @settings(max_examples=80, deadline=None)
-def test_radio_energy_equals_state_dwell_integral(schedule, carrier_name):
+def test_radio_energy_equals_state_dwell_integral(schedule, carrier_name, sends):
     profile = CARRIERS[carrier_name]
     kernel = Kernel()
     rail = PowerRail(kernel)
     modem = Modem(kernel, rail, profile)
+    states = ModemStateLog(kernel, modem, rail)
 
     # Track state dwell times through the listener interface.
     dwell = {}
@@ -89,11 +95,19 @@ def test_radio_energy_equals_state_dwell_integral(schedule, carrier_name):
 
     t = 0.0
     completions = []
-    for gap, tx, rx in schedule:
+    # The trigger each episode should carry: the label of the transfer
+    # that found the modem in IDLE.
+    triggers = []
+
+    def transfer(tx, rx, send):
+        if modem.state == IDLE:
+            triggers.append("flush" if send else "external")
+        label = "phone@pogo:send" if send else "email"
+        modem.transfer(tx, rx, on_complete=completions.append, label=label)
+
+    for (gap, tx, rx), send in zip(schedule, sends):
         t += gap
-        kernel.schedule_at(
-            t, lambda tx=tx, rx=rx: modem.transfer(tx, rx, on_complete=completions.append)
-        )
+        kernel.schedule_at(t, transfer, tx, rx, send)
     kernel.run()
     # Let all tails expire, then settle the final dwell.
     kernel.run_until(kernel.now + profile.dch_tail_ms + profile.fach_tail_ms + 1000.0)
@@ -110,6 +124,25 @@ def test_radio_energy_equals_state_dwell_integral(schedule, carrier_name):
     assert completions == [True] * len(schedule)
     assert modem.state == IDLE
     assert not modem.transferring
+
+    # The episode record: disjoint, ordered, one per ramp-up out of IDLE,
+    # each carrying who woke the modem; its joules and the rail's between
+    # episodes add up to the rail's modem joules.
+    episodes = states.episodes(kernel.now)
+    assert all(e.start_ms < e.end_ms for e in episodes)
+    assert all(a.end_ms <= b.start_ms for a, b in zip(episodes, episodes[1:]))
+    assert len(episodes) == modem.rampup_count
+    assert [e.trigger for e in episodes] == triggers
+    idle_j = 0.0
+    closed_j = 0.0
+    for _, old, new, modem_j, _ in states.transitions:
+        if old == IDLE:
+            idle_j += modem_j - closed_j
+        elif new == IDLE:
+            closed_j = modem_j
+    idle_j += rail.energy_of(modem.name) - closed_j
+    total_j = sum(e.joules for e in episodes) + idle_j
+    assert abs(total_j - rail.energy_of(modem.name)) <= 1e-9 * max(total_j, 1e-3)
 
 
 @given(transfer_schedules)

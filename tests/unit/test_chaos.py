@@ -233,11 +233,3 @@ def test_buffer_conservation_violation_detected():
     device.node.buffer.enqueued += 1  # forge a book-keeping hole
     sim.run(minutes=1)  # periodic check fires at 30s
     assert any(v.invariant == "buffer-conservation" for v in monitor.violations)
-
-
-def test_energy_ledger_checked_at_finish():
-    sim, monitor = make_monitored_sim()
-    sim.start()
-    sim.run(minutes=2)
-    violations = monitor.finish()
-    assert not any(v.invariant == "energy-reconciliation" for v in violations)

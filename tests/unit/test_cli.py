@@ -84,8 +84,8 @@ def test_trace(capsys):
     assert "per-hop latency:" in out
     assert "buffer.dwell" in out
     assert "deliver.collector" in out
-    assert "per-message energy attribution" in out
-    assert "reconciliation delta" in out
+    assert "radio episodes" in out
+    assert "woken by a Pogo flush" in out
 
 
 def test_trace_json_and_export(tmp_path, capsys):
@@ -98,7 +98,11 @@ def test_trace_json_and_export(tmp_path, capsys):
     assert report["devices"] == 2
     assert report["spans"]["recorded"] > 0
     assert "publish" in report["hops"]
-    assert report["energy"]["reconciliation_delta"] < 0.01
+    energy = report["energy"]
+    assert set(energy) == {"active_j", "episodes", "idle_j", "total_j"}
+    assert energy["episodes"]["flush"] == 0
+    assert energy["episodes"]["external"] > 0
+    assert energy["active_j"] + energy["idle_j"] == pytest.approx(energy["total_j"])
 
     lines = path.read_text().splitlines()
     assert len(lines) == report["spans"]["in_ring"]

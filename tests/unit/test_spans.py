@@ -1,17 +1,11 @@
-"""Unit tests for lifecycle spans, the flight recorder and the energy ledger."""
+"""Unit tests for lifecycle spans and the flight recorder."""
 
 import json
 import pickle
 
 import pytest
 
-from repro.chaos.invariants import InvariantMonitor
 from repro.core.envelope import Envelope
-from repro.core.ledger import EnergyLedger
-from repro.core.middleware import PogoSimulation
-from repro.device.power import PowerRail
-from repro.device.radio import KPN, Modem
-from repro.sim.kernel import Kernel
 from repro.sim.spans import (
     Span,
     SpanRecorder,
@@ -186,177 +180,6 @@ class TestSpanTree:
         assert str(ours.traceback[-1].path).endswith("encoder.py")
         comparable = Span(1, 1, 0, "h", 0.0, 1.0, {2: "a", 1: "b"})
         assert '"attrs":{"1":"b","2":"a"}' in spans_to_jsonl_lines([comparable])[0]
-
-
-# ---------------------------------------------------------------------------
-# EnergyLedger: episodes, triggers, attribution, reconciliation
-# ---------------------------------------------------------------------------
-
-
-def make_radio(**modem_kwargs):
-    """A bare modem as the rail's only component: the rail's integral and
-    the ledger's total must then agree exactly."""
-    kernel = Kernel()
-    rail = PowerRail(kernel)
-    modem = Modem(kernel, rail, KPN, **modem_kwargs)
-    ledger = EnergyLedger(kernel, modem, rail)
-    return kernel, rail, modem, ledger
-
-
-def run_to_idle(kernel, modem, limit_ms=200_000.0):
-    kernel.run_until(kernel.now + limit_ms)
-    assert modem.state == "idle"
-
-
-class TestEnergyLedger:
-    def test_external_episode_is_unattributed(self):
-        kernel, rail, modem, ledger = make_radio()
-        modem.transfer(tx_bytes=5_000, label="email")
-        run_to_idle(kernel, modem)
-        ledger.finalize()
-        assert ledger.episodes_closed == 1
-        assert ledger.episodes_by_trigger["external"] == 1
-        assert ledger.attributed_j == 0.0
-        assert ledger.unattributed_j > 0.0
-        # Exact piecewise-constant accounting: the ledger's total is the
-        # rail's integral (the modem is the only component on the rail).
-        assert ledger.total_j == pytest.approx(rail.energy_joules, rel=1e-9)
-        assert ledger.reconciliation_delta() == 0.0
-
-    def test_flush_triggered_episode_charges_pogo_in_full(self):
-        kernel, rail, modem, ledger = make_radio()
-        # Pogo flushes from idle: mark first, then the transfer ramps the
-        # radio (the order DeviceNode.flush uses).
-        ledger.on_flush(flush_span=11, riders=[(1, 400)], interface="3g",
-                        radio_state=modem.state)
-        modem.transfer(tx_bytes=400, label="pogo-flush")
-        run_to_idle(kernel, modem)
-        ledger.finalize()
-        assert ledger.episodes_by_trigger["flush"] == 1
-        # Self-initiated: ramp + transfer + both tails all belong to Pogo.
-        assert ledger.attributed_j == pytest.approx(ledger.active_j)
-        assert ledger.unattributed_j == pytest.approx(0.0)
-        assert ledger.piggybacked_messages == 0
-        (entry,) = ledger.recent
-        assert entry.trace_id == 1
-        assert entry.flush_span == 11
-        assert not entry.piggybacked
-        assert ledger.total_j == pytest.approx(rail.energy_joules, rel=1e-9)
-
-    def test_piggybacked_flush_pays_only_marginal_transfer(self):
-        kernel, rail, modem, ledger = make_radio()
-        # The e-mail app wakes the radio...
-        modem.transfer(tx_bytes=20_000, label="email")
-        kernel.run_until(kernel.now + 3_000.0)
-        assert modem.state == "dch"
-        # ...and Pogo piggybacks while the channel is hot.
-        ledger.on_flush(flush_span=22, riders=[(1, 400)], interface="3g",
-                        radio_state=modem.state)
-        modem.transfer(tx_bytes=400, label="pogo-flush")
-        run_to_idle(kernel, modem)
-        ledger.finalize()
-        assert ledger.episodes_by_trigger["external"] == 1
-        # Marginal cost only: the KPN minimum transfer slot at DCH power.
-        expected = KPN.dch_w * KPN.min_transfer_ms / 1000.0
-        assert ledger.attributed_j == pytest.approx(expected)
-        assert ledger.piggybacked_messages == 1
-        assert ledger.attributed_j < ledger.active_j
-        assert ledger.total_j == pytest.approx(rail.energy_joules, rel=1e-9)
-        assert ledger.reconciliation_delta() == 0.0
-
-    def test_proration_by_bytes_and_control_share(self):
-        kernel, rail, modem, ledger = make_radio()
-        # One flush carrying a traced message (300 B), another traced
-        # message (100 B) and an untraced control payload (100 B).
-        ledger.on_flush(
-            flush_span=5,
-            riders=[(1, 300), (2, 100), (0, 100)],
-            interface="3g",
-            radio_state=modem.state,
-        )
-        modem.transfer(tx_bytes=500, label="pogo-flush")
-        run_to_idle(kernel, modem)
-        ledger.finalize()
-        total = ledger.active_j
-        # Shares split by wire bytes: 300/500, 100/500 to messages, the
-        # control rider's 100/500 lands in control_j.
-        assert ledger.attributed_j == pytest.approx(total * 400 / 500)
-        assert ledger.control_j == pytest.approx(total * 100 / 500)
-        assert ledger.messages_attributed == 2
-        entries = list(ledger.recent)
-        assert entries[0].joules == pytest.approx(3 * entries[1].joules)
-        assert ledger.reconciliation_delta() == 0.0
-
-    def test_settle_flush_clears_stale_marker(self):
-        kernel, rail, modem, ledger = make_radio()
-        # A flush whose transfer never reached the modem (link failure).
-        ledger.on_flush(flush_span=9, riders=[(1, 400)], interface="3g",
-                        radio_state=modem.state)
-        ledger.settle_flush()
-        # A later, unrelated wake-up must not inherit the trigger or riders.
-        modem.transfer(tx_bytes=5_000, label="email")
-        run_to_idle(kernel, modem)
-        ledger.finalize()
-        assert ledger.episodes_by_trigger["external"] == 1
-        assert ledger.episodes_by_trigger["flush"] == 0
-        assert ledger.attributed_j == 0.0
-
-    def test_wifi_flush_costs_no_modem_energy(self):
-        kernel, rail, modem, ledger = make_radio()
-        ledger.on_flush(flush_span=3, riders=[(1, 750)], interface="wifi",
-                        radio_state=modem.state)
-        ledger.finalize()
-        assert ledger.wifi_bytes == 750
-        assert ledger.active_j == 0.0
-        assert ledger.messages_attributed == 0
-
-    def test_finalize_closes_open_episode(self):
-        kernel, rail, modem, ledger = make_radio()
-        modem.transfer(tx_bytes=1_000, label="email")
-        kernel.run_until(kernel.now + 4_000.0)  # mid-tail, episode open
-        assert modem.state == "dch"
-        ledger.finalize()
-        assert ledger.episodes_closed == 1
-        assert ledger.total_j == pytest.approx(rail.energy_joules, rel=1e-9)
-
-    def test_paging_modem_books_match_the_rail(self):
-        # Paging blips draw power in IDLE without an RRC transition: only
-        # the rail sees them, so the ledger's idle share must come from it.
-        kernel, rail, modem, ledger = make_radio(simulate_paging=True)
-        modem.transfer(tx_bytes=5_000, label="email")
-        run_to_idle(kernel, modem)
-        ledger.finalize()
-        modem_j = rail.energy_of(modem.name)
-        assert modem_j == pytest.approx(rail.energy_joules, rel=1e-9)
-        books = (
-            ledger.attributed_j + ledger.control_j + ledger.unattributed_j
-            + ledger.idle_j
-        )
-        assert books == pytest.approx(modem_j, rel=1e-9)
-        assert ledger.reconciliation_delta() < 1e-9
-
-    def test_dropped_remainder_is_an_invariant_violation(self):
-        class DropsRemainder(EnergyLedger):
-            """Loses each episode's unattributed joules."""
-
-            __slots__ = ()
-
-            def _attribute(self, episode):
-                kept = self.unattributed_j
-                super()._attribute(episode)
-                self.unattributed_j = kept
-
-        sim = PogoSimulation(seed=5)
-        sim.add_collector("ops")
-        device = sim.add_device(with_email_app=True)
-        device.node.energy.__class__ = DropsRemainder
-        monitor = InvariantMonitor(sim)
-        sim.start()
-        sim.run(minutes=10)
-        violations = monitor.finish()
-        assert [v.subject for v in violations if v.invariant == "energy-reconciliation"] == [
-            f"{device.jid}.energy"
-        ]
 
 
 def test_disable_swaps_hop_handles_to_noops():
