@@ -12,39 +12,23 @@ from the sampled power series and from the exact modem state transitions.
 
 import pytest
 
-from repro.analysis.energy import (
-    ModemStateLog,
-    segment_tail_from_series,
-    series_energy_joules,
-)
+from repro.analysis.energy import segment_tail_from_series
 from repro.analysis.plotting import render_series
-from repro.core.middleware import PogoSimulation
-from repro.device.power import PowerMeter
+from repro.apps.energy_study import EMAIL_CHECK_AFTER_MS, figure3_trace
 from repro.device.radio import KPN
-from repro.sim.kernel import MINUTE, SECOND
-
-#: Segment the e-mail check at t = 5 min (not the connection handshake
-#: near t = 0, which produces a structurally identical tail).
-EMAIL_CHECK_AFTER_MS = 4 * MINUTE
+from repro.sim.kernel import SECOND
 
 
 def run_trace():
-    sim = PogoSimulation(seed=3, carrier=KPN)
-    device = sim.add_device(with_email_app=True, simulate_paging=True)
-    states = ModemStateLog(sim.kernel, device.phone.modem, device.phone.rail)
-    meter = PowerMeter(sim.kernel, device.phone.rail, interval_ms=20.0)
-    meter.start()
-    sim.start()
-    sim.run(duration_ms=7 * MINUTE)  # one e-mail check fires at t = 5 min
-    meter.stop()
+    samples, states = figure3_trace(3)
     from_series = segment_tail_from_series(
-        meter.samples, KPN, search_from_ms=EMAIL_CHECK_AFTER_MS
+        samples, KPN, search_from_ms=EMAIL_CHECK_AFTER_MS
     )
     from_states = states.segment_tail(KPN, after_ms=EMAIL_CHECK_AFTER_MS)
-    return meter, from_series, from_states
+    return samples, from_series, from_states
 
 
-def render(meter, seg) -> str:
+def render(samples, seg) -> str:
     rel = lambda t: (t - seg.a_ramp_start_ms) / 1000.0
     lines = [
         "Figure 3 — tail energy of one transmission (KPN profile)",
@@ -56,10 +40,10 @@ def render(meter, seg) -> str:
         "",
         f"  tail b->d: {seg.tail_duration_ms/1000:.1f} s (paper: ~59.5 s), energy {seg.tail_energy_j:.2f} J",
         f"  transfer itself: {seg.transfer_energy_j:.2f} J, ramp-up: {seg.ramp_energy_j:.2f} J",
-        f"  peak rail power: {meter.samples.max():.2f} W",
+        f"  peak rail power: {samples.max():.2f} W",
         "",
         render_series(
-            meter.samples,
+            samples,
             start_ms=seg.a_ramp_start_ms - 20 * SECOND,
             end_ms=seg.d_fach_end_ms + 20 * SECOND,
             height=8,
@@ -75,9 +59,9 @@ def render(meter, seg) -> str:
 
 
 def test_figure3_tail_segmentation(benchmark, report):
-    meter, from_series, from_states = benchmark.pedantic(run_trace, rounds=1, iterations=1)
+    samples, from_series, from_states = benchmark.pedantic(run_trace, rounds=1, iterations=1)
     assert from_series is not None and from_states is not None
-    report("figure3_tail_trace", render(meter, from_states))
+    report("figure3_tail_trace", render(samples, from_states))
 
     # The paper's annotated timings: ~6 s DCH, ~53.5 s FACH, b→d ≈ 59.5 s.
     assert from_states.dch_tail_ms == pytest.approx(6000.0, rel=0.05)

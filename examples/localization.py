@@ -18,9 +18,8 @@ Run:  python examples/localization.py
 from repro import PogoSimulation
 from repro.apps import localization
 from repro.core.messages import message_size_bytes
-from repro.core.services import GeolocationBridge
-from repro.sim.kernel import DAY, HOUR
-from repro.world.geolocation import GeolocationService
+from repro.core.services import install_geolocation
+from repro.sim.kernel import HOUR
 from repro.world.geometry import from_latlon
 
 DAYS = 3
@@ -33,11 +32,7 @@ def main() -> None:
 
     # The collector's geolocation service knows the world's APs (the
     # stand-in for Google's geolocation API).
-    service = GeolocationService()
-    for group in phone.user_world.places.values():
-        for place in group:
-            service.register_all(place.access_points)
-    researcher.node.add_service(GeolocationBridge(service))
+    install_geolocation(researcher, phone)
 
     sim.start()
     sim.assign(researcher, [phone])

@@ -11,39 +11,19 @@ the script and without it.
 Run:  python examples/power_accounting.py
 """
 
-from repro import PogoSimulation
+from functools import partial
+
 from repro.apps import battery_monitor, localization
+from repro.apps.energy_study import power_run
 from repro.core.power_model import joules_table, script_joules
-from repro.core.services import GeolocationBridge
-from repro.world.geolocation import GeolocationService
 
 HOURS = 6
-
-
-def run(experiments):
-    """One seeded 6-hour run with exactly these experiments deployed."""
-    sim = PogoSimulation(seed=13)
-    researcher = sim.add_collector("alice")
-    phone = sim.add_device(world_days=1, with_email_app=True)
-
-    service = GeolocationService()
-    for group in phone.user_world.places.values():
-        for place in group:
-            service.register_all(place.access_points)
-    researcher.node.add_service(GeolocationBridge(service))
-
-    sim.start()
-    sim.assign(researcher, [phone])
-    # Experiments sharing one device (Section 3.1's many-to-many).
-    for experiment in experiments:
-        researcher.node.deploy(experiment, [phone.jid])
-    sim.run(hours=HOURS)
-    return phone
 
 
 def main() -> None:
     experiments = [localization.build_experiment(), battery_monitor.build_experiment()]
     print(f"per-script joules after {HOURS} simulated hours:\n")
+    run = partial(power_run, seed=13, hours=HOURS)
     print(joules_table(*script_joules(run, experiments)))
     print(
         "\nThe localization 'scan' script dominates: its Wi-Fi scans and the"

@@ -12,38 +12,14 @@ three Dutch carriers.  Prints:
 Run:  python examples/tail_energy.py
 """
 
-from repro import Experiment, PogoSimulation
-from repro.analysis.energy import ModemStateLog, percent_increase
-from repro.apps import battery_monitor
+from repro.analysis.energy import percent_increase
+from repro.apps.energy_study import EMAIL_CHECK_AFTER_MS, figure3_trace, table3_hour
 from repro.device.radio import CARRIERS, KPN
-from repro.sim.kernel import HOUR, MINUTE
-
-WARMUP = 10 * MINUTE
-
-
-def run_hour(carrier, with_pogo: bool) -> float:
-    """One measured hour (after warm-up); returns joules drawn."""
-    sim = PogoSimulation(seed=3, carrier=carrier)
-    collector = sim.add_collector("alice")
-    device = sim.add_device(with_email_app=True)
-    sim.start()
-    sim.assign(collector, [device])
-    if with_pogo:
-        collector.node.deploy(battery_monitor.build_experiment(), [device.jid])
-    sim.run(duration_ms=WARMUP)
-    device.phone.rail.reset_energy()
-    sim.run(hours=1)
-    return device.phone.rail.energy_joules
 
 
 def figure3() -> None:
-    sim = PogoSimulation(seed=3, carrier=KPN)
-    device = sim.add_device(with_email_app=True)
-    states = ModemStateLog(sim.kernel, device.phone.modem, device.phone.rail)
-    sim.start()
-    sim.run(duration_ms=7 * MINUTE)  # one e-mail check at t=5 min
-    # Segment the e-mail transmission, not the connection handshake.
-    seg = states.segment_tail(KPN, after_ms=4 * MINUTE)
+    _, states = figure3_trace(3)
+    seg = states.segment_tail(KPN, after_ms=EMAIL_CHECK_AFTER_MS)
     print("Figure 3 — one e-mail check on KPN (times relative to ramp start):")
     print(f"  a  ramp-up starts   {0.0:7.1f} s   (ramp {KPN.ramp_ms/1000:.1f} s @ {KPN.ramp_w:.2f} W)")
     b = (seg.b_transfer_end_ms - seg.a_ramp_start_ms) / 1000
@@ -62,8 +38,8 @@ def table3() -> None:
     print("Table 3 — hourly energy, e-mail every 5 min, Pogo sampling battery 1/min:")
     print(f"  {'Carrier':<10} {'Without Pogo':>13} {'With Pogo':>11} {'Increase':>9}")
     for name, carrier in CARRIERS.items():
-        base = run_hour(carrier, with_pogo=False)
-        with_pogo = run_hour(carrier, with_pogo=True)
+        base = table3_hour(carrier, False, 3).joules
+        with_pogo = table3_hour(carrier, True, 3).joules
         print(
             f"  {name:<10} {base:>11.2f} J {with_pogo:>9.2f} J "
             f"{percent_increase(base, with_pogo):>8.2f}%"

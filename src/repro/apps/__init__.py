@@ -4,6 +4,7 @@ from . import (
     battery_monitor,
     contact_tracing,
     deployment_study,
+    energy_study,
     localization,
     noise_map,
     roguefinder,
@@ -13,6 +14,7 @@ __all__ = [
     "battery_monitor",
     "contact_tracing",
     "deployment_study",
+    "energy_study",
     "localization",
     "noise_map",
     "roguefinder",

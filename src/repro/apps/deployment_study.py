@@ -28,9 +28,8 @@ from ..analysis.clustering import Cluster, cluster_stream
 from ..analysis.matching import MatchReport, data_reduction_percent, match_clusters
 from ..core.messages import message_size_bytes
 from ..core.middleware import PogoSimulation
-from ..core.services import GeolocationBridge
+from ..core.services import install_geolocation
 from ..world.disruptions import cell_outage, standard_plan, trip_abroad
-from ..world.geolocation import GeolocationService
 from ..world.mobility import UserProfile
 from ..world.rssi import PropagationModel
 from . import localization
@@ -165,12 +164,7 @@ def run_session(
         propagation=DEPLOYMENT_PROPAGATION,
     )
 
-    # Geolocation backend knows the user's world.
-    service = GeolocationService()
-    for group in device.user_world.places.values():
-        for place in group:
-            service.register_all(place.access_points)
-    collector.node.add_service(GeolocationBridge(service))
+    install_geolocation(collector, device)
 
     # The SD-card log: every sanitized scan, recorded node-locally the
     # moment the experiment context exists.

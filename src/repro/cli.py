@@ -4,9 +4,6 @@
 
 Commands
 --------
-quickstart       battery telemetry across a small simulated fleet
-localization     the Section 4.1 app for N days on one phone
-roguefinder      Listing 2's geofenced scanning for one day
 tail-trace       Figure 3: one transmission's power trace (ASCII)
 table3           Table 3: hourly energy per carrier, with/without Pogo
 table4           Table 4: the full deployment study (slow; supports --scale)
@@ -40,7 +37,6 @@ import sys
 from typing import List, Optional
 
 from . import chaos as _chaos
-from .sim.kernel import MINUTE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,16 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=7, help="experiment seed")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    quickstart = sub.add_parser("quickstart", help="battery telemetry quickstart")
-    quickstart.add_argument("--devices", type=int, default=3)
-    quickstart.add_argument("--hours", type=float, default=1.0)
-
-    localization = sub.add_parser("localization", help="the Section 4.1 application")
-    localization.add_argument("--days", type=int, default=2)
-
-    roguefinder = sub.add_parser("roguefinder", help="Listing 2's geofenced scanning")
-    roguefinder.add_argument("--hours", type=float, default=24.0)
 
     sub.add_parser("tail-trace", help="Figure 3 power trace (ASCII)")
 
@@ -212,7 +198,7 @@ def _run_battery_fleet(args, record_radio: bool):
     the e-mail app, the battery monitor deployed to all of them — run for
     ``args.hours``.  With ``record_radio`` each phone's modem gets a
     :class:`~repro.analysis.energy.ModemStateLog` before the fleet starts.
-    Returns ``(sim, devices, context, records)``."""
+    Returns ``(sim, devices, records)``."""
     from .analysis.energy import ModemStateLog
     from .apps import battery_monitor
     from .core.middleware import PogoSimulation
@@ -227,93 +213,18 @@ def _run_battery_fleet(args, record_radio: bool):
     ]
     sim.start()
     sim.assign(collector, devices)
-    context = collector.node.deploy(
-        battery_monitor.build_experiment(), [d.jid for d in devices]
-    )
+    collector.node.deploy(battery_monitor.build_experiment(), [d.jid for d in devices])
     sim.run(hours=args.hours)
-    return sim, devices, context, records
-
-
-def cmd_quickstart(args) -> int:
-    _, devices, context, _ = _run_battery_fleet(args, record_radio=False)
-    readings = context.scripts["collect"].namespace["readings"]
-    print(f"{len(readings)} readings from {args.devices} devices in {args.hours} h")
-    for device in devices:
-        print(
-            f"  {device.jid}: {device.node.payloads_sent} payloads / "
-            f"{device.node.batches_sent} batches, {device.phone.energy_joules:.1f} J"
-        )
-    return 0
-
-
-def cmd_localization(args) -> int:
-    from .apps import localization
-    from .core.middleware import PogoSimulation
-    from .core.services import GeolocationBridge
-    from .world.geolocation import GeolocationService
-
-    sim = PogoSimulation(seed=args.seed)
-    collector = sim.add_collector("cli")
-    device = sim.add_device(world_days=args.days, with_email_app=True)
-    service = GeolocationService()
-    for group in device.user_world.places.values():
-        for place in group:
-            service.register_all(place.access_points)
-    collector.node.add_service(GeolocationBridge(service))
-    sim.start()
-    sim.assign(collector, [device])
-    context = collector.node.deploy(localization.build_experiment(), [device.jid])
-    sim.run(days=args.days)
-    database = context.scripts["collect"].namespace["database"]
-    print(f"{len(database)} dwell sessions over {args.days} days:")
-    for cluster in database:
-        hours = cluster["entry"] / 3_600_000.0
-        print(
-            f"  day {int(hours // 24)} {hours % 24:5.2f}h  "
-            f"{cluster['samples']:4d} scans  place={'yes' if cluster['place'] else 'no'}"
-        )
-    return 0
-
-
-def cmd_roguefinder(args) -> int:
-    from .apps import roguefinder
-    from .core.middleware import PogoSimulation
-    from .world.geometry import to_latlon
-
-    sim = PogoSimulation(seed=args.seed)
-    collector = sim.add_collector("cli")
-    device = sim.add_device(world_days=max(1, int(args.hours // 24) + 1), with_email_app=True)
-    office = device.user_world.places["office"][0]
-    polygon = [
-        to_latlon(office.center.offset(dx, dy))
-        for dx, dy in ((-150, -150), (150, -150), (150, 150), (-150, 150))
-    ]
-    sim.start()
-    sim.assign(collector, [device])
-    context = collector.node.deploy(roguefinder.build_experiment(polygon), [device.jid])
-    sim.run(hours=args.hours)
-    scans = context.scripts["collect"].namespace["scans"]
-    sensor = device.node.sensor_manager.sensors["wifi-scan"]
-    print(f"{len(scans)} geofenced scans reported in {args.hours} h")
-    print(f"scanner performed {sensor.completed_scans} scans (duty-cycled by location)")
-    return 0
+    return sim, devices, records
 
 
 def cmd_tail_trace(args) -> int:
-    from .analysis.energy import ModemStateLog
     from .analysis.plotting import render_series
-    from .core.middleware import PogoSimulation
-    from .device.power import PowerMeter
+    from .apps.energy_study import EMAIL_CHECK_AFTER_MS, figure3_trace
     from .device.radio import KPN
 
-    sim = PogoSimulation(seed=args.seed, carrier=KPN)
-    device = sim.add_device(with_email_app=True, simulate_paging=True)
-    states = ModemStateLog(sim.kernel, device.phone.modem, device.phone.rail)
-    meter = PowerMeter(sim.kernel, device.phone.rail, interval_ms=50.0)
-    meter.start()
-    sim.start()
-    sim.run(duration_ms=7 * MINUTE)
-    seg = states.segment_tail(KPN, after_ms=4 * MINUTE)
+    samples, states = figure3_trace(args.seed)
+    seg = states.segment_tail(KPN, after_ms=EMAIL_CHECK_AFTER_MS)
     if seg is None:
         print("no transmission found", file=sys.stderr)
         return 1
@@ -323,7 +234,7 @@ def cmd_tail_trace(args) -> int:
     )
     print(
         render_series(
-            meter.samples,
+            samples,
             start_ms=seg.a_ramp_start_ms - 20_000.0,
             end_ms=seg.d_fach_end_ms + 20_000.0,
             height=8,
@@ -340,27 +251,13 @@ def cmd_tail_trace(args) -> int:
 
 def cmd_table3(args) -> int:
     from .analysis.energy import percent_increase
-    from .apps import battery_monitor
-    from .core.middleware import PogoSimulation
+    from .apps.energy_study import table3_hour
     from .device.radio import CARRIERS
-
-    def run_hour(carrier, with_pogo):
-        sim = PogoSimulation(seed=args.seed, carrier=carrier)
-        collector = sim.add_collector("cli")
-        device = sim.add_device(with_email_app=True)
-        sim.start()
-        sim.assign(collector, [device])
-        if with_pogo:
-            collector.node.deploy(battery_monitor.build_experiment(), [device.jid])
-        sim.run(duration_ms=10 * MINUTE)
-        device.phone.rail.reset_energy()
-        sim.run(hours=1)
-        return device.phone.rail.energy_joules
 
     print(f"{'Carrier':<10} {'Without':>10} {'With':>10} {'Increase':>9}")
     for name, carrier in CARRIERS.items():
-        base = run_hour(carrier, False)
-        pogo = run_hour(carrier, True)
+        base = table3_hour(carrier, False, args.seed).joules
+        pogo = table3_hour(carrier, True, args.seed).joules
         print(
             f"{name:<10} {base:>8.2f} J {pogo:>8.2f} J "
             f"{percent_increase(base, pogo):>8.2f}%"
@@ -407,28 +304,13 @@ def cmd_anonytl(args) -> int:
 
 
 def cmd_power_report(args) -> int:
+    from functools import partial
+
     from .apps import battery_monitor, localization
-    from .core.middleware import PogoSimulation
+    from .apps.energy_study import power_run
     from .core.power_model import joules_table, script_joules
-    from .core.services import GeolocationBridge
-    from .world.geolocation import GeolocationService
 
-    def run(experiments):
-        sim = PogoSimulation(seed=args.seed)
-        collector = sim.add_collector("cli")
-        device = sim.add_device(world_days=1, with_email_app=True)
-        service = GeolocationService()
-        for group in device.user_world.places.values():
-            for place in group:
-                service.register_all(place.access_points)
-        collector.node.add_service(GeolocationBridge(service))
-        sim.start()
-        sim.assign(collector, [device])
-        for experiment in experiments:
-            collector.node.deploy(experiment, [device.jid])
-        sim.run(hours=args.hours)
-        return device
-
+    run = partial(power_run, seed=args.seed, hours=args.hours)
     experiments = [localization.build_experiment(), battery_monitor.build_experiment()]
     print(f"per-script joules after {args.hours} h, each script measured by leaving it out:")
     print(joules_table(*script_joules(run, experiments)))
@@ -438,7 +320,7 @@ def cmd_power_report(args) -> int:
 def cmd_metrics(args) -> int:
     from .analysis.export import write_text
 
-    sim, _, _, _ = _run_battery_fleet(args, record_radio=False)
+    sim, _, _ = _run_battery_fleet(args, record_radio=False)
     if args.json:
         import json
 
@@ -462,7 +344,7 @@ def cmd_trace(args) -> int:
 
     from .sim.spans import render_span_tree
 
-    sim, devices, _, records = _run_battery_fleet(args, record_radio=True)
+    sim, devices, records = _run_battery_fleet(args, record_radio=True)
     spans = sim.kernel.spans
 
     # Fleet-wide radio episodes: who woke each modem (Figure 4's claim is
@@ -781,9 +663,6 @@ def cmd_fleet(args) -> int:
 
 
 _COMMANDS = {
-    "quickstart": cmd_quickstart,
-    "localization": cmd_localization,
-    "roguefinder": cmd_roguefinder,
     "tail-trace": cmd_tail_trace,
     "table3": cmd_table3,
     "table4": cmd_table4,
@@ -804,7 +683,7 @@ def _bad_length(args) -> Optional[str]:
     ``--devices``) quietly run something else.  A fault window
     (``chaos --minutes``) and a fleet may be empty; a bug injection may
     not, since the bug needs a victim."""
-    for name in ("hours", "days", "scale"):
+    for name in ("hours", "scale"):
         value = getattr(args, name, None)
         if value is not None and value <= 0:
             return f"--{name} must be positive, got {value:g}"

@@ -28,6 +28,14 @@ from .deployment import Experiment
 Row = Tuple[str, Dict[str, float]]
 
 
+def component_joules(phone) -> Dict[str, float]:
+    """The joules each rail component of ``phone`` has drawn so far,
+    keyed without the device prefix (``"cpu"``, ``"modem"``, …)."""
+    prefix = f"{phone.name}."
+    rail = phone.rail
+    return {c.removeprefix(prefix): rail.energy_of(c) for c in rail.components}
+
+
 def script_joules(
     run: Callable[[List[Experiment]], object], experiments: Sequence[Experiment]
 ) -> Tuple[List[Row], float]:
@@ -46,10 +54,7 @@ def script_joules(
 
     def energy(deployed: List[Experiment]) -> Tuple[Dict[str, float], float]:
         phone = run(deployed).phone
-        prefix = f"{phone.name}."
-        rail = phone.rail
-        joules = {c.removeprefix(prefix): rail.energy_of(c) for c in rail.components}
-        return joules, phone.energy_joules
+        return component_joules(phone), phone.energy_joules
 
     def without(experiment: Experiment, name: str) -> Experiment:
         return dataclasses.replace(

@@ -63,3 +63,13 @@ class GeolocationBridge:
                 "matched": fix.matched_aps,
             }
         context.broker.publish(GEO_RESULT_CHANNEL, result)
+
+
+def install_geolocation(collector, device) -> None:
+    """Give ``collector``'s scripts a geolocation service that knows
+    every access point of ``device``'s world."""
+    service = GeolocationService()
+    for group in device.user_world.places.values():
+        for place in group:
+            service.register_all(place.access_points)
+    collector.node.add_service(GeolocationBridge(service))

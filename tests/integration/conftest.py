@@ -3,20 +3,8 @@
 import pytest
 
 from repro.core.middleware import PogoSimulation
-from repro.core.services import GeolocationBridge
-from repro.world.geolocation import GeolocationService
 
 
 @pytest.fixture
 def sim():
     return PogoSimulation(seed=1234)
-
-
-def install_geolocation(collector, device):
-    """Register every AP of a device's world with a geolocation bridge."""
-    service = GeolocationService()
-    for group in device.user_world.places.values():
-        for place in group:
-            service.register_all(place.access_points)
-    collector.node.add_service(GeolocationBridge(service))
-    return service

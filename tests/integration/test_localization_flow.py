@@ -9,11 +9,10 @@ import pytest
 from repro.analysis.clustering import Cluster, cluster_stream
 from repro.analysis.matching import match_clusters
 from repro.apps import localization
+from repro.core.services import install_geolocation
 from repro.sim import DAY, HOUR, MINUTE
 from repro.world.places import is_locally_administered
 from repro.world.rssi import normalize_rssi
-
-from .conftest import install_geolocation
 
 
 def offline_truth(device, duration_ms, interval_ms=60_000.0):

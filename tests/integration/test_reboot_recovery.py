@@ -6,9 +6,8 @@ Section 5.3's failure modes and the fix the paper shipped afterwards.
 import pytest
 
 from repro.apps import battery_monitor, localization
+from repro.core.services import install_geolocation
 from repro.sim import HOUR, MINUTE
-
-from .conftest import install_geolocation
 
 
 def test_reboot_resumes_collection(sim):

@@ -1,16 +1,14 @@
 """Unit tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.chaos import SCENARIOS
 from repro.cli import main
+from repro.device.radio import CARRIERS
 
-
-def test_quickstart(capsys):
-    assert main(["--seed", "3", "quickstart", "--devices", "2", "--hours", "0.3"]) == 0
-    out = capsys.readouterr().out
-    assert "readings from 2 devices" in out
-    assert "device-1@pogo" in out
+ROOT = pathlib.Path(__file__).parent.parent.parent
 
 
 def test_tail_trace(capsys):
@@ -20,10 +18,19 @@ def test_tail_trace(capsys):
     assert "█" in out  # the ASCII trace rendered
 
 
-def test_roguefinder(capsys):
-    assert main(["--seed", "21", "roguefinder", "--hours", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "geofenced scans" in out
+def test_table3_prints_the_benchmarks_joules(capsys):
+    # The verb and benchmarks/test_table3_power.py run one recipe
+    # (repro.apps.energy_study.table3_hour): at the benchmark's seed the
+    # verb prints the committed table's rows.
+    assert main(["--seed", "3", "table3"]) == 0
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    committed = (ROOT / "benchmarks" / "out" / "table3_power.txt").read_text()
+    rows = [
+        words[:6] for words in map(str.split, committed.splitlines())
+        if words and words[0] in CARRIERS
+    ]
+    assert len(rows) == len(CARRIERS)
+    assert printed == rows
 
 
 def test_anonytl_task_file(tmp_path, capsys):
@@ -33,12 +40,6 @@ def test_anonytl_task_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "task 5" in out
     assert "reports on 'anonytl-reports'" in out
-
-
-def test_localization_short(capsys):
-    assert main(["--seed", "11", "localization", "--days", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "dwell sessions" in out
 
 
 def test_power_report_rows_add_up_to_the_rail_total(capsys):
@@ -215,13 +216,10 @@ def test_nonpositive_shard_count_prints_one_line_and_exits_1(
 
 
 BAD_INPUT = [
-    (["quickstart", "--hours", "0"], "--hours must be positive, got 0"),
-    (["roguefinder", "--hours", "0"], "--hours must be positive, got 0"),
     (["power-report", "--hours", "0"], "--hours must be positive, got 0"),
     (["metrics", "--hours", "0"], "--hours must be positive, got 0"),
     (["trace", "--hours", "0"], "--hours must be positive, got 0"),
     (["anonytl", "task.atl", "--hours", "0"], "--hours must be positive, got 0"),
-    (["localization", "--days", "0"], "--days must be positive, got 0"),
     (["chaos", "--minutes", "-3"], "--minutes must not be negative, got -3"),
     (["chaos", "--scenario", "nope"],
      f"unknown scenario 'nope' (choose from {sorted(SCENARIOS)})"),
@@ -231,7 +229,6 @@ BAD_INPUT = [
     (["fleet", "--hours", "0"], "--hours must be positive, got 0"),
     (["chaos", "--devices", "-3", "--minutes", "1", "--json"],
      "--devices must not be negative, got -3"),
-    (["quickstart", "--devices", "-1"], "--devices must not be negative, got -1"),
     (["metrics", "--devices", "-1"], "--devices must not be negative, got -1"),
     (["trace", "--devices", "-1"], "--devices must not be negative, got -1"),
     (["fleet", "--devices", "-1"], "--devices must not be negative, got -1"),
