@@ -30,56 +30,15 @@ Quick start::
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
+
+The package re-exports only the quick start's two names; everything else
+is imported from the module that defines it, so a run loads the modules
+it uses and no others (docs/INTERNALS.md, "Import layering").
 """
 
 from .core.deployment import Experiment
-from .core.middleware import PogoSimulation, SimulatedCollector, SimulatedDevice
-from .core.shard import DeviceSpec, Shard, ShardSpec
-from .core.node import CollectorNode, DeviceNode
-from .core.broker import Broker, Subscription
-from .core.tailsync import (
-    ImmediatePolicy,
-    PeriodicPolicy,
-    SynchronizedPolicy,
-    TailDetector,
-)
-from .device.radio import CARRIERS, KPN, T_MOBILE, VODAFONE, CarrierProfile
-from .fleet import FleetResult, fleet_spec, plan_fleet, run_fleet
-from .sim.kernel import DAY, HOUR, MINUTE, SECOND, Kernel
-from .sim.randomness import RandomStreams
+from .core.middleware import PogoSimulation
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Experiment",
-    "PogoSimulation",
-    "Shard",
-    "ShardSpec",
-    "DeviceSpec",
-    "SimulatedCollector",
-    "SimulatedDevice",
-    "CollectorNode",
-    "DeviceNode",
-    "Broker",
-    "Subscription",
-    "ImmediatePolicy",
-    "PeriodicPolicy",
-    "SynchronizedPolicy",
-    "TailDetector",
-    "CARRIERS",
-    "KPN",
-    "T_MOBILE",
-    "VODAFONE",
-    "CarrierProfile",
-    "FleetResult",
-    "fleet_spec",
-    "plan_fleet",
-    "run_fleet",
-    "DAY",
-    "HOUR",
-    "MINUTE",
-    "SECOND",
-    "Kernel",
-    "RandomStreams",
-    "__version__",
-]
+__all__ = ["Experiment", "PogoSimulation", "__version__"]

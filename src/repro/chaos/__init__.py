@@ -10,15 +10,7 @@ scheduler serialization, balanced energy books — survive the abuse.
 
 from .engine import ChaosEngine
 from .impairments import ChaosInterceptor, Impairment, stanza_trace_ids
-from .invariants import InvariantMonitor, Violation
-from .scenarios import (
-    BUGS,
-    SCENARIOS,
-    Scenario,
-    render_report,
-    report_json,
-    run_scenario,
-)
+from .scenarios import BUGS, SCENARIOS, render_report, report_json, run_scenario
 
 __all__ = [
     "BUGS",
@@ -26,9 +18,6 @@ __all__ = [
     "ChaosEngine",
     "ChaosInterceptor",
     "Impairment",
-    "InvariantMonitor",
-    "Scenario",
-    "Violation",
     "render_report",
     "report_json",
     "run_scenario",

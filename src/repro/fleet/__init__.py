@@ -23,30 +23,31 @@ byte-identical to the single-shard run for the same seed:
   decode gives back copies of the sender's ``Handoff`` objects.
 * :mod:`repro.fleet.merge` — combine per-shard fleet reports, metrics
   planes and span traces into one canonical report.
-"""
 
-from .coordinator import FleetError, FleetResult, WorkerCrashed, run_fleet
-from .merge import (
-    merge_fleet_reports,
-    merge_metrics,
-    merge_trace_jsonl,
-    merge_trace_rows,
-)
-from .partition import FleetPlan, fleet_spec, plan_fleet
-from .wire import decode_batch, encode_batch
+The re-exports below resolve lazily (PEP 562): a battery-monitor shard
+that imports :mod:`repro.fleet.worker` pays for neither the coordinator
+nor the merge.
+"""
 
 __all__ = [
     "FleetError",
-    "FleetPlan",
-    "FleetResult",
     "WorkerCrashed",
-    "decode_batch",
-    "encode_batch",
     "fleet_spec",
     "merge_fleet_reports",
     "merge_metrics",
     "merge_trace_jsonl",
-    "merge_trace_rows",
     "plan_fleet",
     "run_fleet",
 ]
+
+
+def __getattr__(name):
+    if name in ("FleetError", "WorkerCrashed", "run_fleet"):
+        from . import coordinator as home
+    elif name in ("fleet_spec", "plan_fleet"):
+        from . import partition as home
+    elif name in ("merge_fleet_reports", "merge_metrics", "merge_trace_jsonl"):
+        from . import merge as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(home, name)

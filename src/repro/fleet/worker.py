@@ -28,6 +28,7 @@ from time import perf_counter, process_time
 from traceback import format_exc
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..apps import battery_monitor
 from ..core.shard import Handoff, Shard, ShardSpec
 from ..obs.telemetry import sample_shard
 from ..sim.hostgc import building
@@ -102,8 +103,6 @@ def setup_battery_monitor(
     (:meth:`XmppServer.add_remote_roster`) on both shards so presence
     crosses the boundary exactly as the solo run delivers it locally.
     """
-    from ..apps import battery_monitor
-
     shard.start()
     local_jids = sorted(shard.devices)
     names = sorted(shard.collectors)
@@ -147,17 +146,28 @@ def setup_crash_canary(
 
 #: Workload name → setup callable, looked up by the worker loop.  Names,
 #: not callables, cross the pipe — the registry keeps spawn picklability
-#: trivial and gives misconfiguration a clean error.  (The scenario
-#: workload imports only core/apps/world modules, never this package, so
-#: the module-level import is cycle-free.)
-from ..scenarios.workload import setup_scenario, setup_scenario_crash
-
+#: trivial and gives misconfiguration a clean error.  A scenario setup is
+#: named here by its function in :mod:`repro.scenarios.workload`, not
+#: imported: that module loads the scenario engine, which a
+#: battery-monitor fleet never calls, and a scenario run has it loaded
+#: already (:mod:`repro.scenarios.runner` imports it before any worker
+#: is forked).
 WORKLOADS = {
     "battery-monitor": setup_battery_monitor,
     "crash-canary": setup_crash_canary,
-    "scenario": setup_scenario,
-    "scenario-crash-mid-epoch": setup_scenario_crash,
+    "scenario": "setup_scenario",
+    "scenario-crash-mid-epoch": "setup_scenario_crash",
 }
+
+
+def workload_setup(name: str):
+    """The setup callable :data:`WORKLOADS` names ``name`` by."""
+    setup = WORKLOADS[name]
+    if isinstance(setup, str):
+        from ..scenarios import workload
+
+        setup = getattr(workload, setup)
+    return setup
 
 
 def _artifacts(shard: Shard, busy_s: float) -> Dict[str, Any]:
@@ -169,15 +179,17 @@ def _artifacts(shard: Shard, busy_s: float) -> Dict[str, Any]:
     maximum across workers is the coordinator's critical path — the
     fleet's wall time once every worker has its own core.
     """
-    from ..scenarios.workload import scenario_summary
+    extra = None  # workload-specific; only a scenario shard has any
+    if "scenario_state" in shard.extras:
+        from ..scenarios.workload import scenario_summary
 
+        extra = scenario_summary(shard)
     return {
         "shard_id": shard.shard_id,
         "report": shard.fleet_report(),
         "metrics": shard.kernel.metrics.snapshot(),
         "busy_s": busy_s,
-        # Workload-specific extras; None for non-scenario shards.
-        "extra": scenario_summary(shard),
+        "extra": extra,
     }
 
 
@@ -245,7 +257,7 @@ class ShardDriver:
         with crash_guard(self.shard_id):
             self.shard = Shard(spec)
             self.shard.open_boundary()
-            WORKLOADS[workload](self.shard, fleet_ctx)
+            workload_setup(workload)(self.shard, fleet_ctx)
 
     def ready(self) -> Tuple[float, Optional[float], List[Handoff], bool]:
         """``(latency_ms, next_event_time, handoffs, egress_capable)``.

@@ -1,15 +1,1 @@
 """Network substrate: XMPP-like switchboard, transports, reliable delivery."""
-
-from .xmpp import RoutingError, Session, XmppServer
-from .transport import DeviceTransport, TransportError, WiredTransport
-from .acks import ReliableLink
-
-__all__ = [
-    "RoutingError",
-    "Session",
-    "XmppServer",
-    "DeviceTransport",
-    "TransportError",
-    "WiredTransport",
-    "ReliableLink",
-]

@@ -26,24 +26,3 @@ Telemetry is out-of-band and keyed to simulated time: sampling only
 seed, and the solo and partitioned runs of the same fleet agree on all
 aggregate totals.
 """
-
-from .prometheus import timeline_to_prometheus
-from .telemetry import sample_shard
-from .timeline import (
-    FleetTimeline,
-    aggregate_totals,
-    fleet_health,
-    read_timeline,
-    render_health,
-    timeline_to_jsonl,
-)
-
-__all__ = [
-    "FleetTimeline",
-    "aggregate_totals",
-    "fleet_health",
-    "read_timeline",
-    "render_health",
-    "sample_shard",
-    "timeline_to_jsonl",
-]

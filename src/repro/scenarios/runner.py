@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from ..core.shard import report_json
-from ..fleet import run_fleet
-from ..fleet.coordinator import FleetResult
+from ..fleet.coordinator import FleetResult, run_fleet
 from ..fleet.partition import device_jid
 from ..sim.kernel import HOUR
+from . import workload  # noqa: F401  (the "scenario" setup: loaded before a worker forks)
 from .spec import ScenarioSpec, attends, contends
 
 SCHEMA = "scenario/1"

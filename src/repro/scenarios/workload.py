@@ -11,9 +11,9 @@ Split into three stages so every execution mode reuses the same code:
   runner merges into the canonical scenario report.
 
 :func:`setup_scenario` composes the first two behind the fleet worker's
-``WORKLOADS`` registry.  This module deliberately never imports
-:mod:`repro.fleet`, so the fleet worker can import it at module level
-without a cycle.
+``WORKLOADS`` registry, which names it without importing this module:
+the scenario runner imports it, so a scenario run has it loaded before
+the coordinator forks a worker, and a battery-monitor fleet never does.
 
 Determinism rules honoured throughout:
 

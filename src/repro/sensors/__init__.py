@@ -1,28 +1,13 @@
 """Device sensors: demand-driven, duty-cycled by subscription state."""
 
-from .base import Sensor
-from .accelerometer import (
-    ACTIVITY_STILL,
-    ACTIVITY_VEHICLE,
-    ACTIVITY_WALKING,
-    AccelerometerSensor,
-)
+from .accelerometer import AccelerometerSensor
 from .battery_sensor import BatterySensor
-from .location import PROVIDER_GPS, PROVIDER_NETWORK, LocationSensor
-from .microphone import MicrophoneSensor, ambient_db_for
+from .location import LocationSensor
 from .wifi_scanner import WifiScanSensor
 
 __all__ = [
-    "Sensor",
-    "ACTIVITY_STILL",
-    "ACTIVITY_VEHICLE",
-    "ACTIVITY_WALKING",
     "AccelerometerSensor",
     "BatterySensor",
-    "PROVIDER_GPS",
-    "PROVIDER_NETWORK",
     "LocationSensor",
-    "MicrophoneSensor",
-    "ambient_db_for",
     "WifiScanSensor",
 ]

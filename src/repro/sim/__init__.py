@@ -1,9 +1,7 @@
 """Discrete-event simulation substrate (kernel, randomness, metrics, spans, traces)."""
 
-from .kernel import DAY, HOUR, MINUTE, SECOND, EventHandle, Kernel, SimulationError
-from .metrics import Counter, Histogram, MetricsRegistry
-from .randomness import RandomStreams, as_random, derive_seed
-from .spans import HopHandle, Span, SpanRecorder
+from .kernel import DAY, HOUR, MINUTE, SECOND, Kernel, SimulationError
+from .randomness import RandomStreams, derive_seed
 from .trace import Interval, IntervalTrack, TimeSeries
 
 __all__ = [
@@ -11,18 +9,10 @@ __all__ = [
     "HOUR",
     "MINUTE",
     "SECOND",
-    "EventHandle",
     "Kernel",
     "SimulationError",
-    "Counter",
-    "Histogram",
-    "MetricsRegistry",
     "RandomStreams",
-    "as_random",
     "derive_seed",
-    "HopHandle",
-    "Span",
-    "SpanRecorder",
     "Interval",
     "IntervalTrack",
     "TimeSeries",

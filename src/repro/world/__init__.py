@@ -1,100 +1,1 @@
 """Synthetic world: geometry, places, propagation, mobility, disruptions."""
-
-from .geometry import (
-    BASE_LATITUDE,
-    BASE_LONGITUDE,
-    Point,
-    from_latlon,
-    to_latlon,
-)
-from .places import (
-    AccessPoint,
-    Place,
-    PlaceFactory,
-    is_locally_administered,
-    make_bssid,
-)
-from .rssi import (
-    NORMALIZE_CEIL_DBM,
-    NORMALIZE_FLOOR_DBM,
-    PropagationModel,
-    normalize_rssi,
-)
-from .mobility import (
-    DWELL,
-    TRAVEL,
-    Segment,
-    Timeline,
-    TimelineBuilder,
-    UserProfile,
-)
-from .geolocation import GeoFix, GeolocationService
-from .environment import (
-    PLACE_MIX,
-    ChargingRoutine,
-    ConnectivityDriver,
-    ScanReading,
-    UserWorld,
-    build_user_world,
-)
-from .disruptions import (
-    BATTERY_OUT,
-    CELL_OUTAGE_END,
-    CELL_OUTAGE_START,
-    DATA_OFF,
-    DATA_ON,
-    REBOOT,
-    SCRIPT_UPDATE,
-    Disruption,
-    DisruptionPlan,
-    cell_outage,
-    random_reboots,
-    script_update_schedule,
-    standard_plan,
-    trip_abroad,
-)
-
-__all__ = [
-    "BASE_LATITUDE",
-    "BASE_LONGITUDE",
-    "Point",
-    "from_latlon",
-    "to_latlon",
-    "AccessPoint",
-    "Place",
-    "PlaceFactory",
-    "is_locally_administered",
-    "make_bssid",
-    "NORMALIZE_CEIL_DBM",
-    "NORMALIZE_FLOOR_DBM",
-    "PropagationModel",
-    "normalize_rssi",
-    "DWELL",
-    "TRAVEL",
-    "Segment",
-    "Timeline",
-    "TimelineBuilder",
-    "UserProfile",
-    "GeoFix",
-    "GeolocationService",
-    "PLACE_MIX",
-    "ChargingRoutine",
-    "ConnectivityDriver",
-    "ScanReading",
-    "UserWorld",
-    "build_user_world",
-    "BATTERY_OUT",
-    "CELL_OUTAGE_END",
-    "CELL_OUTAGE_START",
-    "DATA_OFF",
-    "DATA_ON",
-    "REBOOT",
-    "SCRIPT_UPDATE",
-    "Disruption",
-    "DisruptionPlan",
-    "cell_outage",
-    "random_reboots",
-    "script_update_schedule",
-    "standard_plan",
-    "trip_abroad",
-]

@@ -14,9 +14,9 @@ from repro.scenarios import (
     CampaignSpec,
     ScenarioSpec,
     SurgeSpec,
-    VenueSpec,
     run_scenario_spec,
 )
+from repro.world.city import VenueSpec
 
 pytestmark = pytest.mark.scenario
 

@@ -20,7 +20,6 @@ from repro.scenarios import (
     ScenarioError,
     ScenarioSpec,
     SurgeSpec,
-    VenueSpec,
     attends,
     build_preset,
     carrier_for,
@@ -28,7 +27,7 @@ from repro.scenarios import (
     preset_names,
 )
 from repro.scenarios.workload import campaign_targets
-from repro.world.city import build_city, build_citizen_world
+from repro.world.city import VenueSpec, build_city, build_citizen_world
 
 
 def _spec(**overrides):
