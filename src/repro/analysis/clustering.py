@@ -17,8 +17,10 @@ Samples are scan vectors: ``{bssid: normalized_rssi}`` (see
 * with no open cluster, a new sample that is a **core object** (at least
   ``min_pts`` window samples within ``eps``) opens a cluster seeded with
   the trailing run of reachable samples;
-* with an open cluster, a reachable sample joins it; the first
-  unreachable sample **closes** it (the user left);
+* with an open cluster, a **reachable** sample (within ``eps`` of one
+  of the cluster's last five members, or of its centroid: the mean of
+  its last 20 members, or of its seed run until the first join) joins
+  it; the first unreachable sample **closes** it (the user left);
 * a closed cluster is emitted only if it contains a core object
   (``min_pts`` members), which rejects travel noise.
 
@@ -39,8 +41,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 # --- SCRIPT SAFE BEGIN -------------------------------------------------
 
 
-def cosine_coefficient(a, b):
-    """Cosine similarity of two sparse scan vectors ({bssid: weight})."""
+def vector_norm(vector):
+    """Euclidean norm of a sparse scan vector."""
+    return sum(v * v for v in vector.values()) ** 0.5
+
+
+def cosine_normed(a, norm_a, b, norm_b):
+    """Cosine similarity of two sparse scan vectors ({bssid: weight})
+    whose norms are already known (:func:`vector_norm`)."""
     if not a or not b:
         return 0.0
     dot = 0.0
@@ -50,8 +58,6 @@ def cosine_coefficient(a, b):
             dot += value * other
     if dot == 0.0:
         return 0.0
-    norm_a = sum(v * v for v in a.values()) ** 0.5
-    norm_b = sum(v * v for v in b.values()) ** 0.5
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
@@ -69,28 +75,16 @@ def mean_vector(vectors):
     return {key: value / count for key, value in sums.items()}
 
 
-def nearest_to_vector(vectors, target):
-    """Index of the vector most similar to ``target``."""
-    best_index = 0
-    best_sim = -1.0
-    for index, vector in enumerate(vectors):
-        sim = cosine_coefficient(vector, target)
-        if sim > best_sim:
-            best_sim = sim
-            best_index = index
-    return best_index
-
-
-def nearest_to_mean(vectors):
-    """Index of the vector most similar to the mean (the characterization
-    sample: "the nearest neighbour to the mean of all scan results")."""
-    return nearest_to_vector(vectors, mean_vector(vectors))
-
-
 def add_into(sums, vector):
     """Accumulate ``vector`` into the running sum dict ``sums``."""
     for key, value in vector.items():
         sums[key] = sums.get(key, 0.0) + value
+
+
+def _entry(item):
+    """A window entry or member from its frozen ``[time_ms, vector]``."""
+    vector = dict(item[1])
+    return (item[0], vector, vector_norm(vector))
 
 
 class WindowedDBSCAN:
@@ -101,13 +95,17 @@ class WindowedDBSCAN:
     if set).  Call ``flush()`` to force-close an open cluster (end of
     stream — or a mid-deployment interruption, which is exactly how the
     paper lost cluster halves before freeze/thaw existed).
+
+    A sample is held as a ``(time_ms, vector, norm)`` entry, its norm
+    computed once as it enters; the window and the open cluster's
+    members share the entries.
     """
 
     def __init__(self, eps_similarity=0.55, min_pts=5, window=60):
         self.eps_similarity = eps_similarity
         self.min_pts = min_pts
         self.window_size = window
-        self.window = []  # list of (time_ms, vector), newest last
+        self.window = []  # list of (time_ms, vector, norm), newest last
         self.current = None  # open cluster state dict or None
         self.closed = []
         self.on_cluster = None
@@ -132,12 +130,12 @@ class WindowedDBSCAN:
                 "count": cluster["count"],
                 "sum": dict(cluster["sum"]),
                 "members": [
-                    [t, dict(v)] for t, v in cluster["members"][-self.FREEZE_MEMBER_CAP:]
+                    [t, dict(v)] for t, v, _ in cluster["members"][-self.FREEZE_MEMBER_CAP:]
                 ],
-                "centroid": dict(cluster["centroid"]),
+                "centroid": dict(self._centroid()[0]),
             }
         return {
-            "window": [[t, dict(v)] for t, v in self.window],
+            "window": [[t, dict(v)] for t, v, _ in self.window],
             "current": current,
             "samples_seen": self.samples_seen,
         }
@@ -145,78 +143,89 @@ class WindowedDBSCAN:
     def restore(self, state):
         if not state:
             return
-        self.window = [(item[0], dict(item[1])) for item in state.get("window", [])]
+        self.window = [_entry(item) for item in state.get("window", [])]
         current = state.get("current")
         if current is not None:
             current = dict(current)
-            current["members"] = [[t, dict(v)] for t, v in current["members"]]
+            current["members"] = [_entry(member) for member in current["members"]]
+            centroid = dict(current["centroid"])
+            current["centroid"] = (centroid, vector_norm(centroid))
         self.current = current
         self.samples_seen = state.get("samples_seen", 0)
 
     # -- core algorithm --------------------------------------------------
-    def _similar(self, a, b):
-        return cosine_coefficient(a, b) >= self.eps_similarity
-
-    def _reachable_from_current(self, vector):
+    def _centroid(self):
+        """The open cluster's centroid and its norm.  A join leaves it
+        stale (None); it is rebuilt here, as the mean of the last 20
+        members, only when something reads it."""
         cluster = self.current
-        if self._similar(vector, cluster["centroid"]):
-            return True
-        for member in cluster["members"][-5:]:
-            if self._similar(vector, member[1]):
+        centroid = cluster["centroid"]
+        if centroid is None:
+            vector = mean_vector([m[1] for m in cluster["members"][-20:]])
+            centroid = cluster["centroid"] = (vector, vector_norm(vector))
+        return centroid
+
+    def _reachable_from_current(self, entry):
+        # Similar to one of the last five members, or to the centroid:
+        # the members are the cheap side, so the centroid is only built
+        # when all five miss.
+        vector, norm = entry[1], entry[2]
+        eps = self.eps_similarity
+        for member in self.current["members"][-5:]:
+            if cosine_normed(vector, norm, member[1], member[2]) >= eps:
                 return True
-        return False
+        centroid, centroid_norm = self._centroid()
+        return cosine_normed(vector, norm, centroid, centroid_norm) >= eps
 
     def add(self, time_ms, vector):
         """Process one scan sample."""
         self.samples_seen += 1
-        self.window.append((time_ms, vector))
+        entry = (time_ms, vector, vector_norm(vector))
+        self.window.append(entry)
         if len(self.window) > self.window_size:
             self.window.pop(0)
         if self.current is not None:
-            if self._reachable_from_current(vector):
-                self._join(time_ms, vector)
+            if self._reachable_from_current(entry):
+                self._join(entry)
             else:
                 self._close()
-                self._try_open(time_ms, vector)
+                self._try_open(entry)
         else:
-            self._try_open(time_ms, vector)
+            self._try_open(entry)
 
-    def _join(self, time_ms, vector):
+    def _join(self, entry):
         cluster = self.current
-        cluster["members"].append([time_ms, vector])
-        cluster["exit"] = time_ms
+        cluster["members"].append(entry)
+        cluster["exit"] = entry[0]
         cluster["count"] += 1
-        add_into(cluster["sum"], vector)
-        # Incremental centroid update keeps reachability stable.
-        cluster["centroid"] = mean_vector([m[1] for m in cluster["members"][-20:]])
+        add_into(cluster["sum"], entry[1])
+        cluster["centroid"] = None
 
-    def _try_open(self, time_ms, vector):
-        neighbors = []
-        for sample_time, sample_vector in self.window[:-1]:
-            if self._similar(vector, sample_vector):
-                neighbors.append([sample_time, sample_vector])
-        if len(neighbors) + 1 < self.min_pts:
+    def _try_open(self, entry):
+        vector, norm = entry[1], entry[2]
+        eps = self.eps_similarity
+        earlier = self.window[:-1]
+        similar = [cosine_normed(vector, norm, e[1], e[2]) >= eps for e in earlier]
+        if similar.count(True) + 1 < self.min_pts:
             return
         # Seed with the trailing *contiguous* run of reachable samples so
         # the entry timestamp reflects when the user actually arrived.
-        members = []
-        for sample_time, sample_vector in reversed(self.window[:-1]):
-            if self._similar(vector, sample_vector):
-                members.append([sample_time, sample_vector])
-            else:
-                break
-        members.reverse()
-        members.append([time_ms, vector])
+        start = len(earlier)
+        while start > 0 and similar[start - 1]:
+            start -= 1
+        members = earlier[start:]
+        members.append(entry)
         sums = {}
-        for _member_time, member_vector in members:
-            add_into(sums, member_vector)
+        for member in members:
+            add_into(sums, member[1])
+        centroid = mean_vector([m[1] for m in members])
         self.current = {
             "entry": members[0][0],
-            "exit": time_ms,
+            "exit": entry[0],
             "count": len(members),
             "sum": sums,
             "members": members,
-            "centroid": mean_vector([m[1] for m in members]),
+            "centroid": (centroid, vector_norm(centroid)),
         }
 
     def _close(self):
@@ -225,17 +234,25 @@ class WindowedDBSCAN:
         if cluster is None or cluster["count"] < self.min_pts:
             return None
         # The characterization sample: nearest neighbour to the mean of
-        # *all* scan results.  The mean is exact via the running sum even
-        # when the member list was truncated by a freeze/restore.
+        # *all* scan results (the first member on a tie).  The mean is
+        # exact via the running sum even when the member list was
+        # truncated by a freeze/restore.
         count = float(cluster["count"])
         mean = {key: value / count for key, value in cluster["sum"].items()}
-        vectors = [m[1] for m in cluster["members"]]
-        representative_index = nearest_to_vector(vectors, mean)
+        mean_norm = vector_norm(mean)
+        members = cluster["members"]
+        best_index = 0
+        best_sim = -1.0
+        for index, member in enumerate(members):
+            sim = cosine_normed(member[1], member[2], mean, mean_norm)
+            if sim > best_sim:
+                best_sim = sim
+                best_index = index
         result = {
             "entry": cluster["entry"],
             "exit": cluster["exit"],
             "samples": cluster["count"],
-            "representative": cluster["members"][representative_index][1],
+            "representative": members[best_index][1],
         }
         self.closed.append(result)
         if self.on_cluster is not None:
@@ -257,14 +274,19 @@ def clustering_script_core() -> str:
     so the device and the offline ground-truth pass cannot diverge.
     """
     parts = [
-        inspect.getsource(cosine_coefficient),
+        inspect.getsource(vector_norm),
+        inspect.getsource(cosine_normed),
         inspect.getsource(mean_vector),
-        inspect.getsource(nearest_to_vector),
-        inspect.getsource(nearest_to_mean),
         inspect.getsource(add_into),
+        inspect.getsource(_entry),
         inspect.getsource(WindowedDBSCAN),
     ]
     return "\n\n".join(parts)
+
+
+def cosine_coefficient(a: Dict[str, float], b: Dict[str, float]) -> float:
+    """Cosine similarity of two sparse scan vectors ({bssid: weight})."""
+    return cosine_normed(a, vector_norm(a), b, vector_norm(b))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis.clustering import Cluster, cluster_stream
 from ..analysis.matching import MatchReport, data_reduction_percent, match_clusters
 from ..core.messages import message_size_bytes
-from ..core.middleware import PogoSimulation
 from ..core.services import install_geolocation
+from ..core.shard import Shard, ShardSpec
 from ..world.disruptions import cell_outage, standard_plan, trip_abroad
 from ..world.mobility import UserProfile
 from ..world.rssi import PropagationModel
@@ -154,7 +154,9 @@ def run_session(
     with_freeze: bool = False,
 ) -> SessionResult:
     """Simulate one participant-session and score it against ground truth."""
-    sim = PogoSimulation(seed=seed)
+    # The shard is private and only the scores leave it: no spans, no
+    # metrics.
+    sim = Shard(ShardSpec(shard_id="sim", seed=seed, spans=False, metrics=False))
     collector = sim.add_collector("researcher")
     profile = UserProfile(name=spec.name, lifestyle=spec.lifestyle, **spec.profile_overrides)
     device = sim.add_device(

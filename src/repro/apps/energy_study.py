@@ -14,9 +14,9 @@ from typing import Dict, List, Tuple
 
 from ..analysis.energy import ModemStateLog
 from ..core.deployment import Experiment
-from ..core.middleware import PogoSimulation
 from ..core.power_model import component_joules
 from ..core.services import install_geolocation
+from ..core.shard import Shard, ShardSpec
 from ..device.power import PowerMeter
 from ..device.radio import KPN, CarrierProfile
 from ..sim.kernel import MINUTE
@@ -37,6 +37,15 @@ EMAIL_CHECK_AFTER_MS = 4 * MINUTE
 METER_INTERVAL_MS = 20.0
 
 
+def _private_shard(seed: int, carrier: CarrierProfile) -> Shard:
+    """A recipe's shard.  Only numbers, the modem's log, the meter's
+    samples and the device leave it; nobody reads its spans or metrics,
+    so it records none."""
+    return Shard(
+        ShardSpec(shard_id="sim", seed=seed, carrier=carrier, spans=False, metrics=False)
+    )
+
+
 @dataclass(frozen=True)
 class HourEnergy:
     """One measured hour of Table 3: the rail's joules, in total and per
@@ -50,7 +59,7 @@ class HourEnergy:
 
 def table3_hour(carrier: CarrierProfile, with_pogo: bool, seed: int) -> HourEnergy:
     """One cell of Table 3: warm up, reset the rail, measure one hour."""
-    sim = PogoSimulation(seed=seed, carrier=carrier)
+    sim = _private_shard(seed, carrier)
     collector = sim.add_collector("alice")
     device = sim.add_device(with_email_app=True)
     sim.start()
@@ -75,7 +84,7 @@ def figure3_trace(seed: int) -> Tuple[TimeSeries, ModemStateLog]:
     """Figure 3's run on KPN, idle paging on: the rail's sampled watts
     and the modem's state log, whose ``segment_tail(KPN,
     after_ms=EMAIL_CHECK_AFTER_MS)`` is the figure's a–d."""
-    sim = PogoSimulation(seed=seed, carrier=KPN)
+    sim = _private_shard(seed, KPN)
     device = sim.add_device(with_email_app=True, simulate_paging=True)
     states = ModemStateLog(sim.kernel, device.phone.modem, device.phone.rail)
     meter = PowerMeter(sim.kernel, device.phone.rail, interval_ms=METER_INTERVAL_MS)
@@ -90,7 +99,7 @@ def power_run(experiments: List[Experiment], seed: int, hours: float):
     """The run :func:`~repro.core.power_model.script_joules` repeats: one
     phone with the e-mail app and exactly ``experiments`` deployed, its
     collector geolocating.  Returns the device."""
-    sim = PogoSimulation(seed=seed)
+    sim = _private_shard(seed, KPN)
     collector = sim.add_collector("alice")
     device = sim.add_device(world_days=1, with_email_app=True)
     install_geolocation(collector, device)

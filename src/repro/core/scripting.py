@@ -38,7 +38,7 @@ from .messages import from_json, to_json
 DEFAULT_WATCHDOG_MS = 100.0
 
 #: Steps a millisecond of budget buys.  The busiest call in any benchmark
-#: workload uses 13,540 of the default 100 ms = 200,000.
+#: workload uses 5,225 of the default 100 ms = 200,000.
 STEPS_PER_MS = 2_000
 
 

@@ -9,7 +9,6 @@ from repro.analysis.clustering import (
     clustering_script_core,
     cosine_coefficient,
     mean_vector,
-    nearest_to_mean,
 )
 
 
@@ -51,9 +50,23 @@ class TestMeanAndRepresentative:
     def test_mean_empty(self):
         assert mean_vector([]) == {}
 
-    def test_nearest_to_mean_picks_central_sample(self):
-        vectors = [vec(a=1.0, b=0.9), vec(a=0.9, b=1.0), vec(z=1.0)]
-        assert nearest_to_mean(vectors) in (0, 1)
+    def test_representative_is_the_member_nearest_the_mean(self):
+        central = vec(a=0.8, b=0.8)
+        dbscan = WindowedDBSCAN(eps_similarity=0.5, min_pts=3)
+        samples = [vec(a=1.0, b=0.5), vec(a=0.5, b=1.0), central, vec(a=1.0, b=0.6),
+                   vec(a=0.6, b=1.0)]
+        for t, v in enumerate(samples):
+            dbscan.add(float(t), v)
+        cluster = dbscan.flush()
+        assert cluster["samples"] == 5
+        assert cluster["representative"] is central
+
+    def test_representative_is_the_first_of_equally_near_members(self):
+        first, twin = vec(a=1.0), vec(a=1.0)
+        dbscan = WindowedDBSCAN(eps_similarity=0.5, min_pts=2)
+        for t, v in enumerate([first, twin]):
+            dbscan.add(float(t), v)
+        assert dbscan.flush()["representative"] is first
 
 
 def place_vector(rng, base, noise=0.03):

@@ -444,12 +444,12 @@ def test_a_deployment_session_leaves_garbage_per_script_load_not_per_event(monke
     caches it), which reads those globals.  It waits for a full pass."""
     sims = []
 
-    class Kept(deployment_study.PogoSimulation):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
+    class Kept(Shard):
+        def __init__(self, spec):
+            super().__init__(spec)
             sims.append(self)
 
-    monkeypatch.setattr(deployment_study, "PogoSimulation", Kept)
+    monkeypatch.setattr(deployment_study, "Shard", Kept)
 
     def session(days):
         compile_script.cache_clear()  # each run compiles its scripts afresh
@@ -465,7 +465,7 @@ def test_a_deployment_session_leaves_garbage_per_script_load_not_per_event(monke
     assert (len(hosts), loads) == (3, 4)  # three scripts, one of them updated once
     assert sim.kernel.events_executed > 1.4 * short.kernel.events_executed
     assert three_days == two_days  # 0 objects per event
-    # Per script load: ≤ 200 objects for a replaced namespace (185 here),
+    # Per script load: ≤ 200 objects for a replaced namespace (130 here),
     # and 3 for a compile_script cache miss (the stdlib's
     # ast.fix_missing_locations leaves a closure cycle).
     assert len(three_days) <= 200 * (loads - len(hosts)) + 3 * len(hosts)

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.apps import deployment_study
 from repro.apps.deployment_study import (
     DBSCAN_PARAMS,
     DEFAULT_SESSIONS,
@@ -12,6 +13,7 @@ from repro.apps.deployment_study import (
     format_table,
     run_session,
 )
+from repro.core.shard import Shard
 from repro.sim import DAY
 
 
@@ -79,3 +81,25 @@ def test_script_updates_reduce_exact_matches():
     clean = run_session(base, seed=8)
     updated = run_session(disrupted, seed=8)
     assert updated.match_percent <= clean.match_percent
+
+
+def test_a_session_records_no_span_and_no_metric(monkeypatch):
+    """The session's shard is private and only the scores leave it, so it
+    keeps no flight recorder and counts nothing."""
+    shards = []
+
+    class Kept(Shard):
+        def __init__(self, spec):
+            super().__init__(spec)
+            shards.append(self)
+
+    monkeypatch.setattr(deployment_study, "Shard", Kept)
+    run_session(SessionSpec("quiet", days=1, update_days=(), reboot_rate_per_day=0.0), seed=3)
+    (shard,) = shards
+    kernel = shard.kernel
+    assert kernel.events_executed > 0
+    assert not kernel.spans.enabled
+    assert not kernel.metrics.enabled
+    assert kernel.spans.recorded == 0
+    # Only the gauges that read the kernel itself move.
+    assert set(kernel.metrics.nonzero()) == {"kernel.events", "kernel.pending_events"}
