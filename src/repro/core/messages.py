@@ -15,9 +15,10 @@ delivered message takes ``message.copy()`` (shallow) or
 Since the envelope refactor the hot publish path carries
 :class:`~repro.core.envelope.Envelope` objects instead of raw dicts —
 validated once, frozen, with canonical JSON cached.  Every function here
-is envelope-aware: an envelope answers from its cache, and a stanza that
+is envelope-aware: an envelope answers from its cache.  A stanza that
 embeds envelopes (a batch of pubs) is one call to the envelope module's
-encoder.
+encoder, which serialises each embedded payload again: its hook hands
+the encoder the envelope's payload, not the cached text.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ def from_json(text: str) -> Any:
 def message_size_bytes(value: Any) -> int:
     """Wire size of a message in bytes (UTF-8 JSON).
 
-    Envelopes answer from their cached size; computing the size of the
-    same payload at the buffer, transport, switch and participation
-    tracker therefore costs one serialization total, not four.
+    An envelope answers from its cached size, so sizing one envelope
+    again (the buffer, the participation tracker) serialises nothing.
+    Any other value is encoded on every call: a stanza that embeds
+    envelopes serialises their payloads again each time it is sized.
     """
     if isinstance(value, Envelope):
         return value.wire_size

@@ -129,7 +129,9 @@ class PogoScheduler:
             self.cpu.acquire_wake_lock(WAKE_LOCK_TAG)
             self.kernel.schedule(0.0, self._run_free, fn, args)
         else:
-            queue = self._serial_queues.setdefault(serial_key, deque())
+            queue = self._serial_queues.get(serial_key)
+            if queue is None:
+                queue = self._serial_queues[serial_key] = deque()
             queue.append((fn, args, self.kernel.now))
             self._pump_serial(serial_key)
 

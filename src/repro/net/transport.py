@@ -328,8 +328,8 @@ class DeviceTransport:
         """Physically transmit a stanza; raises when disconnected."""
         if not self.connected:
             raise TransportError(f"{self.jid}: not connected")
-        # Envelope payloads inside the stanza answer from their cached
-        # canonical JSON, so this does not re-walk the message tree.
+        # Encodes the whole stanza, the payloads of the envelopes inside
+        # it included: their cached JSON is not spliced in.
         size = message_size_bytes(stanza)
         session = self._session
         # The transfer completes asynchronously (radio time), so capture

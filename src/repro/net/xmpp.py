@@ -390,8 +390,8 @@ class XmppServer:
         self._deliver_via(session, stanza, route_ctx)
 
     def _deliver_via(self, session: Session, stanza: dict, route_ctx=None) -> None:
-        # Cached envelope JSON makes this size lookup nearly free even
-        # though the transport already accounted the same payload.
+        # Encodes the whole stanza again, embedded payloads included:
+        # the size the transport computed does not travel with it.
         size = message_size_bytes(stanza)
         self._m_bytes.inc(size)
         if session.physical_rx is None:
@@ -417,15 +417,13 @@ class XmppServer:
     def _store_offline(self, jid: str, stanza: dict) -> None:
         self.stanzas_stored_offline += 1
         self._m_offline.inc()
-        self._offline.setdefault(jid, deque()).append(stanza)
+        queue = self._offline.get(jid)
+        if queue is None:
+            queue = self._offline[jid] = deque()
+        queue.append(stanza)
 
     def _drain_offline(self, jid: str, session: Session) -> None:
-        queue = self._offline.get(jid)
-        if not queue:
-            return
-        pending = list(queue)
-        queue.clear()
-        for stanza in pending:
+        for stanza in self._offline.pop(jid, ()):
             self.kernel.schedule(self.latency_ms, self._deliver_via, session, stanza)
 
     def offline_count(self, jid: str) -> int:

@@ -35,21 +35,29 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import re
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from .metrics import Histogram
 
-#: Default flight-recorder capacity.  ~56 bytes of slots plus an attrs
-#: dict per span; 65536 spans keep the recorder in the tens of MB even
-#: when every script call in a fleet simulation is traced.
+#: Default flight-recorder capacity.  A span in the ring is one flat
+#: row (:data:`SpanRow`), about 160 bytes with the ids and times it
+#: owns, so 65536 spans keep the recorder near 10 MB even when every
+#: script call in a fleet simulation is traced.
 DEFAULT_MAX_SPANS = 65_536
 
 
 class Span:
-    """One recorded hop of a message (or node) lifecycle."""
+    """One recorded hop of a message (or node) lifecycle.
+
+    A span read from a recorder is built from its row at the read, so
+    two reads of one span return equal objects, not the same one:
+    spans compare by value, with no attrs (``None``) equal to empty
+    attrs, since both are written ``"attrs":{}``.
+    """
 
     __slots__ = ("span_id", "trace_id", "parent_id", "hop", "start_ms", "end_ms", "attrs")
 
@@ -71,9 +79,31 @@ class Span:
         self.end_ms = end_ms
         self.attrs = attrs
 
+    def _value(self) -> tuple:
+        return (
+            self.span_id, self.trace_id, self.parent_id, self.hop,
+            self.start_ms, self.end_ms, self.attrs or {},
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Span):
+            return NotImplemented
+        return self._value() == other._value()
+
+    __hash__ = None  # type: ignore[assignment]  # attrs are a dict
+
     @property
     def duration_ms(self) -> float:
         return self.end_ms - self.start_ms
+
+    @property
+    def row(self) -> "SpanRow":
+        """The span as the recorder keeps it (:data:`SpanRow`)."""
+        attrs = self.attrs or {}
+        return (
+            self.span_id, self.trace_id, self.parent_id, self.hop,
+            self.start_ms, self.end_ms, tuple(attrs), *attrs.values(),
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         """A plain, JSON-ready dict with a copy of the attrs, unsorted.
@@ -119,18 +149,18 @@ class Span:
         )
 
 
-#: A span as a plain value, the form in which spans leave their
-#: recorder — into a pickle, to the line writer, across a pipe: the
-#: seven fields in slot order, so ``Span(*row)`` is the span again.
-SpanRow = Tuple[int, int, int, str, float, float, Optional[Dict[str, Any]]]
+#: A span as a plain value, the form in which the recorder keeps it and
+#: spans leave it — into a pickle, to the line writer, across a pipe:
+#: ``(span_id, trace_id, parent_id, hop, start_ms, end_ms, keys,
+#: *values)``, where ``keys`` is the attrs' key tuple (``()`` for no
+#: attrs) and ``values`` their values in that order.  A recorder keeps
+#: one ``keys`` tuple per shape of attrs, so a span holds no dict.
+SpanRow = Tuple[Any, ...]
 
 
-_row_of = operator.attrgetter(*Span.__slots__)
-
-
-def span_rows(spans: Iterable[Span]) -> List[SpanRow]:
-    """``spans`` as rows, in the order given."""
-    return list(map(_row_of, spans))
+def _span_of(row: SpanRow) -> Span:
+    """The :class:`Span` a row holds, with attrs of its own."""
+    return Span(*row[:6], dict(zip(row[6], row[7:])))
 
 
 class HopHandle:
@@ -158,13 +188,24 @@ class HopHandle:
         end_ms: float,
         attrs: Optional[Dict[str, Any]] = None,
     ) -> int:
-        """Record one completed span; returns its id."""
+        """Record one completed span; returns its id.
+
+        The span keeps ``attrs``' keys and values, not the dict: a
+        caller that changes the dict afterwards does not change the span.
+        """
         recorder = self._recorder
         span_id = next(recorder._span_ids)
         recorder.recorded += 1
-        recorder._ring.append(
-            Span(span_id, trace_id, parent_id, self.name, start_ms, end_ms, attrs)
-        )
+        if attrs:
+            keys = tuple(attrs)
+            recorder._ring.append((
+                span_id, trace_id, parent_id, self.name, start_ms, end_ms,
+                recorder._shapes.get(keys) or recorder._shape(keys), *attrs.values(),
+            ))
+        else:
+            recorder._ring.append(
+                (span_id, trace_id, parent_id, self.name, start_ms, end_ms, ())
+            )
         self.histogram.observe(end_ms - start_ms)
         return span_id
 
@@ -211,7 +252,10 @@ class SpanRecorder:
         self._clock = clock
         self.enabled = True
         self.max_spans = max_spans
-        self._ring: "deque[Span]" = deque(maxlen=max_spans)
+        self._ring: "deque[SpanRow]" = deque(maxlen=max_spans)
+        #: Each shape of attrs seen, its key tuple to itself: the rows
+        #: of one shape share one ``keys`` tuple.
+        self._shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._hops: Dict[str, HopHandle] = {}
@@ -222,14 +266,15 @@ class SpanRecorder:
         #: Set/reset by the initiating component around the call.
         self.active_parent = 0
 
-    def __getstate__(self) -> Dict[str, Any]:
-        """The ring pickles as rows: a shard snapshot is mostly this
-        ring, and a slotted object costs several tuples to dump or load."""
-        return {**self.__dict__, "_ring": span_rows(self._ring)}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._ring = deque(itertools.starmap(Span, self._ring), self.max_spans)
+    def _shape(self, keys: tuple) -> tuple:
+        """A shape of attrs seen for the first time.  Only string keys
+        are shared: ``1``, ``1.0`` and ``True`` are one dict key, and
+        the line must keep the one the span was given."""
+        for key in keys:
+            if type(key) is not str:
+                return keys
+        self._shapes[keys] = keys
+        return keys
 
     # ------------------------------------------------------------------
     # Configuration
@@ -283,12 +328,11 @@ class SpanRecorder:
     # ------------------------------------------------------------------
     def spans(self, hop: Optional[str] = None) -> List[Span]:
         """Spans still in the ring, oldest first, optionally of one hop."""
-        return [span for span in self._ring if hop is None or span.hop == hop]
+        return [_span_of(row) for row in self._ring if hop is None or row[3] == hop]
 
     def trace_ids(self) -> List[int]:
         """Distinct message trace ids still represented in the ring."""
-        seen = sorted({span.trace_id for span in self._ring if span.trace_id})
-        return seen
+        return sorted({row[1] for row in self._ring if row[1]})
 
     def hop_names(self) -> List[str]:
         return sorted(self._hops)
@@ -299,8 +343,8 @@ class SpanRecorder:
     def __len__(self) -> int:
         return len(self._ring)
 
-    def __iter__(self):
-        return iter(self._ring)
+    def __iter__(self) -> Iterator[Span]:
+        return map(_span_of, self._ring)
 
     # ------------------------------------------------------------------
     # Reports
@@ -355,6 +399,18 @@ class SpanRecorder:
                 "max_ms": histogram.max,
             }
         return out
+
+
+def _rows(spans: Union[SpanRecorder, Iterable[Span]]) -> Iterable[SpanRow]:
+    if isinstance(spans, SpanRecorder):
+        return spans._ring
+    return (span.row for span in spans)
+
+
+def span_rows(spans: Union[SpanRecorder, Iterable[Span]]) -> List[SpanRow]:
+    """``spans`` as rows, in the order given: a recorder's ring as it
+    stands, with no conversion."""
+    return list(_rows(spans))
 
 
 def span_tree(spans: Iterable[Span], trace_id: int) -> List[Tuple[int, Span]]:
@@ -473,30 +529,30 @@ def span_lines(rows: Iterable[SpanRow], shard: Optional[str] = None) -> List[str
             return repr(value)
         return _STOCK_ENCODE(value)
 
-    def attrs_json(attrs: Dict[str, Any]) -> str:
-        for key in attrs:  # before the sort: mixed key types do not compare
+    def attrs_json(keys: tuple, values: tuple) -> str:
+        for key in keys:  # before the sort: mixed key types do not compare
             if type(key) is not str:
-                return _STOCK_ENCODE(attrs)
+                return _STOCK_ENCODE(dict(zip(keys, values)))
         return "{" + ",".join(
-            [quoted[key] + ":" + scalar(value) for key, value in sorted(attrs.items())]
+            [quoted[key] + ":" + scalar(value) for key, value in sorted(zip(keys, values))]
         ) + "}"
 
     return [
-        f'{{"attrs":{attrs_json(attrs) if attrs else "{}"}'
-        f',"end_ms":{scalar(round(end_ms, 3))}'
-        f',"hop":{scalar(hop)}'
-        f',"parent":{scalar(parent_id)}{member}'
-        f',"span":{scalar(span_id)}'
-        f',"start_ms":{scalar(round(start_ms, 3))}'
-        f',"trace":{scalar(trace_id)}}}'
-        for span_id, trace_id, parent_id, hop, start_ms, end_ms, attrs in rows
+        f'{{"attrs":{attrs_json(row[6], row[7:]) if row[6] else "{}"}'
+        f',"end_ms":{scalar(round(row[5], 3))}'
+        f',"hop":{scalar(row[3])}'
+        f',"parent":{scalar(row[2])}{member}'
+        f',"span":{scalar(row[0])}'
+        f',"start_ms":{scalar(round(row[4], 3))}'
+        f',"trace":{scalar(row[1])}}}'
+        for row in rows
     ]
 
 
-def spans_to_jsonl_lines(spans: Iterable[Span]) -> List[str]:
+def spans_to_jsonl_lines(spans: Union[SpanRecorder, Iterable[Span]]) -> List[str]:
     """One compact, key-stable JSON document per span (deterministic):
     the standalone export."""
-    return span_lines(map(_row_of, spans))
+    return span_lines(_rows(spans))
 
 
 #: The merged trace is ordered by ``(start_ms, end_ms, shard, span)`` —
@@ -534,8 +590,8 @@ def ordered_span_lines(
     this run with the other shards' without reading a line back.
     """
     keys = [
-        (sort_time(round(start_ms, 3)), sort_time(round(end_ms, 3)), shard, span_id)
-        for span_id, _, _, _, start_ms, end_ms, _ in rows
+        (sort_time(round(row[4], 3)), sort_time(round(row[5], 3)), shard, row[0])
+        for row in rows
     ]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return (

@@ -27,6 +27,7 @@ from repro.fleet.merge import merge_span_rows, merge_trace_jsonl
 from repro.fleet.wire import seal, unseal
 from repro.sim.spans import (
     Span,
+    SpanRecorder,
     span_lines,
     span_rows,
     spans_to_jsonl_lines,
@@ -142,6 +143,39 @@ def spans_of(attrs):
 @settings(max_examples=250, deadline=None)
 def test_encoder_equals_the_stock_dump_byte_for_byte(spans):
     assert spans_to_jsonl_lines(spans) == [reference_line(span) for span in spans]
+
+
+# Spans recorded the way the simulation records them: through a hop
+# handle, into the ring of flat rows.  The recorder numbers the spans
+# itself; several hop names and attrs of every shape share one ring.
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["publish", "buffer.dwell", TAIL, "雪"]),
+            integers, integers, times, times,
+            st.one_of(str_keyed_attrs, odd_keyed_attrs),
+        ),
+        max_size=8,
+    ),
+    st.integers(min_value=1, max_value=5),
+)
+# One dict key, three JSON names: each span must keep the key it was given.
+@example(
+    [("h", 0, 0, 0.0, 1.0, {key: "x"}) for key in (True, 1, 1.0)], 3
+)
+@settings(max_examples=250, deadline=None)
+def test_recorded_spans_export_the_stock_dump_and_read_back_as_recorded(
+    calls, max_spans
+):
+    recorder = SpanRecorder(max_spans=max_spans)
+    recorded = []
+    for hop, trace_id, parent_id, start_ms, end_ms, attrs in calls:
+        span_id = recorder.hop(hop).record(trace_id, parent_id, start_ms, end_ms, attrs)
+        recorded.append(Span(span_id, trace_id, parent_id, hop, start_ms, end_ms, attrs))
+    kept = recorded[len(recorded) - len(recorder):]
+    assert spans_to_jsonl_lines(recorder) == [reference_line(span) for span in kept]
+    assert recorder.spans() == list(recorder) == kept
+    assert recorder.trace_ids() == sorted({s.trace_id for s in kept if s.trace_id})
 
 
 shard_ids = st.one_of(
