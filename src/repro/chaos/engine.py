@@ -30,6 +30,10 @@ from .impairments import ChaosInterceptor, Impairment
 class ChaosEngine:
     """Fault campaigns against one simulated testbed."""
 
+    #: What the registry reads off the engine (:meth:`MetricsRegistry.attach`):
+    #: the engine is what restarts the server.
+    METRICS = {"chaos.server_restarts": "sim.server.restarts"}
+
     def __init__(self, sim: PogoSimulation) -> None:
         self.sim = sim
         self.kernel = sim.kernel
@@ -37,7 +41,7 @@ class ChaosEngine:
             sim.kernel, sim.streams.stream("chaos/impairments")
         )
         sim.server.interceptor = self.interceptor
-        self._m_restarts = sim.kernel.metrics.counter("chaos.server_restarts")
+        sim.kernel.metrics.attach(self)
         self._churn_plans: List[DisruptionPlan] = []
 
     # ------------------------------------------------------------------
@@ -72,7 +76,6 @@ class ChaosEngine:
 
     def _do_restart(self) -> None:
         self.sim.server.restart()
-        self._m_restarts.inc()
         # Sorted JIDs: the notification order must not depend on dict
         # insertion order, or a merged/restored shard reconnects its
         # fleet in a different sequence than the original run.

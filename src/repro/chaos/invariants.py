@@ -171,6 +171,9 @@ class _SchedulerWitness:
 class InvariantMonitor:
     """Attaches witnesses across a simulation and accumulates violations."""
 
+    #: What the registry reads off the monitor (:meth:`MetricsRegistry.attach`).
+    METRICS = {"chaos.violations": "violation_count"}
+
     def __init__(
         self,
         sim: PogoSimulation,
@@ -187,7 +190,7 @@ class InvariantMonitor:
         self.violations: List[Violation] = []
         self._witnesses: Dict[Tuple[str, str], _LinkWitness] = {}
         self._finished = False
-        self._m_violations = sim.kernel.metrics.counter("chaos.violations")
+        sim.kernel.metrics.attach(self)
         self._attach()
 
     # ------------------------------------------------------------------
@@ -196,7 +199,6 @@ class InvariantMonitor:
     ) -> Violation:
         violation = Violation(invariant, self.kernel.now, subject, detail, list(trace_ids or []))
         self.violations.append(violation)
-        self._m_violations.inc()
         return violation
 
     # ------------------------------------------------------------------
@@ -323,6 +325,10 @@ class InvariantMonitor:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def violation_count(self) -> int:
+        return len(self.violations)
 
     def link_summaries(self) -> Dict[str, Dict[str, Any]]:
         return {

@@ -26,18 +26,6 @@ from ..sim.kernel import MINUTE
 from .engine import ChaosEngine
 from .invariants import InvariantMonitor
 
-#: Counters included in the report's ``chaos`` section.
-_CHAOS_COUNTERS = (
-    "chaos.dropped",
-    "chaos.duplicated",
-    "chaos.reordered",
-    "chaos.delayed",
-    "chaos.partition_dropped",
-    "chaos.passed",
-    "chaos.server_restarts",
-    "chaos.violations",
-)
-
 #: Known bug injections (see :func:`_inject_bug`).
 BUGS = ("skip-retransmit", "forget-unacked")
 
@@ -277,7 +265,6 @@ def _build_report(
     devices: int,
     inject_bug: Optional[str],
 ) -> Dict[str, Any]:
-    metrics = sim.kernel.metrics
     collector = next(iter(sim.collectors.values()))
     context = collector.node.contexts.get(battery_monitor.EXPERIMENT_ID)
     readings = 0
@@ -290,7 +277,11 @@ def _build_report(
     ] + [collector.node.links[peer] for peer in sorted(collector.node.links)]
     report = {
         "bug": inject_bug or "none",
-        "chaos": {name: metrics.counter(name).value for name in _CHAOS_COUNTERS},
+        # Every chaos count in the registry (its histogram is no count).
+        "chaos": {
+            name: value for name, value in sim.kernel.metrics.snapshot().items()
+            if name.startswith("chaos.") and not isinstance(value, dict)
+        },
         "devices": devices,
         "links": monitor.link_summaries(),
         "minutes": minutes,
@@ -306,7 +297,7 @@ def _build_report(
         },
         "scenario": scenario.name,
         "seed": seed,
-        "violation_count": len(monitor.violations),
+        "violation_count": monitor.violation_count,
         "violations": monitor.violations_dicts(),
     }
     return report

@@ -319,20 +319,19 @@ def cmd_power_report(args) -> int:
 
 def cmd_metrics(args) -> int:
     from .analysis.export import write_text
+    from .sim.metrics import render_report
 
     sim, _, _ = _run_battery_fleet(args, record_radio=False)
+    metrics = sim.kernel.metrics
+    values = metrics.snapshot() if args.all else metrics.nonzero()
     if args.json:
         import json
 
-        metrics = sim.kernel.metrics
-        snapshot = metrics.snapshot() if args.all else metrics.nonzero()
-        text = json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(values, indent=2, sort_keys=True) + "\n"
     else:
         text = (
             f"metrics after {args.hours} h with {args.devices} device(s) "
-            f"(seed {args.seed}):\n"
-            + sim.kernel.metrics.report(include_zero=args.all)
-            + "\n"
+            f"(seed {args.seed}):\n" + render_report(values) + "\n"
         )
     write_text(args.output, text)
     return 0
@@ -342,10 +341,16 @@ def cmd_trace(args) -> int:
     """A seeded fleet run viewed through the message lifecycle tracer."""
     import json
 
+    from .sim.metrics import render_report
     from .sim.spans import render_span_tree
 
     sim, devices, records = _run_battery_fleet(args, record_radio=True)
     spans = sim.kernel.spans
+    # Hop latencies are the registry's ``hop.*`` histograms.
+    hops = {
+        name: value for name, value in sim.kernel.metrics.nonzero().items()
+        if name.startswith("hop.")
+    }
 
     # Fleet-wide radio episodes: who woke each modem (Figure 4's claim is
     # that Pogo wakes it for none of them) and the rail's modem joules.
@@ -375,7 +380,7 @@ def cmd_trace(args) -> int:
                     "in_ring": len(spans),
                     "dropped": spans.dropped,
                 },
-                "hops": spans.latency_snapshot(),
+                "hops": hops,
                 "energy": {
                     "active_j": round(active, 6),
                     "episodes": episodes,
@@ -395,7 +400,7 @@ def cmd_trace(args) -> int:
         f"{spans.dropped:,} dropped",
         "",
         "per-hop latency:",
-        spans.latency_table(),
+        render_report(hops),
     ]
 
     # One complete lifecycle, as a causal tree: pick the last message that

@@ -102,16 +102,14 @@ class Broker:
 
     __slots__ = (
         "name", "_sub_ids", "_subscriptions", "_active_index", "_channel_watchers",
-        "_global_watchers", "publish_count", "delivery_count",
-        "_m_publishes", "_m_deliveries", "_m_copies_avoided", "_spans", "_h_fanout",
+        "_global_watchers", "publish_count", "delivery_count", "_spans", "_h_fanout",
     )
 
-    def __init__(
-        self,
-        name: str = "broker",
-        metrics=None,
-        spans=None,
-    ) -> None:
+    #: What the registry reads off a broker its owner attaches
+    #: (:meth:`MetricsRegistry.attach`).
+    METRICS = {"broker.publishes": "publish_count", "broker.deliveries": "delivery_count"}
+
+    def __init__(self, name: str = "broker", spans=None) -> None:
         self.name = name
         self._sub_ids = itertools.count(1)
         self._subscriptions: Dict[str, List[Subscription]] = {}
@@ -125,12 +123,8 @@ class Broker:
         self._global_watchers: List[SubscriptionListener] = []
         self.publish_count = 0
         self.delivery_count = 0
-        # Pre-bound metric counters (kernel metrics plane); None-guarded so
+        # Pre-bound tracing handle (kernel span plane); None-guarded so
         # stand-alone brokers in unit tests work without a kernel.
-        self._m_publishes = metrics.counter("broker.publishes") if metrics else None
-        self._m_deliveries = metrics.counter("broker.deliveries") if metrics else None
-        self._m_copies_avoided = metrics.counter("broker.copies_avoided") if metrics else None
-        # Pre-bound tracing handle (kernel span plane), same None-guard.
         self._spans = spans
         self._h_fanout = spans.hop("broker.fanout") if spans else None
 
@@ -196,8 +190,6 @@ class Broker:
         envelope = Envelope.wrap(message)
         payload = envelope.payload
         self.publish_count += 1
-        if self._m_publishes is not None:
-            self._m_publishes.inc()
         subs = self._active_index.get(channel)
         if subs is None:
             subs = self._active_subs(channel)
@@ -213,12 +205,6 @@ class Broker:
             self.delivery_count += 1
             delivered += 1
             subscription.handler(payload)
-        if delivered:
-            if self._m_deliveries is not None:
-                self._m_deliveries.inc(delivered)
-            # One shared frozen view replaced `delivered` deep copies.
-            if self._m_copies_avoided is not None:
-                self._m_copies_avoided.inc(delivered)
         if self._h_fanout is not None and self._spans.enabled:
             now = self._spans.now()
             span_id = self._h_fanout.record(

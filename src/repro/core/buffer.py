@@ -79,8 +79,15 @@ class MessageBuffer:
 
     __slots__ = (
         "_ids", "kernel", "store", "max_age_ms", "enqueued", "drained", "expired",
-        "_m_enqueued", "_m_drained", "_m_expired", "_spans", "_h_enqueue", "_h_dwell",
+        "_spans", "_h_enqueue", "_h_dwell",
     )
+
+    #: What the registry reads off the buffer (:meth:`MetricsRegistry.attach`).
+    METRICS = {
+        "buffer.enqueued": "enqueued",
+        "buffer.drained": "drained",
+        "buffer.expired": "expired",
+    }
 
     def __init__(self, kernel: Kernel, max_age_ms: float = DEFAULT_MAX_AGE_MS) -> None:
         self._ids = itertools.count(1)
@@ -90,9 +97,7 @@ class MessageBuffer:
         self.enqueued = 0
         self.drained = 0
         self.expired = 0
-        self._m_enqueued = kernel.metrics.counter("buffer.enqueued")
-        self._m_drained = kernel.metrics.counter("buffer.drained")
-        self._m_expired = kernel.metrics.counter("buffer.expired")
+        kernel.metrics.attach(self)
         self._spans = kernel.spans
         self._h_enqueue = kernel.spans.hop("buffer.enqueue")
         self._h_dwell = kernel.spans.hop("buffer.dwell")
@@ -107,7 +112,6 @@ class MessageBuffer:
         )
         self.store.append(message)
         self.enqueued += 1
-        self._m_enqueued.inc()
         envelope = traced_envelope(payload)
         if envelope is not None and self._spans.enabled:
             now = self.kernel.now
@@ -152,7 +156,6 @@ class MessageBuffer:
             if doomed:
                 self.store.remove(doomed)
                 self.expired += len(doomed)
-                self._m_expired.inc(len(doomed))
                 messages = [m for m in messages if m.created_ms >= cutoff]
         by_destination: dict = {}
         for message in messages:
@@ -175,7 +178,6 @@ class MessageBuffer:
         ids = [m.id for m in messages]
         self.store.remove(ids)
         self.drained += len(ids)
-        self._m_drained.inc(len(ids))
         if self._spans.enabled:
             now = self.kernel.now
             for message in messages:

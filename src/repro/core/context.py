@@ -64,11 +64,8 @@ class Context:
     def __init__(self, node, experiment_id: str) -> None:
         self.node = node
         self.experiment_id = experiment_id
-        self.broker = Broker(
-            name=f"{experiment_id}@{node.jid}",
-            metrics=node.kernel.metrics,
-            spans=node.kernel.spans,
-        )
+        self.broker = Broker(name=f"{experiment_id}@{node.jid}", spans=node.kernel.spans)
+        node.kernel.metrics.attach(self.broker)
         spans = node.kernel.spans
         self._spans = spans
         self._h_publish = spans.hop("publish")

@@ -19,7 +19,6 @@ device comes online.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 from typing import Any, Dict, List, Optional
 
@@ -126,10 +125,13 @@ class DeviceNode(Node):
 
     __slots__ = (
         "phone", "buffer", "detector", "policy", "privacy", "sensor_manager",
-        "_suspended", "on_context_added", "flush_count", "flush_reasons",
-        "batches_sent", "payloads_sent", "_m_flushes", "_m_batches", "_m_payloads",
+        "_suspended", "on_context_added", "flush_count", "batches_sent", "payloads_sent",
         "_m_batch_size", "_spans", "_h_flush", "energy", "deploy_errors",
     )
+
+    #: What the registry reads off the node (:meth:`MetricsRegistry.attach`).
+    #: Batches and payloads sent are ``node.batch_payloads``' count and sum.
+    METRICS = {"node.flushes": "flush_count"}
 
     def __init__(
         self,
@@ -154,12 +156,9 @@ class DeviceNode(Node):
         #: e.g. the deployment study's SD-card scan logger).
         self.on_context_added: List = []
         self.flush_count = 0
-        self.flush_reasons: Counter = Counter()
         self.batches_sent = 0
         self.payloads_sent = 0
-        self._m_flushes = kernel.metrics.counter("node.flushes")
-        self._m_batches = kernel.metrics.counter("node.batches_sent")
-        self._m_payloads = kernel.metrics.counter("node.payloads_sent")
+        kernel.metrics.attach(self)
         self._m_batch_size = kernel.metrics.histogram("node.batch_payloads")
         self._spans = kernel.spans
         self._h_flush = kernel.spans.hop("node.flush")
@@ -267,8 +266,6 @@ class DeviceNode(Node):
         if self._suspended or not self.transport.connected:
             return 0
         self.flush_count += 1
-        self._m_flushes.inc()
-        self.flush_reasons[reason] += 1
         batches = self.buffer.peek_batches()
         spans = self._spans
         flush_span = 0
@@ -300,8 +297,6 @@ class DeviceNode(Node):
                 self.buffer.mark_sent(messages, flush_span, reason)
                 link.send(batch_op(items))
                 self.batches_sent += 1
-                self._m_batches.inc()
-                self._m_payloads.inc(len(items))
                 self._m_batch_size.observe(len(items))
                 sent_payloads += len(items)
             for link in self.links.values():

@@ -100,8 +100,6 @@ class _TrackedSubmit:
             # JSON — the tracker's accounting walk is wrapper-only.
             size = message_size_bytes(stanza)
             record.bytes += size
-            tracker._m_stanzas.inc()
-            tracker._m_bytes.inc(size)
             record.note_activity(tracker.kernel.now, tracker.idle_cap_ms)
 
 
@@ -111,6 +109,9 @@ class ParticipationTracker:
     Installed by wrapping the server's connect/disconnect/submit entry
     points — the tracker is an observer, not a routing participant.
     """
+
+    #: What the registry reads off the tracker (:meth:`MetricsRegistry.attach`).
+    METRICS = {"participation.stanzas": "stanzas", "participation.bytes": "bytes"}
 
     def __init__(
         self,
@@ -126,14 +127,23 @@ class ParticipationTracker:
         self.reward = reward
         self.idle_cap_ms = idle_cap_ms
         self._is_device = is_device or _default_is_device
-        self._m_stanzas = kernel.metrics.counter("participation.stanzas")
-        self._m_bytes = kernel.metrics.counter("participation.bytes")
+        kernel.metrics.attach(self)
         self._install()
 
     # ------------------------------------------------------------------
     def _install(self) -> None:
         self.server.connect = _TrackedConnect(self, self.server.connect)
         self.server.submit = _TrackedSubmit(self, self.server.submit)
+
+    @property
+    def stanzas(self) -> int:
+        """Stanzas every device sent, summed over the records."""
+        return sum(record.stanzas for record in self.records.values())
+
+    @property
+    def bytes(self) -> int:
+        """Bytes every device sent, summed over the records."""
+        return sum(record.bytes for record in self.records.values())
 
     def _record(self, jid: str) -> ParticipationRecord:
         if jid not in self.records:

@@ -44,8 +44,11 @@ class TailDetector:
 
     __slots__ = (
         "phone", "on_activity", "detections", "polls",
-        "_last_bytes", "_timer", "running", "_m_polls", "_m_detections",
+        "_last_bytes", "_timer", "running",
     )
+
+    #: What the registry reads off the detector (:meth:`MetricsRegistry.attach`).
+    METRICS = {"tailsync.polls": "polls", "tailsync.detections": "detections"}
 
     def __init__(self, phone) -> None:
         self.phone = phone
@@ -55,8 +58,7 @@ class TailDetector:
         self._last_bytes = phone.modem.total_bytes
         self._timer: Optional[SleepFrozenTimer] = None
         self.running = False
-        self._m_polls = phone.kernel.metrics.counter("tailsync.polls")
-        self._m_detections = phone.kernel.metrics.counter("tailsync.detections")
+        phone.kernel.metrics.attach(self)
 
     def start(self) -> None:
         if self.running:
@@ -85,12 +87,10 @@ class TailDetector:
         if not self.running:
             return
         self.polls += 1
-        self._m_polls.inc()
         current = self.phone.modem.total_bytes
         if current != self._last_bytes:
             self._last_bytes = current
             self.detections += 1
-            self._m_detections.inc()
             for listener in list(self.on_activity):
                 listener()
         self._arm()

@@ -80,12 +80,16 @@ class _PulledTrace:
     worker process's sealed frame of them); read as text.  The first
     read opens, writes and merges the parts with collection paused — all
     it allocates is live until it returns — and the text replaces them.
+    ``del result.trace_jsonl`` drops whichever is held.
     """
 
     def __get__(self, result, owner=None):
         if result is None:
             return self
-        held = vars(result)["trace_jsonl"]
+        try:
+            held = vars(result)["trace_jsonl"]
+        except KeyError:
+            raise AttributeError("trace_jsonl") from None
         if not isinstance(held, str):
             with building():
                 held = vars(result)["trace_jsonl"] = merge_span_rows(
@@ -97,6 +101,12 @@ class _PulledTrace:
     def __set__(self, result, value) -> None:
         vars(result)["trace_jsonl"] = value
 
+    def __delete__(self, result) -> None:
+        try:
+            del vars(result)["trace_jsonl"]
+        except KeyError:
+            raise AttributeError("trace_jsonl") from None
+
 
 @dataclass
 class FleetResult:
@@ -106,6 +116,9 @@ class FleetResult:
     report_json: str
     metrics: Dict[str, Any]
     #: Written by its first read (:class:`_PulledTrace`) — not ``repr``'s.
+    #: Until then the result holds every shard's span rows (or sealed
+    #: frames of them), up to a full ring per shard; a caller that will
+    #: not read the trace drops them with ``del result.trace_jsonl``.
     trace_jsonl: str = field(repr=False)
     shard_reports: Tuple[Dict[str, Any], ...]
     devices: int

@@ -19,8 +19,9 @@ Why plain sums are exact:
   the one ``_route`` event the solo run would have executed, so
   ``events_executed`` partitions too.
 
-Metrics planes merge the same way (counters and gauges sum, histograms
-combine count/sum/min/max with the mean recomputed).  Span traces merge
+Metrics planes merge the same way (:func:`repro.sim.metrics.merge_metrics`:
+scalars sum, histograms combine count/sum/min/max with the mean
+recomputed).  Span traces merge
 into one JSONL stream with a ``shard`` member on every line — span ids
 are only unique per shard, so the shard id is part of the merged
 identity.  :func:`merge_trace_rows` interleaves per-shard runs of that
@@ -35,7 +36,7 @@ small fleet to many workers — and a shard that recorded no trace events
 contributes an empty run (or an empty JSONL text), which the trace merge
 treats as zero lines, not an error.  The telemetry plane's
 :func:`repro.obs.timeline.aggregate_totals` leans on exactly the
-partitioning argument above: every field it sums is one of the
+partitioning argument above: every count in the registry is one of the
 conserved counters, so fleet totals equal the solo run's.
 """
 
@@ -45,6 +46,7 @@ import json
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..core.shard import report_json as report_to_json  # noqa: F401  (re-exported)
+from ..sim.metrics import merge_metrics  # noqa: F401  (re-exported)
 from ..sim.spans import SpanRow, TraceKey, ordered_span_lines, split_span_line
 
 
@@ -99,38 +101,6 @@ def merge_fleet_reports(
         "server": server,
         "shard": fleet_id,
     }
-
-
-def merge_metrics(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Combine per-shard :meth:`MetricsRegistry.snapshot` dicts.
-
-    Scalars (counters and gauges) sum; histograms combine count/sum/
-    min/max with the mean recomputed from the merged totals.
-    """
-    merged: Dict[str, Any] = {}
-    for snapshot in snapshots:
-        for name, value in snapshot.items():
-            if isinstance(value, dict):
-                slot = merged.setdefault(
-                    name, {"count": 0, "sum": 0.0, "min": None, "max": None}
-                )
-                slot["count"] += value["count"]
-                slot["sum"] += value["sum"]
-                for key, pick in (("min", min), ("max", max)):
-                    if value[key] is not None:
-                        slot[key] = (
-                            value[key]
-                            if slot[key] is None
-                            else pick(slot[key], value[key])
-                        )
-            else:
-                merged[name] = merged.get(name, 0) + value
-    for value in merged.values():
-        if isinstance(value, dict):
-            value["mean"] = (
-                round(value["sum"] / value["count"], 3) if value["count"] else 0.0
-            )
-    return {name: merged[name] for name in sorted(merged)}
 
 
 def _interleave(

@@ -96,8 +96,6 @@ class _TransferDone:
         size = self.size
         if success and t.connected and t._session is self.session:
             t.stanzas_sent += 1
-            t._m_stanzas.inc()
-            t._m_bytes.inc(size)
             t._m_stanza_bytes.observe(size)
             route_parent = 0
             if self.tracing and spans.enabled:
@@ -111,7 +109,6 @@ class _TransferDone:
             t.server.submit(t.jid, self.to_jid, self.stanza, parent_span=route_parent)
         else:
             t.send_failures += 1
-            t._m_failures.inc()
             if self.tracing and spans.enabled:
                 t._h_send.record(
                     0,
@@ -141,6 +138,9 @@ class _RxDone:
 class WiredTransport:
     """Collector-side client: a PC on a wired connection, always on."""
 
+    #: What the registry reads off the transport (:meth:`MetricsRegistry.attach`).
+    METRICS = {"transport.stanzas_sent": "stanzas_sent"}
+
     def __init__(self, kernel: Kernel, server: XmppServer, jid: str) -> None:
         self.kernel = kernel
         self.server = server
@@ -151,7 +151,7 @@ class WiredTransport:
         self._reconnecting = False
         self.stanzas_sent = 0
         self.reconnects = 0
-        self._m_stanzas = kernel.metrics.counter("transport.stanzas_sent")
+        kernel.metrics.attach(self)
         server.register(jid)
 
     def start(self) -> None:
@@ -186,7 +186,6 @@ class WiredTransport:
         if not self.connected:
             raise TransportError(f"{self.jid}: not connected")
         self.stanzas_sent += 1
-        self._m_stanzas.inc()
         self.server.submit(self.jid, to_jid, stanza)
 
     def _deliver(self, stanza: dict) -> None:
@@ -201,9 +200,14 @@ class DeviceTransport:
     __slots__ = (
         "kernel", "server", "jid", "phone", "on_stanza", "on_connected",
         "_session", "_session_interface", "_connecting", "_started", "connect_count",
-        "send_failures", "stanzas_sent", "_m_stanzas", "_m_bytes", "_m_failures",
-        "_m_stanza_bytes", "_spans", "_h_send",
+        "send_failures", "stanzas_sent", "_m_stanza_bytes", "_spans", "_h_send",
     )
+
+    #: What the registry reads off the transport (:meth:`MetricsRegistry.attach`).
+    METRICS = {
+        "transport.stanzas_sent": "stanzas_sent",
+        "transport.send_failures": "send_failures",
+    }
 
     def __init__(self, kernel: Kernel, server: XmppServer, jid: str, phone) -> None:
         self.kernel = kernel
@@ -220,11 +224,8 @@ class DeviceTransport:
         self.connect_count = 0
         self.send_failures = 0
         self.stanzas_sent = 0
-        metrics = kernel.metrics
-        self._m_stanzas = metrics.counter("transport.stanzas_sent")
-        self._m_bytes = metrics.counter("transport.bytes_sent")
-        self._m_failures = metrics.counter("transport.send_failures")
-        self._m_stanza_bytes = metrics.histogram("transport.stanza_bytes")
+        kernel.metrics.attach(self)
+        self._m_stanza_bytes = kernel.metrics.histogram("transport.stanza_bytes")
         self._spans = kernel.spans
         self._h_send = kernel.spans.hop("transport.send")
 

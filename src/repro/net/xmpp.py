@@ -107,6 +107,13 @@ class _DeliveryComplete:
 class XmppServer:
     """The central switchboard."""
 
+    #: What the registry reads off the server (:meth:`MetricsRegistry.attach`).
+    METRICS = {
+        "xmpp.stanzas_routed": "stanzas_routed",
+        "xmpp.stanzas_lost": "stanzas_lost",
+        "xmpp.stanzas_stored_offline": "stanzas_stored_offline",
+    }
+
     def __init__(self, kernel: Kernel, latency_ms: float = 80.0) -> None:
         self.kernel = kernel
         self.latency_ms = latency_ms
@@ -142,11 +149,8 @@ class XmppServer:
         self.stanzas_lost = 0
         self.stanzas_stored_offline = 0
         self.restarts = 0
-        metrics = kernel.metrics
-        self._m_routed = metrics.counter("xmpp.stanzas_routed")
-        self._m_lost = metrics.counter("xmpp.stanzas_lost")
-        self._m_offline = metrics.counter("xmpp.stanzas_stored_offline")
-        self._m_bytes = metrics.counter("xmpp.bytes_delivered")
+        kernel.metrics.attach(self)
+        self._m_bytes = kernel.metrics.counter("xmpp.bytes_delivered")
         self._spans = kernel.spans
         self._h_route = kernel.spans.hop("xmpp.route")
 
@@ -375,7 +379,6 @@ class XmppServer:
 
     def _route(self, from_jid: str, to_jid: str, stanza: dict, route_ctx=None) -> None:
         self.stanzas_routed += 1
-        self._m_routed.inc()
         session = self._sessions.get(to_jid)
         if session is None:
             self._store_offline(to_jid, stanza)
@@ -407,7 +410,6 @@ class XmppServer:
 
     def _lose(self, session: Session, stanza: dict) -> None:
         self.stanzas_lost += 1
-        self._m_lost.inc()
         if self._sessions.get(session.jid) is session:
             self.disconnect(session)
 
@@ -416,7 +418,6 @@ class XmppServer:
     # ------------------------------------------------------------------
     def _store_offline(self, jid: str, stanza: dict) -> None:
         self.stanzas_stored_offline += 1
-        self._m_offline.inc()
         queue = self._offline.get(jid)
         if queue is None:
             queue = self._offline[jid] = deque()

@@ -1,14 +1,14 @@
 """Fleet-wide telemetry plane: live progress, time-series, health.
 
-The multiprocess fleet coordinator (ROADMAP item 1, PR 6) runs 50k-device
-simulations across worker processes — and until now each worker was a
-black box between launch and the merged report.  This package makes the
-fleet observable *while it runs*, without ever perturbing it:
+The multiprocess fleet coordinator runs one simulation across worker
+processes, each a black box between launch and the merged report.  This
+package makes the fleet observable *while it runs*, without ever
+perturbing it:
 
 * :mod:`repro.obs.telemetry` — the per-shard sampler.  In a run started
-  with ``telemetry=True``, each shard's driver reads its kernel
-  counters, heap depth, span-latency digests, energy totals and
-  invariant status into one snapshot dict at every epoch barrier;
+  with ``telemetry=True``, each shard's driver takes its kernel
+  registry's snapshot (counts, gauges, histograms, hop latencies) plus
+  handoffs, energy and invariant status at every epoch barrier;
   wall-clock facts (worker CPU, RSS, barrier stall) ride in a clearly
   segregated ``wall`` section.
 * :mod:`repro.obs.timeline` — the coordinator-side aggregator: per-shard

@@ -67,7 +67,7 @@ class LiveView:
     # ------------------------------------------------------------------
     def _paint(self, frame: Dict[str, Any], now: float) -> None:
         samples = sorted(frame["samples"], key=lambda s: s["shard"])
-        events = sum(s["kernel"]["events"] for s in samples)
+        events = sum(s["metrics"]["kernel.events"] for s in samples)
         wall = max(now - self._started, 1e-9)
         fraction = min(1.0, frame["barrier_ms"] / self.total_ms)
         header = (
@@ -99,7 +99,7 @@ class LiveView:
             lines.append(
                 f"  {sample['shard']:<12} [{_bar(share)}] "
                 f"{delta * 1000:7.1f} ms cpu   "
-                f"pending {sample['kernel']['pending']:>7,}   "
+                f"pending {sample['metrics']['kernel.pending_events']:>7,}   "
                 f"out {sample['handoffs']['out']:>4,}"
             )
         if self._painted_lines:

@@ -10,11 +10,13 @@ guarantee instead of endangering it.
 
 Two kinds of fields live in a snapshot, and they never mix:
 
-* **Simulation-keyed fields** — kernel counters, heap depth, handoff
-  counts, per-hop latency digests, energy totals, invariant status.
-  These are pure functions of the seed: two same-seed runs produce
-  byte-identical values, and additive fields sum across shards to
-  exactly the solo run's totals (:func:`repro.obs.timeline.aggregate_totals`).
+* **Simulation-keyed fields** — the kernel registry's snapshot under
+  ``metrics`` (counts, gauges, histograms, the ``hop.*`` latencies
+  among them), plus what the registry does not hold: handoff counts,
+  energy, invariant status.  These are pure functions of the seed: two
+  same-seed runs produce byte-identical values, and the additive slice
+  sums across shards to exactly the solo run's totals
+  (:func:`repro.obs.timeline.aggregate_totals`).
 * **Wall-clock fields** — worker CPU seconds, RSS, time spent stalled
   at the pipe waiting for the next barrier grant.  These live under the
   single ``wall`` key so the deterministic exporter can strip them with
@@ -34,7 +36,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 #: Snapshot schema identifier; bump when the sample layout changes.
-SCHEMA = "telemetry/1"
+SCHEMA = "telemetry/2"
 
 
 def energy_microjoules(shard) -> int:
@@ -75,35 +77,21 @@ def sample_shard(
 ) -> Dict[str, Any]:
     """One snapshot of ``shard`` at the barrier ending ``barrier_ms``.
 
-    ``handoffs_in``/``handoffs_out`` are the cross-shard counts of the
-    window just finished (the driver knows both).  ``wall`` is the
-    driver's wall-clock section, passed through untouched.
+    ``metrics`` is the kernel registry's snapshot; the rest is what the
+    registry does not hold.  ``handoffs_in``/``handoffs_out`` are the
+    cross-shard counts of the window just finished (the driver knows
+    both).  ``wall`` is the driver's wall-clock section, passed through
+    untouched.
     """
-    kernel = shard.kernel
-    spans = kernel.spans
-    server = shard.server
     sample: Dict[str, Any] = {
         "kind": "sample",
         "epoch": epoch,
         "barrier_ms": barrier_ms,
         "shard": shard.shard_id,
-        "kernel": {
-            "events": kernel.events_executed,
-            "pending": kernel.pending_events,
-            "tombstones": kernel._tombstones,
-            "compactions": kernel.compactions,
-        },
         "handoffs": {"in": handoffs_in, "out": handoffs_out},
-        "server": {
-            "stanzas_routed": server.stanzas_routed,
-            "stanzas_lost": server.stanzas_lost,
-            "stanzas_stored_offline": server.stanzas_stored_offline,
-        },
         "energy_uj": energy_microjoules(shard),
-        "spans": {"recorded": spans.recorded, "dropped": spans.dropped},
-        "hops": spans.latency_digest(),
-        "counters": kernel.metrics.counter_values(),
         "invariants": invariant_status(shard),
+        "metrics": shard.kernel.metrics.snapshot(),
     }
     if wall is not None:
         sample["wall"] = wall

@@ -11,11 +11,12 @@ window wall time).  The timeline then answers four questions:
   deterministic mode (the default) every wall-clock field is stripped
   and the remaining stream is a pure function of the seed: two same-seed
   runs export byte-identical files, and CI ``cmp``s them.
-* **Do the shards add up?**  :func:`aggregate_totals` sums the additive
-  fields of the final frame.  Because every additive counter partitions
-  across shards (the merge module's argument), the 4-shard totals must
-  equal the solo run's totals exactly — the telemetry plane inherits
-  the coordinator's correctness claim instead of weakening it.
+* **Do the shards add up?**  :func:`aggregate_totals` merges the
+  additive slice of the final frame's registry snapshots.  Because every
+  count partitions across shards (the merge module's argument), the
+  4-shard totals must equal the solo run's totals exactly — the
+  telemetry plane inherits the coordinator's correctness claim instead
+  of weakening it.
 * **Is anyone slow or stalled?**  :func:`fleet_health` reads the
   wall-clock sections: per-shard CPU share, barrier imbalance (busiest
   vs mean), pipe-stall totals.  :func:`render_health` is the one-line
@@ -23,19 +24,23 @@ window wall time).  The timeline then answers four questions:
 * **What does the scraper see?**  :mod:`repro.obs.prometheus` renders
   the final frame as text exposition.
 
-Only ``sum``-able facts go into totals: event counts, stanza counters,
-span/hop counts, metric counters, integer microjoule energy.  Gauges
-(heap depth, tombstones) and float hop-duration sums stay per-shard in
-the samples — deterministic, but not meaningfully additive.
+Only counts go into totals: the registry's counts (events, stanzas,
+spans, every counter, each histogram's count) and integer microjoule
+energy.  Gauges (:data:`repro.sim.metrics.GAUGES`: heap depth,
+tombstones, compactions, evicted spans) and histogram sums stay
+per-shard in the samples — deterministic, but not conserved across a
+partition.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
+
+from ..sim.metrics import additive, merge_metrics
 
 #: Timeline schema identifier, stamped on every totals line.
-SCHEMA = "fleet_timeline/1"
+SCHEMA = "fleet_timeline/2"
 
 
 class TimelineError(ValueError):
@@ -88,21 +93,14 @@ class FleetTimeline:
 # Aggregation
 # ---------------------------------------------------------------------------
 
-def _sum_counter_dicts(parts: Iterable[Dict[str, int]]) -> Dict[str, int]:
-    merged: Dict[str, int] = {}
-    for part in parts:
-        for name, value in part.items():
-            merged[name] = merged.get(name, 0) + value
-    return {name: merged[name] for name in sorted(merged)}
-
-
 def aggregate_totals(timeline) -> Dict[str, Any]:
     """Additive fleet totals at the final barrier.
 
     Accepts a :class:`FleetTimeline` or an iterable of sample dicts (the
-    final frame's).  Every field here partitions across shards, so the
-    K-shard totals equal the solo run's — the CI telemetry job compares
-    the two JSON documents directly.
+    final frame's).  ``metrics`` merges the additive slice of each
+    shard's registry snapshot (:func:`repro.sim.metrics.additive`: every
+    count, no gauge), so the K-shard totals equal the solo run's — the
+    CI telemetry job compares the two JSON documents directly.
     """
     if isinstance(timeline, FleetTimeline):
         samples = timeline.last_samples()
@@ -120,15 +118,8 @@ def aggregate_totals(timeline) -> Dict[str, Any]:
         "schema": SCHEMA,
         "barrier_ms": barriers.pop(),
         "shards": len(samples),
-        "events": sum(sample["kernel"]["events"] for sample in samples),
         "energy_uj": sum(sample["energy_uj"] for sample in samples),
-        "spans_recorded": sum(sample["spans"]["recorded"] for sample in samples),
-        "server": _sum_counter_dicts(sample["server"] for sample in samples),
-        "hop_counts": _sum_counter_dicts(
-            {name: digest["count"] for name, digest in sample["hops"].items()}
-            for sample in samples
-        ),
-        "counters": _sum_counter_dicts(sample["counters"] for sample in samples),
+        "metrics": merge_metrics([additive(sample["metrics"]) for sample in samples]),
     }
 
 

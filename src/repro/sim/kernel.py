@@ -130,6 +130,14 @@ class Kernel:
     which keeps component interactions deterministic.
     """
 
+    #: What the registry reads off the kernel (:meth:`MetricsRegistry.attach`).
+    METRICS = {
+        "kernel.events": "events_executed",
+        "kernel.pending_events": "pending_events",
+        "kernel.tombstones": "_tombstones",
+        "kernel.compactions": "compactions",
+    }
+
     def __init__(self) -> None:
         self._now = 0.0
         #: Heap of (time, seq, handle).  Tuples compare in C; ``seq`` is
@@ -146,47 +154,21 @@ class Kernel:
         #: Total number of events executed; useful in tests and benchmarks.
         self.events_executed = 0
         #: The kernel's metrics plane.  Components hang their counters and
-        #: histograms here; the event count is exposed as a pull-gauge so
-        #: the run loop itself pays nothing for observability.
+        #: histograms here; the kernel attaches itself, so the event count
+        #: is read at snapshot time and the run loop pays nothing.
         self.metrics = MetricsRegistry()
-        # Gauges are bound methods, not closures: every callable reachable
-        # from the kernel graph must survive a pickle round-trip (the Shard
-        # snapshot contract, see repro.core.shard).
-        self.metrics.gauge("kernel.events", self._gauge_events)
-        self.metrics.gauge("kernel.pending_events", self._gauge_pending)
-        self.metrics.gauge("kernel.tombstones", self._gauge_tombstones)
-        self.metrics.gauge("kernel.compactions", self._gauge_compactions)
+        self.metrics.attach(self)
         #: The kernel's flight recorder.  Components pre-bind hop handles
         #: (``kernel.spans.hop("buffer.dwell")``) at construction; the ring
-        #: bounds memory and the gauges surface volume/eviction pressure.
-        self.spans = SpanRecorder(clock=self.read_now)
-        self.metrics.gauge("spans.recorded", self._gauge_spans_recorded)
-        self.metrics.gauge("spans.dropped", self._gauge_spans_dropped)
+        #: bounds memory, and the hop latencies land in the registry.
+        self.spans = SpanRecorder(self.metrics, clock=self.read_now)
 
     # ------------------------------------------------------------------
-    # Pickle-safe gauge/clock callables
+    # Pickle-safe clock callable
     # ------------------------------------------------------------------
     def read_now(self) -> float:
         """The clock as a picklable callable (for recorders and tracks)."""
         return self._now
-
-    def _gauge_events(self) -> float:
-        return self.events_executed
-
-    def _gauge_pending(self) -> float:
-        return self.pending_events
-
-    def _gauge_tombstones(self) -> float:
-        return self._tombstones
-
-    def _gauge_compactions(self) -> float:
-        return self.compactions
-
-    def _gauge_spans_recorded(self) -> float:
-        return self.spans.recorded
-
-    def _gauge_spans_dropped(self) -> float:
-        return self.spans.dropped
 
     # ------------------------------------------------------------------
     # Clock

@@ -41,7 +41,7 @@ from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
-from .metrics import Histogram
+from .metrics import Histogram, MetricsRegistry
 
 #: Default flight-recorder capacity.  A span in the ring is one flat
 #: row (:data:`SpanRow`), about 160 bytes with the ids and times it
@@ -234,21 +234,28 @@ class NullHopHandle(HopHandle):
 
 
 class SpanRecorder:
-    """Bounded ring of causally-linked spans plus per-hop histograms.
+    """Bounded ring of causally-linked spans.
 
     The ring keeps the most recent ``max_spans`` spans (the flight
-    recorder); per-hop latency histograms aggregate over the *whole* run
-    regardless of eviction, so long simulations still report complete
-    latency distributions.
+    recorder).  Each hop's latency histogram lives in ``metrics`` as
+    ``hop.<name>`` and aggregates over the *whole* run regardless of
+    eviction, so long simulations still report complete latency
+    distributions.
     """
+
+    #: What the registry reads off the recorder (:meth:`MetricsRegistry.attach`).
+    METRICS = {"spans.recorded": "recorded", "spans.dropped": "dropped"}
 
     def __init__(
         self,
+        metrics: MetricsRegistry,
         clock: Optional[Callable[[], float]] = None,
         max_spans: int = DEFAULT_MAX_SPANS,
     ) -> None:
         if max_spans <= 0:
             raise ValueError("max_spans must be positive")
+        self._metrics = metrics
+        metrics.attach(self)
         self._clock = clock
         self.enabled = True
         self.max_spans = max_spans
@@ -302,7 +309,7 @@ class SpanRecorder:
         """Create-or-get the pre-bound handle for one hop kind."""
         handle = self._hops.get(name)
         if handle is None:
-            histogram = Histogram(f"hop.{name}")
+            histogram = self._metrics.histogram(f"hop.{name}")
             cls = HopHandle if self.enabled else NullHopHandle
             handle = self._hops[name] = cls(self, name, histogram)
         return handle
@@ -334,71 +341,11 @@ class SpanRecorder:
         """Distinct message trace ids still represented in the ring."""
         return sorted({row[1] for row in self._ring if row[1]})
 
-    def hop_names(self) -> List[str]:
-        return sorted(self._hops)
-
-    def hop_histogram(self, name: str) -> Histogram:
-        return self.hop(name).histogram
-
     def __len__(self) -> int:
         return len(self._ring)
 
     def __iter__(self) -> Iterator[Span]:
         return map(_span_of, self._ring)
-
-    # ------------------------------------------------------------------
-    # Reports
-    # ------------------------------------------------------------------
-    def latency_table(self) -> str:
-        """Per-hop latency summary (deterministic ordering)."""
-        lines = [
-            f"{'hop':<24} {'count':>9} {'mean ms':>12} {'min ms':>10} {'max ms':>12}"
-        ]
-        for name in self.hop_names():
-            histogram = self._hops[name].histogram
-            if histogram.count == 0:
-                continue
-            lines.append(
-                f"{name:<24} {histogram.count:>9,} {histogram.mean:>12,.1f} "
-                f"{histogram.min:>10,.1f} {histogram.max:>12,.1f}"
-            )
-        return "\n".join(lines)
-
-    def latency_snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Machine-readable per-hop latency summary."""
-        out: Dict[str, Dict[str, float]] = {}
-        for name in self.hop_names():
-            histogram = self._hops[name].histogram
-            if histogram.count == 0:
-                continue
-            out[name] = {
-                "count": histogram.count,
-                "mean_ms": round(histogram.mean, 3),
-                "min_ms": histogram.min,
-                "max_ms": histogram.max,
-            }
-        return out
-
-    def latency_digest(self) -> Dict[str, Dict[str, float]]:
-        """Additive per-hop digest: count / sum / min / max, no mean.
-
-        The telemetry plane ships this at every epoch barrier.  Counts
-        and sums combine across shards by plain addition (mins/maxes by
-        min/max), so the fleet aggregator can merge K digests without
-        recomputing anything from raw spans.
-        """
-        out: Dict[str, Dict[str, float]] = {}
-        for name in self.hop_names():
-            histogram = self._hops[name].histogram
-            if histogram.count == 0:
-                continue
-            out[name] = {
-                "count": histogram.count,
-                "sum_ms": round(histogram.total, 3),
-                "min_ms": histogram.min,
-                "max_ms": histogram.max,
-            }
-        return out
 
 
 def _rows(spans: Union[SpanRecorder, Iterable[Span]]) -> Iterable[SpanRow]:

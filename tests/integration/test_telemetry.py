@@ -64,9 +64,9 @@ def test_telemetry_never_perturbs_the_simulation(runs):
 def test_timeline_agrees_with_the_merged_report(runs):
     totals = aggregate_totals(runs["spawned"].timeline)
     report = runs["spawned"].report
-    assert totals["events"] == report["events_executed"]
+    assert totals["metrics"]["kernel.events"] == report["events_executed"]
     for key, value in report["server"].items():
-        assert totals["server"][key] == value
+        assert totals["metrics"][f"xmpp.{key}"] == value
 
 
 def test_wall_sections_exist_outside_deterministic_export(runs):

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.analysis.export import spans_to_jsonl
 from repro.fleet.merge import merge_span_rows, merge_trace_jsonl
 from repro.fleet.wire import seal, unseal
+from repro.sim.metrics import MetricsRegistry
 from repro.sim.spans import (
     Span,
     SpanRecorder,
@@ -167,7 +168,7 @@ def test_encoder_equals_the_stock_dump_byte_for_byte(spans):
 def test_recorded_spans_export_the_stock_dump_and_read_back_as_recorded(
     calls, max_spans
 ):
-    recorder = SpanRecorder(max_spans=max_spans)
+    recorder = SpanRecorder(MetricsRegistry(), max_spans=max_spans)
     recorded = []
     for hop, trace_id, parent_id, start_ms, end_ms, attrs in calls:
         span_id = recorder.hop(hop).record(trace_id, parent_id, start_ms, end_ms, attrs)

@@ -98,7 +98,7 @@ def test_trace_json_and_export(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["devices"] == 2
     assert report["spans"]["recorded"] > 0
-    assert "publish" in report["hops"]
+    assert "hop.publish" in report["hops"]
     energy = report["energy"]
     assert set(energy) == {"active_j", "episodes", "idle_j", "total_j"}
     assert energy["episodes"]["flush"] == 0
@@ -148,7 +148,7 @@ def test_fleet_telemetry_and_prom_exports(tmp_path, capsys):
                timeline.read_text(encoding="utf-8").splitlines()]
     assert records[-1]["kind"] == "totals"
     assert '"wall"' not in timeline.read_text(encoding="utf-8")
-    assert "# TYPE pogo_events_executed counter" in prom.read_text(
+    assert "# TYPE pogo_kernel_events counter" in prom.read_text(
         encoding="utf-8")
 
 

@@ -101,5 +101,8 @@ def test_a_session_records_no_span_and_no_metric(monkeypatch):
     assert not kernel.spans.enabled
     assert not kernel.metrics.enabled
     assert kernel.spans.recorded == 0
-    # Only the gauges that read the kernel itself move.
-    assert set(kernel.metrics.nonzero()) == {"kernel.events", "kernel.pending_events"}
+    # No counter and no histogram moves: what the registry still reports
+    # it reads off the model (the kernel, the server, the buffers, ...).
+    assert not any(counter.value for counter in kernel.metrics._counters.values())
+    assert not any(histogram.count for histogram in kernel.metrics._histograms.values())
+    assert kernel.metrics.nonzero()["kernel.events"] == kernel.events_executed

@@ -6,9 +6,10 @@ import pytest
 
 
 def make_spans():
+    from repro.sim.metrics import MetricsRegistry
     from repro.sim.spans import SpanRecorder
 
-    recorder = SpanRecorder()
+    recorder = SpanRecorder(MetricsRegistry())
     root = recorder.hop("publish").record(1, 0, 0.0, 0.0, {"channel": "battery"})
     recorder.hop("buffer.dwell").record(1, root, 0.0, 512.5, {"bytes": 75})
     return recorder
@@ -36,9 +37,10 @@ def test_spans_jsonl_roundtrip_string_and_file(tmp_path):
 
 def test_spans_jsonl_roundtrip_after_ring_eviction():
     from repro.analysis.export import spans_from_jsonl, spans_to_jsonl
+    from repro.sim.metrics import MetricsRegistry
     from repro.sim.spans import SpanRecorder
 
-    recorder = SpanRecorder(max_spans=4)
+    recorder = SpanRecorder(MetricsRegistry(), max_spans=4)
     dwell = recorder.hop("buffer.dwell")
     for index in range(10):
         # Parents 1..9: the early ones are evicted before the export.

@@ -25,6 +25,7 @@ from repro.fleet.partition import PartitionError, device_jid
 from repro.fleet.wire import seal, unseal
 from repro.net.xmpp import RoutingError
 from repro.sim.kernel import HOUR
+from repro.sim.metrics import MetricsRegistry
 from repro.sim.spans import Span, SpanRecorder, ordered_span_lines, span_rows
 
 
@@ -473,6 +474,27 @@ class TestTraceRowPath:
         assert result.trace_jsonl is text is vars(result)["trace_jsonl"]
         assert _result("x\n").trace_jsonl == "x\n"  # text in, the same text out
 
+    def test_del_drops_an_unread_trace(self, monkeypatch):
+        import repro.sim.spans as spans
+
+        result = run_fleet(
+            fleet_spec(4, seed=5), 2, duration_ms=0.25 * HOUR, processes=False,
+        )
+        assert vars(result)["trace_jsonl"]  # the parts, held until a read
+
+        def forbidden(rows, shard=None):
+            raise AssertionError("a span line was written")
+
+        monkeypatch.setattr(spans, "span_lines", forbidden)
+        del result.trace_jsonl  # nothing written on the way out
+        assert "trace_jsonl" not in vars(result)
+        with pytest.raises(AttributeError, match="trace_jsonl"):
+            result.trace_jsonl
+        with pytest.raises(AttributeError, match="trace_jsonl"):
+            del result.trace_jsonl
+        result.trace_jsonl = "x\n"  # and the attribute can be set again
+        assert result.trace_jsonl == "x\n"
+
     @pytest.mark.parametrize("sealed", [False, True], ids=["in-process", "sealed"])
     @pytest.mark.parametrize(
         "attrs, why",
@@ -511,7 +533,7 @@ class TestTraceRowPath:
         # re-join) took 4.4x.
         import tracemalloc
 
-        recorder = SpanRecorder()
+        recorder = SpanRecorder(MetricsRegistry())
         hops = [recorder.hop(name) for name in (
             "script.call", "broker.publish", "buffer.dwell", "xmpp.route",
         )]

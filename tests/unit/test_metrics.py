@@ -1,7 +1,9 @@
 """Unit tests for the kernel metrics plane."""
 
 from repro.sim.kernel import Kernel
-from repro.sim.metrics import Counter, Histogram, MetricsRegistry
+from repro.sim.metrics import (
+    GAUGES, Counter, Histogram, MetricsRegistry, additive, render_report,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -33,20 +35,69 @@ def test_registry_create_or_get():
     assert registry.histogram("h") is registry.histogram("h")
 
 
+class _Component:
+    METRICS = {"a.count": "count", "a.level": "level"}
+
+    def __init__(self, count):
+        self.count = count
+        self.pulls = 0
+
+    @property
+    def level(self):
+        self.pulls += 1
+        return 7
+
+
 def test_snapshot_sorted_and_gauges_pulled_lazily():
     registry = MetricsRegistry()
     registry.counter("z.count").inc(3)
-    pulls = []
-
-    def gauge():
-        pulls.append(True)
-        return 7.0
-
-    registry.gauge("a.gauge", gauge)
-    assert pulls == []  # registering costs nothing
+    component = _Component(2)
+    registry.attach(component)
+    assert component.pulls == 0  # attaching costs nothing
     snap = registry.snapshot()
-    assert snap == {"z.count": 3, "a.gauge": 7.0}
-    assert pulls == [True]
+    assert snap == {"a.count": 2, "a.level": 7, "z.count": 3}
+    assert list(snap) == ["a.count", "a.level", "z.count"]
+    assert component.pulls == 1
+
+
+def test_attached_components_sum_per_name_across_classes():
+    class Other:
+        METRICS = {"a.count": "inner.count"}
+
+        def __init__(self, inner):
+            self.inner = inner
+
+    registry = MetricsRegistry()
+    first, second = _Component(2), _Component(5)
+    for component in (first, second, Other(_Component(10))):
+        registry.attach(component)
+    assert registry.snapshot()["a.count"] == 17
+    first.count += 1  # read at the snapshot, never pushed
+    assert registry.snapshot()["a.count"] == 18
+
+
+def test_disable_freezes_counters_but_still_reads_attached_components():
+    registry = MetricsRegistry()
+    component = _Component(1)
+    registry.attach(component)
+    registry.disable()
+    component.count = 4
+    assert registry.snapshot()["a.count"] == 4
+
+
+def test_additive_slice_leaves_out_gauges_and_histogram_sums():
+    registry = MetricsRegistry()
+    registry.counter("x.count").inc(2)
+    registry.histogram("x.latency").observe(0.1)
+    kernel = Kernel()
+    snapshot = dict(kernel.metrics.snapshot(), **registry.snapshot())
+    slice_ = additive(snapshot)
+    assert GAUGES <= set(snapshot)
+    assert not GAUGES & set(slice_)
+    assert slice_["x.count"] == 2
+    assert slice_["x.latency.count"] == 1
+    assert slice_["kernel.events"] == 0 and slice_["spans.recorded"] == 0
+    assert all(isinstance(value, int) for value in slice_.values())
 
 
 def test_nonzero_filters_untouched_metrics():
@@ -64,8 +115,8 @@ def test_report_is_deterministic_text():
     registry = MetricsRegistry()
     registry.counter("b").inc(2)
     registry.counter("a").inc(1)
-    first = registry.report()
-    second = registry.report()
+    first = render_report(registry.nonzero())
+    second = render_report(registry.nonzero())
     assert first == second
     lines = first.splitlines()
     assert lines[1].startswith("a") and lines[2].startswith("b")

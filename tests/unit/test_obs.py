@@ -43,14 +43,19 @@ class TestSampler:
         assert sample["kind"] == "sample"
         assert sample["epoch"] == 3
         assert sample["shard"] == shard.shard_id
-        assert sample["kernel"]["events"] == shard.kernel.events_executed
-        assert sample["kernel"]["pending"] == shard.kernel.pending_events
+        assert set(sample) == {
+            "kind", "epoch", "barrier_ms", "shard", "handoffs", "energy_uj",
+            "invariants", "metrics",
+        }
+        # The registry's snapshot is the one section of counts.
+        assert sample["metrics"] == shard.kernel.metrics.snapshot()
+        assert sample["metrics"]["kernel.events"] == shard.kernel.events_executed
+        assert sample["metrics"]["kernel.pending_events"] == shard.kernel.pending_events
+        assert sample["metrics"]["xmpp.stanzas_routed"] == shard.server.stanzas_routed
+        assert any(name.startswith("hop.") for name in sample["metrics"])
         assert sample["handoffs"] == {"in": 2, "out": 5}
         assert sample["energy_uj"] > 0
         assert isinstance(sample["energy_uj"], int)
-        assert set(sample["server"]) == {
-            "stanzas_routed", "stanzas_lost", "stanzas_stored_offline",
-        }
         assert sample["invariants"] is None
         assert "wall" not in sample  # wall only appears when passed in
 
@@ -103,17 +108,19 @@ def _frame_samples(barrier_ms, shards=2, events=10):
             "epoch": 1,
             "barrier_ms": barrier_ms,
             "shard": f"f/{k}",
-            "kernel": {"events": events + k, "pending": 3, "tombstones": 0,
-                       "compactions": 0},
             "handoffs": {"in": 0, "out": 1},
-            "server": {"stanzas_routed": k, "stanzas_lost": 0,
-                       "stanzas_stored_offline": 0},
             "energy_uj": 1000 * (k + 1),
-            "spans": {"recorded": 5, "dropped": 0},
-            "hops": {"route": {"count": 2, "sum_ms": 4.0, "min_ms": 1.0,
-                               "max_ms": 3.0}},
-            "counters": {"broker.published": 4 + k},
             "invariants": None,
+            "metrics": {
+                "broker.published": 4 + k,
+                "kernel.events": events + k,
+                "kernel.pending_events": 3,
+                "spans.dropped": 1,
+                "spans.recorded": 5,
+                "xmpp.stanzas_routed": k,
+                "hop.route": {"count": 2, "sum": 4.0, "min": 1.0, "max": 3.0,
+                              "mean": 2.0},
+            },
             "wall": {"cpu_s": 0.5 + k, "stall_s": 0.1, "rss_kb": 2048},
         })
     return samples
@@ -136,13 +143,17 @@ def _timeline(barriers=2):
 class TestTimeline:
     def test_totals_sum_additive_fields(self):
         totals = aggregate_totals(_timeline())
-        assert totals["events"] == 21
         assert totals["energy_uj"] == 3000
-        assert totals["spans_recorded"] == 10
-        assert totals["server"]["stanzas_routed"] == 1
-        assert totals["counters"]["broker.published"] == 9
-        assert totals["hop_counts"]["route"] == 4
         assert totals["shards"] == 2
+        assert totals["schema"] == "fleet_timeline/2"
+        # Counts sum, a histogram adds its count; gauges stay per shard.
+        assert totals["metrics"] == {
+            "broker.published": 9,
+            "hop.route.count": 4,
+            "kernel.events": 21,
+            "spans.recorded": 10,
+            "xmpp.stanzas_routed": 1,
+        }
 
     def test_totals_of_empty_timeline_raise(self):
         with pytest.raises(TimelineError, match="no samples"):
@@ -263,12 +274,19 @@ class TestPrometheus:
         a = timeline_to_prometheus(_timeline())
         b = timeline_to_prometheus(_timeline())
         assert a == b
-        assert 'pogo_events_executed{shard="f/0"} 10' in a
-        assert "pogo_fleet_events_executed 21" in a
-        assert 'pogo_hop_latency_ms_count{hop="route",shard="f/0"} 2' in a
-        assert "# TYPE pogo_events_executed counter" in a
+        assert 'pogo_kernel_events{shard="f/0"} 10' in a
+        assert "pogo_fleet_kernel_events 21" in a
+        assert 'pogo_hop_route_count{shard="f/0"} 2' in a
+        assert 'pogo_hop_route_sum{shard="f/0"} 4.0' in a
+        assert "pogo_fleet_hop_route_count 4" in a
+        assert "# TYPE pogo_kernel_events counter" in a
+        assert "# TYPE pogo_kernel_pending_events gauge" in a
+        assert "# TYPE pogo_hop_route summary" in a
         # one TYPE header per family, not per sample
-        assert a.count("# TYPE pogo_events_executed counter") == 1
+        assert a.count("# TYPE pogo_kernel_events counter") == 1
+        # Gauges are not fleet totals.
+        assert "pogo_fleet_kernel_pending_events" not in a
+        assert "pogo_fleet_spans_dropped" not in a
 
     def test_empty_timeline_renders_empty(self):
         assert timeline_to_prometheus(FleetTimeline("f", 0, 1)) == ""

@@ -49,7 +49,7 @@ PARAMETERS = [
     # The instrumentation planes: ``disable()`` is the one switch.
     (MetricsRegistry, []),
     (MetricsRegistry.histogram, ["self", "name"]),
-    (SpanRecorder, ["clock", "max_spans"]),
+    (SpanRecorder, ["metrics", "clock", "max_spans"]),
     # The per-device classes.
     (Phone, ["kernel", "name", "profile", "simulate_paging"]),
     (DeviceNode, ["kernel", "phone", "server", "jid", "policy"]),

@@ -149,6 +149,19 @@ def test_sandbox_blocks_open_and_eval():
             host.load()
 
 
+def test_a_script_calling_hash_fails_like_any_missing_builtin():
+    # str hashes are salted per interpreter (PYTHONHASHSEED), so a
+    # script that read one would not replay the same run on another host.
+    failures = []
+    for call in ("hash('abc')", "open('/etc/passwd')"):
+        _, _, _, host = make_host(f"value = {call} % 1000\n", autoload=False)
+        with pytest.raises(ScriptError) as caught:
+            host.load()
+        cause = caught.value.__cause__
+        failures.append((type(cause), str(cause).replace(call.split("(")[0], "NAME")))
+    assert failures[0] == failures[1] == (NameError, "name 'NAME' is not defined")
+
+
 def test_sandbox_provides_math():
     _, _, _, host = make_host("root = math.sqrt(16.0)\n")
     assert host.namespace["root"] == 4.0

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro.core.envelope import Envelope
+from repro.sim.metrics import MetricsRegistry, render_report
 from repro.sim.spans import (
     Span,
     SpanRecorder,
@@ -23,7 +24,7 @@ from repro.sim.spans import (
 
 class TestSpanRecorder:
     def test_record_and_query(self):
-        recorder = SpanRecorder(clock=lambda: 42.0)
+        recorder = SpanRecorder(MetricsRegistry(), clock=lambda: 42.0)
         hop = recorder.hop("buffer.dwell")
         span_id = hop.record(7, 3, 10.0, 50.0, {"bytes": 99})
         assert span_id == 1
@@ -38,7 +39,8 @@ class TestSpanRecorder:
         assert recorder.now() == 42.0
 
     def test_ring_evicts_and_counts_dropped(self):
-        recorder = SpanRecorder(max_spans=3)
+        metrics = MetricsRegistry()
+        recorder = SpanRecorder(metrics, max_spans=3)
         hop = recorder.hop("publish")
         for i in range(5):
             hop.record(i + 1, 0, float(i), float(i))
@@ -48,10 +50,11 @@ class TestSpanRecorder:
         # Oldest first, most recent window kept.
         assert [s.trace_id for s in recorder.spans()] == [3, 4, 5]
         # Histograms aggregate the whole run, not just the ring.
-        assert recorder.hop_histogram("publish").count == 5
+        assert metrics.histogram("hop.publish").count == 5
+        assert metrics.snapshot()["spans.dropped"] == 2
 
     def test_pickles_the_ring_as_rows_and_comes_back_whole(self):
-        recorder = SpanRecorder(max_spans=3)
+        recorder = SpanRecorder(MetricsRegistry(), max_spans=3)
         hop = recorder.hop("publish")
         for i in range(5):
             hop.record(i + 1, 0, float(i), i + 0.5, {"n": i})
@@ -72,10 +75,10 @@ class TestSpanRecorder:
 
     def test_max_spans_must_be_positive(self):
         with pytest.raises(ValueError):
-            SpanRecorder(max_spans=0)
+            SpanRecorder(MetricsRegistry(), max_spans=0)
 
     def test_kill_switch(self):
-        recorder = SpanRecorder(clock=lambda: 0.0)
+        recorder = SpanRecorder(MetricsRegistry(), clock=lambda: 0.0)
         hop = recorder.hop("publish")
         recorder.disable()
         assert hop.record(1, 0, 0.0, 0.0) == 0
@@ -84,7 +87,7 @@ class TestSpanRecorder:
         assert recorder.recorded == 0
 
     def test_tag_is_idempotent_and_monotonic(self):
-        recorder = SpanRecorder()
+        recorder = SpanRecorder(MetricsRegistry())
         first = Envelope.wrap({"a": 1})
         second = Envelope.wrap({"b": 2})
         assert recorder.tag(first) == 1
@@ -93,24 +96,27 @@ class TestSpanRecorder:
         assert recorder.tag(second) == 2
 
     def test_hop_handles_are_cached(self):
-        recorder = SpanRecorder()
+        metrics = MetricsRegistry()
+        recorder = SpanRecorder(metrics)
         assert recorder.hop("x") is recorder.hop("x")
-        assert recorder.hop_names() == ["x"]
+        assert recorder.hop("x").histogram is metrics.histogram("hop.x")
 
     def test_latency_reports(self):
-        recorder = SpanRecorder()
+        # Hop latencies are registry histograms, reported by its writers.
+        metrics = MetricsRegistry()
+        recorder = SpanRecorder(metrics)
         recorder.hop("a").record(1, 0, 0.0, 10.0)
         recorder.hop("a").record(2, 0, 0.0, 30.0)
         recorder.hop("empty")  # zero-count hops are omitted
-        table = recorder.latency_table()
-        assert "a" in table and "empty" not in table
-        snapshot = recorder.latency_snapshot()
-        assert snapshot == {
-            "a": {"count": 2, "mean_ms": 20.0, "min_ms": 10.0, "max_ms": 30.0}
+        table = render_report(metrics.nonzero())
+        assert "hop.a" in table and "hop.empty" not in table
+        assert metrics.nonzero() == {
+            "hop.a": {"count": 2, "sum": 40.0, "mean": 20.0, "min": 10.0, "max": 30.0},
+            "spans.recorded": 2,
         }
 
     def test_trace_ids_skip_node_scoped_spans(self):
-        recorder = SpanRecorder()
+        recorder = SpanRecorder(MetricsRegistry())
         recorder.hop("node.flush").record(0, 0, 0.0, 0.0)
         recorder.hop("publish").record(recorder.tag(Envelope.wrap({})), 0, 0.0, 0.0)
         assert recorder.trace_ids() == [1]
@@ -119,7 +125,7 @@ class TestSpanRecorder:
         # The one change of meaning the flat ring brought: the ring keeps
         # the keys and values, not the caller's dict.  No caller in the
         # package touches its attrs after recording.
-        recorder = SpanRecorder()
+        recorder = SpanRecorder(MetricsRegistry())
         attrs = {"reason": "tail", "batches": 2}
         recorder.hop("node.flush").record(0, 0, 1.0, 1.0, attrs)
         attrs["batches"] = 3
@@ -130,7 +136,7 @@ class TestSpanRecorder:
         assert '"attrs":{"batches":2,"reason":"tail"}' in spans_to_jsonl_lines(recorder)[0]
 
     def test_no_attrs_and_empty_attrs_are_one_span(self):
-        recorder = SpanRecorder()
+        recorder = SpanRecorder(MetricsRegistry())
         hop = recorder.hop("publish")
         hop.record(1, 0, 2.0, 3.0)
         hop.record(1, 0, 2.0, 3.0, {})
@@ -142,7 +148,7 @@ class TestSpanRecorder:
         assert Span(1, 1, 0, "publish", 2.0, 3.0, None) == one
 
     def test_one_shape_of_attrs_shares_one_key_tuple(self):
-        recorder = SpanRecorder()
+        recorder = SpanRecorder(MetricsRegistry())
         hop = recorder.hop("buffer.dwell")
         for i in range(3):
             hop.record(1, 0, 0.0, 1.0, {"flush_span": i, "reason": "tail"})
@@ -155,7 +161,7 @@ class TestSpanRecorder:
     def test_keys_of_other_types_keep_their_own_type(self):
         # 1, 1.0 and True are one dict key but three JSON names; a shape
         # is shared only when every key is a string.
-        recorder = SpanRecorder()
+        recorder = SpanRecorder(MetricsRegistry())
         hop = recorder.hop("h")
         for key in (True, 1, 1.0):
             hop.record(1, 0, 0.0, 1.0, {key: "x"})
@@ -171,7 +177,7 @@ class TestSpanRecorder:
         # object and the caller's attrs dict, 226.6 as one flat row.
         import tracemalloc
 
-        recorder = SpanRecorder()
+        recorder = SpanRecorder(MetricsRegistry())
         hop = recorder.hop("buffer.dwell")
         hop.record(1, 0, 0.0, 1.0, {"flush_span": 0, "reason": "tail"})
         tracemalloc.start()
@@ -201,7 +207,7 @@ class TestSpanValues:
             hash(span)
 
     def test_two_reads_of_a_span_are_equal_objects(self):
-        recorder = SpanRecorder()
+        recorder = SpanRecorder(MetricsRegistry())
         recorder.hop("publish").record(1, 0, 0.0, 0.0, {"channel": "battery"})
         (first,) = recorder.spans()
         (second,) = list(recorder)
@@ -233,7 +239,7 @@ def make_chain(recorder):
 
 class TestSpanTree:
     def test_tree_depths_follow_parent_links(self):
-        recorder = SpanRecorder()
+        recorder = SpanRecorder(MetricsRegistry())
         make_chain(recorder)
         rows = span_tree(recorder.spans(), 1)
         assert [(depth, span.hop) for depth, span in rows] == [
@@ -243,13 +249,13 @@ class TestSpanTree:
         ]
 
     def test_missing_parent_becomes_root(self):
-        recorder = SpanRecorder()
+        recorder = SpanRecorder(MetricsRegistry())
         recorder.hop("buffer.dwell").record(1, 999, 0.0, 10.0)
         rows = span_tree(recorder.spans(), 1)
         assert rows[0][0] == 0
 
     def test_render(self):
-        recorder = SpanRecorder()
+        recorder = SpanRecorder(MetricsRegistry())
         make_chain(recorder)
         text = render_span_tree(recorder.spans(), 1)
         assert text.startswith("trace #1")
@@ -264,7 +270,7 @@ class TestSpanTree:
         assert clone.duration_ms == span.duration_ms
 
     def test_jsonl_lines_are_deterministic(self):
-        recorder = SpanRecorder()
+        recorder = SpanRecorder(MetricsRegistry())
         make_chain(recorder)
         lines = spans_to_jsonl_lines(recorder.spans())
         assert len(lines) == 4
@@ -288,7 +294,7 @@ class TestSpanTree:
 def test_disable_swaps_hop_handles_to_noops():
     from repro.sim.spans import NullHopHandle, SpanRecorder
 
-    recorder = SpanRecorder(clock=lambda: 0.0)
+    recorder = SpanRecorder(MetricsRegistry(), clock=lambda: 0.0)
     hop = recorder.hop("transport.send")
     span = hop.record(1, 0, 0.0, 1.0)
     assert span != 0
