@@ -104,15 +104,20 @@ class TransmissionPolicy:
     ``phone`` and the ``scheduler``.
     """
 
-    __slots__ = ("_controller",)
+    __slots__ = ("_controller", "_flushes", "_decision")
 
     name = "base"
 
     def __init__(self) -> None:
         self._controller = None
+        self._flushes = None
+        #: The ``tailsync.decision`` hop, bound at the first traced flush
+        #: so that an untraced run never registers its histogram.
+        self._decision = None
 
     def bind(self, controller) -> None:
         self._controller = controller
+        self._flushes = controller.kernel.metrics.family("tailsync.flush.")
 
     # Lifecycle -----------------------------------------------------------
     def start(self) -> None:  # pragma: no cover - overridden
@@ -134,17 +139,20 @@ class TransmissionPolicy:
     def _flush(self, reason: str) -> None:
         if self._controller is None:
             return
+        self._flushes[reason].inc()
         kernel = self._controller.kernel
-        kernel.metrics.counter(f"tailsync.flush.{reason}").inc()
         spans = kernel.spans
         if spans.enabled:
             # The decision span captures *why* the buffer moved now and
             # what state the radio was in — "tail-sync" on a hot radio is
             # the piggyback; "fallback-interval" from idle is the paid
             # ramp.  node.flush parents its span here via active_parent.
+            hop = self._decision
+            if hop is None:
+                hop = self._decision = spans.hop("tailsync.decision")
             phone = self._controller.phone
             now = kernel.now
-            decision = spans.hop("tailsync.decision").record(
+            decision = hop.record(
                 0,
                 0,
                 now,

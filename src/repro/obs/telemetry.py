@@ -35,9 +35,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-#: Snapshot schema identifier; bump when the sample layout changes.
-SCHEMA = "telemetry/2"
-
 
 def energy_microjoules(shard) -> int:
     """Total device energy as an exact integer sum of per-device µJ.

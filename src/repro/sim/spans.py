@@ -452,48 +452,156 @@ class _QuotedStrings(dict):
         return literal
 
 
-def span_lines(rows: Iterable[SpanRow], shard: Optional[str] = None) -> List[str]:
-    """The one line writer: a line per row, in the layout above.
+#: The types of a row's first seven members that :meth:`_LineWriter.lines`
+#: writes in one f-string: int ids, a str hop, float times, the keys.
+_FAST_ROW = (int, int, int, str, float, float, tuple)
+#: Attr value types whose text is one scalar of the stock encoder's, so
+#: that equal values of one type always print alike (bar ``±0.0``).
+_FAST_VALUES = frozenset({str, int, bool, float, type(None)})
+#: A memo that reaches this many texts starts over, so a ring whose
+#: values rarely repeat holds no more of them than this while it is
+#: written; times, which repeat near each other, keep hitting.
+_MEMO_LIMIT = 4096
 
-    Each span's bytes are produced once: strings are quoted through a
-    per-call memo (a run has a few dozen distinct hop names, attr keys
-    and attr strings across tens of thousands of spans), ints and finite
-    floats are their ``repr``, and whatever else a span carries — bools,
-    ``None``, ``inf``/``nan``, nested attrs, non-string attr keys — goes
-    to the stock encoder, so the result equals the reference encoding
-    byte for byte and fails where it fails.  ``shard`` adds the
-    ``"shard"`` member to every line, the id quoted once.
+
+def _keep(memo: Dict[Any, str], key: Any, text: str) -> None:
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = text
+
+
+class _LineWriter:
+    """The memo of one :func:`span_lines` call: each distinct value's
+    text, made once and reused.
+
+    A run's ring repeats a few values across tens of thousands of spans
+    (a dozen hops, a few thousand distinct attrs, a few dozen times), so
+    the common row — int ids, a str hop, float times, attr values of the
+    scalar types — is one f-string over remembered texts: the attrs'
+    text keyed by the row's types and its ``keys, *values`` tail, the
+    hop's ``"hop":…,"parent":`` head, and each float time's text.  Keys
+    hold the types because values that compare equal can print
+    differently (``1``, ``1.0``, ``True``); and ``0.0`` equals ``-0.0``,
+    so neither a zero time nor attrs holding a zero float is remembered.
+    A ``NaN`` equals only itself, the very object, and the memo holds it
+    alive.  Every other row is written by :meth:`line`, the general
+    path, which hands what it does not type itself to the stock encoder.
+    Both paths give the reference encoding byte for byte and fail where
+    it fails.
     """
-    quoted = _QuotedStrings()
-    isfinite = math.isfinite
-    member = "" if shard is None else ',"shard":' + quoted[shard]
 
-    def scalar(value: Any) -> str:
+    def __init__(self, shard: Optional[str]) -> None:
+        self.quoted = _QuotedStrings()
+        self.member = "" if shard is None else ',"shard":' + self.quoted[shard]
+        #: A row's member types → its attrs texts by ``row[6:]``, or
+        #: ``False`` for a row the general path writes.
+        self.plans: Dict[tuple, Union[Dict[tuple, str], bool]] = {}
+        self.heads: Dict[str, str] = {}
+        #: A nonzero float span time → its text, rounded.
+        self.times: Dict[float, str] = {}
+
+    def scalar(self, value: Any) -> str:
         kind = type(value)
         if kind is str:
-            return quoted[value]
-        if kind is int or (kind is float and isfinite(value)):
+            return self.quoted[value]
+        if kind is int or (kind is float and math.isfinite(value)):
             return repr(value)
         return _STOCK_ENCODE(value)
 
-    def attrs_json(keys: tuple, values: tuple) -> str:
+    def encode_attrs(self, keys: tuple, values: tuple) -> str:
+        """The attrs' text: sorted by key, or the stock encoder's when a
+        key is not a string."""
         for key in keys:  # before the sort: mixed key types do not compare
             if type(key) is not str:
                 return _STOCK_ENCODE(dict(zip(keys, values)))
+        quoted, scalar = self.quoted, self.scalar
         return "{" + ",".join(
             [quoted[key] + ":" + scalar(value) for key, value in sorted(zip(keys, values))]
         ) + "}"
 
-    return [
-        f'{{"attrs":{attrs_json(row[6], row[7:]) if row[6] else "{}"}'
-        f',"end_ms":{scalar(round(row[5], 3))}'
-        f',"hop":{scalar(row[3])}'
-        f',"parent":{scalar(row[2])}{member}'
-        f',"span":{scalar(row[0])}'
-        f',"start_ms":{scalar(round(row[4], 3))}'
-        f',"trace":{scalar(row[1])}}}'
-        for row in rows
-    ]
+    def time(self, time: Any) -> str:
+        text = self.scalar(round(time, 3))
+        if type(time) is float and time:
+            _keep(self.times, time, text)
+        return text
+
+    def line(self, row: SpanRow) -> str:
+        """The general path: any row the stock encoder can write."""
+        scalar = self.scalar
+        return (
+            f'{{"attrs":{self.encode_attrs(row[6], row[7:]) if row[6] else "{}"}'
+            f',"end_ms":{self.time(row[5])}'
+            f',"hop":{scalar(row[3])}'
+            f',"parent":{scalar(row[2])}{self.member}'
+            f',"span":{scalar(row[0])}'
+            f',"start_ms":{self.time(row[4])}'
+            f',"trace":{scalar(row[1])}}}'
+        )
+
+    def plan(self, kinds: tuple) -> Union[Dict[tuple, str], bool]:
+        """A row shape seen for the first time: its attrs memo, or
+        ``False`` if the general path writes it."""
+        fast = kinds[:7] == _FAST_ROW and _FAST_VALUES.issuperset(kinds[7:])
+        memo = self.plans[kinds] = {} if fast else False
+        return memo
+
+    def new_attrs(self, memo: Dict[tuple, str], tail: tuple) -> str:
+        keys, values = tail[0], tail[1:]
+        text = self.encode_attrs(keys, values)
+        if all(type(key) is str for key in keys) and all(
+            value or type(value) is not float for value in values
+        ):
+            _keep(memo, tail, text)
+        return text
+
+    def new_head(self, hop: str) -> str:
+        head = self.heads[hop] = f',"hop":{self.quoted[hop]},"parent":'
+        return head
+
+    def lines(self, rows: Iterable[SpanRow]) -> List[str]:
+        plans, heads, times = self.plans, self.heads, self.times
+        member = self.member
+        out: List[str] = []
+        append = out.append
+        for row in rows:
+            # Built at its size: tuple(map(...)) guesses ten and resizes,
+            # and the resized tuples freed pile up on free lists no row
+            # draws from, holding on to the heap the lines are in.
+            kinds = (*map(type, row),)
+            memo = plans.get(kinds)
+            if memo is None:
+                memo = self.plan(kinds)
+            if memo is False:
+                append(self.line(row))
+                continue
+            tail = row[6:]
+            attrs = memo.get(tail) or self.new_attrs(memo, tail)
+            start, end = row[4], row[5]
+            append(
+                f'{{"attrs":{attrs}'
+                f',"end_ms":{times.get(end) or self.time(end)}'
+                f'{heads.get(row[3]) or self.new_head(row[3])}{row[2]}{member}'
+                f',"span":{row[0]}'
+                f',"start_ms":{times.get(start) or self.time(start)}'
+                f',"trace":{row[1]}}}'
+            )
+        return out
+
+
+def span_lines(rows: Iterable[SpanRow], shard: Optional[str] = None) -> List[str]:
+    """The one line writer: a line per row, in the layout above.
+
+    Each distinct value is formatted once per call (:class:`_LineWriter`):
+    an attrs object, a hop's head and a span time are remembered the
+    first time they are written, so the common row is one f-string over
+    remembered texts.  Ints and finite floats are their ``repr``;
+    whatever else a span carries — ``inf``/``nan``, nested attrs,
+    non-string attr keys, ids that are not ints — goes to the stock
+    encoder, so the result equals the reference encoding byte for byte
+    and fails where it fails.  ``shard`` adds the ``"shard"`` member to
+    every line, the id quoted once.
+    """
+    return _LineWriter(shard).lines(rows)
 
 
 def spans_to_jsonl_lines(spans: Union[SpanRecorder, Iterable[Span]]) -> List[str]:
@@ -526,6 +634,27 @@ def sort_time(value: float) -> float:
     return value if value == value else _INF
 
 
+def _trace_keys(rows: Sequence[SpanRow], shard: str) -> List[TraceKey]:
+    """Each row's :data:`TraceKey`, each distinct time rounded once.
+
+    The times are keyed by value: times that compare equal sort alike,
+    whatever they print.  A time that cannot be a key, or be rounded,
+    sends the rows through the plain loop, which raises the first row's
+    error, as the line writer would.
+    """
+    try:
+        at = {
+            time: sort_time(round(time, 3))
+            for time in {row[4] for row in rows} | {row[5] for row in rows}
+        }
+    except (TypeError, ValueError):
+        return [
+            (sort_time(round(row[4], 3)), sort_time(round(row[5], 3)), shard, row[0])
+            for row in rows
+        ]
+    return [(at[row[4]], at[row[5]], shard, row[0]) for row in rows]
+
+
 def ordered_span_lines(
     rows: Sequence[SpanRow], shard: str
 ) -> Tuple[List[TraceKey], List[str]]:
@@ -536,10 +665,7 @@ def ordered_span_lines(
     carrying ``shard`` — everything the fleet merge needs to interleave
     this run with the other shards' without reading a line back.
     """
-    keys = [
-        (sort_time(round(row[4], 3)), sort_time(round(row[5], 3)), shard, row[0])
-        for row in rows
-    ]
+    keys = _trace_keys(rows, shard)
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return (
         [keys[index] for index in order],

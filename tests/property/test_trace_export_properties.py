@@ -279,3 +279,130 @@ def test_row_path_equals_the_text_path_byte_for_byte(shards):
     assert merge_span_rows(
         (shard_id, unseal(seal(rows))) for shard_id, rows in parts
     ) == text
+
+
+# ---------------------------------------------------------------------------
+# The writer's memo: values it must never take for one another
+# ---------------------------------------------------------------------------
+#
+# The writer formats each distinct attrs object, hop and time once per
+# call and reuses the text.  Its memo keys are where it could go wrong:
+# values that compare equal but print differently (1, 1.0, True; 0.0,
+# -0.0), NaN, which equals nothing, and keys of other types that compare
+# equal.  Many rows of one shape draw from exactly those values, so that
+# a memo keyed on the values alone hands one row another's text.
+
+def outcome(write):
+    """The lines ``write()`` returns, or the error it raises."""
+    try:
+        return write()
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+NAN = float("nan")
+confusable = st.sampled_from(
+    [1, 1.0, True, 0, 0.0, -0.0, False, NAN, float("inf"), -float("inf"),
+     None, "1", 2**53, float(2**53)]
+)
+#: Times as the writer's memo sees them: equal but printed apart, NaN
+#: and the infinities, and the plain floats a run's ring repeats.
+confusable_times = st.sampled_from(
+    [0.0, -0.0, 0, 1, 1.0, True, NAN, float("inf"), -float("inf"),
+     80.0, 80, 2900.0, 1e-4, -1e-4]
+)
+#: Keys that compare equal across types: one dict key, several names.
+confusable_keys = st.sampled_from([True, 1, 1.0, "1", 0, False, 0.0, -0.0, "a"])
+#: Ids are ints, but a bool id is an int that prints otherwise.
+confusable_ids = st.sampled_from([0, 1, True, False])
+
+
+def one_shape(keys):
+    return st.lists(confusable, min_size=len(keys), max_size=len(keys)).map(
+        lambda values: dict(zip(keys, values))
+    )
+
+
+rows_of_one_shape = st.lists(
+    st.builds(
+        Span, st.just(1), st.integers(0, 3), st.integers(0, 3),
+        st.sampled_from(["publish", "buffer.dwell"]),
+        confusable_times, confusable_times, one_shape(("a", "b")),
+    ),
+    min_size=1, max_size=40,
+)
+rows_of_confusable_keys = st.lists(
+    st.builds(
+        Span, confusable_ids, confusable_ids, confusable_ids, st.just("h"),
+        confusable_times, confusable_times,
+        st.dictionaries(confusable_keys, confusable, max_size=3),
+    ),
+    min_size=1, max_size=30,
+)
+
+
+@given(st.one_of(rows_of_one_shape, rows_of_confusable_keys))
+@example([Span(1, 0, 0, "h", t, t, {"v": v}) for t, v in
+          [(1, 1), (1.0, 1.0), (True, True), (0.0, 0.0), (-0.0, -0.0), (1, 1)]])
+@example([Span(1, 0, 0, "h", 0.0, 1.0, {key: "x"}) for key in (True, 1, 1.0, True)])
+@example([Span(1, 0, 0, "h", NAN, NAN, {"v": NAN}), Span(2, 0, 0, "h", NAN, 1.0, {"v": NAN})])
+@settings(max_examples=250, deadline=None)
+def test_memo_never_hands_one_value_anothers_text(spans):
+    expected = outcome(lambda: [reference_line(span) for span in spans])
+    # Span objects: a new key tuple per row, so nothing is shared by identity.
+    assert outcome(lambda: spans_to_jsonl_lines(spans)) == expected
+    # Their rows, handed to the writer as a list and as a one-shot iterator
+    # whose tuples are freed as the call goes.
+    assert outcome(lambda: span_lines(span_rows(spans))) == expected
+    assert outcome(lambda: span_lines(span.row for span in spans)) == expected
+    # Recorded: a ring whose string-keyed rows of one shape share one tuple.
+    recorder = SpanRecorder(MetricsRegistry())
+    for span in spans:
+        recorder.hop(span.hop).record(
+            span.trace_id, span.parent_id, span.start_ms, span.end_ms, span.attrs
+        )
+    recorded = [
+        Span(span_id, s.trace_id, s.parent_id, s.hop, s.start_ms, s.end_ms, s.attrs)
+        for span_id, s in enumerate(spans, 1)
+    ]
+    assert outcome(lambda: spans_to_jsonl_lines(recorder)) == outcome(
+        lambda: [reference_line(span) for span in recorded]
+    )
+
+
+# A fleet merge over the same rows: string keys (the parsing merge
+# re-sorts other keys as strings) and no bool times (the text path's
+# line pattern reads numbers only).
+merge_times = st.sampled_from(
+    [0.0, -0.0, 0, 1, 1.0, NAN, float("inf"), -float("inf"), 80.0, 80, 1e-4, -1e-4]
+)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            shard_ids,
+            st.lists(
+                st.builds(
+                    Span, st.integers(0, 5), st.just(1), st.just(0),
+                    st.sampled_from(["publish", TAIL]),
+                    merge_times, merge_times, one_shape(("a", "end_ms")),
+                ),
+                max_size=12,
+            ),
+        ),
+        min_size=1, max_size=3,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_a_fleet_merge_of_confusable_rows_equals_the_parsing_merge(shards):
+    traces = [
+        (shard_id, "".join(reference_line(span) + "\n" for span in spans))
+        for shard_id, spans in shards
+    ]
+    expected = reference_merge(traces)
+    parts = [(shard_id, span_rows(spans)) for shard_id, spans in shards]
+    assert merge_span_rows(parts) == expected
+    assert merge_trace_jsonl(
+        [(shard_id, spans_to_jsonl(spans)) for shard_id, spans in shards]
+    ) == expected

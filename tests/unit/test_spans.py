@@ -291,6 +291,80 @@ class TestSpanTree:
         assert '"attrs":{"1":"b","2":"a"}' in spans_to_jsonl_lines([comparable])[0]
 
 
+class TestTheWritersMemo:
+    """Each distinct attrs object and time is formatted once per call:
+    counted, not timed."""
+
+    N, K = 600, 7
+    TIMES = (80.0, 2900.0, 2980.5, 4130.125)
+
+    def _recorder(self):
+        recorder = SpanRecorder(MetricsRegistry())
+        hops = [recorder.hop(name) for name in ("publish", "buffer.dwell", "xmpp.route")]
+        for i in range(self.N):
+            start = self.TIMES[i % 3]
+            hops[i % 3].record(
+                i, i // 2, start, self.TIMES[i % 4],
+                {"device": f"device-{i % self.K}", "bytes": 180},
+            )
+        return recorder
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import repro.sim.spans as spans
+
+        calls = {"attrs": 0, "round": 0}
+        encode = spans._LineWriter.encode_attrs
+
+        def counting_encode(writer, keys, values):
+            calls["attrs"] += 1
+            return encode(writer, keys, values)
+
+        def counting_round(value, digits):
+            calls["round"] += 1
+            return round(value, digits)
+
+        monkeypatch.setattr(spans._LineWriter, "encode_attrs", counting_encode)
+        monkeypatch.setattr(spans, "round", counting_round, raising=False)
+        return calls
+
+    @pytest.mark.parametrize("given", ["recorder", "spans"])
+    def test_k_attrs_objects_take_k_encodings_and_each_time_one_round(
+        self, counted, given
+    ):
+        recorder = self._recorder()
+        # Span objects make a new key tuple per row: the memo keys by value.
+        spans = recorder if given == "recorder" else recorder.spans()
+        first = spans_to_jsonl_lines(spans)
+        assert len(first) == self.N
+        assert counted == {"attrs": self.K, "round": len(self.TIMES)}
+        # A second call starts with an empty memo, and writes the same bytes.
+        assert spans_to_jsonl_lines(spans) == first
+        assert counted == {"attrs": 2 * self.K, "round": 2 * len(self.TIMES)}
+        assert first == [
+            json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
+            for span in recorder
+        ]
+
+    def test_values_that_compare_equal_keep_their_own_text(self, counted):
+        recorder = SpanRecorder(MetricsRegistry())
+        hop = recorder.hop("h")
+        values = (1, 1.0, True, 0.0, -0.0, 0, False, 1, 0.0, -0.0)
+        for value in values:
+            hop.record(1, 0, value * 1.0, 2.0, {"v": value})
+        lines = spans_to_jsonl_lines(recorder)
+        assert [json.loads(line)["attrs"]["v"] for line in lines] == list(values)
+        assert [line[14:line.index("}")] for line in lines] == [
+            "1", "1.0", "true", "0.0", "-0.0", "0", "false", "1", "0.0", "-0.0"
+        ]
+        assert [line.rsplit('"start_ms":', 1)[1].split(",")[0] for line in lines] == [
+            "1.0", "1.0", "1.0", "0.0", "-0.0", "0.0", "0.0", "1.0", "0.0", "-0.0"
+        ]
+        # Nine encodings for ten spans: the second ``1`` is remembered, but
+        # a zero float never is, since 0.0 == -0.0.
+        assert counted["attrs"] == 9
+
+
 def test_disable_swaps_hop_handles_to_noops():
     from repro.sim.spans import NullHopHandle, SpanRecorder
 
