@@ -634,27 +634,6 @@ def sort_time(value: float) -> float:
     return value if value == value else _INF
 
 
-def _trace_keys(rows: Sequence[SpanRow], shard: str) -> List[TraceKey]:
-    """Each row's :data:`TraceKey`, each distinct time rounded once.
-
-    The times are keyed by value: times that compare equal sort alike,
-    whatever they print.  A time that cannot be a key, or be rounded,
-    sends the rows through the plain loop, which raises the first row's
-    error, as the line writer would.
-    """
-    try:
-        at = {
-            time: sort_time(round(time, 3))
-            for time in {row[4] for row in rows} | {row[5] for row in rows}
-        }
-    except (TypeError, ValueError):
-        return [
-            (sort_time(round(row[4], 3)), sort_time(round(row[5], 3)), shard, row[0])
-            for row in rows
-        ]
-    return [(at[row[4]], at[row[5]], shard, row[0]) for row in rows]
-
-
 def ordered_span_lines(
     rows: Sequence[SpanRow], shard: str
 ) -> Tuple[List[TraceKey], List[str]]:
@@ -665,7 +644,10 @@ def ordered_span_lines(
     carrying ``shard`` — everything the fleet merge needs to interleave
     this run with the other shards' without reading a line back.
     """
-    keys = _trace_keys(rows, shard)
+    keys = [
+        (sort_time(round(row[4], 3)), sort_time(round(row[5], 3)), shard, row[0])
+        for row in rows
+    ]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return (
         [keys[index] for index in order],
