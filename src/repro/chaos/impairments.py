@@ -30,7 +30,7 @@ message's trace therefore *shows* the drop instead of dangling.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Set, Tuple
+from typing import Any, List, Set, Tuple
 
 from ..net.xmpp import LinkInterceptor
 from ..sim.kernel import Kernel
@@ -106,6 +106,16 @@ class _Rule:
         return (self.src == "*" or self.src == from_jid) and (
             self.dst == "*" or self.dst == to_jid
         )
+
+
+#: The attr names of a ``chaos.impair`` span, by whether it carries an
+#: extra latency and whether the stanza held several traces.
+_IMPAIR_KEYS = {
+    (False, False): ("action", "link"),
+    (True, False): ("action", "link", "extra_ms"),
+    (False, True): ("action", "link", "traces"),
+    (True, True): ("action", "link", "extra_ms", "traces"),
+}
 
 
 class ChaosInterceptor(LinkInterceptor):
@@ -203,11 +213,13 @@ class ChaosInterceptor(LinkInterceptor):
         if not self._spans.enabled:
             return
         now = self.kernel.now
-        attrs: Dict[str, Any] = {"action": action, "link": f"{from_jid}->{to_jid}"}
+        values: List[Any] = [action, f"{from_jid}->{to_jid}"]
         if extra_ms:
-            attrs["extra_ms"] = round(extra_ms, 3)
+            values.append(round(extra_ms, 3))
         trace_ids = stanza_trace_ids(stanza)
         trace_id = trace_ids[0] if trace_ids else 0
         if len(trace_ids) > 1:
-            attrs["traces"] = len(trace_ids)
-        self._h_impair.record(trace_id, 0, now, now, attrs)
+            values.append(len(trace_ids))
+        self._h_impair.record(
+            trace_id, 0, now, now, _IMPAIR_KEYS[bool(extra_ms), len(trace_ids) > 1], *values
+        )

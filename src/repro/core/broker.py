@@ -212,7 +212,9 @@ class Broker:
                 envelope.hop_span,
                 now,
                 now,
-                {"channel": channel, "deliveries": delivered},
+                ("channel", "deliveries"),
+                channel,
+                delivered,
             )
             if span_id:
                 envelope.hop_span = span_id

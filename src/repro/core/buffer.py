@@ -120,7 +120,9 @@ class MessageBuffer:
                 envelope.hop_span,
                 now,
                 now,
-                {"destination": destination, "bytes": envelope.wire_size},
+                ("destination", "bytes"),
+                destination,
+                envelope.wire_size,
             )
             if span_id:
                 envelope.hop_span = span_id
@@ -189,7 +191,9 @@ class MessageBuffer:
                     envelope.hop_span,
                     message.created_ms,
                     now,
-                    {"flush_span": flush_span, "reason": flush_reason},
+                    ("flush_span", "reason"),
+                    flush_span,
+                    flush_reason,
                 )
                 if span_id:
                     envelope.hop_span = span_id

@@ -106,7 +106,10 @@ class Context:
             0,
             now,
             now,
-            {"channel": channel, "source": source, "node": self.node.jid},
+            ("channel", "source", "node"),
+            channel,
+            source,
+            self.node.jid,
         )
 
     def _deliver_local(self, channel: str, payload: Any) -> int:
@@ -231,7 +234,10 @@ class DeviceContext(Context):
                 envelope.hop_span,
                 envelope.origin_ms,
                 self._spans.now(),
-                {"channel": channel, "deliveries": delivered, "node": self.node.jid},
+                ("channel", "deliveries", "node"),
+                channel,
+                delivered,
+                self.node.jid,
             )
         return delivered
 

@@ -19,7 +19,8 @@ An :class:`Envelope` does each unit of work once per message lifetime:
   disappears.  Handlers that want to mutate take an explicit
   ``message.copy()`` (or ``dict(message)`` / ``list(...)``);
 * **lazy canonical JSON** — ``env.json`` and ``env.wire_size`` are
-  computed on first use and cached.
+  computed on first use and cached, each on its own: sizing keeps the
+  byte count, not the text.
 
 One encoder sizes everything else: :func:`canonical_json` hands a stanza
 (a plain dict the middleware builds around envelopes) to the stdlib
@@ -235,9 +236,13 @@ class Envelope:
 
     @property
     def wire_size(self) -> int:
-        """UTF-8 byte count of :attr:`json`, computed at most once."""
+        """UTF-8 byte count of :attr:`json`, computed at most once.
+
+        Only the count is kept, not the text it was counted from: an
+        envelope that is sized but never written holds no text.
+        """
         if self._size is None:
-            self._size = len(self.json.encode("utf-8"))
+            self._size = len(_canonical_encode(self.payload).encode("utf-8"))
         return self._size
 
     def __eq__(self, other: Any) -> bool:

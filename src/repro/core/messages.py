@@ -14,11 +14,13 @@ delivered message takes ``message.copy()`` (shallow) or
 
 Since the envelope refactor the hot publish path carries
 :class:`~repro.core.envelope.Envelope` objects instead of raw dicts —
-validated once, frozen, with canonical JSON cached.  Every function here
-is envelope-aware: an envelope answers from its cache.  A stanza that
-embeds envelopes (a batch of pubs) is one call to the envelope module's
-encoder, which serialises each embedded payload again: its hook hands
-the encoder the envelope's payload, not the cached text.
+validated once, frozen, with its wire size (and its canonical JSON, once
+asked for) cached.  Every function here is envelope-aware: an envelope
+answers from its cache.  A stanza that embeds envelopes (a batch of
+pubs) is one call to the envelope module's encoder, which serialises
+each embedded payload again: its hook hands the encoder the envelope's
+payload.  So a stanza is sized once, where it first meets the wire, and
+the switchboard carries the number with it (:func:`size_with_member`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "to_json",
     "from_json",
     "message_size_bytes",
+    "size_with_member",
 ]
 
 
@@ -56,10 +59,25 @@ def message_size_bytes(value: Any) -> int:
     """Wire size of a message in bytes (UTF-8 JSON).
 
     An envelope answers from its cached size, so sizing one envelope
-    again (the buffer, the participation tracker) serialises nothing.
-    Any other value is encoded on every call: a stanza that embeds
-    envelopes serialises their payloads again each time it is sized.
+    again serialises nothing.  Any other value is encoded on every call,
+    the payloads of the envelopes inside a stanza included; the
+    switchboard therefore sizes a stanza once and carries the number.
     """
     if isinstance(value, Envelope):
         return value.wire_size
     return len(canonical_json(value).encode("utf-8"))
+
+
+def size_with_member(stanza: dict, size: int, key: str, value: Any) -> int:
+    """Wire size of ``{**stanza, key: value}``, given ``size``, that of
+    ``stanza``.
+
+    A new member adds its own text and, unless the object was empty, one
+    comma; where it sorts moves bytes around but adds none.  The
+    member's text is the canonical encoder's, so nothing is escaped here.
+    A key the stanza has already is replaced, so that copy is sized whole.
+    """
+    if key in stanza:
+        return message_size_bytes({**stanza, key: value})
+    # ``{"key":value}`` less its two braces.
+    return size + message_size_bytes({key: value}) - 2 + (1 if stanza else 0)

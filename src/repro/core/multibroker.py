@@ -164,7 +164,9 @@ class CollectorContext(Context):
                 envelope.hop_span,
                 envelope.origin_ms,
                 self._spans.now(),
-                {"channel": channel, "device": device_jid},
+                ("channel", "device"),
+                channel,
+                device_jid,
             )
         payload = envelope.payload
         if isinstance(payload, dict):

@@ -276,13 +276,12 @@ class DeviceNode(Node):
                 spans.active_parent,  # the tail-sync decision, when any
                 now,
                 now,
-                {
-                    "reason": reason,
-                    "radio": self.phone.modem.state,
-                    "interface": self.phone.active_interface() or "none",
-                    "batches": len(batches),
-                    "payloads": sum(len(m) for _, m in batches),
-                },
+                ("reason", "radio", "interface", "batches", "payloads"),
+                reason,
+                self.phone.modem.state,
+                self.phone.active_interface() or "none",
+                len(batches),
+                sum(len(m) for _, m in batches),
             )
         sent_payloads = 0
         previous_parent = spans.active_parent

@@ -90,16 +90,21 @@ class _TrackedSubmit:
         self.tracker = tracker
         self.original = original
 
-    def __call__(self, from_jid: str, to_jid: str, stanza: dict, parent_span: int = 0) -> None:
-        self.original(from_jid, to_jid, stanza, parent_span=parent_span)
+    def __call__(
+        self,
+        from_jid: str,
+        to_jid: str,
+        stanza: dict,
+        parent_span: int = 0,
+        size: Optional[int] = None,
+    ) -> None:
+        self.original(from_jid, to_jid, stanza, parent_span, size)
         tracker = self.tracker
         if tracker._is_device(from_jid):
             record = tracker._record(from_jid)
             record.stanzas += 1
-            # Envelope payloads answer from their cached canonical
-            # JSON — the tracker's accounting walk is wrapper-only.
-            size = message_size_bytes(stanza)
-            record.bytes += size
+            # The size the device's transport carried over, if it did.
+            record.bytes += message_size_bytes(stanza) if size is None else size
             record.note_activity(tracker.kernel.now, tracker.idle_cap_ms)
 
 

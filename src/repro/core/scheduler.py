@@ -206,7 +206,7 @@ class PogoScheduler:
             # Span covers submit -> execution start: the serialization
             # queue wait (a slow handler starves its siblings here).
             self._h_task.record(
-                0, self._spans.active_parent, enqueued_ms, self.kernel.now, {"key": key}
+                0, self._spans.active_parent, enqueued_ms, self.kernel.now, ("key",), key
             )
         try:
             self._execute(fn, args, key)

@@ -29,7 +29,7 @@ import ast
 import functools
 import json
 import types
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .api import METER, RESERVED_PREFIX, api_method_names, build_namespace
 from .messages import from_json, to_json
@@ -384,20 +384,25 @@ class ScriptHost:
         except Exception as exc:  # noqa: BLE001
             if isinstance(exc, ScriptTimeoutError):
                 self.context.node.kernel.metrics.counter("watchdog.hits").inc()
-                self._record(self._h_watchdog, fn, budget_ms=watchdog.timeout_ms)
+                self._record(
+                    self._h_watchdog, ("script", "fn", "budget_ms"), fn, watchdog.timeout_ms
+                )
             self.errors.append(exc)
         finally:
             # Steps used: the per-script resource accounting of Section 6.
             self._m_call_steps.observe(watchdog.budget - watchdog.left)
-            self._record(self._h_call, fn)
+            self._record(self._h_call, ("script", "fn"), fn)
 
-    def _record(self, hop, fn: Callable, **attrs: Any) -> None:
-        """An instantaneous node-scoped span naming the script and function."""
+    def _record(self, hop, keys: Tuple[str, ...], fn: Callable, *more: Any) -> None:
+        """An instantaneous node-scoped span naming the script and
+        function, then ``more`` values for the rest of ``keys``."""
         spans = self._spans
         if spans.enabled:
             now = spans.now()
-            attrs = {"script": self.serial_key, "fn": getattr(fn, "__name__", repr(fn)), **attrs}
-            hop.record(0, spans.active_parent, now, now, attrs)
+            hop.record(
+                0, spans.active_parent, now, now,
+                keys, self.serial_key, getattr(fn, "__name__", repr(fn)), *more,
+            )
 
     # ------------------------------------------------------------------
     # API backends (called from the namespace built by repro.core.api)

@@ -157,11 +157,10 @@ class TransmissionPolicy:
                 0,
                 now,
                 now,
-                {
-                    "policy": self.name,
-                    "reason": reason,
-                    "radio": phone.modem.state if phone is not None else "?",
-                },
+                ("policy", "reason", "radio"),
+                self.name,
+                reason,
+                phone.modem.state if phone is not None else "?",
             )
             previous = spans.active_parent
             spans.active_parent = decision

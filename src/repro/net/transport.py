@@ -104,9 +104,12 @@ class _TransferDone:
                     self.parent,
                     self.start_ms,
                     t.kernel.now,
-                    {"bytes": size, "interface": self.interface or "none", "ok": True},
+                    ("bytes", "interface", "ok"),
+                    size,
+                    self.interface or "none",
+                    True,
                 )
-            t.server.submit(t.jid, self.to_jid, self.stanza, parent_span=route_parent)
+            t.server.submit(t.jid, self.to_jid, self.stanza, route_parent, size)
         else:
             t.send_failures += 1
             if self.tracing and spans.enabled:
@@ -115,7 +118,10 @@ class _TransferDone:
                     self.parent,
                     self.start_ms,
                     t.kernel.now,
-                    {"bytes": size, "interface": self.interface or "none", "ok": False},
+                    ("bytes", "interface", "ok"),
+                    size,
+                    self.interface or "none",
+                    False,
                 )
 
 
@@ -329,8 +335,8 @@ class DeviceTransport:
         """Physically transmit a stanza; raises when disconnected."""
         if not self.connected:
             raise TransportError(f"{self.jid}: not connected")
-        # Encodes the whole stanza, the payloads of the envelopes inside
-        # it included: their cached JSON is not spliced in.
+        # The one sizing this stanza gets, embedded payloads included:
+        # the number travels on to the switchboard with the stanza.
         size = message_size_bytes(stanza)
         session = self._session
         # The transfer completes asynchronously (radio time), so capture

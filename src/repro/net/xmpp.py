@@ -20,15 +20,23 @@ it has to work around — are both reproduced here:
 Physical delivery to a device costs radio energy: the server-side session
 delegates to the phone's active interface, so pushes from the collector
 drag the modem through ramp-ups and tails like any other traffic.
+
+A stanza is sized once.  A device's transport sizes it for the radio
+and hands :meth:`XmppServer.submit` the number, from which the size of
+the ``_from``-stamped copy follows; routing, the chaos seam's copies,
+offline storage and the delivery carry that int alongside the stanza.
+A stanza that arrives with no size (the wired collector's, presence,
+cross-shard ingress) is sized at its delivery, or once at submit when
+the chaos seam routes several copies of it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from ..sim.kernel import Kernel
-from ..core.messages import message_size_bytes
+from ..core.messages import message_size_bytes, size_with_member
 
 
 class RoutingError(Exception):
@@ -120,7 +128,9 @@ class XmppServer:
         self._accounts: Set[str] = set()
         self._rosters: Dict[str, Set[str]] = {}
         self._sessions: Dict[str, Session] = {}
-        self._offline: Dict[str, Deque[dict]] = {}
+        #: Per JID, the stored stanzas: ``(stanza, size)`` for one whose
+        #: size is known, the bare stanza for one not sized yet.
+        self._offline: Dict[str, Deque[Union[dict, Tuple[dict, int]]]] = {}
         self._last_heard: Dict[str, float] = {}
         #: Chaos seam (repro.chaos).  When set, every submitted stanza asks
         #: the interceptor for its fate: a list of extra latencies, one per
@@ -275,11 +285,21 @@ class XmppServer:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def submit(self, from_jid: str, to_jid: str, stanza: dict, parent_span: int = 0) -> None:
+    def submit(
+        self,
+        from_jid: str,
+        to_jid: str,
+        stanza: dict,
+        parent_span: int = 0,
+        size: Optional[int] = None,
+    ) -> None:
         """Accept a stanza from ``from_jid`` for routing to ``to_jid``.
 
         ``parent_span`` is the sender's transport span; the routing span
         recorded at the outcome (delivered / offline / lost) hangs off it.
+        ``size`` is the stanza's wire size when the sender has it (a
+        device's transport sized it for the radio); the stamped copy's
+        size follows from it, and travels with the copy to delivery.
         """
         remote = to_jid not in self._accounts
         if remote and self.egress is None:
@@ -296,14 +316,23 @@ class XmppServer:
             self.stanzas_egressed += 1
             self.egress(from_jid, to_jid, stamped)
             return
+        if size is not None:
+            size = size_with_member(stanza, size, "_from", from_jid)
         route_ctx = (self.kernel.now, parent_span) if self._spans.enabled else None
         interceptor = self.interceptor
         if interceptor is None:
-            self.kernel.schedule(self.latency_ms, self._route, from_jid, to_jid, stamped, route_ctx)
-            return
-        for extra_ms in interceptor.intercept(from_jid, to_jid, stamped):
             self.kernel.schedule(
-                self.latency_ms + extra_ms, self._route, from_jid, to_jid, stamped, route_ctx
+                self.latency_ms, self._route, from_jid, to_jid, stamped, route_ctx, size
+            )
+            return
+        plan = interceptor.intercept(from_jid, to_jid, stamped)
+        if size is None and len(plan) > 1:
+            # Several copies of one stanza: size it once for all of them.
+            size = message_size_bytes(stamped)
+        for extra_ms in plan:
+            self.kernel.schedule(
+                self.latency_ms + extra_ms, self._route, from_jid, to_jid, stamped, route_ctx,
+                size,
             )
 
     def ingress_at(
@@ -344,7 +373,7 @@ class XmppServer:
             (due_ms - self.latency_ms, 0) if self._spans.enabled else None
         )
         self.kernel.schedule_at(
-            due_ms, self._route, from_jid, to_jid, stanza, route_ctx
+            due_ms, self._route, from_jid, to_jid, stanza, route_ctx, None
         )
 
     def presence_at(self, to_jid: str, stanza: dict, due_ms: float) -> None:
@@ -374,28 +403,33 @@ class XmppServer:
             return
         start_ms, parent = route_ctx
         self._h_route.record(
-            0, parent, start_ms, self.kernel.now, {"to": to_jid, "outcome": outcome}
+            0, parent, start_ms, self.kernel.now, ("to", "outcome"), to_jid, outcome
         )
 
-    def _route(self, from_jid: str, to_jid: str, stanza: dict, route_ctx=None) -> None:
+    def _route(
+        self, from_jid: str, to_jid: str, stanza: dict, route_ctx, size: Optional[int]
+    ) -> None:
         self.stanzas_routed += 1
         session = self._sessions.get(to_jid)
         if session is None:
-            self._store_offline(to_jid, stanza)
+            self._store_offline(to_jid, stanza, size)
             self._route_span(route_ctx, to_jid, "offline")
             return
         if not self._session_considered_alive(session):
             # Keepalive expired: tear the session down and store instead.
             self.disconnect(session)
-            self._store_offline(to_jid, stanza)
+            self._store_offline(to_jid, stanza, size)
             self._route_span(route_ctx, to_jid, "offline")
             return
-        self._deliver_via(session, stanza, route_ctx)
+        self._deliver_via(session, stanza, route_ctx, size)
 
-    def _deliver_via(self, session: Session, stanza: dict, route_ctx=None) -> None:
-        # Encodes the whole stanza again, embedded payloads included:
-        # the size the transport computed does not travel with it.
-        size = message_size_bytes(stanza)
+    def _deliver_via(
+        self, session: Session, stanza: dict, route_ctx=None, size: Optional[int] = None
+    ) -> None:
+        # The size submit carried over, or, for a stanza that came with
+        # none, the one sizing it gets.
+        if size is None:
+            size = message_size_bytes(stanza)
         self._m_bytes.inc(size)
         if session.physical_rx is None:
             # Wired client (collector PC): delivery always succeeds.
@@ -416,16 +450,27 @@ class XmppServer:
     # ------------------------------------------------------------------
     # Offline storage
     # ------------------------------------------------------------------
-    def _store_offline(self, jid: str, stanza: dict) -> None:
+    def _store_offline(self, jid: str, stanza: dict, size: Optional[int]) -> None:
         self.stanzas_stored_offline += 1
         queue = self._offline.get(jid)
         if queue is None:
             queue = self._offline[jid] = deque()
-        queue.append(stanza)
+        # Most of what waits here is the wired collector's, which has no
+        # size yet: kept bare, it costs no pair.
+        queue.append(stanza if size is None else (stanza, size))
 
     def _drain_offline(self, jid: str, session: Session) -> None:
-        for stanza in self._offline.pop(jid, ()):
-            self.kernel.schedule(self.latency_ms, self._deliver_via, session, stanza)
+        # A fleet's first connects drain thousands of stanzas at once
+        # (4,000 for table3_fleet's 2,000 devices), so a bare one is
+        # scheduled with no more arguments than it needs.
+        for kept in self._offline.pop(jid, ()):
+            if type(kept) is tuple:
+                stanza, size = kept
+                self.kernel.schedule(
+                    self.latency_ms, self._deliver_via, session, stanza, None, size
+                )
+            else:
+                self.kernel.schedule(self.latency_ms, self._deliver_via, session, kept)
 
     def offline_count(self, jid: str) -> int:
         return len(self._offline.get(jid, ()))

@@ -153,8 +153,9 @@ class Span:
 #: spans leave it — into a pickle, to the line writer, across a pipe:
 #: ``(span_id, trace_id, parent_id, hop, start_ms, end_ms, keys,
 #: *values)``, where ``keys`` is the attrs' key tuple (``()`` for no
-#: attrs) and ``values`` their values in that order.  A recorder keeps
-#: one ``keys`` tuple per shape of attrs, so a span holds no dict.
+#: attrs) and ``values`` their values in that order.  Each call site of
+#: :meth:`HopHandle.record` passes one constant ``keys`` tuple, so the
+#: rows it records share it and a span holds no dict.
 SpanRow = Tuple[Any, ...]
 
 
@@ -186,26 +187,22 @@ class HopHandle:
         parent_id: int,
         start_ms: float,
         end_ms: float,
-        attrs: Optional[Dict[str, Any]] = None,
+        keys: Tuple[Any, ...] = (),
+        *values: Any,
     ) -> int:
         """Record one completed span; returns its id.
 
-        The span keeps ``attrs``' keys and values, not the dict: a
-        caller that changes the dict afterwards does not change the span.
+        The attrs are ``keys``, their distinct names, and ``values``,
+        one per name in that order (none: no attrs).  A call site
+        passes one constant tuple of names, so every row it records
+        shares that tuple, and no dict is built to be taken apart again.
         """
         recorder = self._recorder
         span_id = next(recorder._span_ids)
         recorder.recorded += 1
-        if attrs:
-            keys = tuple(attrs)
-            recorder._ring.append((
-                span_id, trace_id, parent_id, self.name, start_ms, end_ms,
-                recorder._shapes.get(keys) or recorder._shape(keys), *attrs.values(),
-            ))
-        else:
-            recorder._ring.append(
-                (span_id, trace_id, parent_id, self.name, start_ms, end_ms, ())
-            )
+        recorder._ring.append(
+            (span_id, trace_id, parent_id, self.name, start_ms, end_ms, keys, *values)
+        )
         self.histogram.observe(end_ms - start_ms)
         return span_id
 
@@ -228,7 +225,8 @@ class NullHopHandle(HopHandle):
         parent_id: int,
         start_ms: float,
         end_ms: float,
-        attrs: Optional[Dict[str, Any]] = None,
+        keys: Tuple[Any, ...] = (),
+        *values: Any,
     ) -> int:
         return 0
 
@@ -260,9 +258,6 @@ class SpanRecorder:
         self.enabled = True
         self.max_spans = max_spans
         self._ring: "deque[SpanRow]" = deque(maxlen=max_spans)
-        #: Each shape of attrs seen, its key tuple to itself: the rows
-        #: of one shape share one ``keys`` tuple.
-        self._shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self._hops: Dict[str, HopHandle] = {}
@@ -272,16 +267,6 @@ class SpanRecorder:
         #: span id through their signatures (flush → transport.send).
         #: Set/reset by the initiating component around the call.
         self.active_parent = 0
-
-    def _shape(self, keys: tuple) -> tuple:
-        """A shape of attrs seen for the first time.  Only string keys
-        are shared: ``1``, ``1.0`` and ``True`` are one dict key, and
-        the line must keep the one the span was given."""
-        for key in keys:
-            if type(key) is not str:
-                return keys
-        self._shapes[keys] = keys
-        return keys
 
     # ------------------------------------------------------------------
     # Configuration

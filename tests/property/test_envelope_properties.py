@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from repro.core.broker import Broker
 from repro.core.deployment import batch_op, pub_op, sub_change_op
 from repro.core.envelope import Envelope, MessageError, canonical_json, thaw_message
-from repro.core.messages import message_size_bytes, to_json
+from repro.core.messages import message_size_bytes, size_with_member, to_json
 from repro.net.acks import ReliableLink
-from repro.net.xmpp import XmppServer
+from repro.net.xmpp import LinkInterceptor, XmppServer
 from repro.sim.kernel import Kernel
 
 # ---------------------------------------------------------------------------
@@ -101,17 +101,80 @@ def _middleware_stanzas(env):
     return [{"kind": "env", "seq": 3, "payload": env}, pub, batch, *sent, *stamped]
 
 
-@given(messages)
+class _Plan(LinkInterceptor):
+    """The chaos seam's verdict, fixed: one extra latency per copy."""
+
+    def __init__(self, plan):
+        self.plan = plan
+
+    def intercept(self, from_jid, to_jid, stanza):
+        return list(self.plan)
+
+
+#: Senders whose JIDs print otherwise in JSON: non-ASCII, and characters
+#: the encoder escapes.
+SENDERS = ["device-1@pogo", "gerät-ü@pogo", 'dev"ice\\1@pogo', "tab\there@pogo", "雪@pogo"]
+ONLINE, OFFLINE = "online@pogo", "offline@pogo"
+
+
+def _switchboard_sizes(stanzas, sender):
+    """``(size, stanza)`` for every delivery the switchboard makes of
+    ``stanzas`` from ``sender``: each submitted with the size a device's
+    transport gives it, once plain, once duplicated, once held back past
+    later traffic (reordered), each to a receiver online and to one
+    offline until later (the offline queue); then each stamped copy as
+    another shard hands it over (ingress, no size carried); and the
+    presence the connects cause."""
+    kernel = Kernel()
+    server = XmppServer(kernel)
+    seen = []
+
+    def physical_rx(size, complete):
+        seen.append((size, complete.stanza))
+        complete(True)
+
+    for jid in (sender, ONLINE, OFFLINE):
+        server.register(jid)
+    server.add_roster_pair(sender, ONLINE)
+    server.add_roster_pair(sender, OFFLINE)
+    server.connect(ONLINE, lambda stanza: None, physical_rx)
+    server.connect(sender, lambda stanza: None, physical_rx)  # presence to ONLINE
+    for plan in ([0.0], [0.0, 0.0], [3_000.0]):
+        server.interceptor = _Plan(plan)
+        for stanza in stanzas:
+            for to_jid in (ONLINE, OFFLINE):
+                server.submit(sender, to_jid, stanza, 0, message_size_bytes(stanza))
+    server.interceptor = None
+    for stanza in stanzas:
+        server.ingress_at(sender, ONLINE, {**stanza, "_from": sender}, kernel.now + 80.0)
+    kernel.run_until(10_000.0)
+    server.connect(OFFLINE, lambda stanza: None, physical_rx)  # presence to sender
+    kernel.run_until(20_000.0)
+    assert len(seen) == 9 * len(stanzas) + 2
+    return seen
+
+
+@given(messages, st.one_of(st.sampled_from(SENDERS), st.text(min_size=1, max_size=8)))
 @settings(max_examples=300, deadline=None)
-def test_middleware_stanzas_match_whole_tree_serialization(tree):
+def test_middleware_stanzas_match_whole_tree_serialization(tree, sender):
     """A stanza embedding the envelope serializes to exactly what
-    serializing the raw (thawed) stanza would have produced."""
+    serializing the raw (thawed) stanza would have produced, and every
+    size the switchboard uses for it — carried from the transport,
+    derived for the stamped copy, kept through dup, reorder and the
+    offline queue, or taken at cross-shard ingress — is that text's."""
     env = Envelope.wrap(tree)
-    for stanza in _middleware_stanzas(env):
+    stanzas = _middleware_stanzas(env)
+    for stanza in stanzas:
         raw = thaw_message(stanza)
         assert canonical_json(stanza) == legacy_to_json(raw)
         assert to_json(stanza) == legacy_to_json(raw)
         assert message_size_bytes(stanza) == len(legacy_to_json(raw).encode("utf-8"))
+        stamped = {**raw, "_from": sender}
+        assert size_with_member(
+            stanza, message_size_bytes(stanza), "_from", sender
+        ) == len(legacy_to_json(stamped).encode("utf-8"))
+    for size, delivered in _switchboard_sizes(stanzas, sender):
+        assert size == len(canonical_json(delivered).encode("utf-8"))
 
 
 @given(messages)

@@ -140,6 +140,11 @@ def spans_of(attrs):
     return st.builds(Span, integers, integers, integers, texts, times, times, attrs)
 
 
+def keys_and_values(attrs):
+    """``HopHandle.record``'s attrs arguments for an attrs dict."""
+    return (tuple(attrs), *attrs.values()) if attrs else ()
+
+
 @given(st.lists(spans_of(st.one_of(str_keyed_attrs, odd_keyed_attrs)), max_size=6))
 @settings(max_examples=250, deadline=None)
 def test_encoder_equals_the_stock_dump_byte_for_byte(spans):
@@ -171,7 +176,9 @@ def test_recorded_spans_export_the_stock_dump_and_read_back_as_recorded(
     recorder = SpanRecorder(MetricsRegistry(), max_spans=max_spans)
     recorded = []
     for hop, trace_id, parent_id, start_ms, end_ms, attrs in calls:
-        span_id = recorder.hop(hop).record(trace_id, parent_id, start_ms, end_ms, attrs)
+        span_id = recorder.hop(hop).record(
+            trace_id, parent_id, start_ms, end_ms, *keys_and_values(attrs)
+        )
         recorded.append(Span(span_id, trace_id, parent_id, hop, start_ms, end_ms, attrs))
     kept = recorded[len(recorded) - len(recorder):]
     assert spans_to_jsonl_lines(recorder) == [reference_line(span) for span in kept]
@@ -355,11 +362,12 @@ def test_memo_never_hands_one_value_anothers_text(spans):
     # whose tuples are freed as the call goes.
     assert outcome(lambda: span_lines(span_rows(spans))) == expected
     assert outcome(lambda: span_lines(span.row for span in spans)) == expected
-    # Recorded: a ring whose string-keyed rows of one shape share one tuple.
+    # Recorded: a ring whose rows each hold the key tuple they were given.
     recorder = SpanRecorder(MetricsRegistry())
     for span in spans:
         recorder.hop(span.hop).record(
-            span.trace_id, span.parent_id, span.start_ms, span.end_ms, span.attrs
+            span.trace_id, span.parent_id, span.start_ms, span.end_ms,
+            *keys_and_values(span.attrs),
         )
     recorded = [
         Span(span_id, s.trace_id, s.parent_id, s.hop, s.start_ms, s.end_ms, s.attrs)

@@ -10,8 +10,8 @@ def make_spans():
     from repro.sim.spans import SpanRecorder
 
     recorder = SpanRecorder(MetricsRegistry())
-    root = recorder.hop("publish").record(1, 0, 0.0, 0.0, {"channel": "battery"})
-    recorder.hop("buffer.dwell").record(1, root, 0.0, 512.5, {"bytes": 75})
+    root = recorder.hop("publish").record(1, 0, 0.0, 0.0, ("channel",), "battery")
+    recorder.hop("buffer.dwell").record(1, root, 0.0, 512.5, ("bytes",), 75)
     return recorder
 
 
@@ -44,7 +44,7 @@ def test_spans_jsonl_roundtrip_after_ring_eviction():
     dwell = recorder.hop("buffer.dwell")
     for index in range(10):
         # Parents 1..9: the early ones are evicted before the export.
-        dwell.record(index, index, index * 1.0, index * 2.5, {"bytes": index})
+        dwell.record(index, index, index * 1.0, index * 2.5, ("bytes",), index)
     assert recorder.dropped == 6 and len(recorder) == 4
     text = spans_to_jsonl(recorder)
     assert text.count("\n") == 4

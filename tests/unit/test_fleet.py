@@ -541,8 +541,8 @@ class TestTraceRowPath:
             start = (i * 37 % 9973) * 12.625  # not in trace order
             hops[i % 4].record(
                 i // 3 + 1, i, start, start + (i % 7) * 80.0,
-                {"device": f"device-{i % 10 + 1}@pogo.example",
-                 "script": "battery/monitor.py", "bytes": 180 + i % 50},
+                ("device", "script", "bytes"), f"device-{i % 10 + 1}@pogo.example",
+                "battery/monitor.py", 180 + i % 50,
             )
         tracemalloc.start()
         try:

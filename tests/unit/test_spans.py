@@ -26,7 +26,7 @@ class TestSpanRecorder:
     def test_record_and_query(self):
         recorder = SpanRecorder(MetricsRegistry(), clock=lambda: 42.0)
         hop = recorder.hop("buffer.dwell")
-        span_id = hop.record(7, 3, 10.0, 50.0, {"bytes": 99})
+        span_id = hop.record(7, 3, 10.0, 50.0, ("bytes",), 99)
         assert span_id == 1
         assert len(recorder) == 1
         (span,) = recorder.spans()
@@ -57,7 +57,7 @@ class TestSpanRecorder:
         recorder = SpanRecorder(MetricsRegistry(), max_spans=3)
         hop = recorder.hop("publish")
         for i in range(5):
-            hop.record(i + 1, 0, float(i), i + 0.5, {"n": i})
+            hop.record(i + 1, 0, float(i), i + 0.5, ("n",), i)
         # No conversion: what pickles is the recorder's own state, whose
         # ring already holds rows.
         rows = vars(recorder)["_ring"]
@@ -122,12 +122,11 @@ class TestSpanRecorder:
         assert recorder.trace_ids() == [1]
 
     def test_a_span_keeps_its_attrs_as_they_were_recorded(self):
-        # The one change of meaning the flat ring brought: the ring keeps
-        # the keys and values, not the caller's dict.  No caller in the
-        # package touches its attrs after recording.
+        # The ring keeps the keys and values it was handed, so a dict the
+        # caller took them from may change afterwards.
         recorder = SpanRecorder(MetricsRegistry())
         attrs = {"reason": "tail", "batches": 2}
-        recorder.hop("node.flush").record(0, 0, 1.0, 1.0, attrs)
+        recorder.hop("node.flush").record(0, 0, 1.0, 1.0, tuple(attrs), *attrs.values())
         attrs["batches"] = 3
         attrs["late"] = True
         del attrs["reason"]
@@ -139,7 +138,7 @@ class TestSpanRecorder:
         recorder = SpanRecorder(MetricsRegistry())
         hop = recorder.hop("publish")
         hop.record(1, 0, 2.0, 3.0)
-        hop.record(1, 0, 2.0, 3.0, {})
+        hop.record(1, 0, 2.0, 3.0, ())
         first, second = spans_to_jsonl_lines(recorder)
         assert first.replace('"span":1', '"span":2') == second
         assert first.startswith('{"attrs":{},')
@@ -151,20 +150,20 @@ class TestSpanRecorder:
         recorder = SpanRecorder(MetricsRegistry())
         hop = recorder.hop("buffer.dwell")
         for i in range(3):
-            hop.record(1, 0, 0.0, 1.0, {"flush_span": i, "reason": "tail"})
-        hop.record(1, 0, 0.0, 1.0, {"reason": "tail", "flush_span": 9})
+            hop.record(1, 0, 0.0, 1.0, ("flush_span", "reason"), i, "tail")
+        hop.record(1, 0, 0.0, 1.0, ("reason", "flush_span"), "tail", 9)
         rows = span_rows(recorder)
         assert rows[0][6] == ("flush_span", "reason")
         assert rows[0][6] is rows[1][6] is rows[2][6] is not rows[3][6]
         assert rows[3][6:] == (("reason", "flush_span"), "tail", 9)
 
     def test_keys_of_other_types_keep_their_own_type(self):
-        # 1, 1.0 and True are one dict key but three JSON names; a shape
-        # is shared only when every key is a string.
+        # 1, 1.0 and True are one dict key but three JSON names: each
+        # span keeps the key it was given.
         recorder = SpanRecorder(MetricsRegistry())
         hop = recorder.hop("h")
         for key in (True, 1, 1.0):
-            hop.record(1, 0, 0.0, 1.0, {key: "x"})
+            hop.record(1, 0, 0.0, 1.0, (key,), "x")
         assert [span.attrs for span in recorder.spans()] == [{True: "x"}] * 3
         assert [type(next(iter(span.attrs))) for span in recorder] == [bool, int, float]
         assert [line[:18] for line in spans_to_jsonl_lines(recorder)] == [
@@ -179,13 +178,13 @@ class TestSpanRecorder:
 
         recorder = SpanRecorder(MetricsRegistry())
         hop = recorder.hop("buffer.dwell")
-        hop.record(1, 0, 0.0, 1.0, {"flush_span": 0, "reason": "tail"})
+        hop.record(1, 0, 0.0, 1.0, ("flush_span", "reason"), 0, "tail")
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             for i in range(10_000):
                 hop.record(
-                    i, i, i * 1.5, i * 1.5 + 2.25, {"flush_span": 7, "reason": "tail"}
+                    i, i, i * 1.5, i * 1.5 + 2.25, ("flush_span", "reason"), 7, "tail"
                 )
             after, _ = tracemalloc.get_traced_memory()
         finally:
@@ -208,7 +207,7 @@ class TestSpanValues:
 
     def test_two_reads_of_a_span_are_equal_objects(self):
         recorder = SpanRecorder(MetricsRegistry())
-        recorder.hop("publish").record(1, 0, 0.0, 0.0, {"channel": "battery"})
+        recorder.hop("publish").record(1, 0, 0.0, 0.0, ("channel",), "battery")
         (first,) = recorder.spans()
         (second,) = list(recorder)
         assert first == second and first is not second
@@ -230,7 +229,7 @@ class TestSpanValues:
 
 def make_chain(recorder):
     """publish -> fanout -> dwell for trace 1, plus an unrelated trace."""
-    root = recorder.hop("publish").record(1, 0, 0.0, 0.0, {"channel": "battery"})
+    root = recorder.hop("publish").record(1, 0, 0.0, 0.0, ("channel",), "battery")
     fanout = recorder.hop("broker.fanout").record(1, root, 0.0, 0.0)
     recorder.hop("buffer.dwell").record(1, fanout, 0.0, 500.0)
     recorder.hop("publish").record(2, 0, 5.0, 5.0)
@@ -305,7 +304,7 @@ class TestTheWritersMemo:
             start = self.TIMES[i % 3]
             hops[i % 3].record(
                 i, i // 2, start, self.TIMES[i % 4],
-                {"device": f"device-{i % self.K}", "bytes": 180},
+                ("device", "bytes"), f"device-{i % self.K}", 180,
             )
         return recorder
 
@@ -351,7 +350,7 @@ class TestTheWritersMemo:
         hop = recorder.hop("h")
         values = (1, 1.0, True, 0.0, -0.0, 0, False, 1, 0.0, -0.0)
         for value in values:
-            hop.record(1, 0, value * 1.0, 2.0, {"v": value})
+            hop.record(1, 0, value * 1.0, 2.0, ("v",), value)
         lines = spans_to_jsonl_lines(recorder)
         assert [json.loads(line)["attrs"]["v"] for line in lines] == list(values)
         assert [line[14:line.index("}")] for line in lines] == [
@@ -363,6 +362,27 @@ class TestTheWritersMemo:
         # Nine encodings for ten spans: the second ``1`` is remembered, but
         # a zero float never is, since 0.0 == -0.0.
         assert counted["attrs"] == 9
+
+
+def test_two_spans_from_one_call_site_share_one_key_tuple():
+    # What a row costs rests on it: every call site of HopHandle.record
+    # in the package passes one constant tuple of names, so a ring of
+    # 65,536 spans holds a few dozen key tuples, not one per span.  A
+    # short chaos run reaches the sites of most hops, chaos.impair's four
+    # shapes included.
+    from repro.chaos import run_scenario
+
+    artifacts = {}
+    run_scenario("mixed", seed=5, devices=6, minutes=8.0, artifacts=artifacts)
+    rows = span_rows(artifacts["sim"].kernel.spans)
+    objects = {}
+    for row in rows:
+        objects.setdefault((row[3], row[6]), set()).add(id(row[6]))
+    assert sum(hop == "chaos.impair" for hop, _ in objects) == 4
+    assert {"script.call", "xmpp.route", "transport.send"} <= {hop for hop, _ in objects}
+    assert len(rows) > 1_000 and len(objects) < 40
+    shared = {key: len(ids) for key, ids in objects.items() if len(ids) > 1}
+    assert not shared, shared
 
 
 def test_disable_swaps_hop_handles_to_noops():
