@@ -33,7 +33,7 @@ the chaos seam routes several copies of it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..sim.kernel import Kernel
 from ..core.messages import message_size_bytes, size_with_member
@@ -128,9 +128,9 @@ class XmppServer:
         self._accounts: Set[str] = set()
         self._rosters: Dict[str, Set[str]] = {}
         self._sessions: Dict[str, Session] = {}
-        #: Per JID, the stored stanzas: ``(stanza, size)`` for one whose
-        #: size is known, the bare stanza for one not sized yet.
-        self._offline: Dict[str, Deque[Union[dict, Tuple[dict, int]]]] = {}
+        #: Per JID, the stored ``(stanza, size)`` pairs; ``size`` is
+        #: ``None`` for a stanza not sized yet.
+        self._offline: Dict[str, Deque[Tuple[dict, Optional[int]]]] = {}
         self._last_heard: Dict[str, float] = {}
         #: Chaos seam (repro.chaos).  When set, every submitted stanza asks
         #: the interceptor for its fate: a list of extra latencies, one per
@@ -455,22 +455,13 @@ class XmppServer:
         queue = self._offline.get(jid)
         if queue is None:
             queue = self._offline[jid] = deque()
-        # Most of what waits here is the wired collector's, which has no
-        # size yet: kept bare, it costs no pair.
-        queue.append(stanza if size is None else (stanza, size))
+        queue.append((stanza, size))
 
     def _drain_offline(self, jid: str, session: Session) -> None:
-        # A fleet's first connects drain thousands of stanzas at once
-        # (4,000 for table3_fleet's 2,000 devices), so a bare one is
-        # scheduled with no more arguments than it needs.
-        for kept in self._offline.pop(jid, ()):
-            if type(kept) is tuple:
-                stanza, size = kept
-                self.kernel.schedule(
-                    self.latency_ms, self._deliver_via, session, stanza, None, size
-                )
-            else:
-                self.kernel.schedule(self.latency_ms, self._deliver_via, session, kept)
+        for stanza, size in self._offline.pop(jid, ()):
+            self.kernel.schedule(
+                self.latency_ms, self._deliver_via, session, stanza, None, size
+            )
 
     def offline_count(self, jid: str) -> int:
         return len(self._offline.get(jid, ()))
