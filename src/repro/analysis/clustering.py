@@ -132,7 +132,7 @@ class WindowedDBSCAN:
                 "members": [
                     [t, dict(v)] for t, v, _ in cluster["members"][-self.FREEZE_MEMBER_CAP:]
                 ],
-                "centroid": dict(self._centroid()[0]),
+                "centroid": dict(self.centroid()[0]),
             }
         return {
             "window": [[t, dict(v)] for t, v, _ in self.window],
@@ -154,7 +154,7 @@ class WindowedDBSCAN:
         self.samples_seen = state.get("samples_seen", 0)
 
     # -- core algorithm --------------------------------------------------
-    def _centroid(self):
+    def centroid(self):
         """The open cluster's centroid and its norm.  A join leaves it
         stale (None); it is rebuilt here, as the mean of the last 20
         members, only when something reads it."""
@@ -165,7 +165,7 @@ class WindowedDBSCAN:
             centroid = cluster["centroid"] = (vector, vector_norm(vector))
         return centroid
 
-    def _reachable_from_current(self, entry):
+    def reachable_from_current(self, entry):
         # Similar to one of the last five members, or to the centroid:
         # the members are the cheap side, so the centroid is only built
         # when all five miss.
@@ -174,7 +174,7 @@ class WindowedDBSCAN:
         for member in self.current["members"][-5:]:
             if cosine_normed(vector, norm, member[1], member[2]) >= eps:
                 return True
-        centroid, centroid_norm = self._centroid()
+        centroid, centroid_norm = self.centroid()
         return cosine_normed(vector, norm, centroid, centroid_norm) >= eps
 
     def add(self, time_ms, vector):
@@ -185,15 +185,15 @@ class WindowedDBSCAN:
         if len(self.window) > self.window_size:
             self.window.pop(0)
         if self.current is not None:
-            if self._reachable_from_current(entry):
-                self._join(entry)
+            if self.reachable_from_current(entry):
+                self.join(entry)
             else:
-                self._close()
-                self._try_open(entry)
+                self.close()
+                self.try_open(entry)
         else:
-            self._try_open(entry)
+            self.try_open(entry)
 
-    def _join(self, entry):
+    def join(self, entry):
         cluster = self.current
         cluster["members"].append(entry)
         cluster["exit"] = entry[0]
@@ -201,7 +201,7 @@ class WindowedDBSCAN:
         add_into(cluster["sum"], entry[1])
         cluster["centroid"] = None
 
-    def _try_open(self, entry):
+    def try_open(self, entry):
         vector, norm = entry[1], entry[2]
         eps = self.eps_similarity
         earlier = self.window[:-1]
@@ -228,7 +228,7 @@ class WindowedDBSCAN:
             "centroid": (centroid, vector_norm(centroid)),
         }
 
-    def _close(self):
+    def close(self):
         cluster = self.current
         self.current = None
         if cluster is None or cluster["count"] < self.min_pts:
@@ -261,7 +261,7 @@ class WindowedDBSCAN:
 
     def flush(self):
         """Force-close the open cluster (end of stream / interruption)."""
-        return self._close()
+        return self.close()
 
 
 # --- SCRIPT SAFE END ---------------------------------------------------

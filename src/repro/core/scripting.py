@@ -114,6 +114,19 @@ def _charge() -> List[ast.stmt]:
     ]
 
 
+#: Attribute names a script may not use, besides every name that starts
+#: with ``_``: the frame, generator and traceback links that walk into
+#: the host's stack, and ``str.format``/``format_map``, whose replacement
+#: fields look attributes up inside a string, where no walk of the tree
+#: sees them.  (RestrictedPython refuses the same three classes.)
+REFUSED_ATTRIBUTES = frozenset((
+    "gi_frame", "gi_code", "cr_frame", "ag_frame",
+    "f_back", "f_globals", "f_locals", "f_builtins",
+    "tb_frame", "tb_next",
+    "format", "format_map",
+))
+
+
 @functools.lru_cache(maxsize=64)
 def compile_script(source: str, name: str) -> types.CodeType:
     """Compile script source with the step meter built in.
@@ -123,9 +136,12 @@ def compile_script(source: str, name: str) -> types.CodeType:
     item of every comprehension clause.  The meter is part of the
     sandbox, so a script that names anything under
     :data:`~repro.core.api.RESERVED_PREFIX` is rejected here, where it
-    enters.  Inserted nodes take their parent's position: tracebacks keep
-    the script's own line numbers.  Memoised: a fleet of hosts running
-    one script parses, meters and compiles it once.
+    enters; so is one that reads or writes an attribute whose name
+    starts with ``_`` or is in :data:`REFUSED_ATTRIBUTES`, the ways out
+    to the host's classes, functions and frames.  Inserted nodes take
+    their parent's position: tracebacks keep the script's own line
+    numbers.  Memoised: a fleet of hosts running one script parses,
+    meters and compiles it once.
     """
     filename = f"<script {name}>"
     tree = ast.parse(source, filename)
@@ -139,6 +155,13 @@ def compile_script(source: str, name: str) -> types.CodeType:
                         f"script {name!r} line {node.lineno}: "
                         f"{ident!r} is reserved for the middleware"
                     )
+        if isinstance(node, ast.Attribute) and (
+            node.attr.startswith("_") or node.attr in REFUSED_ATTRIBUTES
+        ):
+            raise ScriptError(
+                f"script {name!r} line {node.lineno}: "
+                f"attribute {node.attr!r} is refused by the sandbox"
+            )
         if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
             node.body[:0] = _charge()
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -327,8 +327,10 @@ def run_fleet(
     results; the property tests use it.  ``epoch_ms`` defaults to the
     maximum safe value (the minimum cross-shard stanza latency reported
     by the workers); anything larger is rejected.  ``barrier_timeout_s``
-    bounds each wait on a worker process, not shard 0: a hung shard in
-    this process hangs the run (an open stall case, see ROADMAP.md).
+    bounds each wait on a worker process and, beside worker processes,
+    each barrier step of shard 0: a step of shard 0 that returns after
+    the timeout fails the run as a hung worker's wait would.  Shard 0
+    runs in this thread, so one that never returns hangs the run.
 
     ``telemetry=True`` has every shard's driver sample its shard at each
     barrier and attaches the collected
@@ -419,6 +421,17 @@ def run_fleet(
                 worker.post_advance(barrier, outbox[index])
             results = [workers[0].wait_barrier()]
             blocked = perf_counter()
+            took = blocked - window_start
+            if separate and took > barrier_timeout_s:
+                # Shard 0 runs in this thread, so nothing can wait on it
+                # with a timeout: its step is judged when it returns.
+                raise WorkerCrashed(
+                    f"shard {workers[0].shard_id} took {took:.1f}s over one "
+                    f"barrier step, past the {barrier_timeout_s:g}s barrier "
+                    f"timeout — presumed hung",
+                    shard_id=workers[0].shard_id,
+                    cause=f"a barrier step took {took:.1f}s — presumed hung",
+                )
             results += [worker.wait_barrier() for worker in workers[1:]]
             if separate:  # shard 0 is done: this is its wait on the rest
                 workers[0].stall_s += perf_counter() - blocked

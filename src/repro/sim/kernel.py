@@ -14,34 +14,52 @@ passage of time are simulated.  The kernel provides:
 
 Hot-path design (the fleet-scale requirements):
 
-* The heap holds ``(time, seq, handle)`` tuples, so ordering is decided
-  by C-level tuple comparison — no Python ``__lt__`` calls per sift.
-* Cancellation is lazy (the heap entry becomes a tombstone), but the
-  kernel keeps live/tombstone counters and compacts the heap in place
-  once tombstones outnumber live events — cancel-heavy workloads (chaos
-  campaigns, tail-sync timers) cannot grow the queue without bound.
+* The queue is one entry per *instant*, not per event (a calendar
+  queue in the sense of Brown, CACM 1988, with one bucket per distinct
+  time): a heap of the distinct pending times, and a dict from each time
+  to the list of its handles in scheduling order.  Scheduling for an
+  instant that is already pending is a dict hit and an ``append``; only
+  the first event of an instant pays a heap push, and the run loop pays
+  one heap pop per instant.  A synchronized fleet — thousands of phones
+  whose timers fire together — queues thousands of events per instant,
+  so the heap it sifts is small and its pops are rare.
+* Cancellation is lazy (the handle stays in its list as a tombstone),
+  but the kernel keeps live/tombstone counters and compacts the lists in
+  place once tombstones outnumber live events — cancel-heavy workloads
+  (chaos campaigns, tail-sync timers) cannot grow the queue without
+  bound.
 * ``pending_events`` is O(1) and ``next_event_time`` is a heap peek
-  (plus popping any tombstones that have surfaced).
-* ``run`` / ``run_until`` are tight loops over local bindings; the stop
-  flag is only consulted where it can actually change (after a
-  callback), not re-read per queue operation.
+  (plus dropping the tombstones at the head of the queue).
+* ``run`` and ``run_until`` share one tight loop over local bindings.
+  An instant whose list holds a single handle runs without an iterator,
+  and a repeating timer alone at its instant carries that list on to its
+  next instant, so a lone timer allocates nothing per tick.
 * Every callback runs inside :func:`repro.sim.hostgc.dispatching`: the
   host's cyclic collector is paused until the call returns.
 
 Determinism: the kernel itself is fully deterministic.  All randomness in
 the simulation goes through :mod:`repro.sim.randomness` so that a single
 seed reproduces an entire experiment bit-for-bit.  Same-time events fire
-in scheduling order (``seq``), and a repeating timer's re-arm consumes
-its sequence number at the same point the equivalent re-scheduling
-callback would have, so optimized and naive schedules interleave
-identically.
+in scheduling order, exactly: a handle is appended to its instant's list
+when it is scheduled, so a list is in scheduling order by construction;
+and the running instant's list is taken out of the dict before its first
+callback, so an event scheduled for the running instant starts a fresh
+list at that time, which runs right after the current one.  A repeating
+timer re-arms immediately before its callback, where a re-scheduling
+callback would have scheduled its next tick, so optimized and naive
+schedules interleave identically.  Whatever stops a run part-way
+through an instant — a callback that raises, ``run(max_events)``, a
+re-entrant ``run`` from a callback, a compaction, ``next_event_time``
+read from a callback — puts the rest of that
+instant back at the front of its time's list, ahead of anything
+scheduled for it later.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import Any, Callable, List, Optional, Tuple
+import math
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .hostgc import dispatching
 from .metrics import MetricsRegistry
@@ -54,10 +72,10 @@ MINUTE = 60 * SECOND
 HOUR = 60 * MINUTE
 DAY = 24 * HOUR
 
-#: Compaction threshold: rebuild the heap when at least this many
-#: tombstones have accumulated *and* they outnumber live events.  The
-#: floor keeps small simulations from compacting constantly; the ratio
-#: bounds queue memory at ~2x the live set for any cancellation pattern.
+#: Compaction threshold: drop tombstones when at least this many have
+#: accumulated *and* they outnumber live events.  The floor keeps small
+#: simulations from compacting constantly; the ratio bounds queue memory
+#: at ~2x the live set for any cancellation pattern.
 COMPACT_MIN_TOMBSTONES = 64
 
 
@@ -76,19 +94,17 @@ class EventHandle:
     re-armed by the kernel itself, in place, before each callback.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired", "interval", "_kernel")
+    __slots__ = ("time", "callback", "args", "cancelled", "fired", "interval", "_kernel")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[..., Any],
         args: Tuple,
         kernel: Optional["Kernel"] = None,
         interval: Optional[float] = None,
     ):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -140,16 +156,22 @@ class Kernel:
 
     def __init__(self) -> None:
         self._now = 0.0
-        #: Heap of (time, seq, handle).  Tuples compare in C; ``seq`` is
-        #: unique so the handle itself is never compared.
-        self._queue: List[Tuple[float, int, EventHandle]] = []
-        self._seq = itertools.count()
+        #: Heap of the distinct times that have a list in ``_instants``.
+        self._times: List[float] = []
+        #: Time → the handles due then, in scheduling order.  The running
+        #: instant's list is not in here: the run loop has taken it.
+        self._instants: Dict[float, List[EventHandle]] = {}
+        #: The running instant's iterator, so that whatever stops or
+        #: re-enters the run part-way through an instant can put the
+        #: rest back (:meth:`_requeue`).  Exhausted or ``None`` between
+        #: instants.
+        self._rest: Optional[Iterator[EventHandle]] = None
         #: Live (non-cancelled) entries in the queue, maintained by
-        #: schedule/cancel/pop — pending_events reads it in O(1).
+        #: schedule/cancel/dispatch — pending_events reads it in O(1).
         self._live = 0
-        #: Cancelled entries still occupying heap slots.
+        #: Cancelled entries still sitting in an instant's list.
         self._tombstones = 0
-        #: Heap compactions performed (read by tests and the telemetry plane).
+        #: Compactions performed (read by tests and the telemetry plane).
         self.compactions = 0
         #: Total number of events executed; useful in tests and benchmarks.
         self.events_executed = 0
@@ -186,9 +208,14 @@ class Kernel:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
         time = self._now + delay
-        seq = next(self._seq)
-        handle = EventHandle(time, seq, callback, args, self)
-        heapq.heappush(self._queue, (time, seq, handle))
+        handle = EventHandle(time, callback, args, self)
+        # _enqueue, inlined: the simulator's most frequent call.
+        bucket = self._instants.get(time)
+        if bucket is None:
+            self._instants[time] = [handle]
+            heapq.heappush(self._times, time)
+        else:
+            bucket.append(handle)
         self._live += 1
         return handle
 
@@ -196,10 +223,8 @@ class Kernel:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
         if time < self._now:
             raise SimulationError(f"cannot schedule in the past: {time} < {self._now}")
-        seq = next(self._seq)
-        handle = EventHandle(time, seq, callback, args, self)
-        heapq.heappush(self._queue, (time, seq, handle))
-        self._live += 1
+        handle = EventHandle(time, callback, args, self)
+        self._enqueue(handle, time)
         return handle
 
     def schedule_repeating(
@@ -215,10 +240,10 @@ class Kernel:
         no per-tick ``EventHandle`` or closure allocation — and re-arming
         is drift-free: the next deadline is ``fire_time + interval``, not
         ``now + interval``.  The re-arm happens immediately **before**
-        the callback runs (consuming one sequence number), exactly where
-        a re-scheduling closure would have consumed it, so converting a
-        closure chain to a native repeating timer preserves same-instant
-        FIFO order bit-for-bit.  Cancel via ``handle.cancel()``.
+        the callback runs, exactly where a re-scheduling closure would
+        have scheduled its next tick, so converting a closure chain to a
+        native repeating timer preserves same-instant FIFO order
+        bit-for-bit.  Cancel via ``handle.cancel()``.
         """
         if interval <= 0:
             raise SimulationError(f"repeating interval must be positive: {interval!r}")
@@ -226,10 +251,8 @@ class Kernel:
         if first < 0:
             raise SimulationError(f"negative delay: {first!r}")
         time = self._now + first
-        seq = next(self._seq)
-        handle = EventHandle(time, seq, callback, args, self, interval=interval)
-        heapq.heappush(self._queue, (time, seq, handle))
-        self._live += 1
+        handle = EventHandle(time, callback, args, self, interval=interval)
+        self._enqueue(handle, time)
         return handle
 
     def rearm(self, handle: EventHandle, delay: float) -> EventHandle:
@@ -247,13 +270,27 @@ class Kernel:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
         time = self._now + delay
-        seq = next(self._seq)
         handle.time = time
-        handle.seq = seq
         handle.fired = False
-        heapq.heappush(self._queue, (time, seq, handle))
+        # _enqueue, inlined: the CPU's sleep check re-arms every cycle.
+        bucket = self._instants.get(time)
+        if bucket is None:
+            self._instants[time] = [handle]
+            heapq.heappush(self._times, time)
+        else:
+            bucket.append(handle)
         self._live += 1
         return handle
+
+    def _enqueue(self, handle: EventHandle, time: float) -> None:
+        """Append ``handle`` to ``time``'s list, opening the instant if new."""
+        bucket = self._instants.get(time)
+        if bucket is None:
+            self._instants[time] = [handle]
+            heapq.heappush(self._times, time)
+        else:
+            bucket.append(handle)
+        self._live += 1
 
     # ------------------------------------------------------------------
     # Lazy-deletion bookkeeping
@@ -267,16 +304,47 @@ class Kernel:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop tombstones and re-heapify, in place.
+        """Drop tombstones from every list, and instants left empty.
 
-        In-place (slice assignment) so run loops holding a local
-        reference to the queue keep seeing the same list object.
+        The rest of a running instant is put back first, so it is
+        compacted too.  Each list keeps its order; the heap is rebuilt
+        in place (slice assignment), so run loops holding a local
+        reference to it keep seeing the same list object.
         """
-        queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[2].cancelled]
-        heapq.heapify(queue)
+        self._requeue()
+        instants = self._instants
+        for time, bucket in list(instants.items()):
+            bucket[:] = [handle for handle in bucket if not handle.cancelled]
+            if not bucket:
+                del instants[time]
+        times = self._times
+        times[:] = instants
+        heapq.heapify(times)
         self._tombstones = 0
         self.compactions += 1
+
+    def _requeue(self) -> None:
+        """Put the rest of the running instant back at the front of its list.
+
+        Called where a run stops or is re-entered part-way through an
+        instant, and before anything reads or rewrites the whole queue.
+        Draining the iterator also ends the running loop's pass over it,
+        so nothing is dispatched twice.
+        """
+        rest = self._rest
+        if rest is None:
+            return
+        self._rest = None
+        left = list(rest)
+        if not left:
+            return
+        time = self._now
+        later = self._instants.get(time)
+        if later is None:
+            heapq.heappush(self._times, time)
+        else:
+            left += later
+        self._instants[time] = left
 
     # ------------------------------------------------------------------
     # Run loop
@@ -286,33 +354,9 @@ class Kernel:
 
         Returns the number of events executed by this call.
         """
-        executed = 0
-        queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
-        next_seq = self._seq.__next__
-        with dispatching():
-            while queue:
-                if max_events is not None and executed >= max_events:
-                    break
-                time, _, handle = pop(queue)
-                if handle.cancelled:
-                    self._tombstones -= 1
-                    continue
-                self._now = time
-                interval = handle.interval
-                if interval is None:
-                    handle.fired = True
-                    self._live -= 1
-                else:
-                    seq = next_seq()
-                    handle.time = time + interval
-                    handle.seq = seq
-                    push(queue, (handle.time, seq, handle))
-                self.events_executed += 1
-                executed += 1
-                handle.callback(*handle.args)
-        return executed
+        if max_events is None:
+            return self._dispatch(math.inf, -1)
+        return self._dispatch(math.inf, max(max_events, 0))
 
     def run_until(self, time: float) -> int:
         """Run all events up to and including ``time``; clock ends at ``time``.
@@ -323,35 +367,76 @@ class Kernel:
         """
         if time < self._now:
             raise SimulationError(f"cannot run backwards: {time} < {self._now}")
-        executed = 0
-        queue = self._queue
-        pop = heapq.heappop
-        push = heapq.heappush
-        next_seq = self._seq.__next__
-        with dispatching():
-            while queue:
-                event_time = queue[0][0]
-                if event_time > time:
-                    break
-                _, _, handle = pop(queue)
-                if handle.cancelled:
-                    self._tombstones -= 1
-                    continue
-                self._now = event_time
-                interval = handle.interval
-                if interval is None:
-                    handle.fired = True
-                    self._live -= 1
-                else:
-                    seq = next_seq()
-                    handle.time = event_time + interval
-                    handle.seq = seq
-                    push(queue, (handle.time, seq, handle))
-                self.events_executed += 1
-                executed += 1
-                handle.callback(*handle.args)
+        executed = self._dispatch(time, -1)
         if time > self._now:
             self._now = time
+        return executed
+
+    def _dispatch(self, horizon: float, limit: int) -> int:
+        """Run the instants due by ``horizon``, stopping after ``limit``
+        events (``-1``: no limit).  Returns the number executed."""
+        executed = 0
+        times = self._times
+        instants = self._instants
+        pop = heapq.heappop
+        push = heapq.heappush
+        with dispatching():
+            # A re-entrant run (from a callback) first puts back what the
+            # outer run had left of its instant, so it runs in heap order.
+            self._requeue()
+            try:
+                while times and times[0] <= horizon and executed != limit:
+                    time = pop(times)
+                    batch = instants.pop(time)
+                    if len(batch) == 1:
+                        handle = batch[0]
+                        if handle.cancelled:
+                            self._tombstones -= 1
+                            continue
+                        # The clock moves only for an event that runs.
+                        self._now = time
+                        interval = handle.interval
+                        if interval is None:
+                            handle.fired = True
+                            self._live -= 1
+                        else:
+                            at = handle.time = time + interval
+                            bucket = instants.get(at)
+                            if bucket is None:
+                                # Alone at its instant: carry the list on.
+                                instants[at] = batch
+                                push(times, at)
+                            else:
+                                bucket.append(handle)
+                        self.events_executed += 1
+                        executed += 1
+                        handle.callback(*handle.args)
+                        continue
+                    self._rest = rest = iter(batch)
+                    for handle in rest:
+                        if handle.cancelled:
+                            self._tombstones -= 1
+                            continue
+                        self._now = time
+                        interval = handle.interval
+                        if interval is None:
+                            handle.fired = True
+                            self._live -= 1
+                        else:
+                            at = handle.time = time + interval
+                            bucket = instants.get(at)
+                            if bucket is None:
+                                instants[at] = [handle]
+                                push(times, at)
+                            else:
+                                bucket.append(handle)
+                        self.events_executed += 1
+                        executed += 1
+                        handle.callback(*handle.args)
+                        if executed == limit:
+                            break
+            finally:
+                self._requeue()
         return executed
 
     @property
@@ -361,11 +446,20 @@ class Kernel:
 
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest pending event, or ``None`` when idle."""
-        queue = self._queue
-        while queue:
-            if queue[0][2].cancelled:
-                heapq.heappop(queue)
-                self._tombstones -= 1
-                continue
-            return queue[0][0]
+        self._requeue()
+        times = self._times
+        instants = self._instants
+        while times:
+            time = times[0]
+            bucket = instants[time]
+            for index, handle in enumerate(bucket):
+                if not handle.cancelled:
+                    # Tombstones ahead of it go, as a heap pop would drop them.
+                    if index:
+                        del bucket[:index]
+                        self._tombstones -= index
+                    return time
+            heapq.heappop(times)
+            del instants[time]
+            self._tombstones -= len(bucket)
         return None

@@ -857,11 +857,10 @@ class TestProcessLayout:
         assert str(local).splitlines()[0] == str(mixed).splitlines()[0]
         assert "crash canary" in local.cause
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: barrier_timeout_s "
-                       "bounds the waits on worker processes, not shard 0")
     def test_a_hung_hosted_shard_is_reported_like_a_hung_worker(self, monkeypatch):
-        # A shard 0 that stalls past the timeout is waited for, where a
-        # worker process would have come back as "presumed hung".
+        # A shard 0 that stalls past the timeout fails the run when its
+        # step returns, as a worker process would have come back
+        # "presumed hung".
         import time
 
         from repro.fleet.worker import WorkerCrashed

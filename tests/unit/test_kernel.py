@@ -255,6 +255,11 @@ def test_rearm_preserves_fifo_with_fresh_schedules():
 # ---------------------------------------------------------------------------
 
 
+def _queued(kernel):
+    """Handles in the queue, tombstones included."""
+    return sum(len(bucket) for bucket in kernel._instants.values())
+
+
 def test_cancel_leaves_tombstone_until_threshold(monkeypatch):
     import repro.sim.kernel as kernel_mod
 
@@ -263,9 +268,10 @@ def test_cancel_leaves_tombstone_until_threshold(monkeypatch):
     handles = [kernel.schedule(float(i + 100), lambda: None) for i in range(10)]
     for handle in handles[:3]:
         handle.cancel()
-    # Below threshold: tombstones sit in the heap.
+    # Below threshold: tombstones sit in their instants' lists.
     assert kernel._tombstones == 3
-    assert len(kernel._queue) == 10
+    assert _queued(kernel) == 10
+    assert len(kernel._times) == 10
     assert kernel.compactions == 0
     # Live count is maintained without scanning.
     assert kernel.pending_events == 7
@@ -284,7 +290,9 @@ def test_compaction_triggers_and_preserves_order(monkeypatch):
         handles[i].cancel()
     assert kernel.compactions == 1
     assert kernel._tombstones == 0
-    assert len(kernel._queue) == kernel.pending_events == 5
+    assert _queued(kernel) == kernel.pending_events == 5
+    # Instants left empty are gone from the dict and the time heap.
+    assert sorted(kernel._times) == sorted(kernel._instants) == [7.0, 8.0, 9.0, 10.0, 11.0]
     # A cancel after compaction starts a fresh tombstone count.
     handles[7].cancel()
     assert kernel._tombstones == 1
