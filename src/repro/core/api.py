@@ -38,9 +38,9 @@ SAFE_BUILTINS: Dict[str, Any] = {
     name: __builtins__[name] if isinstance(__builtins__, dict) else getattr(__builtins__, name)
     for name in (
         "abs", "all", "any", "bool", "dict", "divmod", "enumerate", "filter",
-        "float", "frozenset", "int", "isinstance", "iter", "len",
+        "float", "int", "isinstance", "iter", "len",
         "list", "map", "max", "min", "next", "pow", "range", "repr",
-        "reversed", "round", "set", "sorted", "str", "sum", "tuple", "zip",
+        "reversed", "round", "sorted", "str", "sum", "tuple", "zip",
         "Exception", "ValueError", "TypeError", "KeyError", "IndexError",
         "ZeroDivisionError", "ArithmeticError", "StopIteration",
         # Class definitions inside scripts (the clustering script defines

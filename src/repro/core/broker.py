@@ -20,7 +20,6 @@ Delivery is synchronous: the broker calls each subscription's handler.
 from __future__ import annotations
 
 import itertools
-import sys
 from typing import Any, Callable, Dict, List, Optional
 
 from .envelope import Envelope
@@ -101,7 +100,7 @@ class Broker:
     """A topic broker for one context (or one sensor manager)."""
 
     __slots__ = (
-        "name", "_sub_ids", "_subscriptions", "_active_index", "_channel_watchers",
+        "name", "_sub_ids", "_subscriptions", "_channel_watchers",
         "_global_watchers", "publish_count", "delivery_count", "_spans", "_h_fanout",
     )
 
@@ -113,12 +112,6 @@ class Broker:
         self.name = name
         self._sub_ids = itertools.count(1)
         self._subscriptions: Dict[str, List[Subscription]] = {}
-        #: Subscription index: interned topic -> the pre-filtered list of
-        #: active subscriptions, built lazily on publish and invalidated
-        #: (entry dropped) on any subscription change for that channel.
-        #: Publish cost is therefore independent of how many released or
-        #: foreign-channel subscriptions the broker carries.
-        self._active_index: Dict[str, List[Subscription]] = {}
         self._channel_watchers: Dict[str, List[SubscriptionListener]] = {}
         self._global_watchers: List[SubscriptionListener] = []
         self.publish_count = 0
@@ -144,10 +137,6 @@ class Broker:
         """Create an active subscription on ``channel``."""
         if not channel or not isinstance(channel, str):
             raise ValueError(f"invalid channel name: {channel!r}")
-        # Interning gives every equal topic string one identity, so the
-        # per-publish index lookup takes the dict's pointer-comparison
-        # fast path instead of hashing/comparing characters.
-        channel = sys.intern(channel)
         if parameters is not None:
             validate_message(parameters)
         subscription = Subscription(self, channel, handler, parameters, owner)
@@ -190,15 +179,11 @@ class Broker:
         envelope = Envelope.wrap(message)
         payload = envelope.payload
         self.publish_count += 1
-        subs = self._active_index.get(channel)
-        if subs is None:
-            subs = self._active_subs(channel)
         delivered = 0
-        # The index entry is replaced (never mutated) on invalidation, so
-        # iterating it has snapshot semantics; the per-subscription active
-        # check preserves the old behaviour for handlers that release a
-        # later subscription mid-fanout.
-        for subscription in subs:
+        # A copy, so a handler that subscribes mid-fanout gets the next
+        # message, not this one; the active check skips released
+        # subscriptions, and one a handler releases mid-fanout.
+        for subscription in tuple(self._subscriptions.get(channel, ())):
             if not subscription.active:
                 continue
             subscription.delivery_count += 1
@@ -223,21 +208,12 @@ class Broker:
     # ------------------------------------------------------------------
     # Introspection (what sensors use to duty-cycle)
     # ------------------------------------------------------------------
-    def _active_subs(self, channel: str) -> List[Subscription]:
-        """The index entry for ``channel``, built on first use."""
-        subs = self._active_index.get(channel)
-        if subs is None:
-            subs = self._active_index[sys.intern(channel)] = [
-                s for s in self._subscriptions.get(channel, ()) if s.active
-            ]
-        return subs
-
     def subscriptions(self, channel: str) -> List[Subscription]:
         """The channel's active subscriptions."""
-        return list(self._active_subs(channel))
+        return [s for s in self._subscriptions.get(channel, ()) if s.active]
 
     def has_subscribers(self, channel: str) -> bool:
-        return bool(self._active_subs(channel))
+        return any(s.active for s in self._subscriptions.get(channel, ()))
 
     def channels(self) -> List[str]:
         return sorted(self._subscriptions)
@@ -261,10 +237,6 @@ class Broker:
             self._global_watchers.remove(listener)
 
     def _notify(self, channel: str, subscription: Subscription, change: str) -> None:
-        # Every change kind (add/release/renew/remove) can alter the
-        # active set, so drop the channel's index entry before listeners
-        # run — a listener may publish and rebuild it immediately.
-        self._active_index.pop(channel, None)
         for listener in list(self._channel_watchers.get(channel, [])):
             listener(channel, subscription, change)
         for listener in list(self._global_watchers):

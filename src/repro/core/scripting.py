@@ -126,6 +126,15 @@ REFUSED_ATTRIBUTES = frozenset((
     "format", "format_map",
 ))
 
+#: A set iterates in the order of its members' hashes, and the host
+#: salts string hashes per interpreter (``PYTHONHASHSEED``): a script
+#: that iterated one would not replay on another host.  So a script
+#: builds none — no display, no comprehension, no ``set``/``frozenset``
+#: — and keeps members as the keys of a dict, which iterate in
+#: insertion order, as a JavaScript object's keys do.
+REFUSED_SETS = (ast.Set, ast.SetComp)
+REFUSED_NAMES = frozenset(("set", "frozenset"))
+
 
 @functools.lru_cache(maxsize=64)
 def compile_script(source: str, name: str) -> types.CodeType:
@@ -138,7 +147,8 @@ def compile_script(source: str, name: str) -> types.CodeType:
     :data:`~repro.core.api.RESERVED_PREFIX` is rejected here, where it
     enters; so is one that reads or writes an attribute whose name
     starts with ``_`` or is in :data:`REFUSED_ATTRIBUTES`, the ways out
-    to the host's classes, functions and frames.  Inserted nodes take
+    to the host's classes, functions and frames, and one that builds a
+    set (:data:`REFUSED_SETS`, :data:`REFUSED_NAMES`).  Inserted nodes take
     their parent's position: tracebacks keep the script's own line
     numbers.  Memoised: a fleet of hosts running one script parses,
     meters and compiles it once.
@@ -161,6 +171,13 @@ def compile_script(source: str, name: str) -> types.CodeType:
             raise ScriptError(
                 f"script {name!r} line {node.lineno}: "
                 f"attribute {node.attr!r} is refused by the sandbox"
+            )
+        if isinstance(node, REFUSED_SETS) or (
+            isinstance(node, ast.Name) and node.id in REFUSED_NAMES
+        ):
+            raise ScriptError(
+                f"script {name!r} line {node.lineno}: "
+                f"sets are refused by the sandbox (use a dict's keys)"
             )
         if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
             node.body[:0] = _charge()

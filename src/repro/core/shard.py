@@ -241,7 +241,7 @@ class Shard:
         self.seed = spec.seed
         self.kernel = Kernel()
         if not spec.spans:
-            # Kill switch: lifecycle tracing off, hop handles become no-ops.
+            # Kill switch: lifecycle tracing off, no call site records.
             self.kernel.spans.disable()
         if not spec.metrics:
             # Production-shape hot path: counters/histograms become no-ops.

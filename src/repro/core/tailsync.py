@@ -104,20 +104,18 @@ class TransmissionPolicy:
     ``phone`` and the ``scheduler``.
     """
 
-    __slots__ = ("_controller", "_flushes", "_decision")
+    __slots__ = ("_controller", "_decision")
 
     name = "base"
 
     def __init__(self) -> None:
         self._controller = None
-        self._flushes = None
         #: The ``tailsync.decision`` hop, bound at the first traced flush
         #: so that an untraced run never registers its histogram.
         self._decision = None
 
     def bind(self, controller) -> None:
         self._controller = controller
-        self._flushes = controller.kernel.metrics.family("tailsync.flush.")
 
     # Lifecycle -----------------------------------------------------------
     def start(self) -> None:  # pragma: no cover - overridden
@@ -139,8 +137,8 @@ class TransmissionPolicy:
     def _flush(self, reason: str) -> None:
         if self._controller is None:
             return
-        self._flushes[reason].inc()
         kernel = self._controller.kernel
+        kernel.metrics.counter("tailsync.flush." + reason).inc()
         spans = kernel.spans
         if spans.enabled:
             # The decision span captures *why* the buffer moved now and

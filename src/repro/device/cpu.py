@@ -68,8 +68,9 @@ class Alarm:
         handle = self._handle
         if handle is not None and handle.fired and not handle.cancelled:
             # Recycle the fired handle's storage instead of allocating a
-            # fresh event per tick; the sequence number is consumed at
-            # the same point, so same-instant FIFO order is unchanged.
+            # fresh event per tick.  Same-instant FIFO order is unchanged:
+            # re-armed, the handle is appended to its instant's list here,
+            # where a fresh one would have been.
             self._cpu._kernel.rearm(handle, delay)
         else:
             self._handle = self._cpu._kernel.schedule(delay, self._fire)

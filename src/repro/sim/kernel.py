@@ -31,9 +31,6 @@ Hot-path design (the fleet-scale requirements):
 * ``pending_events`` is O(1) and ``next_event_time`` is a heap peek
   (plus dropping the tombstones at the head of the queue).
 * ``run`` and ``run_until`` share one tight loop over local bindings.
-  An instant whose list holds a single handle runs without an iterator,
-  and a repeating timer alone at its instant carries that list on to its
-  next instant, so a lone timer allocates nothing per tick.
 * Every callback runs inside :func:`repro.sim.hostgc.dispatching`: the
   host's cyclic collector is paused until the call returns.
 
@@ -209,14 +206,7 @@ class Kernel:
             raise SimulationError(f"negative delay: {delay!r}")
         time = self._now + delay
         handle = EventHandle(time, callback, args, self)
-        # _enqueue, inlined: the simulator's most frequent call.
-        bucket = self._instants.get(time)
-        if bucket is None:
-            self._instants[time] = [handle]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(handle)
-        self._live += 1
+        self._enqueue(handle, time)
         return handle
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
@@ -272,14 +262,7 @@ class Kernel:
         time = self._now + delay
         handle.time = time
         handle.fired = False
-        # _enqueue, inlined: the CPU's sleep check re-arms every cycle.
-        bucket = self._instants.get(time)
-        if bucket is None:
-            self._instants[time] = [handle]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(handle)
-        self._live += 1
+        self._enqueue(handle, time)
         return handle
 
     def _enqueue(self, handle: EventHandle, time: float) -> None:
@@ -379,7 +362,7 @@ class Kernel:
         times = self._times
         instants = self._instants
         pop = heapq.heappop
-        push = heapq.heappush
+        enqueue = self._enqueue
         with dispatching():
             # A re-entrant run (from a callback) first puts back what the
             # outer run had left of its instant, so it runs in heap order.
@@ -387,49 +370,20 @@ class Kernel:
             try:
                 while times and times[0] <= horizon and executed != limit:
                     time = pop(times)
-                    batch = instants.pop(time)
-                    if len(batch) == 1:
-                        handle = batch[0]
+                    self._rest = rest = iter(instants.pop(time))
+                    for handle in rest:
                         if handle.cancelled:
                             self._tombstones -= 1
                             continue
                         # The clock moves only for an event that runs.
                         self._now = time
+                        self._live -= 1
                         interval = handle.interval
                         if interval is None:
                             handle.fired = True
-                            self._live -= 1
                         else:
                             at = handle.time = time + interval
-                            bucket = instants.get(at)
-                            if bucket is None:
-                                # Alone at its instant: carry the list on.
-                                instants[at] = batch
-                                push(times, at)
-                            else:
-                                bucket.append(handle)
-                        self.events_executed += 1
-                        executed += 1
-                        handle.callback(*handle.args)
-                        continue
-                    self._rest = rest = iter(batch)
-                    for handle in rest:
-                        if handle.cancelled:
-                            self._tombstones -= 1
-                            continue
-                        self._now = time
-                        interval = handle.interval
-                        if interval is None:
-                            handle.fired = True
-                            self._live -= 1
-                        else:
-                            at = handle.time = time + interval
-                            bucket = instants.get(at)
-                            if bucket is None:
-                                instants[at] = [handle]
-                                push(times, at)
-                            else:
-                                bucket.append(handle)
+                            enqueue(handle, at)
                         self.events_executed += 1
                         executed += 1
                         handle.callback(*handle.args)

@@ -101,20 +101,6 @@ class NullHistogram(Histogram):
         return None
 
 
-class CounterFamily(dict):
-    """The registry's counters named ``prefix + key``, by key, each made
-    on its first use (:meth:`MetricsRegistry.family`)."""
-
-    def __init__(self, registry: "MetricsRegistry", prefix: str) -> None:
-        super().__init__()
-        self.registry = registry
-        self.prefix = prefix
-
-    def __missing__(self, key: str) -> Counter:
-        counter = self[key] = self.registry.counter(self.prefix + key)
-        return counter
-
-
 class MetricsRegistry:
     """Create-or-get registry of counters and histograms, plus the
     components whose own attributes it reads."""
@@ -122,7 +108,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self.enabled = True
         self._counters: Dict[str, Counter] = {}
-        self._families: Dict[str, CounterFamily] = {}
         self._histograms: Dict[str, Histogram] = {}
         #: Attached components by class, in attach order.
         self._components: Dict[type, List[Any]] = {}
@@ -148,19 +133,6 @@ class MetricsRegistry:
             cls = Counter if self.enabled else NullCounter
             counter = self._counters[name] = cls(name)
         return counter
-
-    def family(self, prefix: str) -> CounterFamily:
-        """The counters under ``prefix``, keyed by the rest of the name.
-
-        For a count kept by a runtime key (a flush reason): a component
-        binds the family once and indexes it, so no name is formatted
-        or looked up on its hot path, and a key's counter still appears
-        only once it has been used.
-        """
-        family = self._families.get(prefix)
-        if family is None:
-            family = self._families[prefix] = CounterFamily(self, prefix)
-        return family
 
     def histogram(self, name: str) -> Histogram:
         histogram = self._histograms.get(name)

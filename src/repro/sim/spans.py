@@ -170,8 +170,8 @@ class HopHandle:
     Components grab their handles once at construction
     (``kernel.spans.hop("buffer.dwell")``) so the per-message path is a
     counter bump, a ring append and one histogram observation — no name
-    lookups, no branching on configuration: a disabled recorder's
-    handles are all :class:`NullHopHandle`.
+    lookups.  The caller checks ``SpanRecorder.enabled`` first: a
+    disabled recorder records nothing.
     """
 
     __slots__ = ("_recorder", "name", "histogram")
@@ -205,30 +205,6 @@ class HopHandle:
         )
         self.histogram.observe(end_ms - start_ms)
         return span_id
-
-
-class NullHopHandle(HopHandle):
-    """The disabled hop handle: ``record`` is a bare ``return 0``.
-
-    ``disable()`` retargets every live handle to this class (the slot
-    layout is identical, so ``__class__`` assignment is legal), which
-    makes the disabled path a single method dispatch — no attribute
-    chain, no flag branch — without invalidating the handles components
-    pre-bound at construction.
-    """
-
-    __slots__ = ()
-
-    def record(
-        self,
-        trace_id: int,
-        parent_id: int,
-        start_ms: float,
-        end_ms: float,
-        keys: Tuple[Any, ...] = (),
-        *values: Any,
-    ) -> int:
-        return 0
 
 
 class SpanRecorder:
@@ -272,10 +248,12 @@ class SpanRecorder:
     # Configuration
     # ------------------------------------------------------------------
     def disable(self) -> None:
-        """Kill switch: every hop handle becomes a true no-op."""
+        """Kill switch: nothing is recorded from here on.
+
+        Every call site of :meth:`HopHandle.record` checks ``enabled``
+        first, so a disabled recorder's handles are never called.
+        """
         self.enabled = False
-        for handle in self._hops.values():
-            handle.__class__ = NullHopHandle
 
     @property
     def dropped(self) -> int:
@@ -295,8 +273,7 @@ class SpanRecorder:
         handle = self._hops.get(name)
         if handle is None:
             histogram = self._metrics.histogram(f"hop.{name}")
-            cls = HopHandle if self.enabled else NullHopHandle
-            handle = self._hops[name] = cls(self, name, histogram)
+            handle = self._hops[name] = HopHandle(self, name, histogram)
         return handle
 
     def tag(self, envelope) -> int:

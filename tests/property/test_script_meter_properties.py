@@ -133,7 +133,7 @@ def leaf(draw, depth, in_loop):
     if kind == "genexp":
         return [f"out.append(sum(x + len(out) for x in range({a})))"]
     if kind == "dictcomp":
-        return [f"out.append({{x: {{y for y in range(x)}} for x in range({a})}})"]
+        return [f"out.append({{x: {{y: x for y in range(x)}} for x in range({a})}})"]
     if kind == "lambda":
         return [f"out.append(list(map(lambda x: (lambda y: x + y)({b}), range({a}))))"]
     return [f"if len(out) % {m} == {a % m}:", f"    {kind}"]
@@ -220,6 +220,6 @@ def test_generated_scripts_reach_every_template():
 
     collect()
     assert {
-        "For", "While", "FunctionDef", "Lambda", "ListComp", "SetComp", "DictComp",
+        "For", "While", "FunctionDef", "Lambda", "ListComp", "DictComp",
         "GeneratorExp", "Try", "Break", "Continue",
     } <= seen

@@ -35,23 +35,6 @@ def test_registry_create_or_get():
     assert registry.histogram("h") is registry.histogram("h")
 
 
-def test_a_family_makes_each_counter_on_first_use():
-    registry = MetricsRegistry()
-    family = registry.family("tailsync.flush.")
-    assert registry.family("tailsync.flush.") is family
-    assert registry.snapshot() == {}  # binding the family names nothing
-    family["tail-sync"].inc()
-    family["tail-sync"].inc()
-    assert family["tail-sync"] is registry.counter("tailsync.flush.tail-sync")
-    assert registry.snapshot() == {"tailsync.flush.tail-sync": 2}
-    registry.disable()
-    family["tail-sync"].inc()
-    family["connected"].inc()  # born disabled, like any later counter
-    assert registry.snapshot() == {
-        "tailsync.flush.connected": 0, "tailsync.flush.tail-sync": 2,
-    }
-
-
 class _Component:
     METRICS = {"a.count": "count", "a.level": "level"}
 

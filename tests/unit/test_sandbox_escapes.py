@@ -4,12 +4,17 @@ An escape corpus: each probe is a way a deployed script reached the host
 (its classes, the API's bound methods and module globals, the host's
 stack frames), or a lookup hidden inside a format string.
 ``compile_script`` must refuse each one before any of it runs, naming the
-attribute and the script line it is on.  Then every script the
-repository ships — each ``repro.apps`` builder, the AnonyTL compiler's
+attribute and the script line it is on.  A set is refused the same way:
+it iterates in the order of the host's salted string hashes, so a script
+that iterated one would log other bytes on another host.  Then every
+script the repository ships — each ``repro.apps`` builder, the AnonyTL compiler's
 output, and the scripts the examples deploy — must still load.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +68,67 @@ PROBES = [
 def test_each_escape_is_refused_at_load_with_its_line(probe, attribute, line):
     with pytest.raises(ScriptError, match=rf"line {line}: attribute '{attribute}' is refused"):
         compile_script(PREAMBLE + probe, "probe")
+
+
+#: (probe, the line it is on): each builds a set.
+SET_PROBES = [
+    ("words = {'a', 'b'}", 3),
+    ("sizes = {len(w) for w in ['a', 'bb']}", 3),
+    ("words = set()", 3),
+    ("words = frozenset(['a'])", 3),
+    # A comprehension nested in another, as the meter's property test
+    # generated it before sets went.
+    ("nested = {x: {y for y in range(x)} for x in range(3)}", 3),
+    ("def f(items):\n    return set(items)\n", 4),
+]
+
+
+@pytest.mark.parametrize("probe, line", SET_PROBES)
+def test_each_set_is_refused_at_load_with_its_line(probe, line):
+    with pytest.raises(ScriptError, match=rf"line {line}: sets are refused"):
+        compile_script(PREAMBLE + probe, "probe")
+
+
+#: A script that keeps strings as a dict's keys and iterates them, run
+#: in a collector context; prints what it logged.
+HASH_SEED_RUN = '''
+from repro.core.multibroker import CollectorContext
+from repro.core.node import CollectorNode
+from repro.core.scripting import ScriptHost
+from repro.net.xmpp import XmppServer
+from repro.sim import Kernel
+
+SOURCE = """
+seen = {}
+for word in 'the quick brown fox jumps over the lazy dog again'.split():
+    seen[word] = seen.get(word, 0) + 1
+for word in seen:
+    log(word, seen[word])
+log(json(seen), ','.join(seen.keys()), repr(list(seen.items())))
+"""
+kernel = Kernel()
+node = CollectorNode(kernel, XmppServer(kernel), "pc@x")
+host = ScriptHost(CollectorContext(node, "exp"), "words", SOURCE)
+host.load()
+kernel.run_until(10.0)
+assert not host.errors, host.errors
+print(host.logs)
+'''
+
+
+def test_a_dict_of_strings_logs_the_same_bytes_under_any_hash_seed():
+    root = Path(__file__).resolve().parents[2]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    logs = {}
+    for hash_seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_RUN], cwd=root, capture_output=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        logs[hash_seed] = done.stdout
+    assert logs["0"] == logs["1"]
+    assert logs["0"].startswith(b"{'default': ['the 2', 'quick 1', 'brown 1'")
 
 
 def test_what_scripts_keep_still_compiles():

@@ -79,9 +79,8 @@ class TestSpanRecorder:
 
     def test_kill_switch(self):
         recorder = SpanRecorder(MetricsRegistry(), clock=lambda: 0.0)
-        hop = recorder.hop("publish")
+        recorder.hop("publish")
         recorder.disable()
-        assert hop.record(1, 0, 0.0, 0.0) == 0
         assert recorder.tag(Envelope.wrap({"a": 1})) == 0
         assert len(recorder) == 0
         assert recorder.recorded == 0
@@ -385,27 +384,9 @@ def test_two_spans_from_one_call_site_share_one_key_tuple():
     assert not shared, shared
 
 
-def test_disable_swaps_hop_handles_to_noops():
-    from repro.sim.spans import NullHopHandle, SpanRecorder
-
-    recorder = SpanRecorder(MetricsRegistry(), clock=lambda: 0.0)
-    hop = recorder.hop("transport.send")
-    span = hop.record(1, 0, 0.0, 1.0)
-    assert span != 0
-    recorder.disable()
-    # Pre-bound handles become the no-op class: record returns 0 with no
-    # attribute-chain branching.
-    assert type(hop) is NullHopHandle
-    assert hop.record(1, 0, 0.0, 1.0) == 0
-    # Hops created while disabled are born as no-ops.
-    late = recorder.hop("late.hop")
-    assert type(late) is NullHopHandle
-
-
 def test_middleware_kill_switches_disable_both_planes():
     from repro.core.shard import Shard, ShardSpec
     from repro.sim.metrics import NullCounter
-    from repro.sim.spans import NullHopHandle
 
     sim = Shard(ShardSpec(shard_id="sim", seed=1, spans=False, metrics=False))
     device = sim.add_device()
@@ -414,11 +395,83 @@ def test_middleware_kill_switches_disable_both_planes():
     assert not sim.kernel.spans.enabled
     assert not sim.kernel.metrics.enabled
     assert sim.kernel.spans.recorded == 0
-    # Every pre-bound counter and hop handle is the no-op class.
+    # Every pre-bound counter is the no-op class.
     assert all(
         type(c) is NullCounter for c in sim.kernel.metrics._counters.values()
     )
-    assert all(
-        type(h) is NullHopHandle for h in sim.kernel.spans._hops.values()
-    )
     assert device.phone.energy_joules > 0  # the simulation itself ran
+
+
+#: A collector that publishes to its device once, and a device script
+#: that spins on it until the watchdog stops it: the two hop kinds the
+#: chaos campaign and the scenario do not reach.
+_SPIN = "def spin(message):\n    while True:\n        pass\nsubscribe('cmd', spin)\n"
+_COMMAND = "setTimeout(lambda: publish('cmd', {'go': 1}), 120000)\n"
+
+
+def _hop_counts_and_spans():
+    """Every ``hop.*`` count and ``spans.recorded``, summed over a small
+    chaos ``mixed`` campaign, a scenario shard and the spin shard."""
+    from repro.chaos import run_scenario
+    from repro.core.deployment import Experiment
+    from repro.core.shard import DeviceSpec, Shard, ShardSpec
+    from repro.fleet import run_fleet
+    from repro.scenarios.presets import build_preset
+    from repro.sim.kernel import HOUR
+
+    artifacts = {}
+    run_scenario("mixed", seed=5, devices=6, minutes=8.0, artifacts=artifacts)
+    snapshots = [artifacts["sim"].kernel.metrics.snapshot()]
+    scenario = build_preset("stadium-evening", scale=0.05)
+    snapshots.append(run_fleet(
+        scenario.compile(), 1, duration_ms=scenario.hours * HOUR,
+        workload="scenario", workload_ctx={"scenario": scenario}, processes=False,
+    ).metrics)
+    shard = Shard(ShardSpec(seed=3, collectors=("lab",), devices=(DeviceSpec(),)))
+    collector = shard.collectors["lab@pogo"]
+    shard.start()
+    shard.assign(collector, list(shard.devices.values()))
+    collector.node.deploy(
+        Experiment("spin", device_scripts={"spin": _SPIN}, collector_scripts={"go": _COMMAND}),
+        sorted(shard.devices),
+    )
+    shard.run(minutes=5)
+    snapshots.append(shard.kernel.metrics.snapshot())
+    counts = {}
+    for snapshot in snapshots:
+        for name, value in snapshot.items():
+            if name.startswith("hop.") or name == "spans.recorded":
+                counts[name] = counts.get(name, 0) + (
+                    value["count"] if isinstance(value, dict) else value
+                )
+    return counts
+
+
+#: Every hop kind a call site in the package records.
+ALL_HOPS = {
+    "broker.fanout", "buffer.dwell", "buffer.enqueue", "chaos.impair",
+    "deliver.collector", "deliver.device", "node.flush", "publish",
+    "scheduler.task", "script.call", "script.watchdog",
+    "tailsync.decision", "transport.send", "xmpp.route",
+}
+
+
+def test_an_untraced_run_reaches_no_recorder_at_any_call_site(monkeypatch):
+    # A disabled recorder's handles are the live class: each call site
+    # checks ``spans.enabled`` before it records.  Traced, these runs
+    # reach every hop kind; untraced, with metrics still on, no span is
+    # recorded and no hop histogram observes anything.
+    from repro.sim.kernel import Kernel
+
+    traced = _hop_counts_and_spans()
+    assert {name[4:] for name, count in traced.items() if name[:4] == "hop." and count} == ALL_HOPS
+    original = Kernel.__init__
+
+    def untraced(self):
+        original(self)
+        self.spans.disable()
+
+    monkeypatch.setattr(Kernel, "__init__", untraced)
+    counts = _hop_counts_and_spans()
+    assert counts.pop("spans.recorded") == 0
+    assert counts and not any(counts.values()), counts
