@@ -1,7 +1,7 @@
 """Export: get simulation data out of the process.
 
-:func:`write_text` is the one write path the CLI's ``--output`` /
-``--telemetry`` / ``--report`` flags share; :func:`spans_to_jsonl` and
+:func:`write_text` is the one write path the CLI's ``--telemetry`` /
+``--prom`` flags share; :func:`spans_to_jsonl` and
 :func:`spans_from_jsonl` write and read the span trace's JSON Lines form
 (the ASCII renderer, :mod:`repro.analysis.plotting`, covers quick looks).
 No dependency beyond the standard library.
@@ -12,28 +12,12 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, TextIO, Union
 
 
-def write_text(target: Union[str, TextIO, None], text: str) -> Optional[str]:
-    """The one write path every exporter shares.
-
-    ``target`` may be a path (written atomically-enough: open, write,
-    close), an open file, ``-`` / ``None`` for stdout.  Returns the text
-    so callers can chain.  Centralising this keeps ``--output`` /
-    ``--telemetry`` / ``--report`` flags behaving identically across
-    subcommands.
-    """
-    import sys
-
-    if target is None or target == "-":
-        sys.stdout.write(text)
-        if text and not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return text
-    if isinstance(target, str):
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        return text
-    target.write(text)
-    return text
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to the file at ``path``: the one write path the
+    CLI's side artifacts (``--telemetry``, ``--prom``) share.  A run's
+    report goes to stdout; ``--json`` prints its canonical bytes."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def spans_to_jsonl(spans: Iterable, target: Union[str, TextIO, None] = None) -> Optional[str]:

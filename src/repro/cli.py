@@ -9,11 +9,11 @@ table3           Table 3: hourly energy per carrier, with/without Pogo
 table4           Table 4: the full deployment study (slow; supports --scale)
 anonytl          parse/compile/run an AnonyTL task file (Listing 1 format)
 power-report     per-script joules, measured by leaving each script out
-metrics          kernel metrics plane report after a simulated run
-trace            message lifecycle tracing: per-hop latency, span tree,
-                 per-message energy attribution (supports --json/--export)
+trace            message lifecycle tracing: the metrics plane (per-hop
+                 latency included), span tree, per-message energy
+                 attribution (supports --json/--export)
 chaos            deterministic fault injection + invariant verdict
-                 (scenario presets, --report JSON, --inject-bug canary)
+                 (scenario presets, --inject-bug canary)
 scenarios        generative city-scale workload presets (commuter surge,
                  stadium crowds, contact tracing, noise-map campaigns);
                  runs solo or sharded under the invariant monitor and
@@ -22,12 +22,12 @@ fleet            one simulation partitioned across shard worker
                  processes; the merged report is byte-identical to the
                  single-shard run (--shards 1 is that run); --telemetry
                  exports the per-barrier time-series, --prom a
-                 Prometheus snapshot, --live a progress view
-top              live fleet progress: sim-time, events/s, per-shard lag
-                 bars and handoff backlog refreshed at every barrier,
-                 with a health verdict at the end
+                 Prometheus snapshot, --live a progress view on stderr
+                 (sim-time, events/s, per-shard lag bars, handoff
+                 backlog) and the health verdict in the report
 
-Every command accepts ``--seed`` and prints a deterministic report.
+Every command accepts ``--seed`` and prints a deterministic report on
+stdout; ``--json`` prints a run's canonical JSON bytes instead of text.
 """
 
 from __future__ import annotations
@@ -62,29 +62,16 @@ def _build_parser() -> argparse.ArgumentParser:
     power = sub.add_parser("power-report", help="per-script joules, measured")
     power.add_argument("--hours", type=float, default=6.0)
 
-    metrics = sub.add_parser("metrics", help="kernel metrics plane report")
-    metrics.add_argument("--devices", type=int, default=3)
-    metrics.add_argument("--hours", type=float, default=1.0)
-    metrics.add_argument("--all", action="store_true",
-                         help="include zero-valued counters")
-    metrics.add_argument("--json", action="store_true",
-                         help="machine-readable snapshot instead of text")
-    metrics.add_argument("--output", metavar="FILE",
-                         help="write the report to FILE instead of stdout "
-                              "('-' keeps stdout)")
-
     trace = sub.add_parser(
         "trace", help="message lifecycle tracing: per-hop latency & energy"
     )
     trace.add_argument("--devices", type=int, default=50)
     trace.add_argument("--hours", type=float, default=1.0)
     trace.add_argument("--json", action="store_true",
-                       help="machine-readable summary instead of text")
+                       help="machine-readable summary, with the full "
+                            "metrics snapshot, instead of text")
     trace.add_argument("--export", metavar="PATH",
                        help="write the flight recorder's spans as JSONL")
-    trace.add_argument("--output", metavar="FILE",
-                       help="write the report to FILE instead of stdout "
-                            "('-' keeps stdout)")
 
     chaos = sub.add_parser(
         "chaos", help="deterministic fault injection + invariant verdict"
@@ -96,8 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--minutes", type=float, default=None,
                        help="fault-window length (default: per scenario)")
     chaos.add_argument("--devices", type=int, default=3)
-    chaos.add_argument("--report", metavar="PATH",
-                       help="write the full report as canonical JSON")
     chaos.add_argument("--json", action="store_true",
                        help="print the canonical JSON report instead of text")
     chaos.add_argument("--inject-bug", choices=list(_chaos.BUGS), default=None,
@@ -120,8 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--in-process", action="store_true",
                            help="run every shard in this process (no worker "
                                 "processes; byte-identical results)")
-    scenarios.add_argument("--report", metavar="PATH",
-                           help="write the canonical report JSON to PATH")
     scenarios.add_argument("--json", action="store_true",
                            help="print the canonical JSON report instead of "
                                 "text")
@@ -135,9 +118,29 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet = sub.add_parser(
         "fleet", help="partitioned multiprocess run with a merged report"
     )
-    _add_fleet_args(fleet)
-    fleet.add_argument("--report", metavar="PATH",
-                       help="write the merged fleet report as canonical JSON")
+    fleet.add_argument("--devices", type=int, default=500,
+                       help="fleet size (default 500)")
+    fleet.add_argument("--shards", type=int, default=4,
+                       help="shard count (default 4; shard 0 runs in "
+                            "this process, the rest in worker processes; "
+                            "1 = the reference single-shard run)")
+    fleet.add_argument("--hours", type=float, default=1.0,
+                       help="simulated hours (default 1.0)")
+    fleet.add_argument("--epoch-ms", type=float, default=None,
+                       help="barrier window length; must not exceed the "
+                            "minimum cross-shard latency (the default)")
+    fleet.add_argument("--latency-ms", type=float, default=80.0,
+                       help="switchboard base stanza latency (default 80; "
+                            "simulated physics — changing it changes the "
+                            "schedule itself, identically for solo and "
+                            "sharded runs; must be > 0)")
+    fleet.add_argument("--in-process", action="store_true",
+                       help="run every shard in this process behind the "
+                            "same barrier protocol (no worker processes; "
+                            "byte-identical results)")
+    fleet.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                       help="experiment seed (also accepted before the "
+                            "subcommand)")
     fleet.add_argument("--json", action="store_true",
                        help="print the merged report JSON instead of text")
     fleet.add_argument("--telemetry", metavar="FILE",
@@ -148,44 +151,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write a Prometheus text-exposition snapshot of "
                             "the final barrier (implies telemetry)")
     fleet.add_argument("--live", action="store_true",
-                       help="show the repro-top live progress view on "
-                            "stderr while the fleet runs")
-
-    top = sub.add_parser(
-        "top", help="live fleet progress view (refreshed at each barrier)"
-    )
-    _add_fleet_args(top)
-    # ``top`` is ``fleet --live`` with no telemetry export.
-    top.set_defaults(live=True, telemetry=None, prom=None)
+                       help="show a live progress view on stderr while "
+                            "the fleet runs (the report gains the health "
+                            "verdict)")
 
     return parser
-
-
-def _add_fleet_args(parser) -> None:
-    """The fleet shape and physics, shared by ``fleet`` and ``top``."""
-    parser.add_argument("--devices", type=int, default=500,
-                        help="fleet size (default 500)")
-    parser.add_argument("--shards", type=int, default=4,
-                        help="shard count (default 4; shard 0 runs in "
-                             "this process, the rest in worker processes; "
-                             "1 = the reference single-shard run)")
-    parser.add_argument("--hours", type=float, default=1.0,
-                        help="simulated hours (default 1.0)")
-    parser.add_argument("--epoch-ms", type=float, default=None,
-                        help="barrier window length; must not exceed the "
-                             "minimum cross-shard latency (the default)")
-    parser.add_argument("--latency-ms", type=float, default=80.0,
-                        help="switchboard base stanza latency (default 80; "
-                             "simulated physics — changing it changes the "
-                             "schedule itself, identically for solo and "
-                             "sharded runs; must be > 0)")
-    parser.add_argument("--in-process", action="store_true",
-                        help="run every shard in this process behind the "
-                             "same barrier protocol (no worker processes; "
-                             "byte-identical results)")
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="experiment seed (also accepted before the "
-                             "subcommand)")
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +163,10 @@ def _add_fleet_args(parser) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_battery_fleet(args, record_radio: bool):
+def _run_battery_fleet(args):
     """Table 3's fleet — one collector, ``args.devices`` phones running
     the e-mail app, the battery monitor deployed to all of them — run for
-    ``args.hours``.  With ``record_radio`` each phone's modem gets a
+    ``args.hours``.  Each phone's modem gets a
     :class:`~repro.analysis.energy.ModemStateLog` before the fleet starts.
     Returns ``(sim, devices, records)``."""
     from .analysis.energy import ModemStateLog
@@ -207,9 +177,7 @@ def _run_battery_fleet(args, record_radio: bool):
     collector = sim.add_collector("cli")
     devices = [sim.add_device(with_email_app=True) for _ in range(args.devices)]
     records = [
-        ModemStateLog(sim.kernel, d.phone.modem, d.phone.rail)
-        for d in devices
-        if record_radio
+        ModemStateLog(sim.kernel, d.phone.modem, d.phone.rail) for d in devices
     ]
     sim.start()
     sim.assign(collector, devices)
@@ -317,26 +285,6 @@ def cmd_power_report(args) -> int:
     return 0
 
 
-def cmd_metrics(args) -> int:
-    from .analysis.export import write_text
-    from .sim.metrics import render_report
-
-    sim, _, _ = _run_battery_fleet(args, record_radio=False)
-    metrics = sim.kernel.metrics
-    values = metrics.snapshot() if args.all else metrics.nonzero()
-    if args.json:
-        import json
-
-        text = json.dumps(values, indent=2, sort_keys=True) + "\n"
-    else:
-        text = (
-            f"metrics after {args.hours} h with {args.devices} device(s) "
-            f"(seed {args.seed}):\n" + render_report(values) + "\n"
-        )
-    write_text(args.output, text)
-    return 0
-
-
 def cmd_trace(args) -> int:
     """A seeded fleet run viewed through the message lifecycle tracer."""
     import json
@@ -344,13 +292,9 @@ def cmd_trace(args) -> int:
     from .sim.metrics import render_report
     from .sim.spans import render_span_tree
 
-    sim, devices, records = _run_battery_fleet(args, record_radio=True)
+    sim, devices, records = _run_battery_fleet(args)
     spans = sim.kernel.spans
-    # Hop latencies are the registry's ``hop.*`` histograms.
-    hops = {
-        name: value for name, value in sim.kernel.metrics.nonzero().items()
-        if name.startswith("hop.")
-    }
+    metrics = sim.kernel.metrics
 
     # Fleet-wide radio episodes: who woke each modem (Figure 4's claim is
     # that Pogo wakes it for none of them) and the rail's modem joules.
@@ -362,15 +306,13 @@ def cmd_trace(args) -> int:
             active += episode.joules
     total = sum(d.phone.rail.energy_of(d.phone.modem.name) for d in devices)
 
-    from .analysis.export import write_text
-
     if args.export:
         from .analysis.export import spans_to_jsonl
 
         spans_to_jsonl(spans, args.export)
 
     if args.json:
-        text = json.dumps(
+        print(json.dumps(
             {
                 "devices": args.devices,
                 "hours": args.hours,
@@ -380,7 +322,7 @@ def cmd_trace(args) -> int:
                     "in_ring": len(spans),
                     "dropped": spans.dropped,
                 },
-                "hops": hops,
+                "metrics": metrics.snapshot(),
                 "energy": {
                     "active_j": round(active, 6),
                     "episodes": episodes,
@@ -390,8 +332,7 @@ def cmd_trace(args) -> int:
             },
             indent=2,
             sort_keys=True,
-        ) + "\n"
-        write_text(args.output, text)
+        ))
         return 0
 
     lines = [
@@ -399,8 +340,8 @@ def cmd_trace(args) -> int:
         f"{spans.recorded:,} spans recorded, {len(spans):,} in flight recorder, "
         f"{spans.dropped:,} dropped",
         "",
-        "per-hop latency:",
-        render_report(hops),
+        "metrics (nonzero; hop.* are per-hop latencies):",
+        render_report(metrics.nonzero()),
     ]
 
     # One complete lifecycle, as a causal tree: pick the last message that
@@ -419,7 +360,7 @@ def cmd_trace(args) -> int:
         f"  idle baseline           {total - active:>12.2f} J",
         f"  modem total             {total:>12.2f} J",
     ])
-    write_text(args.output, "\n".join(lines) + "\n")
+    print("\n".join(lines))
     return 0
 
 
@@ -443,10 +384,6 @@ def cmd_chaos(args) -> int:
         devices=args.devices,
         inject_bug=args.inject_bug,
     )
-    if args.report:
-        from .analysis.export import write_text
-
-        write_text(args.report, _chaos.report_json(report))
     if args.json:
         print(_chaos.report_json(report), end="")
     else:
@@ -493,14 +430,11 @@ def cmd_scenarios(args) -> int:
     )
     if result is None:
         return 1
-    from .analysis.export import write_text
-
     if args.telemetry:
+        from .analysis.export import write_text
         from .obs.timeline import timeline_to_jsonl
 
         write_text(args.telemetry, timeline_to_jsonl(result.fleet.timeline))
-    if args.report:
-        write_text(args.report, result.report_json)
     if args.json:
         print(result.report_json, end="")
     else:
@@ -510,8 +444,6 @@ def cmd_scenarios(args) -> int:
             print(evicted)
         if args.telemetry:
             print(f"  telemetry timeline -> {args.telemetry}")
-        if args.report:
-            print(f"  canonical report -> {args.report}")
     return 1 if result.report["invariants"]["violation_count"] else 0
 
 
@@ -566,8 +498,6 @@ def _evicted_line(metrics) -> Optional[str]:
 
 
 def cmd_fleet(args) -> int:
-    """``fleet``, and ``top``: the same run with the live view on and
-    only the health verdict printed."""
     from .fleet import fleet_spec, run_fleet
     from .sim.kernel import HOUR
 
@@ -595,16 +525,6 @@ def cmd_fleet(args) -> int:
     )
     if result is None:
         return 1
-    if args.command == "top":
-        from .obs.timeline import render_health
-
-        print(
-            f"{result.devices} devices / {result.shards} shard(s): "
-            f"{result.events:,} events, {result.barriers:,} barriers, "
-            f"{result.handoffs:,} handoffs in {result.wall_s:.2f} s wall"
-        )
-        print(render_health(result.health))
-        return 0
     from .analysis.export import write_text
 
     if args.telemetry:
@@ -615,8 +535,6 @@ def cmd_fleet(args) -> int:
         from .obs.prometheus import timeline_to_prometheus
 
         write_text(args.prom, timeline_to_prometheus(result.timeline))
-    if args.report:
-        write_text(args.report, result.report_json)
     if args.json:
         print(result.report_json, end="")
         return 0
@@ -662,8 +580,6 @@ def cmd_fleet(args) -> int:
         print(f"  telemetry timeline -> {args.telemetry}")
     if args.prom:
         print(f"  prometheus snapshot -> {args.prom}")
-    if args.report:
-        print(f"  merged report -> {args.report}")
     return 0
 
 
@@ -673,25 +589,27 @@ _COMMANDS = {
     "table4": cmd_table4,
     "anonytl": cmd_anonytl,
     "power-report": cmd_power_report,
-    "metrics": cmd_metrics,
     "trace": cmd_trace,
     "chaos": cmd_chaos,
     "scenarios": cmd_scenarios,
     "fleet": cmd_fleet,
-    "top": cmd_fleet,
 }
 
 
 def _bad_length(args) -> Optional[str]:
     """What is wrong with the run's length, scale or size, if anything:
-    the simulation would raise on it, or (``table4 --scale``, a negative
-    ``--devices``) quietly run something else.  A fault window
-    (``chaos --minutes``) and a fleet may be empty; a bug injection may
-    not, since the bug needs a victim."""
+    the simulation would raise on it, or (``table4 --scale`` outside
+    (0, 1], a negative ``--devices``) quietly run something else.  A
+    fault window (``chaos --minutes``) and a fleet may be empty; a bug
+    injection may not, since the bug needs a victim.  ``scenarios
+    --scale`` above 1 grows a preset; ``table4`` only shrinks its
+    sessions."""
     for name in ("hours", "scale"):
         value = getattr(args, name, None)
         if value is not None and value <= 0:
             return f"--{name} must be positive, got {value:g}"
+    if args.command == "table4" and args.scale > 1:
+        return f"--scale must not exceed 1, got {args.scale:g}"
     minutes = getattr(args, "minutes", None)
     if minutes is not None and minutes < 0:
         return f"--minutes must not be negative, got {minutes:g}"

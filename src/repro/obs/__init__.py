@@ -18,8 +18,9 @@ perturbing it:
   verdict (slow shards, barrier imbalance, stall accounting).
 * :mod:`repro.obs.prometheus` — text-exposition rendering of a finished
   timeline, for scraping or one-shot export.
-* :mod:`repro.obs.live` — the ``repro top`` progress view, refreshed at
-  each barrier: sim-time, events/s, per-shard lag bars, handoff backlog.
+* :mod:`repro.obs.live` — the ``repro fleet --live`` progress view,
+  refreshed at each barrier: sim-time, events/s, per-shard lag bars,
+  handoff backlog.
 
 Telemetry is out-of-band and keyed to simulated time: sampling only
 *reads* simulation state, every deterministic field is a function of the

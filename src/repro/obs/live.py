@@ -1,4 +1,4 @@
-"""The ``repro top`` live progress view, refreshed at each epoch barrier.
+"""The ``repro fleet --live`` progress view, refreshed at each epoch barrier.
 
 The coordinator hands every appended timeline frame to an observer; this
 module's :class:`LiveView` is the human-facing one.  It renders a small
@@ -71,7 +71,7 @@ class LiveView:
         wall = max(now - self._started, 1e-9)
         fraction = min(1.0, frame["barrier_ms"] / self.total_ms)
         header = (
-            f"repro top — {self.devices} devices / {self.shards} shard(s)   "
+            f"repro fleet — {self.devices} devices / {self.shards} shard(s)   "
             f"sim {_sim_clock(frame['barrier_ms'])} / {_sim_clock(self.total_ms)} "
             f"({fraction * 100:3.0f}%)"
         )

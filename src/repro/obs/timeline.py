@@ -233,7 +233,7 @@ def fleet_health(timeline: FleetTimeline) -> Dict[str, Any]:
 
 
 def render_health(health: Dict[str, Any]) -> str:
-    """The final-report verdict lines for ``repro fleet`` / ``repro top``."""
+    """The final-report verdict lines for ``repro fleet``."""
     imbalance = health["imbalance"]
     flags: List[str] = []
     if health["slow_shards"]:

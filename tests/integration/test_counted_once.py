@@ -7,13 +7,16 @@ twin counter beside it.  Checked on a 20-device, 2-shard in-process
 fleet, with the metrics plane on and off: every pulled registry count
 equals its attribute summed over the shard's nodes, and no stanza count
 shows up under two names in a telemetry sample, the totals line or the
-Prometheus export.
+Prometheus export.  A ``hop.*`` histogram is read for latency; its count
+must be the model count it shadows, here and in a chaos campaign, so a
+missed or doubled ``record`` call site shows.
 """
 
 import json
 
 import pytest
 
+from repro.chaos import run_scenario
 from repro.fleet import fleet_spec, run_fleet, worker
 from repro.obs.prometheus import timeline_to_prometheus
 from repro.obs.timeline import timeline_to_jsonl
@@ -37,6 +40,15 @@ def fleet(request):
             duration_ms=0.25 * HOUR, processes=False, telemetry=True,
         )
     return request.param, result, shards
+
+
+@pytest.fixture(scope="module")
+def chaos_mixed():
+    """The registry after a small chaos ``mixed`` campaign, whose faults
+    make flushes (179) and flush decisions (131) differ."""
+    artifacts = {}
+    run_scenario("mixed", seed=7, minutes=10, devices=6, artifacts=artifacts)
+    return artifacts["sim"].kernel.metrics.snapshot()
 
 
 def _attribute_counts(shard):
@@ -81,6 +93,31 @@ def test_every_pulled_count_is_its_attribute_summed_over_the_shard(fleet):
             assert batches["sum"] == sum(node.payloads_sent for node in devices)
         else:
             assert batches["count"] == snapshot["xmpp.bytes_delivered"] == 0
+
+
+def _hop_pairs(snapshot):
+    """``{hop: (its span count, the model count it shadows)}``."""
+    decisions = sum(
+        value for name, value in snapshot.items() if name.startswith("tailsync.flush.")
+    )
+    shadowed = {
+        "hop.node.flush": snapshot["node.flushes"],
+        "hop.buffer.enqueue": snapshot["buffer.enqueued"],
+        "hop.publish": snapshot["broker.publishes"],
+        "hop.broker.fanout": snapshot["broker.publishes"],
+        "hop.tailsync.decision": decisions,
+    }
+    return {hop: (snapshot[hop]["count"], model) for hop, model in shadowed.items()}
+
+
+def test_each_hop_count_is_the_model_count_it_shadows(fleet, chaos_mixed):
+    metrics_on, _, shards = fleet
+    for shard in shards:
+        for hop, (spans, model) in _hop_pairs(shard.kernel.metrics.snapshot()).items():
+            assert (spans == model > 0) if metrics_on else spans == 0, hop
+    pairs = _hop_pairs(chaos_mixed)
+    assert all(spans == model > 0 for spans, model in pairs.values()), pairs
+    assert pairs["hop.node.flush"] != pairs["hop.tailsync.decision"]
 
 
 def test_the_exact_duplicates_are_gone(fleet):

@@ -1,15 +1,18 @@
-"""The CI workflow may only name files and CLI verbs that exist.
+"""The CI workflow may only name files, CLI verbs and flags that exist.
 
-Nobody can run Actions offline, so a deleted test file or verb that the
-workflow still calls would first be noticed as a red job after the
-merge.  Plain regex over the workflow text: PyYAML is not a test
-dependency.
+Nobody can run Actions offline, so a deleted test file, verb or flag
+that the workflow still calls would first be noticed as a red job after
+the merge.  Plain regex over the workflow text: PyYAML is not a test
+dependency.  Command lines are read as ``test_docs_drift`` reads the
+prose.
 """
 
 import pathlib
 import re
 
 from repro import cli
+
+from .test_docs_drift import OPTIONS, _invocations
 
 ROOT = pathlib.Path(__file__).parent.parent.parent
 WORKFLOW = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
@@ -23,9 +26,19 @@ def test_every_test_and_benchmark_path_in_the_workflow_exists():
 
 
 def test_every_repro_verb_in_the_workflow_is_a_command():
-    verbs = set(
-        re.findall(r"python -m repro\s+(?:--seed\s+\d+\s+)?([a-z][a-z0-9-]*)", WORKFLOW)
-    )
+    verbs = {verb for verb, _ in _invocations(WORKFLOW)}
     assert len(verbs) > 3
     unknown = sorted(verbs - set(cli._COMMANDS))
     assert not unknown, f"ci.yml calls CLI verbs that do not exist: {unknown}"
+
+
+def test_every_flag_in_the_workflow_is_an_option_of_its_verb():
+    invocations = list(_invocations(WORKFLOW))
+    assert sum(len(flags) for _, flags in invocations) > 20
+    wrong = [
+        f"repro {verb} {flag}"
+        for verb, flags in invocations
+        for flag in flags
+        if flag not in OPTIONS[None] | OPTIONS.get(verb, set())
+    ]
+    assert not wrong, f"ci.yml passes flags its verbs do not take: {wrong}"

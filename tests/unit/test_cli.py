@@ -58,32 +58,16 @@ def test_power_report_rows_add_up_to_the_rail_total(capsys):
     assert sum(rows.values()) == pytest.approx(float(total), abs=0.005 * (len(rows) + 1))
 
 
-def test_metrics(capsys):
-    assert main(["--seed", "3", "metrics", "--devices", "2", "--hours", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "broker.publishes" in out
-    assert "transport.stanzas_sent" in out
-    # The simulated hour must actually move the counters.
-    for line in out.splitlines():
-        if line.startswith("broker.publishes"):
-            assert int(line.split()[-1].replace(",", "")) > 0
-
-
-def test_metrics_json(capsys):
-    import json
-
-    assert main(["--seed", "3", "metrics", "--devices", "2", "--hours", "0.5",
-                 "--json"]) == 0
-    snapshot = json.loads(capsys.readouterr().out)
-    assert snapshot["broker.publishes"] > 0
-    assert snapshot["node.batch_payloads"]["count"] > 0
-
-
 def test_trace(capsys):
     assert main(["--seed", "3", "trace", "--devices", "2", "--hours", "0.5"]) == 0
     out = capsys.readouterr().out
-    assert "per-hop latency:" in out
-    assert "buffer.dwell" in out
+    assert "metrics (nonzero; hop.* are per-hop latencies):" in out
+    assert "transport.stanzas_sent" in out
+    # The simulated half hour must actually move the counters.
+    (publishes,) = [line for line in out.splitlines()
+                    if line.startswith("broker.publishes ")]
+    assert int(publishes.split()[-1].replace(",", "")) > 0
+    assert "hop.buffer.dwell" in out
     assert "deliver.collector" in out
     assert "radio episodes" in out
     assert "woken by a Pogo flush" in out
@@ -98,7 +82,13 @@ def test_trace_json_and_export(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["devices"] == 2
     assert report["spans"]["recorded"] > 0
-    assert "hop.publish" in report["hops"]
+    # The full registry snapshot, zero-valued names and hop latencies
+    # included.
+    snapshot = report["metrics"]
+    assert snapshot["broker.publishes"] > 0
+    assert snapshot["node.batch_payloads"]["count"] > 0
+    assert snapshot["hop.publish"]["count"] > 0
+    assert 0 in snapshot.values()
     energy = report["energy"]
     assert set(energy) == {"active_j", "episodes", "idle_j", "total_j"}
     assert energy["episodes"]["flush"] == 0
@@ -110,27 +100,6 @@ def test_trace_json_and_export(tmp_path, capsys):
     first = json.loads(lines[0])
     assert set(first) == {"span", "trace", "parent", "hop", "start_ms",
                           "end_ms", "attrs"}
-
-
-def test_metrics_output_file_redirects_the_report(tmp_path, capsys):
-    path = tmp_path / "metrics.txt"
-    assert main(["--seed", "3", "metrics", "--devices", "2", "--hours", "0.5",
-                 "--output", str(path)]) == 0
-    assert capsys.readouterr().out == ""  # redirected, nothing on stdout
-    text = path.read_text(encoding="utf-8")
-    assert "metrics after 0.5 h with 2 device(s)" in text
-    assert "broker.publishes" in text
-
-
-def test_trace_output_file(tmp_path, capsys):
-    import json
-
-    path = tmp_path / "trace.json"
-    assert main(["--seed", "3", "trace", "--devices", "2", "--hours", "0.5",
-                 "--json", "--output", str(path)]) == 0
-    assert capsys.readouterr().out == ""
-    report = json.loads(path.read_text(encoding="utf-8"))
-    assert report["devices"] == 2
 
 
 def test_fleet_telemetry_and_prom_exports(tmp_path, capsys):
@@ -199,7 +168,7 @@ def test_fleet_latency_flag_changes_physics_and_rejects_junk(capsys):
     "verb, label",
     [
         (["fleet", "--devices", "4"], "fleet"),
-        (["top", "--devices", "4"], "fleet"),
+        (["fleet", "--devices", "4", "--live"], "fleet"),
         (["scenarios", "--preset", "stadium-evening"], "scenarios"),
     ],
 )
@@ -217,7 +186,6 @@ def test_nonpositive_shard_count_prints_one_line_and_exits_1(
 
 BAD_INPUT = [
     (["power-report", "--hours", "0"], "--hours must be positive, got 0"),
-    (["metrics", "--hours", "0"], "--hours must be positive, got 0"),
     (["trace", "--hours", "0"], "--hours must be positive, got 0"),
     (["anonytl", "task.atl", "--hours", "0"], "--hours must be positive, got 0"),
     (["chaos", "--minutes", "-3"], "--minutes must not be negative, got -3"),
@@ -225,14 +193,13 @@ BAD_INPUT = [
      f"unknown scenario 'nope' (choose from {sorted(SCENARIOS)})"),
     (["table4", "--scale", "0"], "--scale must be positive, got 0"),
     (["table4", "--scale", "-1"], "--scale must be positive, got -1"),
+    (["table4", "--scale", "1.5"], "--scale must not exceed 1, got 1.5"),
     (["scenarios", "--scale", "0"], "--scale must be positive, got 0"),
     (["fleet", "--hours", "0"], "--hours must be positive, got 0"),
     (["chaos", "--devices", "-3", "--minutes", "1", "--json"],
      "--devices must not be negative, got -3"),
-    (["metrics", "--devices", "-1"], "--devices must not be negative, got -1"),
     (["trace", "--devices", "-1"], "--devices must not be negative, got -1"),
     (["fleet", "--devices", "-1"], "--devices must not be negative, got -1"),
-    (["top", "--devices", "-1"], "--devices must not be negative, got -1"),
     (["chaos", "--devices", "0", "--inject-bug", "skip-retransmit"],
      "--inject-bug needs a device to break, got --devices 0"),
 ]
@@ -276,12 +243,13 @@ def test_fleet_says_how_many_shards_ran_in_worker_processes(capsys, extra, worke
     )
 
 
-def test_top_runs_and_prints_health(capsys):
-    assert main(["--seed", "5", "top", "--devices", "4", "--shards", "2",
-                 "--hours", "0.25", "--in-process"]) == 0
+def test_fleet_live_prints_health_and_the_view_on_stderr(capsys):
+    assert main(["--seed", "5", "fleet", "--devices", "4", "--shards", "2",
+                 "--hours", "0.25", "--in-process", "--live"]) == 0
     captured = capsys.readouterr()
     assert "health:" in captured.out
-    assert "repro top" in captured.err  # the live view writes to stderr
+    assert "repro fleet" in captured.err  # the live view writes to stderr
+    assert "repro fleet" not in captured.out
 
 
 def test_fleet_worker_crash_prints_one_line_and_exits_1(capsys, monkeypatch):

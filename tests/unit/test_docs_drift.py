@@ -5,8 +5,10 @@ system as it is; nothing fails when a PR renames what they quote.  Plain
 regex over the text, in the style of ``test_ci_workflow.py``: every
 ``….py`` path (and ``:NNN`` line) is in the tree, every dotted
 ``repro.*`` name imports, every ``CamelCase`` identifier is defined
-somewhere in the code, every ``repro <verb>`` is a command and every
-``--flag`` is an option of the command line it is quoted on.
+somewhere in the code, every ``repro <verb>`` is a command, every
+``--flag`` is an option of the command line it is quoted on, and both
+numbers of every ``a → b`` that README or INTERNALS quotes stand in one
+paragraph of docs/MEASUREMENTS.md, the log of what was measured.
 
 Out of scope: ``benchmarks/pogobench/README.md`` and ROADMAP.md (frozen
 between benchmark PRs and re-anchors), and CHANGES.md and
@@ -162,6 +164,36 @@ def test_every_flag_is_an_option_of_its_command(doc):
         elif flag not in anywhere:
             wrong.append(flag)
     assert not wrong, f"{doc} quotes flags that do not exist: {sorted(wrong)}"
+
+
+_NUMBER = r"\d(?:[\d,]*\d)?(?:\.\d+)?"
+#: ``0.440 → 0.409``, also wrapped across two lines.
+_BEFORE_AFTER = re.compile(rf"(?<![\w.,])({_NUMBER})\s*→\s*({_NUMBER})(?!\w)")
+_MEASURED = re.split(r"\n\s*\n", (ROOT / "docs" / "MEASUREMENTS.md").read_text())
+
+
+def _stands_in(number, paragraph):
+    return re.search(
+        rf"(?<![\d.,]){re.escape(number)}(?!\d|[.,]\d)", paragraph
+    ) is not None
+
+
+@pytest.mark.parametrize("doc", ["README.md", "docs/INTERNALS.md"])
+def test_every_quoted_before_and_after_was_measured(doc):
+    quotes = _BEFORE_AFTER.findall(DOCS[doc])
+    assert quotes  # the pattern still finds what it is for
+    unmeasured = [
+        f"{before} → {after}"
+        for before, after in quotes
+        if not any(
+            _stands_in(before, paragraph) and _stands_in(after, paragraph)
+            for paragraph in _MEASURED
+        )
+    ]
+    assert not unmeasured, (
+        f"{doc} quotes figures no paragraph of docs/MEASUREMENTS.md holds: "
+        f"{unmeasured}"
+    )
 
 
 def test_the_patterns_still_find_what_they_are_for():

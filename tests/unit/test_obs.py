@@ -312,7 +312,7 @@ class TestLiveView:
         view.close()
         lines = stream.getvalue().splitlines()
         assert len(lines) == 2
-        assert "repro top" in lines[0]
+        assert "repro fleet" in lines[0]
         assert "events" in lines[0]
         assert "\x1b[" not in stream.getvalue()
 
